@@ -12,18 +12,8 @@ audit still passes because that gap has measure zero.
     python3 scripts/audit_polar_run.py --n 30 --probes 100000
 """
 import argparse
-import math
 
-from capdisc import (
-    CoverParams,
-    Region,
-    audit_coverage,
-    conjecture_check,
-    generate_polar,
-    north_pole_directed,
-    north_pole_local_radius,
-    phi_max_from_radius,
-)
+from capdisc import audit_coverage, conjecture_setup, cover_region
 
 
 def main() -> None:
@@ -33,18 +23,13 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    outcome, cert = conjecture_check(args.n, structure="polar")
+    ps, params = conjecture_setup(args.n, structure="polar")
+    outcome = cover_region(ps, params)
     print(
         f"cover: status={outcome.status} n_DD={outcome.counters['n_DD']} "
         f"residual_directions={len(outcome.not_covered)}"
     )
 
-    ps = generate_polar(args.n)
-    d = north_pole_directed(args.n)
-    phi_max = phi_max_from_radius(north_pole_local_radius(args.n))
-    params = CoverParams(
-        d=d, region=Region(0.0, phi_max, 0.0, math.pi), cover_cap_max_depth=12
-    )
     result = audit_coverage(
         ps, params, outcome, probe_count=args.probes, seed=args.seed
     )

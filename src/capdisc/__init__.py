@@ -50,6 +50,7 @@ from .polar_analysis import (
     NorthPoleCertificate,
     OrbitSums,
     conjecture_check,
+    conjecture_setup,
     north_pole_directed,
     north_pole_local_radius,
     orbit_sums,

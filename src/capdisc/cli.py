@@ -24,7 +24,7 @@ from .pointsets import (
     read_point_set,
     write_point_set,
 )
-from .polar_analysis import conjecture_check, north_pole_directed
+from .polar_analysis import conjecture_setup
 from .reporting import (
     summary_row_from_outcome,
     upsert_summary_row,
@@ -66,14 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     cov.add_argument("--theta-min", type=float, required=True)
     cov.add_argument("--theta-max", type=float, required=True)
     cov.add_argument("--report", required=True)
-    cov.add_argument("--threads", type=int, default=1)
 
     conj = sub.add_parser("conjecture", help="north-pole maximality check per n")
     conj.add_argument("--n-min", type=int, required=True)
     conj.add_argument("--n-max", type=int, required=True)
     conj.add_argument("--structure", choices=["twisted", "polar"], default="twisted")
     conj.add_argument("--summary", required=True)
-    conj.add_argument("--threads", type=int, default=1)
 
     nai = sub.add_parser("naive", help="exact discrepancy by axis enumeration")
     nai.add_argument("--points", required=True)
@@ -120,9 +118,13 @@ def _cmd_directed(args) -> int:
 
 def _cmd_cover(args) -> int:
     ps = read_point_set(args.points)
-    region = Region(args.phi_min, args.phi_max, args.theta_min, args.theta_max)
-    params = CoverParams(d=args.d, region=region)
-    outcome = cover_region(ps, params, threads=args.threads)
+    try:
+        region = Region(args.phi_min, args.phi_max, args.theta_min, args.theta_max)
+        params = CoverParams(d=args.d, region=region)
+        outcome = cover_region(ps, params)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     write_report(args.report, ps, params, outcome)
     print(f"status {outcome.status}")
     print(f"n_DD {outcome.counters['n_DD']}")
@@ -140,20 +142,9 @@ def _cmd_conjecture(args) -> int:
         return EXIT_USAGE
     worst = EXIT_OK
     for n in range(args.n_min, args.n_max + 1):
-        outcome, cert = conjecture_check(n, structure=args.structure, threads=args.threads)
-        if args.structure == "twisted":
-            ps = generate_twisted_polar(n)
-        else:
-            ps = generate_polar(n)
-        params_d = cert.north_value
-        row = summary_row_from_outcome(
-            n,
-            ps,
-            # minimal view: only d and timings/counters feed the row
-            _ParamsView(params_d),
-            outcome,
-        )
-        upsert_summary_row(args.summary, row)
+        ps, params = conjecture_setup(n, args.structure)
+        outcome = cover_region(ps, params)
+        upsert_summary_row(args.summary, summary_row_from_outcome(n, ps, params, outcome))
         print(
             f"n {n} t {ps.size} status {outcome.status} "
             f"n_DD {outcome.counters['n_DD']} n_CC {outcome.counters['n_CC']}"
@@ -163,13 +154,6 @@ def _cmd_conjecture(args) -> int:
         elif outcome.status == "residual":
             worst = max(worst, EXIT_RESIDUAL)
     return worst
-
-
-class _ParamsView:
-    """Duck-typed stand-in carrying just the candidate bound d."""
-
-    def __init__(self, d: float):
-        self.d = d
 
 
 def _cmd_naive(args) -> int:

@@ -20,7 +20,6 @@ from .discrepancy import (
     DirectedResult,
     HypothesisViolation,
     confidence_radius,
-    directed_discrepancy,
     project,
 )
 from .geometry import (
@@ -105,7 +104,7 @@ def r_min_from_samples(radii, factor: float) -> float:
     return factor * median(radii)
 
 
-def estimate_orbit_r_min(ps: PointSet, phi: float, d: float, params: CoverParams) -> float:
+def estimate_orbit_r_min(ps: PointSet, phi: float, params: CoverParams) -> float:
     """Sampled-median r_min for one latitude, standalone variant of the engine step."""
     eng = _Engine(ps, params)
     return eng.orbit_r_min(phi)
@@ -364,7 +363,6 @@ class _Engine:
 
     def run(self) -> CoverOutcome:
         t0 = time.perf_counter()
-        reg = self.params.region
         counterexample = None
         try:
             self._phase1()
@@ -524,12 +522,8 @@ class _Engine:
         return band_lo <= phi_min + 1e-12 and band_hi >= lowest_covered - 1e-12
 
 
-def cover_region(ps: PointSet, params: CoverParams, threads: int = 1) -> CoverOutcome:
-    """Run the covering algorithm over the configured region.
-
-    `threads` is accepted for CLI symmetry; evaluations are deterministic and
-    order-stable, so the output does not depend on it.
-    """
+def cover_region(ps: PointSet, params: CoverParams) -> CoverOutcome:
+    """Run the covering algorithm over the configured region."""
     if ps.size < 2:
         raise ValueError("covering needs at least two points")
     return _Engine(ps, params).run()

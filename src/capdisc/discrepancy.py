@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Cap, cap_area_fraction
+from .geometry import Cap
 from .pointsets import PointSet
 
 
@@ -63,61 +63,50 @@ def project(ps: PointSet, v: np.ndarray) -> ProjectionProfile:
     return ProjectionProfile(np.asarray(v, dtype=float), vals)
 
 
-def _sweep(values: np.ndarray):
-    """Candidate discrepancies at each projection value, both cap conventions.
+def _sweep(s: np.ndarray) -> np.ndarray:
+    """|count/t - area| at every sorted projection, both cap conventions.
 
-    For sorted s and index i, the boundary-inclusive cap at h = s_i holds
-    t - i points and the exclusive one t - i - 1.  The area term is monotone
-    between projection values, so the supremum over all heights is attained
-    among these candidates.  Tied values contribute intermediate counts that
-    never exceed the two legitimate extremes, so no tie handling is needed
-    for the maximum.
+    `s` holds projections sorted along axis 0, shape (t,) or (t, m).  At
+    h = s_i the boundary-inclusive cap holds t - i points and the exclusive
+    one t - 1 - i; the result stacks the two on a new leading axis.  The
+    area term is monotone between projection values, so the supremum over
+    all heights is attained among these candidates.  Inside a run of tied
+    values the counts are intermediate, and since rounding is monotone
+    their deviations never exceed those of the legitimate counts at the
+    ends of the run, so the maximum needs no tie handling.
     """
-    t = len(values)
-    area = (1.0 - values) / 2.0
-    counts = (t - np.arange(t)) / t
-    incl = np.abs(counts - area)
-    excl = np.abs(counts - 1.0 / t - area)
-    return incl, excl
+    t = s.shape[0]
+    frac = np.arange(t, -1, -1) / t  # frac[i] = (t - i) / t, divided exactly
+    counts = np.stack([frac[:-1], frac[1:]]).reshape((2, t) + (1,) * (s.ndim - 1))
+    return np.abs(counts - (1.0 - s) / 2.0)
 
 
 def directed_discrepancy(profile: ProjectionProfile) -> DirectedResult:
-    """Supremum over cap heights of |count/t - area| along one direction."""
+    """Supremum over cap heights of |count/t - area| along one direction.
+
+    The witness is tie-aware: an inclusive count is taken only at the first
+    of tied projections and an exclusive one only at the last, so the
+    witness cap holds exactly the count its value was computed from.
+    Masking the other candidates leaves the maximum unchanged (see _sweep).
+    """
     s = profile.values
-    t = len(s)
-    incl, excl = _sweep(s)
-    i_inc = int(np.argmax(incl))
-    i_exc = int(np.argmax(excl))
-    if incl[i_inc] >= excl[i_exc]:
-        value, h, inclusive = float(incl[i_inc]), float(s[i_inc]), True
-    else:
-        value, h, inclusive = float(excl[i_exc]), float(s[i_exc]), False
-    # Re-anchor the witness to a legitimate tie-aware count at h.
-    n_incl = int(np.sum(s >= h))
-    n_excl = int(np.sum(s > h))
-    area = cap_area_fraction(h)
-    vi = abs(n_incl / t - area)
-    ve = abs(n_excl / t - area)
-    if vi >= ve:
-        value, inclusive = vi, True
-    else:
-        value, inclusive = ve, False
-    return DirectedResult(profile.direction, value, h, inclusive)
+    dev = _sweep(s)
+    tied = s[1:] == s[:-1]
+    dev[0, 1:][tied] = -1.0
+    dev[1, :-1][tied] = -1.0
+    kind, i = divmod(int(np.argmax(dev)), len(s))
+    return DirectedResult(profile.direction, float(dev[kind, i]), float(s[i]), kind == 0)
 
 
 def directed_values(points: np.ndarray, directions: np.ndarray, chunk: int = 4096) -> np.ndarray:
     """Vectorized directed-discrepancy values for many directions."""
     points = np.asarray(points, dtype=float)
     directions = np.asarray(directions, dtype=float)
-    t = points.shape[0]
-    counts = ((t - np.arange(t)) / t)[:, None]
     out = np.empty(directions.shape[0])
     for lo in range(0, directions.shape[0], chunk):
         block = directions[lo : lo + chunk]
         s = np.sort(points @ block.T, axis=0)
-        area = (1.0 - s) / 2.0
-        dev = np.maximum(np.abs(counts - area), np.abs(counts - 1.0 / t - area))
-        out[lo : lo + block.shape[0]] = dev.max(axis=0)
+        out[lo : lo + block.shape[0]] = _sweep(s).max(axis=(0, 1))
     return out
 
 
@@ -137,11 +126,11 @@ def confidence_radius(profile: ProjectionProfile, d: float) -> ConfidenceBall:
     HypothesisViolation carrying the witness direction.
     """
     t = profile.size
-    res = directed_discrepancy(profile)
-    if res.value + 1.0 / t > d + 1e-15:
-        raise HypothesisViolation(profile.direction, res.value, d)
-    k = int(math.floor(t * (d - res.value))) + 1
-    return ConfidenceBall(profile.direction, slab_min_width(profile, k), d, k, res.value)
+    dis = float(_sweep(profile.values).max())
+    if dis + 1.0 / t > d + 1e-15:
+        raise HypothesisViolation(profile.direction, dis, d)
+    k = int(math.floor(t * (d - dis))) + 1
+    return ConfidenceBall(profile.direction, slab_min_width(profile, k), d, k, dis)
 
 
 def _candidate_axes(points: np.ndarray) -> np.ndarray:

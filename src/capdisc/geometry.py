@@ -122,25 +122,3 @@ def cover_cap_centers(center: np.ndarray, r: float) -> list[np.ndarray]:
         out.append(cos_lat * (math.cos(ang) * e1 + math.sin(ang) * e2) + sin_lat * center)
     return out
 
-
-def cap_pair_intersection(c1: np.ndarray, r1: float, c2: np.ndarray, r2: float):
-    """Boundary intersection points of two chord-radius caps, or None.
-
-    Returns the two unit vectors u with |u - c1| = r1 and |u - c2| = r2,
-    or None when the boundary circles do not meet (disjoint or nested caps).
-    """
-    m = float(np.dot(c1, c2))
-    den = 1.0 - m * m
-    if den <= 1e-30:
-        return None
-    h1 = 1.0 - r1 * r1 / 2.0
-    h2 = 1.0 - r2 * r2 / 2.0
-    a = (h1 - m * h2) / den
-    b = (h2 - m * h1) / den
-    g2 = (1.0 - (a * a + b * b + 2.0 * a * b * m)) / den
-    if g2 < 0.0:
-        return None
-    g = math.sqrt(g2)
-    n = np.cross(c1, c2)
-    base = a * c1 + b * c2
-    return base + g * n, base - g * n

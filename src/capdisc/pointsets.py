@@ -28,6 +28,10 @@ class EmptyPointSetError(PointFileError):
     pass
 
 
+class DuplicatePointError(PointFileError):
+    """Two rows hold the same point; coincident points stall the covering engine."""
+
+
 @dataclass
 class PointSetMeta:
     generator: str = "file"
@@ -135,6 +139,7 @@ def write_point_set(ps: PointSet, path) -> None:
 def read_point_set(path) -> PointSet:
     text = Path(path).read_text()
     rows = []
+    seen: dict[tuple, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -151,7 +156,11 @@ def read_point_set(path) -> PointSet:
         norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-6:
             raise NonUnitPointError(f"{path}:{lineno}: norm {norm!r} is not 1")
-        rows.append(v / norm)
+        p = v / norm
+        first = seen.setdefault(tuple(p), lineno)
+        if first != lineno:
+            raise DuplicatePointError(f"{path}:{lineno}: same point as line {first}")
+        rows.append(p)
     if not rows:
         raise EmptyPointSetError(f"{path}: no points")
     return PointSet(np.array(rows), PointSetMeta("file"))

@@ -103,14 +103,12 @@ def phi_max_from_radius(r: float) -> float:
     return math.pi / 2.0 - 2.0 * math.asin(min(1.0, r / 2.0))
 
 
-def conjecture_check(
-    n: int, structure: str = "twisted", threads: int = 1
-) -> tuple[CoverOutcome, NorthPoleCertificate]:
-    """Machine check that the north pole maximizes directed discrepancy for this n.
+def conjecture_setup(n: int, structure: str = "twisted") -> tuple[PointSet, CoverParams]:
+    """Point set and covering parameters of the north-pole check for this n.
 
-    Sets d to the north-pole value, converts the local-radius lemma into
-    phi_max, and covers [0, phi_max] x [0, pi]; the mirror and antipodal
-    symmetries of the structure account for the rest of the sphere.
+    Sets d to the north-pole value and converts the local-radius lemma into
+    phi_max; the region [0, phi_max] x [0, pi] plus the mirror and antipodal
+    symmetries of the structure account for the whole sphere.
     """
     if structure == "twisted":
         ps = generate_twisted_polar(n)
@@ -131,11 +129,23 @@ def conjecture_check(
         region=Region(0.0, phi_max, 0.0, math.pi),
         cover_cap_max_depth=12,
     )
-    outcome = cover_region(ps, params, threads=threads)
+    return ps, params
+
+
+def conjecture_check(
+    n: int, structure: str = "twisted"
+) -> tuple[CoverOutcome, NorthPoleCertificate]:
+    """Machine check that the north pole maximizes directed discrepancy for this n.
+
+    Covers the region of `conjecture_setup(n, structure)` with d set to the
+    north-pole value.
+    """
+    ps, params = conjecture_setup(n, structure)
+    outcome = cover_region(ps, params)
     cert = NorthPoleCertificate(
         n=n,
-        north_value=d,
-        phi_max=phi_max,
-        bound_constant_check=d * ps.size / n,
+        north_value=params.d,
+        phi_max=params.region.phi_max,
+        bound_constant_check=params.d * ps.size / n,
     )
     return outcome, cert

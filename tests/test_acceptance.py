@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from capdisc.covering import CoverParams, cover_region
 from capdisc.discrepancy import (
     confidence_radius,
     directed_discrepancy,
@@ -19,7 +18,6 @@ from capdisc.discrepancy import (
     naive_discrepancy,
     project,
 )
-from capdisc.geometry import Region
 from capdisc.pointsets import (
     generate_polar,
     generate_random_uniform,
@@ -28,9 +26,8 @@ from capdisc.pointsets import (
 from capdisc.polar_analysis import (
     NORTH_BOUND_CONSTANT,
     conjecture_check,
+    conjecture_setup,
     north_pole_directed,
-    north_pole_local_radius,
-    phi_max_from_radius,
 )
 from capdisc.reporting import audit_coverage
 
@@ -209,12 +206,7 @@ def test_criterion_09_certification_audit_polar_30():
     # must still be perfect.
     t0 = time.perf_counter()
     outcome, _, _ = conjecture_run(30, structure="polar")
-    ps = generate_polar(30)
-    d = north_pole_directed(30)
-    phi_max = phi_max_from_radius(north_pole_local_radius(30))
-    params = CoverParams(
-        d=d, region=Region(0.0, phi_max, 0.0, math.pi), cover_cap_max_depth=12
-    )
+    ps, params = conjecture_setup(30, structure="polar")
     result = audit_coverage(ps, params, outcome, probe_count=100_000, seed=0)
     assert result["uncovered"] == 0, f"{result['uncovered']} probes uncovered"
     assert result["over_bound"] == 0, f"{result['over_bound']} probes above d"

@@ -3,11 +3,20 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from capdisc.cli import main
+from capdisc.discrepancy import directed_values
+from capdisc.geometry import Region
+from capdisc.pointsets import PointSet, generate_random_uniform, write_point_set
 from capdisc.polar_analysis import north_pole_directed
-from capdisc.reporting import SUMMARY_HEADER, read_report, strip_timings
+from capdisc.reporting import (
+    SUMMARY_HEADER,
+    read_report,
+    sample_region_directions,
+    strip_timings,
+)
 
 
 def run_cli(capsys, *argv):
@@ -132,6 +141,51 @@ class TestCover:
         assert json.dumps(reports[0], sort_keys=True) == json.dumps(
             reports[1], sort_keys=True
         )
+
+    @pytest.mark.parametrize(
+        "one_point, d, phi_min",
+        [(False, "0", "0"), (False, "0.05", "0.6"), (True, "0.05", "0")],
+        ids=["d-zero", "phi-min-above-phi-max", "one-point"],
+    )
+    def test_invalid_input_is_usage_error(
+        self, polar15, tmp_path, capsys, one_point, d, phi_min
+    ):
+        points = polar15
+        if one_point:
+            points = tmp_path / "one.csv"
+            points.write_text("x,y,z\n0,0,1\n")
+        code, out, err = run_cli(
+            capsys, "cover", "--points", str(points), "--d", d,
+            "--phi-min", phi_min, "--phi-max", "0.5",
+            "--theta-min", "0", "--theta-max", "1",
+            "--report", str(tmp_path / "report.json"),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_duplicate_points_are_io_error(self, tmp_path):
+        # Coincident points drive phase 1 into ever smaller orbits that never
+        # reach phi_min; the reader must refuse them before the engine runs.
+        # A subprocess with a timeout turns a regression into a failure
+        # instead of a hung suite.
+        base = generate_random_uniform(12, seed=0)
+        ps = PointSet(np.repeat(base.points, 4, axis=0))
+        path = tmp_path / "dup.csv"
+        write_point_set(ps, path)
+        region = Region(0.3, 0.5, 0.0, 0.4)
+        probes = sample_region_directions(region, 20_000, np.random.default_rng(0))
+        d = float(directed_values(ps.points, probes).max()) + 1.02 / ps.size
+        proc = subprocess.run(
+            [sys.executable, "-m", "capdisc.cli", "cover", "--points", str(path),
+             "--d", repr(d), "--phi-min", "0.3", "--phi-max", "0.5",
+             "--theta-min", "0", "--theta-max", "0.4",
+             "--report", str(tmp_path / "report.json")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert ":3: same point as line 2" in proc.stderr
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestConjecture:

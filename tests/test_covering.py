@@ -137,18 +137,6 @@ class TestCoverRegion:
         assert outcome.counterexample is not None
         assert outcome.counterexample.value + 1.0 / ps.size > 1e-9
 
-    def test_threads_flag_does_not_change_output(self):
-        ps = generate_twisted_polar(10)
-        d = north_pole_directed(10)
-        params = CoverParams(d=d, region=Region(0.7, 1.0, 0.0, 0.5))
-        a = cover_region(ps, params, threads=1)
-        b = cover_region(ps, params, threads=4)
-        assert a.status == b.status
-        assert a.counters == b.counters
-        assert [(r.direction, r.radius) for r in a.records] == [
-            (r.direction, r.radius) for r in b.records
-        ]
-
     def test_rejects_trivial_point_set(self):
         ps = generate_random_uniform(1, seed=0)
         with pytest.raises(ValueError):
@@ -187,5 +175,5 @@ def test_estimate_orbit_r_min_positive():
     ps = generate_twisted_polar(12)
     d = north_pole_directed(12)
     params = CoverParams(d=d, region=Region(0.0, 1.2, 0.0, math.pi))
-    r = estimate_orbit_r_min(ps, 0.8, d, params)
+    r = estimate_orbit_r_min(ps, 0.8, params)
     assert r > 0.0

@@ -16,12 +16,49 @@ from capdisc.discrepancy import (
     project,
     slab_min_width,
 )
-from capdisc.pointsets import PointSet, generate_polar, generate_random_uniform
+from capdisc.geometry import PolarDirection, polar_to_cartesian
+from capdisc.pointsets import (
+    PointSet,
+    generate_polar,
+    generate_random_uniform,
+    generate_twisted_polar,
+)
 from capdisc.polar_analysis import north_pole_directed
 
 from conftest import uniform_directions
 
 Z = np.array([0.0, 0.0, 1.0])
+
+
+def reference_directed(s) -> float:
+    """Tie-aware brute force: both legitimate cap counts at every distinct height."""
+    s = [float(x) for x in s]
+    t = len(s)
+    best = 0.0
+    for h in set(s):
+        area = (1.0 - h) / 2.0
+        n_incl = sum(1 for x in s if x >= h)
+        n_excl = sum(1 for x in s if x > h)
+        best = max(best, abs(n_incl / t - area), abs(n_excl / t - area))
+    return best
+
+
+def _sweep_cases():
+    # Polar sets along the coordinate axes tie many projections (rings and
+    # mirror planes); random sets in random directions tie none.  At the
+    # twisted n=20 direction an argmax over rounded `counts - 1/t - area`
+    # candidates once elected a height just short of the true maximum.
+    for n in range(3, 11):
+        for name, v in zip("xyz", np.eye(3)):
+            yield pytest.param(generate_polar(n), v, id=f"polar{n}-{name}")
+    for seed in range(6):
+        ps = generate_random_uniform(5 + 11 * seed, seed=seed)
+        for k, v in enumerate(uniform_directions(4, seed=100 + seed)):
+            yield pytest.param(ps, v, id=f"random{ps.size}-{k}")
+    pinned = PolarDirection(3.217627181741856, 1.2145896637552251)
+    yield pytest.param(
+        generate_twisted_polar(20), polar_to_cartesian(pinned), id="twisted20-pinned"
+    )
 
 
 class TestDirectedDiscrepancy:
@@ -67,6 +104,29 @@ class TestDirectedDiscrepancy:
             assert math.isclose(
                 directed_discrepancy(project(ps, v)).value, expect, abs_tol=1e-12
             )
+
+
+class TestOneSweep:
+    @pytest.mark.parametrize("ps, v", _sweep_cases())
+    def test_every_path_equals_the_brute_force(self, ps, v):
+        prof = project(ps, v)
+        expect = reference_directed(prof.values)
+        assert confidence_radius(prof, 1.0).directed_value == expect
+        # A one-row batch projects with the same rounding as `project`.
+        assert directed_values(ps.points, v[None, :])[0] == expect
+        res = directed_discrepancy(prof)
+        assert res.value == expect
+        # The witness attains the value with the count it claims.
+        s, h = prof.values, res.witness_height
+        count = int((s >= h).sum()) if res.witness_inclusive else int((s > h).sum())
+        assert abs(count / ps.size - (1.0 - h) / 2.0) == res.value
+
+    def test_batched_directions_equal_the_brute_force(self):
+        ps = generate_polar(6)
+        dirs = np.vstack([np.eye(3), uniform_directions(20, seed=3)])
+        s = np.sort(ps.points @ dirs.T, axis=0)
+        expect = [reference_directed(s[:, j]) for j in range(len(dirs))]
+        assert directed_values(ps.points, dirs, chunk=7).tolist() == expect
 
 
 class TestSlabWidth:

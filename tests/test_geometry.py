@@ -9,7 +9,6 @@ from capdisc.geometry import (
     PolarDirection,
     Region,
     cap_area_fraction,
-    cap_pair_intersection,
     cartesian_to_polar,
     chord_distance,
     cover_cap_centers,
@@ -121,24 +120,6 @@ class TestCoverCapCenters:
             u = np.cos(ang)[:, None] * v[None, :] + np.sin(ang)[:, None] * tang
             d2 = ((u[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
             assert (d2.min(axis=1) <= (r / 2) ** 2 + 1e-12).all()
-
-
-class TestCapPairIntersection:
-    def test_points_on_both_boundaries(self):
-        c1 = np.array([0.0, 0.0, 1.0])
-        c2 = polar_to_cartesian(PolarDirection(0.3, 1.2))
-        r1, r2 = 0.5, 0.6
-        pts = cap_pair_intersection(c1, r1, c2, r2)
-        assert pts is not None
-        for p in pts:
-            assert math.isclose(float(np.linalg.norm(p)), 1.0, abs_tol=1e-9)
-            assert math.isclose(chord_distance(p, c1), r1, abs_tol=1e-9)
-            assert math.isclose(chord_distance(p, c2), r2, abs_tol=1e-9)
-
-    def test_disjoint_returns_none(self):
-        c1 = np.array([0.0, 0.0, 1.0])
-        c2 = np.array([0.0, 0.0, -1.0])
-        assert cap_pair_intersection(c1, 0.1, c2, 0.1) is None
 
 
 def test_random_unit_vectors_are_unit():

@@ -8,7 +8,6 @@ from .geometry import (
     Cap,
     PolarDirection,
     Region,
-    cap_area_fraction,
     cartesian_to_polar,
     chord_distance,
     cover_cap_centers,

@@ -526,5 +526,14 @@ def cover_region(ps: PointSet, params: CoverParams) -> CoverOutcome:
     """Run the covering algorithm over the configured region."""
     if ps.size < 2:
         raise ValueError("covering needs at least two points")
+    # Coincident points shrink the confidence radii around their directions
+    # without bound, so phase 1 never reaches phi_min.
+    _, first = np.unique(ps.points, axis=0, return_index=True)
+    if len(first) < ps.size:
+        row = int(np.setdiff1d(np.arange(ps.size), first)[0])
+        earlier = int(np.flatnonzero((ps.points == ps.points[row]).all(axis=1))[0])
+        raise ValueError(
+            f"point set row {row} repeats row {earlier}; coincident points are not supported"
+        )
     return _Engine(ps, params).run()
 

@@ -83,13 +83,6 @@ def cartesian_to_polar(v: np.ndarray) -> PolarDirection:
     return PolarDirection(theta, phi)
 
 
-def cap_area_fraction(h: float) -> float:
-    """Normalized area of the cap of height h: (1 - h) / 2."""
-    if not -1.0 <= h <= 1.0:
-        raise ValueError(f"cap height out of [-1, 1]: {h!r}")
-    return (1.0 - h) / 2.0
-
-
 def chord_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(u) - np.asarray(v)))
 

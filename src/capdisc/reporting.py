@@ -184,6 +184,42 @@ def sample_region_directions(region: Region, count: int, rng: np.random.Generato
     )
 
 
+# Probes per block of the coverage test; sorted by z, a block meets few balls.
+_AUDIT_BLOCK = 128
+# Widening of each ball's z-interval.  The test accepts a computed chord^2
+# <= r^2 + 1e-30 whose rounding is a few ulps of 4 (< 1e-14), so an accepted
+# probe lies within sqrt(r^2 + 1e-14) < r + 1e-7 of the centre.
+_Z_SLACK = 1e-7
+
+
+def _uncovered_count(probes: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> int:
+    """Number of probes outside every ball B(center, radius), chordal.
+
+    Probes are sorted by z and taken in blocks; each block is tested only
+    against the balls whose z-interval [c_z - r, c_z + r] meets the block's
+    z-range.  This is sound because |c_z - p_z| <= |c - p|, and z has no
+    seam, so longitude wrap-around needs no special case.
+    """
+    lo = centers[:, 2] - radii - _Z_SLACK
+    hi = centers[:, 2] + radii + _Z_SLACK
+    r2 = radii * radii + 1e-30
+    c2 = np.sum(centers * centers, axis=1)
+    probes = probes[np.argsort(probes[:, 2])]
+    uncovered = 0
+    for start in range(0, len(probes), _AUDIT_BLOCK):
+        block = probes[start : start + _AUDIT_BLOCK]
+        near = np.flatnonzero((lo <= block[-1, 2]) & (hi >= block[0, 2]))
+        # chord distance probe->center <= radius, via squared norms
+        d2 = (
+            np.sum(block * block, axis=1)[:, None]
+            - 2.0 * block @ centers[near].T
+            + c2[near][None, :]
+        )
+        hit = (d2 <= r2[near][None, :]).any(axis=1)
+        uncovered += int((~hit).sum())
+    return uncovered
+
+
 def audit_coverage(
     ps: PointSet,
     params: CoverParams,
@@ -198,6 +234,7 @@ def audit_coverage(
     violations.  Residual outcomes can still be audited: the probes are
     checked against whatever balls were certified, so a run whose only gap
     is a measure-zero singular direction passes with probability one.
+    The coverage test holds the distances of one probe block at a time.
     """
     if outcome.status == "counterexample":
         raise ValueError("audit requires a certificate, not a counterexample")
@@ -206,24 +243,14 @@ def audit_coverage(
 
     centers = np.array(
         [polar_to_cartesian(rec.direction) for rec in outcome.records]
-    )
+    ).reshape(-1, 3)
     radii = np.array([rec.radius for rec in outcome.records])
+    uncovered = _uncovered_count(probes, centers, radii)
 
-    uncovered = 0
     over_bound = 0
     chunk = 2048
     for start in range(0, probe_count, chunk):
-        block = probes[start : start + chunk]
-        # chord distance probe->center <= radius, via squared norms
-        d2 = (
-            np.sum(block * block, axis=1)[:, None]
-            - 2.0 * block @ centers.T
-            + np.sum(centers * centers, axis=1)[None, :]
-        )
-        inside = d2 <= (radii * radii)[None, :] + 1e-30
-        hit = inside.any(axis=1)
-        uncovered += int((~hit).sum())
-        values = directed_values(ps.points, block)
+        values = directed_values(ps.points, probes[start : start + chunk])
         over_bound += int((values > params.d).sum())
     return {
         "probes": probe_count,

@@ -1,4 +1,7 @@
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -141,6 +144,37 @@ class TestCoverRegion:
         ps = generate_random_uniform(1, seed=0)
         with pytest.raises(ValueError):
             cover_region(ps, CoverParams(d=0.5, region=Region(0.0, 0.1, 0.0, 0.1)))
+
+    def test_coincident_points_are_rejected(self):
+        # Every point repeated 4 times once drove phase 1 into ever smaller
+        # orbits that never reached phi_min.  A subprocess with a timeout
+        # turns a regression into a failure instead of a hung suite.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            from capdisc.covering import CoverParams, cover_region
+            from capdisc.discrepancy import directed_values
+            from capdisc.geometry import Region
+            from capdisc.pointsets import PointSet, generate_random_uniform
+            from capdisc.reporting import sample_region_directions
+
+            ps = PointSet(np.repeat(generate_random_uniform(12, seed=0).points, 4, axis=0))
+            region = Region(0.3, 0.5, 0.0, 0.4)
+            probes = sample_region_directions(region, 20_000, np.random.default_rng(0))
+            d = float(directed_values(ps.points, probes).max()) + 1.02 / ps.size
+            try:
+                cover_region(ps, CoverParams(d=d, region=region))
+            except ValueError as exc:
+                print(exc)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == (
+            "point set row 1 repeats row 0; coincident points are not supported"
+        )
 
     def test_counters_structure(self):
         ps = generate_twisted_polar(9)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from capdisc.geometry import (
     PolarDirection,
     Region,
-    cap_area_fraction,
     cartesian_to_polar,
     chord_distance,
     cover_cap_centers,
@@ -65,17 +64,6 @@ class TestRegion:
             Region(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             Region(0.0, 1.0, 2.0, 1.0)
-
-
-class TestCapArea:
-    def test_extremes(self):
-        assert cap_area_fraction(1.0) == 0.0
-        assert cap_area_fraction(-1.0) == 1.0
-        assert cap_area_fraction(0.0) == 0.5
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            cap_area_fraction(1.5)
 
 
 class TestFrame:

@@ -1,13 +1,17 @@
+import dataclasses
 import json
-import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from capdisc.covering import CoverParams, cover_region
-from capdisc.geometry import Region
+from capdisc.covering import CoverOutcome, CoverParams, cover_region
+from capdisc.discrepancy import directed_values
+from capdisc.geometry import Region, polar_to_cartesian
 from capdisc.pointsets import generate_twisted_polar
-from capdisc.polar_analysis import north_pole_directed
+from capdisc.polar_analysis import conjecture_setup, north_pole_directed
 from capdisc.reporting import (
     SCHEMA_VERSION,
     SUMMARY_HEADER,
@@ -31,6 +35,44 @@ def small_run():
     outcome = cover_region(ps, params)
     assert outcome.status == "covered"
     return ps, params, outcome
+
+
+@pytest.fixture(scope="module")
+def polar14_run():
+    # Plain polar n=14 is a small conjecture certificate that ends in about
+    # a second; n=10..13 and 16 each spend over 20 s in Cover Cap.
+    ps, params = conjecture_setup(14, structure="polar")
+    return ps, params, cover_region(ps, params)
+
+
+def dense_audit(ps, params, outcome, probe_count, seed):
+    """Reference audit: every probe against every ball, one dense block at a time."""
+    probes = sample_region_directions(params.region, probe_count, np.random.default_rng(seed))
+    centers = np.array([polar_to_cartesian(r.direction) for r in outcome.records]).reshape(-1, 3)
+    radii = np.array([r.radius for r in outcome.records], dtype=float)
+    uncovered = 0
+    over_bound = 0
+    for start in range(0, probe_count, 2048):
+        block = probes[start : start + 2048]
+        d2 = (
+            np.sum(block * block, axis=1)[:, None]
+            - 2.0 * block @ centers.T
+            + np.sum(centers * centers, axis=1)[None, :]
+        )
+        hit = (d2 <= (radii * radii)[None, :] + 1e-30).any(axis=1)
+        uncovered += int((~hit).sum())
+        over_bound += int((directed_values(ps.points, block) > params.d).sum())
+    return {"probes": probe_count, "uncovered": uncovered, "over_bound": over_bound}
+
+
+def drop_every_third(outcome):
+    records = [rec for i, rec in enumerate(outcome.records) if i % 3 != 2]
+    return dataclasses.replace(outcome, records=records)
+
+
+def halve_radii(outcome):
+    records = [dataclasses.replace(rec, radius=rec.radius / 2.0) for rec in outcome.records]
+    return dataclasses.replace(outcome, records=records)
 
 
 class TestReportDocument:
@@ -125,6 +167,36 @@ class TestAudit:
         ps, params, outcome = small_run
         result = audit_coverage(ps, params, outcome, probe_count=5000, seed=1)
         assert result == {"probes": 5000, "uncovered": 0, "over_bound": 0}
+
+    @pytest.mark.parametrize("run", ["small_run", "polar14_run"])
+    @pytest.mark.parametrize("doctor", [None, drop_every_third, halve_radii])
+    def test_latitude_index_matches_dense_audit(self, run, doctor, request):
+        # The index only prunes balls; a pruning bug drops a covering ball
+        # and shows up as more uncovered probes than the dense reference.
+        ps, params, outcome = request.getfixturevalue(run)
+        if doctor is not None:
+            outcome = doctor(outcome)
+        for seed in (0, 1, 2):
+            result = audit_coverage(ps, params, outcome, probe_count=3000, seed=seed)
+            assert result == dense_audit(ps, params, outcome, 3000, seed)
+            if doctor is not None:
+                assert result["uncovered"] > 0
+
+    def test_outcome_without_records_leaves_every_probe_uncovered(self, small_run):
+        ps, params, _ = small_run
+        empty = CoverOutcome("residual", [], None, [])
+        result = audit_coverage(ps, params, empty, probe_count=500, seed=0)
+        assert result == {"probes": 500, "uncovered": 500, "over_bound": 0}
+
+    def test_audit_script_smoke(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "audit_polar_run.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--n", "14", "--probes", "2000"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "uncovered=0 over_bound=0" in proc.stdout
+        assert "peak_rss_mb=" in proc.stdout
 
     def test_rejects_counterexample_outcome(self):
         ps = generate_twisted_polar(8)

@@ -16,7 +16,6 @@ from statistics import median
 import numpy as np
 
 from .discrepancy import (
-    ConfidenceBall,
     DirectedResult,
     HypothesisViolation,
     confidence_radius,
@@ -194,6 +193,43 @@ def _swallow_rescue(evaluate, v: np.ndarray, required_r: float):
     return None
 
 
+def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
+    """Predicate psi -> whether the (theta, radius) balls of a ring at phi cover psi.
+
+    The ring's arrays are built once; each call is one numpy pass over them.
+    """
+    sin_p, cos_p = math.sin(phi), math.cos(phi)
+    reach = theta_hi - 1e-12
+    ring = np.array(balls, dtype=float).reshape(-1, 2)
+    centers = ring[:, 0]
+    cos_r = 1.0 - ring[:, 1] * ring[:, 1] / 2.0  # <u, center> on a ball's boundary
+
+    def covered(psi: float) -> bool:
+        sin_q, cos_q = math.sin(psi), math.cos(psi)
+        denom = cos_p * cos_q
+        num = cos_r - sin_p * sin_q
+        if denom <= 0.0:
+            return bool((num <= 0.0).any()) or theta_lo >= reach
+        q = num / denom
+        if q.min() <= -1.0:
+            return True  # a ball reaches psi at every longitude
+        # The balls with q < 1 reach psi on [center - w, center + w]; psi is
+        # covered if the running end reaches theta_hi before a start opens a gap.
+        near = q < 1.0
+        w = np.arccos(q[near])
+        starts = centers[near] - w
+        order = np.argsort(starts, kind="stable")
+        ends = (centers[near] + w)[order]
+        cur = np.maximum.accumulate(np.concatenate(([theta_lo], ends)))
+        done = np.flatnonzero(cur[1:] >= reach)
+        if not done.size:
+            return theta_lo >= reach  # true only with no intervals at all
+        k = done[0] + 1
+        return not (starts[order[:k]] > cur[:k] + 1e-12).any()
+
+    return covered
+
+
 class _Engine:
     def __init__(self, ps: PointSet, params: CoverParams):
         self.ps = ps
@@ -281,37 +317,7 @@ class _Engine:
             x = max(-1.0, min(1.0, r * r / 2.0 - 1.0))
             return math.acos(x) - phi, math.pi / 2
 
-        sin_p, cos_p = math.sin(phi), math.cos(phi)
-        theta_lo, theta_hi = reg.theta_min, reg.theta_max
-
-        def covered(psi: float) -> bool:
-            sin_q, cos_q = math.sin(psi), math.cos(psi)
-            denom = cos_p * cos_q
-            intervals = []
-            for th, r in balls:
-                num = (1.0 - r * r / 2.0) - sin_p * sin_q
-                if denom <= 0.0:
-                    if num <= 0.0:
-                        return True
-                    continue
-                q = num / denom
-                if q <= -1.0:
-                    return True  # this ball reaches psi at every longitude
-                if q >= 1.0:
-                    continue
-                w = math.acos(q)
-                intervals.append((th - w, th + w))
-            intervals.sort()
-            cur = theta_lo
-            for s, e in intervals:
-                if s > cur + 1e-12:
-                    return False
-                if e > cur:
-                    cur = e
-                if cur >= theta_hi - 1e-12:
-                    return True
-            return cur >= theta_hi - 1e-12
-
+        covered = _band_test(phi, balls, reg.theta_min, reg.theta_max)
         if not covered(phi):
             return phi, phi
 

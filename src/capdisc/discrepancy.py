@@ -1,6 +1,7 @@
 """Directed discrepancy, confidence radii, and the brute-force cap oracle."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -59,8 +60,19 @@ class ConfidenceBall:
 
 def project(ps: PointSet, v: np.ndarray) -> ProjectionProfile:
     """Sorted projections <p, v> of every point onto the direction v."""
-    vals = np.sort(ps.points @ np.asarray(v, dtype=float))
-    return ProjectionProfile(np.asarray(v, dtype=float), vals)
+    v = np.asarray(v, dtype=float)
+    vals = ps.points @ v
+    vals.sort()
+    return ProjectionProfile(v, vals)
+
+
+@functools.lru_cache(maxsize=8)
+def _cap_counts(t: int) -> np.ndarray:
+    """Read-only (2, t) inclusive and exclusive cap fractions, (t - i)/t and (t - 1 - i)/t."""
+    frac = np.arange(t, -1, -1) / t
+    counts = np.stack([frac[:-1], frac[1:]])
+    counts.flags.writeable = False
+    return counts
 
 
 def _sweep(s: np.ndarray) -> np.ndarray:
@@ -76,8 +88,7 @@ def _sweep(s: np.ndarray) -> np.ndarray:
     ends of the run, so the maximum needs no tie handling.
     """
     t = s.shape[0]
-    frac = np.arange(t, -1, -1) / t  # frac[i] = (t - i) / t, divided exactly
-    counts = np.stack([frac[:-1], frac[1:]]).reshape((2, t) + (1,) * (s.ndim - 1))
+    counts = _cap_counts(t).reshape((2, t) + (1,) * (s.ndim - 1))
     return np.abs(counts - (1.0 - s) / 2.0)
 
 
@@ -99,7 +110,12 @@ def directed_discrepancy(profile: ProjectionProfile) -> DirectedResult:
 
 
 def directed_values(points: np.ndarray, directions: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Vectorized directed-discrepancy values for many directions."""
+    """Vectorized directed-discrepancy values for many directions.
+
+    A block is projected with one matrix product, which can round unlike the
+    matrix-vector product of `project`, so a value can differ by ulps from
+    the engine's value for the same direction.
+    """
     points = np.asarray(points, dtype=float)
     directions = np.asarray(directions, dtype=float)
     out = np.empty(directions.shape[0])
@@ -116,7 +132,7 @@ def slab_min_width(profile: ProjectionProfile, k: int) -> float:
     t = len(s)
     if k > t - 1:
         return 2.0
-    return float(np.min(s[k:] - s[: t - k]))
+    return float((s[k:] - s[: t - k]).min())
 
 
 def confidence_radius(profile: ProjectionProfile, d: float) -> ConfidenceBall:
@@ -126,7 +142,12 @@ def confidence_radius(profile: ProjectionProfile, d: float) -> ConfidenceBall:
     HypothesisViolation carrying the witness direction.
     """
     t = profile.size
-    dis = float(_sweep(profile.values).max())
+    # _sweep(s).max() without its (2, t) temporary: incl >= excl and rounding
+    # is monotone, so the larger deviation at s_i is incl - area or
+    # area - excl, and IEEE subtraction is exact under negation.
+    incl, excl = _cap_counts(t)
+    area = (1.0 - profile.values) / 2.0
+    dis = float(max((incl - area).max(), (area - excl).max()))
     if dis + 1.0 / t > d + 1e-15:
         raise HypothesisViolation(profile.direction, dis, d)
     k = int(math.floor(t * (d - dis))) + 1

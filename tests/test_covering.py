@@ -6,9 +6,12 @@ import textwrap
 import numpy as np
 import pytest
 
+from capdisc import covering
 from capdisc.covering import (
     BallSpansOrbit,
     CoverParams,
+    _band_test,
+    _Engine,
     cover_cap_recurse,
     cover_region,
     estimate_orbit_r_min,
@@ -19,7 +22,80 @@ from capdisc.covering import (
 from capdisc.discrepancy import directed_values
 from capdisc.geometry import PolarDirection, Region, polar_to_cartesian
 from capdisc.pointsets import generate_random_uniform, generate_twisted_polar
-from capdisc.polar_analysis import north_pole_directed
+from capdisc.polar_analysis import conjecture_setup, north_pole_directed
+
+
+def reference_covered(phi, balls, theta_lo, theta_hi, psi) -> bool:
+    """Pure-Python band test: one interval per ball, sorted and swept in a loop."""
+    sin_p, cos_p = math.sin(phi), math.cos(phi)
+    sin_q, cos_q = math.sin(psi), math.cos(psi)
+    denom = cos_p * cos_q
+    intervals = []
+    for th, r in balls:
+        num = (1.0 - r * r / 2.0) - sin_p * sin_q
+        if denom <= 0.0:
+            if num <= 0.0:
+                return True
+            continue
+        q = num / denom
+        if q <= -1.0:
+            return True  # this ball reaches psi at every longitude
+        if q >= 1.0:
+            continue
+        w = math.acos(q)
+        intervals.append((th - w, th + w))
+    intervals.sort()
+    cur = theta_lo
+    for s, e in intervals:
+        if s > cur + 1e-12:
+            return False
+        if e > cur:
+            cur = e
+        if cur >= theta_hi - 1e-12:
+            return True
+    return cur >= theta_hi - 1e-12
+
+
+def reference_band_test(phi, balls, theta_lo, theta_hi):
+    """Drop-in for `covering._band_test` built on the pure-Python loop."""
+    return lambda psi: reference_covered(phi, balls, theta_lo, theta_hi, psi)
+
+
+def walked_ring(rng, phi, theta_lo, theta_hi):
+    """Balls placed as walk_orbit places them, with some steps a little too long."""
+    balls, theta = [], theta_lo
+    while theta < theta_hi:
+        r = float(rng.uniform(0.02, 0.3))
+        balls.append((theta, r))
+        theta += step_theta(r, phi) * float(rng.choice([0.9, 1.0, 1.01]))
+    return balls
+
+
+# Half-width in theta of a radius-0.2 ball on the equator, at the equator.
+W02 = math.acos(1.0 - 0.2 * 0.2 / 2.0)
+
+
+def tied_start_ring():
+    """A covering ring in which two balls share their interval start at psi."""
+    phi, psi = 0.3, 0.31
+    sin_p, cos_p, sin_q, cos_q = math.sin(phi), math.cos(phi), math.sin(psi), math.cos(psi)
+
+    def q(r):
+        return ((1.0 - r * r / 2.0) - sin_p * sin_q) / (cos_p * cos_q)
+
+    start = 0.5 - math.acos(q(0.25))
+    for r in np.linspace(0.1, 0.2, 500).tolist():
+        w = math.acos(q(r))
+        theta = start + w
+        # the tie must hold for numpy's arccos as well as for math.acos
+        if theta - w == start and np.arccos(q(r)) == w and 0.5 - np.arccos(q(0.25)) == start:
+            break
+    else:
+        raise AssertionError("no radius gives a tied start")
+    # The longer interval comes first, so a stable sort and a tuple sort
+    # take the tied pair in opposite orders.
+    balls = [(0.0, 0.25), (0.5, 0.25), (theta, r), (0.8, 0.25), (1.0, 0.25)]
+    return phi, balls, 0.0, 1.0, psi
 
 
 class TestStepTheta:
@@ -114,6 +190,69 @@ class TestCoverCapRecurse:
         assert ok and not residual
         assert len(records) == 1
         assert records[0].origin == "cover_cap"
+
+
+class TestBandTest:
+    def test_random_rings_agree_with_the_loop(self):
+        rng = np.random.default_rng(7)
+        decisions = {True: 0, False: 0}
+        for _ in range(200):
+            phi = float(rng.uniform(-1.3, 1.3))
+            lo = float(rng.uniform(0.0, 1.0))
+            hi = lo + float(rng.uniform(0.05, 3.0))
+            balls = walked_ring(rng, phi, lo, hi)
+            covered = _band_test(phi, balls, lo, hi)
+            for psi in (phi + np.linspace(-0.2, 0.2, 41)).tolist():
+                expect = reference_covered(phi, balls, lo, hi, psi)
+                assert covered(psi) == expect, (phi, balls, lo, hi, psi)
+                decisions[expect] += 1
+        assert min(decisions.values()) > 1000
+
+    @pytest.mark.parametrize(
+        "phi, balls, lo, hi, psi, expect",
+        [
+            # one ball reaches psi at every longitude (q <= -1), the others not
+            pytest.param(0.2, [(0.0, 0.01), (0.5, 1.99), (1.0, 0.01)], 0.0, 1.0, 0.2, True,
+                         id="q-below-minus-one"),
+            # no ball reaches psi (every q >= 1): no intervals at all
+            pytest.param(0.2, [(0.0, 0.1), (0.1, 0.1)], 0.0, 0.1, 0.5, False, id="all-q-above-one"),
+            pytest.param(0.2, [(0.0, 0.1)], 0.3, 0.3, 0.5, True, id="no-intervals-empty-range"),
+            pytest.param(*tied_start_ring(), True, id="tied-starts"),
+            pytest.param(0.4, [(0.0, 0.2), (0.0, 0.2), (0.2, 0.2)], 0.0, 0.3, 0.41, True,
+                         id="duplicate-balls"),
+            # the first interval starts just past theta_lo, then within 1e-12 of it
+            pytest.param(0.0, [(W02 + 1e-9, 0.2), (0.3, 0.2)], 0.0, 0.5, 0.0, False,
+                         id="gap-after-theta-lo"),
+            pytest.param(0.0, [(W02 + 1e-13, 0.2), (0.3, 0.2)], 0.0, 0.5, 0.0, True,
+                         id="start-within-tolerance"),
+            pytest.param(0.5, [(0.3, 0.5)], 0.0, 0.6, 0.55, True, id="single-ball-covers"),
+            pytest.param(0.5, [(0.3, 0.2)], 0.0, 0.6, 0.5, False, id="single-ball-short"),
+            # cos(psi) < 0: a ball covers all of psi or none of it
+            pytest.param(0.2, [(0.0, 1.9)], 0.0, 1.0, 1.6, True, id="denominator-negative-hit"),
+            pytest.param(0.2, [(0.0, 0.1)], 0.0, 1.0, 1.6, False, id="denominator-negative-miss"),
+        ],
+    )
+    def test_edge_cases_agree_with_the_loop(self, phi, balls, lo, hi, psi, expect):
+        assert reference_covered(phi, balls, lo, hi, psi) == expect
+        assert _band_test(phi, balls, lo, hi)(psi) == expect
+
+    @pytest.mark.parametrize("n, structure", [(20, "twisted"), (14, "polar")])
+    def test_walked_rings_give_the_same_band(self, n, structure, monkeypatch):
+        rings = []
+        original = _Engine._orbit_band
+
+        def recording(self, phi, r_min, balls, spans):
+            band = original(self, phi, r_min, balls, spans)
+            rings.append((self, phi, r_min, list(balls), spans, band))
+            return band
+
+        monkeypatch.setattr(_Engine, "_orbit_band", recording)
+        cover_region(*conjecture_setup(n, structure))
+        assert len(rings) > 10
+        # Same step-out and bisection, with the loop as the band test.
+        monkeypatch.setattr(covering, "_band_test", reference_band_test)
+        for engine, phi, r_min, balls, spans, band in rings:
+            assert original(engine, phi, r_min, balls, spans) == band
 
 
 class TestCoverRegion:

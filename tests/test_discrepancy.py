@@ -9,6 +9,8 @@ from capdisc.discrepancy import (
     HypothesisViolation,
     ProjectionProfile,
     SizeLimitExceeded,
+    _cap_counts,
+    _sweep,
     confidence_radius,
     directed_discrepancy,
     directed_values,
@@ -127,6 +129,35 @@ class TestOneSweep:
         s = np.sort(ps.points @ dirs.T, axis=0)
         expect = [reference_directed(s[:, j]) for j in range(len(dirs))]
         assert directed_values(ps.points, dirs, chunk=7).tolist() == expect
+
+
+class TestKernel:
+    def test_count_template_is_read_only(self):
+        counts = _cap_counts(5)
+        with pytest.raises(ValueError):
+            counts[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            counts.reshape(2, 5, 1)[1, 0, 0] = 0.5
+        assert _cap_counts(5)[0, 0] == 1.0
+
+    def test_directed_value_is_the_sweep_maximum(self):
+        # t = 2, tied projections (polar sets along their axes) and random
+        # sets, with sizes interleaved so that a template cached under the
+        # wrong t would be picked up.
+        profiles = [
+            project(generate_random_uniform(2, seed=0), Z),
+            project(PointSet(np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])), np.eye(3)[0]),
+        ]
+        for n in (3, 5, 8, 5, 3):
+            profiles += [project(generate_polar(n), v) for v in np.eye(3)]
+        for t in (2, 17, 2, 64, 17, 301, 64):
+            ps = generate_random_uniform(t, seed=t)
+            profiles += [project(ps, v) for v in uniform_directions(3, seed=t)]
+        for prof in profiles:
+            t = prof.size
+            expect = np.arange(t, -1, -1) / t
+            assert _cap_counts(t).tolist() == [expect[:-1].tolist(), expect[1:].tolist()]
+            assert confidence_radius(prof, 2.0).directed_value == float(_sweep(prof.values).max())
 
 
 class TestSlabWidth:

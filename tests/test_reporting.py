@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -107,6 +108,25 @@ class TestReportDocument:
         assert "timings" in doc["outcome"]
         assert "timings" not in stripped["outcome"]
         assert stripped["records"] == doc["records"]
+
+
+    def test_cert_digests_script_smoke(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "cert_digests.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "twisted:20"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        ps, params = conjecture_setup(20)
+        outcome = cover_region(ps, params)
+        doc = strip_timings(report_dict(ps, params, outcome))
+        sha = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        expect = (
+            f"twisted:20 status=covered n_evaluations={outcome.counters['n_evaluations']} "
+            f"sha256={sha[:16]} cover_s="
+        )
+        assert proc.stdout.startswith(expect), proc.stdout
+        assert len(proc.stdout.splitlines()) == 1
 
 
 class TestSummaryCsv:

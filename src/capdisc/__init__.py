@@ -28,6 +28,7 @@ from .discrepancy import (
     DirectedResult,
     HypothesisViolation,
     SizeLimitExceeded,
+    confidence_radii,
     confidence_radius,
     directed_discrepancy,
     directed_values,

@@ -18,6 +18,7 @@ import numpy as np
 from .discrepancy import (
     DirectedResult,
     HypothesisViolation,
+    confidence_radii,
     confidence_radius,
     project,
 )
@@ -112,8 +113,13 @@ def estimate_orbit_r_min(ps: PointSet, phi: float, params: CoverParams) -> float
 def cover_cap_recurse(evaluate, v: np.ndarray, required_r: float, depth: int, rescue: bool = True):
     """Certify the ball B(v, required_r) with 8 half-radius confidence balls.
 
-    `evaluate` maps a cartesian direction to (directed_value, confidence_radius)
-    and may raise HypothesisViolation.  Centers whose radius is short recurse
+    `evaluate` maps an (m, 3) array of cartesian directions to arrays
+    (directed_value, confidence_radius), the radius nan where the hypothesis
+    Dis + 1/t <= d fails.  The 8 centers are evaluated in one call and then
+    walked in order: a violating center raises HypothesisViolation (its bound
+    d is not known here and reads nan) once every earlier center is settled,
+    so the witness, the records and the residuals are those of a walk that
+    evaluates one center at a time.  Centers whose radius is short recurse
     with half the requirement until `depth` is exhausted; leftovers are
     returned as residual (direction, still-required-radius) pairs.
 
@@ -129,10 +135,13 @@ def cover_cap_recurse(evaluate, v: np.ndarray, required_r: float, depth: int, re
     records: list[CoverageRecord] = []
     residual: list[tuple[PolarDirection, float]] = []
     max_dis = 0.0
-    for c in cover_cap_centers(v, required_r):
-        dis, r_c = evaluate(c)
+    centers = cover_cap_centers(v, required_r)
+    values, radii = evaluate(centers)
+    need = required_r / 2.0
+    for c, dis, r_c in zip(centers, values.tolist(), radii.tolist()):
+        if math.isnan(r_c):
+            raise HypothesisViolation(c, dis, math.nan)
         max_dis = max(max_dis, dis)
-        need = required_r / 2.0
         if r_c >= need:
             records.append(CoverageRecord(cartesian_to_polar(c), r_c, dis, "cover_cap"))
         elif depth > 0:
@@ -186,7 +195,9 @@ def _swallow_rescue(evaluate, v: np.ndarray, required_r: float):
                 continue
             u = v + shift * tangent
             u /= float(np.linalg.norm(u))
-            dis, r_u = evaluate(u)
+            (dis,), (r_u,) = (a.tolist() for a in evaluate(u[None, :]))
+            if math.isnan(r_u):
+                raise HypothesisViolation(u, dis, math.nan)
             if r_u >= required_r + float(np.linalg.norm(u - v)):
                 rec = CoverageRecord(cartesian_to_polar(u), r_u, dis, "cover_cap")
                 return rec, dis
@@ -246,13 +257,17 @@ class _Engine:
 
     # -- direction evaluation -------------------------------------------------
 
-    def evaluate_cart(self, v: np.ndarray):
+    def evaluate(self, theta: float, phi: float):
+        """(directed_value, radius) of one direction; raises HypothesisViolation."""
         self.n_eval += 1
+        v = polar_to_cartesian(PolarDirection(theta, phi))
         ball = confidence_radius(project(self.ps, v), self.params.d)
         return ball.directed_value, ball.radius
 
-    def evaluate(self, theta: float, phi: float):
-        return self.evaluate_cart(polar_to_cartesian(PolarDirection(theta, phi)))
+    def evaluate_cart(self, directions: np.ndarray):
+        """(directed_value, radius) arrays of the rows; radius nan where the hypothesis fails."""
+        self.n_eval += len(directions)
+        return confidence_radii(self.ps.points, directions, self.params.d)
 
     # -- phase 1 --------------------------------------------------------------
 
@@ -260,13 +275,20 @@ class _Engine:
         reg = self.params.region
         span = reg.theta_max - reg.theta_min
         k = self.params.orbit_sample_count
-        radii = []
-        for i in range(k):
-            theta = reg.theta_min + (i + 0.5) * span / k
-            radii.append(self.evaluate(theta, phi)[1])
+        samples = np.array(
+            [
+                polar_to_cartesian(PolarDirection(reg.theta_min + (i + 0.5) * span / k, phi))
+                for i in range(k)
+            ]
+        )
+        dis, radii = self.evaluate_cart(samples)
+        violations = np.flatnonzero(np.isnan(radii))
+        if violations.size:
+            i = violations[0]  # the sample a one-at-a-time loop would stop at
+            raise HypothesisViolation(samples[i], float(dis[i]), self.params.d)
         if factor is None:
             factor = self.params.r_min_factor
-        return r_min_from_samples(radii, factor)
+        return r_min_from_samples(radii.tolist(), factor)
 
     def walk_orbit(self, phi: float, r_min: float):
         """Cover one latitude ring; returns its certified band (psi_down, psi_up)."""

@@ -87,18 +87,31 @@ def chord_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(u) - np.asarray(v)))
 
 
+def _cross(a, b) -> tuple[float, float, float]:
+    """a x b on three scalars, rounded term by term as np.cross rounds it."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 def orthonormal_frame(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic pair (e1, e2) completing `center` to a right-handed frame."""
-    a = np.zeros(3)
-    a[int(np.argmin(np.abs(center)))] = 1.0
-    e1 = np.cross(center, a)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(center, e1)
+    c = [float(x) for x in center]
+    a = [0.0, 0.0, 0.0]
+    a[min(range(3), key=lambda i: abs(c[i]))] = 1.0  # first smallest, as np.argmin
+    e1 = np.array(_cross(c, a))
+    e1 /= math.sqrt(e1.dot(e1))  # np.linalg.norm's own sum, bit for bit
+    e2 = np.array(_cross(c, e1.tolist()))
     return e1, e2
 
 
-def cover_cap_centers(center: np.ndarray, r: float) -> list[np.ndarray]:
-    """Centers of 8 caps of radius r/2 that jointly cover the cap B(center, r).
+# The 7 outer centers sit at longitudes 2*pi*k/7 around the frame.
+_RING_COS = np.array([math.cos(2.0 * math.pi * k / 7.0) for k in range(7)])[:, None]
+_RING_SIN = np.array([math.sin(2.0 * math.pi * k / 7.0) for k in range(7)])[:, None]
+
+
+def cover_cap_centers(center: np.ndarray, r: float) -> np.ndarray:
+    """(8, 3) centers of 8 caps of radius r/2 that jointly cover the cap B(center, r).
 
     The first is `center` itself; the other 7 sit equally spaced on the circle
     at chord distance 0.86*r from it.  Valid for 0 < r <= sqrt(2).
@@ -108,10 +121,9 @@ def cover_cap_centers(center: np.ndarray, r: float) -> list[np.ndarray]:
     chord = 0.86 * r
     sin_lat = (2.0 - chord * chord) / 2.0
     cos_lat = math.sqrt(max(0.0, 1.0 - sin_lat * sin_lat))
+    center = np.asarray(center, dtype=float)
     e1, e2 = orthonormal_frame(center)
-    out = [np.asarray(center, dtype=float)]
-    for k in range(7):
-        ang = 2.0 * math.pi * k / 7.0
-        out.append(cos_lat * (math.cos(ang) * e1 + math.sin(ang) * e2) + sin_lat * center)
+    out = np.empty((8, 3))
+    out[0] = center
+    out[1:] = cos_lat * (_RING_COS * e1 + _RING_SIN * e2) + sin_lat * center
     return out
-

@@ -9,9 +9,11 @@ import pytest
 from capdisc import covering
 from capdisc.covering import (
     BallSpansOrbit,
+    CoverageRecord,
     CoverParams,
     _band_test,
     _Engine,
+    _swallow_rescue,
     cover_cap_recurse,
     cover_region,
     estimate_orbit_r_min,
@@ -19,8 +21,14 @@ from capdisc.covering import (
     r_min_from_samples,
     step_theta,
 )
-from capdisc.discrepancy import directed_values
-from capdisc.geometry import PolarDirection, Region, polar_to_cartesian
+from capdisc.discrepancy import HypothesisViolation, directed_values
+from capdisc.geometry import (
+    PolarDirection,
+    Region,
+    cartesian_to_polar,
+    cover_cap_centers,
+    polar_to_cartesian,
+)
 from capdisc.pointsets import generate_random_uniform, generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
 
@@ -98,6 +106,47 @@ def tied_start_ring():
     return phi, balls, 0.0, 1.0, psi
 
 
+def reference_recurse(evaluate, v, required_r, depth, rescue=True):
+    """Cover Cap evaluating one center at a time, recursing before the next."""
+    if rescue:
+        rescued = _swallow_rescue(evaluate, v, required_r)
+        if rescued is not None:
+            return True, [rescued[0]], [], rescued[1]
+    records, residual = [], []
+    max_dis = 0.0
+    for c in cover_cap_centers(v, required_r):
+        (dis,), (r_c,) = (a.tolist() for a in evaluate(c[None, :]))
+        if math.isnan(r_c):
+            raise HypothesisViolation(c, dis, math.nan)
+        max_dis = max(max_dis, dis)
+        need = required_r / 2.0
+        if r_c >= need:
+            records.append(CoverageRecord(cartesian_to_polar(c), r_c, dis, "cover_cap"))
+        elif depth > 0:
+            ok, recs, resid, sub_dis = reference_recurse(evaluate, c, need, depth - 1, rescue)
+            records.extend(recs)
+            residual.extend(resid)
+            max_dis = max(max_dis, sub_dis)
+        else:
+            residual.append((cartesian_to_polar(c), need))
+    return not residual, records, residual, max_dis
+
+
+def rowwise(evaluate_one):
+    """(m, 3) -> (dis, radius) evaluator built from a one-direction evaluator."""
+
+    def evaluate(directions):
+        dis, radius = zip(*(evaluate_one(v) for v in directions))
+        return np.array(dis), np.array(radius)
+
+    return evaluate
+
+
+def keyed_evaluator(special):
+    """Radius 1 everywhere except the directions in `special`, keyed by their bytes."""
+    return rowwise(lambda v: special.get(v.tobytes(), (0.01, 1.0)))
+
+
 class TestStepTheta:
     def test_matches_chord_geometry(self):
         # Consecutive centers on the latitude circle must sit at chord r.
@@ -144,7 +193,7 @@ class TestCoverCapRecurse:
             return 0.01, 1.0
 
         ok, records, residual, max_dis = cover_cap_recurse(
-            evaluate, np.array([0.0, 0.0, 1.0]), 0.4, 1, rescue=False
+            rowwise(evaluate), np.array([0.0, 0.0, 1.0]), 0.4, 1, rescue=False
         )
         assert ok
         assert len(records) == 8
@@ -156,7 +205,7 @@ class TestCoverCapRecurse:
             return 0.01, 1e-9
 
         ok, records, residual, _ = cover_cap_recurse(
-            evaluate, np.array([0.0, 0.0, 1.0]), 0.4, 0, rescue=False
+            rowwise(evaluate), np.array([0.0, 0.0, 1.0]), 0.4, 0, rescue=False
         )
         assert not ok
         assert len(residual) == 8
@@ -172,7 +221,7 @@ class TestCoverCapRecurse:
             return 0.01, (0.1 if len(seen) <= 8 else 1.0)
 
         ok, records, residual, _ = cover_cap_recurse(
-            evaluate, np.array([0.0, 0.0, 1.0]), 0.4, 2, rescue=False
+            rowwise(evaluate), np.array([0.0, 0.0, 1.0]), 0.4, 2, rescue=False
         )
         assert ok and not residual
 
@@ -186,10 +235,61 @@ class TestCoverCapRecurse:
 
         v = np.array([1.0, 0.0, 1e-6])
         v /= np.linalg.norm(v)
-        ok, records, residual, _ = cover_cap_recurse(evaluate, v, 1e-4, 0, rescue=True)
+        ok, records, residual, _ = cover_cap_recurse(rowwise(evaluate), v, 1e-4, 0, rescue=True)
         assert ok and not residual
         assert len(records) == 1
         assert records[0].origin == "cover_cap"
+
+    @pytest.mark.parametrize("n, structure", [(20, "twisted"), (14, "polar")])
+    def test_batched_centers_match_the_sequential_walk(self, n, structure):
+        ps, params = conjecture_setup(n, structure)
+        engine = _Engine(ps, params)
+        engine._phase1()
+        queue = list(engine.cannot_cover)
+        assert len(queue) > 50
+        depth = params.cover_cap_max_depth
+        for v, req in queue:
+            before = engine.n_eval
+            got = cover_cap_recurse(engine.evaluate_cart, v, req, depth)
+            batched_evals = engine.n_eval - before
+            # repr tells -0.0 from 0.0 and a numpy scalar from a float
+            assert repr(got) == repr(reference_recurse(engine.evaluate_cart, v, req, depth))
+            assert engine.n_eval - before == 2 * batched_evals
+
+    def test_violation_deep_under_center_zero_is_the_witness(self):
+        # Center 0 and child 2 below it are short, and grandchild 4 violates;
+        # center 5 of the top level violates too, but is walked later.
+        v = np.array([0.0, 0.0, 1.0])
+        top = cover_cap_centers(v, 0.4)
+        child = cover_cap_centers(top[0], 0.2)
+        grandchild = cover_cap_centers(child[2], 0.1)
+        special = {
+            top[0].tobytes(): (0.01, 0.0),
+            child[2].tobytes(): (0.01, 0.0),
+            grandchild[4].tobytes(): (0.7, math.nan),
+            top[5].tobytes(): (0.9, math.nan),
+        }
+        self.assert_same_witness(keyed_evaluator(special), v, grandchild[4], 0.7)
+
+    def test_violation_at_center_five_is_the_witness(self):
+        # Center 2 recurses and is settled before center 5 raises; center 6
+        # violates as well, but after it.
+        v = np.array([0.6, 0.0, 0.8])
+        top = cover_cap_centers(v, 0.4)
+        special = {
+            top[2].tobytes(): (0.01, 0.0),
+            top[5].tobytes(): (0.8, math.nan),
+            top[6].tobytes(): (0.9, math.nan),
+        }
+        self.assert_same_witness(keyed_evaluator(special), v, top[5], 0.8)
+
+    @staticmethod
+    def assert_same_witness(evaluate, v, direction, value):
+        for recurse in (cover_cap_recurse, reference_recurse):
+            with pytest.raises(HypothesisViolation) as info:
+                recurse(evaluate, v, 0.4, 3, rescue=False)
+            assert info.value.direction.tobytes() == direction.tobytes()
+            assert info.value.directed_value == value
 
 
 class TestBandTest:
@@ -278,6 +378,9 @@ class TestCoverRegion:
         assert outcome.status == "counterexample"
         assert outcome.counterexample is not None
         assert outcome.counterexample.value + 1.0 / ps.size > 1e-9
+        # Every orbit sample violates; the witness is the first of them.
+        first = polar_to_cartesian(PolarDirection(0.5 * 1.0 / 20, 0.5))
+        assert outcome.counterexample.direction.tobytes() == first.tobytes()
 
     def test_rejects_trivial_point_set(self):
         ps = generate_random_uniform(1, seed=0)

@@ -11,6 +11,7 @@ from capdisc.discrepancy import (
     SizeLimitExceeded,
     _cap_counts,
     _sweep,
+    confidence_radii,
     confidence_radius,
     directed_discrepancy,
     directed_values,
@@ -25,7 +26,7 @@ from capdisc.pointsets import (
     generate_random_uniform,
     generate_twisted_polar,
 )
-from capdisc.polar_analysis import north_pole_directed
+from capdisc.polar_analysis import conjecture_setup, north_pole_directed
 
 from conftest import uniform_directions
 
@@ -158,6 +159,48 @@ class TestKernel:
             expect = np.arange(t, -1, -1) / t
             assert _cap_counts(t).tolist() == [expect[:-1].tolist(), expect[1:].tolist()]
             assert confidence_radius(prof, 2.0).directed_value == float(_sweep(prof.values).max())
+
+
+def _kernel_cases():
+    # Row counts straddle the chunk sizes: 481 rows at t = 17, 18 at t = 441,
+    # 8 at t = 994 and 1 at t = 7057.
+    tie = PointSet(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))  # both project to 0 on z
+    yield pytest.param(tie, np.vstack([Z, uniform_directions(8, seed=1)]), id="t2-tie")
+    yield pytest.param(generate_random_uniform(17, seed=4), uniform_directions(41, seed=2), id="random17")
+    yield pytest.param(
+        generate_twisted_polar(20), uniform_directions(41, seed=3), id="twisted441"
+    )
+    polar, _ = conjecture_setup(30, "polar")
+    yield pytest.param(polar, np.vstack([np.eye(3), uniform_directions(38, seed=5)]), id="polar994")
+    yield pytest.param(
+        generate_random_uniform(7057, seed=6), uniform_directions(20, seed=7), id="random7057"
+    )
+
+
+class TestBatchedKernel:
+    @pytest.mark.parametrize("ps, dirs", _kernel_cases())
+    def test_rows_equal_the_one_direction_kernel(self, ps, dirs):
+        t = ps.size
+        # d = 2 passes every row; d at the median Dis + 1/t flags about half.
+        dis_all, _ = confidence_radii(ps.points, dirs, 2.0)
+        for d in (2.0, float(np.median(dis_all)) + 1.0 / t):
+            flagged = 0
+            for m in (1, 7, 8, 9, 20, 41):
+                if m > len(dirs):
+                    continue
+                dis, radius = confidence_radii(ps.points, dirs[:m], d)
+                assert dis.shape == radius.shape == (m,)
+                for v, dis_v, r_v in zip(dirs[:m], dis.tolist(), radius.tolist()):
+                    try:
+                        ball = confidence_radius(project(ps, v), d)
+                    except HypothesisViolation as exc:
+                        assert math.isnan(r_v)
+                        assert exc.directed_value == dis_v
+                        flagged += 1
+                        continue
+                    assert np.float64(dis_v).tobytes() == np.float64(ball.directed_value).tobytes()
+                    assert np.float64(r_v).tobytes() == np.float64(ball.radius).tobytes()
+            assert (flagged > 0) == (d < 2.0)
 
 
 class TestSlabWidth:

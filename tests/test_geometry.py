@@ -20,6 +20,29 @@ from capdisc.geometry import (
 from conftest import uniform_directions
 
 
+def reference_frame(center):
+    """The np.cross construction of `orthonormal_frame`."""
+    a = np.zeros(3)
+    a[int(np.argmin(np.abs(center)))] = 1.0
+    e1 = np.cross(center, a)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(center, e1)
+    return e1, e2
+
+
+def reference_centers(center, r):
+    """The 8 Cover Cap centers built one array at a time on `reference_frame`."""
+    chord = 0.86 * r
+    sin_lat = (2.0 - chord * chord) / 2.0
+    cos_lat = math.sqrt(max(0.0, 1.0 - sin_lat * sin_lat))
+    e1, e2 = reference_frame(center)
+    out = [center]
+    for k in range(7):
+        ang = 2.0 * math.pi * k / 7.0
+        out.append(cos_lat * (math.cos(ang) * e1 + math.sin(ang) * e2) + sin_lat * center)
+    return np.array(out)
+
+
 class TestUnitVector:
     def test_accepts_unit(self):
         v = unit_vector(0.0, 0.0, 1.0)
@@ -77,6 +100,22 @@ class TestFrame:
 
 
 class TestCoverCapCenters:
+    def test_equal_to_the_cross_product_reference(self, rng):
+        # Random centers, signed axes and centers with zero or tied
+        # components (np.argmin takes the first of tied minima).
+        centers = list(random_unit_vectors(rng, 10_000))
+        for axis in np.vstack([np.eye(3), -np.eye(3)]):
+            centers.append(axis)
+        s = math.sqrt(0.5)
+        centers += [np.array(c) for c in ([s, s, 0.0], [0.0, -s, s], [-s, 0.0, -s], [0.6, 0.0, -0.8])]
+        radii = math.sqrt(2.0) * (1.0 - rng.random(len(centers)))  # in (0, sqrt(2)]
+        radii[:3] = math.sqrt(2.0)
+        for v, r in zip(centers, radii.tolist()):
+            e1, e2 = orthonormal_frame(v)
+            f1, f2 = reference_frame(v)
+            assert e1.tobytes() == f1.tobytes() and e2.tobytes() == f2.tobytes(), v
+            assert cover_cap_centers(v, r).tobytes() == reference_centers(v, r).tobytes(), (v, r)
+
     def test_count_and_layout(self):
         v = np.array([0.0, 0.0, 1.0])
         centers = cover_cap_centers(v, 0.5)

@@ -34,7 +34,6 @@ from .discrepancy import (
     directed_values,
     naive_discrepancy,
     project,
-    slab_min_width,
 )
 from .covering import (
     CoverOutcome,
@@ -42,7 +41,6 @@ from .covering import (
     CoverageRecord,
     cover_cap_recurse,
     cover_region,
-    estimate_orbit_r_min,
     orbit_intersection_latitude,
     step_theta,
 )

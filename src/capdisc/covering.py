@@ -36,22 +36,22 @@ class BallSpansOrbit(Exception):
     """The ball radius exceeds the latitude circle's diameter 2*cos(phi)."""
 
 
+# Directions sampled on a ring to set its r_min, the share of their median
+# radius that r_min is, and the tolerance of the latitude search.
+ORBIT_SAMPLE_COUNT = 20
+R_MIN_FACTOR = 0.5
+BINARY_SEARCH_TOL = 1e-9
+
+
 @dataclass
 class CoverParams:
     d: float
     region: Region
-    orbit_sample_count: int = 20
-    r_min_factor: float = 0.5
     cover_cap_max_depth: int = 3
-    binary_search_tol: float = 1e-9
 
     def __post_init__(self):
         if not 0.0 < self.d <= 1.0:
             raise ValueError("bound d must lie in (0, 1]")
-        if self.orbit_sample_count < 1:
-            raise ValueError("orbit_sample_count must be >= 1")
-        if not 0.0 < self.r_min_factor <= 1.0:
-            raise ValueError("r_min_factor must lie in (0, 1]")
 
 
 @dataclass
@@ -97,17 +97,6 @@ def orbit_intersection_latitude(phi: float, r: float, upper: bool = False) -> fl
     if upper:
         return alpha + math.acos(x)
     return alpha - math.acos(x)
-
-
-def r_min_from_samples(radii, factor: float) -> float:
-    """Ring minimum radius: factor times the median of sampled radii."""
-    return factor * median(radii)
-
-
-def estimate_orbit_r_min(ps: PointSet, phi: float, params: CoverParams) -> float:
-    """Sampled-median r_min for one latitude, standalone variant of the engine step."""
-    eng = _Engine(ps, params)
-    return eng.orbit_r_min(phi)
 
 
 def cover_cap_recurse(evaluate, v: np.ndarray, required_r: float, depth: int, rescue: bool = True):
@@ -271,10 +260,11 @@ class _Engine:
 
     # -- phase 1 --------------------------------------------------------------
 
-    def orbit_r_min(self, phi: float, factor: float | None = None) -> float:
+    def orbit_r_min(self, phi: float, factor: float = R_MIN_FACTOR) -> float:
+        """`factor` times the median radius of the ring's sampled directions."""
         reg = self.params.region
         span = reg.theta_max - reg.theta_min
-        k = self.params.orbit_sample_count
+        k = ORBIT_SAMPLE_COUNT
         samples = np.array(
             [
                 polar_to_cartesian(PolarDirection(reg.theta_min + (i + 0.5) * span / k, phi))
@@ -286,9 +276,7 @@ class _Engine:
         if violations.size:
             i = violations[0]  # the sample a one-at-a-time loop would stop at
             raise HypothesisViolation(samples[i], float(dis[i]), self.params.d)
-        if factor is None:
-            factor = self.params.r_min_factor
-        return r_min_from_samples(radii.tolist(), factor)
+        return factor * median(radii.tolist())
 
     def walk_orbit(self, phi: float, r_min: float):
         """Cover one latitude ring; returns its certified band (psi_down, psi_up)."""
@@ -368,7 +356,7 @@ class _Engine:
     def next_latitude(self, r_min: float, lowest_covered: float) -> float:
         """Lowest latitude whose adjacent r_min balls still meet the covered band."""
         reg = self.params.region
-        tol = self.params.binary_search_tol
+        tol = BINARY_SEARCH_TOL
 
         def reaches(phi: float) -> bool:
             try:
@@ -460,7 +448,7 @@ class _Engine:
 
     def _phase1(self) -> None:
         reg = self.params.region
-        tol = self.params.binary_search_tol
+        tol = BINARY_SEARCH_TOL
         phi = reg.phi_max
         lowest_covered = reg.phi_max
 
@@ -537,7 +525,7 @@ class _Engine:
         """
         self._closeout_attempts += 1
         phi_min = self.params.region.phi_min
-        med = self.orbit_r_min(phi_min + self.params.binary_search_tol, factor=1.0)
+        med = self.orbit_r_min(phi_min + BINARY_SEARCH_TOL, factor=1.0)
         phi_c = phi_min + 0.6 * med
         for _ in range(2):
             med = self.orbit_r_min(phi_c, factor=1.0)

@@ -109,23 +109,6 @@ def directed_discrepancy(profile: ProjectionProfile) -> DirectedResult:
     return DirectedResult(profile.direction, float(dev[kind, i]), float(s[i]), kind == 0)
 
 
-def directed_values(points: np.ndarray, directions: np.ndarray, chunk: int = 4096) -> np.ndarray:
-    """Vectorized directed-discrepancy values for many directions.
-
-    A block is projected with one matrix product, which can round unlike the
-    matrix-vector product of `project`, so a value can differ by ulps from
-    the engine's value for the same direction.
-    """
-    points = np.asarray(points, dtype=float)
-    directions = np.asarray(directions, dtype=float)
-    out = np.empty(directions.shape[0])
-    for lo in range(0, directions.shape[0], chunk):
-        block = directions[lo : lo + chunk]
-        s = np.sort(points @ block.T, axis=0)
-        out[lo : lo + block.shape[0]] = _sweep(s).max(axis=(0, 1))
-    return out
-
-
 # The ufunc reductions behind ndarray.max/min, called directly: the methods
 # add a Python-level call on every evaluation.
 _max = np.maximum.reduce
@@ -133,23 +116,52 @@ _min = np.minimum.reduce
 
 
 def _slab_width(s: np.ndarray, k: int) -> float:
+    """min over i of s_{i+k} - s_i; 2 when no slab can hold k+1 projections."""
     t = len(s)
     if k > t - 1:
         return 2.0
     return float(_min(s[k:] - s[: t - k]))
 
 
-def slab_min_width(profile: ProjectionProfile, k: int) -> float:
-    """min over i of s_{i+k} - s_i; 2 when no slab can hold k+1 projections."""
-    return _slab_width(profile.values, k)
-
-
-# `confidence_radii` works in chunks of rows whose (rows, t) float
+# Batches are projected and swept in chunks of rows whose (rows, t) float
 # temporaries stay within 64 KB, half of glibc's default mmap threshold.
 # Larger blocks are mapped, faulted in and unmapped on every call: at
 # t = 7,057 an unchunked 8-row call took 189 minor faults and 1.2 ms, the
 # chunked one none and 0.7 ms.
 _CHUNK_BYTES = 65536
+
+
+def _sorted_blocks(points: np.ndarray, directions: np.ndarray):
+    """Yield (first row, (m, t) projections sorted along axis 1) per chunk of rows.
+
+    The rows go in as a stack of (3, 1) columns, so numpy runs the
+    matrix-vector product of `project` on each and every row equals
+    `project`'s values bit for bit; a matrix product over the block rounds
+    differently.
+    """
+    directions = np.ascontiguousarray(directions, dtype=float)
+    m, t = len(directions), len(points)
+    per_chunk = max(1, _CHUNK_BYTES // (8 * t))
+    for lo in range(0, m, per_chunk):
+        block = directions[lo : lo + per_chunk, :, None]
+        s = np.empty((len(block), t))
+        np.matmul(points, block, out=s[:, :, None])
+        s.sort(axis=1)
+        yield lo, s
+
+
+def _dis(s: np.ndarray):
+    """Directed discrepancy of each row of sorted projections `s`, (t,) or (m, t).
+
+    _sweep's maximum without its (2, t) temporary: incl >= excl and rounding
+    is monotone, so the larger deviation at s_i is incl - area or
+    area - excl, and IEEE subtraction is exact under negation.
+    """
+    incl, excl = _cap_counts(s.shape[-1])
+    area = (1.0 - s) / 2.0
+    dev = incl - area
+    np.maximum(dev, area - excl, out=dev)
+    return _max(dev, axis=-1)
 
 
 def _radii(s: np.ndarray, d: float) -> tuple[list[float], list[int], list[float]]:
@@ -160,22 +172,16 @@ def _radii(s: np.ndarray, d: float) -> tuple[list[float], list[int], list[float]
     hypothesis: its k is 0 and its radius nan.
     """
     t = s.shape[-1]
-    # _sweep's maximum without its (2, t) temporary: incl >= excl and rounding
-    # is monotone, so the larger deviation at s_i is incl - area or
-    # area - excl, and IEEE subtraction is exact under negation.
-    incl, excl = _cap_counts(t)
-    area = (1.0 - s) / 2.0
-    hi = _max(incl - area, axis=-1)
-    lo = _max(area - excl, axis=-1)
     # One row stays 1-D: as a (1, t) block it would cost about 2 us more per
     # call, paid on every step of a ring walk.
     if s.ndim == 1:
-        rows, dis = (s,), [max(float(hi), float(lo))]
+        rows, dis = (s,), [float(_dis(s))]
     else:
-        rows, dis = s, np.maximum(hi, lo).tolist()
+        rows, dis = s, _dis(s).tolist()
     ks, radii = [], []
     for row, dis_row in zip(rows, dis):
-        if dis_row + 1.0 / t > d + 1e-15:
+        # No slack on d: one would grant radii to rows that break the hypothesis.
+        if dis_row + 1.0 / t > d:
             ks.append(0)
             radii.append(math.nan)
         else:
@@ -202,26 +208,29 @@ def confidence_radii(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dis and confidence radius for every row of `directions`, in one call.
 
-    Each row is projected with the matrix-vector product of `project` (a
-    matrix product over the block rounds differently), so every value equals
-    `confidence_radius(project(ps, v), d)` bit for bit.  A row that breaks
-    the hypothesis Dis + 1/t <= d raises nothing: its radius is nan.
+    Every value equals `confidence_radius(project(ps, v), d)` bit for bit.
+    A row that breaks the hypothesis Dis + 1/t <= d raises nothing: its
+    radius is nan.
     """
-    directions = np.asarray(directions, dtype=float)
-    m, t = len(directions), len(points)
-    per_chunk = max(1, _CHUNK_BYTES // (8 * t))
-    dis: list[float] = []
-    radius: list[float] = []
-    for lo in range(0, m, per_chunk):
-        s = np.empty((min(per_chunk, m - lo), t))
-        for j in range(len(s)):
-            np.matmul(points, directions[lo + j], out=s[j])
-        s.sort(axis=1)
+    dis = np.empty(len(directions))
+    radius = np.empty(len(directions))
+    for lo, s in _sorted_blocks(points, directions):
+        rows = slice(lo, lo + len(s))
         # a one-row chunk goes in as 1-D, the cheaper form of the core
-        dis_block, _, radius_block = _radii(s if len(s) > 1 else s[0], d)
-        dis += dis_block
-        radius += radius_block
-    return np.array(dis), np.array(radius)
+        dis[rows], _, radius[rows] = _radii(s if len(s) > 1 else s[0], d)
+    return dis, radius
+
+
+def directed_values(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """Directed discrepancy of every row of `directions`, in one call.
+
+    Projects and sweeps as `confidence_radii` does, so every value equals
+    `confidence_radius(project(ps, v), d).directed_value` bit for bit.
+    """
+    out = np.empty(len(directions))
+    for lo, s in _sorted_blocks(points, directions):
+        out[lo : lo + len(s)] = _dis(s)
+    return out
 
 
 def _candidate_axes(points: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covering import CoverOutcome, CoverParams
+from .covering import BINARY_SEARCH_TOL, ORBIT_SAMPLE_COUNT, R_MIN_FACTOR, CoverOutcome, CoverParams
 from .discrepancy import directed_values
 from .geometry import PolarDirection, Region
 from .geometry import polar_to_cartesian  # noqa: F401  capbench traces this lookup site
@@ -67,10 +67,10 @@ def report_dict(ps: PointSet, params: CoverParams, outcome: CoverOutcome) -> dic
                 "theta_max": _angle(params.region.theta_max),
             },
             "defaults": {
-                "orbit_sample_count": params.orbit_sample_count,
-                "r_min_factor": params.r_min_factor,
+                "orbit_sample_count": ORBIT_SAMPLE_COUNT,
+                "r_min_factor": R_MIN_FACTOR,
                 "cover_cap_max_depth": params.cover_cap_max_depth,
-                "binary_search_tol": _angle(params.binary_search_tol),
+                "binary_search_tol": _angle(BINARY_SEARCH_TOL),
             },
         },
         "outcome": {
@@ -238,6 +238,8 @@ def audit_coverage(
     checked against whatever balls were certified, so a run whose only gap
     is a measure-zero singular direction passes with probability one.
     The coverage test holds the distances of one probe block at a time.
+    Each probe's directed value is the engine's for that direction, bit for
+    bit, and `directed_values` holds one 64 KB chunk of projections at a time.
     """
     if outcome.status == "counterexample":
         raise ValueError("audit requires a certificate, not a counterexample")
@@ -253,11 +255,7 @@ def audit_coverage(
     radii = angles[:, 2]
     uncovered = _uncovered_count(probes, centers, radii)
 
-    over_bound = 0
-    chunk = 2048
-    for start in range(0, probe_count, chunk):
-        values = directed_values(ps.points, probes[start : start + chunk])
-        over_bound += int((values > params.d).sum())
+    over_bound = int((directed_values(ps.points, probes) > params.d).sum())
     return {
         "probes": probe_count,
         "uncovered": uncovered,

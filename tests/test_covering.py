@@ -2,6 +2,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from statistics import median
 
 import numpy as np
 import pytest
@@ -16,12 +17,10 @@ from capdisc.covering import (
     _swallow_rescue,
     cover_cap_recurse,
     cover_region,
-    estimate_orbit_r_min,
     orbit_intersection_latitude,
-    r_min_from_samples,
     step_theta,
 )
-from capdisc.discrepancy import HypothesisViolation, directed_values
+from capdisc.discrepancy import HypothesisViolation, confidence_radius, directed_values, project
 from capdisc.geometry import (
     PolarDirection,
     Region,
@@ -179,9 +178,15 @@ class TestOrbitIntersection:
         assert math.isclose(float(np.linalg.norm(u - b)), r, abs_tol=1e-9)
 
 
-def test_r_min_from_samples_is_scaled_median():
-    assert r_min_from_samples([1.0, 3.0, 2.0], 0.5) == 1.0
-    assert r_min_from_samples([4.0], 0.25) == 1.0
+def test_orbit_r_min_is_the_scaled_sample_median():
+    ps = generate_twisted_polar(12)
+    d = north_pole_directed(12)
+    engine = _Engine(ps, CoverParams(d=d, region=Region(0.0, 1.2, 0.0, math.pi)))
+    k = covering.ORBIT_SAMPLE_COUNT
+    samples = [PolarDirection((i + 0.5) * math.pi / k, 0.8) for i in range(k)]
+    radii = [confidence_radius(project(ps, polar_to_cartesian(u)), d).radius for u in samples]
+    assert engine.orbit_r_min(0.8) == covering.R_MIN_FACTOR * median(radii) > 0.0
+    assert engine.orbit_r_min(0.8, factor=1.0) == median(radii)
 
 
 class TestCoverCapRecurse:
@@ -441,15 +446,3 @@ def test_params_validation():
     region = Region(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         CoverParams(d=0.0, region=region)
-    with pytest.raises(ValueError):
-        CoverParams(d=0.5, region=region, orbit_sample_count=0)
-    with pytest.raises(ValueError):
-        CoverParams(d=0.5, region=region, r_min_factor=1.5)
-
-
-def test_estimate_orbit_r_min_positive():
-    ps = generate_twisted_polar(12)
-    d = north_pole_directed(12)
-    params = CoverParams(d=d, region=Region(0.0, 1.2, 0.0, math.pi))
-    r = estimate_orbit_r_min(ps, 0.8, params)
-    assert r > 0.0

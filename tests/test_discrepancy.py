@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from capdisc.discrepancy import (
     HypothesisViolation,
-    ProjectionProfile,
     SizeLimitExceeded,
+    _candidate_axes,
     _cap_counts,
+    _slab_width,
     _sweep,
     confidence_radii,
     confidence_radius,
@@ -17,7 +18,6 @@ from capdisc.discrepancy import (
     directed_values,
     naive_discrepancy,
     project,
-    slab_min_width,
 )
 from capdisc.geometry import PolarDirection, polar_to_cartesian
 from capdisc.pointsets import (
@@ -115,7 +115,7 @@ class TestOneSweep:
         prof = project(ps, v)
         expect = reference_directed(prof.values)
         assert confidence_radius(prof, 1.0).directed_value == expect
-        # A one-row batch projects with the same rounding as `project`.
+        # A batch projects with the same rounding as `project`.
         assert directed_values(ps.points, v[None, :])[0] == expect
         res = directed_discrepancy(prof)
         assert res.value == expect
@@ -127,9 +127,8 @@ class TestOneSweep:
     def test_batched_directions_equal_the_brute_force(self):
         ps = generate_polar(6)
         dirs = np.vstack([np.eye(3), uniform_directions(20, seed=3)])
-        s = np.sort(ps.points @ dirs.T, axis=0)
-        expect = [reference_directed(s[:, j]) for j in range(len(dirs))]
-        assert directed_values(ps.points, dirs, chunk=7).tolist() == expect
+        expect = [reference_directed(project(ps, v).values) for v in dirs]
+        assert directed_values(ps.points, dirs).tolist() == expect
 
 
 class TestKernel:
@@ -200,20 +199,21 @@ class TestBatchedKernel:
                         continue
                     assert np.float64(dis_v).tobytes() == np.float64(ball.directed_value).tobytes()
                     assert np.float64(r_v).tobytes() == np.float64(ball.radius).tobytes()
+                assert directed_values(ps.points, dirs[:m]).tobytes() == dis.tobytes()
             assert (flagged > 0) == (d < 2.0)
 
 
 class TestSlabWidth:
     def test_known_profile(self):
-        prof = ProjectionProfile(Z, np.array([-0.5, -0.1, 0.2, 0.9]))
-        assert math.isclose(slab_min_width(prof, 1), 0.3, abs_tol=1e-15)
-        assert math.isclose(slab_min_width(prof, 2), 0.7, abs_tol=1e-15)
-        assert slab_min_width(prof, 4) == 2.0
+        s = np.array([-0.5, -0.1, 0.2, 0.9])
+        assert math.isclose(_slab_width(s, 1), 0.3, abs_tol=1e-15)
+        assert math.isclose(_slab_width(s, 2), 0.7, abs_tol=1e-15)
+        assert _slab_width(s, 4) == 2.0
 
     def test_monotone_in_k(self):
         ps = generate_random_uniform(80, seed=3)
-        prof = project(ps, Z)
-        widths = [slab_min_width(prof, k) for k in range(1, 20)]
+        s = project(ps, Z).values
+        widths = [_slab_width(s, k) for k in range(1, 20)]
         assert all(a <= b + 1e-15 for a, b in zip(widths, widths[1:]))
 
 
@@ -225,7 +225,7 @@ class TestConfidenceRadius:
         d = dis + 3.7 / ps.size
         ball = confidence_radius(prof, d)
         assert ball.k == math.floor(ps.size * (d - dis)) + 1
-        assert ball.radius == slab_min_width(prof, ball.k)
+        assert ball.radius == _slab_width(prof.values, ball.k)
 
     def test_rejects_hypothesis_violation(self):
         ps = generate_random_uniform(100, seed=4)
@@ -233,6 +233,9 @@ class TestConfidenceRadius:
         dis = directed_discrepancy(prof).value
         with pytest.raises(HypothesisViolation):
             confidence_radius(prof, dis + 0.5 / ps.size)
+        # No slack either way: the largest d below Dis + 1/t is refused.
+        with pytest.raises(HypothesisViolation):
+            confidence_radius(prof, np.nextafter(dis + 1.0 / ps.size, 0.0))
 
     def test_ball_is_sound(self, rng):
         # Probes inside the ball must keep their directed value at or below d.
@@ -266,7 +269,9 @@ class TestNaiveDiscrepancy:
         ps = generate_random_uniform(15, seed=6)
         naive, cap = naive_discrepancy(ps)
         res = directed_discrepancy(project(ps, cap.axis))
-        assert math.isclose(res.value, naive, abs_tol=1e-12)
+        assert res.value == naive
+        # The batch that elects the axis evaluates it as `project` does.
+        assert directed_values(ps.points, _candidate_axes(ps.points)).max() == naive
 
     def test_polar_maximum_is_at_the_pole(self):
         # For small polar structures the exact maximum sits on the z-axis.

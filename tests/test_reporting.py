@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from capdisc import reporting
 from capdisc.covering import CoverOutcome, CoverParams, cover_region
-from capdisc.discrepancy import directed_values
+from capdisc.discrepancy import confidence_radius, directed_values, project
 from capdisc.geometry import Region, polar_to_cartesian
 from capdisc.pointsets import generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
@@ -201,6 +202,14 @@ class TestAudit:
             assert result == dense_audit(ps, params, outcome, 3000, seed)
             if doctor is not None:
                 assert result["uncovered"] > 0
+
+    def test_probe_values_equal_the_engine_bit_for_bit(self):
+        # t = 994 puts 8 rows in a chunk, so 30 probes span four chunks.
+        ps, params = conjecture_setup(30, structure="polar")
+        probes = sample_region_directions(params.region, 30, np.random.default_rng(0))
+        values = reporting.directed_values(ps.points, probes)
+        engine = [confidence_radius(project(ps, v), 1.0).directed_value for v in probes]
+        assert values.tobytes() == np.array(engine).tobytes()
 
     def test_outcome_without_records_leaves_every_probe_uncovered(self, small_run):
         ps, params, _ = small_run

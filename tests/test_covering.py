@@ -178,15 +178,24 @@ class TestOrbitIntersection:
         assert math.isclose(float(np.linalg.norm(u - b)), r, abs_tol=1e-9)
 
 
-def test_orbit_r_min_is_the_scaled_sample_median():
+def _twisted_12_engine():
     ps = generate_twisted_polar(12)
     d = north_pole_directed(12)
-    engine = _Engine(ps, CoverParams(d=d, region=Region(0.0, 1.2, 0.0, math.pi)))
+    return ps, d, _Engine(ps, CoverParams(d=d, region=Region(0.0, 1.2, 0.0, math.pi)))
+
+
+def test_r_min_from_samples_is_scaled_median():
+    ps, d, engine = _twisted_12_engine()
     k = covering.ORBIT_SAMPLE_COUNT
     samples = [PolarDirection((i + 0.5) * math.pi / k, 0.8) for i in range(k)]
     radii = [confidence_radius(project(ps, polar_to_cartesian(u)), d).radius for u in samples]
-    assert engine.orbit_r_min(0.8) == covering.R_MIN_FACTOR * median(radii) > 0.0
+    assert engine.orbit_r_min(0.8) == covering.R_MIN_FACTOR * median(radii)
     assert engine.orbit_r_min(0.8, factor=1.0) == median(radii)
+
+
+def test_estimate_orbit_r_min_positive():
+    _, _, engine = _twisted_12_engine()
+    assert engine.orbit_r_min(0.8) > 0.0
 
 
 class TestCoverCapRecurse:

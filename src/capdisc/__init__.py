@@ -55,7 +55,6 @@ from .polar_analysis import (
     phi_max_from_radius,
 )
 from .reporting import (
-    RunSummaryRow,
     audit_coverage,
     read_report,
     report_dict,

@@ -25,11 +25,7 @@ from .pointsets import (
     write_point_set,
 )
 from .polar_analysis import conjecture_setup
-from .reporting import (
-    summary_row_from_outcome,
-    upsert_summary_row,
-    write_report,
-)
+from .reporting import upsert_summary_row, write_report
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -144,7 +140,11 @@ def _cmd_conjecture(args) -> int:
     for n in range(args.n_min, args.n_max + 1):
         ps, params = conjecture_setup(n, args.structure)
         outcome = cover_region(ps, params)
-        upsert_summary_row(args.summary, summary_row_from_outcome(n, ps, params, outcome))
+        try:
+            upsert_summary_row(args.summary, n, ps, params, outcome)
+        except ValueError as exc:
+            print(f"error: cannot update summary {args.summary}: {exc}", file=sys.stderr)
+            return EXIT_IO
         print(
             f"n {n} t {ps.size} status {outcome.status} "
             f"n_DD {outcome.counters['n_DD']} n_CC {outcome.counters['n_CC']}"

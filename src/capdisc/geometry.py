@@ -20,7 +20,7 @@ def unit_vector(x: float, y: float, z: float) -> np.ndarray:
     """Validated unit vector. Rejects norms off by more than 1e-6."""
     v = np.array([x, y, z], dtype=float)
     n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > UNIT_REJECT_TOL:
+    if not abs(n - 1.0) <= UNIT_REJECT_TOL:  # also rejects a NaN norm
         raise ValueError(f"not a unit vector: norm = {n!r}")
     return v / n
 
@@ -51,7 +51,7 @@ class Cap:
 
 @dataclass(frozen=True)
 class Region:
-    """Polar rectangle of directions."""
+    """Polar rectangle of directions: finite bounds, -pi/2 <= phi_min <= phi_max <= pi/2."""
 
     phi_min: float
     phi_max: float
@@ -59,7 +59,12 @@ class Region:
     theta_max: float
 
     def __post_init__(self):
-        if self.phi_min > self.phi_max or self.theta_min > self.theta_max:
+        bounds = (self.phi_min, self.phi_max, self.theta_min, self.theta_max)
+        if not all(math.isfinite(b) for b in bounds):
+            raise ValueError(f"region bounds must be finite: {bounds}")
+        if not -math.pi / 2 <= self.phi_min <= self.phi_max <= math.pi / 2:
+            raise ValueError("latitudes must satisfy -pi/2 <= phi_min <= phi_max <= pi/2")
+        if self.theta_min > self.theta_max:
             raise ValueError("region bounds out of order")
 
 

@@ -154,7 +154,7 @@ def read_point_set(path) -> PointSet:
         except ValueError as exc:
             raise MalformedRowError(f"{path}:{lineno}: {exc}") from None
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # also rejects a NaN norm
             raise NonUnitPointError(f"{path}:{lineno}: norm {norm!r} is not 1")
         p = v / norm
         first = seen.setdefault(tuple(p), lineno)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,30 +25,6 @@ SCHEMA_VERSION = 1
 SUMMARY_HEADER = ["n", "t", "n_DD", "n_CC", "phase1_s", "cover_cap_s", "total_s", "d", "status"]
 
 
-@dataclass
-class RunSummaryRow:
-    n: int
-    t: int
-    n_DD: int
-    n_CC: int
-    phase1_s: float
-    cover_cap_s: float
-    total_s: float
-    d: float
-    status: str
-
-    def __post_init__(self):
-        if self.total_s < self.phase1_s:
-            raise ValueError("total_s must include phase1_s")
-        if self.n_CC > self.n_DD:
-            raise ValueError("n_CC cannot exceed n_DD")
-
-
-def _angle(x: float) -> float:
-    # 17 significant digits round-trip any IEEE double exactly.
-    return float(f"{x:.17g}")
-
-
 def report_dict(ps: PointSet, params: CoverParams, outcome: CoverOutcome) -> dict:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -59,43 +34,43 @@ def report_dict(ps: PointSet, params: CoverParams, outcome: CoverOutcome) -> dic
             "size": ps.size,
         },
         "params": {
-            "d": _angle(params.d),
+            "d": float(params.d),
             "region": {
-                "phi_min": _angle(params.region.phi_min),
-                "phi_max": _angle(params.region.phi_max),
-                "theta_min": _angle(params.region.theta_min),
-                "theta_max": _angle(params.region.theta_max),
+                "phi_min": float(params.region.phi_min),
+                "phi_max": float(params.region.phi_max),
+                "theta_min": float(params.region.theta_min),
+                "theta_max": float(params.region.theta_max),
             },
             "defaults": {
                 "orbit_sample_count": ORBIT_SAMPLE_COUNT,
                 "r_min_factor": R_MIN_FACTOR,
                 "cover_cap_max_depth": params.cover_cap_max_depth,
-                "binary_search_tol": _angle(BINARY_SEARCH_TOL),
+                "binary_search_tol": BINARY_SEARCH_TOL,
             },
         },
         "outcome": {
             "status": outcome.status,
             "counters": {
-                k: (_angle(v) if isinstance(v, float) else v)
+                k: (float(v) if isinstance(v, float) else v)
                 for k, v in outcome.counters.items()
             },
             "timings": {k: float(v) for k, v in outcome.timings.items()},
         },
         "records": [
             {
-                "theta": _angle(rec.direction.theta),
-                "phi": _angle(rec.direction.phi),
-                "radius": _angle(rec.radius),
-                "directed_value": _angle(rec.directed_value),
+                "theta": float(rec.direction.theta),
+                "phi": float(rec.direction.phi),
+                "radius": float(rec.radius),
+                "directed_value": float(rec.directed_value),
                 "origin": rec.origin,
             }
             for rec in outcome.records
         ],
         "not_covered": [
             {
-                "theta": _angle(pd.theta),
-                "phi": _angle(pd.phi),
-                "required_radius": _angle(req),
+                "theta": float(pd.theta),
+                "phi": float(pd.phi),
+                "required_radius": float(req),
             }
             for pd, req in outcome.not_covered
         ],
@@ -103,15 +78,19 @@ def report_dict(ps: PointSet, params: CoverParams, outcome: CoverOutcome) -> dic
     if outcome.counterexample is not None:
         ce = outcome.counterexample
         doc["counterexample"] = {
-            "direction": [_angle(float(c)) for c in ce.direction],
-            "value": _angle(ce.value),
+            "direction": [float(c) for c in ce.direction],
+            "value": float(ce.value),
         }
     return doc
 
 
 def write_report(path, ps: PointSet, params: CoverParams, outcome: CoverOutcome) -> None:
-    doc = report_dict(ps, params, outcome)
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """Write the report as one line of JSON.
+
+    `json.dumps` without `indent` runs json's C encoder; `indent` or
+    `json.dump` would fall back to the pure-Python one.
+    """
+    Path(path).write_text(json.dumps(report_dict(ps, params, outcome)) + "\n")
 
 
 def read_report(path) -> dict:
@@ -122,14 +101,25 @@ def read_report(path) -> dict:
 
 
 def strip_timings(doc: dict) -> dict:
-    """Copy of a report with the only nondeterministic block removed."""
-    out = json.loads(json.dumps(doc))
-    out.get("outcome", {}).pop("timings", None)
+    """Copy of a report with the only nondeterministic block, `outcome.timings`, removed.
+
+    Only the top-level and `outcome` dicts are new; the records and every
+    other value are shared with `doc`, which is left unchanged.
+    """
+    out = dict(doc)
+    if "outcome" in out:
+        out["outcome"] = {k: v for k, v in out["outcome"].items() if k != "timings"}
     return out
 
 
-def upsert_summary_row(path, row: RunSummaryRow) -> None:
-    """Append the row to the CSV, replacing any existing row with the same n."""
+def upsert_summary_row(
+    path, n: int, ps: PointSet, params: CoverParams, outcome: CoverOutcome
+) -> None:
+    """Write the run's row, in SUMMARY_HEADER order, replacing any row with the same n.
+
+    Raises ValueError, leaving the file as it was, when an existing file has
+    another header or a row whose n is not an integer.
+    """
     path = Path(path)
     rows: dict[int, list[str]] = {}
     if path.exists():
@@ -137,40 +127,26 @@ def upsert_summary_row(path, row: RunSummaryRow) -> None:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is not None and header != SUMMARY_HEADER:
-                raise ValueError(f"unexpected summary header in {path}: {header}")
+                raise ValueError(f"unexpected summary header: {header}")
             for rec in reader:
                 if rec:
                     rows[int(rec[0])] = rec
-    rows[row.n] = [
-        str(row.n),
-        str(row.t),
-        str(row.n_DD),
-        str(row.n_CC),
-        f"{row.phase1_s:.6f}",
-        f"{row.cover_cap_s:.6f}",
-        f"{row.total_s:.6f}",
-        f"{row.d:.17g}",
-        row.status,
+    rows[n] = [
+        str(n),
+        str(ps.size),
+        str(outcome.counters["n_DD"]),
+        str(outcome.counters["n_CC"]),
+        f"{outcome.timings['phase1']:.6f}",
+        f"{outcome.timings['cover_cap']:.6f}",
+        f"{outcome.timings['total']:.6f}",
+        f"{params.d:.17g}",
+        outcome.status,
     ]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SUMMARY_HEADER)
-        for n in sorted(rows):
-            writer.writerow(rows[n])
-
-
-def summary_row_from_outcome(n: int, ps: PointSet, params: CoverParams, outcome: CoverOutcome) -> RunSummaryRow:
-    return RunSummaryRow(
-        n=n,
-        t=ps.size,
-        n_DD=outcome.counters["n_DD"],
-        n_CC=outcome.counters["n_CC"],
-        phase1_s=outcome.timings["phase1"],
-        cover_cap_s=outcome.timings["cover_cap"],
-        total_s=outcome.timings["total"],
-        d=params.d,
-        status=outcome.status,
-    )
+        for k in sorted(rows):
+            writer.writerow(rows[k])
 
 
 def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:

@@ -164,6 +164,21 @@ class TestCover:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_nan_latitude_is_usage_error(self, polar15, tmp_path):
+        # A NaN bound can send phase 1 into a loop that never ends (twisted
+        # 12, d = 0.2); the subprocess timeout turns that into a failure.
+        proc = subprocess.run(
+            [sys.executable, "-m", "capdisc.cli", "cover", "--points", str(polar15),
+             "--d", "0.05", "--phi-min", "nan", "--phi-max", "0.5",
+             "--theta-min", "0", "--theta-max", "1",
+             "--report", str(tmp_path / "report.json")],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
+
     def test_duplicate_points_are_io_error(self, tmp_path):
         # Coincident points drive phase 1 into ever smaller orbits that never
         # reach phi_min; the reader must refuse them before the engine runs.
@@ -203,6 +218,22 @@ class TestConjecture:
         n16 = lines[2].split(",")
         assert (n15[0], n15[1], n15[-1]) == ("15", "250", "covered")
         assert (n16[0], n16[1], n16[-1]) == ("16", "284", "covered")
+
+    @pytest.mark.parametrize(
+        "text", ["a,b,c\n1,2,3\n", ",".join(SUMMARY_HEADER) + "\nxx,1\n"],
+        ids=["foreign-header", "non-integer-n"],
+    )
+    def test_foreign_summary_is_io_error(self, tmp_path, capsys, text):
+        summary = tmp_path / "summary.csv"
+        summary.write_text(text)
+        code, _, err = run_cli(
+            capsys, "conjecture", "--n-min", "5", "--n-max", "5",
+            "--summary", str(summary),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(summary) in err
+        assert summary.read_text() == text
 
     def test_reversed_range_is_usage_error(self, tmp_path, capsys):
         code, _, err = run_cli(

@@ -396,6 +396,14 @@ class TestCoverRegion:
         first = polar_to_cartesian(PolarDirection(0.5 * 1.0 / 20, 0.5))
         assert outcome.counterexample.direction.tobytes() == first.tobytes()
 
+    def test_region_down_to_the_south_pole_is_covered(self):
+        # phi_min = -pi/2 is the closed end of the latitude range, not an error.
+        ps = generate_twisted_polar(12)
+        params = CoverParams(d=0.1, region=Region(-math.pi / 2, -1.0, 0.0, math.pi))
+        outcome = cover_region(ps, params)
+        assert outcome.status == "covered"
+        assert outcome.counters["n_DD"] > 0
+
     def test_rejects_trivial_point_set(self):
         ps = generate_random_uniform(1, seed=0)
         with pytest.raises(ValueError):

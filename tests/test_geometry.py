@@ -55,6 +55,8 @@ class TestUnitVector:
     def test_rejects_far_from_unit(self):
         with pytest.raises(ValueError):
             unit_vector(1.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            unit_vector(math.nan, 0.0, 1.0)
 
 
 class TestPolarConversion:
@@ -81,12 +83,48 @@ class TestPolarConversion:
         assert 0.0 <= d.theta < 2.0 * math.pi
 
 
+HALF_PI = math.pi / 2
+
+
 class TestRegion:
     def test_rejects_out_of_order(self):
         with pytest.raises(ValueError):
             Region(1.0, 0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
             Region(0.0, 1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (math.nan, 1.0, 0.0, 1.0),
+            (0.0, math.nan, 0.0, 1.0),
+            (0.0, 1.0, math.nan, 1.0),
+            (0.0, 1.0, 0.0, math.nan),
+            (-math.inf, 1.0, 0.0, 1.0),
+            (0.0, 1.0, 0.0, math.inf),
+            (0.0, 1.0, -math.inf, 1.0),
+            (-5.0, 1.0, 0.0, 1.0),
+            (0.0, 5.0, 0.0, 1.0),
+            (-HALF_PI, math.nextafter(HALF_PI, 2.0), 0.0, 1.0),
+            (math.nextafter(-HALF_PI, -2.0), 0.0, 0.0, 1.0),
+        ],
+    )
+    def test_rejects_non_finite_and_out_of_range(self, bounds):
+        with pytest.raises(ValueError):
+            Region(*bounds)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            (-HALF_PI, HALF_PI, 0.0, 2.0 * math.pi),
+            (-HALF_PI, -HALF_PI, 0.0, 0.0),
+            (HALF_PI, HALF_PI, -1.0, 1.0),
+            (0, 1, 0, 1),
+            (np.float64(-HALF_PI), np.float64(0.5), 0.0, 1.0),
+        ],
+    )
+    def test_accepts_closed_latitude_range(self, bounds):
+        assert Region(*bounds).phi_min == bounds[0]
 
 
 class TestFrame:

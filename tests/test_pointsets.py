@@ -111,9 +111,10 @@ class TestFileRoundTrip:
 
     def test_non_unit(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("x,y,z\n2.0,0.0,0.0\n")
-        with pytest.raises(NonUnitPointError):
-            read_point_set(path)
+        for row in ("2.0,0.0,0.0", "nan,0,1", "0,0,nan"):
+            path.write_text(f"x,y,z\n{row}\n")
+            with pytest.raises(NonUnitPointError):
+                read_point_set(path)
 
     def test_empty(self, tmp_path):
         path = tmp_path / "empty.csv"

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -17,13 +18,11 @@ from capdisc.polar_analysis import conjecture_setup, north_pole_directed
 from capdisc.reporting import (
     SCHEMA_VERSION,
     SUMMARY_HEADER,
-    RunSummaryRow,
     audit_coverage,
     read_report,
     report_dict,
     sample_region_directions,
     strip_timings,
-    summary_row_from_outcome,
     upsert_summary_row,
     write_report,
 )
@@ -36,6 +35,34 @@ def small_run():
     params = CoverParams(d=d, region=Region(0.6, 1.0, 0.0, 0.8), cover_cap_max_depth=8)
     outcome = cover_region(ps, params)
     assert outcome.status == "covered"
+    return ps, params, outcome
+
+
+@pytest.fixture(scope="module")
+def int_bounds_run():
+    # Int region bounds and a numpy-float d, as a caller may pass them.
+    ps = generate_twisted_polar(12)
+    params = CoverParams(d=np.float64(0.2), region=Region(0, 1, 0, 1))
+    return ps, params, cover_region(ps, params)
+
+
+@pytest.fixture(scope="module")
+def counterexample_run():
+    ps = generate_twisted_polar(8)
+    params = CoverParams(d=1e-9, region=Region(0.0, 0.5, 0.0, 1.0))
+    outcome = cover_region(ps, params)
+    assert outcome.status == "counterexample"
+    return ps, params, outcome
+
+
+@pytest.fixture(scope="module")
+def residual_run():
+    ps = generate_twisted_polar(12)
+    params = CoverParams(
+        d=north_pole_directed(12), region=Region(0.0, 1.0, 0.0, 0.8), cover_cap_max_depth=0
+    )
+    outcome = cover_region(ps, params)
+    assert outcome.status == "residual" and outcome.not_covered
     return ps, params, outcome
 
 
@@ -89,6 +116,29 @@ class TestReportDocument:
         assert len(doc["records"]) == len(outcome.records)
         assert doc["params"]["d"] == float(f"{params.d:.17g}")
 
+    @pytest.mark.parametrize(
+        "run", ["small_run", "int_bounds_run", "counterexample_run", "residual_run"]
+    )
+    def test_read_back_equals_report_dict(self, run, request, tmp_path):
+        ps, params, outcome = request.getfixturevalue(run)
+        path = tmp_path / "report.json"
+        write_report(path, ps, params, outcome)
+        doc = report_dict(ps, params, outcome)
+        # Compared as JSON text, which also pins key order and int/float:
+        # a counterexample's r_min counters are NaN, and NaN != NaN.
+        assert json.dumps(read_report(path)) == json.dumps(doc)
+        # Every bound is stored as a Python float, as float(f"{x:.17g}") made it.
+        stored = [doc["params"]["d"], *doc["params"]["region"].values()]
+        given = [params.d, *dataclasses.astuple(params.region)]
+        assert [type(x) for x in stored] == [float] * 5
+        assert stored == [float(f"{x:.17g}") for x in given]
+        # strip_timings gives what a JSON deep copy minus timings gave, and
+        # leaves its input whole.
+        expect = json.loads(json.dumps(doc))
+        del expect["outcome"]["timings"]
+        assert json.dumps(strip_timings(doc)) == json.dumps(expect)
+        assert doc["outcome"]["timings"] == outcome.timings
+
     def test_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema_version": 99}))
@@ -131,17 +181,22 @@ class TestReportDocument:
 
 
 class TestSummaryCsv:
-    def _row(self, n, status="covered"):
-        return RunSummaryRow(
-            n=n, t=n * n, n_DD=100 + n, n_CC=5, phase1_s=1.0,
-            cover_cap_s=0.5, total_s=1.5, d=0.05, status=status,
+    PS = generate_twisted_polar(4)
+    PARAMS = CoverParams(d=0.05, region=Region(0.0, 1.0, 0.0, 1.0))
+
+    def _upsert(self, path, n, status="covered"):
+        outcome = CoverOutcome(
+            status, [], None, [],
+            counters={"n_DD": 100 + n, "n_CC": 5},
+            timings={"phase1": 1.0, "cover_cap": 0.5, "total": 1.5},
         )
+        upsert_summary_row(path, n, self.PS, self.PARAMS, outcome)
 
     def test_upsert_is_idempotent_and_sorted(self, tmp_path):
         path = tmp_path / "summary.csv"
-        upsert_summary_row(path, self._row(20))
-        upsert_summary_row(path, self._row(15))
-        upsert_summary_row(path, self._row(20, status="residual"))
+        self._upsert(path, 20)
+        self._upsert(path, 15)
+        self._upsert(path, 20, status="residual")
         lines = path.read_text().strip().splitlines()
         assert lines[0] == ",".join(SUMMARY_HEADER)
         assert len(lines) == 3
@@ -150,23 +205,24 @@ class TestSummaryCsv:
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "summary.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError):
-            upsert_summary_row(path, self._row(15))
+        for text in ("a,b,c\n1,2,3\n", ",".join(SUMMARY_HEADER) + "\nxx,1\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError):
+                self._upsert(path, 15)
+            assert path.read_text() == text
 
-    def test_row_invariants(self):
-        with pytest.raises(ValueError):
-            RunSummaryRow(15, 250, 10, 20, 1.0, 0.5, 1.5, 0.05, "covered")
-        with pytest.raises(ValueError):
-            RunSummaryRow(15, 250, 20, 10, 1.0, 0.5, 0.9, 0.05, "covered")
-
-    def test_row_from_outcome(self, small_run):
+    def test_row_from_outcome(self, small_run, tmp_path):
         ps, params, outcome = small_run
-        row = summary_row_from_outcome(12, ps, params, outcome)
-        assert row.n == 12
-        assert row.t == ps.size
-        assert row.n_DD == outcome.counters["n_DD"]
-        assert row.status == "covered"
+        path = tmp_path / "summary.csv"
+        upsert_summary_row(path, 12, ps, params, outcome)
+        with path.open(newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert list(row) == SUMMARY_HEADER
+        assert row["n"] == "12"
+        assert int(row["t"]) == ps.size
+        assert int(row["n_DD"]) == outcome.counters["n_DD"]
+        assert row["status"] == "covered"
+        assert float(row["d"]) == params.d
 
 
 class TestSampling:

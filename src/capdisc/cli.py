@@ -25,7 +25,7 @@ from .pointsets import (
     write_point_set,
 )
 from .polar_analysis import conjecture_setup
-from .reporting import upsert_summary_row, write_report
+from .reporting import read_summary_rows, upsert_summary_row, write_report
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -136,6 +136,15 @@ def _cmd_conjecture(args) -> int:
     if args.n_min < 2 or args.n_max < args.n_min:
         print("error: need 2 <= --n-min <= --n-max", file=sys.stderr)
         return EXIT_USAGE
+
+    def refused(exc: ValueError) -> int:
+        print(f"error: cannot update summary {args.summary}: {exc}", file=sys.stderr)
+        return EXIT_IO
+
+    try:
+        read_summary_rows(args.summary)  # a foreign file is refused before the first cover
+    except ValueError as exc:
+        return refused(exc)
     worst = EXIT_OK
     for n in range(args.n_min, args.n_max + 1):
         ps, params = conjecture_setup(n, args.structure)
@@ -143,8 +152,7 @@ def _cmd_conjecture(args) -> int:
         try:
             upsert_summary_row(args.summary, n, ps, params, outcome)
         except ValueError as exc:
-            print(f"error: cannot update summary {args.summary}: {exc}", file=sys.stderr)
-            return EXIT_IO
+            return refused(exc)
         print(
             f"n {n} t {ps.size} status {outcome.status} "
             f"n_DD {outcome.counters['n_DD']} n_CC {outcome.counters['n_CC']}"

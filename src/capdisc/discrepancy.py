@@ -158,9 +158,11 @@ def _dis(s: np.ndarray):
     area - excl, and IEEE subtraction is exact under negation.
     """
     incl, excl = _cap_counts(s.shape[-1])
-    area = (1.0 - s) / 2.0
-    dev = incl - area
-    np.maximum(dev, area - excl, out=dev)
+    area = np.subtract(1.0, s)
+    area *= 0.5  # exact: (1 - s) lies in [0, 2], so halving equals dividing by 2
+    dev = np.subtract(incl, area)
+    np.subtract(area, excl, out=area)
+    np.maximum(dev, area, out=dev)
     return _max(dev, axis=-1)
 
 

@@ -50,8 +50,9 @@ def report_dict(ps: PointSet, params: CoverParams, outcome: CoverOutcome) -> dic
         },
         "outcome": {
             "status": outcome.status,
+            # A counter with no value (an r_min when no orbit was walked) is null.
             "counters": {
-                k: (float(v) if isinstance(v, float) else v)
+                k: (None if math.isnan(v) else float(v)) if isinstance(v, float) else v
                 for k, v in outcome.counters.items()
             },
             "timings": {k: float(v) for k, v in outcome.timings.items()},
@@ -88,9 +89,10 @@ def write_report(path, ps: PointSet, params: CoverParams, outcome: CoverOutcome)
     """Write the report as one line of JSON.
 
     `json.dumps` without `indent` runs json's C encoder; `indent` or
-    `json.dump` would fall back to the pure-Python one.
+    `json.dump` would fall back to the pure-Python one.  A non-finite float
+    raises ValueError instead of writing NaN or Infinity, which are not JSON.
     """
-    Path(path).write_text(json.dumps(report_dict(ps, params, outcome)) + "\n")
+    Path(path).write_text(json.dumps(report_dict(ps, params, outcome), allow_nan=False) + "\n")
 
 
 def read_report(path) -> dict:
@@ -112,13 +114,11 @@ def strip_timings(doc: dict) -> dict:
     return out
 
 
-def upsert_summary_row(
-    path, n: int, ps: PointSet, params: CoverParams, outcome: CoverOutcome
-) -> None:
-    """Write the run's row, in SUMMARY_HEADER order, replacing any row with the same n.
+def read_summary_rows(path) -> dict[int, list[str]]:
+    """Rows of a summary CSV keyed by n; empty when the file does not exist.
 
-    Raises ValueError, leaving the file as it was, when an existing file has
-    another header or a row whose n is not an integer.
+    Raises ValueError when the file has another header or a row whose n is
+    not an integer.
     """
     path = Path(path)
     rows: dict[int, list[str]] = {}
@@ -131,6 +131,19 @@ def upsert_summary_row(
             for rec in reader:
                 if rec:
                     rows[int(rec[0])] = rec
+    return rows
+
+
+def upsert_summary_row(
+    path, n: int, ps: PointSet, params: CoverParams, outcome: CoverOutcome
+) -> None:
+    """Write the run's row, in SUMMARY_HEADER order, replacing any row with the same n.
+
+    Raises ValueError, leaving the file as it was, when read_summary_rows
+    refuses the existing file.
+    """
+    path = Path(path)
+    rows = read_summary_rows(path)
     rows[n] = [
         str(n),
         str(ps.size),

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from capdisc import cli
 from capdisc.cli import main
 from capdisc.discrepancy import directed_values
 from capdisc.geometry import Region
@@ -233,6 +234,24 @@ class TestConjecture:
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(summary) in err
+        assert summary.read_text() == text
+
+    def test_foreign_summary_is_refused_before_the_first_cover(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_cover(ps, params):
+            raise AssertionError("cover_region ran before the summary was checked")
+
+        monkeypatch.setattr(cli, "cover_region", no_cover)
+        summary = tmp_path / "summary.csv"
+        text = "a,b,c\n1,2,3\n"
+        summary.write_text(text)
+        code, _, err = run_cli(
+            capsys, "conjecture", "--n-min", "30", "--n-max", "30",
+            "--summary", str(summary),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and str(summary) in err
         assert summary.read_text() == text
 
     def test_reversed_range_is_usage_error(self, tmp_path, capsys):

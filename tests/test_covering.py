@@ -14,7 +14,7 @@ from capdisc.covering import (
     CoverParams,
     _band_test,
     _Engine,
-    _swallow_rescue,
+    _rescue_candidates,
     cover_cap_recurse,
     cover_region,
     orbit_intersection_latitude,
@@ -105,16 +105,26 @@ def tied_start_ring():
     return phi, balls, 0.0, 1.0, psi
 
 
-def reference_recurse(evaluate, v, required_r, depth, rescue=True):
-    """Cover Cap evaluating one center at a time, recursing before the next."""
+def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None):
+    """Cover Cap evaluating one direction at a time, recursing before the next.
+
+    `own` is v's (dis, radius) when the caller has evaluated v: center 0 is v
+    itself, so a child takes it from its parent instead of evaluating it.
+    """
     if rescue:
-        rescued = _swallow_rescue(evaluate, v, required_r)
-        if rescued is not None:
-            return True, [rescued[0]], [], rescued[1]
+        for u, reach in _rescue_candidates(v, required_r):
+            (dis,), (r_u,) = (a.tolist() for a in evaluate(u[None, :]))
+            if math.isnan(r_u):
+                raise HypothesisViolation(u, dis, math.nan)
+            if r_u >= reach:
+                return True, [CoverageRecord(cartesian_to_polar(u), r_u, dis, "cover_cap")], [], dis
     records, residual = [], []
     max_dis = 0.0
-    for c in cover_cap_centers(v, required_r):
-        (dis,), (r_c,) = (a.tolist() for a in evaluate(c[None, :]))
+    for i, c in enumerate(cover_cap_centers(v, required_r)):
+        if i == 0 and own is not None:
+            dis, r_c = own
+        else:
+            (dis,), (r_c,) = (a.tolist() for a in evaluate(c[None, :]))
         if math.isnan(r_c):
             raise HypothesisViolation(c, dis, math.nan)
         max_dis = max(max_dis, dis)
@@ -122,13 +132,43 @@ def reference_recurse(evaluate, v, required_r, depth, rescue=True):
         if r_c >= need:
             records.append(CoverageRecord(cartesian_to_polar(c), r_c, dis, "cover_cap"))
         elif depth > 0:
-            ok, recs, resid, sub_dis = reference_recurse(evaluate, c, need, depth - 1, rescue)
+            ok, recs, resid, sub_dis = reference_recurse(
+                evaluate, c, need, depth - 1, rescue, (dis, r_c)
+            )
             records.extend(recs)
             residual.extend(resid)
             max_dis = max(max_dis, sub_dis)
         else:
             residual.append((cartesian_to_polar(c), need))
     return not residual, records, residual, max_dis
+
+
+def reference_cover_cap(evaluate, centers, required_r, depth, rescue=True):
+    """`cover_cap_recurse` as a seed-by-seed loop over reference_recurse.
+
+    A violation ends the loop; the seeds settled before it give the records
+    and residuals, as in an engine that recurses one seed at a time.
+    """
+    records, residual, maxes = [], [], []
+    for v, req in zip(centers, required_r):
+        try:
+            _, recs, resid, sub_dis = reference_recurse(evaluate, v, float(req), depth, rescue)
+        except HypothesisViolation as exc:
+            witness = (exc.direction, exc.directed_value)
+            return False, records, residual, max(maxes, default=0.0), witness
+        records.extend(recs)
+        residual.extend(resid)
+        maxes.append(sub_dis)
+    return not residual, records, residual, max(maxes, default=0.0), None
+
+
+def same_result(got, expect):
+    """Equal Cover Cap results: repr for the lists and floats, bytes for the witness."""
+    assert repr(got[:4]) == repr(expect[:4])
+    assert (got[4] is None) == (expect[4] is None)
+    if expect[4] is not None:
+        assert got[4][0].tobytes() == expect[4][0].tobytes()
+        assert got[4][1] == expect[4][1]
 
 
 def rowwise(evaluate_one):
@@ -141,9 +181,9 @@ def rowwise(evaluate_one):
     return evaluate
 
 
-def keyed_evaluator(special):
-    """Radius 1 everywhere except the directions in `special`, keyed by their bytes."""
-    return rowwise(lambda v: special.get(v.tobytes(), (0.01, 1.0)))
+def keyed_evaluator(special, default=(0.01, 1.0)):
+    """(dis, radius) `default` everywhere except the directions in `special`, keyed by their bytes."""
+    return rowwise(lambda v: special.get(v.tobytes(), default))
 
 
 class TestStepTheta:
@@ -198,6 +238,10 @@ def test_estimate_orbit_r_min_positive():
     assert engine.orbit_r_min(0.8) > 0.0
 
 
+def one_seed(v, required_r):
+    return np.asarray(v, dtype=float)[None, :], np.array([required_r])
+
+
 class TestCoverCapRecurse:
     def test_all_centers_pass(self):
         calls = []
@@ -206,10 +250,10 @@ class TestCoverCapRecurse:
             calls.append(v)
             return 0.01, 1.0
 
-        ok, records, residual, max_dis = cover_cap_recurse(
-            rowwise(evaluate), np.array([0.0, 0.0, 1.0]), 0.4, 1, rescue=False
+        ok, records, residual, max_dis, witness = cover_cap_recurse(
+            rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 1, rescue=False
         )
-        assert ok
+        assert ok and witness is None
         assert len(records) == 8
         assert not residual
         assert math.isclose(max_dis, 0.01)
@@ -218,8 +262,8 @@ class TestCoverCapRecurse:
         def evaluate(v):
             return 0.01, 1e-9
 
-        ok, records, residual, _ = cover_cap_recurse(
-            rowwise(evaluate), np.array([0.0, 0.0, 1.0]), 0.4, 0, rescue=False
+        ok, records, residual, _, _ = cover_cap_recurse(
+            rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 0, rescue=False
         )
         assert not ok
         assert len(residual) == 8
@@ -234,10 +278,12 @@ class TestCoverCapRecurse:
             # Fail the first batch, pass everything at the next depth.
             return 0.01, (0.1 if len(seen) <= 8 else 1.0)
 
-        ok, records, residual, _ = cover_cap_recurse(
-            rowwise(evaluate), np.array([0.0, 0.0, 1.0]), 0.4, 2, rescue=False
+        ok, records, residual, _, _ = cover_cap_recurse(
+            rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 2, rescue=False
         )
         assert ok and not residual
+        # 8 centers, then 7 per child: each child's center 0 is its parent's center.
+        assert len(seen) == 8 + 8 * 7
 
     def test_swallow_rescue_triggers_near_equator(self):
         # A center pinned to the z = 0 plane with a cratered radius must be
@@ -249,7 +295,9 @@ class TestCoverCapRecurse:
 
         v = np.array([1.0, 0.0, 1e-6])
         v /= np.linalg.norm(v)
-        ok, records, residual, _ = cover_cap_recurse(rowwise(evaluate), v, 1e-4, 0, rescue=True)
+        ok, records, residual, _, _ = cover_cap_recurse(
+            rowwise(evaluate), *one_seed(v, 1e-4), 0, rescue=True
+        )
         assert ok and not residual
         assert len(records) == 1
         assert records[0].origin == "cover_cap"
@@ -259,16 +307,18 @@ class TestCoverCapRecurse:
         ps, params = conjecture_setup(n, structure)
         engine = _Engine(ps, params)
         engine._phase1()
-        queue = list(engine.cannot_cover)
+        queue = engine.cannot_cover
         assert len(queue) > 50
+        seeds = np.array([v for v, _ in queue])
+        required = np.array([req for _, req in queue])
         depth = params.cover_cap_max_depth
-        for v, req in queue:
-            before = engine.n_eval
-            got = cover_cap_recurse(engine.evaluate_cart, v, req, depth)
-            batched_evals = engine.n_eval - before
-            # repr tells -0.0 from 0.0 and a numpy scalar from a float
-            assert repr(got) == repr(reference_recurse(engine.evaluate_cart, v, req, depth))
-            assert engine.n_eval - before == 2 * batched_evals
+        before = engine.n_eval
+        got = cover_cap_recurse(engine.evaluate_cart, seeds, required, depth)
+        batched_evals = engine.n_eval - before
+        # repr tells -0.0 from 0.0 and a numpy scalar from a float
+        same_result(got, reference_cover_cap(engine.evaluate_cart, seeds, required, depth))
+        assert got[4] is None
+        assert engine.n_eval - before == 2 * batched_evals
 
     def test_violation_deep_under_center_zero_is_the_witness(self):
         # Center 0 and child 2 below it are short, and grandchild 4 violates;
@@ -286,7 +336,7 @@ class TestCoverCapRecurse:
         self.assert_same_witness(keyed_evaluator(special), v, grandchild[4], 0.7)
 
     def test_violation_at_center_five_is_the_witness(self):
-        # Center 2 recurses and is settled before center 5 raises; center 6
+        # Center 2 recurses and is settled before center 5 violates; center 6
         # violates as well, but after it.
         v = np.array([0.6, 0.0, 0.8])
         top = cover_cap_centers(v, 0.4)
@@ -297,13 +347,128 @@ class TestCoverCapRecurse:
         }
         self.assert_same_witness(keyed_evaluator(special), v, top[5], 0.8)
 
+    def test_rescue_violation_of_an_earlier_seed_is_the_witness(self):
+        # Seed 1's first rescue candidate violates in round 0, seed 0's second
+        # one only in round 1; the walk settles seed 0 first.
+        seeds = np.array([[1.0, 0.0, 1e-6], [0.8, 0.6, 1e-6]])
+        seeds /= np.linalg.norm(seeds, axis=1)[:, None]
+        first, second = (_rescue_candidates(v, 1e-4) for v in seeds)
+        special = {
+            first[1][0].tobytes(): (0.7, math.nan),
+            second[0][0].tobytes(): (0.9, math.nan),
+        }
+        evaluate = keyed_evaluator(special, default=(0.01, 0.0))
+        required = np.array([1e-4, 1e-4])
+        got = cover_cap_recurse(evaluate, seeds, required, 0)
+        same_result(got, reference_cover_cap(evaluate, seeds, required, 0))
+        assert got[4][0].tobytes() == first[1][0].tobytes()
+
     @staticmethod
     def assert_same_witness(evaluate, v, direction, value):
-        for recurse in (cover_cap_recurse, reference_recurse):
-            with pytest.raises(HypothesisViolation) as info:
-                recurse(evaluate, v, 0.4, 3, rescue=False)
-            assert info.value.direction.tobytes() == direction.tobytes()
-            assert info.value.directed_value == value
+        got = cover_cap_recurse(evaluate, *one_seed(v, 0.4), 3, rescue=False)
+        same_result(got, reference_cover_cap(evaluate, *one_seed(v, 0.4), 3, rescue=False))
+        assert got[4][0].tobytes() == direction.tobytes()
+        assert got[4][1] == value
+        assert not got[1] and not got[2]  # the witness's seed gives no records
+
+
+class TestCounterexampleInCoverCap:
+    """A violation found by Cover Cap ends the cover with the sequential walk's first one.
+
+    The kernel is replaced by a keyed evaluator: radius 0.2 everywhere, so
+    phase 1 queues each direction it walks, the first ten with r_min 0.1,
+    and every Cover Cap center passes unless it is keyed.  The 14 queued directions lie over
+    0.34 away from the rescue's crater planes, so no rescue candidate is made.
+    """
+
+    PS = generate_twisted_polar(12)
+    PARAMS = CoverParams(d=north_pole_directed(12), region=Region(0.6, 1.0, 0.7, 1.3))
+    DEFAULT = (0.01, 0.2)
+
+    def cover(self, monkeypatch, special, recurse=cover_cap_recurse):
+        evaluate = keyed_evaluator(special, self.DEFAULT)
+        monkeypatch.setattr(_Engine, "evaluate_cart", lambda engine, dirs: evaluate(dirs))
+        monkeypatch.setattr(covering, "cover_cap_recurse", recurse)
+        return cover_region(self.PS, self.PARAMS)
+
+    def phase1(self, monkeypatch):
+        """(records, queue) of phase 1 under the keyed evaluator."""
+        evaluate = keyed_evaluator({}, self.DEFAULT)
+        monkeypatch.setattr(_Engine, "evaluate_cart", lambda engine, dirs: evaluate(dirs))
+        engine = _Engine(self.PS, self.PARAMS)
+        engine._phase1()
+        assert len(engine.cannot_cover) >= 10
+        assert all(req == 0.1 for _, req in engine.cannot_cover[:10])
+        return engine.records, engine.cannot_cover
+
+    @staticmethod
+    def seed_records(seed):
+        """The 8 records of a seed whose centers all pass."""
+        return [
+            CoverageRecord(cartesian_to_polar(c), 0.2, 0.01, "cover_cap")
+            for c in cover_cap_centers(seed, 0.1)
+        ]
+
+    def seed_five_violation(self, queue):
+        return cover_cap_centers(queue[5][0], 0.1)[2]
+
+    def check(self, monkeypatch, special, records, direction, value):
+        expect = self.cover(monkeypatch, special, reference_cover_cap)
+        # Slices of 3 nodes also make the levels stop part way through.
+        for level_slice in (covering._LEVEL_SLICE, 3):
+            monkeypatch.setattr(covering, "_LEVEL_SLICE", level_slice)
+            outcome = self.cover(monkeypatch, special)
+            assert outcome.status == "counterexample"
+            assert outcome.counterexample.direction.tobytes() == direction.tobytes()
+            assert outcome.counterexample.value == value
+            assert repr(outcome.records) == repr(records)
+            assert not outcome.not_covered
+            assert repr(outcome.records) == repr(expect.records)
+            assert repr(outcome.not_covered) == repr(expect.not_covered)
+            witness = outcome.counterexample.direction.tobytes()
+            assert witness == expect.counterexample.direction.tobytes()
+            assert outcome.counterexample.value == expect.counterexample.value
+
+    def test_deeper_violation_in_an_earlier_seed_wins(self, monkeypatch):
+        phase1_records, queue = self.phase1(monkeypatch)
+        # Seed 2 descends through centers 3, 1 and 6, each short only at its
+        # own level (3/4 of what it needs), and its node at depth 3 finds a
+        # violating center 4.  Seed 5 violates at depth 0 and is found first.
+        top = cover_cap_centers(queue[2][0], 0.1)
+        child = cover_cap_centers(top[3], 0.05)
+        grandchild = cover_cap_centers(child[1], 0.025)
+        deepest = cover_cap_centers(grandchild[6], 0.0125)
+        special = {
+            top[3].tobytes(): (0.01, 0.75 * 0.05),
+            child[1].tobytes(): (0.01, 0.75 * 0.025),
+            grandchild[6].tobytes(): (0.01, 0.75 * 0.0125),
+            deepest[4].tobytes(): (0.7, math.nan),
+            self.seed_five_violation(queue).tobytes(): (0.9, math.nan),
+        }
+        records = phase1_records + self.seed_records(queue[0][0]) + self.seed_records(queue[1][0])
+        self.check(monkeypatch, special, records, deepest[4], 0.7)
+
+    def test_violation_at_depth_zero(self, monkeypatch):
+        phase1_records, queue = self.phase1(monkeypatch)
+        violation = self.seed_five_violation(queue)
+        special = {violation.tobytes(): (0.9, math.nan)}
+        records = phase1_records + [rec for v, _ in queue[:5] for rec in self.seed_records(v)]
+        self.check(monkeypatch, special, records, violation, 0.9)
+
+    def test_later_seed_is_not_expanded(self, monkeypatch):
+        # Seed 9's center 1 is short and its child violates at depth 1: a
+        # later violation the walk never reaches, whether seed 9 shares seed
+        # 5's slice of the level or, with slices of 3 nodes, lies in a later one.
+        phase1_records, queue = self.phase1(monkeypatch)
+        violation = self.seed_five_violation(queue)
+        top = cover_cap_centers(queue[9][0], 0.1)
+        special = {
+            violation.tobytes(): (0.9, math.nan),
+            top[1].tobytes(): (0.01, 0.75 * 0.05),
+            cover_cap_centers(top[1], 0.05)[2].tobytes(): (0.8, math.nan),
+        }
+        records = phase1_records + [rec for v, _ in queue[:5] for rec in self.seed_records(v)]
+        self.check(monkeypatch, special, records, violation, 0.9)
 
 
 class TestBandTest:

@@ -74,6 +74,10 @@ def polar14_run():
     return ps, params, cover_region(ps, params)
 
 
+def reject_constant(name):
+    raise AssertionError(f"report holds the non-JSON constant {name}")
+
+
 def dense_audit(ps, params, outcome, probe_count, seed):
     """Reference audit: every probe against every ball, one dense block at a time."""
     probes = sample_region_directions(params.region, probe_count, np.random.default_rng(seed))
@@ -124,9 +128,14 @@ class TestReportDocument:
         path = tmp_path / "report.json"
         write_report(path, ps, params, outcome)
         doc = report_dict(ps, params, outcome)
-        # Compared as JSON text, which also pins key order and int/float:
-        # a counterexample's r_min counters are NaN, and NaN != NaN.
+        # Compared as JSON text, which also pins key order and int/float.
         assert json.dumps(read_report(path)) == json.dumps(doc)
+        # The file is strict JSON: no NaN or Infinity constants.
+        json.loads(path.read_text(), parse_constant=reject_constant)
+        if run == "counterexample_run":
+            # no orbit was walked, so the r_min counters have no value
+            counters = doc["outcome"]["counters"]
+            assert counters["r_min_global"] is None and counters["r_min_median"] is None
         # Every bound is stored as a Python float, as float(f"{x:.17g}") made it.
         stored = [doc["params"]["d"], *doc["params"]["region"].values()]
         given = [params.d, *dataclasses.astuple(params.region)]
@@ -138,6 +147,12 @@ class TestReportDocument:
         del expect["outcome"]["timings"]
         assert json.dumps(strip_timings(doc)) == json.dumps(expect)
         assert doc["outcome"]["timings"] == outcome.timings
+
+    def test_non_finite_value_is_refused(self, small_run, tmp_path):
+        ps, params, outcome = small_run
+        bad = dataclasses.replace(outcome, counters={**outcome.counters, "n_DD": float("inf")})
+        with pytest.raises(ValueError):
+            write_report(tmp_path / "report.json", ps, params, bad)
 
     def test_rejects_unknown_schema(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -172,9 +187,19 @@ class TestReportDocument:
         outcome = cover_region(ps, params)
         doc = strip_timings(report_dict(ps, params, outcome))
         sha = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        # cert= leaves out the counters, so a change in work alone keeps it
+        cert = {
+            "status": doc["outcome"]["status"],
+            "records": doc["records"],
+            "not_covered": doc["not_covered"],
+            "counterexample": doc.get("counterexample"),
+            "params": doc["params"],
+            "points_meta": doc["points_meta"],
+        }
+        cert_sha = hashlib.sha256(json.dumps(cert, sort_keys=True).encode()).hexdigest()
         expect = (
             f"twisted:20 status=covered n_evaluations={outcome.counters['n_evaluations']} "
-            f"sha256={sha[:16]} cover_s="
+            f"sha256={sha[:16]} cert={cert_sha[:16]} cover_s="
         )
         assert proc.stdout.startswith(expect), proc.stdout
         assert len(proc.stdout.splitlines()) == 1

@@ -60,8 +60,8 @@ def main() -> None:
     ap.add_argument("--note", default="", help="free text stored with the results, e.g. the host")
     ap.add_argument("--out", default="BENCH_5.json")
     args = ap.parse_args()
-    if args.repeats < 5:
-        ap.error("--repeats must be at least 5")
+    if args.repeats < 1 or args.directions < 1:
+        ap.error("--repeats and --directions must be at least 1")
 
     rng = np.random.default_rng(0)
     cells = []

@@ -11,6 +11,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from statistics import median
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -104,177 +105,186 @@ def orbit_intersection_latitude(phi: float, r: float, upper: bool = False) -> fl
 # 58.8 MB against 62.1 MB with 4,096, at the same speed.
 _LEVEL_SLICE = 1024
 
+COVER_CAP_COUNTERS = ("cover_cap_nodes", "cover_cap_levels", "rescue_tries", "rescue_hits")
+
 
 def cover_cap_recurse(evaluate, centers, required_r, depth: int, rescue: bool = True):
     """Certify each ball B(centers[i], required_r[i]) with a tree of half-radius balls.
 
-    `evaluate` maps an (m, 3) array of cartesian directions to arrays
-    (directed_value, confidence_radius), the radius nan where the hypothesis
-    Dis + 1/t <= d fails.  A node not rescued (see below) evaluates its 8
-    `cover_cap_centers`: a center whose radius reaches half the node's
-    requirement is a record, a shorter one a child node with that half
-    requirement or, once `depth` levels are used up, a residual (direction,
-    still-required-radius) pair.  Center 0 is the node's own direction, so a
-    child takes its parent's value for it.  With `rescue` (default) a node is
-    first offered the _rescue_candidates in order; the first whose radius
-    contains the whole node ball certifies it as one record.
+    `evaluate` maps an (m, 3) array of directions to arrays (directed_value,
+    radius), the radius nan where the hypothesis Dis + 1/t <= d fails.  With
+    `rescue` (default) a node is first offered its _rescue_candidates in
+    order: the first whose radius contains the whole node ball certifies it
+    as one record.  Otherwise it evaluates its 8 `cover_cap_centers`; center
+    0 is its own direction, whose value a child takes from its parent.  A
+    center whose radius reaches half the node's requirement is a record, a
+    shorter one a child node or, once `depth` levels are used up, a residual
+    (direction, still-required-radius) pair.
 
-    The trees grow level by level over all seeds at once, in slices of at
-    most _LEVEL_SLICE nodes: rescue round j evaluates candidate j of every
-    node not yet settled, then one call evaluates the centers of the nodes
-    not rescued.  The result is that of a depth-first walk, seed by seed, one
-    direction at a time: records and residuals keep its order, `witness` is
-    None or the (direction, directed_value) of its first violation, nodes it
-    would reach after the witness are not expanded, and only the seeds before
-    the witness's seed give records and residuals.  Returns (covered,
-    records, residual, max_directed, witness).
+    The trees grow level by level over all seeds at once, in array slices of
+    at most _LEVEL_SLICE nodes, and give the result of a depth-first walk
+    seed by seed: records and residuals keep its order, `witness` is None or
+    the (direction, directed_value) of its first violation, and only the
+    seeds before the witness's give records and residuals.  Returns
+    (covered, records, residual, max_directed, witness, counts), `counts`
+    the COVER_CAP_COUNTERS: nodes rescued or expanded, levels grown, rescue
+    candidates evaluated and nodes rescued.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-    # Per seed, its tree: a rescue record, or the 8 slots of its centers,
-    # each a record, a residual pair or the slots of a child node.
-    roots: list = [None] * len(centers)
-    seed_max = [0.0] * len(centers)
-    # A node waiting for its level: (direction, required radius, its own
-    # (dis, radius) or None for a seed, the slots it settles into, slot, seed).
-    level = [(v, float(r), None, roots, s, s) for s, (v, r) in enumerate(zip(centers, required_r))]
-    witness = None
-    left = depth
-    while level:
+    seeds = len(centers)
+    # A level: directions, required radii, own (dis, radius) rows (None for the seeds), seeds
+    # and paths, the center slot taken at each level above: (seed, path) sorts in walk order.
+    req = np.asarray(required_r, dtype=float).reshape(-1)
+    level = [centers, req, None, np.arange(seeds), np.zeros((seeds, depth + 1), dtype=np.uint8)]
+    # Records and residuals as (seed, path, entries) parts; each seed's largest Dis.
+    out = SimpleNamespace(records=[], residual=[], seed_max=np.zeros(seeds))
+    out.counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
+    witness, left = None, depth
+    while len(level[0]):
+        out.counts["cover_cap_levels"] += 1
         children: list = []
-        for lo in range(0, len(level), _LEVEL_SLICE):
-            found = _settle_nodes(
-                evaluate, level[lo : lo + _LEVEL_SLICE], left, rescue, children, seed_max
-            )
+        for lo in range(0, len(level[0]), _LEVEL_SLICE):
+            nodes = [None if a is None else a[lo : lo + _LEVEL_SLICE] for a in level]
+            found = _settle_nodes(evaluate, nodes, left, rescue, children, out)
             if found is not None:
                 # The rest of the level, and every node it would add, comes after it.
                 witness = found
                 break
-        level, left = children, left - 1
+        level = [np.concatenate(parts) for parts in zip(*children)] if children else [()]
+        left -= 1
 
-    settled = witness[2] if witness is not None else len(centers)
-    records: list[CoverageRecord] = []
-    residual: list[tuple[PolarDirection, float]] = []
-    for tree in roots[:settled]:
-        _flatten(tree, records, residual)
-    max_dis = max(seed_max[:settled], default=0.0)
-    if witness is not None:
-        witness = witness[:2]
-    return witness is None and not residual, records, residual, max_dis, witness
+    settled = witness[2] if witness is not None else seeds
+    records, residual = _walk_order(out.records, settled), _walk_order(out.residual, settled)
+    max_dis = float(out.seed_max[:settled].max(initial=0.0))
+    witness = None if witness is None else witness[:2]
+    return witness is None and not residual, records, residual, max_dis, witness, out.counts
 
 
-def _settle_nodes(evaluate, nodes, left: int, rescue: bool, children: list, seed_max: list):
-    """Settle one slice of a level's nodes, in order, appending their children.
+def _walk_order(parts: list, settled: int) -> list:
+    """Entries of the (seed, path, entries) parts of seeds before `settled`, in walk order."""
+    if not parts:
+        return []
+    seed, path = (np.concatenate(a) for a in list(zip(*parts))[:2])
+    entries = [entry for part in parts for entry in part[2]]
+    keep = np.flatnonzero(seed < settled)
+    # Paths are prefix-free (a slot holds a record, a residual or a child,
+    # never two), so padding them with zeros keeps the walk's order.
+    order = keep[np.lexsort((*path[keep].T[::-1], seed[keep]))]
+    return [entries[i] for i in order.tolist()]
+
+
+def _records(directions: np.ndarray, radii: np.ndarray, dis: np.ndarray) -> list:
+    rows = zip(directions.tolist(), radii.tolist(), dis.tolist())
+    return [CoverageRecord(cartesian_to_polar(u), r, dis_u, "cover_cap") for u, r, dis_u in rows]
+
+
+def _settle_nodes(evaluate, nodes, left: int, rescue: bool, children: list, out):
+    """Settle one slice of a level's nodes, in order, appending their children's parts.
 
     Stops at the slice's first violation in depth-first order and returns it
     as (direction, directed_value, seed); returns None when there is none.
     """
-    cands = [_rescue_candidates(v, req) if rescue else [] for v, req, *_ in nodes]
-    rescued: list = [None] * len(nodes)
-    live = len(nodes)  # nodes from the first rescue violation on are not settled
-    dead = None
-    j = 0
-    while True:
-        todo = [k for k in range(live) if rescued[k] is None and len(cands[k]) > j]
-        if not todo:
-            break
-        dis, radii = evaluate(np.array([cands[k][j][0] for k in todo]))
-        for k, dis_u, r_u in zip(todo, dis.tolist(), radii.tolist()):
-            u, reach = cands[k][j]
-            if math.isnan(r_u):
-                live, dead = k, (u, dis_u, nodes[k][5])
-                break
-            if r_u >= reach:
-                rescued[k] = CoverageRecord(cartesian_to_polar(u), r_u, dis_u, "cover_cap")
-        j += 1
+    v, req, own, seed, path = nodes
+    rescued = np.zeros(len(v), dtype=bool)
+    live, dead = len(v), None  # nodes from the first rescue violation on are not settled
+    if rescue:
+        cand, reach = _rescue_candidates(v, req)
+        for j in range(reach.shape[1]):
+            todo = np.flatnonzero(~rescued[:live] & ~np.isnan(reach[:live, j]))
+            if not todo.size:
+                continue
+            u = cand[todo, j]
+            dis, r_u = evaluate(u)
+            out.counts["rescue_tries"] += len(todo)
+            nan = np.flatnonzero(np.isnan(r_u))
+            if nan.size:  # a rescue after it in the slice serves a seed that gives no records
+                i = nan[0]
+                live, dead = todo[i], (u[i], float(dis[i]), int(seed[todo[i]]))
+            hit = r_u >= reach[todo, j]
+            won = todo[hit]
+            rescued[won] = True
+            out.records.append((seed[won], path[won], _records(u[hit], r_u[hit], dis[hit])))
+            np.maximum.at(out.seed_max, seed[won], dis[hit])
 
-    expand = [k for k in range(live) if rescued[k] is None]
-    blocks = {k: cover_cap_centers(nodes[k][0], nodes[k][1]) for k in expand}
-    values = iter(())
-    if blocks:
+    expand = np.flatnonzero(~rescued[:live])
+    out.counts["rescue_hits"] += int(rescued.sum())
+    out.counts["cover_cap_nodes"] += int(rescued.sum()) + len(expand)
+    if not expand.size:
+        return dead
+    c = cover_cap_centers(v[expand], req[expand])
+    if own is None:
+        dis, r_c = (a.reshape(-1, 8) for a in evaluate(c.reshape(-1, 3)))
+    else:
         # A child's center 0 is its own direction, already evaluated by its parent.
-        rows = [b if nodes[k][2] is None else b[1:] for k, b in blocks.items()]
-        dis, radii = evaluate(np.concatenate(rows))
-        values = zip(dis.tolist(), radii.tolist())
+        values = evaluate(c[:, 1:].reshape(-1, 3))
+        dis, r_c = (np.column_stack((o, a.reshape(-1, 7))) for o, a in zip(own[expand].T, values))
 
-    for k in range(live):
-        _, req, own, slots, slot, seed = nodes[k]
-        if rescued[k] is not None:
-            slots[slot] = rescued[k]
-            seed_max[seed] = max(seed_max[seed], rescued[k].directed_value)
-            continue
-        need = req / 2.0
-        out: list = [None] * 8
-        slots[slot] = out
-        for i, c in enumerate(blocks[k]):
-            dis_c, r_c = own if i == 0 and own is not None else next(values)
-            if math.isnan(r_c):
-                return c, dis_c, seed
-            seed_max[seed] = max(seed_max[seed], dis_c)
-            if r_c >= need:
-                out[i] = CoverageRecord(cartesian_to_polar(c), r_c, dis_c, "cover_cap")
-            elif left > 0:
-                children.append((c, need, (dis_c, r_c), out, i, seed))
-            else:
-                out[i] = (cartesian_to_polar(c), need)
+    # Only the centers before the slice's first violation, in walk order, are settled.
+    seen = np.ones(dis.shape, dtype=bool)
+    nan = np.flatnonzero(np.isnan(r_c))
+    if nan.size:
+        k, i = divmod(int(nan[0]), 8)
+        dead = (c[k, i], float(dis[k, i]), int(seed[expand[k]]))
+        seen.flat[nan[0] :] = False
+    seeds = np.broadcast_to(seed[expand, None], dis.shape)
+    np.maximum.at(out.seed_max, seeds[seen], dis[seen])
+    paths = np.repeat(path[expand, None], 8, axis=1)
+    paths[:, :, path.shape[1] - 1 - left] = np.arange(8)
+    need = np.broadcast_to(req[expand, None] / 2.0, dis.shape)
+    rec = seen & (r_c >= need)
+    out.records.append((seeds[rec], paths[rec], _records(c[rec], r_c[rec], dis[rec])))
+    rest = seen & ~rec
+    if left > 0:
+        own_rest = np.column_stack((dis[rest], r_c[rest]))
+        children.append((c[rest], need[rest], own_rest, seeds[rest], paths[rest]))
+    else:
+        pairs = [(cartesian_to_polar(u), n) for u, n in zip(c[rest].tolist(), need[rest].tolist())]
+        out.residual.append((seeds[rest], paths[rest], pairs))
     return dead
 
 
-def _flatten(tree, records: list, residual: list) -> None:
-    """Append a settled tree's records and residual pairs in depth-first order."""
-    if isinstance(tree, CoverageRecord):
-        records.append(tree)
-    elif isinstance(tree, list):
-        for slot in tree:
-            _flatten(slot, records, residual)
-    else:
-        residual.append(tree)
+_CRATER_PLANE_NORMALS = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+_RESCUE_FACTORS = np.array([2.0, 3.0, 4.5])
 
 
-_CRATER_PLANE_NORMALS = (np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
+@np.errstate(divide="ignore", invalid="ignore")  # in slots that are not candidates
+def _rescue_candidates(v: np.ndarray, required_r: np.ndarray):
+    """Centers u of larger balls that may swallow B(v[i], required_r[i]), in the order to try them.
 
-
-def _rescue_candidates(v: np.ndarray, required_r: float) -> list:
-    """Centers u, in the order to try them, of one larger ball that may swallow B(v, required_r).
-
-    By the triangle inequality a ball around u with radius >= required_r +
-    |u - v| contains B(v, required_r) outright.  Point sets with mirror or
+    A ball around u with radius >= required_r + |u - v| contains B(v,
+    required_r) by the triangle inequality.  Point sets with mirror or
     rotational structure have razor-thin radius craters pinned to the z = 0
-    and y = 0 planes (coincident projections); when v sits within a few
-    required_r of such a plane, a center pushed away from it regains a
-    healthy radius and can swallow the whole failing ball.  Soundness never
-    depends on the heuristic: the caller checks the inequality per candidate.
-    Returns [(u, required_r + |u - v|)].
+    and y = 0 planes (coincident projections); a center pushed off a near
+    plane regains a healthy radius and can swallow the failing ball.  The
+    caller checks the inequality, so soundness never rests on the heuristic.
+
+    `v` is (m, 3), `required_r` (m,).  Returns u (m, 9, 3) and reach (m, 9)
+    = required_r + |u - v|: slots 0-2 push v off both planes at once when
+    both are near, 3-5 off z = 0 and 6-8 off y = 0, by 2, 3 and 4.5 times
+    required_r + the distance to the plane.  A slot with no candidate (plane
+    not near, or a shift of 1 or more) has reach nan.
     """
-    # Each norm is math.sqrt(x.dot(x)), np.linalg.norm's own sum, bit for bit.
-    along = [float(v @ e) for e in _CRATER_PLANE_NORMALS]
-    comps = [abs(a) for a in along]
-    offsets = []
-    for e, a, comp in zip(_CRATER_PLANE_NORMALS, along, comps):
-        if comp > 2.0 * required_r:
-            continue
-        tangent = e - a * v
-        norm = math.sqrt(tangent.dot(tangent))
-        if norm < 1e-12:
-            continue
-        tangent /= norm
-        sign = 1.0 if a >= 0.0 else -1.0
-        offsets.append((sign * tangent, comp))
-    if len(offsets) == 2:
-        # Near a crossing of both planes: push away from both at once.
-        diag = offsets[0][0] + offsets[1][0]
-        diag /= math.sqrt(diag.dot(diag))
-        offsets.insert(0, (diag, max(comps)))
-    candidates = []
-    for tangent, comp in offsets:
-        for factor in (2.0, 3.0, 4.5):
-            shift = factor * (required_r + comp)
-            if shift >= 1.0:
-                continue
-            u = v + shift * tangent
-            u /= math.sqrt(u.dot(u))
-            step = u - v
-            candidates.append((u, required_r + math.sqrt(step.dot(step))))
-    return candidates
+    # Each norm sums as x.dot(x) does (np.vecdot), as np.linalg.norm does, bit for bit.
+    req = np.asarray(required_r, dtype=float)[:, None]
+    along = v[:, 2:0:-1]  # <v, e> for each normal, exactly: the other terms are zeros
+    comp = np.abs(along)
+    tangent = _CRATER_PLANE_NORMALS - along[:, :, None] * v[:, None, :]
+    norm = np.sqrt(np.vecdot(tangent, tangent))
+    near = (comp <= 2.0 * req) & (norm >= 1e-12)
+    tangent /= norm[:, :, None]
+    tangent *= np.where(along >= 0.0, 1.0, -1.0)[:, :, None]
+    diag = tangent[:, 0] + tangent[:, 1]
+    diag /= np.sqrt(np.vecdot(diag, diag))[:, None]
+    offsets = np.concatenate((diag[:, None], tangent), axis=1)
+    planes = np.column_stack((near.all(axis=1), near))
+    comps = np.column_stack((comp.max(axis=1), comp))
+    shift = (req + comps)[:, :, None] * _RESCUE_FACTORS
+    u = v[:, None, None] + shift[..., None] * offsets[:, :, None]
+    u /= np.sqrt(np.vecdot(u, u))[..., None]
+    step = u - v[:, None, None]
+    reach = req[:, :, None] + np.sqrt(np.vecdot(step, step))
+    reach[~(planes[:, :, None] & (shift < 1.0))] = math.nan
+    return u.reshape(len(v), 9, 3), reach.reshape(len(v), 9)
 
 
 def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
@@ -467,14 +477,13 @@ class _Engine:
         try:
             self._phase1()
         except HypothesisViolation as exc:
-            counterexample = DirectedResult(
-                exc.direction, exc.directed_value, math.nan, True
-            )
+            counterexample = DirectedResult(exc.direction, exc.directed_value, math.nan, True)
         phase1_s = time.perf_counter() - t0
 
         t1 = time.perf_counter()
+        cover_cap = dict.fromkeys(COVER_CAP_COUNTERS, 0)
         if counterexample is None:
-            _, recs, resid, _, witness = cover_cap_recurse(
+            _, recs, resid, _, witness, cover_cap = cover_cap_recurse(
                 self.evaluate_cart,
                 np.array([v for v, _ in self.cannot_cover]),
                 np.array([req for _, req in self.cannot_cover]),
@@ -492,15 +501,12 @@ class _Engine:
             status = "residual"
         else:
             status = "covered"
-        r_min_global = min(self.r_min_per_orbit) if self.r_min_per_orbit else math.nan
+        orbits = self.r_min_per_orbit
+        r_min_global = min(orbits) if orbits else math.nan
         # The global minimum is pinned to the orbit at the pole-side region
         # edge, where the gap d - Dis vanishes by construction; the median
         # orbit radius is the scale that actually sets the sweep density.
-        r_min_median = (
-            float(np.median(self.r_min_per_orbit))
-            if self.r_min_per_orbit
-            else math.nan
-        )
+        r_min_median = float(np.median(orbits)) if orbits else math.nan
         return CoverOutcome(
             status=status,
             records=self.records,
@@ -509,19 +515,14 @@ class _Engine:
             counters={
                 "n_DD": self.n_dd,
                 "n_CC": self.n_cc,
-                "n_cover_cap_dirs": sum(
-                    1 for rec in self.records if rec.origin == "cover_cap"
-                ),
+                "n_cover_cap_dirs": sum(rec.origin == "cover_cap" for rec in self.records),
                 "n_evaluations": self.n_eval,
                 "n_orbits": self.n_orbits,
                 "r_min_global": r_min_global,
                 "r_min_median": r_min_median,
+                **cover_cap,
             },
-            timings={
-                "phase1": phase1_s,
-                "cover_cap": cover_cap_s,
-                "total": phase1_s + cover_cap_s,
-            },
+            timings={"phase1": phase1_s, "cover_cap": cover_cap_s, "total": phase1_s + cover_cap_s},
         )
 
     def _phase1(self) -> None:

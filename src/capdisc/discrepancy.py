@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import groupby
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,22 +175,23 @@ def _radii(s: np.ndarray, d: float) -> tuple[list[float], list[int], list[float]
     hypothesis: its k is 0 and its radius nan.
     """
     t = s.shape[-1]
-    # One row stays 1-D: as a (1, t) block it would cost about 2 us more per
-    # call, paid on every step of a ring walk.
-    if s.ndim == 1:
-        rows, dis = (s,), [float(_dis(s))]
-    else:
-        rows, dis = s, _dis(s).tolist()
-    ks, radii = [], []
-    for row, dis_row in zip(rows, dis):
-        # No slack on d: one would grant radii to rows that break the hypothesis.
-        if dis_row + 1.0 / t > d:
-            ks.append(0)
-            radii.append(math.nan)
+    # No slack on d: one would grant radii to rows that break the hypothesis.
+    if s.ndim == 1:  # scalar: a (1, t) block costs about 2 us more, on every ring walk step
+        dis = float(_dis(s))
+        k = 0 if dis + 1.0 / t > d else int(math.floor(t * (d - dis))) + 1
+        return [dis], [k], [_slab_width(s, k) if k else math.nan]
+    dis = _dis(s).tolist()
+    ks = [0 if x + 1.0 / t > d else int(math.floor(t * (d - x))) + 1 for x in dis]
+    # Neighbouring rows often share k: one reduction over each run of them.
+    radii: list[float] = []
+    for k, run in groupby(ks):
+        lo, n = len(radii), len(list(run))
+        if not 0 < k < t:  # a broken hypothesis, or no slab holds k + 1 projections
+            radii += [2.0 if k else math.nan] * n
+        elif n == 1:  # a lone row reduces faster 1-D
+            radii.append(float(_min(s[lo, k:] - s[lo, : t - k])))
         else:
-            k = int(math.floor(t * (d - dis_row))) + 1
-            ks.append(k)
-            radii.append(_slab_width(row, k))
+            radii += _min(s[lo : lo + n, k:] - s[lo : lo + n, : t - k], axis=1).tolist()
     return dis, ks, radii
 
 

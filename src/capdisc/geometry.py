@@ -92,22 +92,13 @@ def chord_distance(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(u) - np.asarray(v)))
 
 
-def _cross(a, b) -> tuple[float, float, float]:
-    """a x b on three scalars, rounded term by term as np.cross rounds it."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-
-
 def orthonormal_frame(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic pair (e1, e2) completing `center` to a right-handed frame."""
-    c = [float(x) for x in center]
-    a = [0.0, 0.0, 0.0]
-    a[min(range(3), key=lambda i: abs(c[i]))] = 1.0  # first smallest, as np.argmin
-    e1 = np.array(_cross(c, a))
-    e1 /= math.sqrt(e1.dot(e1))  # np.linalg.norm's own sum, bit for bit
-    e2 = np.array(_cross(c, e1.tolist()))
-    return e1, e2
+    """Deterministic (e1, e2) completing `center`, (3,) or (m, 3), to a right-handed frame."""
+    c = np.asarray(center, dtype=float)
+    a = np.eye(3)[np.argmin(np.abs(c), axis=-1)]  # the first smallest |component|, as np.argmin
+    e1 = np.cross(c, a)
+    e1 /= np.sqrt(np.vecdot(e1, e1))[..., None]  # sums as x.dot(x) and np.linalg.norm, bit for bit
+    return e1, np.cross(c, e1)
 
 
 # The 7 outer centers sit at longitudes 2*pi*k/7 around the frame.
@@ -115,20 +106,24 @@ _RING_COS = np.array([math.cos(2.0 * math.pi * k / 7.0) for k in range(7)])[:, N
 _RING_SIN = np.array([math.sin(2.0 * math.pi * k / 7.0) for k in range(7)])[:, None]
 
 
-def cover_cap_centers(center: np.ndarray, r: float) -> np.ndarray:
+def cover_cap_centers(center: np.ndarray, r) -> np.ndarray:
     """(8, 3) centers of 8 caps of radius r/2 that jointly cover the cap B(center, r).
 
     The first is `center` itself; the other 7 sit equally spaced on the circle
-    at chord distance 0.86*r from it.  Valid for 0 < r <= sqrt(2).
+    at chord distance 0.86*r from it.  Valid for 0 < r <= sqrt(2).  A stack
+    of centers (m, 3) with radii (m,) gives (m, 8, 3), each block equal to
+    its own one-center call bit for bit; a radius out of range raises
+    ValueError naming the first such row.
     """
-    if not 0.0 < r <= SQRT2 + 1e-12:
-        raise ValueError(f"cap radius out of (0, sqrt(2)]: {r!r}")
-    chord = 0.86 * r
+    r = np.asarray(r, dtype=float)
+    bad = np.flatnonzero(~((0.0 < r) & (r <= SQRT2 + 1e-12)))  # also a nan
+    if bad.size:
+        row = f" in row {bad[0]}" if r.ndim else ""
+        raise ValueError(f"cap radius out of (0, sqrt(2)]{row}: {r.flat[bad[0]].item()!r}")
+    chord = 0.86 * r[..., None, None]
     sin_lat = (2.0 - chord * chord) / 2.0
-    cos_lat = math.sqrt(max(0.0, 1.0 - sin_lat * sin_lat))
-    center = np.asarray(center, dtype=float)
+    cos_lat = np.sqrt(np.maximum(0.0, 1.0 - sin_lat * sin_lat))
+    center = np.asarray(center, dtype=float)[..., None, :]
     e1, e2 = orthonormal_frame(center)
-    out = np.empty((8, 3))
-    out[0] = center
-    out[1:] = cos_lat * (_RING_COS * e1 + _RING_SIN * e2) + sin_lat * center
-    return out
+    ring = cos_lat * (_RING_COS * e1 + _RING_SIN * e2) + sin_lat * center
+    return np.concatenate((center, ring), axis=-2)

@@ -6,9 +6,12 @@ from statistics import median
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from capdisc import covering
 from capdisc.covering import (
+    COVER_CAP_COUNTERS,
     BallSpansOrbit,
     CoverageRecord,
     CoverParams,
@@ -105,18 +108,61 @@ def tied_start_ring():
     return phi, balls, 0.0, 1.0, psi
 
 
-def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None):
+def reference_rescue_candidates(v, required_r):
+    """The swallow-rescue candidates [(u, reach)] of one node, built one plane at a time."""
+    planes = (np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]))
+    along = [float(v @ e) for e in planes]
+    comps = [abs(a) for a in along]
+    offsets = []
+    for e, a, comp in zip(planes, along, comps):
+        if comp > 2.0 * required_r:
+            continue
+        tangent = e - a * v
+        norm = float(np.linalg.norm(tangent))
+        if norm < 1e-12:
+            continue
+        tangent /= norm
+        offsets.append(((1.0 if a >= 0.0 else -1.0) * tangent, comp))
+    if len(offsets) == 2:
+        diag = offsets[0][0] + offsets[1][0]
+        diag /= np.linalg.norm(diag)
+        offsets.insert(0, (diag, max(comps)))
+    candidates = []
+    for tangent, comp in offsets:
+        for factor in (2.0, 3.0, 4.5):
+            shift = factor * (required_r + comp)
+            if shift >= 1.0:
+                continue
+            u = v + shift * tangent
+            u /= np.linalg.norm(u)
+            candidates.append((u, required_r + float(np.linalg.norm(u - v))))
+    return candidates
+
+
+def rescue_rows(u, reach):
+    """One node's candidate slots of `_rescue_candidates` as [(u, reach)], in order."""
+    return [(u_j, float(r_j)) for u_j, r_j in zip(u, reach) if not math.isnan(r_j)]
+
+
+def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None, counts=None, level=0):
     """Cover Cap evaluating one direction at a time, recursing before the next.
 
     `own` is v's (dis, radius) when the caller has evaluated v: center 0 is v
     itself, so a child takes it from its parent instead of evaluating it.
+    `counts`, when given, gathers the COVER_CAP_COUNTERS of the walk; v's
+    node sits at tree `level`.
     """
+    counts = dict.fromkeys(COVER_CAP_COUNTERS, 0) if counts is None else counts
+    counts["cover_cap_nodes"] += 1
+    counts["cover_cap_levels"] = max(counts["cover_cap_levels"], level + 1)
     if rescue:
-        for u, reach in _rescue_candidates(v, required_r):
+        for u, reach in reference_rescue_candidates(v, required_r):
+            counts["rescue_tries"] += 1
             (dis,), (r_u,) = (a.tolist() for a in evaluate(u[None, :]))
             if math.isnan(r_u):
                 raise HypothesisViolation(u, dis, math.nan)
             if r_u >= reach:
+                counts["rescue_hits"] += 1
                 return True, [CoverageRecord(cartesian_to_polar(u), r_u, dis, "cover_cap")], [], dis
     records, residual = [], []
     max_dis = 0.0
@@ -133,7 +179,7 @@ def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None):
             records.append(CoverageRecord(cartesian_to_polar(c), r_c, dis, "cover_cap"))
         elif depth > 0:
             ok, recs, resid, sub_dis = reference_recurse(
-                evaluate, c, need, depth - 1, rescue, (dis, r_c)
+                evaluate, c, need, depth - 1, rescue, (dis, r_c), counts, level + 1
             )
             records.extend(recs)
             residual.extend(resid)
@@ -150,25 +196,34 @@ def reference_cover_cap(evaluate, centers, required_r, depth, rescue=True):
     and residuals, as in an engine that recurses one seed at a time.
     """
     records, residual, maxes = [], [], []
+    counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
     for v, req in zip(centers, required_r):
         try:
-            _, recs, resid, sub_dis = reference_recurse(evaluate, v, float(req), depth, rescue)
+            _, recs, resid, sub_dis = reference_recurse(
+                evaluate, v, float(req), depth, rescue, None, counts
+            )
         except HypothesisViolation as exc:
             witness = (exc.direction, exc.directed_value)
-            return False, records, residual, max(maxes, default=0.0), witness
+            return False, records, residual, max(maxes, default=0.0), witness, counts
         records.extend(recs)
         residual.extend(resid)
         maxes.append(sub_dis)
-    return not residual, records, residual, max(maxes, default=0.0), None
+    return not residual, records, residual, max(maxes, default=0.0), None, counts
 
 
 def same_result(got, expect):
-    """Equal Cover Cap results: repr for the lists and floats, bytes for the witness."""
+    """Equal Cover Cap results: repr for the lists and floats, bytes for the witness.
+
+    The counts are compared only without a witness: a batched level also
+    evaluates nodes that the one-at-a-time walk never reaches after it.
+    """
     assert repr(got[:4]) == repr(expect[:4])
     assert (got[4] is None) == (expect[4] is None)
     if expect[4] is not None:
         assert got[4][0].tobytes() == expect[4][0].tobytes()
         assert got[4][1] == expect[4][1]
+    else:
+        assert got[5] == expect[5]
 
 
 def rowwise(evaluate_one):
@@ -250,23 +305,25 @@ class TestCoverCapRecurse:
             calls.append(v)
             return 0.01, 1.0
 
-        ok, records, residual, max_dis, witness = cover_cap_recurse(
+        ok, records, residual, max_dis, witness, counts = cover_cap_recurse(
             rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 1, rescue=False
         )
         assert ok and witness is None
         assert len(records) == 8
         assert not residual
         assert math.isclose(max_dis, 0.01)
+        assert counts == dict(cover_cap_nodes=1, cover_cap_levels=1, rescue_tries=0, rescue_hits=0)
 
     def test_depth_exhaustion_leaves_residual(self):
         def evaluate(v):
             return 0.01, 1e-9
 
-        ok, records, residual, _, _ = cover_cap_recurse(
+        ok, records, residual, _, _, counts = cover_cap_recurse(
             rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 0, rescue=False
         )
         assert not ok
         assert len(residual) == 8
+        assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1, 1)
         for _, req in residual:
             assert math.isclose(req, 0.2)
 
@@ -278,12 +335,13 @@ class TestCoverCapRecurse:
             # Fail the first batch, pass everything at the next depth.
             return 0.01, (0.1 if len(seen) <= 8 else 1.0)
 
-        ok, records, residual, _, _ = cover_cap_recurse(
+        ok, records, residual, _, _, counts = cover_cap_recurse(
             rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 2, rescue=False
         )
         assert ok and not residual
         # 8 centers, then 7 per child: each child's center 0 is its parent's center.
         assert len(seen) == 8 + 8 * 7
+        assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1 + 8, 2)
 
     def test_swallow_rescue_triggers_near_equator(self):
         # A center pinned to the z = 0 plane with a cratered radius must be
@@ -295,12 +353,14 @@ class TestCoverCapRecurse:
 
         v = np.array([1.0, 0.0, 1e-6])
         v /= np.linalg.norm(v)
-        ok, records, residual, _, _ = cover_cap_recurse(
+        ok, records, residual, _, _, counts = cover_cap_recurse(
             rowwise(evaluate), *one_seed(v, 1e-4), 0, rescue=True
         )
         assert ok and not residual
         assert len(records) == 1
         assert records[0].origin == "cover_cap"
+        assert counts["rescue_hits"] == counts["cover_cap_nodes"] == 1
+        assert 1 <= counts["rescue_tries"] <= len(reference_rescue_candidates(v, 1e-4))
 
     @pytest.mark.parametrize("n, structure", [(20, "twisted"), (14, "polar")])
     def test_batched_centers_match_the_sequential_walk(self, n, structure):
@@ -347,12 +407,20 @@ class TestCoverCapRecurse:
         }
         self.assert_same_witness(keyed_evaluator(special), v, top[5], 0.8)
 
+    def test_nothing_under_the_witness_is_expanded(self):
+        # A child made of the violating center 5 would report it again as its
+        # own center 0, so only the work done tells that none was made.
+        v = np.array([0.6, 0.0, 0.8])
+        evaluate = keyed_evaluator({cover_cap_centers(v, 0.4)[5].tobytes(): (0.8, math.nan)})
+        counts = cover_cap_recurse(evaluate, *one_seed(v, 0.4), 3, rescue=False)[5]
+        assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1, 1)
+
     def test_rescue_violation_of_an_earlier_seed_is_the_witness(self):
         # Seed 1's first rescue candidate violates in round 0, seed 0's second
         # one only in round 1; the walk settles seed 0 first.
         seeds = np.array([[1.0, 0.0, 1e-6], [0.8, 0.6, 1e-6]])
         seeds /= np.linalg.norm(seeds, axis=1)[:, None]
-        first, second = (_rescue_candidates(v, 1e-4) for v in seeds)
+        first, second = (reference_rescue_candidates(v, 1e-4) for v in seeds)
         special = {
             first[1][0].tobytes(): (0.7, math.nan),
             second[0][0].tobytes(): (0.9, math.nan),
@@ -370,6 +438,53 @@ class TestCoverCapRecurse:
         assert got[4][0].tobytes() == direction.tobytes()
         assert got[4][1] == value
         assert not got[1] and not got[2]  # the witness's seed gives no records
+
+
+# A component that sits on a crater plane, near it or anywhere.
+_COMPONENT = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-9, -1e-6]),
+    st.floats(-1e-3, 1e-3),
+    st.floats(-1.0, 1.0),
+)
+_RADIUS = st.one_of(st.sampled_from([1e-7, math.sqrt(2.0)]), st.floats(1e-7, math.sqrt(2.0)))
+
+
+@st.composite
+def node_stacks(draw):
+    """(m, 3) unit directions near the crater planes, some with tied |y| = |z|, and (m,) radii."""
+    rows, radii = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        x, y, z = draw(st.floats(-1.0, 1.0)), draw(_COMPONENT), draw(_COMPONENT)
+        if draw(st.booleans()):
+            z = math.copysign(y, draw(st.sampled_from([1.0, -1.0])))
+        v = np.array([x, y, z])
+        norm = float(np.linalg.norm(v))
+        rows.append(v / norm if norm > 1e-3 else np.array([1.0, 0.0, 0.0]))
+        radii.append(draw(_RADIUS))
+    return np.array(rows), np.array(radii)
+
+
+# On the x axis (both planes near), on the z axis (the z = 0 tangent vanishes), next to z = 0.
+_EDGE_NODES = (
+    np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 1e-6]]),
+    np.array([1e-7, 0.5, 1e-4]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(node_stacks())
+@example(_EDGE_NODES)
+def test_batched_rescue_candidates_equal_one_node_calls(stack):
+    v, radii = stack
+    batched = _rescue_candidates(v, radii)
+    for i, (row, r) in enumerate(zip(v, radii.tolist())):
+        got = rescue_rows(*(a[i] for a in batched))
+        one = rescue_rows(*(a[0] for a in _rescue_candidates(row[None, :], np.array([r]))))
+        expect = reference_rescue_candidates(row, r)
+        assert len(got) == len(one) == len(expect)
+        for (u, reach), (u1, reach1), (u2, reach2) in zip(got, one, expect):
+            assert u.tobytes() == u1.tobytes() == u2.tobytes()
+            assert reach == reach1 == reach2
 
 
 class TestCounterexampleInCoverCap:
@@ -605,6 +720,17 @@ class TestCoverRegion:
             "point set row 1 repeats row 0; coincident points are not supported"
         )
 
+    def test_cover_cap_counters_on_polar_14(self):
+        ps, params = conjecture_setup(14, "polar")
+        counters = cover_region(ps, params).counters
+        assert {key: counters[key] for key in COVER_CAP_COUNTERS} == {
+            "cover_cap_nodes": 499,
+            "cover_cap_levels": 6,
+            "rescue_tries": 1157,
+            "rescue_hits": 70,
+        }
+        assert counters["n_evaluations"] == 9448
+
     def test_counters_structure(self):
         ps = generate_twisted_polar(9)
         d = north_pole_directed(9)
@@ -618,6 +744,7 @@ class TestCoverRegion:
             "n_orbits",
             "r_min_global",
             "r_min_median",
+            *COVER_CAP_COUNTERS,
         ):
             assert key in outcome.counters
         assert outcome.counters["n_evaluations"] >= outcome.counters["n_DD"]

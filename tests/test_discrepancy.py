@@ -1,4 +1,8 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from capdisc.discrepancy import (
     SizeLimitExceeded,
     _candidate_axes,
     _cap_counts,
+    _radii,
     _slab_width,
     _sweep,
     confidence_radii,
@@ -201,6 +206,69 @@ class TestBatchedKernel:
                     assert np.float64(r_v).tobytes() == np.float64(ball.radius).tobytes()
                 assert directed_values(ps.points, dirs[:m]).tobytes() == dis.tobytes()
             assert (flagged > 0) == (d < 2.0)
+
+
+def mixed_block(t, rng):
+    """(m, t) sorted rows: random ones (various k), scaled copies next to each
+    other (runs of one k over rows with other slab widths), evenly spread ones
+    (Dis = 1/(2t): k = t - 1 at d = 1 - 1/t, k > t - 1 at d = 1) and ones with
+    every point at the pole (Dis = 1: nan)."""
+    random_rows = np.sort(rng.uniform(-1.0, 1.0, (4, t)), axis=1)
+    even = -1.0 + (2.0 * np.arange(t) + 1.0) / t
+    near = 1.0 - 1e-12  # scaled copies: the same k, other slab widths
+    runs = [[random_rows[0]], [random_rows[1] * near**i for i in range(3)], [even], [np.ones(t)]]
+    runs += [[random_rows[2]], [random_rows[3], random_rows[3] * near], [np.ones(t)] * 2]
+    runs += [[even, even * near]]
+    return np.array([row for i in rng.permutation(len(runs)) for row in runs[i]])
+
+
+class TestBlockRadii:
+    """A block of rows gives each row's one-row Dis, k and radius, bit for bit."""
+
+    @staticmethod
+    def assert_rowwise(block, d):
+        dis, k, radius = _radii(block, d)
+        assert len(dis) == len(k) == len(radius) == len(block)
+        for i, row in enumerate(block):
+            (dis_i,), (k_i,), (radius_i,) = _radii(row, d)
+            assert np.float64(dis[i]).tobytes() == np.float64(dis_i).tobytes()
+            assert k[i] == k_i
+            assert np.float64(radius[i]).tobytes() == np.float64(radius_i).tobytes()
+        return k
+
+    @settings(max_examples=60, deadline=None)
+    @given(t=st.sampled_from([2, 441, 994]), seed=st.integers(0, 2**32 - 1), d=st.floats(0.01, 1.0))
+    def test_blocks_equal_the_row_by_row_results(self, t, seed, d):
+        self.assert_rowwise(mixed_block(t, np.random.default_rng(seed)), d)
+
+    @pytest.mark.parametrize("t", [2, 441, 994])
+    def test_block_mixes_every_case(self, t):
+        block = mixed_block(t, np.random.default_rng(t))
+        k = self.assert_rowwise(block, 1.0)
+        assert 0 in k  # the pole rows break the hypothesis
+        assert max(k) > t - 1  # the evenly spread rows keep radius 2
+        if t > 2:  # at t = 2 every passing row has k >= 2 = t
+            assert len({x for x in k if 0 < x <= t - 1}) >= 2
+            assert any(a == b and 0 < a <= t - 1 for a, b in zip(k, k[1:]))
+            # At d = 1 - 1/t the evenly spread rows take k = t - 1, the largest k with a slab.
+            assert t - 1 in self.assert_rowwise(block, 1.0 - 1.0 / t)
+
+
+def test_kernel_bench_script_smoke(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "kernel_bench.py"
+    out = tmp_path / "kernel.json"
+    proc = subprocess.run(
+        [sys.executable, str(script), "--repeats", "1", "--directions", "4", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    cells = json.loads(out.read_text())["cells"]
+    cell_keys = [(cell["t"], cell["rows"]) for cell in cells]
+    assert cell_keys == [(t, rows) for t in (441, 994, 7057) for rows in (1, 8, 20)]
+    for cell in cells:
+        assert cell["directions"] == 4
+        for path in ("one_at_a_time", "confidence_radii"):
+            assert cell[path]["us_per_direction"] > 0.0
 
 
 class TestSlabWidth:

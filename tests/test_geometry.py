@@ -1,8 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capdisc.geometry import (
@@ -137,6 +138,29 @@ class TestFrame:
             assert math.isclose(float(np.linalg.norm(e2)), 1.0, abs_tol=1e-12)
 
 
+SQRT2 = math.sqrt(2.0)
+EDGE_RADII = np.array([1e-7, SQRT2, 0.3])
+BAD_RADII = st.sampled_from([0.0, -0.0, -1e-7, SQRT2 + 1e-9, 2.0, math.nan, math.inf])
+# Components on, near or off the axes; tied magnitudes come from the draws below.
+_COMPONENT = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 1e-9]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def center_stacks(draw):
+    """(m, 3) unit centers, with zero and tied |components|, and (m,) radii in (0, sqrt(2)]."""
+    rows, radii = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        c = [draw(_COMPONENT) for _ in range(3)]
+        if draw(st.booleans()):  # tie two magnitudes: np.argmin takes the first
+            i, j = draw(st.permutations(range(3)))[:2]
+            c[j] = math.copysign(c[i], draw(st.sampled_from([1.0, -1.0])))
+        v = np.array(c)
+        norm = float(np.linalg.norm(v))
+        rows.append(v / norm if norm > 1e-3 else np.array([0.0, 0.0, 1.0]))
+        radii.append(draw(st.one_of(st.sampled_from([1e-7, SQRT2]), st.floats(1e-7, SQRT2))))
+    return np.array(rows), np.array(radii)
+
+
 class TestCoverCapCenters:
     def test_equal_to_the_cross_product_reference(self, rng):
         # Random centers, signed axes and centers with zero or tied
@@ -153,6 +177,29 @@ class TestCoverCapCenters:
             f1, f2 = reference_frame(v)
             assert e1.tobytes() == f1.tobytes() and e2.tobytes() == f2.tobytes(), v
             assert cover_cap_centers(v, r).tobytes() == reference_centers(v, r).tobytes(), (v, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stack=center_stacks())
+    # Axis centers with zero components, signed zeros, and both ends of the radius range.
+    @example(stack=(np.array([[0.0, 0.0, 1.0], [0.6, 0.0, -0.8], [0.0, -0.0, -1.0]]), EDGE_RADII))
+    def test_a_stack_equals_its_one_center_calls(self, stack):
+        centers, radii = stack
+        got = cover_cap_centers(centers, radii)
+        assert got.shape == (len(centers), 8, 3)
+        for block, v, r in zip(got, centers, radii.tolist()):
+            assert block.tobytes() == cover_cap_centers(v, r).tobytes()
+            assert block.tobytes() == reference_centers(v, r).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(stack=center_stacks(), bad=st.lists(st.tuples(st.integers(0, 7), BAD_RADII), min_size=1))
+    def test_a_stack_names_its_first_bad_radius(self, stack, bad):
+        centers, radii = stack
+        for row, r in bad:
+            radii[row % len(radii)] = r
+        first = min(row % len(radii) for row, _ in bad)
+        message = rf"in row {first}: {re.escape(repr(float(radii[first])))}$"
+        with pytest.raises(ValueError, match=message):
+            cover_cap_centers(centers, radii)
 
     def test_count_and_layout(self):
         v = np.array([0.0, 0.0, 1.0])

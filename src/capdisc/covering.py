@@ -126,9 +126,9 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int, rescue: bool = 
     seed by seed: records and residuals keep its order, `witness` is None or
     the (direction, directed_value) of its first violation, and only the
     seeds before the witness's give records and residuals.  Returns
-    (covered, records, residual, max_directed, witness, counts), `counts`
-    the COVER_CAP_COUNTERS: nodes rescued or expanded, levels grown, rescue
-    candidates evaluated and nodes rescued.
+    (witness, records, residual, counts), `counts` the COVER_CAP_COUNTERS:
+    nodes rescued or expanded, levels grown, rescue candidates evaluated and
+    nodes rescued.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     seeds = len(centers)
@@ -136,9 +136,8 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int, rescue: bool = 
     # and paths, the center slot taken at each level above: (seed, path) sorts in walk order.
     req = np.asarray(required_r, dtype=float).reshape(-1)
     level = [centers, req, None, np.arange(seeds), np.zeros((seeds, depth + 1), dtype=np.uint8)]
-    # Records and residuals as (seed, path, entries) parts; each seed's largest Dis.
-    out = SimpleNamespace(records=[], residual=[], seed_max=np.zeros(seeds))
-    out.counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
+    # Records and residuals as (seed, path, entries) parts.
+    out = SimpleNamespace(records=[], residual=[], counts=dict.fromkeys(COVER_CAP_COUNTERS, 0))
     witness, left = None, depth
     while len(level[0]):
         out.counts["cover_cap_levels"] += 1
@@ -155,9 +154,7 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int, rescue: bool = 
 
     settled = witness[2] if witness is not None else seeds
     records, residual = _walk_order(out.records, settled), _walk_order(out.residual, settled)
-    max_dis = float(out.seed_max[:settled].max(initial=0.0))
-    witness = None if witness is None else witness[:2]
-    return witness is None and not residual, records, residual, max_dis, witness, out.counts
+    return None if witness is None else witness[:2], records, residual, out.counts
 
 
 def _walk_order(parts: list, settled: int) -> list:
@@ -204,7 +201,6 @@ def _settle_nodes(evaluate, nodes, left: int, rescue: bool, children: list, out)
             won = todo[hit]
             rescued[won] = True
             out.records.append((seed[won], path[won], _records(u[hit], r_u[hit], dis[hit])))
-            np.maximum.at(out.seed_max, seed[won], dis[hit])
 
     expand = np.flatnonzero(~rescued[:live])
     out.counts["rescue_hits"] += int(rescued.sum())
@@ -227,7 +223,6 @@ def _settle_nodes(evaluate, nodes, left: int, rescue: bool, children: list, out)
         dead = (c[k, i], float(dis[k, i]), int(seed[expand[k]]))
         seen.flat[nan[0] :] = False
     seeds = np.broadcast_to(seed[expand, None], dis.shape)
-    np.maximum.at(out.seed_max, seeds[seen], dis[seen])
     paths = np.repeat(path[expand, None], 8, axis=1)
     paths[:, :, path.shape[1] - 1 - left] = np.arange(8)
     need = np.broadcast_to(req[expand, None] / 2.0, dis.shape)
@@ -477,13 +472,15 @@ class _Engine:
         try:
             self._phase1()
         except HypothesisViolation as exc:
-            counterexample = DirectedResult(exc.direction, exc.directed_value, math.nan, True)
+            counterexample = DirectedResult(
+                exc.direction, exc.directed_value, math.nan, True
+            )
         phase1_s = time.perf_counter() - t0
 
         t1 = time.perf_counter()
         cover_cap = dict.fromkeys(COVER_CAP_COUNTERS, 0)
         if counterexample is None:
-            _, recs, resid, _, witness, cover_cap = cover_cap_recurse(
+            witness, recs, resid, cover_cap = cover_cap_recurse(
                 self.evaluate_cart,
                 np.array([v for v, _ in self.cannot_cover]),
                 np.array([req for _, req in self.cannot_cover]),
@@ -501,12 +498,15 @@ class _Engine:
             status = "residual"
         else:
             status = "covered"
-        orbits = self.r_min_per_orbit
-        r_min_global = min(orbits) if orbits else math.nan
+        r_min_global = min(self.r_min_per_orbit) if self.r_min_per_orbit else math.nan
         # The global minimum is pinned to the orbit at the pole-side region
         # edge, where the gap d - Dis vanishes by construction; the median
         # orbit radius is the scale that actually sets the sweep density.
-        r_min_median = float(np.median(orbits)) if orbits else math.nan
+        r_min_median = (
+            float(np.median(self.r_min_per_orbit))
+            if self.r_min_per_orbit
+            else math.nan
+        )
         return CoverOutcome(
             status=status,
             records=self.records,
@@ -515,14 +515,20 @@ class _Engine:
             counters={
                 "n_DD": self.n_dd,
                 "n_CC": self.n_cc,
-                "n_cover_cap_dirs": sum(rec.origin == "cover_cap" for rec in self.records),
+                "n_cover_cap_dirs": sum(
+                    1 for rec in self.records if rec.origin == "cover_cap"
+                ),
                 "n_evaluations": self.n_eval,
                 "n_orbits": self.n_orbits,
                 "r_min_global": r_min_global,
                 "r_min_median": r_min_median,
                 **cover_cap,
             },
-            timings={"phase1": phase1_s, "cover_cap": cover_cap_s, "total": phase1_s + cover_cap_s},
+            timings={
+                "phase1": phase1_s,
+                "cover_cap": cover_cap_s,
+                "total": phase1_s + cover_cap_s,
+            },
         )
 
     def _phase1(self) -> None:

@@ -116,12 +116,18 @@ _max = np.maximum.reduce
 _min = np.minimum.reduce
 
 
-def _slab_width(s: np.ndarray, k: int) -> float:
-    """min over i of s_{i+k} - s_i; 2 when no slab can hold k+1 projections."""
-    t = len(s)
+def _slab_width(s: np.ndarray, k: int):
+    """min over i of s_{i+k} - s_i; 2 when no slab can hold k+1 projections.
+
+    One sorted row `s`, shape (t,), gives a float; a block of rows sharing
+    k, shape (m, t), gives a list of m widths.
+    """
+    t = s.shape[-1]
     if k > t - 1:
-        return 2.0
-    return float(_min(s[k:] - s[: t - k]))
+        return 2.0 if s.ndim == 1 else [2.0] * len(s)
+    if s.ndim == 1:
+        return float(_min(s[k:] - s[: t - k]))
+    return _min(s[:, k:] - s[:, : t - k], axis=1).tolist()
 
 
 # Batches are projected and swept in chunks of rows whose (rows, t) float
@@ -182,16 +188,18 @@ def _radii(s: np.ndarray, d: float) -> tuple[list[float], list[int], list[float]
         return [dis], [k], [_slab_width(s, k) if k else math.nan]
     dis = _dis(s).tolist()
     ks = [0 if x + 1.0 / t > d else int(math.floor(t * (d - x))) + 1 for x in dis]
-    # Neighbouring rows often share k: one reduction over each run of them.
+    # Neighbouring rows of a Cover Cap block mostly share k (on plain polar
+    # n = 30, 94% of block rows lie in whole 8-row chunks of one k), so each
+    # run of them is reduced at once.
     radii: list[float] = []
     for k, run in groupby(ks):
         lo, n = len(radii), len(list(run))
-        if not 0 < k < t:  # a broken hypothesis, or no slab holds k + 1 projections
-            radii += [2.0 if k else math.nan] * n
+        if not k:
+            radii += [math.nan] * n
         elif n == 1:  # a lone row reduces faster 1-D
-            radii.append(float(_min(s[lo, k:] - s[lo, : t - k])))
+            radii.append(_slab_width(s[lo], k))
         else:
-            radii += _min(s[lo : lo + n, k:] - s[lo : lo + n, : t - k], axis=1).tolist()
+            radii += _slab_width(s[lo : lo + n], k)
     return dis, ks, radii
 
 

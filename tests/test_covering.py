@@ -163,9 +163,8 @@ def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None, cou
                 raise HypothesisViolation(u, dis, math.nan)
             if r_u >= reach:
                 counts["rescue_hits"] += 1
-                return True, [CoverageRecord(cartesian_to_polar(u), r_u, dis, "cover_cap")], [], dis
+                return [CoverageRecord(cartesian_to_polar(u), r_u, dis, "cover_cap")], []
     records, residual = [], []
-    max_dis = 0.0
     for i, c in enumerate(cover_cap_centers(v, required_r)):
         if i == 0 and own is not None:
             dis, r_c = own
@@ -173,20 +172,18 @@ def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None, cou
             (dis,), (r_c,) = (a.tolist() for a in evaluate(c[None, :]))
         if math.isnan(r_c):
             raise HypothesisViolation(c, dis, math.nan)
-        max_dis = max(max_dis, dis)
         need = required_r / 2.0
         if r_c >= need:
             records.append(CoverageRecord(cartesian_to_polar(c), r_c, dis, "cover_cap"))
         elif depth > 0:
-            ok, recs, resid, sub_dis = reference_recurse(
+            recs, resid = reference_recurse(
                 evaluate, c, need, depth - 1, rescue, (dis, r_c), counts, level + 1
             )
             records.extend(recs)
             residual.extend(resid)
-            max_dis = max(max_dis, sub_dis)
         else:
             residual.append((cartesian_to_polar(c), need))
-    return not residual, records, residual, max_dis
+    return records, residual
 
 
 def reference_cover_cap(evaluate, centers, required_r, depth, rescue=True):
@@ -195,35 +192,33 @@ def reference_cover_cap(evaluate, centers, required_r, depth, rescue=True):
     A violation ends the loop; the seeds settled before it give the records
     and residuals, as in an engine that recurses one seed at a time.
     """
-    records, residual, maxes = [], [], []
+    records, residual = [], []
     counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
     for v, req in zip(centers, required_r):
         try:
-            _, recs, resid, sub_dis = reference_recurse(
-                evaluate, v, float(req), depth, rescue, None, counts
-            )
+            recs, resid = reference_recurse(evaluate, v, float(req), depth, rescue, None, counts)
         except HypothesisViolation as exc:
-            witness = (exc.direction, exc.directed_value)
-            return False, records, residual, max(maxes, default=0.0), witness, counts
+            return (exc.direction, exc.directed_value), records, residual, counts
         records.extend(recs)
         residual.extend(resid)
-        maxes.append(sub_dis)
-    return not residual, records, residual, max(maxes, default=0.0), None, counts
+    return None, records, residual, counts
 
 
 def same_result(got, expect):
-    """Equal Cover Cap results: repr for the lists and floats, bytes for the witness.
+    """Equal Cover Cap results: repr for the lists, bytes for the witness.
 
     The counts are compared only without a witness: a batched level also
     evaluates nodes that the one-at-a-time walk never reaches after it.
     """
-    assert repr(got[:4]) == repr(expect[:4])
-    assert (got[4] is None) == (expect[4] is None)
-    if expect[4] is not None:
-        assert got[4][0].tobytes() == expect[4][0].tobytes()
-        assert got[4][1] == expect[4][1]
+    # A bool, not the strings: pytest would diff megabytes of repr on a failure.
+    same_entries = repr(got[1:3]) == repr(expect[1:3])
+    assert same_entries, "records or residuals differ from the reference walk"
+    assert (got[0] is None) == (expect[0] is None)
+    if expect[0] is not None:
+        assert got[0][0].tobytes() == expect[0][0].tobytes()
+        assert got[0][1] == expect[0][1]
     else:
-        assert got[5] == expect[5]
+        assert got[3] == expect[3]
 
 
 def rowwise(evaluate_one):
@@ -305,23 +300,22 @@ class TestCoverCapRecurse:
             calls.append(v)
             return 0.01, 1.0
 
-        ok, records, residual, max_dis, witness, counts = cover_cap_recurse(
+        witness, records, residual, counts = cover_cap_recurse(
             rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 1, rescue=False
         )
-        assert ok and witness is None
+        assert witness is None
         assert len(records) == 8
         assert not residual
-        assert math.isclose(max_dis, 0.01)
         assert counts == dict(cover_cap_nodes=1, cover_cap_levels=1, rescue_tries=0, rescue_hits=0)
 
     def test_depth_exhaustion_leaves_residual(self):
         def evaluate(v):
             return 0.01, 1e-9
 
-        ok, records, residual, _, _, counts = cover_cap_recurse(
+        witness, records, residual, counts = cover_cap_recurse(
             rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 0, rescue=False
         )
-        assert not ok
+        assert witness is None
         assert len(residual) == 8
         assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1, 1)
         for _, req in residual:
@@ -335,10 +329,10 @@ class TestCoverCapRecurse:
             # Fail the first batch, pass everything at the next depth.
             return 0.01, (0.1 if len(seen) <= 8 else 1.0)
 
-        ok, records, residual, _, _, counts = cover_cap_recurse(
+        witness, records, residual, counts = cover_cap_recurse(
             rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 2, rescue=False
         )
-        assert ok and not residual
+        assert witness is None and not residual
         # 8 centers, then 7 per child: each child's center 0 is its parent's center.
         assert len(seen) == 8 + 8 * 7
         assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1 + 8, 2)
@@ -353,10 +347,10 @@ class TestCoverCapRecurse:
 
         v = np.array([1.0, 0.0, 1e-6])
         v /= np.linalg.norm(v)
-        ok, records, residual, _, _, counts = cover_cap_recurse(
+        witness, records, residual, counts = cover_cap_recurse(
             rowwise(evaluate), *one_seed(v, 1e-4), 0, rescue=True
         )
-        assert ok and not residual
+        assert witness is None and not residual
         assert len(records) == 1
         assert records[0].origin == "cover_cap"
         assert counts["rescue_hits"] == counts["cover_cap_nodes"] == 1
@@ -377,7 +371,7 @@ class TestCoverCapRecurse:
         batched_evals = engine.n_eval - before
         # repr tells -0.0 from 0.0 and a numpy scalar from a float
         same_result(got, reference_cover_cap(engine.evaluate_cart, seeds, required, depth))
-        assert got[4] is None
+        assert got[0] is None
         assert engine.n_eval - before == 2 * batched_evals
 
     def test_violation_deep_under_center_zero_is_the_witness(self):
@@ -412,7 +406,7 @@ class TestCoverCapRecurse:
         # own center 0, so only the work done tells that none was made.
         v = np.array([0.6, 0.0, 0.8])
         evaluate = keyed_evaluator({cover_cap_centers(v, 0.4)[5].tobytes(): (0.8, math.nan)})
-        counts = cover_cap_recurse(evaluate, *one_seed(v, 0.4), 3, rescue=False)[5]
+        counts = cover_cap_recurse(evaluate, *one_seed(v, 0.4), 3, rescue=False)[3]
         assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1, 1)
 
     def test_rescue_violation_of_an_earlier_seed_is_the_witness(self):
@@ -429,14 +423,14 @@ class TestCoverCapRecurse:
         required = np.array([1e-4, 1e-4])
         got = cover_cap_recurse(evaluate, seeds, required, 0)
         same_result(got, reference_cover_cap(evaluate, seeds, required, 0))
-        assert got[4][0].tobytes() == first[1][0].tobytes()
+        assert got[0][0].tobytes() == first[1][0].tobytes()
 
     @staticmethod
     def assert_same_witness(evaluate, v, direction, value):
         got = cover_cap_recurse(evaluate, *one_seed(v, 0.4), 3, rescue=False)
         same_result(got, reference_cover_cap(evaluate, *one_seed(v, 0.4), 3, rescue=False))
-        assert got[4][0].tobytes() == direction.tobytes()
-        assert got[4][1] == value
+        assert got[0][0].tobytes() == direction.tobytes()
+        assert got[0][1] == value
         assert not got[1] and not got[2]  # the witness's seed gives no records
 
 

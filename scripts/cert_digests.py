@@ -16,22 +16,32 @@ Everything but the seconds is deterministic, so equal digests on two commits
 mean identical certificates.
 
 With `--out`, also times each job `--repeats` times (one cover per repeat, in
-this process) and writes a layer table as JSON: the medians of the phase-1
-and Cover Cap seconds, `n_evaluations`, and the number of batched kernel
-calls (`covering.confidence_radii`, counted by wrapping the name where the
-engine looks it up) with their rows per call.  `--label` names the table, and
-an existing file keeps its other tables, so one file can hold a baseline and
-a change measured on the same host.
+this process) and writes a layer table as JSON: the medians of the phase-1,
+Cover Cap and Cover Cap helper seconds, `n_evaluations`, and the number of
+batched kernel calls with their rows per call.  The calls are counted where
+the engine hands a batch to the kernel (`covering._Engine.evaluate_cart`), so
+a batch split with the Cover Cap helper counts once.  `--label` names the
+table, and an existing file keeps its other tables.
+
+With `--baseline SRC` (the `src/` directory of another checkout), every
+repeat is a fresh process, and the repeats of the baseline and of this tree
+alternate (baseline first in even repeats, this tree first in odd ones), so
+that host drift falls on both alike.  Each line printed starts with the
+tree's label, and `--out` gets both tables, the baseline's named
+`--baseline-label`.
 
     python3 scripts/cert_digests.py                     # twisted 20/40/60/80, polar 30
     python3 scripts/cert_digests.py twisted:20 polar:14
     python3 scripts/cert_digests.py --repeats 5 --out BENCH_8.json --label change
+    python3 scripts/cert_digests.py --repeats 5 --baseline ../parent/src --out BENCH_12.json
 """
 import argparse
 import hashlib
 import json
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -43,6 +53,9 @@ from capdisc import conjecture_setup, covering, cover_region, read_report, strip
 
 DEFAULT_JOBS = ["twisted:20", "twisted:40", "twisted:60", "twisted:80", "polar:30"]
 CERT_KEYS = ("records", "not_covered", "counterexample", "params", "points_meta")
+# Row keys that are medians of the repeats; the others must agree across them.
+SECONDS = ("cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def job(text: str) -> tuple[str, int]:
@@ -62,39 +75,35 @@ def cert_digest(doc: dict) -> str:
     return digest(cert)
 
 
-class KernelCalls:
-    """Counts the calls and rows of `covering.confidence_radii` while installed."""
+class BatchCalls:
+    """Counts the batches the engine evaluates, and their rows, while installed."""
 
     def __init__(self):
         self.calls = self.rows = 0
-        self.original = covering.confidence_radii
-
-    def __call__(self, points, directions, d):
-        self.calls += 1
-        self.rows += len(directions)
-        return self.original(points, directions, d)
+        self.original = covering._Engine.evaluate_cart
 
     def __enter__(self):
-        covering.confidence_radii = self
+        def counted(engine, directions):
+            self.calls += 1
+            self.rows += len(directions)
+            return self.original(engine, directions)
+
+        covering._Engine.evaluate_cart = counted
         return self
 
     def __exit__(self, *exc):
-        covering.confidence_radii = self.original
+        covering._Engine.evaluate_cart = self.original
 
 
-def run_job(structure: str, n: int, repeats: int, path: Path) -> dict:
+def measure(structure: str, n: int, path: Path) -> dict:
+    """One cover of the job: its digests, counters and seconds, as a table row."""
     ps, params = conjecture_setup(n, structure)
-    runs = []
-    for _ in range(repeats):
-        with KernelCalls() as kernel:
-            t0 = time.perf_counter()
-            outcome = cover_region(ps, params)
-            cover_s = time.perf_counter() - t0
-        runs.append((outcome, cover_s, kernel))
-    outcome = runs[0][0]
+    with BatchCalls() as kernel:
+        t0 = time.perf_counter()
+        outcome = cover_region(ps, params)
+        cover_s = time.perf_counter() - t0
     write_report(path, ps, params, outcome)
     doc = strip_timings(read_report(path))
-    kernel = runs[0][2]
     return {
         "job": f"{structure}:{n}",
         "t": ps.size,
@@ -102,22 +111,62 @@ def run_job(structure: str, n: int, repeats: int, path: Path) -> dict:
         "n_evaluations": outcome.counters["n_evaluations"],
         "sha256": digest(doc),
         "cert": cert_digest(doc),
-        "cover_s": round(median(r[1] for r in runs), 3),
-        "phase1_s": round(median(r[0].timings["phase1"] for r in runs), 3),
-        "cover_cap_s": round(median(r[0].timings["cover_cap"] for r in runs), 3),
+        "cover_s": cover_s,
+        "phase1_s": outcome.timings["phase1"],
+        "cover_cap_s": outcome.timings["cover_cap"],
+        "cover_cap_helper_s": outcome.timings.get("cover_cap_helper", 0.0),
         "confidence_radii_calls": kernel.calls,
         "rows_per_call": round(kernel.rows / kernel.calls, 2) if kernel.calls else 0.0,
     }
 
 
-def write_table(path: Path, label: str, repeats: int, note: str, rows: list) -> None:
+def measure_in_child(src: Path, structure: str, n: int) -> dict:
+    """One cover in a fresh process that imports capdisc from `src`."""
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--child", str(src), f"{structure}:{n}"],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    if proc.returncode:
+        raise SystemExit(f"{structure}:{n} from {src} failed:\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def child(src: Path, structure: str, n: int) -> None:
+    """The fresh process of measure_in_child: print the row of one cover as JSON."""
+    if src.resolve() not in Path(covering.__file__).resolve().parents:
+        raise SystemExit(f"capdisc imported from {covering.__file__}, not from {src}")
+    with tempfile.TemporaryDirectory() as tmp:
+        print(json.dumps(measure(structure, n, Path(tmp) / "report.json")))
+
+
+def summarize(runs: list) -> dict:
+    """The repeats of one job as one row: medians of the seconds, the rest checked equal."""
+    row = dict(runs[0])
+    for key, value in row.items():
+        if key in SECONDS:
+            row[key] = round(median(r[key] for r in runs), 3)
+        elif any(r[key] != value for r in runs):
+            raise SystemExit(f"{row['job']}: {key} differs between repeats")
+    return row
+
+
+def line(row: dict) -> str:
+    return (
+        f"{row['job']} status={row['status']} n_evaluations={row['n_evaluations']} "
+        f"sha256={row['sha256']} cert={row['cert']} cover_s={row['cover_s']:.2f}"
+    )
+
+
+def write_table(path: Path, label: str, statistic: str, note: str, rows: list) -> None:
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc.setdefault(
         "benchmark",
         "conjecture covers per job: phase 1 and Cover Cap seconds, evaluations, batched kernel calls",
     )
     doc.setdefault("tables", {})[label] = {
-        "statistic": f"median of {repeats} covers in one process",
+        "statistic": statistic,
         "machine": {
             "cpus": len(os.sched_getaffinity(0)),
             "python": platform.python_version(),
@@ -130,11 +179,17 @@ def write_table(path: Path, label: str, repeats: int, note: str, rows: list) -> 
 
 
 def main() -> None:
+    if sys.argv[1:2] == ["--child"]:
+        _, _, src, text = sys.argv
+        child(Path(src), *job(text))
+        return
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("jobs", nargs="*", type=job, default=[job(j) for j in DEFAULT_JOBS])
     ap.add_argument("--repeats", type=int, default=1, help="covers per job; medians are reported")
     ap.add_argument("--out", type=Path, help="write the layer table to this JSON file")
     ap.add_argument("--label", default="change", help="name of the table written with --out")
+    ap.add_argument("--baseline", type=Path, help="src/ of another checkout, measured alternately")
+    ap.add_argument("--baseline-label", default="parent", help="name of the baseline's table")
     ap.add_argument(
         "--note",
         default="2 shared CPUs (a container on a host shared with other tenants); medians of repeats",
@@ -143,20 +198,41 @@ def main() -> None:
     args = ap.parse_args()
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
+    if args.baseline is not None and not (args.baseline / "capdisc").is_dir():
+        ap.error(f"--baseline {args.baseline} holds no capdisc package")
+    if args.baseline is not None and args.baseline_label == args.label:
+        ap.error("--baseline-label must differ from --label")
 
-    rows = []
+    tables: dict = {}
+    if args.baseline is None:
+        trees = [(args.label, None)]
+        statistic = f"median of {args.repeats} covers in one process"
+    else:
+        trees = [(args.baseline_label, args.baseline), (args.label, SRC)]
+        statistic = (
+            f"median of {args.repeats} covers, each in a fresh process, alternating with the "
+            f"{{other}} table's"
+        )
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "report.json"
         for structure, n in args.jobs:
-            row = run_job(structure, n, args.repeats, path)
-            rows.append(row)
-            print(
-                f"{row['job']} status={row['status']} n_evaluations={row['n_evaluations']} "
-                f"sha256={row['sha256']} cert={row['cert']} cover_s={row['cover_s']:.2f}",
-                flush=True,
-            )
+            runs: dict = {label: [] for label, _ in trees}
+            for repeat in range(args.repeats):
+                for label, src in trees if repeat % 2 == 0 else trees[::-1]:
+                    if src is None:
+                        run = measure(structure, n, Path(tmp) / "report.json")
+                    else:
+                        run = measure_in_child(src, structure, n)
+                    runs[label].append(run)
+            for label, _ in trees:
+                row = summarize(runs[label])
+                tables.setdefault(label, []).append(row)
+                prefix = f"{label}: " if args.baseline is not None else ""
+                print(prefix + line(row), flush=True)
     if args.out:
-        write_table(args.out, args.label, args.repeats, args.note, rows)
+        labels = list(tables)
+        for label, rows in tables.items():
+            other = next((x for x in labels if x != label), "")
+            write_table(args.out, label, statistic.format(other=other), args.note, rows)
 
 
 if __name__ == "__main__":

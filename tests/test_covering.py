@@ -1,8 +1,14 @@
+import hashlib
+import json
 import math
+import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from statistics import median
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +29,13 @@ from capdisc.covering import (
     orbit_intersection_latitude,
     step_theta,
 )
-from capdisc.discrepancy import HypothesisViolation, confidence_radius, directed_values, project
+from capdisc.discrepancy import (
+    HypothesisViolation,
+    confidence_radii,
+    confidence_radius,
+    directed_values,
+    project,
+)
 from capdisc.geometry import (
     PolarDirection,
     Region,
@@ -33,6 +45,8 @@ from capdisc.geometry import (
 )
 from capdisc.pointsets import generate_random_uniform, generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
+from capdisc.reporting import report_dict, strip_timings
+from conftest import uniform_directions
 
 
 def reference_covered(phi, balls, theta_lo, theta_hi, psi) -> bool:
@@ -234,6 +248,34 @@ def rowwise(evaluate_one):
 def keyed_evaluator(special, default=(0.01, 1.0)):
     """(dis, radius) `default` everywhere except the directions in `special`, keyed by their bytes."""
     return rowwise(lambda v: special.get(v.tobytes(), default))
+
+
+EVALUATE_CART = _Engine.evaluate_cart
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper needs os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the helpers forked in the test; two CPUs are reported, so any host forks."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pids
+
+
+def assert_reaped(pids):
+    assert pids, "no helper was forked"
+    for pid in pids:
+        with pytest.raises(ChildProcessError):  # no longer a child: reaped
+            os.waitpid(pid, os.WNOHANG)
 
 
 class TestStepTheta:
@@ -564,6 +606,28 @@ class TestCounterexampleInCoverCap:
         records = phase1_records + [rec for v, _ in queue[:5] for rec in self.seed_records(v)]
         self.check(monkeypatch, special, records, violation, 0.9)
 
+    @needs_fork
+    def test_split_batches_give_the_same_counterexample(self, monkeypatch, forks):
+        # The keyed kernel stands in for confidence_radii, so the helper
+        # (forked at the first batch of 2 rows) evaluates with it too.
+        phase1_records, queue = self.phase1(monkeypatch)
+        violation = self.seed_five_violation(queue)
+        special = {violation.tobytes(): (0.9, math.nan)}
+        expect = self.cover(monkeypatch, special)
+        evaluate = keyed_evaluator(special, self.DEFAULT)
+        monkeypatch.setattr(_Engine, "evaluate_cart", EVALUATE_CART)
+        monkeypatch.setattr(covering, "confidence_radii", lambda points, dirs, d: evaluate(dirs))
+        monkeypatch.setattr(covering, "_SPLIT_ROWS", 2)
+        outcome = cover_region(self.PS, self.PARAMS)
+        assert_reaped(forks)
+        assert outcome.status == "counterexample"
+        assert outcome.counterexample.direction.tobytes() == violation.tobytes()
+        assert repr(outcome.records) == repr(expect.records)
+        # the keyed evaluate_cart of `expect` does not count evaluations
+        del outcome.counters["n_evaluations"], expect.counters["n_evaluations"]
+        assert outcome.counters == expect.counters
+        assert outcome.timings["cover_cap_helper"] > 0.0
+
     def test_later_seed_is_not_expanded(self, monkeypatch):
         # Seed 9's center 1 is short and its child violates at depth 1: a
         # later violation the walk never reaches, whether seed 9 shares seed
@@ -743,6 +807,177 @@ class TestCoverRegion:
             assert key in outcome.counters
         assert outcome.counters["n_evaluations"] >= outcome.counters["n_DD"]
         assert outcome.counters["r_min_global"] <= outcome.counters["r_min_median"]
+
+
+def report_digest(ps, params, outcome) -> str:
+    doc = strip_timings(report_dict(ps, params, outcome))
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@needs_fork
+class TestHelper:
+    """Batches of _SPLIT_ROWS rows or more are split with one forked helper per cover."""
+
+    def test_split_batch_equals_the_in_process_bytes(self, forks):
+        ps, params = conjecture_setup(30, "polar")
+        directions = uniform_directions(2_500, seed=3)
+        engine = _Engine(ps, params)
+        try:
+            dis, radius = engine.evaluate_cart(directions)
+            assert engine.helper is not None and engine.helper.seconds > 0.0
+        finally:
+            engine.helper.close()
+        assert_reaped(forks)
+        expect = confidence_radii(ps.points, directions, params.d)
+        assert dis.tobytes() == expect[0].tobytes()
+        assert radius.tobytes() == expect[1].tobytes()
+        assert engine.n_eval == 2_500
+
+    def test_caller_takes_the_rows_of_a_slow_helper(self, forks, monkeypatch):
+        parent = os.getpid()
+
+        def slow_in_the_helper(points, directions, d):
+            if os.getpid() != parent:
+                time.sleep(0.2)
+            return confidence_radii(points, directions, d)
+
+        sends = []
+        send = covering._Helper._send
+
+        def counted_send(helper, rows):
+            sends.append(len(rows))
+            send(helper, rows)
+
+        monkeypatch.setattr(covering, "confidence_radii", slow_in_the_helper)
+        monkeypatch.setattr(covering._Helper, "_send", counted_send)
+        ps, params = conjecture_setup(14, "polar")
+        directions = uniform_directions(4_096, seed=4)
+        engine = _Engine(ps, params)
+        try:
+            dis, radius = engine.evaluate_cart(directions)
+        finally:
+            engine.helper.close()
+        assert_reaped(forks)
+        # The caller meets the helper's two queued chunks before the first reply.
+        assert sends == [covering._CHUNK_ROWS] * 2
+        expect = confidence_radii(ps.points, directions, params.d)
+        assert dis.tobytes() == expect[0].tobytes()
+        assert radius.tobytes() == expect[1].tobytes()
+
+    def test_polar_30_report_equals_the_in_process_one(self, forks, monkeypatch):
+        ps, params = conjecture_setup(30, "polar")
+        split = cover_region(ps, params)
+        assert_reaped(forks)
+        assert split.status == "residual"
+        assert split.timings["cover_cap_helper"] > 0.0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = cover_region(ps, params)
+        assert len(forks) == 1  # one CPU: no helper
+        assert alone.timings["cover_cap_helper"] == 0.0
+        assert split.counters == alone.counters
+        assert split.counters["n_evaluations"] == 105_578
+        assert report_digest(ps, params, split) == report_digest(ps, params, alone)
+
+    def test_covered_run_reaps_its_helper(self, forks):
+        outcome = cover_region(*conjecture_setup(14, "polar"))
+        assert outcome.status == "covered"
+        assert_reaped(forks)
+
+    def test_exception_in_cover_cap_reaps_the_helper(self, forks, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        records = covering._records
+
+        def stop_once_forked(*args):
+            if forks:
+                raise Stop
+            return records(*args)
+
+        monkeypatch.setattr(covering, "_records", stop_once_forked)
+        with pytest.raises(Stop):
+            cover_region(*conjecture_setup(14, "polar"))
+        assert_reaped(forks)
+
+    def test_helper_error_is_raised_with_its_message(self, forks, monkeypatch):
+        parent = os.getpid()
+
+        def fails_in_the_helper(points, directions, d):
+            if os.getpid() != parent:
+                raise ValueError("no kernel here")
+            return confidence_radii(points, directions, d)
+
+        monkeypatch.setattr(covering, "confidence_radii", fails_in_the_helper)
+        ps, params = conjecture_setup(14, "polar")
+        with pytest.raises(RuntimeError, match="ValueError: no kernel here"):
+            cover_region(ps, params)
+        assert_reaped(forks)
+
+    def test_no_helper_on_one_cpu_beside_a_thread_or_in_a_daemon(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert not covering._helper_allowed()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert covering._helper_allowed()
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(10,))
+        waiter.start()
+        try:
+            assert not covering._helper_allowed()
+        finally:
+            release.set()
+            waiter.join(10)
+        assert not waiter.is_alive()
+        assert covering._helper_allowed()
+        daemon = SimpleNamespace(current_process=lambda: SimpleNamespace(daemon=True))
+        monkeypatch.setitem(sys.modules, "multiprocessing", daemon)
+        assert not covering._helper_allowed()
+
+    def test_killed_helper_makes_the_next_batch_raise(self):
+        script = textwrap.dedent(
+            """
+            import os, signal
+            import numpy as np
+            from capdisc import conjecture_setup, covering
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            ps, params = conjecture_setup(14, "polar")
+            rows = np.random.default_rng(0).normal(size=(4096, 3))
+            rows /= np.linalg.norm(rows, axis=1)[:, None]
+            engine = covering._Engine(ps, params)
+            engine.evaluate_cart(rows)
+            os.kill(engine.helper.pid, signal.SIGKILL)
+            try:
+                engine.evaluate_cart(rows)
+            except RuntimeError as exc:
+                print(exc)
+            finally:
+                engine.helper.close()
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "was killed by signal 9" in proc.stdout, proc.stdout
+
+    def test_cover_ends_where_children_are_reaped_unasked(self):
+        # With SIGCHLD ignored the kernel reaps the helper itself, so waitpid finds no child.
+        script = textwrap.dedent(
+            """
+            import os, signal
+            from capdisc import conjecture_setup, cover_region
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+            outcome = cover_region(*conjecture_setup(14, "polar"))
+            print(outcome.status, outcome.timings["cover_cap_helper"] > 0.0)
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["covered", "True"]
 
 
 def test_params_validation():

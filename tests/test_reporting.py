@@ -204,6 +204,32 @@ class TestReportDocument:
         assert proc.stdout.startswith(expect), proc.stdout
         assert len(proc.stdout.splitlines()) == 1
 
+    def test_cert_digests_script_with_a_baseline(self, tmp_path):
+        # This tree stands in for the baseline: both tables must agree on all but the seconds.
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "bench.json"
+        proc = subprocess.run(
+            [sys.executable, str(root / "scripts" / "cert_digests.py"), "polar:14",
+             "--repeats", "2", "--baseline", str(root / "src"), "--out", str(out)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        parent, change = proc.stdout.splitlines()
+        assert parent.startswith("parent: polar:14 status=covered n_evaluations=9448 ")
+        assert change.startswith("change: polar:14 status=covered n_evaluations=9448 ")
+        # the same digests and counts, whatever the seconds
+        assert parent.split(" cover_s=")[0][7:] == change.split(" cover_s=")[0][7:]
+        tables = json.loads(out.read_text())["tables"]
+        assert set(tables) == {"parent", "change"}
+        rows = [tables[label]["jobs"] for label in ("parent", "change")]
+        assert [len(r) for r in rows] == [1, 1]
+        seconds = ("cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s")
+        fixed = [{k: v for k, v in r[0].items() if k not in seconds} for r in rows]
+        assert fixed[0] == fixed[1]
+        # a batch the helper splits (polar 14 has one, given 2 CPUs) counts as one call
+        assert fixed[1]["confidence_radii_calls"] == 174
+        assert "alternating with the parent table's" in tables["change"]["statistic"]
+
 
 class TestSummaryCsv:
     PS = generate_twisted_polar(4)

@@ -12,23 +12,27 @@ structure)`, writes the report, reads it back and prints the status,
   counterexample, params and points_meta), so a change that moves only a
   counter keeps it.
 
-Everything but the seconds is deterministic, so equal digests on two commits
-mean identical certificates.
+Everything but the seconds and the peak RSS is deterministic, so equal
+digests on two commits mean identical certificates.  The digests are those
+of the report schema the tree writes: a schema-1 tree and a schema-2 tree
+give different ones for the same certificate.
 
-With `--out`, also times each job `--repeats` times (one cover per repeat, in
-this process) and writes a layer table as JSON: the medians of the phase-1,
-Cover Cap and Cover Cap helper seconds, `n_evaluations`, and the number of
-batched kernel calls with their rows per call.  The calls are counted where
-the engine hands a batch to the kernel (`covering._Engine.evaluate_cart`), so
-a batch split with the Cover Cap helper counts once.  `--label` names the
-table, and an existing file keeps its other tables.
+Each repeat of a job runs in a fresh process: one cover, then the report is
+written, read back and digested.  With `--out`, each job is run `--repeats`
+times and a layer table is written as JSON: the medians of the phase-1,
+Cover Cap and Cover Cap helper seconds and of the process's peak RSS
+(`peak_rss_mb`, through the digest), the report's size in bytes,
+`n_evaluations`, and the number of batched kernel calls with their rows per
+call.  The calls are counted where the engine hands a batch to the kernel
+(`covering._Engine.evaluate_cart`), so a batch split with the Cover Cap
+helper counts once.  `--label` names the table, and an existing file keeps
+its other tables.
 
-With `--baseline SRC` (the `src/` directory of another checkout), every
-repeat is a fresh process, and the repeats of the baseline and of this tree
-alternate (baseline first in even repeats, this tree first in odd ones), so
-that host drift falls on both alike.  Each line printed starts with the
-tree's label, and `--out` gets both tables, the baseline's named
-`--baseline-label`.
+With `--baseline SRC` (the `src/` directory of another checkout), the
+repeats of the baseline and of this tree alternate (baseline first in even
+repeats, this tree first in odd ones), so that host drift falls on both
+alike.  Each line printed starts with the tree's label, and `--out` gets
+both tables, the baseline's named `--baseline-label`.
 
     python3 scripts/cert_digests.py                     # twisted 20/40/60/80, polar 30
     python3 scripts/cert_digests.py twisted:20 polar:14
@@ -40,6 +44,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import subprocess
 import sys
 import tempfile
@@ -54,7 +59,10 @@ from capdisc import conjecture_setup, covering, cover_region, read_report, strip
 DEFAULT_JOBS = ["twisted:20", "twisted:40", "twisted:60", "twisted:80", "polar:30"]
 CERT_KEYS = ("records", "not_covered", "counterexample", "params", "points_meta")
 # Row keys that are medians of the repeats; the others must agree across them.
-SECONDS = ("cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s")
+# The report's size varies by a few bytes with the digits of its timings.
+MEDIANS = (
+    "cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s", "peak_rss_mb", "report_bytes"
+)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -96,7 +104,7 @@ class BatchCalls:
 
 
 def measure(structure: str, n: int, path: Path) -> dict:
-    """One cover of the job: its digests, counters and seconds, as a table row."""
+    """One cover of the job and its report: digests, counters, seconds and sizes, as a row."""
     ps, params = conjecture_setup(n, structure)
     with BatchCalls() as kernel:
         t0 = time.perf_counter()
@@ -111,6 +119,9 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "n_evaluations": outcome.counters["n_evaluations"],
         "sha256": digest(doc),
         "cert": cert_digest(doc),
+        "report_bytes": path.stat().st_size,
+        # after the digests; ru_maxrss is in KiB on Linux, and the process ran nothing else
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
         "cover_s": cover_s,
         "phase1_s": outcome.timings["phase1"],
         "cover_cap_s": outcome.timings["cover_cap"],
@@ -142,10 +153,10 @@ def child(src: Path, structure: str, n: int) -> None:
 
 
 def summarize(runs: list) -> dict:
-    """The repeats of one job as one row: medians of the seconds, the rest checked equal."""
+    """The repeats of one job as one row: medians of the MEDIANS keys, the rest checked equal."""
     row = dict(runs[0])
     for key, value in row.items():
-        if key in SECONDS:
+        if key in MEDIANS:
             row[key] = round(median(r[key] for r in runs), 3)
         elif any(r[key] != value for r in runs):
             raise SystemExit(f"{row['job']}: {key} differs between repeats")
@@ -155,7 +166,8 @@ def summarize(runs: list) -> dict:
 def line(row: dict) -> str:
     return (
         f"{row['job']} status={row['status']} n_evaluations={row['n_evaluations']} "
-        f"sha256={row['sha256']} cert={row['cert']} cover_s={row['cover_s']:.2f}"
+        f"sha256={row['sha256']} cert={row['cert']} cover_s={row['cover_s']:.2f} "
+        f"report_bytes={row['report_bytes']} peak_rss_mb={row['peak_rss_mb']:.1f}"
     )
 
 
@@ -163,7 +175,8 @@ def write_table(path: Path, label: str, statistic: str, note: str, rows: list) -
     doc = json.loads(path.read_text()) if path.exists() else {}
     doc.setdefault(
         "benchmark",
-        "conjecture covers per job: phase 1 and Cover Cap seconds, evaluations, batched kernel calls",
+        "conjecture covers per job: phase 1 and Cover Cap seconds, evaluations, batched kernel"
+        " calls, report bytes and peak RSS",
     )
     doc.setdefault("tables", {})[label] = {
         "statistic": statistic,
@@ -204,30 +217,21 @@ def main() -> None:
         ap.error("--baseline-label must differ from --label")
 
     tables: dict = {}
-    if args.baseline is None:
-        trees = [(args.label, None)]
-        statistic = f"median of {args.repeats} covers in one process"
-    else:
-        trees = [(args.baseline_label, args.baseline), (args.label, SRC)]
-        statistic = (
-            f"median of {args.repeats} covers, each in a fresh process, alternating with the "
-            f"{{other}} table's"
-        )
-    with tempfile.TemporaryDirectory() as tmp:
-        for structure, n in args.jobs:
-            runs: dict = {label: [] for label, _ in trees}
-            for repeat in range(args.repeats):
-                for label, src in trees if repeat % 2 == 0 else trees[::-1]:
-                    if src is None:
-                        run = measure(structure, n, Path(tmp) / "report.json")
-                    else:
-                        run = measure_in_child(src, structure, n)
-                    runs[label].append(run)
-            for label, _ in trees:
-                row = summarize(runs[label])
-                tables.setdefault(label, []).append(row)
-                prefix = f"{label}: " if args.baseline is not None else ""
-                print(prefix + line(row), flush=True)
+    trees = [(args.label, SRC)]
+    statistic = f"median of {args.repeats} covers, each in a fresh process"
+    if args.baseline is not None:
+        trees.insert(0, (args.baseline_label, args.baseline))
+        statistic += ", alternating with the {other} table's"
+    for structure, n in args.jobs:
+        runs: dict = {label: [] for label, _ in trees}
+        for repeat in range(args.repeats):
+            for label, src in trees if repeat % 2 == 0 else trees[::-1]:
+                runs[label].append(measure_in_child(src, structure, n))
+        for label, _ in trees:
+            row = summarize(runs[label])
+            tables.setdefault(label, []).append(row)
+            prefix = f"{label}: " if args.baseline is not None else ""
+            print(prefix + line(row), flush=True)
     if args.out:
         labels = list(tables)
         for label, rows in tables.items():

@@ -38,7 +38,8 @@ from .discrepancy import (
 from .covering import (
     CoverOutcome,
     CoverParams,
-    CoverageRecord,
+    CoverageRecords,
+    Residuals,
     cover_cap_recurse,
     cover_region,
     orbit_intersection_latitude,

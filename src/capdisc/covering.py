@@ -29,13 +29,8 @@ from .discrepancy import (
     confidence_radius,
     project,
 )
-from .geometry import (
-    PolarDirection,
-    Region,
-    cartesian_to_polar,
-    cover_cap_centers,
-    polar_to_cartesian,
-)
+from .geometry import PolarDirection, Region, cover_cap_centers, polar_to_cartesian
+from .geometry import cartesian_to_polar  # noqa: F401  capbench traces this lookup site
 from .pointsets import PointSet
 
 
@@ -61,20 +56,41 @@ class CoverParams:
             raise ValueError("bound d must lie in (0, 1]")
 
 
-@dataclass
-class CoverageRecord:
-    direction: PolarDirection
-    radius: float
-    directed_value: float
-    origin: str  # "orbit" | "cover_cap"
+# A record's origin code i names the phase that certified it, ORIGINS[i].
+ORIGINS = ("orbit", "cover_cap")
+ORBIT, COVER_CAP = range(len(ORIGINS))
+
+
+@dataclass(eq=False)
+class CoverageRecords:
+    """Certified balls B(center, radius), a row each; `center` holds the engine's own vectors."""
+
+    center: np.ndarray
+    radius: np.ndarray
+    directed_value: np.ndarray
+    origin: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.center)
+
+
+@dataclass(eq=False)
+class Residuals:
+    """Balls B(center, required_radius) that were not certified, one row per ball."""
+
+    center: np.ndarray
+    required_radius: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.center)
 
 
 @dataclass
 class CoverOutcome:
     status: str  # "covered" | "counterexample" | "residual"
-    records: list[CoverageRecord]
+    records: CoverageRecords
     counterexample: DirectedResult | None
-    not_covered: list[tuple[PolarDirection, float]]
+    not_covered: Residuals
     counters: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
 
@@ -126,16 +142,16 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int, rescue: bool = 
     0 is its own direction, whose value a child takes from its parent.  A
     center whose radius reaches half the node's requirement is a record, a
     shorter one a child node or, once `depth` levels are used up, a residual
-    (direction, still-required-radius) pair.
+    ball (direction, still-required radius).
 
     The trees grow level by level over all seeds at once, in array slices of
     at most _LEVEL_SLICE nodes, and give the result of a depth-first walk
     seed by seed: records and residuals keep its order, `witness` is None or
     the (direction, directed_value) of its first violation, and only the
     seeds before the witness's give records and residuals.  Returns
-    (witness, records, residual, counts), `counts` the COVER_CAP_COUNTERS:
-    nodes rescued or expanded, levels grown, rescue candidates evaluated and
-    nodes rescued.
+    (witness, records, residual, counts): CoverageRecords of origin
+    cover_cap, Residuals, and the COVER_CAP_COUNTERS: nodes rescued or
+    expanded, levels grown, rescue candidates evaluated and nodes rescued.
     """
     centers = np.asarray(centers, dtype=float).reshape(-1, 3)
     seeds = len(centers)
@@ -143,8 +159,10 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int, rescue: bool = 
     # and paths, the center slot taken at each level above: (seed, path) sorts in walk order.
     req = np.asarray(required_r, dtype=float).reshape(-1)
     level = [centers, req, None, np.arange(seeds), np.zeros((seeds, depth + 1), dtype=np.uint8)]
-    # Records and residuals as (seed, path, entries) parts.
-    out = SimpleNamespace(records=[], residual=[], counts=dict.fromkeys(COVER_CAP_COUNTERS, 0))
+    # Records and residuals as (seed, path, center, radius[, dis]) parts, an empty one first.
+    counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
+    empty = (np.arange(0), level[4][:0], np.zeros((0, 3)), np.zeros(0))
+    out = SimpleNamespace(records=[(*empty, empty[3])], residual=[empty], counts=counts)
     witness, left = None, depth
     while len(level[0]):
         out.counts["cover_cap_levels"] += 1
@@ -160,26 +178,20 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int, rescue: bool = 
         left -= 1
 
     settled = witness[2] if witness is not None else seeds
-    records, residual = _walk_order(out.records, settled), _walk_order(out.residual, settled)
+    center, radius, dis = _walk_order(out.records, settled)
+    records = CoverageRecords(center, radius, dis, np.full(len(dis), COVER_CAP, np.uint8))
+    residual = Residuals(*_walk_order(out.residual, settled))
     return None if witness is None else witness[:2], records, residual, out.counts
 
 
 def _walk_order(parts: list, settled: int) -> list:
-    """Entries of the (seed, path, entries) parts of seeds before `settled`, in walk order."""
-    if not parts:
-        return []
-    seed, path = (np.concatenate(a) for a in list(zip(*parts))[:2])
-    entries = [entry for part in parts for entry in part[2]]
+    """Columns of the (seed, path, *columns) parts, for seeds before `settled`, in walk order."""
+    seed, path, *columns = (np.concatenate(a) for a in zip(*parts))
     keep = np.flatnonzero(seed < settled)
     # Paths are prefix-free (a slot holds a record, a residual or a child,
     # never two), so padding them with zeros keeps the walk's order.
     order = keep[np.lexsort((*path[keep].T[::-1], seed[keep]))]
-    return [entries[i] for i in order.tolist()]
-
-
-def _records(directions: np.ndarray, radii: np.ndarray, dis: np.ndarray) -> list:
-    rows = zip(directions.tolist(), radii.tolist(), dis.tolist())
-    return [CoverageRecord(cartesian_to_polar(u), r, dis_u, "cover_cap") for u, r, dis_u in rows]
+    return [a[order] for a in columns]
 
 
 def _settle_nodes(evaluate, nodes, left: int, rescue: bool, children: list, out):
@@ -207,7 +219,7 @@ def _settle_nodes(evaluate, nodes, left: int, rescue: bool, children: list, out)
             hit = r_u >= reach[todo, j]
             won = todo[hit]
             rescued[won] = True
-            out.records.append((seed[won], path[won], _records(u[hit], r_u[hit], dis[hit])))
+            out.records.append((seed[won], path[won], u[hit], r_u[hit], dis[hit]))
 
     expand = np.flatnonzero(~rescued[:live])
     out.counts["rescue_hits"] += int(rescued.sum())
@@ -234,14 +246,13 @@ def _settle_nodes(evaluate, nodes, left: int, rescue: bool, children: list, out)
     paths[:, :, path.shape[1] - 1 - left] = np.arange(8)
     need = np.broadcast_to(req[expand, None] / 2.0, dis.shape)
     rec = seen & (r_c >= need)
-    out.records.append((seeds[rec], paths[rec], _records(c[rec], r_c[rec], dis[rec])))
+    out.records.append((seeds[rec], paths[rec], c[rec], r_c[rec], dis[rec]))
     rest = seen & ~rec
     if left > 0:
         own_rest = np.column_stack((dis[rest], r_c[rest]))
         children.append((c[rest], need[rest], own_rest, seeds[rest], paths[rest]))
     else:
-        pairs = [(cartesian_to_polar(u), n) for u, n in zip(c[rest].tolist(), need[rest].tolist())]
-        out.residual.append((seeds[rest], paths[rest], pairs))
+        out.residual.append((seeds[rest], paths[rest], c[rest], need[rest]))
     return dead
 
 
@@ -497,9 +508,9 @@ class _Engine:
         self.n_eval = 0
         self.n_cc = 0
         self.n_orbits = 0
-        self.records: list[CoverageRecord] = []
-        self.cannot_cover: list[tuple[np.ndarray, float]] = []
-        self.not_covered: list[tuple[PolarDirection, float]] = []
+        self.orbit: list[tuple[np.ndarray, float, float]] = []  # (center, radius, Dis) per ball
+        self.cannot_cover: list[tuple[np.ndarray, float]] = []  # (center, r_min), for Cover Cap
+        self.stranded: list[tuple[np.ndarray, float]] = []  # (center, required radius) of phase 1
         self.r_min_per_orbit: list[float] = []
         self._closeout_attempts = 0
         self.helper: _Helper | None = None
@@ -507,12 +518,14 @@ class _Engine:
 
     # -- direction evaluation -------------------------------------------------
 
-    def evaluate(self, theta: float, phi: float):
-        """(directed_value, radius) of one direction; raises HypothesisViolation."""
+    def orbit_ball(self, theta: float, phi: float):
+        """Evaluate and record one phase-1 ball: (direction, radius); raises HypothesisViolation."""
         self.n_eval += 1
         v = polar_to_cartesian(PolarDirection(theta, phi))
         ball = confidence_radius(project(self.ps, v), self.params.d)
-        return ball.directed_value, ball.radius
+        self.n_dd += 1
+        self.orbit.append((v, ball.radius, ball.directed_value))
+        return v, ball.radius
 
     def evaluate_cart(self, directions: np.ndarray):
         """(directed_value, radius) arrays of the rows; radius nan where the hypothesis fails."""
@@ -580,17 +593,12 @@ class _Engine:
         spans = False
         theta = reg.theta_min
         while True:
-            dis, r_v = self.evaluate(theta, phi)
-            self.n_dd += 1
+            v, r_v = self.orbit_ball(theta, phi)
             eff = r_v
             if r_v < r_min:
-                direction = PolarDirection(theta, phi)
-                self.cannot_cover.append((polar_to_cartesian(direction), r_min))
+                self.cannot_cover.append((v, r_min))
                 self.n_cc += 1
                 eff = r_min
-            self.records.append(
-                CoverageRecord(PolarDirection(theta, phi), r_v, dis, "orbit")
-            )
             balls.append((theta, eff))
             if eff > 2.0 * math.cos(phi):
                 spans = True
@@ -685,29 +693,30 @@ class _Engine:
         try:
             self._phase1()
         except HypothesisViolation as exc:
-            counterexample = DirectedResult(
-                exc.direction, exc.directed_value, math.nan, True
-            )
+            counterexample = DirectedResult(exc.direction, exc.directed_value, math.nan, True)
         phase1_s = time.perf_counter() - t0
+
+        center, radius, dis = _columns(self.orbit, 3)
+        records = [CoverageRecords(center, radius, dis, np.full(len(dis), ORBIT, np.uint8))]
+        not_covered = [Residuals(*_columns(self.stranded, 2))]
 
         t1 = time.perf_counter()
         cover_cap = dict.fromkeys(COVER_CAP_COUNTERS, 0)
         if counterexample is None:
             witness, recs, resid, cover_cap = cover_cap_recurse(
-                self.evaluate_cart,
-                np.array([v for v, _ in self.cannot_cover]),
-                np.array([req for _, req in self.cannot_cover]),
-                self.params.cover_cap_max_depth,
+                self.evaluate_cart, *_columns(self.cannot_cover, 2), self.params.cover_cap_max_depth
             )
-            self.records.extend(recs)
-            self.not_covered.extend(resid)
+            records.append(recs)
+            not_covered.append(resid)
             if witness is not None:
                 counterexample = DirectedResult(witness[0], witness[1], math.nan, True)
         cover_cap_s = time.perf_counter() - t1
+        records = CoverageRecords(*_concat(records))  # phase 1's rows, then Cover Cap's
+        not_covered = Residuals(*_concat(not_covered))
 
         if counterexample is not None:
             status = "counterexample"
-        elif self.not_covered:
+        elif len(not_covered):
             status = "residual"
         else:
             status = "covered"
@@ -715,22 +724,16 @@ class _Engine:
         # The global minimum is pinned to the orbit at the pole-side region
         # edge, where the gap d - Dis vanishes by construction; the median
         # orbit radius is the scale that actually sets the sweep density.
-        r_min_median = (
-            float(np.median(self.r_min_per_orbit))
-            if self.r_min_per_orbit
-            else math.nan
-        )
+        r_min_median = float(np.median(self.r_min_per_orbit)) if self.r_min_per_orbit else math.nan
         return CoverOutcome(
             status=status,
-            records=self.records,
+            records=records,
             counterexample=counterexample,
-            not_covered=self.not_covered,
+            not_covered=not_covered,
             counters={
                 "n_DD": self.n_dd,
                 "n_CC": self.n_cc,
-                "n_cover_cap_dirs": sum(
-                    1 for rec in self.records if rec.origin == "cover_cap"
-                ),
+                "n_cover_cap_dirs": int(np.count_nonzero(records.origin == COVER_CAP)),
                 "n_evaluations": self.n_eval,
                 "n_orbits": self.n_orbits,
                 "r_min_global": r_min_global,
@@ -754,11 +757,7 @@ class _Engine:
         if phi >= math.pi / 2 - 1e-12:
             # The ring formulas divide by cos(phi); cover the pole with a
             # single ball and resume at the latitude it certifies.
-            dis, r = self.evaluate(0.0, math.pi / 2)
-            self.n_dd += 1
-            self.records.append(
-                CoverageRecord(PolarDirection(0.0, math.pi / 2), r, dis, "orbit")
-            )
+            _, r = self.orbit_ball(0.0, math.pi / 2)
             lowest_covered = math.pi / 2 - 2.0 * math.asin(min(1.0, r / 2.0))
             phi = lowest_covered
             if lowest_covered <= reg.phi_min:
@@ -791,9 +790,8 @@ class _Engine:
             else:
                 retries += 1
                 if retries > 50:
-                    self.not_covered.append(
-                        (PolarDirection(reg.theta_min, lowest_covered), r_min)
-                    )
+                    v = polar_to_cartesian(PolarDirection(reg.theta_min, lowest_covered))
+                    self.stranded.append((v, r_min))
                     return
                 phi = 0.5 * (phi + lowest_covered)
                 refine = False
@@ -835,6 +833,17 @@ class _Engine:
         self.r_min_per_orbit.append(r_close)
         band_lo, band_hi = self.walk_orbit(phi_c, r_close)
         return band_lo <= phi_min + 1e-12 and band_hi >= lowest_covered - 1e-12
+
+
+def _columns(rows: list, width: int) -> list[np.ndarray]:
+    """The (m, 3) centers and (m,) values of `width`-tuples (center, value, ...), as new arrays."""
+    center, *values = list(zip(*rows)) or [()] * width
+    return [np.array(center, dtype=float).reshape(-1, 3), *map(np.array, values)]
+
+
+def _concat(tables: list) -> list[np.ndarray]:
+    """Each column of the same-typed tables, joined in order."""
+    return [np.concatenate(col) for col in zip(*(vars(t).values() for t in tables))]
 
 
 def cover_region(ps: PointSet, params: CoverParams) -> CoverOutcome:

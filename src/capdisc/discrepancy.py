@@ -69,8 +69,8 @@ def project(ps: PointSet, v: np.ndarray) -> ProjectionProfile:
 
 @functools.lru_cache(maxsize=8)
 def _cap_counts(t: int) -> np.ndarray:
-    """Read-only (2, t) inclusive and exclusive cap fractions, (t - i)/t and (t - 1 - i)/t."""
-    frac = np.arange(t, -1, -1) / t
+    """Read-only (2, t) doubled cap fractions 2(t - i)/t and 2(t - 1 - i)/t, incl. and excl."""
+    frac = 2.0 * (np.arange(t, -1, -1) / t)
     counts = np.stack([frac[:-1], frac[1:]])
     counts.flags.writeable = False
     return counts
@@ -90,7 +90,7 @@ def _sweep(s: np.ndarray) -> np.ndarray:
     """
     t = s.shape[0]
     counts = _cap_counts(t).reshape((2, t) + (1,) * (s.ndim - 1))
-    return np.abs(counts - (1.0 - s) / 2.0)
+    return np.abs(counts - (1.0 - s)) * 0.5
 
 
 def directed_discrepancy(profile: ProjectionProfile) -> DirectedResult:
@@ -162,15 +162,16 @@ def _dis(s: np.ndarray):
 
     _sweep's maximum without its (2, t) temporary: incl >= excl and rounding
     is monotone, so the larger deviation at s_i is incl - area or
-    area - excl, and IEEE subtraction is exact under negation.
+    area - excl, and IEEE subtraction is exact under negation.  Both are
+    taken doubled, against 2 area = 1 - s, and the maximum halved: doubling
+    commutes with rounding, so these are the bits of halving 1 - s first.
     """
-    incl, excl = _cap_counts(s.shape[-1])
-    area = np.subtract(1.0, s)
-    area *= 0.5  # exact: (1 - s) lies in [0, 2], so halving equals dividing by 2
-    dev = np.subtract(incl, area)
-    np.subtract(area, excl, out=area)
-    np.maximum(dev, area, out=dev)
-    return _max(dev, axis=-1)
+    incl2, excl2 = _cap_counts(s.shape[-1])
+    twice_area = np.subtract(1.0, s)
+    dev = np.subtract(incl2, twice_area)
+    np.subtract(twice_area, excl2, out=twice_area)
+    np.maximum(dev, twice_area, out=dev)
+    return _max(dev, axis=-1) * 0.5
 
 
 def _radii(s: np.ndarray, d: float) -> tuple[list[float], list[int], list[float]]:

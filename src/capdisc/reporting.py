@@ -14,15 +14,24 @@ from pathlib import Path
 
 import numpy as np
 
-from .covering import BINARY_SEARCH_TOL, ORBIT_SAMPLE_COUNT, R_MIN_FACTOR, CoverOutcome, CoverParams
+from .covering import BINARY_SEARCH_TOL, ORBIT_SAMPLE_COUNT, ORIGINS, R_MIN_FACTOR
+from .covering import CoverOutcome, CoverParams
 from .discrepancy import directed_values
-from .geometry import PolarDirection, Region
+from .geometry import Region
 from .geometry import polar_to_cartesian  # noqa: F401  capbench traces this lookup site
 from .pointsets import PointSet
 
-SCHEMA_VERSION = 1
+# Version 2 writes a ball as a row with its Cartesian centre; version 1 is still read.
+SCHEMA_VERSION = 2
+RECORD_FIELDS = ("x", "y", "z", "radius", "directed_value", "origin")
 
 SUMMARY_HEADER = ["n", "t", "n_DD", "n_CC", "phase1_s", "cover_cap_s", "total_s", "d", "status"]
+
+
+def _rows(table) -> list[tuple]:
+    """A tuple per table row: centre x, y, z, then the other columns (lists hold 4 MB more)."""
+    center, *columns = vars(table).values()
+    return list(zip(*center.T.tolist(), *(column.tolist() for column in columns)))
 
 
 def report_dict(ps: PointSet, params: CoverParams, outcome: CoverOutcome) -> dict:
@@ -57,24 +66,10 @@ def report_dict(ps: PointSet, params: CoverParams, outcome: CoverOutcome) -> dic
             },
             "timings": {k: float(v) for k, v in outcome.timings.items()},
         },
-        "records": [
-            {
-                "theta": float(rec.direction.theta),
-                "phi": float(rec.direction.phi),
-                "radius": float(rec.radius),
-                "directed_value": float(rec.directed_value),
-                "origin": rec.origin,
-            }
-            for rec in outcome.records
-        ],
-        "not_covered": [
-            {
-                "theta": float(pd.theta),
-                "phi": float(pd.phi),
-                "required_radius": float(req),
-            }
-            for pd, req in outcome.not_covered
-        ],
+        "record_fields": list(RECORD_FIELDS),
+        "origins": list(ORIGINS),
+        "records": _rows(outcome.records),
+        "not_covered": _rows(outcome.not_covered),  # x, y, z, required_radius
     }
     if outcome.counterexample is not None:
         ce = outcome.counterexample
@@ -91,13 +86,16 @@ def write_report(path, ps: PointSet, params: CoverParams, outcome: CoverOutcome)
     `json.dumps` without `indent` runs json's C encoder; `indent` or
     `json.dump` would fall back to the pure-Python one.  A non-finite float
     raises ValueError instead of writing NaN or Infinity, which are not JSON.
+    The newline is written apart: appending it would copy the whole text.
     """
-    Path(path).write_text(json.dumps(report_dict(ps, params, outcome), allow_nan=False) + "\n")
+    with open(path, "w") as fh:
+        print(json.dumps(report_dict(ps, params, outcome), allow_nan=False), file=fh)
 
 
 def read_report(path) -> dict:
+    """The report as written, of schema version 1 or 2; raises ValueError on any other."""
     doc = json.loads(Path(path).read_text())
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if doc.get("schema_version") not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported report schema: {doc.get('schema_version')!r}")
     return doc
 
@@ -162,22 +160,21 @@ def upsert_summary_row(
             writer.writerow(rows[k])
 
 
-def _unit_vectors(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """(count, 3) cartesian directions of longitudes theta and latitudes phi."""
-    cos_phi = np.cos(phi)
-    return np.stack([cos_phi * np.cos(theta), cos_phi * np.sin(theta), np.sin(phi)], axis=1)
-
-
 def sample_region_directions(region: Region, count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform (area-weighted) directions inside a polar rectangle, (count, 3)."""
     theta = rng.uniform(region.theta_min, region.theta_max, count)
     # Uniform on the sphere means sin(phi) uniform on [sin(phi_min), sin(phi_max)].
     z = rng.uniform(math.sin(region.phi_min), math.sin(region.phi_max), count)
-    return _unit_vectors(theta, np.arcsin(np.clip(z, -1.0, 1.0)))
+    phi = np.arcsin(np.clip(z, -1.0, 1.0))
+    cos_phi = np.cos(phi)
+    return np.stack([cos_phi * np.cos(theta), cos_phi * np.sin(theta), np.sin(phi)], axis=1)
 
 
 # Probes per block of the coverage test; sorted by z, a block meets few balls.
 _AUDIT_BLOCK = 128
+# Balls tested against a block at a time.  A block next to the equator of
+# plain polar n=30 meets up to 28k balls, whose distances at once held 90 MB.
+_AUDIT_BALLS = 1024
 # Widening of each ball's z-interval.  The test accepts a computed chord^2
 # <= r^2 + 1e-30 whose rounding is a few ulps of 4 (< 1e-14), so an accepted
 # probe lies within sqrt(r^2 + 1e-14) < r + 1e-7 of the centre.
@@ -201,13 +198,11 @@ def _uncovered_count(probes: np.ndarray, centers: np.ndarray, radii: np.ndarray)
     for start in range(0, len(probes), _AUDIT_BLOCK):
         block = probes[start : start + _AUDIT_BLOCK]
         near = np.flatnonzero((lo <= block[-1, 2]) & (hi >= block[0, 2]))
-        # chord distance probe->center <= radius, via squared norms
-        d2 = (
-            np.sum(block * block, axis=1)[:, None]
-            - 2.0 * block @ centers[near].T
-            + c2[near][None, :]
-        )
-        hit = (d2 <= r2[near][None, :]).any(axis=1)
+        hit = np.zeros(len(block), dtype=bool)
+        for balls in np.split(near, range(_AUDIT_BALLS, len(near), _AUDIT_BALLS)):
+            # chord distance probe->center <= radius, via squared norms
+            d2 = np.sum(block * block, axis=1)[:, None] - 2.0 * block @ centers[balls].T + c2[balls]
+            hit |= (d2 <= r2[balls]).any(axis=1)
         uncovered += int((~hit).sum())
     return uncovered
 
@@ -226,7 +221,8 @@ def audit_coverage(
     violations.  Residual outcomes can still be audited: the probes are
     checked against whatever balls were certified, so a run whose only gap
     is a measure-zero singular direction passes with probability one.
-    The coverage test holds the distances of one probe block at a time.
+    The coverage test holds the distances of one probe block to at most
+    _AUDIT_BALLS balls at a time.
     Each probe's directed value is the engine's for that direction, bit for
     bit, and `directed_values` holds one 64 KB chunk of projections at a time.
     """
@@ -235,14 +231,7 @@ def audit_coverage(
     rng = np.random.default_rng(seed)
     probes = sample_region_directions(params.region, probe_count, rng)
 
-    # np.cos/np.sin may place a centre an ulp from polar_to_cartesian's; that
-    # changes a verdict only for a probe within about 1e-16 of a boundary.
-    angles = np.array(
-        [(rec.direction.theta, rec.direction.phi, rec.radius) for rec in outcome.records]
-    ).reshape(-1, 3)
-    centers = _unit_vectors(angles[:, 0], angles[:, 1])
-    radii = angles[:, 2]
-    uncovered = _uncovered_count(probes, centers, radii)
+    uncovered = _uncovered_count(probes, outcome.records.center, outcome.records.radius)
 
     over_bound = int((directed_values(ps.points, probes) > params.d).sum())
     return {

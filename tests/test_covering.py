@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import time
+import tracemalloc
 from statistics import median
 from types import SimpleNamespace
 
@@ -17,10 +18,13 @@ from hypothesis import strategies as st
 
 from capdisc import covering
 from capdisc.covering import (
+    COVER_CAP,
     COVER_CAP_COUNTERS,
+    ORBIT,
     BallSpansOrbit,
-    CoverageRecord,
+    CoverageRecords,
     CoverParams,
+    Residuals,
     _band_test,
     _Engine,
     _rescue_candidates,
@@ -36,13 +40,7 @@ from capdisc.discrepancy import (
     directed_values,
     project,
 )
-from capdisc.geometry import (
-    PolarDirection,
-    Region,
-    cartesian_to_polar,
-    cover_cap_centers,
-    polar_to_cartesian,
-)
+from capdisc.geometry import PolarDirection, Region, cover_cap_centers, polar_to_cartesian
 from capdisc.pointsets import generate_random_uniform, generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
 from capdisc.reporting import report_dict, strip_timings
@@ -177,7 +175,7 @@ def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None, cou
                 raise HypothesisViolation(u, dis, math.nan)
             if r_u >= reach:
                 counts["rescue_hits"] += 1
-                return [CoverageRecord(cartesian_to_polar(u), r_u, dis, "cover_cap")], []
+                return [(u, r_u, dis)], []
     records, residual = [], []
     for i, c in enumerate(cover_cap_centers(v, required_r)):
         if i == 0 and own is not None:
@@ -188,7 +186,7 @@ def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None, cou
             raise HypothesisViolation(c, dis, math.nan)
         need = required_r / 2.0
         if r_c >= need:
-            records.append(CoverageRecord(cartesian_to_polar(c), r_c, dis, "cover_cap"))
+            records.append((c, r_c, dis))
         elif depth > 0:
             recs, resid = reference_recurse(
                 evaluate, c, need, depth - 1, rescue, (dis, r_c), counts, level + 1
@@ -196,7 +194,7 @@ def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None, cou
             records.extend(recs)
             residual.extend(resid)
         else:
-            residual.append((cartesian_to_polar(c), need))
+            residual.append((c, need))
     return records, residual
 
 
@@ -208,24 +206,52 @@ def reference_cover_cap(evaluate, centers, required_r, depth, rescue=True):
     """
     records, residual = [], []
     counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
+    witness = None
     for v, req in zip(centers, required_r):
         try:
             recs, resid = reference_recurse(evaluate, v, float(req), depth, rescue, None, counts)
         except HypothesisViolation as exc:
-            return (exc.direction, exc.directed_value), records, residual, counts
+            witness = (exc.direction, exc.directed_value)
+            break
         records.extend(recs)
         residual.extend(resid)
-    return None, records, residual, counts
+    return witness, records_table(cover_cap=records), residual_table(residual), counts
+
+
+def records_table(orbit=(), cover_cap=()):
+    """CoverageRecords of (center, radius, Dis) rows: the orbit ones, then the cover_cap ones."""
+    rows = [*orbit, *cover_cap]
+    return CoverageRecords(
+        np.array([c for c, _, _ in rows], dtype=float).reshape(-1, 3),
+        np.array([r for _, r, _ in rows], dtype=float),
+        np.array([x for _, _, x in rows], dtype=float),
+        np.array([ORBIT] * len(orbit) + [COVER_CAP] * len(cover_cap), dtype=np.uint8),
+    )
+
+
+def residual_table(rows):
+    """Residuals of (center, required radius) rows."""
+    return Residuals(
+        np.array([c for c, _ in rows], dtype=float).reshape(-1, 3),
+        np.array([r for _, r in rows], dtype=float),
+    )
+
+
+def same_table(got, expect) -> bool:
+    """Tables of one type whose columns hold the same dtypes, shapes and bytes."""
+    return type(got) is type(expect) and all(
+        (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        for a, b in zip(vars(got).values(), vars(expect).values())
+    )
 
 
 def same_result(got, expect):
-    """Equal Cover Cap results: repr for the lists, bytes for the witness.
+    """Equal Cover Cap results: bytes for the tables and the witness.
 
     The counts are compared only without a witness: a batched level also
     evaluates nodes that the one-at-a-time walk never reaches after it.
     """
-    # A bool, not the strings: pytest would diff megabytes of repr on a failure.
-    same_entries = repr(got[1:3]) == repr(expect[1:3])
+    same_entries = same_table(got[1], expect[1]) and same_table(got[2], expect[2])
     assert same_entries, "records or residuals differ from the reference walk"
     assert (got[0] is None) == (expect[0] is None)
     if expect[0] is not None:
@@ -360,8 +386,7 @@ class TestCoverCapRecurse:
         assert witness is None
         assert len(residual) == 8
         assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1, 1)
-        for _, req in residual:
-            assert math.isclose(req, 0.2)
+        assert residual.required_radius.tolist() == [0.2] * 8
 
     def test_recursion_halves_requirement(self):
         seen = []
@@ -394,7 +419,7 @@ class TestCoverCapRecurse:
         )
         assert witness is None and not residual
         assert len(records) == 1
-        assert records[0].origin == "cover_cap"
+        assert records.origin.tolist() == [COVER_CAP]
         assert counts["rescue_hits"] == counts["cover_cap_nodes"] == 1
         assert 1 <= counts["rescue_tries"] <= len(reference_rescue_candidates(v, 1e-4))
 
@@ -543,22 +568,19 @@ class TestCounterexampleInCoverCap:
         return cover_region(self.PS, self.PARAMS)
 
     def phase1(self, monkeypatch):
-        """(records, queue) of phase 1 under the keyed evaluator."""
+        """((center, radius, Dis) rows, queue) of phase 1 under the keyed evaluator."""
         evaluate = keyed_evaluator({}, self.DEFAULT)
         monkeypatch.setattr(_Engine, "evaluate_cart", lambda engine, dirs: evaluate(dirs))
         engine = _Engine(self.PS, self.PARAMS)
         engine._phase1()
         assert len(engine.cannot_cover) >= 10
         assert all(req == 0.1 for _, req in engine.cannot_cover[:10])
-        return engine.records, engine.cannot_cover
+        return engine.orbit, engine.cannot_cover
 
     @staticmethod
     def seed_records(seed):
-        """The 8 records of a seed whose centers all pass."""
-        return [
-            CoverageRecord(cartesian_to_polar(c), 0.2, 0.01, "cover_cap")
-            for c in cover_cap_centers(seed, 0.1)
-        ]
+        """The (center, radius, Dis) rows of the 8 records of a seed whose centers all pass."""
+        return [(c, 0.2, 0.01) for c in cover_cap_centers(seed, 0.1)]
 
     def seed_five_violation(self, queue):
         return cover_cap_centers(queue[5][0], 0.1)[2]
@@ -572,10 +594,10 @@ class TestCounterexampleInCoverCap:
             assert outcome.status == "counterexample"
             assert outcome.counterexample.direction.tobytes() == direction.tobytes()
             assert outcome.counterexample.value == value
-            assert repr(outcome.records) == repr(records)
+            assert same_table(outcome.records, records)
             assert not outcome.not_covered
-            assert repr(outcome.records) == repr(expect.records)
-            assert repr(outcome.not_covered) == repr(expect.not_covered)
+            assert same_table(outcome.records, expect.records)
+            assert same_table(outcome.not_covered, expect.not_covered)
             witness = outcome.counterexample.direction.tobytes()
             assert witness == expect.counterexample.direction.tobytes()
             assert outcome.counterexample.value == expect.counterexample.value
@@ -596,15 +618,15 @@ class TestCounterexampleInCoverCap:
             deepest[4].tobytes(): (0.7, math.nan),
             self.seed_five_violation(queue).tobytes(): (0.9, math.nan),
         }
-        records = phase1_records + self.seed_records(queue[0][0]) + self.seed_records(queue[1][0])
-        self.check(monkeypatch, special, records, deepest[4], 0.7)
+        seeds = self.seed_records(queue[0][0]) + self.seed_records(queue[1][0])
+        self.check(monkeypatch, special, records_table(phase1_records, seeds), deepest[4], 0.7)
 
     def test_violation_at_depth_zero(self, monkeypatch):
         phase1_records, queue = self.phase1(monkeypatch)
         violation = self.seed_five_violation(queue)
         special = {violation.tobytes(): (0.9, math.nan)}
-        records = phase1_records + [rec for v, _ in queue[:5] for rec in self.seed_records(v)]
-        self.check(monkeypatch, special, records, violation, 0.9)
+        seeds = [rec for v, _ in queue[:5] for rec in self.seed_records(v)]
+        self.check(monkeypatch, special, records_table(phase1_records, seeds), violation, 0.9)
 
     @needs_fork
     def test_split_batches_give_the_same_counterexample(self, monkeypatch, forks):
@@ -622,7 +644,7 @@ class TestCounterexampleInCoverCap:
         assert_reaped(forks)
         assert outcome.status == "counterexample"
         assert outcome.counterexample.direction.tobytes() == violation.tobytes()
-        assert repr(outcome.records) == repr(expect.records)
+        assert same_table(outcome.records, expect.records)
         # the keyed evaluate_cart of `expect` does not count evaluations
         del outcome.counters["n_evaluations"], expect.counters["n_evaluations"]
         assert outcome.counters == expect.counters
@@ -640,8 +662,8 @@ class TestCounterexampleInCoverCap:
             top[1].tobytes(): (0.01, 0.75 * 0.05),
             cover_cap_centers(top[1], 0.05)[2].tobytes(): (0.8, math.nan),
         }
-        records = phase1_records + [rec for v, _ in queue[:5] for rec in self.seed_records(v)]
-        self.check(monkeypatch, special, records, violation, 0.9)
+        seeds = [rec for v, _ in queue[:5] for rec in self.seed_records(v)]
+        self.check(monkeypatch, special, records_table(phase1_records, seeds), violation, 0.9)
 
 
 class TestBandTest:
@@ -719,8 +741,7 @@ class TestCoverRegion:
         assert outcome.counters["n_DD"] > 0
         assert outcome.counters["n_CC"] <= outcome.counters["n_DD"]
         # Every certified ball satisfies the hypothesis with the 1/t slack.
-        dirs = np.array([polar_to_cartesian(r.direction) for r in outcome.records])
-        vals = directed_values(ps.points, dirs)
+        vals = directed_values(ps.points, outcome.records.center)
         assert (vals <= d - 1.0 / ps.size + 1e-12).all()
 
     def test_tiny_bound_reports_counterexample(self):
@@ -788,6 +809,21 @@ class TestCoverRegion:
             "rescue_hits": 70,
         }
         assert counters["n_evaluations"] == 9448
+
+    def test_outcome_holds_at_most_64_bytes_per_record(self):
+        # The columns take 41 bytes a record (centre 24, radius 8, Dis 8,
+        # origin 1); a Python object per record would take about 300.
+        ps, params = conjecture_setup(14, "polar")
+        cover_region(ps, params)  # warm the caches and imports a first cover fills
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            outcome = cover_region(ps, params)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(outcome.records) == 5872
+        assert retained <= 64 * len(outcome.records), retained / len(outcome.records)
 
     def test_counters_structure(self):
         ps = generate_twisted_polar(9)
@@ -887,14 +923,14 @@ class TestHelper:
         class Stop(Exception):
             pass
 
-        records = covering._records
+        walk_order = covering._walk_order
 
         def stop_once_forked(*args):
             if forks:
                 raise Stop
-            return records(*args)
+            return walk_order(*args)
 
-        monkeypatch.setattr(covering, "_records", stop_once_forked)
+        monkeypatch.setattr(covering, "_walk_order", stop_once_forked)
         with pytest.raises(Stop):
             cover_region(*conjecture_setup(14, "polar"))
         assert_reaped(forks)

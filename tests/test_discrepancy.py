@@ -14,6 +14,7 @@ from capdisc.discrepancy import (
     SizeLimitExceeded,
     _candidate_axes,
     _cap_counts,
+    _dis,
     _radii,
     _slab_width,
     _sweep,
@@ -143,7 +144,7 @@ class TestKernel:
             counts[0, 0] = 0.5
         with pytest.raises(ValueError):
             counts.reshape(2, 5, 1)[1, 0, 0] = 0.5
-        assert _cap_counts(5)[0, 0] == 1.0
+        assert _cap_counts(5)[0, 0] == 2.0  # doubled: 2 (t - 0)/t
 
     def test_directed_value_is_the_sweep_maximum(self):
         # t = 2, tied projections (polar sets along their axes) and random
@@ -160,7 +161,7 @@ class TestKernel:
             profiles += [project(ps, v) for v in uniform_directions(3, seed=t)]
         for prof in profiles:
             t = prof.size
-            expect = np.arange(t, -1, -1) / t
+            expect = 2.0 * (np.arange(t, -1, -1) / t)
             assert _cap_counts(t).tolist() == [expect[:-1].tolist(), expect[1:].tolist()]
             assert confidence_radius(prof, 2.0).directed_value == float(_sweep(prof.values).max())
 
@@ -206,6 +207,39 @@ class TestBatchedKernel:
                     assert np.float64(r_v).tobytes() == np.float64(ball.radius).tobytes()
                 assert directed_values(ps.points, dirs[:m]).tobytes() == dis.tobytes()
             assert (flagged > 0) == (d < 2.0)
+
+
+def reference_dis(s):
+    """Dis of sorted rows as _dis took it with undoubled counts: halve 1 - s, then compare."""
+    t = s.shape[-1]
+    frac = np.arange(t, -1, -1) / t
+    area = np.subtract(1.0, s)
+    area *= 0.5
+    return np.maximum(frac[:-1] - area, area - frac[1:]).max(axis=-1)
+
+
+def tied_rows(t, rng):
+    """(m, t) sorted rows: uniform ones, ones snapped to grids of 2 to 64 steps (runs
+    of ties), ones with runs at the ends -1 and 1, and constant ones."""
+    rows = [np.sort(rng.uniform(-1.0, 1.0, (24, t)), axis=1)]
+    for steps in (2, 5, 64):
+        rows.append(np.round(rows[0][:8] * steps) / steps)
+    ends = np.sort(rng.choice([-1.0, 1.0, 0.25], (8, t)), axis=1)
+    rows += [ends, np.full((1, t), -1.0), np.full((1, t), 1.0), np.zeros((1, t))]
+    return np.vstack(rows)
+
+
+@pytest.mark.parametrize("t", [2, 441, 994, 7057])
+def test_doubled_sweep_equals_the_halved_one_bit_for_bit(t):
+    rows = tied_rows(t, np.random.default_rng(t))
+    tied = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+    assert tied.sum() >= (3 if t == 2 else 20)  # at t = 2 the constant rows at least
+    expect = reference_dis(rows)
+    assert _dis(rows).tobytes() == expect.tobytes()
+    # A chunk of 8 rows, as confidence_radii sends at t = 994, and single rows.
+    assert _dis(rows[:8]).tobytes() == expect[:8].tobytes()
+    for row, value in zip(rows, expect.tolist()):
+        assert np.float64(_dis(row)).tobytes() == np.float64(value).tobytes()
 
 
 def mixed_block(t, rng):

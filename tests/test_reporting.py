@@ -4,15 +4,16 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from capdisc import reporting
-from capdisc.covering import CoverOutcome, CoverParams, cover_region
+from capdisc.covering import CoverageRecords, CoverOutcome, CoverParams, Residuals, cover_region
 from capdisc.discrepancy import confidence_radius, directed_values, project
-from capdisc.geometry import Region, polar_to_cartesian
+from capdisc.geometry import PolarDirection, Region, cartesian_to_polar, polar_to_cartesian
 from capdisc.pointsets import generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
 from capdisc.reporting import (
@@ -26,6 +27,9 @@ from capdisc.reporting import (
     upsert_summary_row,
     write_report,
 )
+
+# The report that the schema-1 writer gave for the residual_run fixture's cover.
+V1_RESIDUAL_RUN = Path(__file__).resolve().parent / "data" / "residual_run_v1.json"
 
 
 @pytest.fixture(scope="module")
@@ -81,8 +85,7 @@ def reject_constant(name):
 def dense_audit(ps, params, outcome, probe_count, seed):
     """Reference audit: every probe against every ball, one dense block at a time."""
     probes = sample_region_directions(params.region, probe_count, np.random.default_rng(seed))
-    centers = np.array([polar_to_cartesian(r.direction) for r in outcome.records]).reshape(-1, 3)
-    radii = np.array([r.radius for r in outcome.records], dtype=float)
+    centers, radii = outcome.records.center, outcome.records.radius
     uncovered = 0
     over_bound = 0
     for start in range(0, probe_count, 2048):
@@ -99,12 +102,13 @@ def dense_audit(ps, params, outcome, probe_count, seed):
 
 
 def drop_every_third(outcome):
-    records = [rec for i, rec in enumerate(outcome.records) if i % 3 != 2]
+    keep = np.arange(len(outcome.records)) % 3 != 2
+    records = CoverageRecords(*(column[keep] for column in vars(outcome.records).values()))
     return dataclasses.replace(outcome, records=records)
 
 
 def halve_radii(outcome):
-    records = [dataclasses.replace(rec, radius=rec.radius / 2.0) for rec in outcome.records]
+    records = dataclasses.replace(outcome.records, radius=outcome.records.radius / 2.0)
     return dataclasses.replace(outcome, records=records)
 
 
@@ -160,6 +164,52 @@ class TestReportDocument:
         with pytest.raises(ValueError):
             read_report(path)
 
+    def test_reads_schema_one_and_refuses_three(self, tmp_path):
+        doc = read_report(V1_RESIDUAL_RUN)
+        assert doc["schema_version"] == 1 and len(doc["records"]) == 627
+        doc["schema_version"] = 3
+        path = tmp_path / "v3.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="unsupported report schema: 3"):
+            read_report(path)
+
+    def test_rows_match_the_schema_one_records(self, residual_run, tmp_path):
+        # Orbit centres are polar_to_cartesian of the stored angles, and Cover
+        # Cap and residual centres give the stored angles under
+        # cartesian_to_polar, bit for bit; all else is equal, in order.
+        ps, params, outcome = residual_run
+        old = read_report(V1_RESIDUAL_RUN)
+        write_report(tmp_path / "report.json", ps, params, outcome)
+        new = read_report(tmp_path / "report.json")
+        assert new["schema_version"] == SCHEMA_VERSION == 2
+        assert new["record_fields"] == ["x", "y", "z", "radius", "directed_value", "origin"]
+        assert new["origins"] == ["orbit", "cover_cap"]
+        for key in ("params", "points_meta"):
+            assert new[key] == old[key]
+        assert strip_timings(new)["outcome"] == strip_timings(old)["outcome"]  # status, counters
+        assert "counterexample" not in new and "counterexample" not in old
+
+        def bits(*values):
+            return np.array(values, dtype=float).tobytes()
+
+        origins = [rec["origin"] for rec in old["records"]]
+        assert [origins.count(o) for o in ("orbit", "cover_cap")] == [471, 156]
+        assert len(new["records"]) == len(old["records"])
+        for rec, (x, y, z, radius, dis, origin) in zip(old["records"], new["records"]):
+            assert type(origin) is int and new["origins"][origin] == rec["origin"]
+            assert bits(radius, dis) == bits(rec["radius"], rec["directed_value"])
+            center, angles = np.array([x, y, z]), (rec["theta"], rec["phi"])
+            if rec["origin"] == "orbit":
+                assert polar_to_cartesian(PolarDirection(*angles)).tobytes() == center.tobytes()
+            else:
+                polar = cartesian_to_polar(center)
+                assert bits(polar.theta, polar.phi) == bits(*angles)
+        assert len(new["not_covered"]) == len(old["not_covered"]) == 12
+        for entry, (x, y, z, required) in zip(old["not_covered"], new["not_covered"]):
+            assert bits(required) == bits(entry["required_radius"])
+            polar = cartesian_to_polar(np.array([x, y, z]))
+            assert bits(polar.theta, polar.phi) == bits(entry["theta"], entry["phi"])
+
     def test_deterministic_modulo_timings(self, small_run):
         ps, params, outcome = small_run
         again = cover_region(ps, params)
@@ -203,6 +253,12 @@ class TestReportDocument:
         )
         assert proc.stdout.startswith(expect), proc.stdout
         assert len(proc.stdout.splitlines()) == 1
+        # the size of the schema-2 report, but for the digits of its timings, and the peak
+        # RSS of the fresh process that wrote it
+        size = len(json.dumps(report_dict(ps, params, outcome), allow_nan=False)) + 1
+        written = proc.stdout.split(" report_bytes=")[1].split(" peak_rss_mb=")
+        assert abs(int(written[0]) - size) < 50
+        assert float(written[1]) > 10.0
 
     def test_cert_digests_script_with_a_baseline(self, tmp_path):
         # This tree stands in for the baseline: both tables must agree on all but the seconds.
@@ -223,9 +279,12 @@ class TestReportDocument:
         assert set(tables) == {"parent", "change"}
         rows = [tables[label]["jobs"] for label in ("parent", "change")]
         assert [len(r) for r in rows] == [1, 1]
-        seconds = ("cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s")
-        fixed = [{k: v for k, v in r[0].items() if k not in seconds} for r in rows]
+        medians = ("cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s", "peak_rss_mb")
+        medians += ("report_bytes",)  # its timings' digits vary
+        fixed = [{k: v for k, v in r[0].items() if k not in medians} for r in rows]
         assert fixed[0] == fixed[1]
+        assert abs(rows[0][0]["report_bytes"] - rows[1][0]["report_bytes"]) < 50
+        assert rows[1][0]["peak_rss_mb"] > 10.0
         # a batch the helper splits (polar 14 has one, given 2 CPUs) counts as one call
         assert fixed[1]["confidence_radii_calls"] == 174
         assert "alternating with the parent table's" in tables["change"]["statistic"]
@@ -310,6 +369,31 @@ class TestAudit:
             if doctor is not None:
                 assert result["uncovered"] > 0
 
+    @pytest.mark.parametrize("run", ["small_run", "polar14_run"])
+    def test_balls_tested_in_small_steps_give_the_dense_audit(self, run, request, monkeypatch):
+        monkeypatch.setattr(reporting, "_AUDIT_BALLS", 7)
+        ps, params, outcome = request.getfixturevalue(run)
+        for doctor in (None, drop_every_third, halve_radii):
+            doctored = outcome if doctor is None else doctor(outcome)
+            result = audit_coverage(ps, params, doctored, probe_count=3000, seed=0)
+            assert result == dense_audit(ps, params, doctored, 3000, 0)
+
+    def test_a_crowded_block_is_tested_in_bounded_steps(self):
+        # 30k tiny balls on the equator all meet the block of probes nearest
+        # z = 0; tested at once, their distances would take 3 x 31 MB.
+        theta = np.linspace(0.0, 1.0, 30_000)
+        centers = np.column_stack((np.cos(theta), np.sin(theta), np.zeros_like(theta)))
+        region = Region(-0.01, 0.01, 0.0, 1.0)
+        probes = sample_region_directions(region, 512, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            uncovered = reporting._uncovered_count(probes, centers, np.full(30_000, 1e-5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert uncovered == 512
+        assert peak < 8_000_000, peak
+
     def test_probe_values_equal_the_engine_bit_for_bit(self):
         # t = 994 puts 8 rows in a chunk, so 30 probes span four chunks.
         ps, params = conjecture_setup(30, structure="polar")
@@ -320,7 +404,8 @@ class TestAudit:
 
     def test_outcome_without_records_leaves_every_probe_uncovered(self, small_run):
         ps, params, _ = small_run
-        empty = CoverOutcome("residual", [], None, [])
+        records = CoverageRecords(np.zeros((0, 3)), np.zeros(0), np.zeros(0), np.zeros(0, np.uint8))
+        empty = CoverOutcome("residual", records, None, Residuals(np.zeros((0, 3)), np.zeros(0)))
         result = audit_coverage(ps, params, empty, probe_count=500, seed=0)
         assert result == {"probes": 500, "uncovered": 500, "over_bound": 0}
 

@@ -10,7 +10,10 @@ structure)`, writes the report, reads it back and prints the status,
   included;
 - `cert=`: the same over the certificate alone (status, records, not_covered,
   counterexample, params and points_meta), so a change that moves only a
-  counter keeps it.
+  counter keeps it;
+- `balls=`: the same over the schema-2 `records` rows and `not_covered`
+  rows, each sorted lexicographically, so two trees that list the same
+  balls in different orders print the same one.
 
 Everything but the seconds and the peak RSS is deterministic, so equal
 digests on two commits mean identical certificates.  The digests are those
@@ -83,6 +86,10 @@ def cert_digest(doc: dict) -> str:
     return digest(cert)
 
 
+def balls_digest(doc: dict) -> str:
+    return digest([sorted(doc["records"]), sorted(doc["not_covered"])])
+
+
 class BatchCalls:
     """Counts the batches the engine evaluates, and their rows, while installed."""
 
@@ -119,6 +126,7 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "n_evaluations": outcome.counters["n_evaluations"],
         "sha256": digest(doc),
         "cert": cert_digest(doc),
+        "balls": balls_digest(doc),
         "report_bytes": path.stat().st_size,
         # after the digests; ru_maxrss is in KiB on Linux, and the process ran nothing else
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
@@ -166,8 +174,9 @@ def summarize(runs: list) -> dict:
 def line(row: dict) -> str:
     return (
         f"{row['job']} status={row['status']} n_evaluations={row['n_evaluations']} "
-        f"sha256={row['sha256']} cert={row['cert']} cover_s={row['cover_s']:.2f} "
-        f"report_bytes={row['report_bytes']} peak_rss_mb={row['peak_rss_mb']:.1f}"
+        f"sha256={row['sha256']} cert={row['cert']} balls={row['balls']} "
+        f"cover_s={row['cover_s']:.2f} report_bytes={row['report_bytes']} "
+        f"peak_rss_mb={row['peak_rss_mb']:.1f}"
     )
 
 

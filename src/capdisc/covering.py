@@ -18,7 +18,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from statistics import median
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,6 +53,9 @@ class CoverParams:
     def __post_init__(self):
         if not 0.0 < self.d <= 1.0:
             raise ValueError("bound d must lie in (0, 1]")
+        depth = self.cover_cap_max_depth
+        if not isinstance(depth, (int, np.integer)) or depth < 0:
+            raise ValueError(f"cover_cap_max_depth must be an integer >= 0, got {depth!r}")
 
 
 # A record's origin code i names the phase that certified it, ORIGINS[i].
@@ -131,129 +133,103 @@ _LEVEL_SLICE = 1024
 COVER_CAP_COUNTERS = ("cover_cap_nodes", "cover_cap_levels", "rescue_tries", "rescue_hits")
 
 
-def cover_cap_recurse(evaluate, centers, required_r, depth: int, rescue: bool = True):
+def cover_cap_recurse(evaluate, centers, required_r, depth: int):
     """Certify each ball B(centers[i], required_r[i]) with a tree of half-radius balls.
 
-    `evaluate` maps an (m, 3) array of directions to arrays (directed_value,
-    radius), the radius nan where the hypothesis Dis + 1/t <= d fails.  With
-    `rescue` (default) a node is first offered its _rescue_candidates in
-    order: the first whose radius contains the whole node ball certifies it
-    as one record.  Otherwise it evaluates its 8 `cover_cap_centers`; center
-    0 is its own direction, whose value a child takes from its parent.  A
-    center whose radius reaches half the node's requirement is a record, a
-    shorter one a child node or, once `depth` levels are used up, a residual
-    ball (direction, still-required radius).
+    `centers` is an (m, 3) array and `required_r` an (m,) one.  `evaluate`
+    maps an (m, 3) array of directions to arrays (directed_value, radius),
+    the radius nan where the hypothesis Dis + 1/t <= d fails.  A node is
+    first offered its _rescue_candidates in order: the first whose radius
+    contains the whole node ball certifies it as one record.  Otherwise it
+    evaluates its 8 `cover_cap_centers`; center 0 is its own direction,
+    whose value a child takes from its parent.  A center whose radius
+    reaches half the node's requirement is a record, a shorter one a child
+    node or, once `depth` levels are used up, a residual ball (direction,
+    still-required radius).
 
-    The trees grow level by level over all seeds at once, in array slices of
-    at most _LEVEL_SLICE nodes, and give the result of a depth-first walk
-    seed by seed: records and residuals keep its order, `witness` is None or
-    the (direction, directed_value) of its first violation, and only the
-    seeds before the witness's give records and residuals.  Returns
-    (witness, records, residual, counts): CoverageRecords of origin
-    cover_cap, Residuals, and the COVER_CAP_COUNTERS: nodes rescued or
-    expanded, levels grown, rescue candidates evaluated and nodes rescued.
+    The trees grow level by level over all seeds at once, in slices of at
+    most _LEVEL_SLICE nodes: one kernel call per rescue round, then one for
+    the centers.  Records and residuals are listed in the order settled.
+    The first call to return a nan radius ends growth: its first such row
+    is the witness (direction, directed_value), and only the rows of
+    earlier calls are kept.  Returns (witness or None, CoverageRecords of
+    origin cover_cap, Residuals, counts): the COVER_CAP_COUNTERS are nodes
+    rescued or expanded, levels grown, rescue candidates evaluated and
+    nodes rescued.
     """
-    centers = np.asarray(centers, dtype=float).reshape(-1, 3)
-    seeds = len(centers)
-    # A level: directions, required radii, own (dis, radius) rows (None for the seeds), seeds
-    # and paths, the center slot taken at each level above: (seed, path) sorts in walk order.
-    req = np.asarray(required_r, dtype=float).reshape(-1)
-    level = [centers, req, None, np.arange(seeds), np.zeros((seeds, depth + 1), dtype=np.uint8)]
-    # Records and residuals as (seed, path, center, radius[, dis]) parts, an empty one first.
+    level = [centers, required_r, None]  # directions, required radii, own (dis, radius) rows
+    records = [(np.zeros((0, 3)), np.zeros(0), np.zeros(0))]  # (center, radius, dis) parts
+    residual = [(np.zeros((0, 3)), np.zeros(0))]  # (center, required radius) parts
     counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
-    empty = (np.arange(0), level[4][:0], np.zeros((0, 3)), np.zeros(0))
-    out = SimpleNamespace(records=[(*empty, empty[3])], residual=[empty], counts=counts)
     witness, left = None, depth
-    while len(level[0]):
-        out.counts["cover_cap_levels"] += 1
-        children: list = []
-        for lo in range(0, len(level[0]), _LEVEL_SLICE):
-            nodes = [None if a is None else a[lo : lo + _LEVEL_SLICE] for a in level]
-            found = _settle_nodes(evaluate, nodes, left, rescue, children, out)
-            if found is not None:
-                # The rest of the level, and every node it would add, comes after it.
-                witness = found
-                break
-        level = [np.concatenate(parts) for parts in zip(*children)] if children else [()]
-        left -= 1
+    try:
+        while len(level[0]):
+            counts["cover_cap_levels"] += 1
+            children: list = []
+            for lo in range(0, len(level[0]), _LEVEL_SLICE):
+                nodes = [None if a is None else a[lo : lo + _LEVEL_SLICE] for a in level]
+                _settle_nodes(evaluate, nodes, left, children, records, residual, counts)
+            level = [np.concatenate(parts) for parts in zip(*children)] if children else [()]
+            left -= 1
+    except HypothesisViolation as exc:
+        witness = exc.direction, exc.directed_value
 
-    settled = witness[2] if witness is not None else seeds
-    center, radius, dis = _walk_order(out.records, settled)
+    center, radius, dis = (np.concatenate(a) for a in zip(*records))
     records = CoverageRecords(center, radius, dis, np.full(len(dis), COVER_CAP, np.uint8))
-    residual = Residuals(*_walk_order(out.residual, settled))
-    return None if witness is None else witness[:2], records, residual, out.counts
+    residual = Residuals(*(np.concatenate(a) for a in zip(*residual)))
+    return witness, records, residual, counts
 
 
-def _walk_order(parts: list, settled: int) -> list:
-    """Columns of the (seed, path, *columns) parts, for seeds before `settled`, in walk order."""
-    seed, path, *columns = (np.concatenate(a) for a in zip(*parts))
-    keep = np.flatnonzero(seed < settled)
-    # Paths are prefix-free (a slot holds a record, a residual or a child,
-    # never two), so padding them with zeros keeps the walk's order.
-    order = keep[np.lexsort((*path[keep].T[::-1], seed[keep]))]
-    return [a[order] for a in columns]
+def _settle_nodes(evaluate, nodes, left: int, children, records, residual, counts) -> None:
+    """Settle one slice of a level's nodes, appending their records, residuals and children.
 
-
-def _settle_nodes(evaluate, nodes, left: int, rescue: bool, children: list, out):
-    """Settle one slice of a level's nodes, in order, appending their children's parts.
-
-    Stops at the slice's first violation in depth-first order and returns it
-    as (direction, directed_value, seed); returns None when there is none.
+    Raises HypothesisViolation, before it settles the rows of the call, at
+    the first kernel call that returns a nan radius.
     """
-    v, req, own, seed, path = nodes
+    v, req, own = nodes
+    counts["cover_cap_nodes"] += len(v)
     rescued = np.zeros(len(v), dtype=bool)
-    live, dead = len(v), None  # nodes from the first rescue violation on are not settled
-    if rescue:
-        cand, reach = _rescue_candidates(v, req)
-        for j in range(reach.shape[1]):
-            todo = np.flatnonzero(~rescued[:live] & ~np.isnan(reach[:live, j]))
-            if not todo.size:
-                continue
-            u = cand[todo, j]
-            dis, r_u = evaluate(u)
-            out.counts["rescue_tries"] += len(todo)
-            nan = np.flatnonzero(np.isnan(r_u))
-            if nan.size:  # a rescue after it in the slice serves a seed that gives no records
-                i = nan[0]
-                live, dead = todo[i], (u[i], float(dis[i]), int(seed[todo[i]]))
-            hit = r_u >= reach[todo, j]
-            won = todo[hit]
-            rescued[won] = True
-            out.records.append((seed[won], path[won], u[hit], r_u[hit], dis[hit]))
+    cand, reach = _rescue_candidates(v, req)
+    for j in range(reach.shape[1]):
+        todo = np.flatnonzero(~rescued & ~np.isnan(reach[:, j]))
+        if not todo.size:
+            continue
+        u = cand[todo, j]
+        counts["rescue_tries"] += len(todo)
+        dis, r_u = _checked(evaluate, u)
+        hit = r_u >= reach[todo, j]
+        rescued[todo[hit]] = True
+        records.append((u[hit], r_u[hit], dis[hit]))
 
-    expand = np.flatnonzero(~rescued[:live])
-    out.counts["rescue_hits"] += int(rescued.sum())
-    out.counts["cover_cap_nodes"] += int(rescued.sum()) + len(expand)
+    expand = np.flatnonzero(~rescued)
+    counts["rescue_hits"] += len(v) - len(expand)
     if not expand.size:
-        return dead
+        return
     c = cover_cap_centers(v[expand], req[expand])
     if own is None:
-        dis, r_c = (a.reshape(-1, 8) for a in evaluate(c.reshape(-1, 3)))
+        dis, r_c = (a.reshape(-1, 8) for a in _checked(evaluate, c.reshape(-1, 3)))
     else:
         # A child's center 0 is its own direction, already evaluated by its parent.
-        values = evaluate(c[:, 1:].reshape(-1, 3))
+        values = _checked(evaluate, c[:, 1:].reshape(-1, 3))
         dis, r_c = (np.column_stack((o, a.reshape(-1, 7))) for o, a in zip(own[expand].T, values))
 
-    # Only the centers before the slice's first violation, in walk order, are settled.
-    seen = np.ones(dis.shape, dtype=bool)
-    nan = np.flatnonzero(np.isnan(r_c))
-    if nan.size:
-        k, i = divmod(int(nan[0]), 8)
-        dead = (c[k, i], float(dis[k, i]), int(seed[expand[k]]))
-        seen.flat[nan[0] :] = False
-    seeds = np.broadcast_to(seed[expand, None], dis.shape)
-    paths = np.repeat(path[expand, None], 8, axis=1)
-    paths[:, :, path.shape[1] - 1 - left] = np.arange(8)
     need = np.broadcast_to(req[expand, None] / 2.0, dis.shape)
-    rec = seen & (r_c >= need)
-    out.records.append((seeds[rec], paths[rec], c[rec], r_c[rec], dis[rec]))
-    rest = seen & ~rec
+    rec = r_c >= need
+    records.append((c[rec], r_c[rec], dis[rec]))
+    rest = ~rec
     if left > 0:
-        own_rest = np.column_stack((dis[rest], r_c[rest]))
-        children.append((c[rest], need[rest], own_rest, seeds[rest], paths[rest]))
+        children.append((c[rest], need[rest], np.column_stack((dis[rest], r_c[rest]))))
     else:
-        out.residual.append((seeds[rest], paths[rest], c[rest], need[rest]))
-    return dead
+        residual.append((c[rest], need[rest]))
+
+
+def _checked(evaluate, directions: np.ndarray):
+    """evaluate(directions); raises HypothesisViolation at the first row whose radius is nan."""
+    dis, radius = evaluate(directions)
+    nan = np.flatnonzero(np.isnan(radius))
+    if nan.size:
+        raise HypothesisViolation(directions[nan[0]], float(dis[nan[0]]), math.nan)
+    return dis, radius
 
 
 _CRATER_PLANE_NORMALS = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -316,21 +292,21 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
         denom = cos_p * cos_q
         num = cos_r - sin_p * sin_q
         if denom <= 0.0:
-            return bool((num <= 0.0).any()) or theta_lo >= reach
+            return bool((num <= 0.0).any())
         q = num / denom
         if q.min() <= -1.0:
             return True  # a ball reaches psi at every longitude
         # The balls with q < 1 reach psi on [center - w, center + w]; psi is
-        # covered if the running end reaches theta_hi before a start opens a gap.
+        # covered if an end reaches theta_hi before a start opens a gap.
         near = q < 1.0
         w = np.arccos(q[near])
         starts = centers[near] - w
         order = np.argsort(starts, kind="stable")
         ends = (centers[near] + w)[order]
         cur = np.maximum.accumulate(np.concatenate(([theta_lo], ends)))
-        done = np.flatnonzero(cur[1:] >= reach)
+        done = np.flatnonzero(ends >= reach)
         if not done.size:
-            return theta_lo >= reach  # true only with no intervals at all
+            return False
         k = done[0] + 1
         return not (starts[order[:k]] > cur[:k] + 1e-12).any()
 

@@ -95,6 +95,8 @@ def write_report(path, ps: PointSet, params: CoverParams, outcome: CoverOutcome)
 def read_report(path) -> dict:
     """The report as written, of schema version 1 or 2; raises ValueError on any other."""
     doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"a report is a JSON object, not {type(doc).__name__}")
     if doc.get("schema_version") not in (1, SCHEMA_VERSION):
         raise ValueError(f"unsupported report schema: {doc.get('schema_version')!r}")
     return doc

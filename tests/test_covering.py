@@ -43,7 +43,7 @@ from capdisc.discrepancy import (
 from capdisc.geometry import PolarDirection, Region, cover_cap_centers, polar_to_cartesian
 from capdisc.pointsets import generate_random_uniform, generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
-from capdisc.reporting import report_dict, strip_timings
+from capdisc.reporting import audit_coverage, report_dict, strip_timings
 from conftest import uniform_directions
 
 
@@ -71,11 +71,10 @@ def reference_covered(phi, balls, theta_lo, theta_hi, psi) -> bool:
     for s, e in intervals:
         if s > cur + 1e-12:
             return False
-        if e > cur:
-            cur = e
-        if cur >= theta_hi - 1e-12:
+        if e >= theta_hi - 1e-12:
             return True
-    return cur >= theta_hi - 1e-12
+        cur = max(cur, e)
+    return False
 
 
 def reference_band_test(phi, balls, theta_lo, theta_hi):
@@ -156,7 +155,7 @@ def rescue_rows(u, reach):
     return [(u_j, float(r_j)) for u_j, r_j in zip(u, reach) if not math.isnan(r_j)]
 
 
-def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None, counts=None, level=0):
+def reference_recurse(evaluate, v, required_r, depth, own=None, counts=None, level=0):
     """Cover Cap evaluating one direction at a time, recursing before the next.
 
     `own` is v's (dis, radius) when the caller has evaluated v: center 0 is v
@@ -167,15 +166,14 @@ def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None, cou
     counts = dict.fromkeys(COVER_CAP_COUNTERS, 0) if counts is None else counts
     counts["cover_cap_nodes"] += 1
     counts["cover_cap_levels"] = max(counts["cover_cap_levels"], level + 1)
-    if rescue:
-        for u, reach in reference_rescue_candidates(v, required_r):
-            counts["rescue_tries"] += 1
-            (dis,), (r_u,) = (a.tolist() for a in evaluate(u[None, :]))
-            if math.isnan(r_u):
-                raise HypothesisViolation(u, dis, math.nan)
-            if r_u >= reach:
-                counts["rescue_hits"] += 1
-                return [(u, r_u, dis)], []
+    for u, reach in reference_rescue_candidates(v, required_r):
+        counts["rescue_tries"] += 1
+        (dis,), (r_u,) = (a.tolist() for a in evaluate(u[None, :]))
+        if math.isnan(r_u):
+            raise HypothesisViolation(u, dis, math.nan)
+        if r_u >= reach:
+            counts["rescue_hits"] += 1
+            return [(u, r_u, dis)], []
     records, residual = [], []
     for i, c in enumerate(cover_cap_centers(v, required_r)):
         if i == 0 and own is not None:
@@ -189,7 +187,7 @@ def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None, cou
             records.append((c, r_c, dis))
         elif depth > 0:
             recs, resid = reference_recurse(
-                evaluate, c, need, depth - 1, rescue, (dis, r_c), counts, level + 1
+                evaluate, c, need, depth - 1, (dis, r_c), counts, level + 1
             )
             records.extend(recs)
             residual.extend(resid)
@@ -198,24 +196,19 @@ def reference_recurse(evaluate, v, required_r, depth, rescue=True, own=None, cou
     return records, residual
 
 
-def reference_cover_cap(evaluate, centers, required_r, depth, rescue=True):
+def reference_cover_cap(evaluate, centers, required_r, depth):
     """`cover_cap_recurse` as a seed-by-seed loop over reference_recurse.
 
-    A violation ends the loop; the seeds settled before it give the records
-    and residuals, as in an engine that recurses one seed at a time.
+    A violation raises HypothesisViolation; otherwise the result has no
+    witness and lists the rows in the order of a depth-first walk.
     """
     records, residual = [], []
     counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
-    witness = None
     for v, req in zip(centers, required_r):
-        try:
-            recs, resid = reference_recurse(evaluate, v, float(req), depth, rescue, None, counts)
-        except HypothesisViolation as exc:
-            witness = (exc.direction, exc.directed_value)
-            break
+        recs, resid = reference_recurse(evaluate, v, float(req), depth, None, counts)
         records.extend(recs)
         residual.extend(resid)
-    return witness, records_table(cover_cap=records), residual_table(residual), counts
+    return None, records_table(cover_cap=records), residual_table(residual), counts
 
 
 def records_table(orbit=(), cover_cap=()):
@@ -245,20 +238,19 @@ def same_table(got, expect) -> bool:
     )
 
 
-def same_result(got, expect):
-    """Equal Cover Cap results: bytes for the tables and the witness.
+def sorted_rows(table) -> bytes:
+    """The bytes of a table's rows, its columns side by side as floats, sorted lexicographically."""
+    rows = np.column_stack(list(vars(table).values())).astype(float)
+    return rows[np.lexsort(rows.T[::-1])].tobytes()
 
-    The counts are compared only without a witness: a batched level also
-    evaluates nodes that the one-at-a-time walk never reaches after it.
-    """
-    same_entries = same_table(got[1], expect[1]) and same_table(got[2], expect[2])
-    assert same_entries, "records or residuals differ from the reference walk"
-    assert (got[0] is None) == (expect[0] is None)
-    if expect[0] is not None:
-        assert got[0][0].tobytes() == expect[0][0].tobytes()
-        assert got[0][1] == expect[0][1]
-    else:
-        assert got[3] == expect[3]
+
+def same_result(got, expect):
+    """Equal Cover Cap results without a witness: the same rows in any order, the same counts."""
+    assert got[0] is None and expect[0] is None
+    assert type(got[1]) is type(expect[1]) and type(got[2]) is type(expect[2])
+    assert sorted_rows(got[1]) == sorted_rows(expect[1]), "records differ from the reference"
+    assert sorted_rows(got[2]) == sorted_rows(expect[2]), "residuals differ from the reference"
+    assert got[3] == expect[3]
 
 
 def rowwise(evaluate_one):
@@ -360,6 +352,12 @@ def one_seed(v, required_r):
     return np.asarray(v, dtype=float)[None, :], np.array([required_r])
 
 
+# A seed with |y| = |z| = 0.577 > 2 x 0.25: no node of its tree is near a
+# crater plane, so none has a rescue candidate.
+CLEAR_SEED = np.ones(3) / np.linalg.norm(np.ones(3))
+CLEAR_REQ = 0.25
+
+
 class TestCoverCapRecurse:
     def test_all_centers_pass(self):
         calls = []
@@ -369,10 +367,10 @@ class TestCoverCapRecurse:
             return 0.01, 1.0
 
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 1, rescue=False
+            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 1
         )
         assert witness is None
-        assert len(records) == 8
+        assert len(records) == len(calls) == 8
         assert not residual
         assert counts == dict(cover_cap_nodes=1, cover_cap_levels=1, rescue_tries=0, rescue_hits=0)
 
@@ -381,12 +379,12 @@ class TestCoverCapRecurse:
             return 0.01, 1e-9
 
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 0, rescue=False
+            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 0
         )
         assert witness is None
         assert len(residual) == 8
         assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1, 1)
-        assert residual.required_radius.tolist() == [0.2] * 8
+        assert residual.required_radius.tolist() == [0.125] * 8
 
     def test_recursion_halves_requirement(self):
         seen = []
@@ -397,7 +395,7 @@ class TestCoverCapRecurse:
             return 0.01, (0.1 if len(seen) <= 8 else 1.0)
 
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed([0.0, 0.0, 1.0], 0.4), 2, rescue=False
+            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 2
         )
         assert witness is None and not residual
         # 8 centers, then 7 per child: each child's center 0 is its parent's center.
@@ -415,7 +413,7 @@ class TestCoverCapRecurse:
         v = np.array([1.0, 0.0, 1e-6])
         v /= np.linalg.norm(v)
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed(v, 1e-4), 0, rescue=True
+            rowwise(evaluate), *one_seed(v, 1e-4), 0
         )
         assert witness is None and not residual
         assert len(records) == 1
@@ -436,49 +434,68 @@ class TestCoverCapRecurse:
         before = engine.n_eval
         got = cover_cap_recurse(engine.evaluate_cart, seeds, required, depth)
         batched_evals = engine.n_eval - before
-        # repr tells -0.0 from 0.0 and a numpy scalar from a float
         same_result(got, reference_cover_cap(engine.evaluate_cart, seeds, required, depth))
-        assert got[0] is None
         assert engine.n_eval - before == 2 * batched_evals
 
+    def test_level_slices_do_not_change_the_rows_or_counts(self, monkeypatch):
+        ps, params = conjecture_setup(14, "polar")
+        engine = _Engine(ps, params)
+        engine._phase1()
+        seeds, required = (np.array(col) for col in zip(*engine.cannot_cover))
+        depth = params.cover_cap_max_depth
+        expect = reference_cover_cap(engine.evaluate_cart, seeds, required, depth)
+        assert expect[3]["rescue_hits"] > 0 and expect[3]["cover_cap_levels"] > 3
+        for level_slice in (1024, 3):
+            monkeypatch.setattr(covering, "_LEVEL_SLICE", level_slice)
+            same_result(cover_cap_recurse(engine.evaluate_cart, seeds, required, depth), expect)
+
     def test_violation_deep_under_center_zero_is_the_witness(self):
-        # Center 0 and child 2 below it are short, and grandchild 4 violates;
-        # center 5 of the top level violates too, but is walked later.
-        v = np.array([0.0, 0.0, 1.0])
-        top = cover_cap_centers(v, 0.4)
-        child = cover_cap_centers(top[0], 0.2)
-        grandchild = cover_cap_centers(child[2], 0.1)
+        # Center 0 and child 2 below it are short, and grandchild 4 violates
+        # at level 2.  Center 5 and a center below it are short too, and a
+        # center of level 2 under them violates as well, but in a later row
+        # of the same kernel call.  Levels 0 and 1 give their records.
+        top = cover_cap_centers(CLEAR_SEED, CLEAR_REQ)
+        child = cover_cap_centers(top[0], 0.125)
+        grandchild = cover_cap_centers(child[2], 0.0625)
+        five = cover_cap_centers(top[5], 0.125)
         special = {
             top[0].tobytes(): (0.01, 0.0),
             child[2].tobytes(): (0.01, 0.0),
             grandchild[4].tobytes(): (0.7, math.nan),
-            top[5].tobytes(): (0.9, math.nan),
+            top[5].tobytes(): (0.01, 0.0),
+            five[3].tobytes(): (0.01, 0.0),
+            cover_cap_centers(five[3], 0.0625)[1].tobytes(): (0.9, math.nan),
         }
-        self.assert_same_witness(keyed_evaluator(special), v, grandchild[4], 0.7)
+        kept = [c for i, c in enumerate(top) if i not in (0, 5)]
+        kept += [c for i, c in enumerate(child) if i not in (0, 2)]
+        kept += [c for i, c in enumerate(five) if i not in (0, 3)]
+        records = records_table(cover_cap=[(c, 1.0, 0.01) for c in kept])
+        self.assert_witness(keyed_evaluator(special), grandchild[4], 0.7, records)
 
     def test_violation_at_center_five_is_the_witness(self):
-        # Center 2 recurses and is settled before center 5 violates; center 6
-        # violates as well, but after it.
-        v = np.array([0.6, 0.0, 0.8])
-        top = cover_cap_centers(v, 0.4)
+        # Center 2 is short, and would recurse after its level; center 5
+        # violates in the level's kernel call, and center 6 as well, after it.
+        top = cover_cap_centers(CLEAR_SEED, CLEAR_REQ)
         special = {
             top[2].tobytes(): (0.01, 0.0),
             top[5].tobytes(): (0.8, math.nan),
             top[6].tobytes(): (0.9, math.nan),
         }
-        self.assert_same_witness(keyed_evaluator(special), v, top[5], 0.8)
+        self.assert_witness(keyed_evaluator(special), top[5], 0.8, records_table())
 
     def test_nothing_under_the_witness_is_expanded(self):
         # A child made of the violating center 5 would report it again as its
         # own center 0, so only the work done tells that none was made.
-        v = np.array([0.6, 0.0, 0.8])
-        evaluate = keyed_evaluator({cover_cap_centers(v, 0.4)[5].tobytes(): (0.8, math.nan)})
-        counts = cover_cap_recurse(evaluate, *one_seed(v, 0.4), 3, rescue=False)[3]
+        top = cover_cap_centers(CLEAR_SEED, CLEAR_REQ)
+        evaluate = keyed_evaluator({top[5].tobytes(): (0.8, math.nan)})
+        counts = cover_cap_recurse(evaluate, *one_seed(CLEAR_SEED, CLEAR_REQ), 3)[3]
         assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1, 1)
+        assert counts["rescue_tries"] == 0
 
     def test_rescue_violation_of_an_earlier_seed_is_the_witness(self):
-        # Seed 1's first rescue candidate violates in round 0, seed 0's second
-        # one only in round 1; the walk settles seed 0 first.
+        # Seed 0 lies near both crater planes and seed 1 near z = 0 alone, so
+        # seed 0's second candidate (slot 1) is tried in the second kernel
+        # call, and seed 1's first (slot 3) only in a later one.  Both violate.
         seeds = np.array([[1.0, 0.0, 1e-6], [0.8, 0.6, 1e-6]])
         seeds /= np.linalg.norm(seeds, axis=1)[:, None]
         first, second = (reference_rescue_candidates(v, 1e-4) for v in seeds)
@@ -487,18 +504,23 @@ class TestCoverCapRecurse:
             second[0][0].tobytes(): (0.9, math.nan),
         }
         evaluate = keyed_evaluator(special, default=(0.01, 0.0))
-        required = np.array([1e-4, 1e-4])
-        got = cover_cap_recurse(evaluate, seeds, required, 0)
-        same_result(got, reference_cover_cap(evaluate, seeds, required, 0))
-        assert got[0][0].tobytes() == first[1][0].tobytes()
+        witness, records, residual, counts = cover_cap_recurse(
+            evaluate, seeds, np.array([1e-4, 1e-4]), 0
+        )
+        assert witness[0].tobytes() == first[1][0].tobytes() and witness[1] == 0.7
+        assert not records and not residual
+        assert counts["rescue_tries"] == 2
 
     @staticmethod
-    def assert_same_witness(evaluate, v, direction, value):
-        got = cover_cap_recurse(evaluate, *one_seed(v, 0.4), 3, rescue=False)
-        same_result(got, reference_cover_cap(evaluate, *one_seed(v, 0.4), 3, rescue=False))
-        assert got[0][0].tobytes() == direction.tobytes()
-        assert got[0][1] == value
-        assert not got[1] and not got[2]  # the witness's seed gives no records
+    def assert_witness(evaluate, direction, value, records):
+        witness, got, residual, counts = cover_cap_recurse(
+            evaluate, *one_seed(CLEAR_SEED, CLEAR_REQ), 3
+        )
+        assert witness[0].tobytes() == direction.tobytes()
+        assert witness[1] == value
+        assert same_table(got, records)  # the rows of the kernel calls before the witness's
+        assert not residual
+        assert counts["rescue_tries"] == 0
 
 
 # A component that sits on a crater plane, near it or anywhere.
@@ -549,7 +571,7 @@ def test_batched_rescue_candidates_equal_one_node_calls(stack):
 
 
 class TestCounterexampleInCoverCap:
-    """A violation found by Cover Cap ends the cover with the sequential walk's first one.
+    """A violation found by Cover Cap ends the cover with the first one in level order.
 
     The kernel is replaced by a keyed evaluator: radius 0.2 everywhere, so
     phase 1 queues each direction it walks, the first ten with r_min 0.1,
@@ -561,10 +583,9 @@ class TestCounterexampleInCoverCap:
     PARAMS = CoverParams(d=north_pole_directed(12), region=Region(0.6, 1.0, 0.7, 1.3))
     DEFAULT = (0.01, 0.2)
 
-    def cover(self, monkeypatch, special, recurse=cover_cap_recurse):
+    def cover(self, monkeypatch, special):
         evaluate = keyed_evaluator(special, self.DEFAULT)
         monkeypatch.setattr(_Engine, "evaluate_cart", lambda engine, dirs: evaluate(dirs))
-        monkeypatch.setattr(covering, "cover_cap_recurse", recurse)
         return cover_region(self.PS, self.PARAMS)
 
     def phase1(self, monkeypatch):
@@ -578,15 +599,20 @@ class TestCounterexampleInCoverCap:
         return engine.orbit, engine.cannot_cover
 
     @staticmethod
-    def seed_records(seed):
-        """The (center, radius, Dis) rows of the 8 records of a seed whose centers all pass."""
-        return [(c, 0.2, 0.01) for c in cover_cap_centers(seed, 0.1)]
+    def seed_records(seed, short=()):
+        """The (center, radius, Dis) rows of a seed's records, all 8 but the `short` centers."""
+        return [(c, 0.2, 0.01) for i, c in enumerate(cover_cap_centers(seed, 0.1)) if i not in short]
 
     def seed_five_violation(self, queue):
         return cover_cap_centers(queue[5][0], 0.1)[2]
 
-    def check(self, monkeypatch, special, records, direction, value):
-        expect = self.cover(monkeypatch, special, reference_cover_cap)
+    def seeds_before_seed_five(self, phase1_records, queue, level_slice):
+        """The rows kept when seed 5's centers violate: those of the slices before seed 5's."""
+        seeds = queue[: 5 - 5 % level_slice]
+        return records_table(phase1_records, [rec for v, _ in seeds for rec in self.seed_records(v)])
+
+    def check(self, monkeypatch, special, settled, direction, value):
+        """`settled(level_slice)` is the records table expected with slices of that size."""
         # Slices of 3 nodes also make the levels stop part way through.
         for level_slice in (covering._LEVEL_SLICE, 3):
             monkeypatch.setattr(covering, "_LEVEL_SLICE", level_slice)
@@ -594,39 +620,45 @@ class TestCounterexampleInCoverCap:
             assert outcome.status == "counterexample"
             assert outcome.counterexample.direction.tobytes() == direction.tobytes()
             assert outcome.counterexample.value == value
-            assert same_table(outcome.records, records)
+            assert same_table(outcome.records, settled(level_slice))
             assert not outcome.not_covered
-            assert same_table(outcome.records, expect.records)
-            assert same_table(outcome.not_covered, expect.not_covered)
-            witness = outcome.counterexample.direction.tobytes()
-            assert witness == expect.counterexample.direction.tobytes()
-            assert outcome.counterexample.value == expect.counterexample.value
 
-    def test_deeper_violation_in_an_earlier_seed_wins(self, monkeypatch):
+    def test_shallower_violation_in_a_later_seed_wins(self, monkeypatch):
         phase1_records, queue = self.phase1(monkeypatch)
         # Seed 2 descends through centers 3, 1 and 6, each short only at its
         # own level (3/4 of what it needs), and its node at depth 3 finds a
-        # violating center 4.  Seed 5 violates at depth 0 and is found first.
+        # violating center 4.  Seed 5 violates at depth 0, in an earlier
+        # level, and is found first.
         top = cover_cap_centers(queue[2][0], 0.1)
         child = cover_cap_centers(top[3], 0.05)
         grandchild = cover_cap_centers(child[1], 0.025)
         deepest = cover_cap_centers(grandchild[6], 0.0125)
+        violation = self.seed_five_violation(queue)
         special = {
             top[3].tobytes(): (0.01, 0.75 * 0.05),
             child[1].tobytes(): (0.01, 0.75 * 0.025),
             grandchild[6].tobytes(): (0.01, 0.75 * 0.0125),
             deepest[4].tobytes(): (0.7, math.nan),
-            self.seed_five_violation(queue).tobytes(): (0.9, math.nan),
+            violation.tobytes(): (0.9, math.nan),
         }
-        seeds = self.seed_records(queue[0][0]) + self.seed_records(queue[1][0])
-        self.check(monkeypatch, special, records_table(phase1_records, seeds), deepest[4], 0.7)
+
+        def settled(level_slice):
+            if level_slice > 5:  # seed 5 shares the first slice: no Cover Cap row is kept
+                return records_table(phase1_records)
+            seeds = [rec for v, _ in queue[:2] for rec in self.seed_records(v)]
+            return records_table(phase1_records, seeds + self.seed_records(queue[2][0], short=(3,)))
+
+        self.check(monkeypatch, special, settled, violation, 0.9)
 
     def test_violation_at_depth_zero(self, monkeypatch):
         phase1_records, queue = self.phase1(monkeypatch)
         violation = self.seed_five_violation(queue)
         special = {violation.tobytes(): (0.9, math.nan)}
-        seeds = [rec for v, _ in queue[:5] for rec in self.seed_records(v)]
-        self.check(monkeypatch, special, records_table(phase1_records, seeds), violation, 0.9)
+
+        def settled(level_slice):
+            return self.seeds_before_seed_five(phase1_records, queue, level_slice)
+
+        self.check(monkeypatch, special, settled, violation, 0.9)
 
     @needs_fork
     def test_split_batches_give_the_same_counterexample(self, monkeypatch, forks):
@@ -652,7 +684,7 @@ class TestCounterexampleInCoverCap:
 
     def test_later_seed_is_not_expanded(self, monkeypatch):
         # Seed 9's center 1 is short and its child violates at depth 1: a
-        # later violation the walk never reaches, whether seed 9 shares seed
+        # later violation the cover never reaches, whether seed 9 shares seed
         # 5's slice of the level or, with slices of 3 nodes, lies in a later one.
         phase1_records, queue = self.phase1(monkeypatch)
         violation = self.seed_five_violation(queue)
@@ -662,8 +694,11 @@ class TestCounterexampleInCoverCap:
             top[1].tobytes(): (0.01, 0.75 * 0.05),
             cover_cap_centers(top[1], 0.05)[2].tobytes(): (0.8, math.nan),
         }
-        seeds = [rec for v, _ in queue[:5] for rec in self.seed_records(v)]
-        self.check(monkeypatch, special, records_table(phase1_records, seeds), violation, 0.9)
+
+        def settled(level_slice):
+            return self.seeds_before_seed_five(phase1_records, queue, level_slice)
+
+        self.check(monkeypatch, special, settled, violation, 0.9)
 
 
 class TestBandTest:
@@ -690,7 +725,10 @@ class TestBandTest:
                          id="q-below-minus-one"),
             # no ball reaches psi (every q >= 1): no intervals at all
             pytest.param(0.2, [(0.0, 0.1), (0.1, 0.1)], 0.0, 0.1, 0.5, False, id="all-q-above-one"),
-            pytest.param(0.2, [(0.0, 0.1)], 0.3, 0.3, 0.5, True, id="no-intervals-empty-range"),
+            # a range of no width is covered only by an interval that reaches it
+            pytest.param(0.2, [(0.0, 0.1)], 0.3, 0.3, 0.5, False, id="no-intervals-empty-range"),
+            pytest.param(0.0, [(0.25, 0.2)], 0.5, 0.5, 0.0, False, id="empty-range-after-the-ball"),
+            pytest.param(0.0, [(0.4, 0.2)], 0.5, 0.5, 0.0, True, id="empty-range-in-the-ball"),
             pytest.param(*tied_start_ring(), True, id="tied-starts"),
             pytest.param(0.4, [(0.0, 0.2), (0.0, 0.2), (0.2, 0.2)], 0.0, 0.3, 0.41, True,
                          id="duplicate-balls"),
@@ -798,6 +836,18 @@ class TestCoverRegion:
         assert proc.stdout.strip() == (
             "point set row 1 repeats row 0; coincident points are not supported"
         )
+
+    @pytest.mark.parametrize("width", [0.0, 1e-13])
+    def test_region_of_no_width_is_covered_by_balls_that_reach_it(self, width):
+        # A ring whose range ends where it starts once counted as covering
+        # every latitude, so one ball "covered" the whole region.
+        ps = generate_twisted_polar(12)
+        region = Region(0.2, 0.9, 0.5, 0.5 + width)
+        params = CoverParams(d=north_pole_directed(12), region=region, cover_cap_max_depth=8)
+        outcome = cover_region(ps, params)
+        assert outcome.status == "covered"
+        audit = audit_coverage(ps, params, outcome, probe_count=2_000, seed=0)
+        assert (audit["uncovered"], audit["over_bound"]) == (0, 0)
 
     def test_cover_cap_counters_on_polar_14(self):
         ps, params = conjecture_setup(14, "polar")
@@ -923,14 +973,14 @@ class TestHelper:
         class Stop(Exception):
             pass
 
-        walk_order = covering._walk_order
+        centers = covering.cover_cap_centers
 
         def stop_once_forked(*args):
             if forks:
                 raise Stop
-            return walk_order(*args)
+            return centers(*args)
 
-        monkeypatch.setattr(covering, "_walk_order", stop_once_forked)
+        monkeypatch.setattr(covering, "cover_cap_centers", stop_once_forked)
         with pytest.raises(Stop):
             cover_region(*conjecture_setup(14, "polar"))
         assert_reaped(forks)
@@ -1020,3 +1070,7 @@ def test_params_validation():
     region = Region(0.0, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         CoverParams(d=0.0, region=region)
+    for depth in (-1, 2.5, "3", None):
+        with pytest.raises(ValueError, match="cover_cap_max_depth must be an integer >= 0"):
+            CoverParams(d=0.5, region=region, cover_cap_max_depth=depth)
+    assert CoverParams(d=0.5, region=region, cover_cap_max_depth=np.int64(0)).cover_cap_max_depth == 0

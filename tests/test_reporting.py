@@ -163,6 +163,9 @@ class TestReportDocument:
         path.write_text(json.dumps({"schema_version": 99}))
         with pytest.raises(ValueError):
             read_report(path)
+        path.write_text(json.dumps([1]))
+        with pytest.raises(ValueError, match="a report is a JSON object, not list"):
+            read_report(path)
 
     def test_reads_schema_one_and_refuses_three(self, tmp_path):
         doc = read_report(V1_RESIDUAL_RUN)
@@ -247,11 +250,15 @@ class TestReportDocument:
             "points_meta": doc["points_meta"],
         }
         cert_sha = hashlib.sha256(json.dumps(cert, sort_keys=True).encode()).hexdigest()
+        # balls= holds the rows alone, each list sorted, so their order does not move it
+        balls = [sorted(reversed(doc["records"])), sorted(reversed(doc["not_covered"]))]
+        balls_sha = hashlib.sha256(json.dumps(balls).encode()).hexdigest()
         expect = (
             f"twisted:20 status=covered n_evaluations={outcome.counters['n_evaluations']} "
-            f"sha256={sha[:16]} cert={cert_sha[:16]} cover_s="
+            f"sha256={sha[:16]} cert={cert_sha[:16]} balls={balls_sha[:16]} cover_s="
         )
         assert proc.stdout.startswith(expect), proc.stdout
+        assert doc["records"] != sorted(doc["records"])  # so the sort is put to the test
         assert len(proc.stdout.splitlines()) == 1
         # the size of the schema-2 report, but for the digits of its timings, and the peak
         # RSS of the fresh process that wrote it

@@ -3,7 +3,8 @@
 
 For each `structure:n` job, covers the region of `conjecture_setup(n,
 structure)`, writes the report, reads it back and prints the status,
-`n_evaluations`, two digests and the median seconds spent in the cover:
+`n_evaluations`, three digests, the counters `cover_cap_inside_orbit` and
+`not_covered_inside_orbit`, and the median seconds spent in the cover:
 
 - `sha256=`: the first 16 hex digits of the sha256 of
   `strip_timings(read_report(...))` serialised with sorted keys, counters
@@ -23,7 +24,8 @@ give different ones for the same certificate.
 Each repeat of a job runs in a fresh process: one cover, then the report is
 written, read back and digested.  With `--out`, each job is run `--repeats`
 times and a layer table is written as JSON: the medians of the phase-1,
-Cover Cap and Cover Cap helper seconds and of the process's peak RSS
+Cover Cap and Cover Cap helper seconds, of the seconds spent dropping Cover
+Cap rows inside phase-1 balls (`inside_orbit_s`), of the process's peak RSS
 (`peak_rss_mb`, through the digest), the report's size in bytes,
 `n_evaluations`, and the number of batched kernel calls with their rows per
 call.  The calls are counted where the engine hands a batch to the kernel
@@ -64,7 +66,8 @@ CERT_KEYS = ("records", "not_covered", "counterexample", "params", "points_meta"
 # Row keys that are medians of the repeats; the others must agree across them.
 # The report's size varies by a few bytes with the digits of its timings.
 MEDIANS = (
-    "cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s", "peak_rss_mb", "report_bytes"
+    "cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s", "inside_orbit_s", "peak_rss_mb",
+    "report_bytes",
 )
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -127,6 +130,9 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "sha256": digest(doc),
         "cert": cert_digest(doc),
         "balls": balls_digest(doc),
+        # None from a tree that does not drop Cover Cap rows inside phase-1 balls
+        "cover_cap_inside_orbit": outcome.counters.get("cover_cap_inside_orbit"),
+        "not_covered_inside_orbit": outcome.counters.get("not_covered_inside_orbit"),
         "report_bytes": path.stat().st_size,
         # after the digests; ru_maxrss is in KiB on Linux, and the process ran nothing else
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
@@ -134,6 +140,7 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "phase1_s": outcome.timings["phase1"],
         "cover_cap_s": outcome.timings["cover_cap"],
         "cover_cap_helper_s": outcome.timings.get("cover_cap_helper", 0.0),
+        "inside_orbit_s": outcome.timings.get("inside_orbit", 0.0),
         "confidence_radii_calls": kernel.calls,
         "rows_per_call": round(kernel.rows / kernel.calls, 2) if kernel.calls else 0.0,
     }
@@ -175,6 +182,8 @@ def line(row: dict) -> str:
     return (
         f"{row['job']} status={row['status']} n_evaluations={row['n_evaluations']} "
         f"sha256={row['sha256']} cert={row['cert']} balls={row['balls']} "
+        f"cover_cap_inside_orbit={row['cover_cap_inside_orbit']} "
+        f"not_covered_inside_orbit={row['not_covered_inside_orbit']} "
         f"cover_s={row['cover_s']:.2f} report_bytes={row['report_bytes']} "
         f"peak_rss_mb={row['peak_rss_mb']:.1f}"
     )

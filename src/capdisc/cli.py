@@ -92,6 +92,11 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_directed(args) -> int:
+    for name in ("theta", "phi"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            print(f"error: --{name} must be finite, got {value!r}", file=sys.stderr)
+            return EXIT_USAGE
     ps = read_point_set(args.points)
     v = polar_to_cartesian(PolarDirection(args.theta, args.phi))
     res = directed_discrepancy(project(ps, v))

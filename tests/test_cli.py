@@ -112,6 +112,19 @@ class TestDirected:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("angle", ["--theta", "--phi"])
+    def test_non_finite_angle_is_usage_error(self, polar15, capsys, angle, value):
+        # NaN once printed "directed_value nan" and exited 0; inf raised
+        # "math domain error" from the polar conversion.
+        angles = {"--theta": "0.7", "--phi": "0.3", angle: value}
+        code, out, err = run_cli(
+            capsys, "directed", "--points", str(polar15), *(f"{k}={v}" for k, v in angles.items())
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {angle} must be finite") and err.count("\n") == 1
+
 
 class TestCover:
     def test_tiny_bound_exits_counterexample(self, polar15, tmp_path, capsys):

@@ -8,6 +8,7 @@ import textwrap
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
 from statistics import median
 from types import SimpleNamespace
 
@@ -27,6 +28,7 @@ from capdisc.covering import (
     Residuals,
     _band_test,
     _Engine,
+    _inside_test,
     _rescue_candidates,
     cover_cap_recurse,
     cover_region,
@@ -701,6 +703,137 @@ class TestCounterexampleInCoverCap:
         self.check(monkeypatch, special, settled, violation, 0.9)
 
 
+def reference_inside(centers, radii, c, r):
+    """`_inside_test(centers, radii)(c, r)` testing every pair, with the same rounding."""
+    found = []
+    for lo in range(0, len(c), 512):
+        block, need = c[lo : lo + 512, None, :], r[lo : lo + 512, None]
+        s = (radii - covering._INSIDE_MARGIN)[None, :] - need
+        d2 = np.square(block[..., 0] - centers[None, :, 0])
+        d2 += np.square(block[..., 1] - centers[None, :, 1])
+        d2 += np.square(block[..., 2] - centers[None, :, 2])
+        found.append(((s >= 0.0) & (d2 <= s * s)).any(axis=1))
+    return np.concatenate(found) if found else np.zeros(0, dtype=bool)
+
+
+def exactly_inside(c, r, o, r_o) -> bool:
+    """Whether |c - o| + r <= r_o holds for the floats' exact rational values."""
+    gap = Fraction(float(r_o)) - Fraction(float(r))
+    square = sum((Fraction(float(a)) - Fraction(float(b))) ** 2 for a, b in zip(c, o))
+    return gap >= 0 and square <= gap * gap
+
+
+def assert_inside_a_ball(c, r, centers, radii):
+    """B(c, r) lies inside the ball of (centers, radii) that the floats rank first, exactly."""
+    slack = radii - np.sqrt(np.sum(np.square(centers - c), axis=1)) - r
+    j = int(np.argmax(slack))
+    assert exactly_inside(c, r, centers[j], radii[j]), (c, r, centers[j], radii[j])
+
+
+def unit_rows(a):
+    a = np.asarray(a, dtype=float).reshape(-1, 3)
+    return a / np.linalg.norm(a, axis=1)[:, None]
+
+
+def polar_unit(theta, z):
+    rho = math.sqrt(1.0 - z * z)
+    return np.array([rho * math.cos(theta), rho * math.sin(theta), z])
+
+
+_UNIT = st.builds(polar_unit, st.floats(-math.pi, math.pi), st.floats(-1.0, 1.0))
+# Gaps r_o - |c - o| - r of a query ball built inside an outer one: around the margin and wider.
+_GAPS = st.sampled_from([-1e-9, 0.0, 1e-13, 5e-13, 1e-12, 1.1e-12, 2e-12, 1e-9, 1e-4])
+
+
+@st.composite
+def nested_balls(draw):
+    """Outer balls and query balls, most built just inside or just outside an outer one."""
+    outer = np.array(draw(st.lists(_UNIT, min_size=1, max_size=12)))
+    radii = np.array([draw(st.floats(1e-6, 0.3)) for _ in outer])
+    queries, needs = [], []
+    for _ in range(draw(st.integers(1, 12))):
+        j = draw(st.integers(0, len(outer) - 1))
+        c = unit_rows(outer[j] + draw(st.floats(0.0, 0.7)) * radii[j] * draw(_UNIT))[0]
+        r = radii[j] - float(np.linalg.norm(c - outer[j])) - draw(_GAPS)
+        queries.append(c)
+        needs.append(r if r > 0.0 else draw(st.floats(0.0, 0.5)))
+    return outer, radii, np.array(queries), np.array(needs)
+
+
+class TestInsideTest:
+    @settings(max_examples=300, deadline=None)
+    @given(nested_balls(), st.sampled_from([covering._INSIDE_PAIRS, 1, 3]))
+    # a ball as large as the largest one allows, on the same centre
+    @example((unit_rows([1.0, 0.0, 0.0]), np.array([0.25]), unit_rows([1.0, 0.0, 0.0]),
+              np.array([0.25 - covering._INSIDE_MARGIN])), covering._INSIDE_PAIRS)
+    def test_finds_every_ball_inside_and_only_those(self, balls, pairs):
+        centers, radii, c, r = balls
+        saved = covering._INSIDE_PAIRS
+        covering._INSIDE_PAIRS = pairs
+        try:
+            got = _inside_test(centers, radii)(c, r)
+        finally:
+            covering._INSIDE_PAIRS = saved
+        assert got.tolist() == reference_inside(centers, radii, c, r).tolist()
+        for i in np.flatnonzero(got):
+            assert_inside_a_ball(c[i], r[i], centers, radii)
+
+    @pytest.mark.parametrize("dx", [-1, 0, 1])
+    @pytest.mark.parametrize("dy", [-1, 0, 1])
+    def test_a_centre_in_each_neighbouring_column_is_found(self, dx, dy):
+        # Columns have the largest radius, 0.25, as side, with edges at x, y = 0:
+        # the outer centre lies (dx, dy) columns from the query's, 0.02 away.
+        def at(x, y):
+            return np.array([x, y, math.sqrt(1.0 - x * x - y * y)])
+
+        near = {-1: 0.01, 0: 0.1, 1: -0.01}
+        c = at(near[dx], near[dy])
+        o = at(near[dx] + 0.02 * dx, near[dy] + 0.02 * dy)
+        columns = np.floor((np.array([c[:2], o[:2]]) + 1.0) / 0.25)
+        assert (columns[1] - columns[0]).tolist() == [dx, dy]
+        inside = _inside_test(o[None, :], np.array([0.25]))
+        assert inside(c[None, :], np.array([0.2])).tolist() == [True]
+
+    def test_the_margin_keeps_a_ball_on_the_boundary(self):
+        o, c = unit_rows([[1.0, 0.0, 0.0], [1.0, 0.01, 0.0]])
+        gap = float(np.linalg.norm(c - o))
+        inside = _inside_test(o[None, :], np.array([0.1]))
+        for slack, expect in ((0.0, False), (0.5e-12, False), (2e-12, True)):
+            r = 0.1 - gap - slack
+            assert inside(c[None, :], np.array([r])).tolist() == [expect]
+            assert exactly_inside(c, r, o, 0.1) or not expect
+
+    def test_no_outer_ball_and_no_query(self):
+        nothing = _inside_test(np.zeros((0, 3)), np.zeros(0))
+        assert nothing(unit_rows([[0.0, 0.0, 1.0]]), np.array([0.0])).tolist() == [False]
+        some = _inside_test(unit_rows([[0.0, 0.0, 1.0]]), np.array([0.5]))
+        assert some(np.zeros((0, 3)), np.zeros(0)).tolist() == []
+
+    @pytest.mark.parametrize("n, structure", [(14, "polar"), (20, "twisted")])
+    def test_cover_drops_exactly_the_cover_cap_rows_inside_phase_1_balls(self, n, structure):
+        ps, params = conjecture_setup(n, structure)
+        outcome = cover_region(ps, params)
+        # Every row the cover made: phase 1's, then all of Cover Cap's, in order.
+        engine = _Engine(ps, params)
+        engine._phase1()
+        seeds, required = (np.array(col) for col in zip(*engine.cannot_cover))
+        _, cover_cap, residual, _ = cover_cap_recurse(
+            engine.evaluate_cart, seeds, required, params.cover_cap_max_depth
+        )
+        orbit = records_table(engine.orbit)
+        columns = zip(vars(orbit).values(), vars(cover_cap).values())
+        made = CoverageRecords(*(np.concatenate(c) for c in columns))
+        inside = reference_inside(orbit.center, orbit.radius, cover_cap.center, cover_cap.radius)
+        drop = np.concatenate((np.zeros(len(orbit), dtype=bool), inside))
+        assert drop.sum() == outcome.counters["cover_cap_inside_orbit"] > 0
+        kept = CoverageRecords(*(column[~drop] for column in vars(made).values()))
+        assert same_table(outcome.records, kept)
+        assert outcome.counters["n_cover_cap_dirs"] == len(cover_cap) - drop.sum()
+        assert same_table(outcome.not_covered, residual)
+        for i in np.flatnonzero(drop):
+            assert_inside_a_ball(made.center[i], made.radius[i], orbit.center, orbit.radius)
+
+
 class TestBandTest:
     def test_random_rings_agree_with_the_loop(self):
         rng = np.random.default_rng(7)
@@ -837,12 +970,16 @@ class TestCoverRegion:
             "point set row 1 repeats row 0; coincident points are not supported"
         )
 
-    @pytest.mark.parametrize("width", [0.0, 1e-13])
-    def test_region_of_no_width_is_covered_by_balls_that_reach_it(self, width):
+    @pytest.mark.parametrize(
+        "region",
+        [pytest.param(Region(0.2, 0.9, 0.5, 0.5 + w), id=str(w)) for w in (0.0, 1e-13)]
+        + [pytest.param(Region(0.5, 0.5 + w, 0.2, 0.9), id=f"latitude-{w}") for w in (0.0, 1e-13)],
+    )
+    def test_region_of_no_width_is_covered_by_balls_that_reach_it(self, region):
         # A ring whose range ends where it starts once counted as covering
-        # every latitude, so one ball "covered" the whole region.
+        # every latitude, so one ball "covered" the whole region.  A range of
+        # no width in latitude is one ring, whose balls must reach along it.
         ps = generate_twisted_polar(12)
-        region = Region(0.2, 0.9, 0.5, 0.5 + width)
         params = CoverParams(d=north_pole_directed(12), region=region, cover_cap_max_depth=8)
         outcome = cover_region(ps, params)
         assert outcome.status == "covered"
@@ -859,6 +996,7 @@ class TestCoverRegion:
             "rescue_hits": 70,
         }
         assert counters["n_evaluations"] == 9448
+        assert (counters["cover_cap_inside_orbit"], counters["not_covered_inside_orbit"]) == (504, 0)
 
     def test_outcome_holds_at_most_64_bytes_per_record(self):
         # The columns take 41 bytes a record (centre 24, radius 8, Dis 8,
@@ -872,7 +1010,8 @@ class TestCoverRegion:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(outcome.records) == 5872
+        # 5,872 before the 504 Cover Cap rows inside phase-1 balls were dropped
+        assert len(outcome.records) == 5368
         assert retained <= 64 * len(outcome.records), retained / len(outcome.records)
 
     def test_counters_structure(self):
@@ -889,6 +1028,8 @@ class TestCoverRegion:
             "r_min_global",
             "r_min_median",
             *COVER_CAP_COUNTERS,
+            "cover_cap_inside_orbit",
+            "not_covered_inside_orbit",
         ):
             assert key in outcome.counters
         assert outcome.counters["n_evaluations"] >= outcome.counters["n_DD"]
@@ -962,6 +1103,9 @@ class TestHelper:
         assert alone.timings["cover_cap_helper"] == 0.0
         assert split.counters == alone.counters
         assert split.counters["n_evaluations"] == 105_578
+        # Cover Cap rows dropped inside phase-1 balls, and every residual ball inside one too
+        assert split.counters["cover_cap_inside_orbit"] == 56_964
+        assert split.counters["not_covered_inside_orbit"] == len(split.not_covered) == 9_226
         assert report_digest(ps, params, split) == report_digest(ps, params, alone)
 
     def test_covered_run_reaps_its_helper(self, forks):

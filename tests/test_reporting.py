@@ -179,7 +179,8 @@ class TestReportDocument:
     def test_rows_match_the_schema_one_records(self, residual_run, tmp_path):
         # Orbit centres are polar_to_cartesian of the stored angles, and Cover
         # Cap and residual centres give the stored angles under
-        # cartesian_to_polar, bit for bit; all else is equal, in order.
+        # cartesian_to_polar, bit for bit; all else is equal, in order, but
+        # for the Cover Cap rows inside phase-1 balls, which are now dropped.
         ps, params, outcome = residual_run
         old = read_report(V1_RESIDUAL_RUN)
         write_report(tmp_path / "report.json", ps, params, outcome)
@@ -189,24 +190,44 @@ class TestReportDocument:
         assert new["origins"] == ["orbit", "cover_cap"]
         for key in ("params", "points_meta"):
             assert new[key] == old[key]
-        assert strip_timings(new)["outcome"] == strip_timings(old)["outcome"]  # status, counters
+        # status and counters, less the counters of the dropped rows
+        outcome_doc = strip_timings(new)["outcome"]
+        counters = outcome_doc["counters"] = dict(outcome_doc["counters"])
+        dropped = counters.pop("cover_cap_inside_orbit")
+        assert counters.pop("not_covered_inside_orbit") == 3
+        counters["n_cover_cap_dirs"] += dropped
+        assert outcome_doc == strip_timings(old)["outcome"]
         assert "counterexample" not in new and "counterexample" not in old
 
         def bits(*values):
             return np.array(values, dtype=float).tobytes()
 
-        origins = [rec["origin"] for rec in old["records"]]
-        assert [origins.count(o) for o in ("orbit", "cover_cap")] == [471, 156]
-        assert len(new["records"]) == len(old["records"])
-        for rec, (x, y, z, radius, dis, origin) in zip(old["records"], new["records"]):
-            assert type(origin) is int and new["origins"][origin] == rec["origin"]
-            assert bits(radius, dis) == bits(rec["radius"], rec["directed_value"])
+        def same_ball(rec, row) -> bool:
+            x, y, z, radius, dis, origin = row
+            assert type(origin) is int
+            if new["origins"][origin] != rec["origin"]:
+                return False
+            if bits(radius, dis) != bits(rec["radius"], rec["directed_value"]):
+                return False
             center, angles = np.array([x, y, z]), (rec["theta"], rec["phi"])
             if rec["origin"] == "orbit":
-                assert polar_to_cartesian(PolarDirection(*angles)).tobytes() == center.tobytes()
+                return polar_to_cartesian(PolarDirection(*angles)).tobytes() == center.tobytes()
+            polar = cartesian_to_polar(center)
+            return bits(polar.theta, polar.phi) == bits(*angles)
+
+        origins = [rec["origin"] for rec in old["records"]]
+        assert [origins.count(o) for o in ("orbit", "cover_cap")] == [471, 156]
+        assert dropped == 24 and len(new["records"]) == len(old["records"]) - dropped
+        rows = iter(new["records"])
+        row = next(rows)
+        missing = []  # the old records that no new row matches
+        for rec in old["records"]:
+            if row is not None and same_ball(rec, row):
+                row = next(rows, None)
             else:
-                polar = cartesian_to_polar(center)
-                assert bits(polar.theta, polar.phi) == bits(*angles)
+                missing.append(rec["origin"])
+        assert row is None, "a new row matches no old record in order"
+        assert missing == ["cover_cap"] * dropped
         assert len(new["not_covered"]) == len(old["not_covered"]) == 12
         for entry, (x, y, z, required) in zip(old["not_covered"], new["not_covered"]):
             assert bits(required) == bits(entry["required_radius"])
@@ -255,7 +276,8 @@ class TestReportDocument:
         balls_sha = hashlib.sha256(json.dumps(balls).encode()).hexdigest()
         expect = (
             f"twisted:20 status=covered n_evaluations={outcome.counters['n_evaluations']} "
-            f"sha256={sha[:16]} cert={cert_sha[:16]} balls={balls_sha[:16]} cover_s="
+            f"sha256={sha[:16]} cert={cert_sha[:16]} balls={balls_sha[:16]} "
+            "cover_cap_inside_orbit=91 not_covered_inside_orbit=0 cover_s="
         )
         assert proc.stdout.startswith(expect), proc.stdout
         assert doc["records"] != sorted(doc["records"])  # so the sort is put to the test
@@ -286,7 +308,8 @@ class TestReportDocument:
         assert set(tables) == {"parent", "change"}
         rows = [tables[label]["jobs"] for label in ("parent", "change")]
         assert [len(r) for r in rows] == [1, 1]
-        medians = ("cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s", "peak_rss_mb")
+        medians = ("cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s", "inside_orbit_s")
+        medians += ("peak_rss_mb",)
         medians += ("report_bytes",)  # its timings' digits vary
         fixed = [{k: v for k, v in r[0].items() if k not in medians} for r in rows]
         assert fixed[0] == fixed[1]
@@ -423,8 +446,20 @@ class TestAudit:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("cover: polar:14 status=covered ")
         assert "uncovered=0 over_bound=0" in proc.stdout
         assert "peak_rss_mb=" in proc.stdout
+
+    def test_audit_script_on_the_twisted_structure(self):
+        script = Path(__file__).resolve().parents[1] / "scripts" / "audit_polar_run.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--structure", "twisted", "--n", "20", "--probes", "2000"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("cover: twisted:20 status=covered ")
+        assert "cover_cap_inside_orbit=91 " in proc.stdout
+        assert "uncovered=0 over_bound=0" in proc.stdout
 
     def test_rejects_counterexample_outcome(self):
         ps = generate_twisted_polar(8)

@@ -39,7 +39,7 @@ repeats, this tree first in odd ones), so that host drift falls on both
 alike.  Each line printed starts with the tree's label, and `--out` gets
 both tables, the baseline's named `--baseline-label`.
 
-    python3 scripts/cert_digests.py                     # twisted 20/40/60/80, polar 30
+    python3 scripts/cert_digests.py                     # twisted 20/40/60/80, polar 30 and 14
     python3 scripts/cert_digests.py twisted:20 polar:14
     python3 scripts/cert_digests.py --repeats 5 --out BENCH_8.json --label change
     python3 scripts/cert_digests.py --repeats 5 --baseline ../parent/src --out BENCH_12.json
@@ -61,7 +61,7 @@ import numpy as np
 
 from capdisc import conjecture_setup, covering, cover_region, read_report, strip_timings, write_report
 
-DEFAULT_JOBS = ["twisted:20", "twisted:40", "twisted:60", "twisted:80", "polar:30"]
+DEFAULT_JOBS = ["twisted:20", "twisted:40", "twisted:60", "twisted:80", "polar:30", "polar:14"]
 CERT_KEYS = ("records", "not_covered", "counterexample", "params", "points_meta")
 # Row keys that are medians of the repeats; the others must agree across them.
 # The report's size varies by a few bytes with the digits of its timings.

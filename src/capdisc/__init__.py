@@ -9,10 +9,8 @@ from .geometry import (
     PolarDirection,
     Region,
     cartesian_to_polar,
-    chord_distance,
     cover_cap_centers,
     polar_to_cartesian,
-    unit_vector,
 )
 from .pointsets import (
     PointSet,

@@ -29,7 +29,7 @@ from .discrepancy import (
     confidence_radius,
     project,
 )
-from .geometry import PolarDirection, Region, cover_cap_centers, polar_to_cartesian
+from .geometry import SQRT2, PolarDirection, Region, cover_cap_centers, polar_to_cartesian
 from .geometry import cartesian_to_polar  # noqa: F401  capbench traces this lookup site
 from .pointsets import PointSet
 
@@ -125,12 +125,6 @@ def orbit_intersection_latitude(phi: float, r: float, upper: bool = False) -> fl
     return alpha - math.acos(x)
 
 
-# Nodes of one Cover Cap tree level evaluated per batch, so that no batch
-# array or rescue candidate list grows with the level.  On plain polar n=30
-# (levels up to 4,626 nodes), 1,024 keeps the peak RSS after the cover at
-# 58.8 MB against 62.1 MB with 4,096, at the same speed.
-_LEVEL_SLICE = 1024
-
 COVER_CAP_COUNTERS = ("cover_cap_nodes", "cover_cap_levels", "rescue_tries", "rescue_hits")
 
 
@@ -148,17 +142,16 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int):
     node or, once `depth` levels are used up, a residual ball (direction,
     still-required radius).
 
-    The trees grow level by level over all seeds at once, in slices of at
-    most _LEVEL_SLICE nodes: one kernel call per rescue round, then one for
-    the centers.  Records and residuals are listed in the order settled.
-    The first call to return a nan radius ends growth: its first such row
-    is the witness (direction, directed_value), and only the rows of
-    earlier calls are kept.  Returns (witness or None, CoverageRecords of
-    origin cover_cap, Residuals, counts): the COVER_CAP_COUNTERS are nodes
-    rescued or expanded, levels grown, rescue candidates evaluated and
-    nodes rescued.
+    The trees grow level by level over all seeds at once: one kernel call
+    per rescue round, then one for the centers.  Records and residuals are
+    listed in the order settled.  The first call to return a nan radius
+    ends growth: its first such row is the witness (direction,
+    directed_value), and only the rows of earlier calls are kept.  Returns
+    (witness or None, CoverageRecords of origin cover_cap, Residuals,
+    counts): the COVER_CAP_COUNTERS are nodes rescued or expanded, levels
+    grown, rescue candidates evaluated and nodes rescued.
     """
-    level = [centers, required_r, None]  # directions, required radii, own (dis, radius) rows
+    level = centers, required_r, None  # directions, required radii, own (dis, radius) rows
     records = [(np.zeros((0, 3)), np.zeros(0), np.zeros(0))]  # (center, radius, dis) parts
     residual = [(np.zeros((0, 3)), np.zeros(0))]  # (center, required radius) parts
     counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
@@ -166,11 +159,7 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int):
     try:
         while len(level[0]):
             counts["cover_cap_levels"] += 1
-            children: list = []
-            for lo in range(0, len(level[0]), _LEVEL_SLICE):
-                nodes = [None if a is None else a[lo : lo + _LEVEL_SLICE] for a in level]
-                _settle_nodes(evaluate, nodes, left, children, records, residual, counts)
-            level = [np.concatenate(parts) for parts in zip(*children)] if children else [()]
+            level = _settle_nodes(evaluate, *level, left, records, residual, counts)
             left -= 1
     except HypothesisViolation as exc:
         witness = exc.direction, exc.directed_value
@@ -181,13 +170,12 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int):
     return witness, records, residual, counts
 
 
-def _settle_nodes(evaluate, nodes, left: int, children, records, residual, counts) -> None:
-    """Settle one slice of a level's nodes, appending their records, residuals and children.
+def _settle_nodes(evaluate, v, req, own, left: int, records, residual, counts):
+    """Settle one level's nodes, appending their records and residuals; returns the next level.
 
     Raises HypothesisViolation, before it settles the rows of the call, at
     the first kernel call that returns a nan radius.
     """
-    v, req, own = nodes
     counts["cover_cap_nodes"] += len(v)
     rescued = np.zeros(len(v), dtype=bool)
     cand, reach = _rescue_candidates(v, req)
@@ -205,7 +193,7 @@ def _settle_nodes(evaluate, nodes, left: int, children, records, residual, count
     expand = np.flatnonzero(~rescued)
     counts["rescue_hits"] += len(v) - len(expand)
     if not expand.size:
-        return
+        return v[:0], req[:0], None
     c = cover_cap_centers(v[expand], req[expand])
     if own is None:
         dis, r_c = (a.reshape(-1, 8) for a in _checked(evaluate, c.reshape(-1, 3)))
@@ -219,9 +207,9 @@ def _settle_nodes(evaluate, nodes, left: int, children, records, residual, count
     records.append((c[rec], r_c[rec], dis[rec]))
     rest = ~rec
     if left > 0:
-        children.append((c[rest], need[rest], np.column_stack((dis[rest], r_c[rest]))))
-    else:
-        residual.append((c[rest], need[rest]))
+        return c[rest], need[rest], np.column_stack((dis[rest], r_c[rest]))
+    residual.append((c[rest], need[rest]))
+    return v[:0], req[:0], None
 
 
 def _checked(evaluate, directions: np.ndarray):
@@ -385,9 +373,11 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
 
 
 # Batches of at least this many rows are shared with the helper process.
-# Replaying plain polar n=30's 61 batches of 64 rows or more (95,490 rows)
-# on 2 CPUs took 1.12-1.29 s serial and 0.69-0.97 s shared from 1,024 rows
-# on; thresholds from 64 to 1,024 gave the same, 2,048 gave 0.87-1.02 s.
+# Replaying plain polar n=30's batches of 64 rows or more (95,490 rows, in
+# 61 batches when levels were split into slices of 1,024 nodes) on 2 CPUs
+# took 1.12-1.29 s serial and 0.69-0.97 s shared from 1,024 rows on;
+# thresholds from 64 to 1,024 gave the same, 2,048 gave 0.87-1.02 s.  Whole
+# levels give the same rows in 33 batches of up to 32,382.
 # At 1,024 no twisted job of the conjecture sweep forks (their largest
 # batches hold 776 and 568 rows), where a helper cost 5-7 ms per cover and
 # saved nothing.
@@ -551,14 +541,11 @@ class _Engine:
     def __init__(self, ps: PointSet, params: CoverParams):
         self.ps = ps
         self.params = params
-        self.n_dd = 0
         self.n_eval = 0
-        self.n_cc = 0
-        self.n_orbits = 0
         self.orbit: list[tuple[np.ndarray, float, float]] = []  # (center, radius, Dis) per ball
         self.cannot_cover: list[tuple[np.ndarray, float]] = []  # (center, r_min), for Cover Cap
         self.stranded: list[tuple[np.ndarray, float]] = []  # (center, required radius) of phase 1
-        self.r_min_per_orbit: list[float] = []
+        self.r_min_per_orbit: list[float] = []  # of each ring walked
         self._closeout_attempts = 0
         self.helper: _Helper | None = None
         self._helper_tried = False
@@ -570,7 +557,6 @@ class _Engine:
         self.n_eval += 1
         v = polar_to_cartesian(PolarDirection(theta, phi))
         ball = confidence_radius(project(self.ps, v), self.params.d)
-        self.n_dd += 1
         self.orbit.append((v, ball.radius, ball.directed_value))
         return v, ball.radius
 
@@ -625,17 +611,12 @@ class _Engine:
                 for i in range(k)
             ]
         )
-        dis, radii = self.evaluate_cart(samples)
-        violations = np.flatnonzero(np.isnan(radii))
-        if violations.size:
-            i = violations[0]  # the sample a one-at-a-time loop would stop at
-            raise HypothesisViolation(samples[i], float(dis[i]), self.params.d)
+        _, radii = _checked(self.evaluate_cart, samples)
         return factor * median(radii.tolist())
 
     def walk_orbit(self, phi: float, r_min: float):
         """Cover one latitude ring; returns its certified band (psi_down, psi_up)."""
         reg = self.params.region
-        self.n_orbits += 1
         balls: list[tuple[float, float]] = []  # (theta, effective radius)
         spans = False
         theta = reg.theta_min
@@ -644,7 +625,6 @@ class _Engine:
             eff = r_v
             if r_v < r_min:
                 self.cannot_cover.append((v, r_min))
-                self.n_cc += 1
                 eff = r_min
             balls.append((theta, eff))
             if eff > 2.0 * math.cos(phi):
@@ -791,11 +771,11 @@ class _Engine:
             counterexample=counterexample,
             not_covered=not_covered,
             counters={
-                "n_DD": self.n_dd,
-                "n_CC": self.n_cc,
+                "n_DD": len(self.orbit),
+                "n_CC": len(self.cannot_cover),
                 "n_cover_cap_dirs": int(np.count_nonzero(records.origin == COVER_CAP)),
                 "n_evaluations": self.n_eval,
-                "n_orbits": self.n_orbits,
+                "n_orbits": len(self.r_min_per_orbit),
                 "r_min_global": r_min_global,
                 "r_min_median": r_min_median,
                 **cover_cap,
@@ -880,8 +860,9 @@ class _Engine:
         The binary search otherwise converges onto phi_min itself, which for
         the symmetric structures is the equator — a line of cratered radii.
         Instead the final orbit sits at phi_min + 0.6 x (median radius) with
-        a radius floor of 0.8 x median; its verified band then dips below
-        phi_min while every evaluated direction keeps a healthy clearance.
+        a radius floor of 0.8 x median, at most sqrt(2), the largest radius
+        Cover Cap takes; its verified band then dips below phi_min while every
+        evaluated direction keeps a healthy clearance.
         """
         self._closeout_attempts += 1
         phi_min = self.params.region.phi_min
@@ -890,7 +871,7 @@ class _Engine:
         for _ in range(2):
             med = self.orbit_r_min(phi_c, factor=1.0)
             phi_c = phi_min + 0.6 * med
-        r_close = 0.8 * med
+        r_close = min(0.8 * med, SQRT2)
         if r_close <= 0.0 or r_close > 2.0 * math.cos(phi_c):
             return False
         self.r_min_per_orbit.append(r_close)

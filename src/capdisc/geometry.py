@@ -9,20 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Construction rejects inputs further than this from unit norm; anything
-# closer is renormalized so downstream code can rely on 1e-12 accuracy.
-UNIT_REJECT_TOL = 1e-6
-
 SQRT2 = math.sqrt(2.0)
-
-
-def unit_vector(x: float, y: float, z: float) -> np.ndarray:
-    """Validated unit vector. Rejects norms off by more than 1e-6."""
-    v = np.array([x, y, z], dtype=float)
-    n = float(np.linalg.norm(v))
-    if not abs(n - 1.0) <= UNIT_REJECT_TOL:  # also rejects a NaN norm
-        raise ValueError(f"not a unit vector: norm = {n!r}")
-    return v / n
 
 
 def random_unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -86,10 +73,6 @@ def cartesian_to_polar(v: np.ndarray) -> PolarDirection:
     if theta >= 2.0 * math.pi:
         theta = 0.0
     return PolarDirection(theta, phi)
-
-
-def chord_distance(u: np.ndarray, v: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(u) - np.asarray(v)))
 
 
 def orthonormal_frame(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

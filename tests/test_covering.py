@@ -439,17 +439,31 @@ class TestCoverCapRecurse:
         same_result(got, reference_cover_cap(engine.evaluate_cart, seeds, required, depth))
         assert engine.n_eval - before == 2 * batched_evals
 
-    def test_level_slices_do_not_change_the_rows_or_counts(self, monkeypatch):
-        ps, params = conjecture_setup(14, "polar")
-        engine = _Engine(ps, params)
-        engine._phase1()
-        seeds, required = (np.array(col) for col in zip(*engine.cannot_cover))
-        depth = params.cover_cap_max_depth
-        expect = reference_cover_cap(engine.evaluate_cart, seeds, required, depth)
-        assert expect[3]["rescue_hits"] > 0 and expect[3]["cover_cap_levels"] > 3
-        for level_slice in (1024, 3):
-            monkeypatch.setattr(covering, "_LEVEL_SLICE", level_slice)
-            same_result(cover_cap_recurse(engine.evaluate_cart, seeds, required, depth), expect)
+    def test_a_level_of_more_than_1024_nodes_is_settled_whole(self):
+        # 150 seeds next to the z = 0 crater plane, whose rescue candidates
+        # and centers are all short, make a level of 1,200 nodes.  Their
+        # rescue candidates are short too, and their outer centers pass.
+        # Each level takes one kernel call per rescue slot that has a
+        # candidate, then one for its centers.
+        theta = np.linspace(0.3, 1.2, 150)
+        z = np.where(np.arange(150) % 2, 1e-3, -1e-3)
+        seeds = unit_rows(np.column_stack((np.cos(theta), np.sin(theta), z)))
+        levels = [(seeds, np.full(150, 0.01))]
+        levels.append((cover_cap_centers(*levels[0]).reshape(-1, 3), np.full(1200, 0.005)))
+        passing = cover_cap_centers(*levels[1])[:, 1:].reshape(-1, 3)
+        evaluate = keyed_evaluator({c.tobytes(): (0.01, 1.0) for c in passing}, (0.01, 0.0))
+        calls = []
+
+        def counted(directions):
+            calls.append(len(directions))
+            return evaluate(directions)
+
+        got = cover_cap_recurse(counted, *levels[0], 1)
+        slots = [(~np.isnan(_rescue_candidates(*nodes)[1])).any(axis=0).sum() for nodes in levels]
+        assert slots == [3, 3]
+        assert calls == [150] * 3 + [1200] + [1200] * 3 + [8400]
+        assert (len(got[1]), len(got[2])) == (8400, 1200)  # each node's center 0 is short
+        same_result(got, reference_cover_cap(evaluate, *levels[0], 1))
 
     def test_violation_deep_under_center_zero_is_the_witness(self):
         # Center 0 and child 2 below it are short, and grandchild 4 violates
@@ -600,30 +614,20 @@ class TestCounterexampleInCoverCap:
         assert all(req == 0.1 for _, req in engine.cannot_cover[:10])
         return engine.orbit, engine.cannot_cover
 
-    @staticmethod
-    def seed_records(seed, short=()):
-        """The (center, radius, Dis) rows of a seed's records, all 8 but the `short` centers."""
-        return [(c, 0.2, 0.01) for i, c in enumerate(cover_cap_centers(seed, 0.1)) if i not in short]
-
     def seed_five_violation(self, queue):
         return cover_cap_centers(queue[5][0], 0.1)[2]
 
-    def seeds_before_seed_five(self, phase1_records, queue, level_slice):
-        """The rows kept when seed 5's centers violate: those of the slices before seed 5's."""
-        seeds = queue[: 5 - 5 % level_slice]
-        return records_table(phase1_records, [rec for v, _ in seeds for rec in self.seed_records(v)])
+    def check(self, monkeypatch, special, phase1_records, direction, value):
+        """The cover ends at `direction`, found in level 0's one call for the centers of every seed.
 
-    def check(self, monkeypatch, special, settled, direction, value):
-        """`settled(level_slice)` is the records table expected with slices of that size."""
-        # Slices of 3 nodes also make the levels stop part way through.
-        for level_slice in (covering._LEVEL_SLICE, 3):
-            monkeypatch.setattr(covering, "_LEVEL_SLICE", level_slice)
-            outcome = self.cover(monkeypatch, special)
-            assert outcome.status == "counterexample"
-            assert outcome.counterexample.direction.tobytes() == direction.tobytes()
-            assert outcome.counterexample.value == value
-            assert same_table(outcome.records, settled(level_slice))
-            assert not outcome.not_covered
+        So no Cover Cap row is kept, whichever seed the violation is in.
+        """
+        outcome = self.cover(monkeypatch, special)
+        assert outcome.status == "counterexample"
+        assert outcome.counterexample.direction.tobytes() == direction.tobytes()
+        assert outcome.counterexample.value == value
+        assert same_table(outcome.records, records_table(phase1_records))
+        assert not outcome.not_covered
 
     def test_shallower_violation_in_a_later_seed_wins(self, monkeypatch):
         phase1_records, queue = self.phase1(monkeypatch)
@@ -643,24 +647,13 @@ class TestCounterexampleInCoverCap:
             deepest[4].tobytes(): (0.7, math.nan),
             violation.tobytes(): (0.9, math.nan),
         }
-
-        def settled(level_slice):
-            if level_slice > 5:  # seed 5 shares the first slice: no Cover Cap row is kept
-                return records_table(phase1_records)
-            seeds = [rec for v, _ in queue[:2] for rec in self.seed_records(v)]
-            return records_table(phase1_records, seeds + self.seed_records(queue[2][0], short=(3,)))
-
-        self.check(monkeypatch, special, settled, violation, 0.9)
+        self.check(monkeypatch, special, phase1_records, violation, 0.9)
 
     def test_violation_at_depth_zero(self, monkeypatch):
         phase1_records, queue = self.phase1(monkeypatch)
         violation = self.seed_five_violation(queue)
         special = {violation.tobytes(): (0.9, math.nan)}
-
-        def settled(level_slice):
-            return self.seeds_before_seed_five(phase1_records, queue, level_slice)
-
-        self.check(monkeypatch, special, settled, violation, 0.9)
+        self.check(monkeypatch, special, phase1_records, violation, 0.9)
 
     @needs_fork
     def test_split_batches_give_the_same_counterexample(self, monkeypatch, forks):
@@ -686,8 +679,7 @@ class TestCounterexampleInCoverCap:
 
     def test_later_seed_is_not_expanded(self, monkeypatch):
         # Seed 9's center 1 is short and its child violates at depth 1: a
-        # later violation the cover never reaches, whether seed 9 shares seed
-        # 5's slice of the level or, with slices of 3 nodes, lies in a later one.
+        # later violation the cover never reaches.
         phase1_records, queue = self.phase1(monkeypatch)
         violation = self.seed_five_violation(queue)
         top = cover_cap_centers(queue[9][0], 0.1)
@@ -696,11 +688,7 @@ class TestCounterexampleInCoverCap:
             top[1].tobytes(): (0.01, 0.75 * 0.05),
             cover_cap_centers(top[1], 0.05)[2].tobytes(): (0.8, math.nan),
         }
-
-        def settled(level_slice):
-            return self.seeds_before_seed_five(phase1_records, queue, level_slice)
-
-        self.check(monkeypatch, special, settled, violation, 0.9)
+        self.check(monkeypatch, special, phase1_records, violation, 0.9)
 
 
 def reference_inside(centers, radii, c, r):
@@ -969,6 +957,35 @@ class TestCoverRegion:
         assert proc.stdout.strip() == (
             "point set row 1 repeats row 0; coincident points are not supported"
         )
+
+    def test_closing_ring_with_a_radius_floor_above_sqrt_2_ends_covered(self):
+        # Three random points give this region's rings a median radius of 2,
+        # and the closing ring's floor of 0.8 x median once queued directions
+        # needing 1.6, above the sqrt(2) that Cover Cap takes: the cover
+        # raised ValueError.  A subprocess with a timeout bounds the run.
+        script = textwrap.dedent(
+            """
+            import time
+            from capdisc.covering import CoverParams, cover_region
+            from capdisc.geometry import Region
+            from capdisc.pointsets import generate_random_uniform
+            from capdisc.reporting import audit_coverage
+
+            ps = generate_random_uniform(3, seed=130511052)
+            region = Region(-1.3680324490375013, 0.7438642262760937, 0.0, 1.365545624367707)
+            params = CoverParams(0.95, region)
+            t0 = time.perf_counter()
+            outcome = cover_region(ps, params)
+            seconds = time.perf_counter() - t0
+            audit = audit_coverage(ps, params, outcome, probe_count=20_000, seed=0)
+            print(outcome.status, seconds < 10.0, audit["uncovered"], audit["over_bound"])
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["covered", "True", "0", "0"]
 
     @pytest.mark.parametrize(
         "region",

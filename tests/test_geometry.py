@@ -10,12 +10,10 @@ from capdisc.geometry import (
     PolarDirection,
     Region,
     cartesian_to_polar,
-    chord_distance,
     cover_cap_centers,
     orthonormal_frame,
     polar_to_cartesian,
     random_unit_vectors,
-    unit_vector,
 )
 
 from conftest import uniform_directions
@@ -42,22 +40,6 @@ def reference_centers(center, r):
         ang = 2.0 * math.pi * k / 7.0
         out.append(cos_lat * (math.cos(ang) * e1 + math.sin(ang) * e2) + sin_lat * center)
     return np.array(out)
-
-
-class TestUnitVector:
-    def test_accepts_unit(self):
-        v = unit_vector(0.0, 0.0, 1.0)
-        assert np.allclose(v, [0, 0, 1])
-
-    def test_renormalizes_near_unit(self):
-        v = unit_vector(1.0 + 1e-8, 0.0, 0.0)
-        assert math.isclose(float(np.linalg.norm(v)), 1.0, abs_tol=1e-15)
-
-    def test_rejects_far_from_unit(self):
-        with pytest.raises(ValueError):
-            unit_vector(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            unit_vector(math.nan, 0.0, 1.0)
 
 
 class TestPolarConversion:
@@ -207,7 +189,7 @@ class TestCoverCapCenters:
         assert len(centers) == 8
         assert np.allclose(centers[0], v)
         for c in centers[1:]:
-            assert math.isclose(chord_distance(c, v), 0.86 * 0.5, abs_tol=1e-12)
+            assert math.isclose(float(np.linalg.norm(c - v)), 0.86 * 0.5, abs_tol=1e-12)
             assert math.isclose(float(np.linalg.norm(c)), 1.0, abs_tol=1e-12)
 
     def test_rejects_bad_radius(self):

@@ -29,9 +29,10 @@ Cap rows inside phase-1 balls (`inside_orbit_s`), of the process's peak RSS
 (`peak_rss_mb`, through the digest), the report's size in bytes,
 `n_evaluations`, and the number of batched kernel calls with their rows per
 call.  The calls are counted where the engine hands a batch to the kernel
-(`covering._Engine.evaluate_cart`), so a batch split with the Cover Cap
-helper counts once.  `--label` names the table, and an existing file keeps
-its other tables.
+(`covering._Engine.evaluate_cart`), so a batch split with a forked child
+counts once.  The split batches are counted too (`split_batches=`, calls of
+`covering._split_evaluate`; None from a tree without it).  `--label` names
+the table, and an existing file keeps its other tables.
 
 With `--baseline SRC` (the `src/` directory of another checkout), the
 repeats of the baseline and of this tree alternate (baseline first in even
@@ -94,11 +95,13 @@ def balls_digest(doc: dict) -> str:
 
 
 class BatchCalls:
-    """Counts the batches the engine evaluates, and their rows, while installed."""
+    """Counts the batches the engine evaluates, their rows and the split ones, while installed."""
 
     def __init__(self):
         self.calls = self.rows = 0
         self.original = covering._Engine.evaluate_cart
+        self.split = getattr(covering, "_split_evaluate", None)
+        self.splits = None if self.split is None else 0
 
     def __enter__(self):
         def counted(engine, directions):
@@ -106,11 +109,19 @@ class BatchCalls:
             self.rows += len(directions)
             return self.original(engine, directions)
 
+        def counted_split(*args):
+            self.splits += 1
+            return self.split(*args)
+
         covering._Engine.evaluate_cart = counted
+        if self.split is not None:
+            covering._split_evaluate = counted_split
         return self
 
     def __exit__(self, *exc):
         covering._Engine.evaluate_cart = self.original
+        if self.split is not None:
+            covering._split_evaluate = self.split
 
 
 def measure(structure: str, n: int, path: Path) -> dict:
@@ -143,6 +154,7 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "inside_orbit_s": outcome.timings.get("inside_orbit", 0.0),
         "confidence_radii_calls": kernel.calls,
         "rows_per_call": round(kernel.rows / kernel.calls, 2) if kernel.calls else 0.0,
+        "split_batches": kernel.splits,
     }
 
 
@@ -184,7 +196,8 @@ def line(row: dict) -> str:
         f"sha256={row['sha256']} cert={row['cert']} balls={row['balls']} "
         f"cover_cap_inside_orbit={row['cover_cap_inside_orbit']} "
         f"not_covered_inside_orbit={row['not_covered_inside_orbit']} "
-        f"cover_s={row['cover_s']:.2f} report_bytes={row['report_bytes']} "
+        f"cover_s={row['cover_s']:.2f} split_batches={row['split_batches']} "
+        f"report_bytes={row['report_bytes']} "
         f"peak_rss_mb={row['peak_rss_mb']:.1f}"
     )
 
@@ -194,7 +207,7 @@ def write_table(path: Path, label: str, statistic: str, note: str, rows: list) -
     doc.setdefault(
         "benchmark",
         "conjecture covers per job: phase 1 and Cover Cap seconds, evaluations, batched kernel"
-        " calls, report bytes and peak RSS",
+        " calls, split batches, report bytes and peak RSS",
     )
     doc.setdefault("tables", {})[label] = {
         "statistic": statistic,

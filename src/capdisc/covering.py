@@ -5,18 +5,15 @@ with steps sized by the local confidence radius.  Directions whose radius
 falls below the ring minimum are queued; phase 2 certifies them with the
 8-cap Cover Cap construction, grown level by level over all queued directions;
 a Cover Cap ball that lies inside a phase-1 ball is dropped.
-On a host with two or more CPUs, large batches are shared with one forked
-helper process per cover.
+On a host with two or more CPUs, each large batch is split with one child
+process, forked for that batch alone.
 """
 from __future__ import annotations
 
 import math
 import os
-import select
-import struct
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from statistics import median
 
@@ -372,23 +369,21 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
     return covered
 
 
-# Batches of at least this many rows are shared with the helper process.
+# Batches of at least this many rows are split with a forked child.
 # Replaying plain polar n=30's batches of 64 rows or more (95,490 rows, in
 # 61 batches when levels were split into slices of 1,024 nodes) on 2 CPUs
 # took 1.12-1.29 s serial and 0.69-0.97 s shared from 1,024 rows on;
 # thresholds from 64 to 1,024 gave the same, 2,048 gave 0.87-1.02 s.  Whole
-# levels give the same rows in 33 batches of up to 32,382.
-# At 1,024 no twisted job of the conjecture sweep forks (their largest
-# batches hold 776 and 568 rows), where a helper cost 5-7 ms per cover and
-# saved nothing.
+# levels make 15 such batches of 1,176 to 32,382 rows, 89,479 rows in all,
+# at about 1 ms per fork.  At 1,024 no twisted job of the conjecture sweep
+# forks (their largest batches hold 776 and 568 rows for n = 20 and 40).
 _SPLIT_ROWS = 1024
-# Rows per request to the helper, and per step of the caller between its
-# looks at the replies: few enough that neither waits long for the other.
+# Rows each side evaluates between looks at the other's mark: few enough
+# that little of the child's work is lost when the parent meets it.
 _CHUNK_ROWS = 256
-_REPLY = struct.Struct("<qd")  # rows, or minus the length of an error message; helper seconds
 
 
-def _helper_allowed() -> bool:
+def _split_allowed() -> bool:
     """Whether fork and a second CPU are there, with no other Python thread.
 
     Another thread may hold a lock that the fork copies held, and a daemonic
@@ -405,136 +400,62 @@ def _helper_allowed() -> bool:
     return mp is None or not mp.current_process().daemon
 
 
-def _serve(requests: int, replies: int, parent_ends: tuple, points: np.ndarray, d: float):
-    """The helper's body: answer each request until the request pipe closes.
+def _split_evaluate(points: np.ndarray, directions: np.ndarray, d: float):
+    """(dis, radius, child seconds) of the rows, evaluated by this process and a forked child.
 
-    Every path ends in os._exit, so nothing unwinds into the stack it was
-    forked from.  SIGINT stays blocked: the parent handles it and reaps.
+    Both write into one anonymous shared map.  The parent takes chunks from
+    the front, the child from the back; each publishes its mark after each
+    chunk and stops where it meets the other's.  The parent kills and reaps
+    the child once it has met the child's mark, or on any exception, and
+    reads the rows only after that: every row at or past the child's last
+    published back is then written, whatever the memory model, and the rows
+    the child never reached (it raised, was killed or was slow) are the
+    parent's own.  Every row comes from `confidence_radii`, whose rows do
+    not depend on their batch, so a row both evaluated holds the same bits
+    from either, and a kernel error raises in the parent as itself.
     """
-    code = 1
+    import mmap
+    import signal  # not at module load, where it adds about 0.8 MB to every cover's peak RSS
+
+    m = len(directions)
+    shared = mmap.mmap(-1, 24 + 16 * m)
+    marks = np.frombuffer(shared, np.int64, 2)  # the parent's front, the child's back
+    seconds = np.frombuffer(shared, float, 1, 16)  # the child's, up to its back
+    dis, radius = np.frombuffer(shared, float, 2 * m, 24).reshape(2, m)
+    marks[1] = m
+    # SIGINT is held over the fork: the child never unblocks it, and the
+    # parent does so only inside the try that reaps the child.
+    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
     try:
-        for fd in parent_ends:
-            os.close(fd)
-        with open(requests, "rb") as inp, open(replies, "wb") as out:
-            while len(header := inp.read(8)) == 8:  # the request's size in bytes
-                size = int.from_bytes(header, "little")
-                if len(data := inp.read(size)) < size:
-                    break
-                rows = np.frombuffer(data).reshape(-1, 3)
-                t0 = time.perf_counter()
-                try:
-                    values = confidence_radii(points, rows, d)
-                except Exception as exc:
-                    message = f"{type(exc).__name__}: {exc}".encode()
-                    out.write(_REPLY.pack(-len(message), 0.0) + message)
-                    break
-                out.write(_REPLY.pack(len(rows), time.perf_counter() - t0))
-                for a in values:
-                    out.write(np.ascontiguousarray(a, dtype=float))
-                out.flush()
-        code = 0
-    finally:
-        os._exit(code)
-
-
-class _Helper:
-    """A forked process that evaluates a share of each large batch while the caller does the rest.
-
-    It inherits the points and d through the fork, so a request carries
-    only the rows; a reply carries their (dis, radius) and the seconds the
-    helper spent on them.  Every row comes from `confidence_radii`, whose
-    rows do not depend on the batch they are in, so the values are the
-    in-process ones bit for bit.
-    """
-
-    def __init__(self, pid: int, requests: int, replies: int):
-        self.pid = pid
-        self.requests = open(requests, "wb")
-        self.replies = open(replies, "rb", buffering=0)  # unbuffered, so select sees all it holds
-        self.seconds = 0.0
-        self.reaped = False
-
-    def evaluate(self, points: np.ndarray, directions: np.ndarray, d: float):
-        """(dis, radius) of the rows: the caller takes chunks from the front, the helper the back.
-
-        Two requests stay queued with the helper, so it never waits for the
-        caller, and the two meet wherever their speeds put them: a second
-        CPU that is busy elsewhere costs at most two chunks of waiting.
-        """
-        directions = np.ascontiguousarray(directions, dtype=float)
-        dis, radius = np.empty(len(directions)), np.empty(len(directions))
-        front, back = 0, len(directions)  # rows [front, back) are nobody's yet
-        queued: deque = deque()  # (lo, hi) of each request not yet answered, in order
-
-        def top_up():
-            nonlocal back
-            while len(queued) < 2 and front < back:
-                lo = max(front, back - _CHUNK_ROWS)
-                self._send(directions[lo:back])
-                queued.append((lo, back))
-                back = lo
-
-        top_up()
-        while front < back:
+        pid = os.fork()
+    except OSError:  # no process to be had: the batch is evaluated in-process
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        return *confidence_radii(points, directions, d), 0.0
+    if pid == 0:
+        try:  # every path ends in os._exit, so nothing unwinds into the forked stack
+            t0 = time.perf_counter()
+            back = m
+            while back > (front := int(marks[0])):
+                lo = max(back - _CHUNK_ROWS, front)
+                dis[lo:back], radius[lo:back] = confidence_radii(points, directions[lo:back], d)
+                seconds[0] = time.perf_counter() - t0
+                marks[1] = back = lo
+        finally:
+            os._exit(0)
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
+        front = 0
+        while front < (back := int(marks[1])):
             hi = min(front + _CHUNK_ROWS, back)
             dis[front:hi], radius[front:hi] = confidence_radii(points, directions[front:hi], d)
-            front = hi
-            while queued and select.select([self.replies], [], [], 0)[0]:
-                self._receive(*queued.popleft(), dis, radius)
-                top_up()
-        while queued:
-            self._receive(*queued.popleft(), dis, radius)
-        return dis, radius
-
-    def _send(self, rows: np.ndarray) -> None:
-        try:
-            self.requests.write(rows.nbytes.to_bytes(8, "little"))
-            self.requests.write(rows)
-            self.requests.flush()
-        except OSError as exc:
-            raise RuntimeError(f"Cover Cap helper {self.pid} {self._reap()}") from exc
-
-    def _receive(self, lo: int, hi: int, dis: np.ndarray, radius: np.ndarray) -> None:
-        rows, seconds = _REPLY.unpack(self._read(_REPLY.size))
-        if rows < 0:
-            raise RuntimeError(f"Cover Cap helper {self.pid} failed: {self._read(-rows).decode()}")
-        dis[lo:hi], radius[lo:hi] = np.frombuffer(self._read(16 * rows)).reshape(2, rows)
-        self.seconds += seconds
-
-    def _read(self, size: int) -> bytearray:
-        data = bytearray()
-        while len(data) < size:
-            part = self.replies.read(size - len(data))
-            if not part:
-                raise RuntimeError(f"Cover Cap helper {self.pid} {self._reap()}")
-            data += part
-        return data
-
-    def _reap(self) -> str:
-        """Wait for the helper to end, and say how it ended."""
-        self.reaped = True
-        try:
-            _, status = os.waitpid(self.pid, 0)
-        except ChildProcessError:  # reaped already: the program ignores SIGCHLD
-            return "ended"
-        code = os.waitstatus_to_exitcode(status)
-        return f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
-
-    def close(self) -> None:
-        """Close the pipes, then kill and reap the helper, which holds nothing to clean up."""
-        for pipe in (self.requests, self.replies):
-            try:
-                pipe.close()
-            except OSError:  # the rest of a request to a helper that died
-                pass
-        if not self.reaped:
-            import signal
-
-            try:
-                os.kill(self.pid, signal.SIGKILL)
-            except ProcessLookupError:  # reaped already: the program ignores SIGCHLD
-                pass
-            self._reap()
+            marks[0] = front = hi
+    finally:
+        try:  # rows the child may still be evaluating are the parent's already
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):  # reaped already: SIGCHLD is ignored
+            pass
+    return dis, radius, float(seconds[0])
 
 
 class _Engine:
@@ -547,8 +468,7 @@ class _Engine:
         self.stranded: list[tuple[np.ndarray, float]] = []  # (center, required radius) of phase 1
         self.r_min_per_orbit: list[float] = []  # of each ring walked
         self._closeout_attempts = 0
-        self.helper: _Helper | None = None
-        self._helper_tried = False
+        self.split_s = 0.0  # the forked children's seconds
 
     # -- direction evaluation -------------------------------------------------
 
@@ -563,40 +483,11 @@ class _Engine:
     def evaluate_cart(self, directions: np.ndarray):
         """(directed_value, radius) arrays of the rows; radius nan where the hypothesis fails."""
         self.n_eval += len(directions)
-        if len(directions) >= _SPLIT_ROWS and self._helper_ready():
-            return self.helper.evaluate(self.ps.points, directions, self.params.d)
+        if len(directions) >= _SPLIT_ROWS and _split_allowed():
+            dis, radius, seconds = _split_evaluate(self.ps.points, directions, self.params.d)
+            self.split_s += seconds
+            return dis, radius
         return confidence_radii(self.ps.points, directions, self.params.d)
-
-    def _helper_ready(self) -> bool:
-        """Whether the helper runs, forking it at the first call where it may."""
-        if not self._helper_tried:
-            self._helper_tried = True
-            if _helper_allowed():
-                self._fork_helper()
-        return self.helper is not None
-
-    def _fork_helper(self) -> None:
-        import signal  # not at module load, where it adds about 0.8 MB to every cover's peak RSS
-
-        req_r, req_w = os.pipe()
-        rep_r, rep_w = os.pipe()
-        # SIGINT is held from before the fork until self.helper is set, so no
-        # KeyboardInterrupt reaches the child or leaves a helper unreaped.
-        held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        try:
-            try:
-                pid = os.fork()
-            except OSError:  # no process to be had: every batch is evaluated in-process
-                for fd in (req_r, req_w, rep_r, rep_w):
-                    os.close(fd)
-                return
-            if pid == 0:
-                _serve(req_r, rep_w, (req_w, rep_r), self.ps.points, self.params.d)
-            os.close(req_r)
-            os.close(rep_w)
-            self.helper = _Helper(pid, req_w, rep_r)
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, held)
 
     # -- phase 1 --------------------------------------------------------------
 
@@ -707,14 +598,6 @@ class _Engine:
         return hi
 
     def run(self) -> CoverOutcome:
-        """Cover the region; a helper, if one was forked, is reaped however the cover ends."""
-        try:
-            return self._cover()
-        finally:
-            if self.helper is not None:
-                self.helper.close()
-
-    def _cover(self) -> CoverOutcome:
         t0 = time.perf_counter()
         counterexample = None
         try:
@@ -786,7 +669,7 @@ class _Engine:
                 "phase1": phase1_s,
                 "cover_cap": cover_cap_s,
                 "total": phase1_s + cover_cap_s,
-                "cover_cap_helper": self.helper.seconds if self.helper else 0.0,
+                "cover_cap_helper": self.split_s,
                 "inside_orbit": inside_orbit_s,
             },
         )

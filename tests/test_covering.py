@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
@@ -271,12 +272,12 @@ def keyed_evaluator(special, default=(0.01, 1.0)):
 
 
 EVALUATE_CART = _Engine.evaluate_cart
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper needs os.fork")
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="a split batch needs os.fork")
 
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Pids of the helpers forked in the test; two CPUs are reported, so any host forks."""
+    """Pids of the children forked in the test; two CPUs are reported, so any host forks."""
     pids = []
     fork = os.fork
 
@@ -292,7 +293,7 @@ def forks(monkeypatch):
 
 
 def assert_reaped(pids):
-    assert pids, "no helper was forked"
+    assert pids, "no child was forked"
     for pid in pids:
         with pytest.raises(ChildProcessError):  # no longer a child: reaped
             os.waitpid(pid, os.WNOHANG)
@@ -657,17 +658,27 @@ class TestCounterexampleInCoverCap:
 
     @needs_fork
     def test_split_batches_give_the_same_counterexample(self, monkeypatch, forks):
-        # The keyed kernel stands in for confidence_radii, so the helper
-        # (forked at the first batch of 2 rows) evaluates with it too.
+        # The keyed kernel stands in for confidence_radii in the child too.
+        # Only level 0's batch of 112 centres is split, and the parent's
+        # chunks of 8 rows are slowed, so the child evaluates most of them.
         phase1_records, queue = self.phase1(monkeypatch)
         violation = self.seed_five_violation(queue)
         special = {violation.tobytes(): (0.9, math.nan)}
         expect = self.cover(monkeypatch, special)
         evaluate = keyed_evaluator(special, self.DEFAULT)
+        parent = os.getpid()
+
+        def kernel(points, dirs, d):
+            if os.getpid() == parent and forks:
+                time.sleep(0.02)
+            return evaluate(dirs)
+
         monkeypatch.setattr(_Engine, "evaluate_cart", EVALUATE_CART)
-        monkeypatch.setattr(covering, "confidence_radii", lambda points, dirs, d: evaluate(dirs))
-        monkeypatch.setattr(covering, "_SPLIT_ROWS", 2)
+        monkeypatch.setattr(covering, "confidence_radii", kernel)
+        monkeypatch.setattr(covering, "_SPLIT_ROWS", 100)
+        monkeypatch.setattr(covering, "_CHUNK_ROWS", 8)
         outcome = cover_region(self.PS, self.PARAMS)
+        assert len(forks) == 1
         assert_reaped(forks)
         assert outcome.status == "counterexample"
         assert outcome.counterexample.direction.tobytes() == violation.tobytes()
@@ -1058,65 +1069,93 @@ def report_digest(ps, params, outcome) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
+def rows_in_the_parent(monkeypatch, parent_sleep=0.0, child=None):
+    """Rows the parent evaluates; `child(calls)` runs in the child before each kernel call."""
+    parent, rows, calls = os.getpid(), [], []
+
+    def kernel(points, directions, d):
+        if os.getpid() == parent:
+            rows.append(len(directions))
+            time.sleep(parent_sleep)
+        elif child is not None:
+            calls.append(len(directions))
+            child(calls)
+        return confidence_radii(points, directions, d)
+
+    monkeypatch.setattr(covering, "confidence_radii", kernel)
+    return rows
+
+
 @needs_fork
 class TestHelper:
-    """Batches of _SPLIT_ROWS rows or more are split with one forked helper per cover."""
+    """Each batch of _SPLIT_ROWS rows or more is split with a helper: a child forked for it."""
+
+    def split(self, n, rows, seed):
+        """Evaluate `rows` random directions through a fresh engine; check the in-process bytes."""
+        ps, params = conjecture_setup(n, "polar")
+        directions = uniform_directions(rows, seed=seed)
+        engine = _Engine(ps, params)
+        dis, radius = engine.evaluate_cart(directions)
+        assert engine.n_eval == rows
+        expect = confidence_radii(ps.points, directions, params.d)
+        assert dis.tobytes() == expect[0].tobytes()
+        assert radius.tobytes() == expect[1].tobytes()
+        return engine
 
     def test_split_batch_equals_the_in_process_bytes(self, forks):
-        ps, params = conjecture_setup(30, "polar")
-        directions = uniform_directions(2_500, seed=3)
-        engine = _Engine(ps, params)
-        try:
-            dis, radius = engine.evaluate_cart(directions)
-            assert engine.helper is not None and engine.helper.seconds > 0.0
-        finally:
-            engine.helper.close()
+        engine = self.split(30, 2_500, seed=3)
+        assert engine.split_s > 0.0
+        assert len(forks) == 1
         assert_reaped(forks)
-        expect = confidence_radii(ps.points, directions, params.d)
-        assert dis.tobytes() == expect[0].tobytes()
-        assert radius.tobytes() == expect[1].tobytes()
-        assert engine.n_eval == 2_500
+
+    def test_failed_fork_evaluates_in_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+        def no_fork():
+            raise BlockingIOError("no process to be had")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.split(14, 2_048, seed=5).split_s == 0.0
 
     def test_caller_takes_the_rows_of_a_slow_helper(self, forks, monkeypatch):
-        parent = os.getpid()
-
-        def slow_in_the_helper(points, directions, d):
-            if os.getpid() != parent:
-                time.sleep(0.2)
-            return confidence_radii(points, directions, d)
-
-        sends = []
-        send = covering._Helper._send
-
-        def counted_send(helper, rows):
-            sends.append(len(rows))
-            send(helper, rows)
-
-        monkeypatch.setattr(covering, "confidence_radii", slow_in_the_helper)
-        monkeypatch.setattr(covering._Helper, "_send", counted_send)
-        ps, params = conjecture_setup(14, "polar")
-        directions = uniform_directions(4_096, seed=4)
-        engine = _Engine(ps, params)
-        try:
-            dis, radius = engine.evaluate_cart(directions)
-        finally:
-            engine.helper.close()
+        rows = rows_in_the_parent(monkeypatch, child=lambda calls: time.sleep(0.2))
+        self.split(14, 4_096, seed=4)
         assert_reaped(forks)
-        # The caller meets the helper's two queued chunks before the first reply.
-        assert sends == [covering._CHUNK_ROWS] * 2
-        expect = confidence_radii(ps.points, directions, params.d)
-        assert dis.tobytes() == expect[0].tobytes()
-        assert radius.tobytes() == expect[1].tobytes()
+        assert sum(rows) > 2_048
+
+    @pytest.mark.parametrize("how", ["raises", "is-killed"])
+    def test_child_that_fails_leaves_its_rows_to_the_parent(self, forks, monkeypatch, how):
+        def fail_after_the_first_chunk(calls):
+            if len(calls) == 2:
+                if how == "raises":
+                    raise ValueError("no kernel here")
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        # the parent is slowed, so the child's first chunk is in before they meet
+        rows = rows_in_the_parent(monkeypatch, 0.02, fail_after_the_first_chunk)
+        self.split(14, 2_048, seed=6)
+        assert_reaped(forks)
+        assert sum(rows) == 2_048 - covering._CHUNK_ROWS
+
+    def test_kernel_error_raises_in_the_parent_as_itself(self, forks, monkeypatch):
+        def fails(points, directions, d):
+            raise ValueError(f"no kernel in {os.getpid()}")
+
+        monkeypatch.setattr(covering, "confidence_radii", fails)
+        with pytest.raises(ValueError, match=f"^no kernel in {os.getpid()}$"):
+            self.split(14, 4_096, seed=7)
+        assert_reaped(forks)
 
     def test_polar_30_report_equals_the_in_process_one(self, forks, monkeypatch):
         ps, params = conjecture_setup(30, "polar")
         split = cover_region(ps, params)
+        assert len(forks) == 15  # one per batch of _SPLIT_ROWS rows or more
         assert_reaped(forks)
         assert split.status == "residual"
         assert split.timings["cover_cap_helper"] > 0.0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         alone = cover_region(ps, params)
-        assert len(forks) == 1  # one CPU: no helper
+        assert len(forks) == 15  # one CPU: no fork
         assert alone.timings["cover_cap_helper"] == 0.0
         assert split.counters == alone.counters
         assert split.counters["n_evaluations"] == 105_578
@@ -1134,81 +1173,39 @@ class TestHelper:
         class Stop(Exception):
             pass
 
-        centers = covering.cover_cap_centers
+        parent, kernel = os.getpid(), covering.confidence_radii
 
-        def stop_once_forked(*args):
-            if forks:
+        def stops_in_the_split(points, directions, d):
+            if os.getpid() == parent and forks:
                 raise Stop
-            return centers(*args)
+            return kernel(points, directions, d)
 
-        monkeypatch.setattr(covering, "cover_cap_centers", stop_once_forked)
+        monkeypatch.setattr(covering, "confidence_radii", stops_in_the_split)
         with pytest.raises(Stop):
             cover_region(*conjecture_setup(14, "polar"))
         assert_reaped(forks)
 
-    def test_helper_error_is_raised_with_its_message(self, forks, monkeypatch):
-        parent = os.getpid()
-
-        def fails_in_the_helper(points, directions, d):
-            if os.getpid() != parent:
-                raise ValueError("no kernel here")
-            return confidence_radii(points, directions, d)
-
-        monkeypatch.setattr(covering, "confidence_radii", fails_in_the_helper)
-        ps, params = conjecture_setup(14, "polar")
-        with pytest.raises(RuntimeError, match="ValueError: no kernel here"):
-            cover_region(ps, params)
-        assert_reaped(forks)
-
     def test_no_helper_on_one_cpu_beside_a_thread_or_in_a_daemon(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert not covering._helper_allowed()
+        assert not covering._split_allowed()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert covering._helper_allowed()
+        assert covering._split_allowed()
         release = threading.Event()
         waiter = threading.Thread(target=release.wait, args=(10,))
         waiter.start()
         try:
-            assert not covering._helper_allowed()
+            assert not covering._split_allowed()
         finally:
             release.set()
             waiter.join(10)
         assert not waiter.is_alive()
-        assert covering._helper_allowed()
+        assert covering._split_allowed()
         daemon = SimpleNamespace(current_process=lambda: SimpleNamespace(daemon=True))
         monkeypatch.setitem(sys.modules, "multiprocessing", daemon)
-        assert not covering._helper_allowed()
-
-    def test_killed_helper_makes_the_next_batch_raise(self):
-        script = textwrap.dedent(
-            """
-            import os, signal
-            import numpy as np
-            from capdisc import conjecture_setup, covering
-
-            os.sched_getaffinity = lambda pid: {0, 1}
-            ps, params = conjecture_setup(14, "polar")
-            rows = np.random.default_rng(0).normal(size=(4096, 3))
-            rows /= np.linalg.norm(rows, axis=1)[:, None]
-            engine = covering._Engine(ps, params)
-            engine.evaluate_cart(rows)
-            os.kill(engine.helper.pid, signal.SIGKILL)
-            try:
-                engine.evaluate_cart(rows)
-            except RuntimeError as exc:
-                print(exc)
-            finally:
-                engine.helper.close()
-            """
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "was killed by signal 9" in proc.stdout, proc.stdout
+        assert not covering._split_allowed()
 
     def test_cover_ends_where_children_are_reaped_unasked(self):
-        # With SIGCHLD ignored the kernel reaps the helper itself, so waitpid finds no child.
+        # With SIGCHLD ignored the kernel reaps each child itself, so waitpid finds no child.
         script = textwrap.dedent(
             """
             import os, signal
@@ -1225,6 +1222,56 @@ class TestHelper:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["covered", "True"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads a process's state in /proc")
+    def test_child_of_a_killed_cover_stops_at_the_frozen_front(self):
+        # The covering process stops right after it forks for the split
+        # batch and is killed there; the child, slowed to 0.02 s a chunk, is
+        # left with the whole batch and must end by itself.
+        script = textwrap.dedent(
+            """
+            import os, time
+            from capdisc import conjecture_setup, cover_region, covering
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            parent, fork, kernel = os.getpid(), os.fork, covering.confidence_radii
+
+            def announced_fork():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                    time.sleep(60)
+                return pid
+
+            def slow_in_the_child(points, directions, d):
+                if os.getpid() != parent:
+                    time.sleep(0.02)
+                return kernel(points, directions, d)
+
+            os.fork = announced_fork
+            covering.confidence_radii = slow_in_the_child
+            cover_region(*conjecture_setup(14, "polar"))
+            """
+        )
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True)
+        try:
+            child = int(proc.stdout.readline())
+        finally:
+            proc.kill()
+            proc.wait(10)
+            proc.stdout.close()
+        status = f"/proc/{child}/status"
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            try:
+                with open(status) as f:
+                    state = next(x for x in f if x.startswith("State:"))
+            except FileNotFoundError:  # reaped by the process it was handed to
+                return
+            if state.split()[1] == "Z":  # ended, waiting to be reaped
+                return
+            time.sleep(0.05)
+        pytest.fail(f"child {child} of the killed cover still runs: {state.strip()}")
 
 
 def test_params_validation():

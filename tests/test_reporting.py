@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capdisc import reporting
+from capdisc import covering, reporting
 from capdisc.covering import CoverageRecords, CoverOutcome, CoverParams, Residuals, cover_region
 from capdisc.discrepancy import confidence_radius, directed_values, project
 from capdisc.geometry import PolarDirection, Region, cartesian_to_polar, polar_to_cartesian
@@ -280,6 +280,7 @@ class TestReportDocument:
             "cover_cap_inside_orbit=91 not_covered_inside_orbit=0 cover_s="
         )
         assert proc.stdout.startswith(expect), proc.stdout
+        assert " split_batches=0 " in proc.stdout  # no twisted batch reaches _SPLIT_ROWS
         assert doc["records"] != sorted(doc["records"])  # so the sort is put to the test
         assert len(proc.stdout.splitlines()) == 1
         # the size of the schema-2 report, but for the digits of its timings, and the peak
@@ -315,8 +316,9 @@ class TestReportDocument:
         assert fixed[0] == fixed[1]
         assert abs(rows[0][0]["report_bytes"] - rows[1][0]["report_bytes"]) < 50
         assert rows[1][0]["peak_rss_mb"] > 10.0
-        # a batch the helper splits (polar 14 has one, given 2 CPUs) counts as one call
+        # a batch split with a forked child (polar 14 has one, given 2 CPUs) counts as one call
         assert fixed[1]["confidence_radii_calls"] == 174
+        assert fixed[1]["split_batches"] == int(covering._split_allowed())  # of 1,672 rows
         assert "alternating with the parent table's" in tables["change"]["statistic"]
 
 

@@ -23,13 +23,13 @@ give different ones for the same certificate.
 
 Each repeat of a job runs in a fresh process: one cover, then the report is
 written, read back and digested.  With `--out`, each job is run `--repeats`
-times and a layer table is written as JSON: the medians of the phase-1,
-Cover Cap and Cover Cap helper seconds, of the seconds spent dropping Cover
-Cap rows inside phase-1 balls (`inside_orbit_s`), of the process's peak RSS
+times and a layer table is written as JSON: the medians of the phase-1 and
+Cover Cap seconds, of the seconds spent dropping Cover Cap rows inside
+phase-1 balls (`inside_orbit_s`), of the process's peak RSS
 (`peak_rss_mb`, through the digest), the report's size in bytes,
 `n_evaluations`, and the number of batched kernel calls with their rows per
 call.  The calls are counted where the engine hands a batch to the kernel
-(`covering._Engine.evaluate_cart`), so a batch split with a forked child
+(`covering._Engine.evaluate_cart`), so a batch split over two threads
 counts once.  The split batches are counted too (`split_batches=`, calls of
 `covering._split_evaluate`; None from a tree without it).  `--label` names
 the table, and an existing file keeps its other tables.
@@ -67,8 +67,7 @@ CERT_KEYS = ("records", "not_covered", "counterexample", "params", "points_meta"
 # Row keys that are medians of the repeats; the others must agree across them.
 # The report's size varies by a few bytes with the digits of its timings.
 MEDIANS = (
-    "cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s", "inside_orbit_s", "peak_rss_mb",
-    "report_bytes",
+    "cover_s", "phase1_s", "cover_cap_s", "inside_orbit_s", "peak_rss_mb", "report_bytes",
 )
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -150,7 +149,6 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "cover_s": cover_s,
         "phase1_s": outcome.timings["phase1"],
         "cover_cap_s": outcome.timings["cover_cap"],
-        "cover_cap_helper_s": outcome.timings.get("cover_cap_helper", 0.0),
         "inside_orbit_s": outcome.timings.get("inside_orbit", 0.0),
         "confidence_radii_calls": kernel.calls,
         "rows_per_call": round(kernel.rows / kernel.calls, 2) if kernel.calls else 0.0,

@@ -5,14 +5,14 @@ with steps sized by the local confidence radius.  Directions whose radius
 falls below the ring minimum are queued; phase 2 certifies them with the
 8-cap Cover Cap construction, grown level by level over all queued directions;
 a Cover Cap ball that lies inside a phase-1 ball is dropped.
-On a host with two or more CPUs, each large batch is split with one child
-process, forked for that batch alone.
+On a host with two or more CPUs, each large batch is split over the calling
+thread and one more, started for that batch alone.
 """
 from __future__ import annotations
 
 import math
 import os
-import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from statistics import median
@@ -369,93 +369,55 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
     return covered
 
 
-# Batches of at least this many rows are split with a forked child.
-# Replaying plain polar n=30's batches of 64 rows or more (95,490 rows, in
-# 61 batches when levels were split into slices of 1,024 nodes) on 2 CPUs
-# took 1.12-1.29 s serial and 0.69-0.97 s shared from 1,024 rows on;
-# thresholds from 64 to 1,024 gave the same, 2,048 gave 0.87-1.02 s.  Whole
-# levels make 15 such batches of 1,176 to 32,382 rows, 89,479 rows in all,
-# at about 1 ms per fork.  At 1,024 no twisted job of the conjecture sweep
-# forks (their largest batches hold 776 and 568 rows for n = 20 and 40).
+# Batches of at least this many rows are split over two threads.  Plain
+# polar n=30's Cover Cap makes 15 (1,176 to 32,382 rows, 89,479 in all);
+# replayed on 2 shared CPUs they took 0.88 s split, 1.12 s unsplit (medians
+# of 7).  Thresholds from 64 to 1,024 rows gave the same time when a second
+# process shared the batches, 2,048 a longer one.  No twisted job of the
+# conjecture sweep splits (its largest batches hold 776 rows or fewer).
 _SPLIT_ROWS = 1024
-# Rows each side evaluates between looks at the other's mark: few enough
-# that little of the child's work is lost when the parent meets it.
+# Rows a thread takes at a time: few enough that the other thread is not
+# left waiting long at the end of a batch, or after an error.
 _CHUNK_ROWS = 256
 
 
 def _split_allowed() -> bool:
-    """Whether fork and a second CPU are there, with no other Python thread.
-
-    Another thread may hold a lock that the fork copies held, and a daemonic
-    multiprocessing worker may not have children.
-    """
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return False
-    if len(os.sched_getaffinity(0)) < 2:
-        return False
-    # Modules a threaded program or a worker has imported; this module imports neither.
-    threading, mp = sys.modules.get("threading"), sys.modules.get("multiprocessing")
-    if threading is not None and threading.active_count() > 1:
-        return False
-    return mp is None or not mp.current_process().daemon
+    """Whether this process may run on a second CPU."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
 def _split_evaluate(points: np.ndarray, directions: np.ndarray, d: float):
-    """(dis, radius, child seconds) of the rows, evaluated by this process and a forked child.
+    """(dis, radius) of the rows, evaluated by the calling thread and one more.
 
-    Both write into one anonymous shared map.  The parent takes chunks from
-    the front, the child from the back; each publishes its mark after each
-    chunk and stops where it meets the other's.  The parent kills and reaps
-    the child once it has met the child's mark, or on any exception, and
-    reads the rows only after that: every row at or past the child's last
-    published back is then written, whatever the memory model, and the rows
-    the child never reached (it raised, was killed or was slow) are the
-    parent's own.  Every row comes from `confidence_radii`, whose rows do
-    not depend on their batch, so a row both evaluated holds the same bits
-    from either, and a kernel error raises in the parent as itself.
+    The two take chunks of _CHUNK_ROWS rows from one iterator, whose `next`
+    the interpreter lock makes atomic, so each chunk is evaluated once;
+    numpy drops the lock inside the kernel's array operations.  Rows of
+    `confidence_radii` do not depend on their batch, so the bytes equal an
+    unsplit call's.  An exception in either thread drains the iterator, so
+    the other stops after its current chunk, and is raised in the caller.
     """
-    import mmap
-    import signal  # not at module load, where it adds about 0.8 MB to every cover's peak RSS
-
     m = len(directions)
-    shared = mmap.mmap(-1, 24 + 16 * m)
-    marks = np.frombuffer(shared, np.int64, 2)  # the parent's front, the child's back
-    seconds = np.frombuffer(shared, float, 1, 16)  # the child's, up to its back
-    dis, radius = np.frombuffer(shared, float, 2 * m, 24).reshape(2, m)
-    marks[1] = m
-    # SIGINT is held over the fork: the child never unblocks it, and the
-    # parent does so only inside the try that reaps the child.
-    held = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        pid = os.fork()
-    except OSError:  # no process to be had: the batch is evaluated in-process
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        return *confidence_radii(points, directions, d), 0.0
-    if pid == 0:
-        try:  # every path ends in os._exit, so nothing unwinds into the forked stack
-            t0 = time.perf_counter()
-            back = m
-            while back > (front := int(marks[0])):
-                lo = max(back - _CHUNK_ROWS, front)
-                dis[lo:back], radius[lo:back] = confidence_radii(points, directions[lo:back], d)
-                seconds[0] = time.perf_counter() - t0
-                marks[1] = back = lo
-        finally:
-            os._exit(0)
-    try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, held)
-        front = 0
-        while front < (back := int(marks[1])):
-            hi = min(front + _CHUNK_ROWS, back)
-            dis[front:hi], radius[front:hi] = confidence_radii(points, directions[front:hi], d)
-            marks[0] = front = hi
-    finally:
-        try:  # rows the child may still be evaluating are the parent's already
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        except (ProcessLookupError, ChildProcessError):  # reaped already: SIGCHLD is ignored
-            pass
-    return dis, radius, float(seconds[0])
+    dis, radius = np.empty(m), np.empty(m)
+    chunks = iter(range(0, m, _CHUNK_ROWS))
+    errors = []
+
+    def evaluate_chunks():
+        try:
+            for lo in chunks:
+                rows = slice(lo, lo + _CHUNK_ROWS)
+                dis[rows], radius[rows] = confidence_radii(points, directions[rows], d)
+        except BaseException as exc:  # raised again in the caller, below
+            errors.append(exc)
+            for _ in chunks:
+                pass
+
+    helper = threading.Thread(target=evaluate_chunks)
+    helper.start()
+    evaluate_chunks()
+    helper.join()
+    if errors:
+        raise errors[0]
+    return dis, radius
 
 
 class _Engine:
@@ -468,7 +430,6 @@ class _Engine:
         self.stranded: list[tuple[np.ndarray, float]] = []  # (center, required radius) of phase 1
         self.r_min_per_orbit: list[float] = []  # of each ring walked
         self._closeout_attempts = 0
-        self.split_s = 0.0  # the forked children's seconds
 
     # -- direction evaluation -------------------------------------------------
 
@@ -484,9 +445,7 @@ class _Engine:
         """(directed_value, radius) arrays of the rows; radius nan where the hypothesis fails."""
         self.n_eval += len(directions)
         if len(directions) >= _SPLIT_ROWS and _split_allowed():
-            dis, radius, seconds = _split_evaluate(self.ps.points, directions, self.params.d)
-            self.split_s += seconds
-            return dis, radius
+            return _split_evaluate(self.ps.points, directions, self.params.d)
         return confidence_radii(self.ps.points, directions, self.params.d)
 
     # -- phase 1 --------------------------------------------------------------
@@ -669,7 +628,6 @@ class _Engine:
                 "phase1": phase1_s,
                 "cover_cap": cover_cap_s,
                 "total": phase1_s + cover_cap_s,
-                "cover_cap_helper": self.split_s,
                 "inside_orbit": inside_orbit_s,
             },
         )

@@ -130,12 +130,17 @@ def _slab_width(s: np.ndarray, k: int):
     return _min(s[:, k:] - s[:, : t - k], axis=1).tolist()
 
 
-# Batches are projected and swept in chunks of rows whose (rows, t) float
-# temporaries stay within 64 KB, half of glibc's default mmap threshold.
-# Larger blocks are mapped, faulted in and unmapped on every call: at
-# t = 7,057 an unchunked 8-row call took 189 minor faults and 1.2 ms, the
-# chunked one none and 0.7 ms.
-_CHUNK_BYTES = 65536
+# Batches are projected and swept in blocks of rows whose (rows, t) float
+# temporaries stay within 128,000 bytes: 16 rows at t = 994, 2 at t = 7,057.
+# glibc maps a request of 128 KiB (131,072 bytes) or more on its own, faulted
+# in and unmapped on every call (at t = 7,057 an unblocked 8-row call took
+# 189 minor faults and 1.2 ms, the blocked one none and 0.7 ms), so a block
+# stays strictly below that, which a budget of exactly 128 KiB would not for
+# a power-of-two t.  Against 64 KB blocks a thread's cost per row is the same
+# (scripts/kernel_bench.py, BENCH_18.json), and a batch makes half the numpy
+# calls, each a hand-over of the interpreter lock when two threads split it:
+# plain polar n=30's split Cover Cap batches took 0.88 s against 1.30 s.
+_CHUNK_BYTES = 128_000
 
 
 def _sorted_blocks(points: np.ndarray, directions: np.ndarray):

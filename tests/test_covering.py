@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 import textwrap
@@ -11,7 +10,6 @@ import time
 import tracemalloc
 from fractions import Fraction
 from statistics import median
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -272,31 +270,45 @@ def keyed_evaluator(special, default=(0.01, 1.0)):
 
 
 EVALUATE_CART = _Engine.evaluate_cart
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="a split batch needs os.fork")
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Pids of the children forked in the test; two CPUs are reported, so any host forks."""
-    pids = []
-    fork = os.fork
+def splits(monkeypatch):
+    """Rows of each batch split in the test; two CPUs are reported, so any host splits.
 
-    def recording_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
+    No thread the test did not start itself may be left running after it.
+    """
+    rows, split, before = [], covering._split_evaluate, set(threading.enumerate())
 
-    monkeypatch.setattr(os, "fork", recording_fork)
+    def counted(points, directions, d):
+        rows.append(len(directions))
+        return split(points, directions, d)
+
+    monkeypatch.setattr(covering, "_split_evaluate", counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    return pids
+    yield rows
+    assert set(threading.enumerate()) == before
 
 
-def assert_reaped(pids):
-    assert pids, "no child was forked"
-    for pid in pids:
-        with pytest.raises(ChildProcessError):  # no longer a child: reaped
-            os.waitpid(pid, os.WNOHANG)
+def rows_by_thread(monkeypatch, kernel=confidence_radii, caller=None, helper=None):
+    """Rows of each kernel call in a split, by thread: {"caller": [...], "helper": [...]}.
+
+    The thread that calls this is the caller.  `caller(calls)` or
+    `helper(calls)` runs in that thread before each of its kernel calls,
+    given the rows of its calls so far.
+    """
+    main, rows = threading.current_thread(), {"caller": [], "helper": []}
+    hooks = {"caller": caller, "helper": helper}
+
+    def counted(points, directions, d):
+        who = "caller" if threading.current_thread() is main else "helper"
+        rows[who].append(len(directions))
+        if hooks[who] is not None:
+            hooks[who](rows[who])
+        return kernel(points, directions, d)
+
+    monkeypatch.setattr(covering, "confidence_radii", counted)
+    return rows
 
 
 class TestStepTheta:
@@ -656,37 +668,44 @@ class TestCounterexampleInCoverCap:
         special = {violation.tobytes(): (0.9, math.nan)}
         self.check(monkeypatch, special, phase1_records, violation, 0.9)
 
-    @needs_fork
-    def test_split_batches_give_the_same_counterexample(self, monkeypatch, forks):
-        # The keyed kernel stands in for confidence_radii in the child too.
-        # Only level 0's batch of 112 centres is split, and the parent's
-        # chunks of 8 rows are slowed, so the child evaluates most of them.
+    def test_split_batches_give_the_same_counterexample(self, monkeypatch, splits):
+        # The keyed kernel stands in for confidence_radii in both threads.
+        # Only level 0's batch of 112 centres is split, and the caller's
+        # chunks of 8 rows are slowed, so the helper evaluates most of them.
+        # Another Python thread is alive all along.
         phase1_records, queue = self.phase1(monkeypatch)
         violation = self.seed_five_violation(queue)
         special = {violation.tobytes(): (0.9, math.nan)}
         expect = self.cover(monkeypatch, special)
         evaluate = keyed_evaluator(special, self.DEFAULT)
-        parent = os.getpid()
 
-        def kernel(points, dirs, d):
-            if os.getpid() == parent and forks:
+        def slowed_in_the_split(calls):
+            if splits:
                 time.sleep(0.02)
-            return evaluate(dirs)
 
         monkeypatch.setattr(_Engine, "evaluate_cart", EVALUATE_CART)
-        monkeypatch.setattr(covering, "confidence_radii", kernel)
+        rows = rows_by_thread(
+            monkeypatch, lambda points, dirs, d: evaluate(dirs), caller=slowed_in_the_split
+        )
         monkeypatch.setattr(covering, "_SPLIT_ROWS", 100)
         monkeypatch.setattr(covering, "_CHUNK_ROWS", 8)
-        outcome = cover_region(self.PS, self.PARAMS)
-        assert len(forks) == 1
-        assert_reaped(forks)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(10,))
+        waiter.start()
+        try:
+            outcome = cover_region(self.PS, self.PARAMS)
+        finally:
+            release.set()
+            waiter.join(10)
+        assert not waiter.is_alive()
+        assert splits == [112]
+        assert sum(rows["helper"]) > 56
         assert outcome.status == "counterexample"
         assert outcome.counterexample.direction.tobytes() == violation.tobytes()
         assert same_table(outcome.records, expect.records)
         # the keyed evaluate_cart of `expect` does not count evaluations
         del outcome.counters["n_evaluations"], expect.counters["n_evaluations"]
         assert outcome.counters == expect.counters
-        assert outcome.timings["cover_cap_helper"] > 0.0
 
     def test_later_seed_is_not_expanded(self, monkeypatch):
         # Seed 9's center 1 is short and its child violates at depth 1: a
@@ -1069,26 +1088,8 @@ def report_digest(ps, params, outcome) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def rows_in_the_parent(monkeypatch, parent_sleep=0.0, child=None):
-    """Rows the parent evaluates; `child(calls)` runs in the child before each kernel call."""
-    parent, rows, calls = os.getpid(), [], []
-
-    def kernel(points, directions, d):
-        if os.getpid() == parent:
-            rows.append(len(directions))
-            time.sleep(parent_sleep)
-        elif child is not None:
-            calls.append(len(directions))
-            child(calls)
-        return confidence_radii(points, directions, d)
-
-    monkeypatch.setattr(covering, "confidence_radii", kernel)
-    return rows
-
-
-@needs_fork
 class TestHelper:
-    """Each batch of _SPLIT_ROWS rows or more is split with a helper: a child forked for it."""
+    """Each batch of _SPLIT_ROWS rows or more is split over the caller and one helper thread."""
 
     def split(self, n, rows, seed):
         """Evaluate `rows` random directions through a fresh engine; check the in-process bytes."""
@@ -1100,63 +1101,85 @@ class TestHelper:
         expect = confidence_radii(ps.points, directions, params.d)
         assert dis.tobytes() == expect[0].tobytes()
         assert radius.tobytes() == expect[1].tobytes()
-        return engine
 
-    def test_split_batch_equals_the_in_process_bytes(self, forks):
-        engine = self.split(30, 2_500, seed=3)
-        assert engine.split_s > 0.0
-        assert len(forks) == 1
-        assert_reaped(forks)
+    def test_split_batch_equals_the_in_process_bytes(self, splits, monkeypatch):
+        rows = rows_by_thread(monkeypatch)
+        self.split(30, 2_500, seed=3)
+        assert splits == [2_500]
+        assert sum(rows["caller"]) + sum(rows["helper"]) == 2_500  # each chunk once
 
-    def test_failed_fork_evaluates_in_process(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-        def no_fork():
-            raise BlockingIOError("no process to be had")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        assert self.split(14, 2_048, seed=5).split_s == 0.0
-
-    def test_caller_takes_the_rows_of_a_slow_helper(self, forks, monkeypatch):
-        rows = rows_in_the_parent(monkeypatch, child=lambda calls: time.sleep(0.2))
+    def test_caller_takes_the_rows_of_a_slow_helper(self, splits, monkeypatch):
+        rows = rows_by_thread(monkeypatch, helper=lambda calls: time.sleep(0.3))
         self.split(14, 4_096, seed=4)
-        assert_reaped(forks)
-        assert sum(rows) > 2_048
+        assert rows["helper"] == [covering._CHUNK_ROWS]
+        assert sum(rows["caller"]) == 4_096 - covering._CHUNK_ROWS
 
-    @pytest.mark.parametrize("how", ["raises", "is-killed"])
-    def test_child_that_fails_leaves_its_rows_to_the_parent(self, forks, monkeypatch, how):
-        def fail_after_the_first_chunk(calls):
-            if len(calls) == 2:
-                if how == "raises":
-                    raise ValueError("no kernel here")
-                os.kill(os.getpid(), signal.SIGKILL)
+    @pytest.mark.parametrize("where", ["caller", "helper"])
+    def test_kernel_error_raises_in_the_caller_as_itself(self, splits, monkeypatch, where):
+        # The first kernel call of one thread fails; the other begins at
+        # most one chunk after that, not the rest of the batch's 16.
+        error, raised, late = ValueError(f"no kernel in the {where}"), [], []
 
-        # the parent is slowed, so the child's first chunk is in before they meet
-        rows = rows_in_the_parent(monkeypatch, 0.02, fail_after_the_first_chunk)
-        self.split(14, 2_048, seed=6)
-        assert_reaped(forks)
-        assert sum(rows) == 2_048 - covering._CHUNK_ROWS
+        def fails(calls):
+            raised.append(error)
+            raise error
 
-    def test_kernel_error_raises_in_the_parent_as_itself(self, forks, monkeypatch):
-        def fails(points, directions, d):
-            raise ValueError(f"no kernel in {os.getpid()}")
+        def counts_late_chunks(calls):
+            if raised:
+                late.append(calls[-1])
 
-        monkeypatch.setattr(covering, "confidence_radii", fails)
-        with pytest.raises(ValueError, match=f"^no kernel in {os.getpid()}$"):
+        other = "helper" if where == "caller" else "caller"
+        rows_by_thread(monkeypatch, **{where: fails, other: counts_late_chunks})
+        with pytest.raises(ValueError) as info:
             self.split(14, 4_096, seed=7)
-        assert_reaped(forks)
+        assert info.value is error
+        assert splits == [4_096]
+        assert len(late) <= 1
 
-    def test_polar_30_report_equals_the_in_process_one(self, forks, monkeypatch):
+    def test_splits_beside_other_threads(self, splits, monkeypatch):
+        # Three threads split a batch each at once, with the interpreter
+        # switching threads every 10 us: six threads over chunks of 16 rows.
+        ps, params = conjecture_setup(14, "polar")
+        directions = uniform_directions(1_600, seed=8)
+        expect = confidence_radii(ps.points, directions, params.d)
+        rows = []
+
+        def kernel(points, dirs, d):
+            rows.append(len(dirs))
+            return confidence_radii(points, dirs, d)
+
+        monkeypatch.setattr(covering, "confidence_radii", kernel)
+        monkeypatch.setattr(covering, "_CHUNK_ROWS", 16)
+        got = [None] * 3
+
+        def split(i):
+            got[i] = _Engine(ps, params).evaluate_cart(directions)
+
+        workers = [threading.Thread(target=split, args=(i,)) for i in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert splits == [1_600] * 3
+        assert sum(rows) == 3 * 1_600  # no chunk evaluated twice
+        for dis, radius in got:
+            assert dis.tobytes() == expect[0].tobytes()
+            assert radius.tobytes() == expect[1].tobytes()
+
+    def test_polar_30_report_equals_the_in_process_one(self, splits, monkeypatch):
         ps, params = conjecture_setup(30, "polar")
         split = cover_region(ps, params)
-        assert len(forks) == 15  # one per batch of _SPLIT_ROWS rows or more
-        assert_reaped(forks)
+        assert len(splits) == 15  # one per batch of _SPLIT_ROWS rows or more
         assert split.status == "residual"
-        assert split.timings["cover_cap_helper"] > 0.0
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         alone = cover_region(ps, params)
-        assert len(forks) == 15  # one CPU: no fork
-        assert alone.timings["cover_cap_helper"] == 0.0
+        assert len(splits) == 15  # one CPU: no split
         assert split.counters == alone.counters
         assert split.counters["n_evaluations"] == 105_578
         # Cover Cap rows dropped inside phase-1 balls, and every residual ball inside one too
@@ -1164,114 +1187,13 @@ class TestHelper:
         assert split.counters["not_covered_inside_orbit"] == len(split.not_covered) == 9_226
         assert report_digest(ps, params, split) == report_digest(ps, params, alone)
 
-    def test_covered_run_reaps_its_helper(self, forks):
-        outcome = cover_region(*conjecture_setup(14, "polar"))
-        assert outcome.status == "covered"
-        assert_reaped(forks)
-
-    def test_exception_in_cover_cap_reaps_the_helper(self, forks, monkeypatch):
-        class Stop(Exception):
-            pass
-
-        parent, kernel = os.getpid(), covering.confidence_radii
-
-        def stops_in_the_split(points, directions, d):
-            if os.getpid() == parent and forks:
-                raise Stop
-            return kernel(points, directions, d)
-
-        monkeypatch.setattr(covering, "confidence_radii", stops_in_the_split)
-        with pytest.raises(Stop):
-            cover_region(*conjecture_setup(14, "polar"))
-        assert_reaped(forks)
-
-    def test_no_helper_on_one_cpu_beside_a_thread_or_in_a_daemon(self, monkeypatch):
+    def test_no_split_on_one_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert not covering._split_allowed()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert covering._split_allowed()
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait, args=(10,))
-        waiter.start()
-        try:
-            assert not covering._split_allowed()
-        finally:
-            release.set()
-            waiter.join(10)
-        assert not waiter.is_alive()
-        assert covering._split_allowed()
-        daemon = SimpleNamespace(current_process=lambda: SimpleNamespace(daemon=True))
-        monkeypatch.setitem(sys.modules, "multiprocessing", daemon)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert not covering._split_allowed()
-
-    def test_cover_ends_where_children_are_reaped_unasked(self):
-        # With SIGCHLD ignored the kernel reaps each child itself, so waitpid finds no child.
-        script = textwrap.dedent(
-            """
-            import os, signal
-            from capdisc import conjecture_setup, cover_region
-
-            os.sched_getaffinity = lambda pid: {0, 1}
-            signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-            outcome = cover_region(*conjecture_setup(14, "polar"))
-            print(outcome.status, outcome.timings["cover_cap_helper"] > 0.0)
-            """
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["covered", "True"]
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads a process's state in /proc")
-    def test_child_of_a_killed_cover_stops_at_the_frozen_front(self):
-        # The covering process stops right after it forks for the split
-        # batch and is killed there; the child, slowed to 0.02 s a chunk, is
-        # left with the whole batch and must end by itself.
-        script = textwrap.dedent(
-            """
-            import os, time
-            from capdisc import conjecture_setup, cover_region, covering
-
-            os.sched_getaffinity = lambda pid: {0, 1}
-            parent, fork, kernel = os.getpid(), os.fork, covering.confidence_radii
-
-            def announced_fork():
-                pid = fork()
-                if pid:
-                    print(pid, flush=True)
-                    time.sleep(60)
-                return pid
-
-            def slow_in_the_child(points, directions, d):
-                if os.getpid() != parent:
-                    time.sleep(0.02)
-                return kernel(points, directions, d)
-
-            os.fork = announced_fork
-            covering.confidence_radii = slow_in_the_child
-            cover_region(*conjecture_setup(14, "polar"))
-            """
-        )
-        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True)
-        try:
-            child = int(proc.stdout.readline())
-        finally:
-            proc.kill()
-            proc.wait(10)
-            proc.stdout.close()
-        status = f"/proc/{child}/status"
-        deadline = time.monotonic() + 5.0
-        while time.monotonic() < deadline:
-            try:
-                with open(status) as f:
-                    state = next(x for x in f if x.startswith("State:"))
-            except FileNotFoundError:  # reaped by the process it was handed to
-                return
-            if state.split()[1] == "Z":  # ended, waiting to be reaped
-                return
-            time.sleep(0.05)
-        pytest.fail(f"child {child} of the killed cover still runs: {state.strip()}")
 
 
 def test_params_validation():

@@ -167,8 +167,8 @@ class TestKernel:
 
 
 def _kernel_cases():
-    # Row counts straddle the chunk sizes: 481 rows at t = 17, 18 at t = 441,
-    # 8 at t = 994 and 1 at t = 7057.
+    # Row counts straddle the block sizes: 36 rows at t = 441, 16 at t = 994
+    # and 2 at t = 7057 (941 at t = 17).
     tie = PointSet(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))  # both project to 0 on z
     yield pytest.param(tie, np.vstack([Z, uniform_directions(8, seed=1)]), id="t2-tie")
     yield pytest.param(generate_random_uniform(17, seed=4), uniform_directions(41, seed=2), id="random17")
@@ -190,7 +190,7 @@ class TestBatchedKernel:
         dis_all, _ = confidence_radii(ps.points, dirs, 2.0)
         for d in (2.0, float(np.median(dis_all)) + 1.0 / t):
             flagged = 0
-            for m in (1, 7, 8, 9, 20, 41):
+            for m in (1, 7, 8, 9, 16, 17, 20, 41):
                 if m > len(dirs):
                     continue
                 dis, radius = confidence_radii(ps.points, dirs[:m], d)
@@ -236,8 +236,8 @@ def test_doubled_sweep_equals_the_halved_one_bit_for_bit(t):
     assert tied.sum() >= (3 if t == 2 else 20)  # at t = 2 the constant rows at least
     expect = reference_dis(rows)
     assert _dis(rows).tobytes() == expect.tobytes()
-    # A chunk of 8 rows, as confidence_radii sends at t = 994, and single rows.
-    assert _dis(rows[:8]).tobytes() == expect[:8].tobytes()
+    # A block of 16 rows, as confidence_radii sends at t = 994, and single rows.
+    assert _dis(rows[:16]).tobytes() == expect[:16].tobytes()
     for row, value in zip(rows, expect.tolist()):
         assert np.float64(_dis(row)).tobytes() == np.float64(value).tobytes()
 

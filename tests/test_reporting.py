@@ -309,14 +309,13 @@ class TestReportDocument:
         assert set(tables) == {"parent", "change"}
         rows = [tables[label]["jobs"] for label in ("parent", "change")]
         assert [len(r) for r in rows] == [1, 1]
-        medians = ("cover_s", "phase1_s", "cover_cap_s", "cover_cap_helper_s", "inside_orbit_s")
-        medians += ("peak_rss_mb",)
+        medians = ("cover_s", "phase1_s", "cover_cap_s", "inside_orbit_s", "peak_rss_mb")
         medians += ("report_bytes",)  # its timings' digits vary
         fixed = [{k: v for k, v in r[0].items() if k not in medians} for r in rows]
         assert fixed[0] == fixed[1]
         assert abs(rows[0][0]["report_bytes"] - rows[1][0]["report_bytes"]) < 50
         assert rows[1][0]["peak_rss_mb"] > 10.0
-        # a batch split with a forked child (polar 14 has one, given 2 CPUs) counts as one call
+        # a batch split over two threads (polar 14 has one, given 2 CPUs) counts as one call
         assert fixed[1]["confidence_radii_calls"] == 174
         assert fixed[1]["split_batches"] == int(covering._split_allowed())  # of 1,672 rows
         assert "alternating with the parent table's" in tables["change"]["statistic"]
@@ -427,7 +426,7 @@ class TestAudit:
         assert peak < 8_000_000, peak
 
     def test_probe_values_equal_the_engine_bit_for_bit(self):
-        # t = 994 puts 8 rows in a chunk, so 30 probes span four chunks.
+        # t = 994 puts 16 rows in a block, so 30 probes span two blocks.
         ps, params = conjecture_setup(30, structure="polar")
         probes = sample_region_directions(params.region, 30, np.random.default_rng(0))
         values = reporting.directed_values(ps.points, probes)

@@ -1136,6 +1136,40 @@ class TestHelper:
         assert splits == [4_096]
         assert len(late) <= 1
 
+    def test_kernel_error_raises_in_the_parent_as_itself(self, splits, monkeypatch):
+        # Every kernel call fails with an error of its own.  The first drains
+        # the batch, so the other thread may not call the kernel at all; the
+        # error raised is one of these, unwrapped, and the helper is joined
+        # (the fixture checks).
+        errors = []
+
+        def fails(points, directions, d):
+            errors.append(ValueError(f"no kernel in {threading.current_thread().name}"))
+            raise errors[-1]
+
+        monkeypatch.setattr(covering, "confidence_radii", fails)
+        with pytest.raises(ValueError) as info:
+            self.split(14, 4_096, seed=7)
+        assert splits == [4_096]
+        assert 1 <= len(errors) <= 2
+        assert any(info.value is error for error in errors)
+
+    def test_exception_in_cover_cap_reaps_the_helper(self, splits, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        main, kernel = threading.current_thread(), covering.confidence_radii
+
+        def stops_in_the_split(points, directions, d):
+            if threading.current_thread() is main and splits:
+                raise Stop
+            return kernel(points, directions, d)
+
+        monkeypatch.setattr(covering, "confidence_radii", stops_in_the_split)
+        with pytest.raises(Stop):
+            cover_region(*conjecture_setup(14, "polar"))
+        assert len(splits) == 1
+
     def test_splits_beside_other_threads(self, splits, monkeypatch):
         # Three threads split a batch each at once, with the interpreter
         # switching threads every 10 us: six threads over chunks of 16 rows.

@@ -371,14 +371,23 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
 
 # Batches of at least this many rows are split over two threads.  Plain
 # polar n=30's Cover Cap makes 15 (1,176 to 32,382 rows, 89,479 in all);
-# replayed on 2 shared CPUs they took 0.88 s split, 1.12 s unsplit (medians
-# of 7).  Thresholds from 64 to 1,024 rows gave the same time when a second
-# process shared the batches, 2,048 a longer one.  No twisted job of the
-# conjecture sweep splits (its largest batches hold 776 rows or fewer).
+# replayed on 2 shared CPUs they took 0.59 s split, 0.99 s unsplit
+# (scripts/split_replay.py, BENCH_19.json).  Thresholds from 64 to 1,024
+# rows gave the same time when a second process shared the batches, 2,048 a
+# longer one.  No twisted job of the conjecture sweep splits (its largest
+# batches hold 776 rows or fewer).
 _SPLIT_ROWS = 1024
 # Rows a thread takes at a time: few enough that the other thread is not
-# left waiting long at the end of a batch, or after an error.
+# left waiting long at the end of a batch, or after an error.  Chunks of
+# whole workspace blocks timed the same, within 1.5% at t = 441 and 749.
 _CHUNK_ROWS = 256
+# Bytes of each (rows, t) plane of a split thread's workspace (64 rows at
+# t = 994).  Each block's numpy calls hand the interpreter lock over, so
+# the replay above took 0.82/0.67/0.57/0.58 s at 128 KB/256 KB/512 KB/1 MB.
+# The caller allocates both, apart: a helper's own came from its thread's
+# malloc arena, which keeps freed memory (polar30_audit peak RSS +1 MB;
+# one array for both: up to +4 MB).
+_WORK_BYTES = 512_000
 
 
 def _split_allowed() -> bool:
@@ -391,29 +400,36 @@ def _split_evaluate(points: np.ndarray, directions: np.ndarray, d: float):
 
     The two take chunks of _CHUNK_ROWS rows from one iterator, whose `next`
     the interpreter lock makes atomic, so each chunk is evaluated once;
-    numpy drops the lock inside the kernel's array operations.  Rows of
-    `confidence_radii` do not depend on their batch, so the bytes equal an
-    unsplit call's.  An exception in either thread drains the iterator, so
-    the other stops after its current chunk, and is raised in the caller.
+    numpy drops the lock inside the kernel's array operations, which each
+    thread runs in a workspace of its own.  Rows of `confidence_radii` do
+    not depend on their batch, so the bytes equal an unsplit call's.  An
+    exception in either thread drains the iterator, so the other stops
+    after its current chunk, and is raised in the caller.  A host that
+    cannot start the thread gets the batch evaluated unsplit.
     """
-    m = len(directions)
+    m, t = len(directions), len(points)
     dis, radius = np.empty(m), np.empty(m)
     chunks = iter(range(0, m, _CHUNK_ROWS))
     errors = []
+    shape = (3, max(1, _WORK_BYTES // (8 * t)), t)
+    caller_work, helper_work = np.empty(shape), np.empty(shape)  # see _WORK_BYTES
 
-    def evaluate_chunks():
+    def evaluate_chunks(work):
         try:
             for lo in chunks:
                 rows = slice(lo, lo + _CHUNK_ROWS)
-                dis[rows], radius[rows] = confidence_radii(points, directions[rows], d)
+                dis[rows], radius[rows] = confidence_radii(points, directions[rows], d, work)
         except BaseException as exc:  # raised again in the caller, below
             errors.append(exc)
             for _ in chunks:
                 pass
 
-    helper = threading.Thread(target=evaluate_chunks)
-    helper.start()
-    evaluate_chunks()
+    helper = threading.Thread(target=evaluate_chunks, args=(helper_work,))
+    try:
+        helper.start()
+    except RuntimeError:  # no thread to be had, e.g. the host is out of process ids
+        return confidence_radii(points, directions, d, caller_work)
+    evaluate_chunks(caller_work)
     helper.join()
     if errors:
         raise errors[0]

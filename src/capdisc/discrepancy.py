@@ -116,18 +116,19 @@ _max = np.maximum.reduce
 _min = np.minimum.reduce
 
 
-def _slab_width(s: np.ndarray, k: int):
+def _slab_width(s: np.ndarray, k: int, work: np.ndarray | None = None):
     """min over i of s_{i+k} - s_i; 2 when no slab can hold k+1 projections.
 
     One sorted row `s`, shape (t,), gives a float; a block of rows sharing
-    k, shape (m, t), gives a list of m widths.
+    k, shape (m, t), gives a list of m widths, differenced in `work[1]` if given.
     """
     t = s.shape[-1]
     if k > t - 1:
         return 2.0 if s.ndim == 1 else [2.0] * len(s)
     if s.ndim == 1:
         return float(_min(s[k:] - s[: t - k]))
-    return _min(s[:, k:] - s[:, : t - k], axis=1).tolist()
+    diff = None if work is None else work[1, : len(s), : t - k]
+    return _min(np.subtract(s[:, k:], s[:, : t - k], out=diff), axis=1).tolist()
 
 
 # Batches are projected and swept in blocks of rows whose (rows, t) float
@@ -136,33 +137,35 @@ def _slab_width(s: np.ndarray, k: int):
 # in and unmapped on every call (at t = 7,057 an unblocked 8-row call took
 # 189 minor faults and 1.2 ms, the blocked one none and 0.7 ms), so a block
 # stays strictly below that, which a budget of exactly 128 KiB would not for
-# a power-of-two t.  Against 64 KB blocks a thread's cost per row is the same
-# (scripts/kernel_bench.py, BENCH_18.json), and a batch makes half the numpy
-# calls, each a hand-over of the interpreter lock when two threads split it:
-# plain polar n=30's split Cover Cap batches took 0.88 s against 1.30 s.
+# a power-of-two t.  Against 64 KB blocks a row costs the same
+# (scripts/kernel_bench.py, BENCH_18.json).  The two threads of a split
+# batch pass workspaces of their own instead (covering._WORK_BYTES): larger
+# blocks, which allocate nothing.
 _CHUNK_BYTES = 128_000
 
 
-def _sorted_blocks(points: np.ndarray, directions: np.ndarray):
+def _sorted_blocks(points: np.ndarray, directions: np.ndarray, work: np.ndarray | None = None):
     """Yield (first row, (m, t) projections sorted along axis 1) per chunk of rows.
 
     The rows go in as a stack of (3, 1) columns, so numpy runs the
     matrix-vector product of `project` on each and every row equals
     `project`'s values bit for bit; a matrix product over the block rounds
-    differently.
+    differently.  A (3, rows, t) workspace `work` makes blocks of `rows` rows
+    in `work[0]`, each over the last, and `_dis` and `_slab_width` take their
+    temporaries from `work[1:]`, so no block allocates.
     """
     directions = np.ascontiguousarray(directions, dtype=float)
     m, t = len(directions), len(points)
-    per_chunk = max(1, _CHUNK_BYTES // (8 * t))
+    per_chunk = max(1, _CHUNK_BYTES // (8 * t)) if work is None else work.shape[1]
     for lo in range(0, m, per_chunk):
         block = directions[lo : lo + per_chunk, :, None]
-        s = np.empty((len(block), t))
+        s = np.empty((len(block), t)) if work is None else work[0, : len(block)]
         np.matmul(points, block, out=s[:, :, None])
         s.sort(axis=1)
         yield lo, s
 
 
-def _dis(s: np.ndarray):
+def _dis(s: np.ndarray, work: np.ndarray | None = None):
     """Directed discrepancy of each row of sorted projections `s`, (t,) or (m, t).
 
     _sweep's maximum without its (2, t) temporary: incl >= excl and rounding
@@ -170,21 +173,25 @@ def _dis(s: np.ndarray):
     area - excl, and IEEE subtraction is exact under negation.  Both are
     taken doubled, against 2 area = 1 - s, and the maximum halved: doubling
     commutes with rounding, so these are the bits of halving 1 - s first.
+    A block's two temporaries go into `work[1:]`, if given.
     """
     incl2, excl2 = _cap_counts(s.shape[-1])
-    twice_area = np.subtract(1.0, s)
-    dev = np.subtract(incl2, twice_area)
+    dev, twice_area = (None, None) if work is None else work[1:, : len(s)]
+    twice_area = np.subtract(1.0, s, out=twice_area)
+    dev = np.subtract(incl2, twice_area, out=dev)
     np.subtract(twice_area, excl2, out=twice_area)
     np.maximum(dev, twice_area, out=dev)
     return _max(dev, axis=-1) * 0.5
 
 
-def _radii(s: np.ndarray, d: float) -> tuple[list[float], list[int], list[float]]:
+def _radii(
+    s: np.ndarray, d: float, work: np.ndarray | None = None
+) -> tuple[list[float], list[int], list[float]]:
     """Dis, k and confidence radius of each row of sorted projections `s`.
 
     `s` is one row, shape (t,), or a block of rows, shape (m, t), sorted
-    along its last axis.  A row with Dis + 1/t > d breaks the radius
-    hypothesis: its k is 0 and its radius nan.
+    along its last axis; a block keeps its temporaries in `work`, if given.
+    A row with Dis + 1/t > d breaks the radius hypothesis: k 0, radius nan.
     """
     t = s.shape[-1]
     # No slack on d: one would grant radii to rows that break the hypothesis.
@@ -192,7 +199,7 @@ def _radii(s: np.ndarray, d: float) -> tuple[list[float], list[int], list[float]
         dis = float(_dis(s))
         k = 0 if dis + 1.0 / t > d else int(math.floor(t * (d - dis))) + 1
         return [dis], [k], [_slab_width(s, k) if k else math.nan]
-    dis = _dis(s).tolist()
+    dis = _dis(s, work).tolist()
     ks = [0 if x + 1.0 / t > d else int(math.floor(t * (d - x))) + 1 for x in dis]
     # Neighbouring rows of a Cover Cap block mostly share k (on plain polar
     # n = 30, 94% of block rows lie in whole 8-row chunks of one k), so each
@@ -205,7 +212,7 @@ def _radii(s: np.ndarray, d: float) -> tuple[list[float], list[int], list[float]
         elif n == 1:  # a lone row reduces faster 1-D
             radii.append(_slab_width(s[lo], k))
         else:
-            radii += _slab_width(s[lo : lo + n], k)
+            radii += _slab_width(s[lo : lo + n], k, work)
     return dis, ks, radii
 
 
@@ -222,20 +229,21 @@ def confidence_radius(profile: ProjectionProfile, d: float) -> ConfidenceBall:
 
 
 def confidence_radii(
-    points: np.ndarray, directions: np.ndarray, d: float
+    points: np.ndarray, directions: np.ndarray, d: float, work: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dis and confidence radius for every row of `directions`, in one call.
 
     Every value equals `confidence_radius(project(ps, v), d)` bit for bit.
     A row that breaks the hypothesis Dis + 1/t <= d raises nothing: its
-    radius is nan.
+    radius is nan.  A float (3, rows, t) `work` that no other thread uses
+    meanwhile runs blocks of `rows` rows in place of fresh ones, same values.
     """
     dis = np.empty(len(directions))
     radius = np.empty(len(directions))
-    for lo, s in _sorted_blocks(points, directions):
+    for lo, s in _sorted_blocks(points, directions, work):
         rows = slice(lo, lo + len(s))
         # a one-row chunk goes in as 1-D, the cheaper form of the core
-        dis[rows], _, radius[rows] = _radii(s if len(s) > 1 else s[0], d)
+        dis[rows], _, radius[rows] = _radii(s if len(s) > 1 else s[0], d, work)
     return dis, radius
 
 

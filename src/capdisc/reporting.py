@@ -226,7 +226,7 @@ def audit_coverage(
     The coverage test holds the distances of one probe block to at most
     _AUDIT_BALLS balls at a time.
     Each probe's directed value is the engine's for that direction, bit for
-    bit, and `directed_values` holds one 64 KB chunk of projections at a time.
+    bit, and `directed_values` holds at most 128,000 bytes of projections at a time.
     """
     if outcome.status == "counterexample":
         raise ValueError("audit requires a certificate, not a counterexample")

@@ -9,6 +9,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -300,12 +301,12 @@ def rows_by_thread(monkeypatch, kernel=confidence_radii, caller=None, helper=Non
     main, rows = threading.current_thread(), {"caller": [], "helper": []}
     hooks = {"caller": caller, "helper": helper}
 
-    def counted(points, directions, d):
+    def counted(points, directions, d, work=None):
         who = "caller" if threading.current_thread() is main else "helper"
         rows[who].append(len(directions))
         if hooks[who] is not None:
             hooks[who](rows[who])
-        return kernel(points, directions, d)
+        return kernel(points, directions, d, work)
 
     monkeypatch.setattr(covering, "confidence_radii", counted)
     return rows
@@ -685,7 +686,7 @@ class TestCounterexampleInCoverCap:
 
         monkeypatch.setattr(_Engine, "evaluate_cart", EVALUATE_CART)
         rows = rows_by_thread(
-            monkeypatch, lambda points, dirs, d: evaluate(dirs), caller=slowed_in_the_split
+            monkeypatch, lambda points, dirs, d, work: evaluate(dirs), caller=slowed_in_the_split
         )
         monkeypatch.setattr(covering, "_SPLIT_ROWS", 100)
         monkeypatch.setattr(covering, "_CHUNK_ROWS", 8)
@@ -1114,6 +1115,30 @@ class TestHelper:
         assert rows["helper"] == [covering._CHUNK_ROWS]
         assert sum(rows["caller"]) == 4_096 - covering._CHUNK_ROWS
 
+    def test_each_thread_reuses_one_workspace_of_its_own(self, splits, monkeypatch):
+        works = {}  # thread name: the workspaces its kernel calls were given
+
+        def recorded(points, directions, d, work=None):
+            works.setdefault(threading.current_thread().name, []).append(work)
+            return confidence_radii(points, directions, d, work)
+
+        rows_by_thread(monkeypatch, kernel=recorded, caller=lambda calls: time.sleep(0.01))
+        self.split(30, 2_500, seed=3)
+        assert splits == [2_500] and len(works) == 2  # the slowed caller leaves the helper chunks
+        (first, *rest), (other, *more) = works.values()
+        assert all(w is first for w in rest) and all(w is other for w in more)
+        assert first is not other and first.shape == other.shape == (3, 64, 994)
+
+    def test_caller_takes_the_batch_when_no_thread_starts(self, splits, monkeypatch):
+        def cannot_start(thread):
+            raise RuntimeError("can't start new thread")
+
+        rows = rows_by_thread(monkeypatch)
+        monkeypatch.setattr(threading.Thread, "start", cannot_start)
+        self.split(30, 2_500, seed=3)
+        assert splits == [2_500]
+        assert rows["helper"] == [] and sum(rows["caller"]) == 2_500
+
     @pytest.mark.parametrize("where", ["caller", "helper"])
     def test_kernel_error_raises_in_the_caller_as_itself(self, splits, monkeypatch, where):
         # The first kernel call of one thread fails; the other begins at
@@ -1143,7 +1168,7 @@ class TestHelper:
         # (the fixture checks).
         errors = []
 
-        def fails(points, directions, d):
+        def fails(points, directions, d, work=None):
             errors.append(ValueError(f"no kernel in {threading.current_thread().name}"))
             raise errors[-1]
 
@@ -1160,10 +1185,10 @@ class TestHelper:
 
         main, kernel = threading.current_thread(), covering.confidence_radii
 
-        def stops_in_the_split(points, directions, d):
+        def stops_in_the_split(points, directions, d, work=None):
             if threading.current_thread() is main and splits:
                 raise Stop
-            return kernel(points, directions, d)
+            return kernel(points, directions, d, work)
 
         monkeypatch.setattr(covering, "confidence_radii", stops_in_the_split)
         with pytest.raises(Stop):
@@ -1178,9 +1203,9 @@ class TestHelper:
         expect = confidence_radii(ps.points, directions, params.d)
         rows = []
 
-        def kernel(points, dirs, d):
+        def kernel(points, dirs, d, work=None):
             rows.append(len(dirs))
-            return confidence_radii(points, dirs, d)
+            return confidence_radii(points, dirs, d, work)
 
         monkeypatch.setattr(covering, "confidence_radii", kernel)
         monkeypatch.setattr(covering, "_CHUNK_ROWS", 16)
@@ -1228,6 +1253,25 @@ class TestHelper:
         assert covering._split_allowed()
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert not covering._split_allowed()
+
+
+def test_split_replay_script_with_a_baseline(tmp_path):
+    # This tree stands in for the baseline: both replay polar 14's one split batch alike.
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "replay.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / "split_replay.py"), "polar:14", "--rounds", "1",
+         "--baseline", str(root / "src"), "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    parent, change = proc.stdout.splitlines()
+    assert parent.startswith("parent: polar:14 t=218 batches=1 rows=1672 sha256=")
+    assert parent.split(" unsplit_s=")[0][7:] == change.split(" unsplit_s=")[0][7:]
+    tables = json.loads(out.read_text())["tables"]
+    assert set(tables) == {"parent", "change"}
+    (row,) = tables["change"]["jobs"]
+    assert row["split_s"] > 0.0 and row["unsplit_s"] > 0.0 and row["split_user_s"] >= 0.0
 
 
 def test_params_validation():

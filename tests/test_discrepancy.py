@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capdisc import covering
 from capdisc.discrepancy import (
     HypothesisViolation,
     SizeLimitExceeded,
@@ -286,6 +287,39 @@ class TestBlockRadii:
             assert any(a == b and 0 < a <= t - 1 for a, b in zip(k, k[1:]))
             # At d = 1 - 1/t the evenly spread rows take k = t - 1, the largest k with a slab.
             assert t - 1 in self.assert_rowwise(block, 1.0 - 1.0 / t)
+
+
+def _workspace_cases():
+    tie = PointSet(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))  # both project to 0 on z
+    yield pytest.param(tie, id="t2-tie")
+    yield pytest.param(generate_twisted_polar(20), id="twisted441")
+    yield pytest.param(conjecture_setup(30, "polar")[0], id="polar994")
+    yield pytest.param(generate_random_uniform(7057, seed=6), id="random7057")
+
+
+class TestWorkspace:
+    """`confidence_radii` in a reused workspace gives the bytes of a call without one."""
+
+    @pytest.mark.parametrize("ps", _workspace_cases())
+    def test_rows_equal_the_call_without_a_workspace(self, ps):
+        # The workspace of a split thread: blocks of 32,000 rows at t = 2,
+        # 145 at t = 441, 64 at t = 994 and 9 at t = 7,057.
+        t = ps.size
+        rows = covering._WORK_BYTES // (8 * t)
+        work = np.empty((3, rows, t))
+        dirs = np.vstack([Z, uniform_directions(2 * rows, seed=t)])
+        dis_all, _ = confidence_radii(ps.points, dirs, 2.0)
+        d = float(np.median(dis_all)) + 1.0 / t  # flags about half the rows
+        # A full block first, then shorter ones, so stale rows would show.
+        for m in (rows, rows - 1, rows + 1, 2 * rows + 1):
+            expect = confidence_radii(ps.points, dirs[:m], d)
+            dis, radius = confidence_radii(ps.points, dirs[:m], d, work)
+            assert dis.tobytes() == expect[0].tobytes()
+            assert radius.tobytes() == expect[1].tobytes()
+        assert 0.4 < np.isnan(radius).mean() < 0.6
+        if t > 2:  # the first block mixes nan rows with two k or more; at t = 2 every k >= t
+            k = np.floor(t * (d - dis[:rows][~np.isnan(radius[:rows])])) + 1
+            assert len(set(k.tolist())) >= 2 and np.isnan(radius[:rows]).any()
 
 
 def test_kernel_bench_script_smoke(tmp_path):

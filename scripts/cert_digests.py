@@ -70,6 +70,11 @@ MEDIANS = (
     "cover_s", "phase1_s", "cover_cap_s", "inside_orbit_s", "peak_rss_mb", "report_bytes",
 )
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCHMARK = (
+    "conjecture covers per job: phase 1 and Cover Cap seconds, evaluations, batched kernel"
+    " calls, split batches, report bytes and peak RSS"
+)
+NOTE = "2 shared CPUs (a container on a host shared with other tenants); medians of repeats"
 
 
 def job(text: str) -> tuple[str, int]:
@@ -156,36 +161,93 @@ def measure(structure: str, n: int, path: Path) -> dict:
     }
 
 
-def measure_in_child(src: Path, structure: str, n: int) -> dict:
-    """One cover in a fresh process that imports capdisc from `src`."""
+def measure_in_child(script: str, src: Path, text: str) -> dict:
+    """The row that `script --child SRC JOB` prints, from a fresh process importing capdisc from `src`."""
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, __file__, "--child", str(src), f"{structure}:{n}"],
+        [sys.executable, script, "--child", str(src), text],
         env=env, capture_output=True, text=True, check=False,
     )
     if proc.returncode:
-        raise SystemExit(f"{structure}:{n} from {src} failed:\n{proc.stderr}")
+        raise SystemExit(f"{text} from {src} failed:\n{proc.stderr}")
     return json.loads(proc.stdout)
 
 
-def child(src: Path, structure: str, n: int) -> None:
-    """The fresh process of measure_in_child: print the row of one cover as JSON."""
-    if src.resolve() not in Path(covering.__file__).resolve().parents:
+def child_job(src: str, text: str) -> tuple[str, int]:
+    """The job of a `--child SRC JOB` process, once capdisc is checked to come from `src`."""
+    if Path(src).resolve() not in Path(covering.__file__).resolve().parents:
         raise SystemExit(f"capdisc imported from {covering.__file__}, not from {src}")
-    with tempfile.TemporaryDirectory() as tmp:
-        print(json.dumps(measure(structure, n, Path(tmp) / "report.json")))
+    return job(text)
 
 
-def summarize(runs: list) -> dict:
-    """The repeats of one job as one row: medians of the MEDIANS keys, the rest checked equal."""
+def summarize(runs: list, medians) -> dict:
+    """The repeats of one job as one row: medians of the `medians` keys, the rest checked equal."""
     row = dict(runs[0])
     for key, value in row.items():
-        if key in MEDIANS:
-            row[key] = round(median(r[key] for r in runs), 3)
+        if key in medians:
+            row[key] = round(median(r[key] for r in runs), 4)
         elif any(r[key] != value for r in runs):
             raise SystemExit(f"{row['job']}: {key} differs between repeats")
     return row
+
+
+def tree_options(ap: argparse.ArgumentParser) -> None:
+    """Add the options that choose the trees and repeats: --repeats, --out and --baseline."""
+    ap.add_argument("--repeats", type=int, default=1, help="fresh processes per job and tree; medians are reported")
+    ap.add_argument("--out", type=Path, help="write the tables to this JSON file")
+    ap.add_argument("--baseline", type=Path, help="src/ of another checkout, measured alternately")
+
+
+def checked_trees(ap: argparse.ArgumentParser, args, label: str = "change", baseline_label: str = "parent") -> list:
+    """(label, src) of each tree to measure, the baseline first; checks --repeats and --baseline."""
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    if args.baseline is None:
+        return [(label, SRC)]
+    if not (args.baseline / "capdisc").is_dir():
+        ap.error(f"--baseline {args.baseline} holds no capdisc package")
+    return [(baseline_label, args.baseline), (label, SRC)]
+
+
+def compare(script: str, trees: list, jobs: list, repeats: int, medians, describe) -> dict:
+    """{label: rows} of each tree, each job run `repeats` times in fresh processes of `script`.
+
+    The trees alternate (the first goes first in even repeats, last in odd
+    ones), so that host drift falls on them alike.  Each tree's row is
+    printed with `describe`, after its label when there are two trees.
+    """
+    tables: dict = {label: [] for label, _ in trees}
+    for structure, n in jobs:
+        runs: dict = {label: [] for label, _ in trees}
+        for repeat in range(repeats):
+            for label, src in trees if repeat % 2 == 0 else trees[::-1]:
+                runs[label].append(measure_in_child(script, src, f"{structure}:{n}"))
+        for label, _ in trees:
+            row = summarize(runs[label], medians)
+            tables[label].append(row)
+            prefix = f"{label}: " if len(trees) > 1 else ""
+            print(prefix + describe(row), flush=True)
+    return tables
+
+
+def write_tables(path: Path, benchmark: str, statistic: str, note: str, tables: dict) -> None:
+    """Write each {label: rows} table to the JSON file at `path`, which keeps its other tables."""
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc.setdefault("benchmark", benchmark)
+    for label, rows in tables.items():
+        others = "".join(f", alternating with the {other} table's" for other in tables if other != label)
+        doc.setdefault("tables", {})[label] = {
+            "statistic": statistic + others,
+            "machine": {
+                "cpus": len(os.sched_getaffinity(0)),
+                "python": platform.python_version(),
+                "numpy": np.__version__,
+                "note": note,
+            },
+            "jobs": rows,
+        }
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def line(row: dict) -> str:
@@ -200,72 +262,26 @@ def line(row: dict) -> str:
     )
 
 
-def write_table(path: Path, label: str, statistic: str, note: str, rows: list) -> None:
-    doc = json.loads(path.read_text()) if path.exists() else {}
-    doc.setdefault(
-        "benchmark",
-        "conjecture covers per job: phase 1 and Cover Cap seconds, evaluations, batched kernel"
-        " calls, split batches, report bytes and peak RSS",
-    )
-    doc.setdefault("tables", {})[label] = {
-        "statistic": statistic,
-        "machine": {
-            "cpus": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "note": note,
-        },
-        "jobs": rows,
-    }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def main() -> None:
     if sys.argv[1:2] == ["--child"]:
-        _, _, src, text = sys.argv
-        child(Path(src), *job(text))
+        structure, n = child_job(*sys.argv[2:])
+        with tempfile.TemporaryDirectory() as tmp:
+            print(json.dumps(measure(structure, n, Path(tmp) / "report.json")))
         return
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("jobs", nargs="*", type=job, default=[job(j) for j in DEFAULT_JOBS])
-    ap.add_argument("--repeats", type=int, default=1, help="covers per job; medians are reported")
-    ap.add_argument("--out", type=Path, help="write the layer table to this JSON file")
+    tree_options(ap)
     ap.add_argument("--label", default="change", help="name of the table written with --out")
-    ap.add_argument("--baseline", type=Path, help="src/ of another checkout, measured alternately")
     ap.add_argument("--baseline-label", default="parent", help="name of the baseline's table")
-    ap.add_argument(
-        "--note",
-        default="2 shared CPUs (a container on a host shared with other tenants); medians of repeats",
-        help="host note stored with the table",
-    )
+    ap.add_argument("--note", default=NOTE, help="host note stored with the table")
     args = ap.parse_args()
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-    if args.baseline is not None and not (args.baseline / "capdisc").is_dir():
-        ap.error(f"--baseline {args.baseline} holds no capdisc package")
     if args.baseline is not None and args.baseline_label == args.label:
         ap.error("--baseline-label must differ from --label")
-
-    tables: dict = {}
-    trees = [(args.label, SRC)]
-    statistic = f"median of {args.repeats} covers, each in a fresh process"
-    if args.baseline is not None:
-        trees.insert(0, (args.baseline_label, args.baseline))
-        statistic += ", alternating with the {other} table's"
-    for structure, n in args.jobs:
-        runs: dict = {label: [] for label, _ in trees}
-        for repeat in range(args.repeats):
-            for label, src in trees if repeat % 2 == 0 else trees[::-1]:
-                runs[label].append(measure_in_child(src, structure, n))
-        for label, _ in trees:
-            row = summarize(runs[label])
-            tables.setdefault(label, []).append(row)
-            prefix = f"{label}: " if args.baseline is not None else ""
-            print(prefix + line(row), flush=True)
+    measured = checked_trees(ap, args, args.label, args.baseline_label)
+    tables = compare(__file__, measured, args.jobs, args.repeats, MEDIANS, line)
     if args.out:
-        labels = list(tables)
-        for label, rows in tables.items():
-            other = next((x for x in labels if x != label), "")
-            write_table(args.out, label, statistic.format(other=other), args.note, rows)
+        statistic = f"median of {args.repeats} covers, each in a fresh process"
+        write_tables(args.out, BENCHMARK, statistic, args.note, tables)
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ For each `structure:n` job (default plain polar 30), covers the region of
 `conjecture_setup(n, structure)` once, capturing every batch of
 `covering._SPLIT_ROWS` rows or more that the engine hands to the kernel
 (`covering._Engine.evaluate_cart`).  It then replays those batches in the
-same, warm process: one untimed round, then `--rounds` timed rounds, each
+same, warm process: one untimed round, then 5 timed rounds, each
 evaluating every batch unsplit (`confidence_radii`) and split
 (`covering._split_evaluate`), in an order that alternates from round to
 round.  A round records its seconds, minor page faults, user and system
@@ -16,35 +16,33 @@ a digest of them, so two trees that evaluate alike print the same one.
 
 Each repeat of a job runs in a fresh process.  With `--baseline SRC` (the
 `src/` directory of another checkout), the repeats of the baseline and of
-this tree alternate as in `scripts/cert_digests.py`, and each line
-printed starts with the tree's label.  With `--out`, the table of each
-tree (medians over the repeats) is written as JSON, and an existing file
-keeps its other tables.
+this tree alternate as in `scripts/cert_digests.py`, whose harness this
+script shares, and each line printed starts with the tree's label
+(`parent` or `change`).  With `--out`, the table of each tree (medians
+over the repeats) is written as JSON, and an existing file keeps its
+other tables.
 
     python3 scripts/split_replay.py                         # polar 30
-    python3 scripts/split_replay.py polar:14 --rounds 3
     python3 scripts/split_replay.py --repeats 5 --baseline ../parent/src --out BENCH_19.json
 """
 import argparse
 import hashlib
 import json
-import os
-import platform
 import resource
-import subprocess
 import sys
 import time
-from pathlib import Path
 from statistics import median
 
 import numpy as np
 
 from capdisc import conjecture_setup, covering, cover_region
 from capdisc.discrepancy import confidence_radii
-from cert_digests import SRC, job
+from cert_digests import NOTE, checked_trees, child_job, compare, job, tree_options, write_tables
 
 MODES = ("unsplit", "split")
 COUNTERS = ("s", "minflt", "user_s", "sys_s", "nvcsw")
+MEDIANS = tuple(f"{mode}_{key}" for mode in MODES for key in COUNTERS)
+ROUNDS = 5
 
 
 def capture(structure: str, n: int):
@@ -79,7 +77,7 @@ def replay(evaluate, points, d, batches) -> tuple[dict, list]:
     }, results
 
 
-def measure(structure: str, n: int, rounds: int) -> dict:
+def measure(structure: str, n: int) -> dict:
     """Capture the job's large batches, replay them and return the row of medians."""
     points, d, batches = capture(structure, n)
     evaluators = {"unsplit": confidence_radii, "split": covering._split_evaluate}
@@ -91,7 +89,7 @@ def measure(structure: str, n: int, rounds: int) -> dict:
     if values["split"] != values["unsplit"]:
         raise SystemExit(f"{structure}:{n}: the split batches differ from the unsplit ones")
     samples = {mode: [] for mode in MODES}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         for mode in MODES if r % 2 == 0 else MODES[::-1]:
             samples[mode].append(replay(evaluators[mode], points, d, batches)[0])
     row = {
@@ -107,35 +105,11 @@ def measure(structure: str, n: int, rounds: int) -> dict:
     return row
 
 
-def measure_in_child(src: Path, structure: str, n: int, rounds: int) -> dict:
-    """One capture and replay in a fresh process that imports capdisc from `src`."""
-    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, __file__, "--child", str(src), f"{structure}:{n}", str(rounds)],
-        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, check=False,
-    )
-    if proc.returncode:
-        raise SystemExit(f"{structure}:{n} from {src} failed:\n{proc.stderr}")
-    return json.loads(proc.stdout)
-
-
-def summarize(runs: list) -> dict:
-    """The repeats of one job as one row: medians of the counters, the rest checked equal."""
-    row = dict(runs[0])
-    for key, value in row.items():
-        if key.startswith(MODES):
-            row[key] = round(median(r[key] for r in runs), 4)
-        elif any(r[key] != value for r in runs):
-            raise SystemExit(f"{row['job']}: {key} differs between repeats")
-    row["speedup"] = round(row["unsplit_s"] / row["split_s"], 3)
-    return row
-
-
 def line(row: dict) -> str:
     return (
         f"{row['job']} t={row['t']} batches={row['batches']} rows={row['rows']} "
         f"sha256={row['sha256']} unsplit_s={row['unsplit_s']:.3f} split_s={row['split_s']:.3f} "
-        f"speedup={row['speedup']:.2f} "
+        f"speedup={row['unsplit_s'] / row['split_s']:.2f} "
         f"minflt={row['unsplit_minflt']:.0f}/{row['split_minflt']:.0f} "
         f"user_s={row['unsplit_user_s']:.2f}/{row['split_user_s']:.2f} "
         f"sys_s={row['unsplit_sys_s']:.2f}/{row['split_sys_s']:.2f} "
@@ -143,71 +117,22 @@ def line(row: dict) -> str:
     )
 
 
-def write_table(path: Path, label: str, statistic: str, rows: list) -> None:
-    doc = json.loads(path.read_text()) if path.exists() else {}
-    doc.setdefault(
-        "benchmark",
-        "Cover Cap batches of _SPLIT_ROWS rows or more, replayed unsplit and split over two"
-        " threads: seconds, minor faults, user and system CPU, voluntary context switches",
-    )
-    doc.setdefault("tables", {})[label] = {
-        "statistic": statistic,
-        "machine": {
-            "cpus": len(os.sched_getaffinity(0)),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-        },
-        "jobs": rows,
-    }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-
-
 def main() -> None:
     if sys.argv[1:2] == ["--child"]:
-        _, _, src, text, rounds = sys.argv
-        if Path(src).resolve() not in Path(covering.__file__).resolve().parents:
-            raise SystemExit(f"capdisc imported from {covering.__file__}, not from {src}")
-        print(json.dumps(measure(*job(text), int(rounds))))
+        print(json.dumps(measure(*child_job(*sys.argv[2:]))))
         return
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("jobs", nargs="*", type=job, default=[job("polar:30")])
-    ap.add_argument("--rounds", type=int, default=5, help="timed rounds per process; medians are taken")
-    ap.add_argument("--repeats", type=int, default=1, help="fresh processes per job and tree")
-    ap.add_argument("--out", type=Path, help="write the table to this JSON file")
-    ap.add_argument("--label", default="change", help="name of the table written with --out")
-    ap.add_argument("--baseline", type=Path, help="src/ of another checkout, measured alternately")
-    ap.add_argument("--baseline-label", default="parent", help="name of the baseline's table")
+    tree_options(ap)
     args = ap.parse_args()
-    if args.rounds < 1 or args.repeats < 1:
-        ap.error("--rounds and --repeats must be at least 1")
-    if args.baseline is not None and not (args.baseline / "capdisc").is_dir():
-        ap.error(f"--baseline {args.baseline} holds no capdisc package")
-    if args.baseline is not None and args.baseline_label == args.label:
-        ap.error("--baseline-label must differ from --label")
-
-    trees = [(args.label, SRC)]
-    if args.baseline is not None:
-        trees.insert(0, (args.baseline_label, args.baseline))
-    tables: dict = {label: [] for label, _ in trees}
-    for structure, n in args.jobs:
-        runs: dict = {label: [] for label, _ in trees}
-        for repeat in range(args.repeats):
-            for label, src in trees if repeat % 2 == 0 else trees[::-1]:
-                runs[label].append(measure_in_child(src, structure, n, args.rounds))
-        for label, _ in trees:
-            row = summarize(runs[label])
-            tables[label].append(row)
-            prefix = f"{label}: " if args.baseline is not None else ""
-            print(prefix + line(row), flush=True)
+    tables = compare(__file__, checked_trees(ap, args), args.jobs, args.repeats, MEDIANS, line)
     if args.out:
-        statistic = (
-            f"medians of {args.rounds} rounds in a warm process, then the median of"
-            f" {args.repeats} fresh processes"
+        benchmark = (
+            "Cover Cap batches of _SPLIT_ROWS rows or more, replayed unsplit and split over two"
+            " threads: seconds, minor faults, user and system CPU, voluntary context switches"
         )
-        if args.baseline is not None:
-            statistic += ", alternating with the other table's"
-        for label, rows in tables.items():
-            write_table(args.out, label, statistic, rows)
+        statistic = f"medians of {ROUNDS} rounds in a warm process, then the median of {args.repeats} fresh processes"
+        write_tables(args.out, benchmark, statistic, NOTE, tables)
 
 
 if __name__ == "__main__":

@@ -371,7 +371,7 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
 
 # Batches of at least this many rows are split over two threads.  Plain
 # polar n=30's Cover Cap makes 15 (1,176 to 32,382 rows, 89,479 in all);
-# replayed on 2 shared CPUs they took 0.59 s split, 0.99 s unsplit
+# replayed on 2 shared CPUs they took 0.61 s split, 1.03 s unsplit
 # (scripts/split_replay.py, BENCH_19.json).  Thresholds from 64 to 1,024
 # rows gave the same time when a second process shared the batches, 2,048 a
 # longer one.  No twisted job of the conjecture sweep splits (its largest

@@ -1260,7 +1260,7 @@ def test_split_replay_script_with_a_baseline(tmp_path):
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "replay.json"
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "split_replay.py"), "polar:14", "--rounds", "1",
+        [sys.executable, str(root / "scripts" / "split_replay.py"), "polar:14",
          "--baseline", str(root / "src"), "--out", str(out)],
         capture_output=True, text=True, timeout=120,
     )

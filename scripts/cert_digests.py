@@ -31,8 +31,10 @@ phase-1 balls (`inside_orbit_s`), of the process's peak RSS
 call.  The calls are counted where the engine hands a batch to the kernel
 (`covering._Engine.evaluate_cart`), so a batch split over two threads
 counts once.  The split batches are counted too (`split_batches=`, calls of
-`covering._split_evaluate`; None from a tree without it).  `--label` names
-the table, and an existing file keeps its other tables.
+`covering._split_evaluate`; None from a tree without it), and so are the
+latitude band tests of phase 1 (`band_calls=`, calls of the predicates that
+`covering._band_test` returns).  `--label` names the table, and an existing
+file keeps its other tables.
 
 With `--baseline SRC` (the `src/` directory of another checkout), the
 repeats of the baseline and of this tree alternate (baseline first in even
@@ -99,13 +101,14 @@ def balls_digest(doc: dict) -> str:
 
 
 class BatchCalls:
-    """Counts the batches the engine evaluates, their rows and the split ones, while installed."""
+    """Counts the batches the engine evaluates, their rows, the split ones and the band tests, while installed."""
 
     def __init__(self):
-        self.calls = self.rows = 0
+        self.calls = self.rows = self.band_calls = 0
         self.original = covering._Engine.evaluate_cart
         self.split = getattr(covering, "_split_evaluate", None)
         self.splits = None if self.split is None else 0
+        self.band_test = covering._band_test
 
     def __enter__(self):
         def counted(engine, directions):
@@ -117,13 +120,24 @@ class BatchCalls:
             self.splits += 1
             return self.split(*args)
 
+        def counted_band_test(*args):
+            covered = self.band_test(*args)
+
+            def counted_covered(psi):
+                self.band_calls += 1
+                return covered(psi)
+
+            return counted_covered
+
         covering._Engine.evaluate_cart = counted
+        covering._band_test = counted_band_test
         if self.split is not None:
             covering._split_evaluate = counted_split
         return self
 
     def __exit__(self, *exc):
         covering._Engine.evaluate_cart = self.original
+        covering._band_test = self.band_test
         if self.split is not None:
             covering._split_evaluate = self.split
 
@@ -158,6 +172,7 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "confidence_radii_calls": kernel.calls,
         "rows_per_call": round(kernel.rows / kernel.calls, 2) if kernel.calls else 0.0,
         "split_batches": kernel.splits,
+        "band_calls": kernel.band_calls,
     }
 
 
@@ -257,6 +272,7 @@ def line(row: dict) -> str:
         f"cover_cap_inside_orbit={row['cover_cap_inside_orbit']} "
         f"not_covered_inside_orbit={row['not_covered_inside_orbit']} "
         f"cover_s={row['cover_s']:.2f} split_batches={row['split_batches']} "
+        f"band_calls={row['band_calls']} "
         f"report_bytes={row['report_bytes']} "
         f"peak_rss_mb={row['peak_rss_mb']:.1f}"
     )

@@ -3,11 +3,13 @@
 
 For each point set (twisted n=20, t=441; plain polar n=30, t=994; twisted
 n=80, t=7057) and each batch size (1, 8, 20 rows), evaluates the same
-directions of the conjecture region at the conjecture bound d both ways:
-`confidence_radius(project(ps, v), d)` per row, and one `confidence_radii`
-call per batch.  Records the median over the repeats of microseconds per
-direction and of minor page faults per call (`resource.getrusage` of this
-process only), then writes the table as JSON.
+directions of the conjecture region at the conjecture bound d three ways:
+`confidence_radius(project(ps, v), d)` per row, one `confidence_radii`
+call per batch, and the engine's ring-ball path, `confidence_radii` with
+one direction of shape (3,) per call in the workspace a cover's engine
+keeps (`covering._Engine.work`).  Records the median over the repeats
+of microseconds per direction and of minor page faults per call
+(`resource.getrusage` of this process only), then writes the table as JSON.
 
     python3 scripts/kernel_bench.py                       # writes BENCH_5.json
     python3 scripts/kernel_bench.py --repeats 9 --out kernel.json
@@ -23,6 +25,7 @@ from statistics import median
 import numpy as np
 
 from capdisc import conjecture_setup
+from capdisc.covering import _Engine
 from capdisc.discrepancy import HypothesisViolation, confidence_radii, confidence_radius, project
 from capdisc.reporting import sample_region_directions
 
@@ -40,6 +43,16 @@ def one_at_a_time(ps, dirs, d):
 
 def batched(ps, dirs, d):
     confidence_radii(ps.points, dirs, d)
+
+
+def engine_rows(work):
+    """The engine's ring-ball path: each direction alone through `confidence_radii` in `work`."""
+
+    def evaluate(ps, dirs, d):
+        for v in dirs:
+            confidence_radii(ps.points, v, d, work)
+
+    return evaluate
 
 
 def measure(fn, ps, batches, d):
@@ -69,15 +82,19 @@ def main() -> None:
         ps, params = conjecture_setup(n, structure)
         dirs = sample_region_directions(params.region, args.directions, rng)
         violations = int(np.isnan(confidence_radii(ps.points, dirs, params.d)[1]).sum())
+        paths = [
+            ("one_at_a_time", one_at_a_time),
+            ("confidence_radii", batched),
+            ("one_row_workspace", engine_rows(_Engine(ps, params).work)),
+        ]
         for rows in ROWS:
             batches = [dirs[lo : lo + rows] for lo in range(0, len(dirs), rows)]
-            samples = {"one_at_a_time": [], "confidence_radii": []}
-            for fn in (one_at_a_time, batched):  # warm caches and the allocator
+            samples = {name: [] for name, _ in paths}
+            for _, fn in paths:  # warm caches and the allocator
                 measure(fn, ps, batches[:3], params.d)
             for rep in range(args.repeats):
-                # Alternate which path runs first, so drift on a shared host hits both.
-                order = [("one_at_a_time", one_at_a_time), ("confidence_radii", batched)]
-                for name, fn in order if rep % 2 == 0 else order[::-1]:
+                # Alternate the order of the paths, so drift on a shared host hits each alike.
+                for name, fn in paths if rep % 2 == 0 else paths[::-1]:
                     samples[name].append(measure(fn, ps, batches, params.d))
             cell = {"structure": structure, "n": n, "t": ps.size, "rows": rows,
                     "directions": len(dirs), "hypothesis_violations": violations}
@@ -95,12 +112,16 @@ def main() -> None:
                 f"{cell['one_at_a_time']['us_per_direction']:7.1f} us/dir "
                 f"{cell['one_at_a_time']['minor_faults_per_call']:6.1f} faults/call  "
                 f"confidence_radii {cell['confidence_radii']['us_per_direction']:7.1f} us/dir "
-                f"{cell['confidence_radii']['minor_faults_per_call']:6.1f} faults/call",
+                f"{cell['confidence_radii']['minor_faults_per_call']:6.1f} faults/call  "
+                f"one row in the workspace {cell['one_row_workspace']['us_per_direction']:7.1f} us/dir",
                 flush=True,
             )
 
     doc = {
-        "benchmark": "evaluation kernel: one direction per call against confidence_radii",
+        "benchmark": (
+            "evaluation kernel: one direction per call against confidence_radii, and one"
+            " direction per confidence_radii call in the engine's workspace"
+        ),
         "statistic": f"median of {args.repeats} repeats, {args.directions} directions each",
         "machine": {
             "cpus": os.cpu_count(),

@@ -1,12 +1,13 @@
 """Directional covering of a polar rectangle with confidence balls.
 
-Phase 1 sweeps latitudes from phi_max downward, walking each ring in theta
-with steps sized by the local confidence radius.  Directions whose radius
-falls below the ring minimum are queued; phase 2 certifies them with the
-8-cap Cover Cap construction, grown level by level over all queued directions;
-a Cover Cap ball that lies inside a phase-1 ball is dropped.
-On a host with two or more CPUs, each large batch is split over the calling
-thread and one more, started for that batch alone.
+Phase 1 sweeps latitudes from phi_max downward, walking each ring in theta with
+steps sized by the local confidence radius, one kernel call a ball; a ring's
+band is located downward and only decided upward, against the band already
+covered.  Directions whose radius falls below the ring minimum are queued;
+phase 2 certifies them with the 8-cap Cover Cap construction, grown level by
+level over all queued directions; a Cover Cap ball that lies inside a phase-1
+ball is dropped.  On a host with two or more CPUs, each large batch is split
+over the calling thread and one more, started for that batch alone.
 """
 from __future__ import annotations
 
@@ -19,13 +20,8 @@ from statistics import median
 
 import numpy as np
 
-from .discrepancy import (
-    DirectedResult,
-    HypothesisViolation,
-    confidence_radii,
-    confidence_radius,
-    project,
-)
+from .discrepancy import DirectedResult, HypothesisViolation, confidence_radii
+from .discrepancy import confidence_radius, project  # noqa: F401  capbench traces these sites
 from .geometry import SQRT2, PolarDirection, Region, cover_cap_centers, polar_to_cartesian
 from .geometry import cartesian_to_polar  # noqa: F401  capbench traces this lookup site
 from .pointsets import PointSet
@@ -335,11 +331,12 @@ def _rescue_candidates(v: np.ndarray, required_r: np.ndarray):
 def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
     """Predicate psi -> whether the (theta, radius) balls of a ring at phi cover psi.
 
-    The ring's arrays are built once; each call is one numpy pass over them.
+    The ring's arrays are built once, in centre order; each call is one sort-free numpy pass.
     """
     sin_p, cos_p = math.sin(phi), math.cos(phi)
     reach = theta_hi - 1e-12
     ring = np.array(balls, dtype=float).reshape(-1, 2)
+    ring = ring[np.argsort(ring[:, 0], kind="stable")]
     centers = ring[:, 0]
     cos_r = 1.0 - ring[:, 1] * ring[:, 1] / 2.0  # <u, center> on a ball's boundary
 
@@ -352,19 +349,18 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
         q = num / denom
         if q.min() <= -1.0:
             return True  # a ball reaches psi at every longitude
-        # The balls with q < 1 reach psi on [center - w, center + w]; psi is
-        # covered if an end reaches theta_hi before a start opens a gap.
+        # The balls with q < 1 reach psi on [center - w, center + w].  psi is covered if
+        # an end reaches theta_hi and no cut before a ball j opens a gap: all ends before j
+        # short of theta_hi, the first start from j on past max(theta_lo, those ends) + 1e-12.
+        # A gap splits the balls by centre, so these are a start-order sweep's gaps exactly.
         near = q < 1.0
-        w = np.arccos(q[near])
-        starts = centers[near] - w
-        order = np.argsort(starts, kind="stable")
-        ends = (centers[near] + w)[order]
-        cur = np.maximum.accumulate(np.concatenate(([theta_lo], ends)))
-        done = np.flatnonzero(ends >= reach)
-        if not done.size:
+        c, w = centers[near], np.arccos(q[near])
+        left = np.maximum.accumulate(c + w)  # the largest end of balls 0..j
+        if not left.size or left[-1] < reach:
             return False
-        k = done[0] + 1
-        return not (starts[order[:k]] > cur[:k] + 1e-12).any()
+        right = np.minimum.accumulate((c - w)[::-1])[::-1]  # the smallest start of balls j..
+        cut = np.maximum(left[:-1], theta_lo) + 1e-12
+        return not (right[0] > theta_lo + 1e-12 or ((right[1:] > cut) & (left[:-1] < reach)).any())
 
     return covered
 
@@ -446,6 +442,7 @@ class _Engine:
         self.stranded: list[tuple[np.ndarray, float]] = []  # (center, required radius) of phase 1
         self.r_min_per_orbit: list[float] = []  # of each ring walked
         self._closeout_attempts = 0
+        self.work = np.empty((3, 1, ps.size))  # the kernel's workspace for every ring ball
 
     # -- direction evaluation -------------------------------------------------
 
@@ -453,9 +450,11 @@ class _Engine:
         """Evaluate and record one phase-1 ball: (direction, radius); raises HypothesisViolation."""
         self.n_eval += 1
         v = polar_to_cartesian(PolarDirection(theta, phi))
-        ball = confidence_radius(project(self.ps, v), self.params.d)
-        self.orbit.append((v, ball.radius, ball.directed_value))
-        return v, ball.radius
+        dis, radius = confidence_radii(self.ps.points, v, self.params.d, self.work)
+        if math.isnan(radius):
+            raise HypothesisViolation(v, dis, self.params.d)
+        self.orbit.append((v, radius, dis))
+        return v, radius
 
     def evaluate_cart(self, directions: np.ndarray):
         """(directed_value, radius) arrays of the rows; radius nan where the hypothesis fails."""
@@ -480,8 +479,8 @@ class _Engine:
         _, radii = _checked(self.evaluate_cart, samples)
         return factor * median(radii.tolist())
 
-    def walk_orbit(self, phi: float, r_min: float):
-        """Cover one latitude ring; returns its certified band (psi_down, psi_up)."""
+    def walk_orbit(self, phi: float, r_min: float, target: float):
+        """Cover one latitude ring; returns (band_lo, whether its band reaches `target`)."""
         reg = self.params.region
         balls: list[tuple[float, float]] = []  # (theta, effective radius)
         spans = False
@@ -501,17 +500,21 @@ class _Engine:
             # No clamping: the last center overshoots theta_max by less than
             # one step, so consecutive balls keep overlapping properly.
             theta = theta + step_theta(eff, phi)
-        return self._orbit_band(phi, r_min, balls, spans)
+        return self._orbit_band(phi, r_min, balls, spans, target)
 
-    def _orbit_band(self, phi: float, r_min: float, balls, spans: bool):
-        """Latitude band certified by a walked ring of confidence balls.
+    def _orbit_band(self, phi: float, r_min: float, balls, spans: bool, target: float):
+        """(band_lo, band_hi >= target) of the latitude band a walked ring of balls certifies.
 
         A latitude psi belongs to the band when the theta-intervals in which
         the balls reach psi union to the whole [theta_min, theta_max] range.
-        The band edges are located by stepping away from the ring latitude
-        in increments of r_min/8 and bisecting the last covered step, which
+        Each edge is searched by stepping away from the ring latitude in
+        increments of r_min/8 and bisecting the last covered step, which
         stays correct when radii fluctuate along the ring (the worst-seam
         shortcut collapses whenever a small ball abuts a much larger one).
+        band_lo is located in full; band_hi, read only against `target`, is
+        decided as soon as a covered latitude reaches it or an uncovered one
+        falls short, since the covered one only rises and stays below every
+        uncovered one: the answer of the whole search.
         """
         reg = self.params.region
         if spans:
@@ -520,33 +523,41 @@ class _Engine:
             # for all theta', i.e. phi + psi >= arccos(r^2/2 - 1).
             r = balls[-1][1]
             x = max(-1.0, min(1.0, r * r / 2.0 - 1.0))
-            return math.acos(x) - phi, math.pi / 2
+            return math.acos(x) - phi, math.pi / 2 >= target
 
         covered = _band_test(phi, balls, reg.theta_min, reg.theta_max)
         if not covered(phi):
-            return phi, phi
+            return phi, phi >= target
 
-        def edge(sign: float) -> float:
+        def edge(sign: float):
+            """Yield (covered psi, uncovered psi or None) after each step of the search."""
             step = max(1e-6, r_min / 8.0)
             psi = phi
             limit = math.pi / 2 - 1e-9
+            yield psi, None
             for _ in range(10_000):
                 nxt = psi + sign * step
                 if abs(nxt) > limit or not covered(nxt):
                     break
                 psi = nxt
+                yield psi, None
             else:
-                return psi
+                return
             good, bad = psi, psi + sign * step
+            yield good, bad
             for _ in range(40):
                 mid = 0.5 * (good + bad)
                 if covered(mid):
                     good = mid
                 else:
                     bad = mid
-            return good
+                yield good, bad
 
-        return edge(-1.0), edge(1.0)
+        *_, (band_lo, _) = edge(-1.0)
+        for good, bad in edge(1.0):
+            if good >= target or (bad is not None and bad < target):
+                return band_lo, good >= target
+        return band_lo, False
 
     def next_latitude(self, r_min: float, lowest_covered: float) -> float:
         """Lowest latitude whose adjacent r_min balls still meet the covered band."""
@@ -682,8 +693,7 @@ class _Engine:
                     phi = needed
                     r_min = self.orbit_r_min(phi)
             self.r_min_per_orbit.append(r_min)
-            band_lo, band_hi = self.walk_orbit(phi, r_min)
-            connected = phi >= lowest_covered - 1e-12 or band_hi >= lowest_covered - 1e-12
+            band_lo, connected = self.walk_orbit(phi, r_min, lowest_covered - 1e-12)
             if connected:
                 lowest_covered = min(lowest_covered, band_lo)
                 retries = 0
@@ -732,8 +742,8 @@ class _Engine:
         if r_close <= 0.0 or r_close > 2.0 * math.cos(phi_c):
             return False
         self.r_min_per_orbit.append(r_close)
-        band_lo, band_hi = self.walk_orbit(phi_c, r_close)
-        return band_lo <= phi_min + 1e-12 and band_hi >= lowest_covered - 1e-12
+        band_lo, reaches = self.walk_orbit(phi_c, r_close, lowest_covered - 1e-12)
+        return band_lo <= phi_min + 1e-12 and reaches
 
 
 def _columns(rows: list, width: int) -> list[np.ndarray]:

@@ -126,7 +126,8 @@ def _slab_width(s: np.ndarray, k: int, work: np.ndarray | None = None):
     if k > t - 1:
         return 2.0 if s.ndim == 1 else [2.0] * len(s)
     if s.ndim == 1:
-        return float(_min(s[k:] - s[: t - k]))
+        diff = None if work is None else work[1, : t - k]
+        return float(_min(np.subtract(s[k:], s[: t - k], out=diff)))
     diff = None if work is None else work[1, : len(s), : t - k]
     return _min(np.subtract(s[:, k:], s[:, : t - k], out=diff), axis=1).tolist()
 
@@ -173,13 +174,12 @@ def _dis(s: np.ndarray, work: np.ndarray | None = None):
     area - excl, and IEEE subtraction is exact under negation.  Both are
     taken doubled, against 2 area = 1 - s, and the maximum halved: doubling
     commutes with rounding, so these are the bits of halving 1 - s first.
-    A block's two temporaries go into `work[1:]`, if given.
+    The two temporaries go into `work[1:]`, if given (see _radii).
     """
-    incl2, excl2 = _cap_counts(s.shape[-1])
-    dev, twice_area = (None, None) if work is None else work[1:, : len(s)]
-    twice_area = np.subtract(1.0, s, out=twice_area)
-    dev = np.subtract(incl2, twice_area, out=dev)
-    np.subtract(twice_area, excl2, out=twice_area)
+    counts, m = _cap_counts(s.shape[-1]), len(s)  # indexed: unpacking costs about 0.6 us
+    twice_area = np.subtract(1.0, s, out=None if work is None else work[2, :m])
+    dev = np.subtract(counts[0], twice_area, out=None if work is None else work[1, :m])
+    np.subtract(twice_area, counts[1], out=twice_area)
     np.maximum(dev, twice_area, out=dev)
     return _max(dev, axis=-1) * 0.5
 
@@ -190,15 +190,16 @@ def _radii(
     """Dis, k and confidence radius of each row of sorted projections `s`.
 
     `s` is one row, shape (t,), or a block of rows, shape (m, t), sorted
-    along its last axis; a block keeps its temporaries in `work`, if given.
-    A row with Dis + 1/t > d breaks the radius hypothesis: k 0, radius nan.
+    along its last axis; its temporaries go into `work`, if given, of shape
+    (3, t) or (3, rows, t).  A row with Dis + 1/t > d breaks the radius
+    hypothesis: k 0, radius nan.
     """
     t = s.shape[-1]
     # No slack on d: one would grant radii to rows that break the hypothesis.
-    if s.ndim == 1:  # scalar: a (1, t) block costs about 2 us more, on every ring walk step
-        dis = float(_dis(s))
+    if s.ndim == 1:  # scalar: a (1, t) block costs about 4 us more at t = 441, on every ring ball
+        dis = float(_dis(s, work))
         k = 0 if dis + 1.0 / t > d else int(math.floor(t * (d - dis))) + 1
-        return [dis], [k], [_slab_width(s, k) if k else math.nan]
+        return [dis], [k], [_slab_width(s, k, work) if k else math.nan]
     dis = _dis(s, work).tolist()
     ks = [0 if x + 1.0 / t > d else int(math.floor(t * (d - x))) + 1 for x in dis]
     # Neighbouring rows of a Cover Cap block mostly share k (on plain polar
@@ -237,13 +238,21 @@ def confidence_radii(
     A row that breaks the hypothesis Dis + 1/t <= d raises nothing: its
     radius is nan.  A float (3, rows, t) `work` that no other thread uses
     meanwhile runs blocks of `rows` rows in place of fresh ones, same values.
+    One direction of shape (3,), which needs `work`, gives the two values
+    as floats; it is projected, sorted and swept in row 0 of each plane.
     """
+    if directions.ndim == 1:
+        row = work[:, 0]
+        np.matmul(points, directions, out=row[0])
+        row[0].sort()
+        (dis,), _, (radius,) = _radii(row[0], d, row)
+        return dis, radius
     dis = np.empty(len(directions))
     radius = np.empty(len(directions))
     for lo, s in _sorted_blocks(points, directions, work):
         rows = slice(lo, lo + len(s))
         # a one-row chunk goes in as 1-D, the cheaper form of the core
-        dis[rows], _, radius[rows] = _radii(s if len(s) > 1 else s[0], d, work)
+        dis[rows], _, radius[rows] = _radii(s, d, work) if len(s) > 1 else _radii(s[0], d)
     return dis, radius
 
 

@@ -79,9 +79,37 @@ def reference_covered(phi, balls, theta_lo, theta_hi, psi) -> bool:
     return False
 
 
-def reference_band_test(phi, balls, theta_lo, theta_hi):
-    """Drop-in for `covering._band_test` built on the pure-Python loop."""
-    return lambda psi: reference_covered(phi, balls, theta_lo, theta_hi, psi)
+def reference_band(phi, r_min, balls, spans, theta_lo, theta_hi):
+    """(band_lo, band_hi) of a walked ring, each edge located in full, with the loop as the band test.
+
+    Each edge steps away from phi by r_min/8 and bisects the last covered step 40 times.
+    """
+    if spans:  # one ball reaches around the ring
+        r = balls[-1][1]
+        return math.acos(max(-1.0, min(1.0, r * r / 2.0 - 1.0))) - phi, math.pi / 2
+
+    def covered(psi):
+        return reference_covered(phi, balls, theta_lo, theta_hi, psi)
+
+    if not covered(phi):
+        return phi, phi
+
+    def edge(sign):
+        step, psi = max(1e-6, r_min / 8.0), phi
+        for _ in range(10_000):
+            nxt = psi + sign * step
+            if abs(nxt) > math.pi / 2 - 1e-9 or not covered(nxt):
+                break
+            psi = nxt
+        else:
+            return psi
+        good, bad = psi, psi + sign * step
+        for _ in range(40):
+            mid = 0.5 * (good + bad)
+            good, bad = (mid, bad) if covered(mid) else (good, mid)
+        return good
+
+    return edge(-1.0), edge(1.0)
 
 
 def walked_ring(rng, phi, theta_lo, theta_hi):
@@ -96,6 +124,15 @@ def walked_ring(rng, phi, theta_lo, theta_hi):
 
 # Half-width in theta of a radius-0.2 ball on the equator, at the equator.
 W02 = math.acos(1.0 - 0.2 * 0.2 / 2.0)
+
+
+def end_at_reach_ring():
+    """A ring on the equator whose one ball ends exactly at theta_hi - 1e-12, at psi = 0."""
+    w = math.acos(1.0 - 0.1 * 0.1 / 2.0)
+    hi = w + 1e-12
+    # the end must be the same for numpy's arccos and land on the reach exactly
+    assert np.arccos(1.0 - 0.1 * 0.1 / 2.0) == w and hi - 1e-12 == w
+    return 0.0, [(0.0, 0.1)], 0.0, hi, 0.0
 
 
 def tied_start_ring():
@@ -684,10 +721,12 @@ class TestCounterexampleInCoverCap:
             if splits:
                 time.sleep(0.02)
 
+        def keyed_batches(points, dirs, d, work):
+            # a ring ball, one direction, keeps the real kernel, as in `expect`
+            return evaluate(dirs) if dirs.ndim == 2 else confidence_radii(points, dirs, d, work)
+
         monkeypatch.setattr(_Engine, "evaluate_cart", EVALUATE_CART)
-        rows = rows_by_thread(
-            monkeypatch, lambda points, dirs, d, work: evaluate(dirs), caller=slowed_in_the_split
-        )
+        rows = rows_by_thread(monkeypatch, keyed_batches, caller=slowed_in_the_split)
         monkeypatch.setattr(covering, "_SPLIT_ROWS", 100)
         monkeypatch.setattr(covering, "_CHUNK_ROWS", 8)
         release = threading.Event()
@@ -869,6 +908,28 @@ class TestBandTest:
                 decisions[expect] += 1
         assert min(decisions.values()) > 1000
 
+    @settings(max_examples=400, deadline=None)
+    @given(
+        phi=st.sampled_from([0.0, 0.3, -1.2]),
+        dpsi=st.sampled_from([0.0, 0.01, -0.05]) | st.floats(-0.3, 0.3),
+        balls=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 0.1, 0.2, 0.35, 0.5]) | st.floats(-0.5, 1.5),
+                st.sampled_from([0.1, 0.2, 0.4]) | st.floats(0.0, 2.0),
+            ),
+            min_size=1, max_size=8,
+        ),
+        lo=st.sampled_from([0.0, 0.1, 0.3]) | st.floats(-0.5, 1.0),
+        width=st.sampled_from([0.0, 0.2, 0.5]) | st.floats(0.0, 1.5),
+    )
+    def test_rings_in_any_order_agree_with_the_loop(self, phi, dpsi, balls, lo, width):
+        # Balls out of centre order, repeated, nested, with tied starts and
+        # ends (shared centres and radii on a common latitude) and ranges of
+        # no width.
+        psi = phi + dpsi
+        expect = reference_covered(phi, balls, lo, lo + width, psi)
+        assert _band_test(phi, balls, lo, lo + width)(psi) == expect
+
     @pytest.mark.parametrize(
         "phi, balls, lo, hi, psi, expect",
         [
@@ -889,6 +950,7 @@ class TestBandTest:
                          id="gap-after-theta-lo"),
             pytest.param(0.0, [(W02 + 1e-13, 0.2), (0.3, 0.2)], 0.0, 0.5, 0.0, True,
                          id="start-within-tolerance"),
+            pytest.param(*end_at_reach_ring(), True, id="end-exactly-at-reach"),
             pytest.param(0.5, [(0.3, 0.5)], 0.0, 0.6, 0.55, True, id="single-ball-covers"),
             pytest.param(0.5, [(0.3, 0.2)], 0.0, 0.6, 0.5, False, id="single-ball-short"),
             # cos(psi) < 0: a ball covers all of psi or none of it
@@ -902,21 +964,37 @@ class TestBandTest:
 
     @pytest.mark.parametrize("n, structure", [(20, "twisted"), (14, "polar")])
     def test_walked_rings_give_the_same_band(self, n, structure, monkeypatch):
-        rings = []
-        original = _Engine._orbit_band
+        # Every ring of a cover, the closing ones included: band_lo is the
+        # reference's, and whether the band reaches a target is decided as
+        # the reference's whole band_hi would decide it, for the ring's own
+        # target and for targets at, next to and r_min/16 around band_hi.
+        rings, closing = [], []
+        original, closeout = _Engine._orbit_band, _Engine._final_orbit_closeout
 
-        def recording(self, phi, r_min, balls, spans):
-            band = original(self, phi, r_min, balls, spans)
-            rings.append((self, phi, r_min, list(balls), spans, band))
-            return band
+        def recording(self, phi, r_min, balls, spans, target):
+            rings.append((self, phi, r_min, list(balls), spans, target))
+            return original(self, phi, r_min, balls, spans, target)
+
+        def recording_closeout(self, lowest_covered):
+            first = len(rings)
+            try:
+                return closeout(self, lowest_covered)
+            finally:
+                closing.extend(range(first, len(rings)))
 
         monkeypatch.setattr(_Engine, "_orbit_band", recording)
-        cover_region(*conjecture_setup(n, structure))
-        assert len(rings) > 10
-        # Same step-out and bisection, with the loop as the band test.
-        monkeypatch.setattr(covering, "_band_test", reference_band_test)
-        for engine, phi, r_min, balls, spans, band in rings:
-            assert original(engine, phi, r_min, balls, spans) == band
+        monkeypatch.setattr(_Engine, "_final_orbit_closeout", recording_closeout)
+        ps, params = conjecture_setup(n, structure)
+        cover_region(ps, params)
+        assert len(rings) > 10 and closing
+        reg = params.region
+        for engine, phi, r_min, balls, spans, target in rings:
+            band_lo, band_hi = reference_band(phi, r_min, balls, spans, reg.theta_min, reg.theta_max)
+            targets = [target, band_hi, np.nextafter(band_hi, np.inf), np.nextafter(band_hi, -np.inf)]
+            targets += [band_hi + r_min / 16.0, band_hi - r_min / 16.0]
+            for t in map(float, targets):
+                got = original(engine, phi, r_min, balls, spans, t)
+                assert got == (band_lo, band_hi >= t), (phi, r_min, t)
 
 
 class TestCoverRegion:

@@ -322,6 +322,68 @@ class TestWorkspace:
             assert len(set(k.tolist())) >= 2 and np.isnan(radius[:rows]).any()
 
 
+def assert_same_ball(got, ps, v, d):
+    """`got`, a one-direction (dis, radius), has the bits of `confidence_radius(project(ps, v), d)`.
+
+    Where that raises HypothesisViolation, the radius is nan and dis its directed value.
+    Returns whether it raised.
+    """
+    dis, radius = got
+    try:
+        ball = confidence_radius(project(ps, v), d)
+    except HypothesisViolation as exc:
+        assert math.isnan(radius)
+        assert np.float64(dis).tobytes() == np.float64(exc.directed_value).tobytes()
+        return True
+    assert np.float64(dis).tobytes() == np.float64(ball.directed_value).tobytes()
+    assert np.float64(radius).tobytes() == np.float64(ball.radius).tobytes()
+    return False
+
+
+class TestOneRow:
+    """One direction through `confidence_radii`, in a workspace reused across calls."""
+
+    @pytest.mark.parametrize("rows", [1, None], ids=["engine", "split-thread"])
+    @pytest.mark.parametrize("ps", _workspace_cases())
+    def test_rows_equal_project_and_confidence_radius(self, ps, rows):
+        # The engine's workspace, one row deep, and a split thread's.
+        t = ps.size
+        work = np.empty((3, rows or covering._WORK_BYTES // (8 * t), t))
+        dirs = np.vstack([Z, uniform_directions(24, seed=t)])
+        dis_all, _ = confidence_radii(ps.points, dirs, 2.0, work)  # leaves a batch in the workspace
+        d = float(np.median(dis_all)) + 1.0 / t  # breaks the hypothesis on about half the rows
+        broken = 0
+        for v, dis in zip(dirs, dis_all.tolist()):
+            broken += assert_same_ball(confidence_radii(ps.points, v, d, work), ps, v, d)
+            # k > t - 1, no slab: radius 2
+            assert confidence_radii(ps.points, v, 2.0, work) == (dis, 2.0)
+            assert_same_ball((dis, 2.0), ps, v, 2.0)
+            # A short slab difference (k about t/2), then a long one (k of 2 or 3) over it.
+            for d_v in (dis + 0.5, dis + 2.0 / t) if t > 2 else ():
+                assert not assert_same_ball(confidence_radii(ps.points, v, d_v, work), ps, v, d_v)
+        assert 0 < broken < len(dirs)
+
+    def test_the_engine_raises_with_the_witness_of_confidence_radius(self):
+        ps = generate_twisted_polar(20)
+        params = covering.CoverParams(d=north_pole_directed(20), region=covering.Region(0.0, 1.2, 0.0, 3.0))
+        engine = covering._Engine(ps, params)
+        # The pole's Dis is d itself: it breaks the hypothesis.
+        theta, phi = 0.0, math.pi / 2
+        v = polar_to_cartesian(PolarDirection(theta, phi))
+        with pytest.raises(HypothesisViolation) as expect:
+            confidence_radius(project(ps, v), params.d)
+        with pytest.raises(HypothesisViolation) as got:
+            engine.orbit_ball(theta, phi)
+        assert got.value.direction.tobytes() == expect.value.direction.tobytes()
+        assert np.float64(got.value.directed_value).tobytes() == np.float64(expect.value.directed_value).tobytes()
+        assert got.value.d == expect.value.d
+        assert engine.n_eval == 1 and not engine.orbit
+        # A ball that keeps the hypothesis is recorded with its values.
+        v, radius = engine.orbit_ball(theta, 0.2)
+        ball = confidence_radius(project(ps, v), params.d)
+        assert engine.orbit == [(v, ball.radius, ball.directed_value)] and radius == ball.radius
+
+
 def test_kernel_bench_script_smoke(tmp_path):
     script = Path(__file__).resolve().parents[1] / "scripts" / "kernel_bench.py"
     out = tmp_path / "kernel.json"
@@ -335,7 +397,7 @@ def test_kernel_bench_script_smoke(tmp_path):
     assert cell_keys == [(t, rows) for t in (441, 994, 7057) for rows in (1, 8, 20)]
     for cell in cells:
         assert cell["directions"] == 4
-        for path in ("one_at_a_time", "confidence_radii"):
+        for path in ("one_at_a_time", "confidence_radii", "one_row_workspace"):
             assert cell[path]["us_per_direction"] > 0.0
 
 

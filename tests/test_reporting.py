@@ -250,7 +250,7 @@ class TestReportDocument:
         assert stripped["records"] == doc["records"]
 
 
-    def test_cert_digests_script_smoke(self):
+    def test_cert_digests_script_smoke(self, monkeypatch):
         script = Path(__file__).resolve().parents[1] / "scripts" / "cert_digests.py"
         proc = subprocess.run(
             [sys.executable, str(script), "twisted:20"],
@@ -258,6 +258,13 @@ class TestReportDocument:
         )
         assert proc.returncode == 0, proc.stderr
         ps, params = conjecture_setup(20)
+        band_calls, band_test = [], covering._band_test
+
+        def counted_band_test(*args):
+            covered = band_test(*args)
+            return lambda psi: band_calls.append(psi) or covered(psi)
+
+        monkeypatch.setattr(covering, "_band_test", counted_band_test)
         outcome = cover_region(ps, params)
         doc = strip_timings(report_dict(ps, params, outcome))
         sha = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -281,6 +288,7 @@ class TestReportDocument:
         )
         assert proc.stdout.startswith(expect), proc.stdout
         assert " split_batches=0 " in proc.stdout  # no twisted batch reaches _SPLIT_ROWS
+        assert f" band_calls={len(band_calls)} " in proc.stdout and band_calls
         assert doc["records"] != sorted(doc["records"])  # so the sort is put to the test
         assert len(proc.stdout.splitlines()) == 1
         # the size of the schema-2 report, but for the digits of its timings, and the peak

@@ -27,14 +27,17 @@ times and a layer table is written as JSON: the medians of the phase-1 and
 Cover Cap seconds, of the seconds spent dropping Cover Cap rows inside
 phase-1 balls (`inside_orbit_s`), of the process's peak RSS
 (`peak_rss_mb`, through the digest), the report's size in bytes,
-`n_evaluations`, and the number of batched kernel calls with their rows per
-call.  The calls are counted where the engine hands a batch to the kernel
-(`covering._Engine.evaluate_cart`), so a batch split over two threads
-counts once.  The split batches are counted too (`split_batches=`, calls of
-`covering._split_evaluate`; None from a tree without it), and so are the
-latitude band tests of phase 1 (`band_calls=`, calls of the predicates that
-`covering._band_test` returns).  `--label` names the table, and an existing
-file keeps its other tables.
+`n_evaluations`, and the number of batches with their rows per batch
+(`batch_calls`, `rows_per_batch`).  A batch is counted where the engine
+hands it to the kernel (`covering._Engine.evaluate_cart`: ring samples and
+Cover Cap levels), so a batch split over two threads counts once; the
+one-direction kernel calls of the ring balls are not batches and are not
+counted (there is one per phase-1 ball, `n_DD`).  The split batches are
+counted too (`split_batches=`, calls of `covering._split_evaluate`; None
+from a tree without it), and so are the latitude band tests of phase 1
+(`band_calls=`, calls of the predicates that `covering._band_test`
+returns).  `--label` names the table, and an existing file keeps its other
+tables.
 
 With `--baseline SRC` (the `src/` directory of another checkout), the
 repeats of the baseline and of this tree alternate (baseline first in even
@@ -73,8 +76,8 @@ MEDIANS = (
 )
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCHMARK = (
-    "conjecture covers per job: phase 1 and Cover Cap seconds, evaluations, batched kernel"
-    " calls, split batches, report bytes and peak RSS"
+    "conjecture covers per job: phase 1 and Cover Cap seconds, evaluations, batches handed"
+    " to the kernel, split batches, report bytes and peak RSS"
 )
 NOTE = "2 shared CPUs (a container on a host shared with other tenants); medians of repeats"
 
@@ -169,8 +172,8 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "phase1_s": outcome.timings["phase1"],
         "cover_cap_s": outcome.timings["cover_cap"],
         "inside_orbit_s": outcome.timings.get("inside_orbit", 0.0),
-        "confidence_radii_calls": kernel.calls,
-        "rows_per_call": round(kernel.rows / kernel.calls, 2) if kernel.calls else 0.0,
+        "batch_calls": kernel.calls,
+        "rows_per_batch": round(kernel.rows / kernel.calls, 2) if kernel.calls else 0.0,
         "split_batches": kernel.splits,
         "band_calls": kernel.band_calls,
     }

@@ -6,7 +6,6 @@ structures, and report/CSV persistence.
 """
 from .geometry import (
     Cap,
-    PolarDirection,
     Region,
     cartesian_to_polar,
     cover_cap_centers,

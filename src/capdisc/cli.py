@@ -15,7 +15,7 @@ import numpy as np
 
 from .covering import CoverParams, cover_region
 from .discrepancy import SizeLimitExceeded, directed_discrepancy, naive_discrepancy, project
-from .geometry import PolarDirection, Region, polar_to_cartesian
+from .geometry import Region, polar_to_cartesian
 from .pointsets import (
     PointFileError,
     generate_polar,
@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write a point-set CSV")
     gen.add_argument("--structure", choices=["polar", "twisted", "random"], required=True)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, help="random structure only (default 0)")
     gen.add_argument("--out", required=True)
 
     dire = sub.add_parser("directed", help="directed discrepancy along one axis")
@@ -80,12 +80,15 @@ def _cmd_generate(args) -> int:
     if args.n < 2:
         print("error: --n must be at least 2", file=sys.stderr)
         return EXIT_USAGE
+    if args.seed is not None and args.structure != "random":
+        print(f"error: --seed is for --structure random, not {args.structure}", file=sys.stderr)
+        return EXIT_USAGE
     if args.structure == "polar":
         ps = generate_polar(args.n)
     elif args.structure == "twisted":
         ps = generate_twisted_polar(args.n)
     else:
-        ps = generate_random_uniform(args.n, args.seed)
+        ps = generate_random_uniform(args.n, args.seed or 0)
     write_point_set(ps, args.out)
     print(ps.size)
     return EXIT_OK
@@ -98,7 +101,7 @@ def _cmd_directed(args) -> int:
             print(f"error: --{name} must be finite, got {value!r}", file=sys.stderr)
             return EXIT_USAGE
     ps = read_point_set(args.points)
-    v = polar_to_cartesian(PolarDirection(args.theta, args.phi))
+    v = polar_to_cartesian(args.theta, args.phi)
     res = directed_discrepancy(project(ps, v))
     if args.json:
         print(

@@ -1,13 +1,14 @@
 """Directional covering of a polar rectangle with confidence balls.
 
-Phase 1 sweeps latitudes from phi_max downward, walking each ring in theta with
-steps sized by the local confidence radius, one kernel call a ball; a ring's
-band is located downward and only decided upward, against the band already
-covered.  Directions whose radius falls below the ring minimum are queued;
+Phase 1 sweeps latitudes from phi_max downward, walking each ring in
+increasing theta with steps sized by the local confidence radius, one kernel
+call a ball; a ring's band is located downward and only decided upward,
+against the band already covered.  A ring whose r_min is 0 cannot step, so
+phase 1 ends there and leaves the band below to one residual ball of chord
+radius 2.  Directions whose radius falls below the ring minimum are queued;
 phase 2 certifies them with the 8-cap Cover Cap construction, grown level by
-level over all queued directions; a Cover Cap ball that lies inside a phase-1
-ball is dropped.  On a host with two or more CPUs, each large batch is split
-over the calling thread and one more, started for that batch alone.
+level; a Cover Cap ball inside a phase-1 ball is dropped.  On a host with two
+or more CPUs, each large batch is split over the calling thread and one more.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .discrepancy import DirectedResult, HypothesisViolation, confidence_radii
 from .discrepancy import confidence_radius, project  # noqa: F401  capbench traces these sites
-from .geometry import SQRT2, PolarDirection, Region, cover_cap_centers, polar_to_cartesian
+from .geometry import SQRT2, Region, cover_cap_centers, polar_to_cartesian
 from .geometry import cartesian_to_polar  # noqa: F401  capbench traces this lookup site
 from .pointsets import PointSet
 
@@ -99,11 +100,10 @@ def step_theta(r: float, phi: float) -> float:
     return 2.0 * math.asin(r / (2.0 * c))
 
 
-def orbit_intersection_latitude(phi: float, r: float, upper: bool = False) -> float:
-    """Latitude of the intersection of two adjacent equal balls on one ring.
+def orbit_intersection_latitude(phi: float, r: float) -> float:
+    """Latitude of the upper intersection of two adjacent equal balls on one ring.
 
     Centers sit at latitude phi separated by chord r, both with ball radius r.
-    Returns the lower intersection latitude (or the upper with upper=True).
     The intersection u satisfies <v1, u> = 1 - r^2/2 at longitude tau = d_theta/2.
     """
     tau = step_theta(r, phi) / 2.0
@@ -112,10 +112,7 @@ def orbit_intersection_latitude(phi: float, r: float, upper: bool = False) -> fl
     c = 1.0 - r * r / 2.0
     rad = math.hypot(a, b)
     x = max(-1.0, min(1.0, c / rad))
-    alpha = math.atan2(b, a)
-    if upper:
-        return alpha + math.acos(x)
-    return alpha - math.acos(x)
+    return math.atan2(b, a) + math.acos(x)
 
 
 COVER_CAP_COUNTERS = ("cover_cap_nodes", "cover_cap_levels", "rescue_tries", "rescue_hits")
@@ -331,12 +328,11 @@ def _rescue_candidates(v: np.ndarray, required_r: np.ndarray):
 def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
     """Predicate psi -> whether the (theta, radius) balls of a ring at phi cover psi.
 
-    The ring's arrays are built once, in centre order; each call is one sort-free numpy pass.
+    Balls come in non-decreasing theta, as walk_orbit appends them; a call is one numpy pass.
     """
     sin_p, cos_p = math.sin(phi), math.cos(phi)
     reach = theta_hi - 1e-12
     ring = np.array(balls, dtype=float).reshape(-1, 2)
-    ring = ring[np.argsort(ring[:, 0], kind="stable")]
     centers = ring[:, 0]
     cos_r = 1.0 - ring[:, 1] * ring[:, 1] / 2.0  # <u, center> on a ball's boundary
 
@@ -449,7 +445,7 @@ class _Engine:
     def orbit_ball(self, theta: float, phi: float):
         """Evaluate and record one phase-1 ball: (direction, radius); raises HypothesisViolation."""
         self.n_eval += 1
-        v = polar_to_cartesian(PolarDirection(theta, phi))
+        v = polar_to_cartesian(theta, phi)
         dis, radius = confidence_radii(self.ps.points, v, self.params.d, self.work)
         if math.isnan(radius):
             raise HypothesisViolation(v, dis, self.params.d)
@@ -470,39 +466,32 @@ class _Engine:
         reg = self.params.region
         span = reg.theta_max - reg.theta_min
         k = ORBIT_SAMPLE_COUNT
-        samples = np.array(
-            [
-                polar_to_cartesian(PolarDirection(reg.theta_min + (i + 0.5) * span / k, phi))
-                for i in range(k)
-            ]
-        )
+        thetas = (reg.theta_min + (i + 0.5) * span / k for i in range(k))
+        samples = np.array([polar_to_cartesian(theta, phi) for theta in thetas])
         _, radii = _checked(self.evaluate_cart, samples)
         return factor * median(radii.tolist())
 
     def walk_orbit(self, phi: float, r_min: float, target: float):
         """Cover one latitude ring; returns (band_lo, whether its band reaches `target`)."""
         reg = self.params.region
-        balls: list[tuple[float, float]] = []  # (theta, effective radius)
-        spans = False
+        balls: list[tuple[float, float]] = []  # (theta, effective radius), theta non-decreasing
         theta = reg.theta_min
         while True:
             v, r_v = self.orbit_ball(theta, phi)
-            eff = r_v
             if r_v < r_min:
                 self.cannot_cover.append((v, r_min))
-                eff = r_min
+            eff = max(r_v, r_min)
             balls.append((theta, eff))
             if eff > 2.0 * math.cos(phi):
-                spans = True
                 break
             if theta >= reg.theta_max - 1e-15:
                 break
             # No clamping: the last center overshoots theta_max by less than
             # one step, so consecutive balls keep overlapping properly.
             theta = theta + step_theta(eff, phi)
-        return self._orbit_band(phi, r_min, balls, spans, target)
+        return self._orbit_band(phi, r_min, balls, target)
 
-    def _orbit_band(self, phi: float, r_min: float, balls, spans: bool, target: float):
+    def _orbit_band(self, phi: float, r_min: float, balls, target: float):
         """(band_lo, band_hi >= target) of the latitude band a walked ring of balls certifies.
 
         A latitude psi belongs to the band when the theta-intervals in which
@@ -517,11 +506,11 @@ class _Engine:
         uncovered one: the answer of the whole search.
         """
         reg = self.params.region
-        if spans:
-            # A single ball reaching around the whole latitude circle covers
-            # every latitude psi with chord((theta,phi),(theta',psi)) <= r
-            # for all theta', i.e. phi + psi >= arccos(r^2/2 - 1).
-            r = balls[-1][1]
+        r = balls[-1][1]
+        if r > 2.0 * math.cos(phi):
+            # The walk ends at a ball reaching around the whole latitude circle,
+            # which covers every latitude psi with chord((theta,phi),(theta',psi))
+            # <= r for all theta', i.e. phi + psi >= arccos(r^2/2 - 1).
             x = max(-1.0, min(1.0, r * r / 2.0 - 1.0))
             return math.acos(x) - phi, math.pi / 2 >= target
 
@@ -566,7 +555,7 @@ class _Engine:
 
         def reaches(phi: float) -> bool:
             try:
-                psi_up = orbit_intersection_latitude(phi, r_min, upper=True)
+                psi_up = orbit_intersection_latitude(phi, r_min)
             except BallSpansOrbit:
                 return True
             return psi_up >= lowest_covered
@@ -692,6 +681,9 @@ class _Engine:
                         break
                     phi = needed
                     r_min = self.orbit_r_min(phi)
+            if r_min == 0.0:  # the ring cannot step: leave the band to a ball holding the sphere
+                self.stranded.append((polar_to_cartesian(reg.theta_min, lowest_covered), 2.0))
+                return
             self.r_min_per_orbit.append(r_min)
             band_lo, connected = self.walk_orbit(phi, r_min, lowest_covered - 1e-12)
             if connected:
@@ -700,7 +692,7 @@ class _Engine:
             else:
                 retries += 1
                 if retries > 50:
-                    v = polar_to_cartesian(PolarDirection(reg.theta_min, lowest_covered))
+                    v = polar_to_cartesian(reg.theta_min, lowest_covered)
                     self.stranded.append((v, r_min))
                     return
                 phi = 0.5 * (phi + lowest_covered)

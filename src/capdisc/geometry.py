@@ -21,14 +21,6 @@ def random_unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PolarDirection:
-    """Direction given as longitude theta in [0, 2pi) and latitude phi in [-pi/2, pi/2]."""
-
-    theta: float
-    phi: float
-
-
-@dataclass(frozen=True)
 class Cap:
     """Closed cap {x : <x, axis> >= height}."""
 
@@ -55,24 +47,25 @@ class Region:
             raise ValueError("region bounds out of order")
 
 
-def polar_to_cartesian(d: PolarDirection) -> np.ndarray:
-    ct, st = math.cos(d.theta), math.sin(d.theta)
-    cp, sp = math.cos(d.phi), math.sin(d.phi)
+def polar_to_cartesian(theta: float, phi: float) -> np.ndarray:
+    """Unit vector at longitude theta and latitude phi in [-pi/2, pi/2]."""
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
     return np.array([cp * ct, cp * st, sp])
 
 
-def cartesian_to_polar(v: np.ndarray) -> PolarDirection:
-    """Inverse of polar_to_cartesian; theta = 0 by convention at the poles."""
+def cartesian_to_polar(v: np.ndarray) -> tuple[float, float]:
+    """(theta in [0, 2pi), phi), inverse of polar_to_cartesian; theta = 0 at the poles."""
     x, y, z = float(v[0]), float(v[1]), float(v[2])
     phi = math.asin(max(-1.0, min(1.0, z)))
     if x == 0.0 and y == 0.0:
-        return PolarDirection(0.0, phi)
+        return 0.0, phi
     theta = math.atan2(y, x)
     if theta < 0.0:
         theta += 2.0 * math.pi
     if theta >= 2.0 * math.pi:
         theta = 0.0
-    return PolarDirection(theta, phi)
+    return theta, phi
 
 
 def orthonormal_frame(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

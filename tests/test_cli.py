@@ -68,6 +68,27 @@ class TestGenerate:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_random_seed_defaults_to_zero(self, tmp_path, capsys):
+        path, expect = tmp_path / "p.csv", tmp_path / "seed0.csv"
+        code, _, _ = run_cli(
+            capsys, "generate", "--structure", "random", "--n", "7", "--out", str(path)
+        )
+        assert code == 0
+        write_point_set(generate_random_uniform(7, seed=0), expect)
+        assert path.read_bytes() == expect.read_bytes()
+
+    @pytest.mark.parametrize("structure", ["polar", "twisted"])
+    def test_seed_of_a_deterministic_structure_is_usage_error(self, tmp_path, capsys, structure):
+        # The polar structures have no randomness: a seed would be accepted and then ignored.
+        path = tmp_path / "p.csv"
+        code, out, err = run_cli(
+            capsys, "generate", "--structure", structure, "--n", "5", "--seed", "3",
+            "--out", str(path),
+        )
+        assert code == 2 and out == ""
+        assert f"--seed is for --structure random, not {structure}" in err
+        assert not path.exists()
+
     def test_unknown_structure_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["generate", "--structure", "cube", "--n", "5",

@@ -42,7 +42,7 @@ from capdisc.discrepancy import (
     directed_values,
     project,
 )
-from capdisc.geometry import PolarDirection, Region, cover_cap_centers, polar_to_cartesian
+from capdisc.geometry import Region, cover_cap_centers, polar_to_cartesian
 from capdisc.pointsets import generate_random_uniform, generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
 from capdisc.reporting import audit_coverage, report_dict, strip_timings
@@ -79,13 +79,14 @@ def reference_covered(phi, balls, theta_lo, theta_hi, psi) -> bool:
     return False
 
 
-def reference_band(phi, r_min, balls, spans, theta_lo, theta_hi):
+def reference_band(phi, r_min, balls, theta_lo, theta_hi):
     """(band_lo, band_hi) of a walked ring, each edge located in full, with the loop as the band test.
 
     Each edge steps away from phi by r_min/8 and bisects the last covered step 40 times.
     """
-    if spans:  # one ball reaches around the ring
-        r = balls[-1][1]
+    spanning = [r for _, r in balls if r > 2.0 * math.cos(phi)]
+    if spanning:  # one ball reaches around the ring
+        r = spanning[0]
         return math.acos(max(-1.0, min(1.0, r * r / 2.0 - 1.0))) - phi, math.pi / 2
 
     def covered(psi):
@@ -110,6 +111,13 @@ def reference_band(phi, r_min, balls, spans, theta_lo, theta_hi):
         return good
 
     return edge(-1.0), edge(1.0)
+
+
+def twisted_8_to_the_pole():
+    """Twisted polar 8 up to the north pole: its first ring ends in a ball spanning its circle."""
+    ps = generate_twisted_polar(8)
+    region = Region(1.0, math.pi / 2, 0.0, 2.0 * math.pi)
+    return ps, CoverParams(d=north_pole_directed(8) + 20.0 / ps.size, region=region)
 
 
 def walked_ring(rng, phi, theta_lo, theta_hi):
@@ -152,9 +160,8 @@ def tied_start_ring():
             break
     else:
         raise AssertionError("no radius gives a tied start")
-    # The longer interval comes first, so a stable sort and a tuple sort
-    # take the tied pair in opposite orders.
-    balls = [(0.0, 0.25), (0.5, 0.25), (theta, r), (0.8, 0.25), (1.0, 0.25)]
+    # In centre order, as walk_orbit appends them, the shorter interval of the tied pair comes first.
+    balls = [(0.0, 0.25), (theta, r), (0.5, 0.25), (0.8, 0.25), (1.0, 0.25)]
     return phi, balls, 0.0, 1.0, psi
 
 
@@ -354,8 +361,8 @@ class TestStepTheta:
         # Consecutive centers on the latitude circle must sit at chord r.
         r, phi = 0.3, 0.7
         dt = step_theta(r, phi)
-        a = polar_to_cartesian(PolarDirection(0.0, phi))
-        b = polar_to_cartesian(PolarDirection(dt, phi))
+        a = polar_to_cartesian(0.0, phi)
+        b = polar_to_cartesian(dt, phi)
         assert math.isclose(float(np.linalg.norm(a - b)), r, abs_tol=1e-12)
 
     def test_rejects_spanning_ball(self):
@@ -365,18 +372,18 @@ class TestStepTheta:
 
 class TestOrbitIntersection:
     def test_brackets_the_ring(self):
+        # The upper intersection lies above the ring, below the top of a ball.
         phi, r = 0.5, 0.2
-        lo = orbit_intersection_latitude(phi, r)
-        hi = orbit_intersection_latitude(phi, r, upper=True)
-        assert lo < phi < hi
+        hi = orbit_intersection_latitude(phi, r)
+        assert phi < hi < phi + 2.0 * math.asin(r / 2.0)
 
     def test_intersection_on_both_boundaries(self):
         phi, r = 0.4, 0.25
         dt = step_theta(r, phi)
-        lo = orbit_intersection_latitude(phi, r)
-        a = polar_to_cartesian(PolarDirection(0.0, phi))
-        b = polar_to_cartesian(PolarDirection(dt, phi))
-        u = polar_to_cartesian(PolarDirection(dt / 2.0, lo))
+        hi = orbit_intersection_latitude(phi, r)
+        a = polar_to_cartesian(0.0, phi)
+        b = polar_to_cartesian(dt, phi)
+        u = polar_to_cartesian(dt / 2.0, hi)
         assert math.isclose(float(np.linalg.norm(u - a)), r, abs_tol=1e-9)
         assert math.isclose(float(np.linalg.norm(u - b)), r, abs_tol=1e-9)
 
@@ -390,8 +397,8 @@ def _twisted_12_engine():
 def test_r_min_from_samples_is_scaled_median():
     ps, d, engine = _twisted_12_engine()
     k = covering.ORBIT_SAMPLE_COUNT
-    samples = [PolarDirection((i + 0.5) * math.pi / k, 0.8) for i in range(k)]
-    radii = [confidence_radius(project(ps, polar_to_cartesian(u)), d).radius for u in samples]
+    samples = [polar_to_cartesian((i + 0.5) * math.pi / k, 0.8) for i in range(k)]
+    radii = [confidence_radius(project(ps, u), d).radius for u in samples]
     assert engine.orbit_r_min(0.8) == covering.R_MIN_FACTOR * median(radii)
     assert engine.orbit_r_min(0.8, factor=1.0) == median(radii)
 
@@ -922,10 +929,11 @@ class TestBandTest:
         lo=st.sampled_from([0.0, 0.1, 0.3]) | st.floats(-0.5, 1.0),
         width=st.sampled_from([0.0, 0.2, 0.5]) | st.floats(0.0, 1.5),
     )
-    def test_rings_in_any_order_agree_with_the_loop(self, phi, dpsi, balls, lo, width):
-        # Balls out of centre order, repeated, nested, with tied starts and
-        # ends (shared centres and radii on a common latitude) and ranges of
-        # no width.
+    def test_rings_in_centre_order_agree_with_the_loop(self, phi, dpsi, balls, lo, width):
+        # Balls in non-decreasing centre order, as walk_orbit appends them:
+        # repeated, nested, with tied starts and ends (shared centres and
+        # radii on a common latitude) and ranges of no width.
+        balls = sorted(balls, key=lambda ball: ball[0])
         psi = phi + dpsi
         expect = reference_covered(phi, balls, lo, lo + width, psi)
         assert _band_test(phi, balls, lo, lo + width)(psi) == expect
@@ -962,18 +970,32 @@ class TestBandTest:
         assert reference_covered(phi, balls, lo, hi, psi) == expect
         assert _band_test(phi, balls, lo, hi)(psi) == expect
 
-    @pytest.mark.parametrize("n, structure", [(20, "twisted"), (14, "polar")])
-    def test_walked_rings_give_the_same_band(self, n, structure, monkeypatch):
-        # Every ring of a cover, the closing ones included: band_lo is the
-        # reference's, and whether the band reaches a target is decided as
-        # the reference's whole band_hi would decide it, for the ring's own
-        # target and for targets at, next to and r_min/16 around band_hi.
-        rings, closing = [], []
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            pytest.param(lambda: conjecture_setup(20, "twisted"), id="20-twisted"),
+            pytest.param(lambda: conjecture_setup(14, "polar"), id="14-polar"),
+            pytest.param(twisted_8_to_the_pole, id="8-twisted-to-the-pole"),
+        ],
+    )
+    def test_walked_rings_give_the_same_band(self, setup, monkeypatch):
+        # Every ring of a cover, the closing and spanning ones included:
+        # band_lo is the reference's, and whether the band reaches a target
+        # is decided as the reference's whole band_hi would decide it, for
+        # the ring's own target and for targets at, next to and r_min/16
+        # around band_hi.  Each band test gets its ring in centre order.
+        rings, closing, in_order = [], [], []
         original, closeout = _Engine._orbit_band, _Engine._final_orbit_closeout
+        band_test = covering._band_test
 
-        def recording(self, phi, r_min, balls, spans, target):
-            rings.append((self, phi, r_min, list(balls), spans, target))
-            return original(self, phi, r_min, balls, spans, target)
+        def recording(self, phi, r_min, balls, target):
+            rings.append((self, phi, r_min, list(balls), target))
+            return original(self, phi, r_min, balls, target)
+
+        def ordered_band_test(phi, balls, theta_lo, theta_hi):
+            thetas = [theta for theta, _ in balls]
+            in_order.append(all(a <= b for a, b in zip(thetas, thetas[1:])))
+            return band_test(phi, balls, theta_lo, theta_hi)
 
         def recording_closeout(self, lowest_covered):
             first = len(rings)
@@ -984,16 +1006,22 @@ class TestBandTest:
 
         monkeypatch.setattr(_Engine, "_orbit_band", recording)
         monkeypatch.setattr(_Engine, "_final_orbit_closeout", recording_closeout)
-        ps, params = conjecture_setup(n, structure)
-        cover_region(ps, params)
-        assert len(rings) > 10 and closing
+        monkeypatch.setattr(covering, "_band_test", ordered_band_test)
+        ps, params = setup()
+        assert cover_region(ps, params).status == "covered"
+        spans = [balls[-1][1] > 2.0 * math.cos(phi) for _, phi, _, balls, _ in rings]
+        if params.region.phi_max < math.pi / 2:
+            assert len(rings) > 10 and closing and not any(spans)
+        else:
+            assert spans == [True, False]
+        assert len(in_order) == len(rings) - sum(spans) and all(in_order)
         reg = params.region
-        for engine, phi, r_min, balls, spans, target in rings:
-            band_lo, band_hi = reference_band(phi, r_min, balls, spans, reg.theta_min, reg.theta_max)
+        for engine, phi, r_min, balls, target in rings:
+            band_lo, band_hi = reference_band(phi, r_min, balls, reg.theta_min, reg.theta_max)
             targets = [target, band_hi, np.nextafter(band_hi, np.inf), np.nextafter(band_hi, -np.inf)]
             targets += [band_hi + r_min / 16.0, band_hi - r_min / 16.0]
             for t in map(float, targets):
-                got = original(engine, phi, r_min, balls, spans, t)
+                got = original(engine, phi, r_min, balls, t)
                 assert got == (band_lo, band_hi >= t), (phi, r_min, t)
 
 
@@ -1020,7 +1048,7 @@ class TestCoverRegion:
         assert outcome.counterexample is not None
         assert outcome.counterexample.value + 1.0 / ps.size > 1e-9
         # Every orbit sample violates; the witness is the first of them.
-        first = polar_to_cartesian(PolarDirection(0.5 * 1.0 / 20, 0.5))
+        first = polar_to_cartesian(0.5 * 1.0 / 20, 0.5)
         assert outcome.counterexample.direction.tobytes() == first.tobytes()
 
     def test_region_down_to_the_south_pole_is_covered(self):
@@ -1066,6 +1094,42 @@ class TestCoverRegion:
         assert proc.stdout.strip() == (
             "point set row 1 repeats row 0; coincident points are not supported"
         )
+
+    @pytest.mark.parametrize("generator, n", [("generate_polar", 14), ("generate_twisted_polar", 20)])
+    def test_a_ring_that_cannot_step_ends_residual(self, generator, n):
+        # At d = north + 1/t the pole ball's slab radius is exactly 0 (the
+        # points share z by rings, so projections onto the pole tie), the
+        # ring samples give r_min = 0, and the walk once evaluated one
+        # direction forever.  A subprocess with a timeout bounds the run.
+        # Every probe of the region outside the records lies in the residual ball.
+        script = textwrap.dedent(
+            f"""
+            import math
+            import numpy as np
+            from capdisc.covering import CoverParams, cover_region
+            from capdisc.geometry import Region
+            from capdisc.pointsets import {generator}
+            from capdisc.polar_analysis import north_pole_directed
+            from capdisc.reporting import sample_region_directions
+
+            ps = {generator}({n})
+            region = Region(0.0, math.pi / 2, 0.0, 2.0 * math.pi)
+            outcome = cover_region(ps, CoverParams(north_pole_directed({n}) + 1.0 / ps.size, region, 12))
+            probes = sample_region_directions(region, 4096, np.random.default_rng(0))
+            recs, rest = outcome.records, outcome.not_covered
+            dist = np.linalg.norm(probes[:, None] - recs.center[None], axis=2)
+            left = probes[(dist > recs.radius).all(axis=1)]
+            inside = np.linalg.norm(left - rest.center[0], axis=1) <= rest.required_radius[0]
+            print(outcome.status, len(rest), len(left), bool(inside.all()))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=10
+        )
+        assert proc.returncode == 0, proc.stderr
+        status, residuals, left, inside = proc.stdout.split()
+        assert (status, residuals, inside) == ("residual", "1", "True")
+        assert int(left) > 4000  # the pole ball of radius 0 covers no probe
 
     def test_closing_ring_with_a_radius_floor_above_sqrt_2_ends_covered(self):
         # Three random points give this region's rings a median radius of 2,

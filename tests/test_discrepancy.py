@@ -26,7 +26,7 @@ from capdisc.discrepancy import (
     naive_discrepancy,
     project,
 )
-from capdisc.geometry import PolarDirection, polar_to_cartesian
+from capdisc.geometry import polar_to_cartesian
 from capdisc.pointsets import (
     PointSet,
     generate_polar,
@@ -65,10 +65,8 @@ def _sweep_cases():
         ps = generate_random_uniform(5 + 11 * seed, seed=seed)
         for k, v in enumerate(uniform_directions(4, seed=100 + seed)):
             yield pytest.param(ps, v, id=f"random{ps.size}-{k}")
-    pinned = PolarDirection(3.217627181741856, 1.2145896637552251)
-    yield pytest.param(
-        generate_twisted_polar(20), polar_to_cartesian(pinned), id="twisted20-pinned"
-    )
+    pinned = polar_to_cartesian(3.217627181741856, 1.2145896637552251)
+    yield pytest.param(generate_twisted_polar(20), pinned, id="twisted20-pinned")
 
 
 class TestDirectedDiscrepancy:
@@ -369,7 +367,7 @@ class TestOneRow:
         engine = covering._Engine(ps, params)
         # The pole's Dis is d itself: it breaks the hypothesis.
         theta, phi = 0.0, math.pi / 2
-        v = polar_to_cartesian(PolarDirection(theta, phi))
+        v = polar_to_cartesian(theta, phi)
         with pytest.raises(HypothesisViolation) as expect:
             confidence_radius(project(ps, v), params.d)
         with pytest.raises(HypothesisViolation) as got:

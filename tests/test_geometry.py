@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capdisc.geometry import (
-    PolarDirection,
     Region,
     cartesian_to_polar,
     cover_cap_centers,
@@ -49,21 +48,18 @@ class TestPolarConversion:
         phi=st.floats(-math.pi / 2 + 1e-9, math.pi / 2 - 1e-9),
     )
     def test_round_trip(self, theta, phi):
-        d = PolarDirection(theta, phi)
-        v = polar_to_cartesian(d)
+        v = polar_to_cartesian(theta, phi)
         assert math.isclose(float(np.linalg.norm(v)), 1.0, abs_tol=1e-12)
         back = cartesian_to_polar(v)
-        u = polar_to_cartesian(back)
+        u = polar_to_cartesian(*back)
         assert float(np.linalg.norm(u - v)) < 1e-8
 
     def test_pole_theta_convention(self):
-        assert cartesian_to_polar(np.array([0.0, 0.0, 1.0])) == PolarDirection(
-            0.0, math.pi / 2
-        )
+        assert cartesian_to_polar(np.array([0.0, 0.0, 1.0])) == (0.0, math.pi / 2)
 
     def test_theta_range(self):
-        d = cartesian_to_polar(np.array([0.0, -1.0, 0.0]))
-        assert 0.0 <= d.theta < 2.0 * math.pi
+        theta, _ = cartesian_to_polar(np.array([0.0, -1.0, 0.0]))
+        assert 0.0 <= theta < 2.0 * math.pi
 
 
 HALF_PI = math.pi / 2

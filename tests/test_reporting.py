@@ -13,7 +13,7 @@ import pytest
 from capdisc import covering, reporting
 from capdisc.covering import CoverageRecords, CoverOutcome, CoverParams, Residuals, cover_region
 from capdisc.discrepancy import confidence_radius, directed_values, project
-from capdisc.geometry import PolarDirection, Region, cartesian_to_polar, polar_to_cartesian
+from capdisc.geometry import Region, cartesian_to_polar, polar_to_cartesian
 from capdisc.pointsets import generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
 from capdisc.reporting import (
@@ -211,9 +211,8 @@ class TestReportDocument:
                 return False
             center, angles = np.array([x, y, z]), (rec["theta"], rec["phi"])
             if rec["origin"] == "orbit":
-                return polar_to_cartesian(PolarDirection(*angles)).tobytes() == center.tobytes()
-            polar = cartesian_to_polar(center)
-            return bits(polar.theta, polar.phi) == bits(*angles)
+                return polar_to_cartesian(*angles).tobytes() == center.tobytes()
+            return bits(*cartesian_to_polar(center)) == bits(*angles)
 
         origins = [rec["origin"] for rec in old["records"]]
         assert [origins.count(o) for o in ("orbit", "cover_cap")] == [471, 156]
@@ -231,8 +230,7 @@ class TestReportDocument:
         assert len(new["not_covered"]) == len(old["not_covered"]) == 12
         for entry, (x, y, z, required) in zip(old["not_covered"], new["not_covered"]):
             assert bits(required) == bits(entry["required_radius"])
-            polar = cartesian_to_polar(np.array([x, y, z]))
-            assert bits(polar.theta, polar.phi) == bits(entry["theta"], entry["phi"])
+            assert bits(*cartesian_to_polar(np.array([x, y, z]))) == bits(entry["theta"], entry["phi"])
 
     def test_deterministic_modulo_timings(self, small_run):
         ps, params, outcome = small_run
@@ -323,8 +321,8 @@ class TestReportDocument:
         assert fixed[0] == fixed[1]
         assert abs(rows[0][0]["report_bytes"] - rows[1][0]["report_bytes"]) < 50
         assert rows[1][0]["peak_rss_mb"] > 10.0
-        # a batch split over two threads (polar 14 has one, given 2 CPUs) counts as one call
-        assert fixed[1]["confidence_radii_calls"] == 174
+        # a batch split over two threads (polar 14 has one, given 2 CPUs) counts as one batch
+        assert fixed[1]["batch_calls"] == 174
         assert fixed[1]["split_batches"] == int(covering._split_allowed())  # of 1,672 rows
         assert "alternating with the parent table's" in tables["change"]["statistic"]
 

@@ -43,7 +43,9 @@ With `--baseline SRC` (the `src/` directory of another checkout), the
 repeats of the baseline and of this tree alternate (baseline first in even
 repeats, this tree first in odd ones), so that host drift falls on both
 alike.  Each line printed starts with the tree's label, and `--out` gets
-both tables, the baseline's named `--baseline-label`.
+both tables, the baseline's named `--baseline-label`.  A last line gives
+the verdict: `certificates identical on k of k jobs`, or the jobs whose
+`cert=` or `balls=` differs between the trees.
 
     python3 scripts/cert_digests.py                     # twisted 20/40/60/80, polar 30 and 14
     python3 scripts/cert_digests.py twisted:20 polar:14
@@ -268,6 +270,18 @@ def write_tables(path: Path, benchmark: str, statistic: str, note: str, tables: 
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
+def verdict(baseline: list, change: list) -> str:
+    """One line: whether two tables of the same jobs agree on every `cert=` and `balls=`."""
+    differ = []
+    for old, new in zip(baseline, change):
+        keys = [f"{key}=" for key in ("cert", "balls") if old[key] != new[key]]
+        if keys:
+            differ.append(f"{new['job']} ({' '.join(keys)})")
+    if differ:
+        return f"certificates differ on {len(differ)} of {len(change)} jobs: {', '.join(differ)}"
+    return f"certificates identical on {len(change)} of {len(change)} jobs"
+
+
 def line(row: dict) -> str:
     return (
         f"{row['job']} status={row['status']} n_evaluations={row['n_evaluations']} "
@@ -298,6 +312,8 @@ def main() -> None:
         ap.error("--baseline-label must differ from --label")
     measured = checked_trees(ap, args, args.label, args.baseline_label)
     tables = compare(__file__, measured, args.jobs, args.repeats, MEDIANS, line)
+    if args.baseline is not None:
+        print(verdict(tables[args.baseline_label], tables[args.label]))
     if args.out:
         statistic = f"median of {args.repeats} covers, each in a fresh process"
         write_tables(args.out, BENCHMARK, statistic, args.note, tables)

@@ -5,9 +5,10 @@ For each point set (twisted n=20, t=441; plain polar n=30, t=994; twisted
 n=80, t=7057) and each batch size (1, 8, 20 rows), evaluates the same
 directions of the conjecture region at the conjecture bound d three ways:
 `confidence_radius(project(ps, v), d)` per row, one `confidence_radii`
-call per batch, and the engine's ring-ball path, `confidence_radii` with
-one direction of shape (3,) per call in the workspace a cover's engine
-keeps (`covering._Engine.work`).  Records the median over the repeats
+call per batch (in a `_CHUNK_BYTES` workspace that the call builds), and
+the engine's ring-ball path, `confidence_radii` with one direction of
+shape (3,) per call in the one-row `discrepancy.workspace` that a cover's
+engine keeps (`covering._Engine.work`).  Records the median over the repeats
 of microseconds per direction and of minor page faults per call
 (`resource.getrusage` of this process only), then writes the table as JSON.
 

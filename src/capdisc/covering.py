@@ -21,7 +21,7 @@ from statistics import median
 
 import numpy as np
 
-from .discrepancy import DirectedResult, HypothesisViolation, confidence_radii
+from .discrepancy import DirectedResult, HypothesisViolation, confidence_radii, workspace
 from .discrepancy import confidence_radius, project  # noqa: F401  capbench traces these sites
 from .geometry import SQRT2, Region, cover_cap_centers, polar_to_cartesian
 from .geometry import cartesian_to_polar  # noqa: F401  capbench traces this lookup site
@@ -369,16 +369,12 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
 # longer one.  No twisted job of the conjecture sweep splits (its largest
 # batches hold 776 rows or fewer).
 _SPLIT_ROWS = 1024
-# Rows a thread takes at a time: few enough that the other thread is not
-# left waiting long at the end of a batch, or after an error.  Chunks of
-# whole workspace blocks timed the same, within 1.5% at t = 441 and 749.
-_CHUNK_ROWS = 256
 # Bytes of each (rows, t) plane of a split thread's workspace (64 rows at
-# t = 994).  Each block's numpy calls hand the interpreter lock over, so
-# the replay above took 0.82/0.67/0.57/0.58 s at 128 KB/256 KB/512 KB/1 MB.
-# The caller allocates both, apart: a helper's own came from its thread's
-# malloc arena, which keeps freed memory (polar30_audit peak RSS +1 MB;
-# one array for both: up to +4 MB).
+# t = 994), a block of which a thread takes at a time.  Each block's numpy
+# calls hand the interpreter lock over, so the replay above took
+# 0.82/0.67/0.57/0.58 s at 128 KB/256 KB/512 KB/1 MB.  The caller allocates
+# both workspaces: a helper's own came from its thread's malloc arena,
+# which keeps freed memory (polar30_audit peak RSS +1 MB).
 _WORK_BYTES = 512_000
 
 
@@ -390,38 +386,38 @@ def _split_allowed() -> bool:
 def _split_evaluate(points: np.ndarray, directions: np.ndarray, d: float):
     """(dis, radius) of the rows, evaluated by the calling thread and one more.
 
-    The two take chunks of _CHUNK_ROWS rows from one iterator, whose `next`
-    the interpreter lock makes atomic, so each chunk is evaluated once;
-    numpy drops the lock inside the kernel's array operations, which each
-    thread runs in a workspace of its own.  Rows of `confidence_radii` do
-    not depend on their batch, so the bytes equal an unsplit call's.  An
-    exception in either thread drains the iterator, so the other stops
-    after its current chunk, and is raised in the caller.  A host that
-    cannot start the thread gets the batch evaluated unsplit.
+    The two take blocks of rows, one `workspace` block at a time, from one
+    iterator, whose `next` the interpreter lock makes atomic, so each block
+    is evaluated once; numpy drops the lock inside the kernel's array
+    operations, which each thread runs in a workspace of its own.  Rows of
+    `confidence_radii` do not depend on their batch, so the bytes equal an
+    unsplit call's.  An exception in either thread drains the iterator, so
+    the other stops after its current block, and is raised in the caller.
+    A host that cannot start the thread gets the batch evaluated unsplit.
     """
     m, t = len(directions), len(points)
     dis, radius = np.empty(m), np.empty(m)
-    chunks = iter(range(0, m, _CHUNK_ROWS))
+    caller_work, helper_work = workspace(t, _WORK_BYTES), workspace(t, _WORK_BYTES)
+    block = len(caller_work[0])
+    blocks = iter(range(0, m, block))
     errors = []
-    shape = (3, max(1, _WORK_BYTES // (8 * t)), t)
-    caller_work, helper_work = np.empty(shape), np.empty(shape)  # see _WORK_BYTES
 
-    def evaluate_chunks(work):
+    def evaluate_blocks(work):
         try:
-            for lo in chunks:
-                rows = slice(lo, lo + _CHUNK_ROWS)
+            for lo in blocks:
+                rows = slice(lo, lo + block)
                 dis[rows], radius[rows] = confidence_radii(points, directions[rows], d, work)
         except BaseException as exc:  # raised again in the caller, below
             errors.append(exc)
-            for _ in chunks:
+            for _ in blocks:
                 pass
 
-    helper = threading.Thread(target=evaluate_chunks, args=(helper_work,))
+    helper = threading.Thread(target=evaluate_blocks, args=(helper_work,))
     try:
         helper.start()
     except RuntimeError:  # no thread to be had, e.g. the host is out of process ids
         return confidence_radii(points, directions, d, caller_work)
-    evaluate_chunks(caller_work)
+    evaluate_blocks(caller_work)
     helper.join()
     if errors:
         raise errors[0]
@@ -438,7 +434,7 @@ class _Engine:
         self.stranded: list[tuple[np.ndarray, float]] = []  # (center, required radius) of phase 1
         self.r_min_per_orbit: list[float] = []  # of each ring walked
         self._closeout_attempts = 0
-        self.work = np.empty((3, 1, ps.size))  # the kernel's workspace for every ring ball
+        self.work = workspace(ps.size, 0)  # one row, the kernel's workspace for every ring ball
 
     # -- direction evaluation -------------------------------------------------
 
@@ -510,9 +506,12 @@ class _Engine:
         if r > 2.0 * math.cos(phi):
             # The walk ends at a ball reaching around the whole latitude circle,
             # which covers every latitude psi with chord((theta,phi),(theta',psi))
-            # <= r for all theta', i.e. phi + psi >= arccos(r^2/2 - 1).
+            # <= r for all theta', i.e. phi + psi >= arccos(r^2/2 - 1), or, for a
+            # ring below the equator, phi + psi <= -arccos(r^2/2 - 1).
             x = max(-1.0, min(1.0, r * r / 2.0 - 1.0))
-            return math.acos(x) - phi, math.pi / 2 >= target
+            if phi < 0.0:
+                return -math.pi / 2, -math.acos(x) - phi >= target
+            return math.acos(x) - phi, True
 
         covered = _band_test(phi, balls, reg.theta_min, reg.theta_max)
         if not covered(phi):

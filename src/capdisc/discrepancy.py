@@ -37,10 +37,6 @@ class ProjectionProfile:
     direction: np.ndarray
     values: np.ndarray  # sorted ascending, length t
 
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
 
 @dataclass
 class DirectedResult:
@@ -76,38 +72,27 @@ def _cap_counts(t: int) -> np.ndarray:
     return counts
 
 
-def _sweep(s: np.ndarray) -> np.ndarray:
-    """|count/t - area| at every sorted projection, both cap conventions.
-
-    `s` holds projections sorted along axis 0, shape (t,) or (t, m).  At
-    h = s_i the boundary-inclusive cap holds t - i points and the exclusive
-    one t - 1 - i; the result stacks the two on a new leading axis.  The
-    area term is monotone between projection values, so the supremum over
-    all heights is attained among these candidates.  Inside a run of tied
-    values the counts are intermediate, and since rounding is monotone
-    their deviations never exceed those of the legitimate counts at the
-    ends of the run, so the maximum needs no tie handling.
-    """
-    t = s.shape[0]
-    counts = _cap_counts(t).reshape((2, t) + (1,) * (s.ndim - 1))
-    return np.abs(counts - (1.0 - s)) * 0.5
-
-
 def directed_discrepancy(profile: ProjectionProfile) -> DirectedResult:
     """Supremum over cap heights of |count/t - area| along one direction.
 
     The witness is tie-aware: an inclusive count is taken only at the first
     of tied projections and an exclusive one only at the last, so the
     witness cap holds exactly the count its value was computed from.
-    Masking the other candidates leaves the maximum unchanged (see _sweep).
+    Masking the other candidates leaves the maximum unchanged (see _dis),
+    and so does taking `_dis`'s signed deviations: a negative one is
+    strictly below the other count's in its run of ties, which is positive
+    (the run's inclusive count at its first value exceeds its exclusive
+    count at its last), so the maximum and its first index are those of
+    |count/t - area|.
     """
     s = profile.values
-    dev = _sweep(s)
+    counts, twice_area = _cap_counts(len(s)), 1.0 - s
+    dev = np.stack((counts[0] - twice_area, twice_area - counts[1]))
     tied = s[1:] == s[:-1]
-    dev[0, 1:][tied] = -1.0
-    dev[1, :-1][tied] = -1.0
+    dev[0, 1:][tied] = -math.inf
+    dev[1, :-1][tied] = -math.inf
     kind, i = divmod(int(np.argmax(dev)), len(s))
-    return DirectedResult(profile.direction, float(dev[kind, i]), float(s[i]), kind == 0)
+    return DirectedResult(profile.direction, float(dev[kind, i]) * 0.5, float(s[i]), kind == 0)
 
 
 # The ufunc reductions behind ndarray.max/min, called directly: the methods
@@ -116,83 +101,98 @@ _max = np.maximum.reduce
 _min = np.minimum.reduce
 
 
-def _slab_width(s: np.ndarray, k: int, work: np.ndarray | None = None):
+def _slab_width(s: np.ndarray, k: int, work):
     """min over i of s_{i+k} - s_i; 2 when no slab can hold k+1 projections.
 
     One sorted row `s`, shape (t,), gives a float; a block of rows sharing
-    k, shape (m, t), gives a list of m widths, differenced in `work[1]` if given.
+    k, shape (m, t), gives a list of m widths.  Either is differenced in
+    `work[1]` (see _radii).
     """
     t = s.shape[-1]
     if k > t - 1:
         return 2.0 if s.ndim == 1 else [2.0] * len(s)
     if s.ndim == 1:
-        diff = None if work is None else work[1, : t - k]
-        return float(_min(np.subtract(s[k:], s[: t - k], out=diff)))
-    diff = None if work is None else work[1, : len(s), : t - k]
+        return float(_min(np.subtract(s[k:], s[: t - k], out=work[1][: t - k])))
+    diff = work[1][: len(s), : t - k]
     return _min(np.subtract(s[:, k:], s[:, : t - k], out=diff), axis=1).tolist()
 
 
-# Batches are projected and swept in blocks of rows whose (rows, t) float
-# temporaries stay within 128,000 bytes: 16 rows at t = 994, 2 at t = 7,057.
-# glibc maps a request of 128 KiB (131,072 bytes) or more on its own, faulted
-# in and unmapped on every call (at t = 7,057 an unblocked 8-row call took
-# 189 minor faults and 1.2 ms, the blocked one none and 0.7 ms), so a block
-# stays strictly below that, which a budget of exactly 128 KiB would not for
-# a power-of-two t.  Against 64 KB blocks a row costs the same
-# (scripts/kernel_bench.py, BENCH_18.json).  The two threads of a split
-# batch pass workspaces of their own instead (covering._WORK_BYTES): larger
-# blocks, which allocate nothing.
+# A call without a workspace builds one whose planes hold at most 128,000
+# bytes each: 16 rows at t = 994, 2 at t = 7,057.  glibc maps a request of
+# 128 KiB (131,072 bytes) or more on its own, faulted in and unmapped on
+# every call (at t = 7,057 an unblocked 8-row call took 189 minor faults and
+# 1.2 ms, the blocked one none and 0.7 ms), so a plane stays strictly below
+# that, which a budget of exactly 128 KiB would not for a power-of-two t.
+# Against 64 KB planes a row costs the same (scripts/kernel_bench.py,
+# BENCH_18.json).  The two threads of a split batch pass larger workspaces
+# of their own (covering._WORK_BYTES).
 _CHUNK_BYTES = 128_000
 
 
-def _sorted_blocks(points: np.ndarray, directions: np.ndarray, work: np.ndarray | None = None):
-    """Yield (first row, (m, t) projections sorted along axis 1) per chunk of rows.
+def workspace(t: int, nbytes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel's workspace for t points: three (rows, t) float planes.
+
+    Each plane holds `nbytes` bytes at most, and one row at least.  Plane
+    0 takes a block of sorted projections, and `_dis` and `_slab_width`
+    take their temporaries from planes 1 and 2, so a block allocates
+    nothing; one direction of shape (3,) uses row 0 of each.  The planes
+    are allocated apart, so that each request of a `_CHUNK_BYTES`
+    workspace stays below glibc's mmap threshold.
+    """
+    rows = max(1, nbytes // (8 * t))
+    return np.empty((rows, t)), np.empty((rows, t)), np.empty((rows, t))
+
+
+def _sorted_blocks(points: np.ndarray, directions: np.ndarray, work):
+    """Yield (first row, (m, t) projections sorted along axis 1) per block of rows.
 
     The rows go in as a stack of (3, 1) columns, so numpy runs the
     matrix-vector product of `project` on each and every row equals
     `project`'s values bit for bit; a matrix product over the block rounds
-    differently.  A (3, rows, t) workspace `work` makes blocks of `rows` rows
-    in `work[0]`, each over the last, and `_dis` and `_slab_width` take their
-    temporaries from `work[1:]`, so no block allocates.
+    differently.  Each block holds as many rows as the `workspace` `work`,
+    and lies in its plane 0, over the last.
     """
     directions = np.ascontiguousarray(directions, dtype=float)
-    m, t = len(directions), len(points)
-    per_chunk = max(1, _CHUNK_BYTES // (8 * t)) if work is None else work.shape[1]
-    for lo in range(0, m, per_chunk):
-        block = directions[lo : lo + per_chunk, :, None]
-        s = np.empty((len(block), t)) if work is None else work[0, : len(block)]
+    rows = len(work[0])
+    for lo in range(0, len(directions), rows):
+        block = directions[lo : lo + rows, :, None]
+        s = work[0][: len(block)]
         np.matmul(points, block, out=s[:, :, None])
         s.sort(axis=1)
         yield lo, s
 
 
-def _dis(s: np.ndarray, work: np.ndarray | None = None):
+def _dis(s: np.ndarray, work):
     """Directed discrepancy of each row of sorted projections `s`, (t,) or (m, t).
 
-    _sweep's maximum without its (2, t) temporary: incl >= excl and rounding
-    is monotone, so the larger deviation at s_i is incl - area or
-    area - excl, and IEEE subtraction is exact under negation.  Both are
-    taken doubled, against 2 area = 1 - s, and the maximum halved: doubling
-    commutes with rounding, so these are the bits of halving 1 - s first.
-    The two temporaries go into `work[1:]`, if given (see _radii).
+    At h = s_i the boundary-inclusive cap holds t - i points and the
+    exclusive one t - 1 - i; the area term is monotone between projection
+    values, so the supremum over all heights is attained among these
+    candidates.  Inside a run of tied values the counts are intermediate,
+    and since rounding is monotone their deviations never exceed those of
+    the legitimate counts at the ends of the run, so the maximum needs no
+    tie handling.  incl >= excl, so the larger deviation at s_i is
+    incl - area or area - excl, and IEEE subtraction is exact under
+    negation.  Both are taken doubled, against 2 area = 1 - s, and the
+    maximum halved: doubling commutes with rounding, so these are the bits
+    of halving 1 - s first.  The two temporaries go into `work[1:]` (see
+    _radii).
     """
     counts, m = _cap_counts(s.shape[-1]), len(s)  # indexed: unpacking costs about 0.6 us
-    twice_area = np.subtract(1.0, s, out=None if work is None else work[2, :m])
-    dev = np.subtract(counts[0], twice_area, out=None if work is None else work[1, :m])
+    twice_area = np.subtract(1.0, s, out=work[2][:m])
+    dev = np.subtract(counts[0], twice_area, out=work[1][:m])
     np.subtract(twice_area, counts[1], out=twice_area)
     np.maximum(dev, twice_area, out=dev)
     return _max(dev, axis=-1) * 0.5
 
 
-def _radii(
-    s: np.ndarray, d: float, work: np.ndarray | None = None
-) -> tuple[list[float], list[int], list[float]]:
+def _radii(s: np.ndarray, d: float, work) -> tuple[list[float], list[int], list[float]]:
     """Dis, k and confidence radius of each row of sorted projections `s`.
 
     `s` is one row, shape (t,), or a block of rows, shape (m, t), sorted
-    along its last axis; its temporaries go into `work`, if given, of shape
-    (3, t) or (3, rows, t).  A row with Dis + 1/t > d breaks the radius
-    hypothesis: k 0, radius nan.
+    along its last axis; its temporaries go into `work`, three planes of
+    shape (t,), or a `workspace` of at least m rows.  A row with
+    Dis + 1/t > d breaks the radius hypothesis: k 0, radius nan.
     """
     t = s.shape[-1]
     # No slack on d: one would grant radii to rows that break the hypothesis.
@@ -208,12 +208,7 @@ def _radii(
     radii: list[float] = []
     for k, run in groupby(ks):
         lo, n = len(radii), len(list(run))
-        if not k:
-            radii += [math.nan] * n
-        elif n == 1:  # a lone row reduces faster 1-D
-            radii.append(_slab_width(s[lo], k))
-        else:
-            radii += _slab_width(s[lo : lo + n], k, work)
+        radii += _slab_width(s[lo : lo + n], k, work) if k else [math.nan] * n
     return dis, ks, radii
 
 
@@ -223,26 +218,29 @@ def confidence_radius(profile: ProjectionProfile, d: float) -> ConfidenceBall:
     Requires the hypothesis Dis_v + 1/t <= d; otherwise raises
     HypothesisViolation carrying the witness direction.
     """
-    (dis,), (k,), (radius,) = _radii(profile.values, d)
+    row = [plane[0] for plane in workspace(len(profile.values), 0)]
+    (dis,), (k,), (radius,) = _radii(profile.values, d, row)
     if not k:
         raise HypothesisViolation(profile.direction, dis, d)
     return ConfidenceBall(profile.direction, radius, d, k, dis)
 
 
 def confidence_radii(
-    points: np.ndarray, directions: np.ndarray, d: float, work: np.ndarray | None = None
+    points: np.ndarray, directions: np.ndarray, d: float, work=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dis and confidence radius for every row of `directions`, in one call.
 
     Every value equals `confidence_radius(project(ps, v), d)` bit for bit.
     A row that breaks the hypothesis Dis + 1/t <= d raises nothing: its
-    radius is nan.  A float (3, rows, t) `work` that no other thread uses
-    meanwhile runs blocks of `rows` rows in place of fresh ones, same values.
-    One direction of shape (3,), which needs `work`, gives the two values
-    as floats; it is projected, sorted and swept in row 0 of each plane.
+    radius is nan.  The rows run in blocks through `work`, a `workspace`
+    for t = len(points) that no other thread uses meanwhile; without one,
+    the call builds a `_CHUNK_BYTES` workspace.  One direction of shape
+    (3,) gives the two values as floats; it is projected, sorted and swept
+    in row 0 of each plane.
     """
+    work = work or workspace(len(points), _CHUNK_BYTES)
     if directions.ndim == 1:
-        row = work[:, 0]
+        row = [plane[0] for plane in work]
         np.matmul(points, directions, out=row[0])
         row[0].sort()
         (dis,), _, (radius,) = _radii(row[0], d, row)
@@ -251,20 +249,21 @@ def confidence_radii(
     radius = np.empty(len(directions))
     for lo, s in _sorted_blocks(points, directions, work):
         rows = slice(lo, lo + len(s))
-        # a one-row chunk goes in as 1-D, the cheaper form of the core
-        dis[rows], _, radius[rows] = _radii(s, d, work) if len(s) > 1 else _radii(s[0], d)
+        dis[rows], _, radius[rows] = _radii(s, d, work)
     return dis, radius
 
 
 def directed_values(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Directed discrepancy of every row of `directions`, in one call.
 
-    Projects and sweeps as `confidence_radii` does, so every value equals
+    Projects and sweeps as `confidence_radii` does, in a `_CHUNK_BYTES`
+    workspace, so every value equals
     `confidence_radius(project(ps, v), d).directed_value` bit for bit.
     """
     out = np.empty(len(directions))
-    for lo, s in _sorted_blocks(points, directions):
-        out[lo : lo + len(s)] = _dis(s)
+    work = workspace(len(points), _CHUNK_BYTES)
+    for lo, s in _sorted_blocks(points, directions, work):
+        out[lo : lo + len(s)] = _dis(s, work)
     return out
 
 

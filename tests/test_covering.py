@@ -85,9 +85,10 @@ def reference_band(phi, r_min, balls, theta_lo, theta_hi):
     Each edge steps away from phi by r_min/8 and bisects the last covered step 40 times.
     """
     spanning = [r for _, r in balls if r > 2.0 * math.cos(phi)]
-    if spanning:  # one ball reaches around the ring
+    if spanning:  # one ball reaches around the ring, and around the nearer pole
         r = spanning[0]
-        return math.acos(max(-1.0, min(1.0, r * r / 2.0 - 1.0))) - phi, math.pi / 2
+        reach = math.acos(max(-1.0, min(1.0, r * r / 2.0 - 1.0)))
+        return (-math.pi / 2, -reach - phi) if phi < 0.0 else (reach - phi, math.pi / 2)
 
     def covered(psi):
         return reference_covered(phi, balls, theta_lo, theta_hi, psi)
@@ -118,6 +119,12 @@ def twisted_8_to_the_pole():
     ps = generate_twisted_polar(8)
     region = Region(1.0, math.pi / 2, 0.0, 2.0 * math.pi)
     return ps, CoverParams(d=north_pole_directed(8) + 20.0 / ps.size, region=region)
+
+
+def random_30_to_the_south_pole():
+    """Random 30 points down to the south pole: the last ring ends in a ball spanning its circle."""
+    region = Region(-math.pi / 2, -1.0, 0.0, 2.0 * math.pi)
+    return generate_random_uniform(30, 0), CoverParams(d=0.3, region=region)
 
 
 def walked_ring(rng, phi, theta_lo, theta_hi):
@@ -716,7 +723,7 @@ class TestCounterexampleInCoverCap:
     def test_split_batches_give_the_same_counterexample(self, monkeypatch, splits):
         # The keyed kernel stands in for confidence_radii in both threads.
         # Only level 0's batch of 112 centres is split, and the caller's
-        # chunks of 8 rows are slowed, so the helper evaluates most of them.
+        # blocks of 8 rows are slowed, so the helper evaluates most of them.
         # Another Python thread is alive all along.
         phase1_records, queue = self.phase1(monkeypatch)
         violation = self.seed_five_violation(queue)
@@ -735,7 +742,7 @@ class TestCounterexampleInCoverCap:
         monkeypatch.setattr(_Engine, "evaluate_cart", EVALUATE_CART)
         rows = rows_by_thread(monkeypatch, keyed_batches, caller=slowed_in_the_split)
         monkeypatch.setattr(covering, "_SPLIT_ROWS", 100)
-        monkeypatch.setattr(covering, "_CHUNK_ROWS", 8)
+        monkeypatch.setattr(covering, "_WORK_BYTES", 8 * 8 * self.PS.size)  # workspace blocks of 8 rows
         release = threading.Event()
         waiter = threading.Thread(target=release.wait, args=(10,))
         waiter.start()
@@ -746,6 +753,7 @@ class TestCounterexampleInCoverCap:
             waiter.join(10)
         assert not waiter.is_alive()
         assert splits == [112]
+        assert set(rows["helper"]) == {8}
         assert sum(rows["helper"]) > 56
         assert outcome.status == "counterexample"
         assert outcome.counterexample.direction.tobytes() == violation.tobytes()
@@ -976,6 +984,7 @@ class TestBandTest:
             pytest.param(lambda: conjecture_setup(20, "twisted"), id="20-twisted"),
             pytest.param(lambda: conjecture_setup(14, "polar"), id="14-polar"),
             pytest.param(twisted_8_to_the_pole, id="8-twisted-to-the-pole"),
+            pytest.param(random_30_to_the_south_pole, id="30-random-to-the-south-pole"),
         ],
     )
     def test_walked_rings_give_the_same_band(self, setup, monkeypatch):
@@ -1010,7 +1019,10 @@ class TestBandTest:
         ps, params = setup()
         assert cover_region(ps, params).status == "covered"
         spans = [balls[-1][1] > 2.0 * math.cos(phi) for _, phi, _, balls, _ in rings]
-        if params.region.phi_max < math.pi / 2:
+        if params.region.phi_min == -math.pi / 2:
+            # the closing ring spans its circle, and its band reaches the south pole
+            assert spans == [False] * 4 + [True] and closing == [4]
+        elif params.region.phi_max < math.pi / 2:
             assert len(rings) > 10 and closing and not any(spans)
         else:
             assert spans == [True, False]
@@ -1020,7 +1032,8 @@ class TestBandTest:
             band_lo, band_hi = reference_band(phi, r_min, balls, reg.theta_min, reg.theta_max)
             targets = [target, band_hi, np.nextafter(band_hi, np.inf), np.nextafter(band_hi, -np.inf)]
             targets += [band_hi + r_min / 16.0, band_hi - r_min / 16.0]
-            for t in map(float, targets):
+            # A target is a latitude, at most pi/2; a band reaching the north pole reaches them all.
+            for t in (float(t) for t in targets if t <= math.pi / 2):
                 got = original(engine, phi, r_min, balls, t)
                 assert got == (band_lo, band_hi >= t), (phi, r_min, t)
 
@@ -1252,10 +1265,12 @@ class TestHelper:
         assert sum(rows["caller"]) + sum(rows["helper"]) == 2_500  # each chunk once
 
     def test_caller_takes_the_rows_of_a_slow_helper(self, splits, monkeypatch):
+        # The helper takes one workspace block, 293 rows at t = 218, and the caller the rest.
         rows = rows_by_thread(monkeypatch, helper=lambda calls: time.sleep(0.3))
         self.split(14, 4_096, seed=4)
-        assert rows["helper"] == [covering._CHUNK_ROWS]
-        assert sum(rows["caller"]) == 4_096 - covering._CHUNK_ROWS
+        block = covering._WORK_BYTES // (8 * 218)
+        assert rows["helper"] == [block]
+        assert sum(rows["caller"]) == 4_096 - block
 
     def test_each_thread_reuses_one_workspace_of_its_own(self, splits, monkeypatch):
         works = {}  # thread name: the workspaces its kernel calls were given
@@ -1266,10 +1281,13 @@ class TestHelper:
 
         rows_by_thread(monkeypatch, kernel=recorded, caller=lambda calls: time.sleep(0.01))
         self.split(30, 2_500, seed=3)
-        assert splits == [2_500] and len(works) == 2  # the slowed caller leaves the helper chunks
+        assert splits == [2_500] and len(works) == 2  # the slowed caller leaves the helper blocks
         (first, *rest), (other, *more) = works.values()
         assert all(w is first for w in rest) and all(w is other for w in more)
-        assert first is not other and first.shape == other.shape == (3, 64, 994)
+        # three planes each of 64 rows, _WORK_BYTES // (8 * 994), all allocated apart
+        planes = [*first, *other]
+        assert [p.shape for p in planes] == [(covering._WORK_BYTES // (8 * 994), 994)] * 6
+        assert all(p.base is None for p in planes) and len({id(p) for p in planes}) == 6
 
     def test_caller_takes_the_batch_when_no_thread_starts(self, splits, monkeypatch):
         def cannot_start(thread):
@@ -1284,7 +1302,7 @@ class TestHelper:
     @pytest.mark.parametrize("where", ["caller", "helper"])
     def test_kernel_error_raises_in_the_caller_as_itself(self, splits, monkeypatch, where):
         # The first kernel call of one thread fails; the other begins at
-        # most one chunk after that, not the rest of the batch's 16.
+        # most one block after that, not the rest of the batch's 14.
         error, raised, late = ValueError(f"no kernel in the {where}"), [], []
 
         def fails(calls):
@@ -1339,7 +1357,7 @@ class TestHelper:
 
     def test_splits_beside_other_threads(self, splits, monkeypatch):
         # Three threads split a batch each at once, with the interpreter
-        # switching threads every 10 us: six threads over chunks of 16 rows.
+        # switching threads every 10 us: six threads over blocks of 16 rows.
         ps, params = conjecture_setup(14, "polar")
         directions = uniform_directions(1_600, seed=8)
         expect = confidence_radii(ps.points, directions, params.d)
@@ -1350,7 +1368,7 @@ class TestHelper:
             return confidence_radii(points, dirs, d, work)
 
         monkeypatch.setattr(covering, "confidence_radii", kernel)
-        monkeypatch.setattr(covering, "_CHUNK_ROWS", 16)
+        monkeypatch.setattr(covering, "_WORK_BYTES", 16 * 8 * ps.size)  # workspace blocks of 16 rows
         got = [None] * 3
 
         def split(i):
@@ -1368,7 +1386,7 @@ class TestHelper:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
         assert splits == [1_600] * 3
-        assert sum(rows) == 3 * 1_600  # no chunk evaluated twice
+        assert set(rows) == {16} and sum(rows) == 3 * 1_600  # no block evaluated twice
         for dis, radius in got:
             assert dis.tobytes() == expect[0].tobytes()
             assert radius.tobytes() == expect[1].tobytes()

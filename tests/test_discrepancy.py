@@ -1,3 +1,4 @@
+import bisect
 import json
 import math
 import subprocess
@@ -18,13 +19,13 @@ from capdisc.discrepancy import (
     _dis,
     _radii,
     _slab_width,
-    _sweep,
     confidence_radii,
     confidence_radius,
     directed_discrepancy,
     directed_values,
     naive_discrepancy,
     project,
+    workspace,
 )
 from capdisc.geometry import polar_to_cartesian
 from capdisc.pointsets import (
@@ -42,15 +43,30 @@ Z = np.array([0.0, 0.0, 1.0])
 
 def reference_directed(s) -> float:
     """Tie-aware brute force: both legitimate cap counts at every distinct height."""
-    s = [float(x) for x in s]
+    s = sorted(float(x) for x in s)
     t = len(s)
     best = 0.0
     for h in set(s):
         area = (1.0 - h) / 2.0
-        n_incl = sum(1 for x in s if x >= h)
-        n_excl = sum(1 for x in s if x > h)
+        n_incl = t - bisect.bisect_left(s, h)  # points with x >= h
+        n_excl = t - bisect.bisect_right(s, h)  # points with x > h
         best = max(best, abs(n_incl / t - area), abs(n_excl / t - area))
     return best
+
+
+def reference_ball(s, d) -> tuple[float, float]:
+    """Brute-force (Dis, radius) of projections `s`: nan if Dis + 1/t > d, 2 if no slab holds k + 1."""
+    s = sorted(float(x) for x in s)
+    t, dis = len(s), reference_directed(s)
+    if dis + 1.0 / t > d:
+        return dis, math.nan
+    k = int(math.floor(t * (d - dis))) + 1
+    return dis, min((s[i + k] - s[i] for i in range(t - k)), default=2.0)
+
+
+def row_work(t):
+    """Row 0 of each plane of a one-row workspace: what the kernel takes for one direction."""
+    return [plane[0] for plane in workspace(t, 0)]
 
 
 def _sweep_cases():
@@ -159,10 +175,10 @@ class TestKernel:
             ps = generate_random_uniform(t, seed=t)
             profiles += [project(ps, v) for v in uniform_directions(3, seed=t)]
         for prof in profiles:
-            t = prof.size
+            t = len(prof.values)
             expect = 2.0 * (np.arange(t, -1, -1) / t)
             assert _cap_counts(t).tolist() == [expect[:-1].tolist(), expect[1:].tolist()]
-            assert confidence_radius(prof, 2.0).directed_value == float(_sweep(prof.values).max())
+            assert confidence_radius(prof, 2.0).directed_value == reference_directed(prof.values)
 
 
 def _kernel_cases():
@@ -234,11 +250,12 @@ def test_doubled_sweep_equals_the_halved_one_bit_for_bit(t):
     tied = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     assert tied.sum() >= (3 if t == 2 else 20)  # at t = 2 the constant rows at least
     expect = reference_dis(rows)
-    assert _dis(rows).tobytes() == expect.tobytes()
+    work = workspace(t, rows.nbytes)
+    assert _dis(rows, work).tobytes() == expect.tobytes()
     # A block of 16 rows, as confidence_radii sends at t = 994, and single rows.
-    assert _dis(rows[:16]).tobytes() == expect[:16].tobytes()
+    assert _dis(rows[:16], work).tobytes() == expect[:16].tobytes()
     for row, value in zip(rows, expect.tolist()):
-        assert np.float64(_dis(row)).tobytes() == np.float64(value).tobytes()
+        assert np.float64(_dis(row, row_work(t))).tobytes() == np.float64(value).tobytes()
 
 
 def mixed_block(t, rng):
@@ -260,10 +277,11 @@ class TestBlockRadii:
 
     @staticmethod
     def assert_rowwise(block, d):
-        dis, k, radius = _radii(block, d)
+        t = block.shape[1]
+        dis, k, radius = _radii(block, d, workspace(t, block.nbytes))
         assert len(dis) == len(k) == len(radius) == len(block)
         for i, row in enumerate(block):
-            (dis_i,), (k_i,), (radius_i,) = _radii(row, d)
+            (dis_i,), (k_i,), (radius_i,) = _radii(row, d, row_work(t))
             assert np.float64(dis[i]).tobytes() == np.float64(dis_i).tobytes()
             assert k[i] == k_i
             assert np.float64(radius[i]).tobytes() == np.float64(radius_i).tobytes()
@@ -303,8 +321,8 @@ class TestWorkspace:
         # The workspace of a split thread: blocks of 32,000 rows at t = 2,
         # 145 at t = 441, 64 at t = 994 and 9 at t = 7,057.
         t = ps.size
-        rows = covering._WORK_BYTES // (8 * t)
-        work = np.empty((3, rows, t))
+        work = workspace(t, covering._WORK_BYTES)
+        rows = len(work[0])
         dirs = np.vstack([Z, uniform_directions(2 * rows, seed=t)])
         dis_all, _ = confidence_radii(ps.points, dirs, 2.0)
         d = float(np.median(dis_all)) + 1.0 / t  # flags about half the rows
@@ -324,9 +342,11 @@ def assert_same_ball(got, ps, v, d):
     """`got`, a one-direction (dis, radius), has the bits of `confidence_radius(project(ps, v), d)`.
 
     Where that raises HypothesisViolation, the radius is nan and dis its directed value.
-    Returns whether it raised.
+    Both are the brute force's too.  Returns whether it raised.
     """
     dis, radius = got
+    expect = reference_ball(project(ps, v).values, d)
+    assert np.array(got).tobytes() == np.array(expect).tobytes()
     try:
         ball = confidence_radius(project(ps, v), d)
     except HypothesisViolation as exc:
@@ -338,18 +358,35 @@ def assert_same_ball(got, ps, v, d):
     return False
 
 
-class TestOneRow:
-    """One direction through `confidence_radii`, in a workspace reused across calls."""
+def engine_work(ps):
+    return covering._Engine(ps, covering.CoverParams(1.0, covering.Region(0.0, 1.0, 0.0, 1.0))).work
 
-    @pytest.mark.parametrize("rows", [1, None], ids=["engine", "split-thread"])
+
+class TestOneRow:
+    """Rows of a batch and single directions through `confidence_radii`, in each kind of workspace."""
+
+    @pytest.mark.parametrize(
+        "make_work",
+        [
+            pytest.param(lambda ps: None, id="no-workspace"),
+            pytest.param(lambda ps: workspace(ps.size, 8 * ps.size), id="one-row-blocks"),
+            pytest.param(lambda ps: workspace(ps.size, covering._WORK_BYTES), id="split-thread"),
+            pytest.param(engine_work, id="engine"),
+        ],
+    )
     @pytest.mark.parametrize("ps", _workspace_cases())
-    def test_rows_equal_project_and_confidence_radius(self, ps, rows):
-        # The engine's workspace, one row deep, and a split thread's.
+    def test_rows_equal_project_and_confidence_radius(self, ps, make_work):
+        # Without a workspace a call builds its own; in a one-row one every
+        # block of a batch is a single 2-D row; a split thread's holds a
+        # whole batch; the engine's serves every ring ball.
         t = ps.size
-        work = np.empty((3, rows or covering._WORK_BYTES // (8 * t), t))
+        work = make_work(ps)
         dirs = np.vstack([Z, uniform_directions(24, seed=t)])
         dis_all, _ = confidence_radii(ps.points, dirs, 2.0, work)  # leaves a batch in the workspace
         d = float(np.median(dis_all)) + 1.0 / t  # breaks the hypothesis on about half the rows
+        batch = zip(*confidence_radii(ps.points, dirs, d, work))
+        broken = sum(assert_same_ball(got, ps, v, d) for v, got in zip(dirs, batch))
+        assert 0 < broken < len(dirs)
         broken = 0
         for v, dis in zip(dirs, dis_all.tolist()):
             broken += assert_same_ball(confidence_radii(ps.points, v, d, work), ps, v, d)
@@ -402,14 +439,14 @@ def test_kernel_bench_script_smoke(tmp_path):
 class TestSlabWidth:
     def test_known_profile(self):
         s = np.array([-0.5, -0.1, 0.2, 0.9])
-        assert math.isclose(_slab_width(s, 1), 0.3, abs_tol=1e-15)
-        assert math.isclose(_slab_width(s, 2), 0.7, abs_tol=1e-15)
-        assert _slab_width(s, 4) == 2.0
+        assert math.isclose(_slab_width(s, 1, row_work(4)), 0.3, abs_tol=1e-15)
+        assert math.isclose(_slab_width(s, 2, row_work(4)), 0.7, abs_tol=1e-15)
+        assert _slab_width(s, 4, row_work(4)) == 2.0
 
     def test_monotone_in_k(self):
         ps = generate_random_uniform(80, seed=3)
         s = project(ps, Z).values
-        widths = [_slab_width(s, k) for k in range(1, 20)]
+        widths = [_slab_width(s, k, row_work(80)) for k in range(1, 20)]
         assert all(a <= b + 1e-15 for a, b in zip(widths, widths[1:]))
 
 
@@ -421,7 +458,7 @@ class TestConfidenceRadius:
         d = dis + 3.7 / ps.size
         ball = confidence_radius(prof, d)
         assert ball.k == math.floor(ps.size * (d - dis)) + 1
-        assert ball.radius == _slab_width(prof.values, ball.k)
+        assert ball.radius == _slab_width(prof.values, ball.k, row_work(ps.size))
 
     def test_rejects_hypothesis_violation(self):
         ps = generate_random_uniform(100, seed=4)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import runpy
 import subprocess
 import sys
 import tracemalloc
@@ -306,7 +307,8 @@ class TestReportDocument:
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        parent, change = proc.stdout.splitlines()
+        parent, change, last = proc.stdout.splitlines()
+        assert last == "certificates identical on 1 of 1 jobs"
         assert parent.startswith("parent: polar:14 status=covered n_evaluations=9448 ")
         assert change.startswith("change: polar:14 status=covered n_evaluations=9448 ")
         # the same digests and counts, whatever the seconds
@@ -325,6 +327,14 @@ class TestReportDocument:
         assert fixed[1]["batch_calls"] == 174
         assert fixed[1]["split_batches"] == int(covering._split_allowed())  # of 1,672 rows
         assert "alternating with the parent table's" in tables["change"]["statistic"]
+        # The verdict names each job whose certificate or balls differ, and which digests.
+        verdict = runpy.run_path(str(root / "scripts" / "cert_digests.py"))["verdict"]
+        base = [dict(job=f"polar:{n}", cert="c", balls="b") for n in (14, 30, 40)]
+        other = [base[0], dict(base[1], balls="x"), dict(base[2], cert="x", balls="x")]
+        assert verdict(base, base) == "certificates identical on 3 of 3 jobs"
+        assert verdict(base, other) == (
+            "certificates differ on 2 of 3 jobs: polar:30 (balls=), polar:40 (cert= balls=)"
+        )
 
 
 class TestSummaryCsv:

@@ -4,7 +4,8 @@
 For each `structure:n` job, covers the region of `conjecture_setup(n,
 structure)`, writes the report, reads it back and prints the status,
 `n_evaluations`, three digests, the counters `cover_cap_inside_orbit` and
-`not_covered_inside_orbit`, and the median seconds spent in the cover:
+`not_covered_inside_orbit`, the work counts described below, and the
+median seconds spent in the cover:
 
 - `sha256=`: the first 16 hex digits of the sha256 of
   `strip_timings(read_report(...))` serialised with sorted keys, counters
@@ -28,16 +29,16 @@ Cover Cap seconds, of the seconds spent dropping Cover Cap rows inside
 phase-1 balls (`inside_orbit_s`), of the process's peak RSS
 (`peak_rss_mb`, through the digest), the report's size in bytes,
 `n_evaluations`, and the number of batches with their rows per batch
-(`batch_calls`, `rows_per_batch`).  A batch is counted where the engine
-hands it to the kernel (`covering._Engine.evaluate_cart`: ring samples and
-Cover Cap levels), so a batch split over two threads counts once; the
-one-direction kernel calls of the ring balls are not batches and are not
-counted (there is one per phase-1 ball, `n_DD`).  The split batches are
-counted too (`split_batches=`, calls of `covering._split_evaluate`; None
-from a tree without it), and so are the latitude band tests of phase 1
-(`band_calls=`, calls of the predicates that `covering._band_test`
-returns).  `--label` names the table, and an existing file keeps its other
-tables.
+(`batch_calls=`, `rows_per_batch=`).  These and the latitude band tests of
+phase 1 (`band_calls=`) are read from the report's counters
+`kernel_batches`, `kernel_batch_rows` and `band_tests` (None from a tree
+without them).  A batch is counted where the engine hands it to the kernel
+(ring samples and Cover Cap levels), so a batch split over two threads
+counts once; the one-direction kernel calls of the ring balls are not
+batches (there is one per phase-1 ball, `n_DD`).  The split batches are
+counted by wrapping `covering._split_evaluate` (`split_batches=`; None from
+a tree without it), as their number depends on the host's CPUs.  `--label`
+names the table, and an existing file keeps its other tables.
 
 With `--baseline SRC` (the `src/` directory of another checkout), the
 repeats of the baseline and of this tree alternate (baseline first in even
@@ -105,57 +106,22 @@ def balls_digest(doc: dict) -> str:
     return digest([sorted(doc["records"]), sorted(doc["not_covered"])])
 
 
-class BatchCalls:
-    """Counts the batches the engine evaluates, their rows, the split ones and the band tests, while installed."""
-
-    def __init__(self):
-        self.calls = self.rows = self.band_calls = 0
-        self.original = covering._Engine.evaluate_cart
-        self.split = getattr(covering, "_split_evaluate", None)
-        self.splits = None if self.split is None else 0
-        self.band_test = covering._band_test
-
-    def __enter__(self):
-        def counted(engine, directions):
-            self.calls += 1
-            self.rows += len(directions)
-            return self.original(engine, directions)
-
-        def counted_split(*args):
-            self.splits += 1
-            return self.split(*args)
-
-        def counted_band_test(*args):
-            covered = self.band_test(*args)
-
-            def counted_covered(psi):
-                self.band_calls += 1
-                return covered(psi)
-
-            return counted_covered
-
-        covering._Engine.evaluate_cart = counted
-        covering._band_test = counted_band_test
-        if self.split is not None:
-            covering._split_evaluate = counted_split
-        return self
-
-    def __exit__(self, *exc):
-        covering._Engine.evaluate_cart = self.original
-        covering._band_test = self.band_test
-        if self.split is not None:
-            covering._split_evaluate = self.split
-
-
 def measure(structure: str, n: int, path: Path) -> dict:
     """One cover of the job and its report: digests, counters, seconds and sizes, as a row."""
     ps, params = conjecture_setup(n, structure)
-    with BatchCalls() as kernel:
+    split, splits = getattr(covering, "_split_evaluate", None), []
+    if split is not None:
+        covering._split_evaluate = lambda *args: splits.append(1) or split(*args)
+    try:
         t0 = time.perf_counter()
         outcome = cover_region(ps, params)
         cover_s = time.perf_counter() - t0
+    finally:
+        if split is not None:
+            covering._split_evaluate = split
     write_report(path, ps, params, outcome)
     doc = strip_timings(read_report(path))
+    batches, rows = (outcome.counters.get(key) for key in ("kernel_batches", "kernel_batch_rows"))
     return {
         "job": f"{structure}:{n}",
         "t": ps.size,
@@ -164,7 +130,8 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "sha256": digest(doc),
         "cert": cert_digest(doc),
         "balls": balls_digest(doc),
-        # None from a tree that does not drop Cover Cap rows inside phase-1 balls
+        # None from a tree that does not drop Cover Cap rows inside phase-1 balls,
+        # or does not count its band tests and kernel batches
         "cover_cap_inside_orbit": outcome.counters.get("cover_cap_inside_orbit"),
         "not_covered_inside_orbit": outcome.counters.get("not_covered_inside_orbit"),
         "report_bytes": path.stat().st_size,
@@ -174,19 +141,19 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "phase1_s": outcome.timings["phase1"],
         "cover_cap_s": outcome.timings["cover_cap"],
         "inside_orbit_s": outcome.timings.get("inside_orbit", 0.0),
-        "batch_calls": kernel.calls,
-        "rows_per_batch": round(kernel.rows / kernel.calls, 2) if kernel.calls else 0.0,
-        "split_batches": kernel.splits,
-        "band_calls": kernel.band_calls,
+        "batch_calls": batches,
+        "rows_per_batch": None if batches is None else round(rows / batches, 2) if batches else 0.0,
+        "split_batches": None if split is None else len(splits),
+        "band_calls": outcome.counters.get("band_tests"),
     }
 
 
-def measure_in_child(script: str, src: Path, text: str) -> dict:
-    """The row that `script --child SRC JOB` prints, from a fresh process importing capdisc from `src`."""
+def measure_in_child(src: Path, text: str) -> dict:
+    """The row that `--child SRC JOB` prints, from a fresh process importing capdisc from `src`."""
     path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
-        [sys.executable, script, "--child", str(src), text],
+        [sys.executable, __file__, "--child", str(src), text],
         env=env, capture_output=True, text=True, check=False,
     )
     if proc.returncode:
@@ -201,73 +168,55 @@ def child_job(src: str, text: str) -> tuple[str, int]:
     return job(text)
 
 
-def summarize(runs: list, medians) -> dict:
-    """The repeats of one job as one row: medians of the `medians` keys, the rest checked equal."""
+def summarize(runs: list) -> dict:
+    """The repeats of one job as one row: medians of the MEDIANS keys, the rest checked equal."""
     row = dict(runs[0])
     for key, value in row.items():
-        if key in medians:
+        if key in MEDIANS:
             row[key] = round(median(r[key] for r in runs), 4)
         elif any(r[key] != value for r in runs):
             raise SystemExit(f"{row['job']}: {key} differs between repeats")
     return row
 
 
-def tree_options(ap: argparse.ArgumentParser) -> None:
-    """Add the options that choose the trees and repeats: --repeats, --out and --baseline."""
-    ap.add_argument("--repeats", type=int, default=1, help="fresh processes per job and tree; medians are reported")
-    ap.add_argument("--out", type=Path, help="write the tables to this JSON file")
-    ap.add_argument("--baseline", type=Path, help="src/ of another checkout, measured alternately")
-
-
-def checked_trees(ap: argparse.ArgumentParser, args, label: str = "change", baseline_label: str = "parent") -> list:
-    """(label, src) of each tree to measure, the baseline first; checks --repeats and --baseline."""
-    if args.repeats < 1:
-        ap.error("--repeats must be at least 1")
-    if args.baseline is None:
-        return [(label, SRC)]
-    if not (args.baseline / "capdisc").is_dir():
-        ap.error(f"--baseline {args.baseline} holds no capdisc package")
-    return [(baseline_label, args.baseline), (label, SRC)]
-
-
-def compare(script: str, trees: list, jobs: list, repeats: int, medians, describe) -> dict:
-    """{label: rows} of each tree, each job run `repeats` times in fresh processes of `script`.
+def compare(trees: list, jobs: list, repeats: int) -> dict:
+    """{label: rows} of each (label, src) tree, each job run `repeats` times in fresh processes.
 
     The trees alternate (the first goes first in even repeats, last in odd
     ones), so that host drift falls on them alike.  Each tree's row is
-    printed with `describe`, after its label when there are two trees.
+    printed, after its label when there are two trees.
     """
     tables: dict = {label: [] for label, _ in trees}
     for structure, n in jobs:
         runs: dict = {label: [] for label, _ in trees}
         for repeat in range(repeats):
             for label, src in trees if repeat % 2 == 0 else trees[::-1]:
-                runs[label].append(measure_in_child(script, src, f"{structure}:{n}"))
+                runs[label].append(measure_in_child(src, f"{structure}:{n}"))
         for label, _ in trees:
-            row = summarize(runs[label], medians)
+            row = summarize(runs[label])
             tables[label].append(row)
             prefix = f"{label}: " if len(trees) > 1 else ""
-            print(prefix + describe(row), flush=True)
+            print(prefix + line(row), flush=True)
     return tables
 
 
-def write_tables(path: Path, benchmark: str, statistic: str, note: str, tables: dict) -> None:
-    """Write each {label: rows} table to the JSON file at `path`, which keeps its other tables."""
-    doc = json.loads(path.read_text()) if path.exists() else {}
-    doc.setdefault("benchmark", benchmark)
+def write_tables(args, tables: dict) -> None:
+    """Write each {label: rows} table to the JSON file `args.out`, which keeps its other tables."""
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc.setdefault("benchmark", BENCHMARK)
     for label, rows in tables.items():
         others = "".join(f", alternating with the {other} table's" for other in tables if other != label)
         doc.setdefault("tables", {})[label] = {
-            "statistic": statistic + others,
+            "statistic": f"median of {args.repeats} covers, each in a fresh process" + others,
             "machine": {
                 "cpus": len(os.sched_getaffinity(0)),
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "note": note,
+                "note": args.note,
             },
             "jobs": rows,
         }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def verdict(baseline: list, change: list) -> str:
@@ -289,7 +238,8 @@ def line(row: dict) -> str:
         f"cover_cap_inside_orbit={row['cover_cap_inside_orbit']} "
         f"not_covered_inside_orbit={row['not_covered_inside_orbit']} "
         f"cover_s={row['cover_s']:.2f} split_batches={row['split_batches']} "
-        f"band_calls={row['band_calls']} "
+        f"band_calls={row['band_calls']} batch_calls={row['batch_calls']} "
+        f"rows_per_batch={row['rows_per_batch']} "
         f"report_bytes={row['report_bytes']} "
         f"peak_rss_mb={row['peak_rss_mb']:.1f}"
     )
@@ -303,20 +253,27 @@ def main() -> None:
         return
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("jobs", nargs="*", type=job, default=[job(j) for j in DEFAULT_JOBS])
-    tree_options(ap)
+    ap.add_argument("--repeats", type=int, default=1, help="fresh processes per job and tree; medians are reported")
+    ap.add_argument("--out", type=Path, help="write the tables to this JSON file")
+    ap.add_argument("--baseline", type=Path, help="src/ of another checkout, measured alternately")
     ap.add_argument("--label", default="change", help="name of the table written with --out")
     ap.add_argument("--baseline-label", default="parent", help="name of the baseline's table")
     ap.add_argument("--note", default=NOTE, help="host note stored with the table")
     args = ap.parse_args()
-    if args.baseline is not None and args.baseline_label == args.label:
-        ap.error("--baseline-label must differ from --label")
-    measured = checked_trees(ap, args, args.label, args.baseline_label)
-    tables = compare(__file__, measured, args.jobs, args.repeats, MEDIANS, line)
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    trees = [(args.label, SRC)]
+    if args.baseline is not None:
+        if not (args.baseline / "capdisc").is_dir():
+            ap.error(f"--baseline {args.baseline} holds no capdisc package")
+        if args.baseline_label == args.label:
+            ap.error("--baseline-label must differ from --label")
+        trees.insert(0, (args.baseline_label, args.baseline))
+    tables = compare(trees, args.jobs, args.repeats)
     if args.baseline is not None:
         print(verdict(tables[args.baseline_label], tables[args.label]))
     if args.out:
-        statistic = f"median of {args.repeats} covers, each in a fresh process"
-        write_tables(args.out, BENCHMARK, statistic, args.note, tables)
+        write_tables(args, tables)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ directions of the conjecture region at the conjecture bound d three ways:
 `confidence_radius(project(ps, v), d)` per row, one `confidence_radii`
 call per batch (in a `_CHUNK_BYTES` workspace that the call builds), and
 the engine's ring-ball path, `confidence_radii` with one direction of
-shape (3,) per call in the one-row `discrepancy.workspace` that a cover's
-engine keeps (`covering._Engine.work`).  Records the median over the repeats
+shape (3,) per call in a one-row workspace, `discrepancy.workspace(t, 0)`,
+as a cover keeps for its ring balls.  Records the median over the repeats
 of microseconds per direction and of minor page faults per call
 (`resource.getrusage` of this process only), then writes the table as JSON.
 
@@ -26,8 +26,7 @@ from statistics import median
 import numpy as np
 
 from capdisc import conjecture_setup
-from capdisc.covering import _Engine
-from capdisc.discrepancy import HypothesisViolation, confidence_radii, confidence_radius, project
+from capdisc.discrepancy import HypothesisViolation, confidence_radii, confidence_radius, project, workspace
 from capdisc.reporting import sample_region_directions
 
 JOBS = [("twisted", 20), ("polar", 30), ("twisted", 80)]
@@ -86,7 +85,7 @@ def main() -> None:
         paths = [
             ("one_at_a_time", one_at_a_time),
             ("confidence_radii", batched),
-            ("one_row_workspace", engine_rows(_Engine(ps, params).work)),
+            ("one_row_workspace", engine_rows(workspace(ps.size, 0))),
         ]
         for rows in ROWS:
             batches = [dirs[lo : lo + rows] for lo in range(0, len(dirs), rows)]

@@ -364,10 +364,10 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
 # Batches of at least this many rows are split over two threads.  Plain
 # polar n=30's Cover Cap makes 15 (1,176 to 32,382 rows, 89,479 in all);
 # replayed on 2 shared CPUs they took 0.61 s split, 1.03 s unsplit
-# (scripts/split_replay.py, BENCH_19.json).  Thresholds from 64 to 1,024
-# rows gave the same time when a second process shared the batches, 2,048 a
-# longer one.  No twisted job of the conjecture sweep splits (its largest
-# batches hold 776 rows or fewer).
+# (BENCH_19.json).  Thresholds from 64 to 1,024 rows gave the same time
+# when a second process shared the batches, 2,048 a longer one.  No
+# twisted job of the conjecture sweep splits (its largest batches hold 776
+# rows or fewer).
 _SPLIT_ROWS = 1024
 # Bytes of each (rows, t) plane of a split thread's workspace (64 rows at
 # t = 994), a block of which a thread takes at a time.  Each block's numpy
@@ -434,6 +434,7 @@ class _Engine:
         self.stranded: list[tuple[np.ndarray, float]] = []  # (center, required radius) of phase 1
         self.r_min_per_orbit: list[float] = []  # of each ring walked
         self._closeout_attempts = 0
+        self.band_tests = self.kernel_batches = self.kernel_batch_rows = 0  # work counters
         self.work = workspace(ps.size, 0)  # one row, the kernel's workspace for every ring ball
 
     # -- direction evaluation -------------------------------------------------
@@ -451,6 +452,8 @@ class _Engine:
     def evaluate_cart(self, directions: np.ndarray):
         """(directed_value, radius) arrays of the rows; radius nan where the hypothesis fails."""
         self.n_eval += len(directions)
+        self.kernel_batches += 1
+        self.kernel_batch_rows += len(directions)
         if len(directions) >= _SPLIT_ROWS and _split_allowed():
             return _split_evaluate(self.ps.points, directions, self.params.d)
         return confidence_radii(self.ps.points, directions, self.params.d)
@@ -513,7 +516,12 @@ class _Engine:
                 return -math.pi / 2, -math.acos(x) - phi >= target
             return math.acos(x) - phi, True
 
-        covered = _band_test(phi, balls, reg.theta_min, reg.theta_max)
+        test = _band_test(phi, balls, reg.theta_min, reg.theta_max)
+
+        def covered(psi: float) -> bool:
+            self.band_tests += 1
+            return test(psi)
+
         if not covered(phi):
             return phi, phi >= target
 
@@ -632,6 +640,9 @@ class _Engine:
                 "n_CC": len(self.cannot_cover),
                 "n_cover_cap_dirs": int(np.count_nonzero(records.origin == COVER_CAP)),
                 "n_evaluations": self.n_eval,
+                "band_tests": self.band_tests,
+                "kernel_batches": self.kernel_batches,
+                "kernel_batch_rows": self.kernel_batch_rows,
                 "n_orbits": len(self.r_min_per_orbit),
                 "r_min_global": r_min_global,
                 "r_min_median": r_min_median,

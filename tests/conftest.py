@@ -1,16 +1,12 @@
-import math
-
 import numpy as np
 import pytest
+
+from capdisc.geometry import random_unit_vectors
 
 
 def uniform_directions(count: int, seed: int = 0) -> np.ndarray:
     """(count, 3) i.i.d. uniform unit vectors, reused across test modules."""
-    rng = np.random.default_rng(seed)
-    z = rng.uniform(-1.0, 1.0, count)
-    theta = rng.uniform(0.0, 2.0 * math.pi, count)
-    rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    return np.column_stack([rho * np.cos(theta), rho * np.sin(theta), z])
+    return random_unit_vectors(np.random.default_rng(seed), count)
 
 
 @pytest.fixture

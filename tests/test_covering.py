@@ -9,7 +9,6 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from pathlib import Path
 from statistics import median
 
 import numpy as np
@@ -758,8 +757,9 @@ class TestCounterexampleInCoverCap:
         assert outcome.status == "counterexample"
         assert outcome.counterexample.direction.tobytes() == violation.tobytes()
         assert same_table(outcome.records, expect.records)
-        # the keyed evaluate_cart of `expect` does not count evaluations
-        del outcome.counters["n_evaluations"], expect.counters["n_evaluations"]
+        # the keyed evaluate_cart of `expect` does not count evaluations or batches
+        for key in ("n_evaluations", "kernel_batches", "kernel_batch_rows"):
+            del outcome.counters[key], expect.counters[key]
         assert outcome.counters == expect.counters
 
     def test_later_seed_is_not_expanded(self, monkeypatch):
@@ -1038,6 +1038,61 @@ class TestBandTest:
                 assert got == (band_lo, band_hi >= t), (phi, r_min, t)
 
 
+class TestPhase1Misses:
+    """A ring whose band misses the covered band is walked again halfway back to it.
+
+    After 51 misses in a row, the band below is left to one residual ball.
+    The cover is the small twisted 12 one of tests/test_reporting.py, with
+    `_Engine._orbit_band` reporting a miss, (phi, False), on chosen calls.
+    """
+
+    PS = generate_twisted_polar(12)
+    PARAMS = CoverParams(
+        d=north_pole_directed(12), region=Region(0.6, 1.0, 0.0, 0.8), cover_cap_max_depth=8
+    )
+
+    def cover(self, monkeypatch, miss):
+        """(outcome, [(phi, band) of each ring]) with a miss on each call i for which miss(i)."""
+        rings, real = [], _Engine._orbit_band
+
+        def orbit_band(engine, phi, r_min, balls, target):
+            band = (phi, False) if miss(len(rings)) else real(engine, phi, r_min, balls, target)
+            rings.append((phi, band))
+            return band
+
+        monkeypatch.setattr(_Engine, "_orbit_band", orbit_band)
+        return cover_region(self.PS, self.PARAMS), rings
+
+    def test_a_missed_ring_is_walked_again_halfway_back(self, monkeypatch):
+        outcome, rings = self.cover(monkeypatch, lambda i: i == 1)
+        (_, (band_lo, connected)), (missed, _), (retried, _) = rings[:3]
+        assert connected
+        lowest_covered = min(self.PARAMS.region.phi_max, band_lo)
+        assert missed < retried < lowest_covered
+        assert retried == 0.5 * (missed + lowest_covered)
+        assert outcome.status == "covered"
+        audit = audit_coverage(self.PS, self.PARAMS, outcome, probe_count=2_000, seed=0)
+        assert (audit["uncovered"], audit["over_bound"]) == (0, 0)
+
+    def test_51_misses_in_a_row_leave_the_band_to_one_residual_ball(self, monkeypatch):
+        outcome, rings = self.cover(monkeypatch, lambda i: True)
+        reg = self.PARAMS.region
+        # nothing is covered, so each retry walks the ring at phi_max again
+        assert [phi for phi, _ in rings] == [reg.phi_max] * 51
+        assert outcome.status == "residual"
+        assert outcome.counters["n_orbits"] == 51
+        (center,), (required,) = vars(outcome.not_covered).values()
+        assert center.tobytes() == polar_to_cartesian(reg.theta_min, reg.phi_max).tobytes()
+        assert required == outcome.counters["r_min_global"] == outcome.counters["r_min_median"]
+
+    def test_a_ring_not_covered_at_its_own_latitude_misses(self):
+        # Two balls of radius 0.05 at theta 0 and 0.8 leave a gap on their own ring.
+        engine, phi = _Engine(self.PS, self.PARAMS), 0.7
+        balls = [(0.0, 0.05), (0.8, 0.05)]
+        assert engine._orbit_band(phi, 0.05, balls, phi + 0.01) == (phi, False)
+        assert engine.band_tests == 1  # the test at phi alone
+
+
 class TestCoverRegion:
     def test_small_region_covered_and_sound(self):
         n = 12
@@ -1227,6 +1282,9 @@ class TestCoverRegion:
             "n_CC",
             "n_cover_cap_dirs",
             "n_evaluations",
+            "band_tests",
+            "kernel_batches",
+            "kernel_batch_rows",
             "n_orbits",
             "r_min_global",
             "r_min_median",
@@ -1413,25 +1471,6 @@ class TestHelper:
         assert covering._split_allowed()
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert not covering._split_allowed()
-
-
-def test_split_replay_script_with_a_baseline(tmp_path):
-    # This tree stands in for the baseline: both replay polar 14's one split batch alike.
-    root = Path(__file__).resolve().parents[1]
-    out = tmp_path / "replay.json"
-    proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / "split_replay.py"), "polar:14",
-         "--baseline", str(root / "src"), "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    parent, change = proc.stdout.splitlines()
-    assert parent.startswith("parent: polar:14 t=218 batches=1 rows=1672 sha256=")
-    assert parent.split(" unsplit_s=")[0][7:] == change.split(" unsplit_s=")[0][7:]
-    tables = json.loads(out.read_text())["tables"]
-    assert set(tables) == {"parent", "change"}
-    (row,) = tables["change"]["jobs"]
-    assert row["split_s"] > 0.0 and row["unsplit_s"] > 0.0 and row["split_user_s"] >= 0.0
 
 
 def test_params_validation():

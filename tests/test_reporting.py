@@ -197,6 +197,8 @@ class TestReportDocument:
         dropped = counters.pop("cover_cap_inside_orbit")
         assert counters.pop("not_covered_inside_orbit") == 3
         counters["n_cover_cap_dirs"] += dropped
+        for key in ("band_tests", "kernel_batches", "kernel_batch_rows"):  # schema 1 has no work counters
+            counters.pop(key)
         assert outcome_doc == strip_timings(old)["outcome"]
         assert "counterexample" not in new and "counterexample" not in old
 
@@ -258,13 +260,22 @@ class TestReportDocument:
         assert proc.returncode == 0, proc.stderr
         ps, params = conjecture_setup(20)
         band_calls, band_test = [], covering._band_test
+        batches, evaluate_cart = [], covering._Engine.evaluate_cart
 
         def counted_band_test(*args):
             covered = band_test(*args)
             return lambda psi: band_calls.append(psi) or covered(psi)
 
+        def counted_evaluate_cart(engine, directions):
+            batches.append(len(directions))
+            return evaluate_cart(engine, directions)
+
         monkeypatch.setattr(covering, "_band_test", counted_band_test)
+        monkeypatch.setattr(covering._Engine, "evaluate_cart", counted_evaluate_cart)
         outcome = cover_region(ps, params)
+        # the engine's own work counters equal the counts taken from outside it
+        work = [outcome.counters[key] for key in ("band_tests", "kernel_batches", "kernel_batch_rows")]
+        assert work == [len(band_calls), len(batches), sum(batches)] == [2_861, 179, 5_027]
         doc = strip_timings(report_dict(ps, params, outcome))
         sha = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         # cert= leaves out the counters, so a change in work alone keeps it
@@ -287,7 +298,7 @@ class TestReportDocument:
         )
         assert proc.stdout.startswith(expect), proc.stdout
         assert " split_batches=0 " in proc.stdout  # no twisted batch reaches _SPLIT_ROWS
-        assert f" band_calls={len(band_calls)} " in proc.stdout and band_calls
+        assert f" band_calls=2861 batch_calls=179 rows_per_batch={round(5_027 / 179, 2)} " in proc.stdout
         assert doc["records"] != sorted(doc["records"])  # so the sort is put to the test
         assert len(proc.stdout.splitlines()) == 1
         # the size of the schema-2 report, but for the digits of its timings, and the peak

@@ -35,10 +35,8 @@ phase 1 (`band_calls=`) are read from the report's counters
 without them).  A batch is counted where the engine hands it to the kernel
 (ring samples and Cover Cap levels), so a batch split over two threads
 counts once; the one-direction kernel calls of the ring balls are not
-batches (there is one per phase-1 ball, `n_DD`).  The split batches are
-counted by wrapping `covering._split_evaluate` (`split_batches=`; None from
-a tree without it), as their number depends on the host's CPUs.  `--label`
-names the table, and an existing file keeps its other tables.
+batches (there is one per phase-1 ball, `n_DD`).  `--label` names the
+table, and an existing file keeps its other tables.
 
 With `--baseline SRC` (the `src/` directory of another checkout), the
 repeats of the baseline and of this tree alternate (baseline first in even
@@ -46,7 +44,8 @@ repeats, this tree first in odd ones), so that host drift falls on both
 alike.  Each line printed starts with the tree's label, and `--out` gets
 both tables, the baseline's named `--baseline-label`.  A last line gives
 the verdict: `certificates identical on k of k jobs`, or the jobs whose
-`cert=` or `balls=` differs between the trees.
+`cert=` or `balls=` differs between the trees, and then the script exits
+with status 1 (after writing `--out`).
 
     python3 scripts/cert_digests.py                     # twisted 20/40/60/80, polar 30 and 14
     python3 scripts/cert_digests.py twisted:20 polar:14
@@ -80,7 +79,7 @@ MEDIANS = (
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCHMARK = (
     "conjecture covers per job: phase 1 and Cover Cap seconds, evaluations, batches handed"
-    " to the kernel, split batches, report bytes and peak RSS"
+    " to the kernel, report bytes and peak RSS"
 )
 NOTE = "2 shared CPUs (a container on a host shared with other tenants); medians of repeats"
 
@@ -109,16 +108,9 @@ def balls_digest(doc: dict) -> str:
 def measure(structure: str, n: int, path: Path) -> dict:
     """One cover of the job and its report: digests, counters, seconds and sizes, as a row."""
     ps, params = conjecture_setup(n, structure)
-    split, splits = getattr(covering, "_split_evaluate", None), []
-    if split is not None:
-        covering._split_evaluate = lambda *args: splits.append(1) or split(*args)
-    try:
-        t0 = time.perf_counter()
-        outcome = cover_region(ps, params)
-        cover_s = time.perf_counter() - t0
-    finally:
-        if split is not None:
-            covering._split_evaluate = split
+    t0 = time.perf_counter()
+    outcome = cover_region(ps, params)
+    cover_s = time.perf_counter() - t0
     write_report(path, ps, params, outcome)
     doc = strip_timings(read_report(path))
     batches, rows = (outcome.counters.get(key) for key in ("kernel_batches", "kernel_batch_rows"))
@@ -143,7 +135,6 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "inside_orbit_s": outcome.timings.get("inside_orbit", 0.0),
         "batch_calls": batches,
         "rows_per_batch": None if batches is None else round(rows / batches, 2) if batches else 0.0,
-        "split_batches": None if split is None else len(splits),
         "band_calls": outcome.counters.get("band_tests"),
     }
 
@@ -237,7 +228,7 @@ def line(row: dict) -> str:
         f"sha256={row['sha256']} cert={row['cert']} balls={row['balls']} "
         f"cover_cap_inside_orbit={row['cover_cap_inside_orbit']} "
         f"not_covered_inside_orbit={row['not_covered_inside_orbit']} "
-        f"cover_s={row['cover_s']:.2f} split_batches={row['split_batches']} "
+        f"cover_s={row['cover_s']:.2f} "
         f"band_calls={row['band_calls']} batch_calls={row['batch_calls']} "
         f"rows_per_batch={row['rows_per_batch']} "
         f"report_bytes={row['report_bytes']} "
@@ -270,10 +261,13 @@ def main() -> None:
             ap.error("--baseline-label must differ from --label")
         trees.insert(0, (args.baseline_label, args.baseline))
     tables = compare(trees, args.jobs, args.repeats)
-    if args.baseline is not None:
-        print(verdict(tables[args.baseline_label], tables[args.label]))
     if args.out:
         write_tables(args, tables)
+    if args.baseline is not None:
+        text = verdict(tables[args.baseline_label], tables[args.label])
+        print(text)
+        if text.startswith("certificates differ"):
+            raise SystemExit(1)
 
 
 if __name__ == "__main__":

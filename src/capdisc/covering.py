@@ -7,13 +7,12 @@ against the band already covered.  A ring whose r_min is 0 cannot step, so
 phase 1 ends there and leaves the band below to one residual ball of chord
 radius 2.  Directions whose radius falls below the ring minimum are queued;
 phase 2 certifies them with the 8-cap Cover Cap construction, grown level by
-level; a Cover Cap ball inside a phase-1 ball is dropped.  On a host with two
-or more CPUs, each large batch is split over the calling thread and one more.
+level; a Cover Cap ball inside a phase-1 ball is dropped.  Each batch of
+`_SPLIT_ROWS` rows or more is split over the calling thread and one more.
 """
 from __future__ import annotations
 
 import math
-import os
 import threading
 import time
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ import numpy as np
 
 from .discrepancy import DirectedResult, HypothesisViolation, confidence_radii, workspace
 from .discrepancy import confidence_radius, project  # noqa: F401  capbench traces these sites
-from .geometry import SQRT2, Region, cover_cap_centers, polar_to_cartesian
+from .geometry import SQRT2, Region, cover_cap_centers, phi_max_from_radius, polar_to_cartesian
 from .geometry import cartesian_to_polar  # noqa: F401  capbench traces this lookup site
 from .pointsets import PointSet
 
@@ -378,11 +377,6 @@ _SPLIT_ROWS = 1024
 _WORK_BYTES = 512_000
 
 
-def _split_allowed() -> bool:
-    """Whether this process may run on a second CPU."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
 def _split_evaluate(points: np.ndarray, directions: np.ndarray, d: float):
     """(dis, radius) of the rows, evaluated by the calling thread and one more.
 
@@ -454,7 +448,7 @@ class _Engine:
         self.n_eval += len(directions)
         self.kernel_batches += 1
         self.kernel_batch_rows += len(directions)
-        if len(directions) >= _SPLIT_ROWS and _split_allowed():
+        if len(directions) >= _SPLIT_ROWS:
             return _split_evaluate(self.ps.points, directions, self.params.d)
         return confidence_radii(self.ps.points, directions, self.params.d)
 
@@ -668,7 +662,7 @@ class _Engine:
             # The ring formulas divide by cos(phi); cover the pole with a
             # single ball and resume at the latitude it certifies.
             _, r = self.orbit_ball(0.0, math.pi / 2)
-            lowest_covered = math.pi / 2 - 2.0 * math.asin(min(1.0, r / 2.0))
+            lowest_covered = phi_max_from_radius(r)
             phi = lowest_covered
             if lowest_covered <= reg.phi_min:
                 return

@@ -117,15 +117,15 @@ def _slab_width(s: np.ndarray, k: int, work):
     return _min(np.subtract(s[:, k:], s[:, : t - k], out=diff), axis=1).tolist()
 
 
-# A call without a workspace builds one whose planes hold at most 128,000
-# bytes each: 16 rows at t = 994, 2 at t = 7,057.  glibc maps a request of
-# 128 KiB (131,072 bytes) or more on its own, faulted in and unmapped on
-# every call (at t = 7,057 an unblocked 8-row call took 189 minor faults and
-# 1.2 ms, the blocked one none and 0.7 ms), so a plane stays strictly below
-# that, which a budget of exactly 128 KiB would not for a power-of-two t.
-# Against 64 KB planes a row costs the same (scripts/kernel_bench.py,
-# BENCH_18.json).  The two threads of a split batch pass larger workspaces
-# of their own (covering._WORK_BYTES).
+# A call without a workspace builds planes of its batch's rows, 128,000
+# bytes at most: 16 rows at t = 994, 2 at t = 7,057.  One direction at t =
+# 441 took 12.9 us in one-row planes, 17.2 us in full ones (medians of 5 processes).
+# glibc maps a request of 128 KiB (131,072 bytes) or more on its own,
+# faulted in and unmapped on every call (an unblocked 8-row call at t =
+# 7,057 took 189 minor faults and 1.2 ms, the blocked one none and 0.7 ms),
+# so a plane stays strictly below that, as exactly 128 KiB would not for a
+# power-of-two t.  Against 64 KB planes a row costs the same (BENCH_18.json,
+# scripts/kernel_bench.py); a split batch's threads pass larger ones (covering._WORK_BYTES).
 _CHUNK_BYTES = 128_000
 
 
@@ -234,11 +234,13 @@ def confidence_radii(
     A row that breaks the hypothesis Dis + 1/t <= d raises nothing: its
     radius is nan.  The rows run in blocks through `work`, a `workspace`
     for t = len(points) that no other thread uses meanwhile; without one,
-    the call builds a `_CHUNK_BYTES` workspace.  One direction of shape
-    (3,) gives the two values as floats; it is projected, sorted and swept
-    in row 0 of each plane.
+    the call builds a workspace of the batch's rows, in planes of
+    `_CHUNK_BYTES` at most.  One direction of shape (3,) is one row: it
+    gives the two values as floats, projected, sorted and swept in row 0 of
+    each plane.
     """
-    work = work or workspace(len(points), _CHUNK_BYTES)
+    m = len(directions) if directions.ndim == 2 else 1
+    work = work or workspace(len(points), min(_CHUNK_BYTES, 8 * len(points) * m))
     if directions.ndim == 1:
         row = [plane[0] for plane in work]
         np.matmul(points, directions, out=row[0])
@@ -256,12 +258,12 @@ def confidence_radii(
 def directed_values(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Directed discrepancy of every row of `directions`, in one call.
 
-    Projects and sweeps as `confidence_radii` does, in a `_CHUNK_BYTES`
-    workspace, so every value equals
+    Projects and sweeps as `confidence_radii` does, in a workspace of the
+    batch's rows, so every value equals
     `confidence_radius(project(ps, v), d).directed_value` bit for bit.
     """
     out = np.empty(len(directions))
-    work = workspace(len(points), _CHUNK_BYTES)
+    work = workspace(len(points), min(_CHUNK_BYTES, 8 * len(points) * len(directions)))
     for lo, s in _sorted_blocks(points, directions, work):
         out[lo : lo + len(s)] = _dis(s, work)
     return out

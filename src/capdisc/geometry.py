@@ -68,6 +68,11 @@ def cartesian_to_polar(v: np.ndarray) -> tuple[float, float]:
     return theta, phi
 
 
+def phi_max_from_radius(r: float) -> float:
+    """Latitude of the rim of the chord-r cap around the north pole."""
+    return math.pi / 2.0 - 2.0 * math.asin(min(1.0, r / 2.0))
+
+
 def orthonormal_frame(center: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic (e1, e2) completing `center`, (3,) or (m, 3), to a right-handed frame."""
     c = np.asarray(center, dtype=float)

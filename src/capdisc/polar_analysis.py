@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .covering import CoverOutcome, CoverParams, cover_region
-from .geometry import Region
+from .geometry import Region, phi_max_from_radius
 from .pointsets import PointSet, generate_polar, generate_twisted_polar, polar_orbits
 
 SQRT3 = math.sqrt(3.0)
@@ -96,11 +96,6 @@ def north_pole_local_radius(n: int) -> float:
         chord = math.sqrt(max(0.0, 2.0 - 2.0 * b / norm))
         best = min(best, chord)
     return best
-
-
-def phi_max_from_radius(r: float) -> float:
-    """Latitude bound equivalent to a chord-r cap around the pole."""
-    return math.pi / 2.0 - 2.0 * math.asin(min(1.0, r / 2.0))
 
 
 def conjecture_setup(n: int, structure: str = "twisted") -> tuple[PointSet, CoverParams]:

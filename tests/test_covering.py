@@ -325,7 +325,7 @@ EVALUATE_CART = _Engine.evaluate_cart
 
 @pytest.fixture
 def splits(monkeypatch):
-    """Rows of each batch split in the test; two CPUs are reported, so any host splits.
+    """Rows of each batch split in the test.
 
     No thread the test did not start itself may be left running after it.
     """
@@ -336,7 +336,6 @@ def splits(monkeypatch):
         return split(points, directions, d)
 
     monkeypatch.setattr(covering, "_split_evaluate", counted)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     yield rows
     assert set(threading.enumerate()) == before
 
@@ -1454,9 +1453,9 @@ class TestHelper:
         split = cover_region(ps, params)
         assert len(splits) == 15  # one per batch of _SPLIT_ROWS rows or more
         assert split.status == "residual"
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(covering, "_SPLIT_ROWS", 32_383)  # above the largest batch
         alone = cover_region(ps, params)
-        assert len(splits) == 15  # one CPU: no split
+        assert len(splits) == 15  # no more splits
         assert split.counters == alone.counters
         assert split.counters["n_evaluations"] == 105_578
         # Cover Cap rows dropped inside phase-1 balls, and every residual ball inside one too
@@ -1464,13 +1463,37 @@ class TestHelper:
         assert split.counters["not_covered_inside_orbit"] == len(split.not_covered) == 9_226
         assert report_digest(ps, params, split) == report_digest(ps, params, alone)
 
-    def test_no_split_on_one_cpu(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert not covering._split_allowed()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert covering._split_allowed()
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        assert not covering._split_allowed()
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
+    def test_split_on_one_cpu_ends_with_the_in_process_report(self):
+        # A process held to one CPU still splits polar 14's batch of 1,672
+        # rows over two threads, which take turns on that CPU; the report
+        # must equal the in-process one's within the timeout.
+        script = textwrap.dedent(
+            """
+            import hashlib, json, os
+            from capdisc import conjecture_setup, cover_region, covering, report_dict, strip_timings
+
+            for cpu in range(os.cpu_count()):  # the lowest CPU this process may use
+                try:
+                    os.sched_setaffinity(0, {cpu})
+                    break
+                except OSError:
+                    pass
+            else:
+                raise SystemExit("no CPU to pin this process to")
+            split, rows = covering._split_evaluate, []
+            covering._split_evaluate = lambda *args: rows.append(len(args[1])) or split(*args)
+            ps, params = conjecture_setup(14, "polar")
+            doc = strip_timings(report_dict(ps, params, cover_region(ps, params)))
+            print(rows, hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest())
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        ps, params = conjecture_setup(14, "polar")
+        assert proc.stdout.split() == ["[1672]", report_digest(ps, params, cover_region(ps, params))]
 
 
 def test_params_validation():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capdisc import covering
+from capdisc import covering, discrepancy
 from capdisc.discrepancy import (
     HypothesisViolation,
     SizeLimitExceeded,
@@ -336,6 +336,28 @@ class TestWorkspace:
         if t > 2:  # the first block mixes nan rows with two k or more; at t = 2 every k >= t
             k = np.floor(t * (d - dis[:rows][~np.isnan(radius[:rows])])) + 1
             assert len(set(k.tolist())) >= 2 and np.isnan(radius[:rows]).any()
+
+    def test_a_call_without_one_builds_the_rows_of_its_batch(self, monkeypatch):
+        # Planes of the batch's rows, _CHUNK_BYTES at most (36 rows at t = 441),
+        # with the bytes of a call in full planes.
+        ps = generate_twisted_polar(20)
+        t, full = ps.size, workspace(ps.size, discrepancy._CHUNK_BYTES)
+        dirs = uniform_directions(1_000, seed=9)
+        asked = []
+
+        def recorded(t, nbytes):
+            asked.append(nbytes)
+            return workspace(t, nbytes)
+
+        monkeypatch.setattr(discrepancy, "workspace", recorded)
+        for m in (1, 20, 1_000):
+            got = confidence_radii(ps.points, dirs[:m], 0.5)
+            expect = confidence_radii(ps.points, dirs[:m], 0.5, full)
+            assert np.array(got).tobytes() == np.array(expect).tobytes()
+            assert directed_values(ps.points, dirs[:m]).tobytes() == expect[0].tobytes()
+        assert confidence_radii(ps.points, dirs[0], 0.5) == confidence_radii(ps.points, dirs[0], 0.5, full)
+        sizes = [8 * t, 20 * 8 * t, discrepancy._CHUNK_BYTES]  # of each kernel, then one direction
+        assert asked == [nbytes for nbytes in sizes for _ in range(2)] + [8 * t]
 
 
 def assert_same_ball(got, ps, v, d):

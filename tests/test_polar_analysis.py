@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import capdisc
+from capdisc import covering, geometry
 from capdisc.discrepancy import directed_discrepancy, project
 from capdisc.pointsets import generate_polar, polar_orbits
 from capdisc.polar_analysis import (
@@ -57,6 +59,9 @@ class TestLocalRadius:
             # The chord from the pole to latitude phi_max is exactly r.
             chord = 2.0 * math.sin((math.pi / 2 - phi_max) / 2.0)
             assert math.isclose(chord, r, abs_tol=1e-12)
+        # one function, which phase 1 also calls for the latitude its pole ball covers
+        assert phi_max_from_radius is capdisc.phi_max_from_radius is geometry.phi_max_from_radius
+        assert covering.phi_max_from_radius is geometry.phi_max_from_radius
 
     def test_no_ring_inside_pole_ball(self):
         # Directions within the radius of the pole must see at most one ring

@@ -297,7 +297,6 @@ class TestReportDocument:
             "cover_cap_inside_orbit=91 not_covered_inside_orbit=0 cover_s="
         )
         assert proc.stdout.startswith(expect), proc.stdout
-        assert " split_batches=0 " in proc.stdout  # no twisted batch reaches _SPLIT_ROWS
         assert f" band_calls=2861 batch_calls=179 rows_per_batch={round(5_027 / 179, 2)} " in proc.stdout
         assert doc["records"] != sorted(doc["records"])  # so the sort is put to the test
         assert len(proc.stdout.splitlines()) == 1
@@ -334,9 +333,8 @@ class TestReportDocument:
         assert fixed[0] == fixed[1]
         assert abs(rows[0][0]["report_bytes"] - rows[1][0]["report_bytes"]) < 50
         assert rows[1][0]["peak_rss_mb"] > 10.0
-        # a batch split over two threads (polar 14 has one, given 2 CPUs) counts as one batch
+        # a batch split over two threads (polar 14 has one, of 1,672 rows) counts as one batch
         assert fixed[1]["batch_calls"] == 174
-        assert fixed[1]["split_batches"] == int(covering._split_allowed())  # of 1,672 rows
         assert "alternating with the parent table's" in tables["change"]["statistic"]
         # The verdict names each job whose certificate or balls differ, and which digests.
         verdict = runpy.run_path(str(root / "scripts" / "cert_digests.py"))["verdict"]
@@ -346,6 +344,26 @@ class TestReportDocument:
         assert verdict(base, other) == (
             "certificates differ on 2 of 3 jobs: polar:30 (balls=), polar:40 (cert= balls=)"
         )
+
+    def test_cert_digests_script_exits_1_when_certificates_differ(self, monkeypatch, tmp_path, capsys):
+        root = Path(__file__).resolve().parents[1]
+        main = runpy.run_path(str(root / "scripts" / "cert_digests.py"))["main"]
+        base = dict(job="polar:14", cert="c", balls="b")
+        out = tmp_path / "bench.json"
+        argv = ["cert_digests.py", "polar:14", "--baseline", str(root / "src"), "--out", str(out)]
+        monkeypatch.setattr(sys, "argv", argv)
+        for change, verdict in [(base, "identical on 1"), (dict(base, cert="x"), "differ on 1")]:
+            tables = {"parent": [base], "change": [change]}
+            monkeypatch.setitem(main.__globals__, "compare", lambda trees, jobs, repeats: tables)
+            out.unlink(missing_ok=True)
+            if change is base:
+                main()
+            else:
+                with pytest.raises(SystemExit) as info:
+                    main()
+                assert info.value.code == 1
+            assert capsys.readouterr().out.startswith(f"certificates {verdict} of 1 jobs")
+            assert json.loads(out.read_text())["tables"]["change"]["jobs"] == [change]  # written first
 
 
 class TestSummaryCsv:

@@ -38,6 +38,14 @@ counts once; the one-direction kernel calls of the ring balls are not
 batches (there is one per phase-1 ball, `n_DD`).  `--label` names the
 table, and an existing file keeps its other tables.
 
+Phase 1 walks the conjecture regions as two latitude bands, the lower one
+in a forked child, so each row also gives the counter `phase1_bands`, the
+medians of the seconds of each band (`phase1_upper_s=`, and the child's
+own `phase1_lower_s=`; None from a tree that walks one band) and of the
+child's peak RSS (`child_rss_mb=`, the `RUSAGE_CHILDREN` `ru_maxrss`, 0.0
+when no child was forked).  The counters above count the child's work too,
+while `peak_rss_mb` is the parent's alone.
+
 With `--baseline SRC` (the `src/` directory of another checkout), the
 repeats of the baseline and of this tree alternate (baseline first in even
 repeats, this tree first in odd ones), so that host drift falls on both
@@ -75,11 +83,13 @@ CERT_KEYS = ("records", "not_covered", "counterexample", "params", "points_meta"
 # The report's size varies by a few bytes with the digits of its timings.
 MEDIANS = (
     "cover_s", "phase1_s", "cover_cap_s", "inside_orbit_s", "peak_rss_mb", "report_bytes",
+    "phase1_upper_s", "phase1_lower_s", "child_rss_mb",
 )
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCHMARK = (
-    "conjecture covers per job: phase 1 and Cover Cap seconds, evaluations, batches handed"
-    " to the kernel, report bytes and peak RSS"
+    "conjecture covers per job: phase 1 (and each of its bands) and Cover Cap seconds,"
+    " evaluations, batches handed to the kernel, report bytes, and the peak RSS of the"
+    " process and of its band child"
 )
 NOTE = "2 shared CPUs (a container on a host shared with other tenants); medians of repeats"
 
@@ -129,6 +139,7 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "report_bytes": path.stat().st_size,
         # after the digests; ru_maxrss is in KiB on Linux, and the process ran nothing else
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
+        "child_rss_mb": round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0, 1),
         "cover_s": cover_s,
         "phase1_s": outcome.timings["phase1"],
         "cover_cap_s": outcome.timings["cover_cap"],
@@ -136,6 +147,10 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "batch_calls": batches,
         "rows_per_batch": None if batches is None else round(rows / batches, 2) if batches else 0.0,
         "band_calls": outcome.counters.get("band_tests"),
+        # None from a tree that walks phase 1 as one band
+        "phase1_bands": outcome.counters.get("phase1_bands"),
+        "phase1_upper_s": outcome.timings.get("phase1_upper"),
+        "phase1_lower_s": outcome.timings.get("phase1_lower"),
     }
 
 
@@ -164,7 +179,7 @@ def summarize(runs: list) -> dict:
     row = dict(runs[0])
     for key, value in row.items():
         if key in MEDIANS:
-            row[key] = round(median(r[key] for r in runs), 4)
+            row[key] = None if value is None else round(median(r[key] for r in runs), 4)
         elif any(r[key] != value for r in runs):
             raise SystemExit(f"{row['job']}: {key} differs between repeats")
     return row
@@ -231,6 +246,8 @@ def line(row: dict) -> str:
         f"cover_s={row['cover_s']:.2f} "
         f"band_calls={row['band_calls']} batch_calls={row['batch_calls']} "
         f"rows_per_batch={row['rows_per_batch']} "
+        f"phase1_bands={row['phase1_bands']} phase1_upper_s={row['phase1_upper_s']} "
+        f"phase1_lower_s={row['phase1_lower_s']} child_rss_mb={row['child_rss_mb']:.1f} "
         f"report_bytes={row['report_bytes']} "
         f"peak_rss_mb={row['peak_rss_mb']:.1f}"
     )

@@ -9,13 +9,26 @@ radius 2.  Directions whose radius falls below the ring minimum are queued;
 phase 2 certifies them with the 8-cap Cover Cap construction, grown level by
 level; a Cover Cap ball inside a phase-1 ball is dropped.  Each batch of
 `_SPLIT_ROWS` rows or more is split over the calling thread and one more.
+
+Phase 1 walks a region that lies in one hemisphere, with positive height,
+as two latitude bands split where its area halves (`_bands`): the calling
+process walks the upper band while a child from `os.fork` walks the lower
+one, each exactly as a whole region of its own, and the parent appends the
+child's rows after its own.  The certificate is thus that of walking the
+two bands one after the other, which is what the calling process does when
+no child can be forked or other threads are alive.  A region that straddles
+the equator stays one band: a seam there would place a ring on the mirror
+plane of z-symmetric point sets, a line of cratered radii.
 """
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import median
 
 import numpy as np
@@ -361,12 +374,12 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
 
 
 # Batches of at least this many rows are split over two threads.  Plain
-# polar n=30's Cover Cap makes 15 (1,176 to 32,382 rows, 89,479 in all);
-# replayed on 2 shared CPUs they took 0.61 s split, 1.03 s unsplit
-# (BENCH_19.json).  Thresholds from 64 to 1,024 rows gave the same time
-# when a second process shared the batches, 2,048 a longer one.  No
-# twisted job of the conjecture sweep splits (its largest batches hold 776
-# rows or fewer).
+# polar n=30's Cover Cap made 15 (1,176 to 32,382 rows, 89,479 in all)
+# when phase 1 walked one band; replayed on 2 shared CPUs they took 0.61 s
+# split, 1.03 s unsplit (BENCH_19.json).  Thresholds from 64 to 1,024 rows
+# gave the same time when a second process shared the batches, 2,048 a
+# longer one.  Walked as two bands, polar n=30 makes 16 and, of the twisted
+# jobs of the conjecture sweep, n=20 one (of 1,032 rows).
 _SPLIT_ROWS = 1024
 # Bytes of each (rows, t) plane of a split thread's workspace (64 rows at
 # t = 994), a block of which a thread takes at a time.  Each block's numpy
@@ -418,6 +431,91 @@ def _split_evaluate(points: np.ndarray, directions: np.ndarray, d: float):
     return dis, radius
 
 
+def _bands(region: Region) -> list[Region]:
+    """The latitude bands phase 1 walks, the upper one first.
+
+    A region in one hemisphere with positive height is split at phi_s =
+    asin((sin phi_min + sin phi_max) / 2), where its area halves; any other
+    stays whole.
+    """
+    lo, hi = region.phi_min, region.phi_max
+    if not lo < hi or lo < 0.0 < hi:
+        return [region]
+    seam = min(max(math.asin((math.sin(lo) + math.sin(hi)) / 2.0), lo), hi)
+    return [replace(region, phi_min=seam), replace(region, phi_max=seam)]
+
+
+# The engine's work counts, which a band's walk adds to the cover's.
+_WORK_COUNTERS = ("n_eval", "band_tests", "kernel_batches", "kernel_batch_rows")
+
+
+class _BandChild:
+    """A child from `os.fork` walking one band, and the read end of the pipe it answers through.
+
+    The child sends the pickled `_Engine._walk_band` dict, or the exception
+    that ended the walk, then exits; it also ends once its parent is gone
+    (see `walk_orbit`).
+    """
+
+    def __init__(self, engine: _Engine, band: Region):
+        parent = os.getpid()
+        self.fd, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(self.fd)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self.fd)
+                engine.parent = parent
+                with open(write, "wb") as pipe:
+                    try:
+                        walk = engine._walk_band(band)
+                    except Exception as exc:  # raised again in the parent
+                        walk = exc
+                    pickle.dump(walk, pipe, pickle.HIGHEST_PROTOCOL)
+                code = 0
+            finally:
+                os._exit(code)  # never back into the caller's stack
+        os.close(write)
+
+    @classmethod
+    def start(cls, engine: _Engine, band: Region) -> _BandChild | None:
+        """A child walking `band`; None when other threads are alive or no child can be forked."""
+        if threading.active_count() > 1:
+            return None  # a forked child holds one thread, and the locks the others held
+        try:
+            return cls(engine, band)
+        except OSError:
+            return None
+
+    def walk(self) -> dict:
+        """The child's walk, once it has sent it and exited; raises what ended the walk."""
+        pipe, self.fd = open(self.fd, "rb"), None
+        with pipe:
+            data = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            raise RuntimeError(f"the child walking phase 1's lower band exited with status {code}")
+        walk = pickle.loads(data)
+        if isinstance(walk, Exception):
+            raise walk
+        return walk
+
+    def close(self) -> None:
+        """Kill and reap the child, unless `walk` has reaped it."""
+        if self.fd is not None:
+            os.close(self.fd)
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+
+
 class _Engine:
     def __init__(self, ps: PointSet, params: CoverParams):
         self.ps = ps
@@ -430,6 +528,9 @@ class _Engine:
         self._closeout_attempts = 0
         self.band_tests = self.kernel_batches = self.kernel_batch_rows = 0  # work counters
         self.work = workspace(ps.size, 0)  # one row, the kernel's workspace for every ring ball
+        self.phase1_bands = 1
+        self.band_seconds: list[float] = []  # wall seconds of each band walked, upper first
+        self.parent: int | None = None  # in a band's child, the pid whose exit ends the walk
 
     # -- direction evaluation -------------------------------------------------
 
@@ -466,6 +567,8 @@ class _Engine:
 
     def walk_orbit(self, phi: float, r_min: float, target: float):
         """Cover one latitude ring; returns (band_lo, whether its band reaches `target`)."""
+        if self.parent is not None and os.getppid() != self.parent:
+            raise SystemExit(1)  # an orphaned band child: no one is left to read its walk
         reg = self.params.region
         balls: list[tuple[float, float]] = []  # (theta, effective radius), theta non-decreasing
         theta = reg.theta_min
@@ -619,6 +722,7 @@ class _Engine:
             status = "residual"
         else:
             status = "covered"
+        upper_s, lower_s = (self.band_seconds + [0.0, 0.0])[:2]
         r_min_global = min(self.r_min_per_orbit) if self.r_min_per_orbit else math.nan
         # The global minimum is pinned to the orbit at the pole-side region
         # edge, where the gap d - Dis vanishes by construction; the median
@@ -638,6 +742,7 @@ class _Engine:
                 "kernel_batches": self.kernel_batches,
                 "kernel_batch_rows": self.kernel_batch_rows,
                 "n_orbits": len(self.r_min_per_orbit),
+                "phase1_bands": self.phase1_bands,
                 "r_min_global": r_min_global,
                 "r_min_median": r_min_median,
                 **cover_cap,
@@ -646,6 +751,9 @@ class _Engine:
             },
             timings={
                 "phase1": phase1_s,
+                # the lower band's seconds are the child's own, 0 for a region walked whole
+                "phase1_upper": upper_s,
+                "phase1_lower": lower_s,
                 "cover_cap": cover_cap_s,
                 "total": phase1_s + cover_cap_s,
                 "inside_orbit": inside_orbit_s,
@@ -653,6 +761,59 @@ class _Engine:
         )
 
     def _phase1(self) -> None:
+        """Walk the region's bands into this engine, the lower one in a child when one forks.
+
+        Every exit kills and reaps the child, a HypothesisViolation in the
+        upper band included.
+        """
+        upper, *lower = _bands(self.params.region)
+        self.phase1_bands = 1 + len(lower)
+        child = _BandChild.start(self, lower[0]) if lower else None
+        try:
+            self._merge(self._walk_band(upper))
+            for band in lower:
+                self._merge(child.walk() if child else self._walk_band(band))
+        finally:
+            if child:
+                child.close()
+
+    def _walk_band(self, band: Region) -> dict:
+        """Walk one band as the whole region of an engine of its own; what it found, as arrays.
+
+        A HypothesisViolation ends the walk and is returned with the rows found before it.
+        """
+        t0 = time.perf_counter()
+        walker = _Engine(self.ps, replace(self.params, region=band))
+        walker.parent = self.parent
+        violation = None
+        try:
+            walker._walk()
+        except HypothesisViolation as exc:
+            violation = exc
+        return {
+            "orbit": _columns(walker.orbit, 3),
+            "cannot_cover": _columns(walker.cannot_cover, 2),
+            "stranded": _columns(walker.stranded, 2),
+            "r_min_per_orbit": walker.r_min_per_orbit,
+            "work": [getattr(walker, key) for key in _WORK_COUNTERS],
+            "seconds": time.perf_counter() - t0,
+            "violation": violation,
+        }
+
+    def _merge(self, walk: dict) -> None:
+        """Append a band's walk to this engine's rows and counts; raise its violation, if any."""
+        for key in ("orbit", "cannot_cover", "stranded"):
+            center, *values = walk[key]
+            getattr(self, key).extend(zip(center, *(v.tolist() for v in values)))
+        self.r_min_per_orbit += walk["r_min_per_orbit"]
+        for key, count in zip(_WORK_COUNTERS, walk["work"]):
+            setattr(self, key, getattr(self, key) + count)
+        self.band_seconds.append(walk["seconds"])
+        if walk["violation"] is not None:
+            raise walk["violation"]
+
+    def _walk(self) -> None:
+        """Phase 1 over the whole region, from phi_max down, one ring at a time."""
         reg = self.params.region
         tol = BINARY_SEARCH_TOL
         phi = reg.phi_max

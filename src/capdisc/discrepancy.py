@@ -27,6 +27,11 @@ class HypothesisViolation(Exception):
             f"directed discrepancy {directed_value:.6g} too close to the bound {d:.6g}"
         )
 
+    def __reduce__(self):
+        # Exception pickles self.args, the message alone; a band walked in a
+        # child process hands its witness back pickled.
+        return type(self), (self.direction, self.directed_value, self.d)
+
 
 class SizeLimitExceeded(Exception):
     pass

@@ -2,12 +2,14 @@ import hashlib
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import textwrap
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from statistics import median
 
@@ -653,14 +655,19 @@ class TestCounterexampleInCoverCap:
     """A violation found by Cover Cap ends the cover with the first one in level order.
 
     The kernel is replaced by a keyed evaluator: radius 0.2 everywhere, so
-    phase 1 queues each direction it walks, the first ten with r_min 0.1,
-    and every Cover Cap center passes unless it is keyed.  The 14 queued directions lie over
-    0.34 away from the rescue's crater planes, so no rescue candidate is made.
+    phase 1 queues each direction it walks, eleven with r_min 0.1 and the
+    closing ring's of each band with 0.16, and every Cover Cap center passes
+    unless it is keyed.  The 19 queued directions lie over 0.34 away from
+    the rescue's crater planes, so no rescue candidate is made.
     """
 
     PS = generate_twisted_polar(12)
     PARAMS = CoverParams(d=north_pole_directed(12), region=Region(0.6, 1.0, 0.7, 1.3))
     DEFAULT = (0.01, 0.2)
+
+    @pytest.fixture(autouse=True)
+    def in_one_process(self, one_process):
+        """Phase 1's keyed kernel and spies see both bands."""
 
     def cover(self, monkeypatch, special):
         evaluate = keyed_evaluator(special, self.DEFAULT)
@@ -668,14 +675,18 @@ class TestCounterexampleInCoverCap:
         return cover_region(self.PS, self.PARAMS)
 
     def phase1(self, monkeypatch):
-        """((center, radius, Dis) rows, queue) of phase 1 under the keyed evaluator."""
+        """((center, radius, Dis) rows, the queue's seeds of r_min 0.1 in order) of phase 1.
+
+        Phase 1 runs under the keyed evaluator.
+        """
         evaluate = keyed_evaluator({}, self.DEFAULT)
         monkeypatch.setattr(_Engine, "evaluate_cart", lambda engine, dirs: evaluate(dirs))
         engine = _Engine(self.PS, self.PARAMS)
         engine._phase1()
-        assert len(engine.cannot_cover) >= 10
-        assert all(req == 0.1 for _, req in engine.cannot_cover[:10])
-        return engine.orbit, engine.cannot_cover
+        assert len(engine.cannot_cover) == 19
+        tenths = [(v, req) for v, req in engine.cannot_cover if req == 0.1]
+        assert len(tenths) == 11
+        return engine.orbit, tenths
 
     def seed_five_violation(self, queue):
         return cover_cap_centers(queue[5][0], 0.1)[2]
@@ -720,7 +731,7 @@ class TestCounterexampleInCoverCap:
 
     def test_split_batches_give_the_same_counterexample(self, monkeypatch, splits):
         # The keyed kernel stands in for confidence_radii in both threads.
-        # Only level 0's batch of 112 centres is split, and the caller's
+        # Only level 0's batch of 152 centres is split, and the caller's
         # blocks of 8 rows are slowed, so the helper evaluates most of them.
         # Another Python thread is alive all along.
         phase1_records, queue = self.phase1(monkeypatch)
@@ -750,9 +761,9 @@ class TestCounterexampleInCoverCap:
             release.set()
             waiter.join(10)
         assert not waiter.is_alive()
-        assert splits == [112]
+        assert splits == [152]
         assert set(rows["helper"]) == {8}
-        assert sum(rows["helper"]) > 56
+        assert sum(rows["helper"]) > 76
         assert outcome.status == "counterexample"
         assert outcome.counterexample.direction.tobytes() == violation.tobytes()
         assert same_table(outcome.records, expect.records)
@@ -986,7 +997,7 @@ class TestBandTest:
             pytest.param(random_30_to_the_south_pole, id="30-random-to-the-south-pole"),
         ],
     )
-    def test_walked_rings_give_the_same_band(self, setup, monkeypatch):
+    def test_walked_rings_give_the_same_band(self, setup, monkeypatch, one_process):
         # Every ring of a cover, the closing and spanning ones included:
         # band_lo is the reference's, and whether the band reaches a target
         # is decided as the reference's whole band_hi would decide it, for
@@ -1019,12 +1030,13 @@ class TestBandTest:
         assert cover_region(ps, params).status == "covered"
         spans = [balls[-1][1] > 2.0 * math.cos(phi) for _, phi, _, balls, _ in rings]
         if params.region.phi_min == -math.pi / 2:
-            # the closing ring spans its circle, and its band reaches the south pole
-            assert spans == [False] * 4 + [True] and closing == [4]
+            # each band ends in a closing ring; the lower band's spans its
+            # circle, and its band reaches the south pole
+            assert spans == [False] * 5 + [True] and closing == [1, 5]
         elif params.region.phi_max < math.pi / 2:
             assert len(rings) > 10 and closing and not any(spans)
         else:
-            assert spans == [True, False]
+            assert spans == [True, False, False]  # the pole's ball, then a ring in each band
         assert len(in_order) == len(rings) - sum(spans) and all(in_order)
         reg = params.region
         for engine, phi, r_min, balls, target in rings:
@@ -1042,8 +1054,13 @@ class TestPhase1Misses:
 
     After 51 misses in a row, the band below is left to one residual ball.
     The cover is the small twisted 12 one of tests/test_reporting.py, with
-    `_Engine._orbit_band` reporting a miss, (phi, False), on chosen calls.
+    `_Engine._orbit_band` reporting a miss, (phi, False), on chosen calls of
+    both latitude bands, walked in this process.
     """
+
+    @pytest.fixture(autouse=True)
+    def in_one_process(self, one_process):
+        """The spy on `_orbit_band` sees both bands."""
 
     PS = generate_twisted_polar(12)
     PARAMS = CoverParams(
@@ -1075,14 +1092,17 @@ class TestPhase1Misses:
 
     def test_51_misses_in_a_row_leave_the_band_to_one_residual_ball(self, monkeypatch):
         outcome, rings = self.cover(monkeypatch, lambda i: True)
-        reg = self.PARAMS.region
-        # nothing is covered, so each retry walks the ring at phi_max again
-        assert [phi for phi, _ in rings] == [reg.phi_max] * 51
+        # nothing is covered, so each retry walks the ring at its band's phi_max again
+        tops = [band.phi_max for band in covering._bands(self.PARAMS.region)]
+        assert [phi for phi, _ in rings] == [tops[0]] * 51 + [tops[1]] * 51
         assert outcome.status == "residual"
-        assert outcome.counters["n_orbits"] == 51
-        (center,), (required,) = vars(outcome.not_covered).values()
-        assert center.tobytes() == polar_to_cartesian(reg.theta_min, reg.phi_max).tobytes()
-        assert required == outcome.counters["r_min_global"] == outcome.counters["r_min_median"]
+        assert outcome.counters["n_orbits"] == 102
+        center, required = vars(outcome.not_covered).values()
+        theta = self.PARAMS.region.theta_min
+        assert center.tobytes() == np.array([polar_to_cartesian(theta, phi) for phi in tops]).tobytes()
+        # each band's residual ball needs the r_min of its 51 rings
+        assert required.min() == outcome.counters["r_min_global"]
+        assert np.median(np.repeat(required, 51)) == outcome.counters["r_min_median"]
 
     def test_a_ring_not_covered_at_its_own_latitude_misses(self):
         # Two balls of radius 0.05 at theta 0 and 0.8 leave a gap on their own ring.
@@ -1196,7 +1216,10 @@ class TestCoverRegion:
         assert proc.returncode == 0, proc.stderr
         status, residuals, left, inside = proc.stdout.split()
         assert (status, residuals, inside) == ("residual", "1", "True")
-        assert int(left) > 4000  # the pole ball of radius 0 covers no probe
+        # The pole ball of radius 0 covers no probe, so the upper band, half
+        # the region's area, is left to the residual ball; the lower one's
+        # rings are walked.
+        assert 1800 < int(left) < 2300
 
     def test_closing_ring_with_a_radius_floor_above_sqrt_2_ends_covered(self):
         # Three random points give this region's rings a median radius of 2,
@@ -1247,13 +1270,13 @@ class TestCoverRegion:
         ps, params = conjecture_setup(14, "polar")
         counters = cover_region(ps, params).counters
         assert {key: counters[key] for key in COVER_CAP_COUNTERS} == {
-            "cover_cap_nodes": 499,
+            "cover_cap_nodes": 423,
             "cover_cap_levels": 6,
-            "rescue_tries": 1157,
-            "rescue_hits": 70,
+            "rescue_tries": 629,
+            "rescue_hits": 41,
         }
-        assert counters["n_evaluations"] == 9448
-        assert (counters["cover_cap_inside_orbit"], counters["not_covered_inside_orbit"]) == (504, 0)
+        assert counters["n_evaluations"] == 8467
+        assert (counters["cover_cap_inside_orbit"], counters["not_covered_inside_orbit"]) == (477, 0)
 
     def test_outcome_holds_at_most_64_bytes_per_record(self):
         # The columns take 41 bytes a record (centre 24, radius 8, Dis 8,
@@ -1267,8 +1290,8 @@ class TestCoverRegion:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # 5,872 before the 504 Cover Cap rows inside phase-1 balls were dropped
-        assert len(outcome.records) == 5368
+        # 5,420 before the 477 Cover Cap rows inside phase-1 balls were dropped
+        assert len(outcome.records) == 4943
         assert retained <= 64 * len(outcome.records), retained / len(outcome.records)
 
     def test_counters_structure(self):
@@ -1451,21 +1474,21 @@ class TestHelper:
     def test_polar_30_report_equals_the_in_process_one(self, splits, monkeypatch):
         ps, params = conjecture_setup(30, "polar")
         split = cover_region(ps, params)
-        assert len(splits) == 15  # one per batch of _SPLIT_ROWS rows or more
+        assert len(splits) == 16  # one per batch of _SPLIT_ROWS rows or more
         assert split.status == "residual"
         monkeypatch.setattr(covering, "_SPLIT_ROWS", 32_383)  # above the largest batch
         alone = cover_region(ps, params)
-        assert len(splits) == 15  # no more splits
+        assert len(splits) == 16  # no more splits
         assert split.counters == alone.counters
-        assert split.counters["n_evaluations"] == 105_578
+        assert split.counters["n_evaluations"] == 106_365
         # Cover Cap rows dropped inside phase-1 balls, and every residual ball inside one too
-        assert split.counters["cover_cap_inside_orbit"] == 56_964
+        assert split.counters["cover_cap_inside_orbit"] == 57_115
         assert split.counters["not_covered_inside_orbit"] == len(split.not_covered) == 9_226
         assert report_digest(ps, params, split) == report_digest(ps, params, alone)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
     def test_split_on_one_cpu_ends_with_the_in_process_report(self):
-        # A process held to one CPU still splits polar 14's batch of 1,672
+        # A process held to one CPU still splits polar 14's batch of 1,592
         # rows over two threads, which take turns on that CPU; the report
         # must equal the in-process one's within the timeout.
         script = textwrap.dedent(
@@ -1493,7 +1516,252 @@ class TestHelper:
         )
         assert proc.returncode == 0, proc.stderr
         ps, params = conjecture_setup(14, "polar")
-        assert proc.stdout.split() == ["[1672]", report_digest(ps, params, cover_region(ps, params))]
+        assert proc.stdout.split() == ["[1592]", report_digest(ps, params, cover_region(ps, params))]
+
+
+def cert_digest(ps, params, outcome) -> str:
+    """sha256 of the certificate alone: scripts/cert_digests.py's cert=, in full."""
+    doc = strip_timings(report_dict(ps, params, outcome))
+    cert = {key: doc.get(key) for key in ("records", "not_covered", "counterexample", "params", "points_meta")}
+    cert["status"] = doc["outcome"]["status"]
+    return hashlib.sha256(json.dumps(cert, sort_keys=True).encode()).hexdigest()
+
+
+def recorded_forks(monkeypatch) -> list:
+    """The pids of the children that os.fork gives the engine, as it gives them."""
+    pids, fork = [], os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def running(pid: int) -> bool:
+    """Whether process `pid` has not exited; an exited one awaiting its reaper has."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+class TestBands:
+    """Phase 1 walks a region in one hemisphere as two bands, the lower one in a forked child."""
+
+    @pytest.mark.parametrize(
+        "region, split",
+        [
+            (Region(0.0, 1.2, 0.0, 1.0), True),
+            (Region(-1.5, -0.3, 0.0, 1.0), True),
+            (Region(0.5, math.pi / 2, 0.0, 1.0), True),
+            (Region(-0.4, 0.4, 0.0, 1.0), False),  # across the equator
+            (Region(0.5, 0.5, 0.0, 1.0), False),  # of no height
+        ],
+    )
+    def test_the_seam_halves_the_area_of_a_region_in_one_hemisphere(self, region, split):
+        bands = covering._bands(region)
+        if not split:
+            assert bands == [region]
+            return
+        upper, lower = bands
+        assert (upper.phi_max, lower.phi_min) == (region.phi_max, region.phi_min)
+        assert upper.phi_min == lower.phi_max
+        for band in bands:
+            assert (band.theta_min, band.theta_max) == (region.theta_min, region.theta_max)
+        # a band's area is proportional to the difference of the sines of its edges
+        areas = [math.sin(band.phi_max) - math.sin(band.phi_min) for band in bands]
+        assert math.isclose(areas[0], areas[1], rel_tol=1e-12)
+
+    @pytest.mark.parametrize("n, structure", [(20, "twisted"), (14, "polar")])
+    def test_forked_and_in_process_lower_bands_give_the_same_report(
+        self, n, structure, monkeypatch, request
+    ):
+        ps, params = conjecture_setup(n, structure)
+        forks = recorded_forks(monkeypatch)
+        forked = cover_region(ps, params)
+        assert len(forks) == 1
+        assert forked.counters["phase1_bands"] == 2 and forked.timings["phase1_lower"] > 0.0
+        # Beside another Python thread, the calling process walks both bands.
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(10,))
+        waiter.start()
+        try:
+            beside_a_thread = cover_region(ps, params)
+        finally:
+            release.set()
+            waiter.join(10)
+        assert not waiter.is_alive() and len(forks) == 1
+        request.getfixturevalue("one_process")
+        alone = cover_region(ps, params)
+        expect = json.dumps(strip_timings(report_dict(ps, params, alone)), sort_keys=True)
+        for outcome in (forked, beside_a_thread):
+            assert json.dumps(strip_timings(report_dict(ps, params, outcome)), sort_keys=True) == expect
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            pytest.param(lambda: conjecture_setup(20, "twisted"), id="20-twisted"),
+            pytest.param(lambda: conjecture_setup(14, "polar"), id="14-polar"),
+            pytest.param(twisted_8_to_the_pole, id="8-twisted-to-the-pole"),
+            pytest.param(random_30_to_the_south_pole, id="30-random-to-the-south-pole"),
+        ],
+    )
+    def test_phase_1_records_are_those_of_each_band_walked_whole(self, setup):
+        ps, params = setup()
+        outcome = cover_region(ps, params)
+        rows = []
+        for band in covering._bands(params.region):
+            engine = _Engine(ps, replace(params, region=band))
+            engine._walk()
+            rows += engine.orbit
+        phase1 = outcome.records.origin == ORBIT
+        assert phase1[: len(rows)].all() and not phase1[len(rows) :].any()
+        head = CoverageRecords(*(column[phase1] for column in vars(outcome.records).values()))
+        assert same_table(head, records_table(rows))
+
+    def test_a_violation_in_the_lower_band_is_the_in_process_counterexample(
+        self, monkeypatch, request
+    ):
+        # Ring balls more than 0.05 below the seam break the hypothesis.
+        ps, params = conjecture_setup(20, "twisted")
+        seam = math.sin(covering._bands(params.region)[0].phi_min)
+        below = seam - 0.05
+        kernel = covering.confidence_radii
+
+        def breaks_below_the_seam(points, directions, d, work=None):
+            dis, radius = kernel(points, directions, d, work)
+            return (dis, math.nan) if directions.ndim == 1 and directions[2] < below else (dis, radius)
+
+        monkeypatch.setattr(covering, "confidence_radii", breaks_below_the_seam)
+        forks = recorded_forks(monkeypatch)
+        forked = cover_region(ps, params)
+        assert len(forks) == 1
+        request.getfixturevalue("one_process")
+        alone = cover_region(ps, params)
+        assert forked.status == alone.status == "counterexample"
+        assert forked.counterexample.direction[2] < below
+        for got, expect in zip(vars(forked.counterexample).values(), vars(alone.counterexample).values()):
+            assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+        assert report_digest(ps, params, forked) == report_digest(ps, params, alone)
+        # the upper band's rows, then the lower band's before its witness
+        z = forked.records.center[:, 2]
+        assert z[0] > seam and below < z.min() < seam
+
+    def test_a_violation_in_the_upper_band_kills_the_child(self, monkeypatch):
+        # The parent's first ring ball breaks the hypothesis while the child
+        # sleeps in its first ring; the cover ends without waiting for it.
+        ps, params = conjecture_setup(20, "twisted")
+        parent, kernel, walk_orbit = os.getpid(), covering.confidence_radii, _Engine.walk_orbit
+        slept = []  # in the child
+
+        def breaks_in_the_parent(points, directions, d, work=None):
+            dis, radius = kernel(points, directions, d, work)
+            return (dis, math.nan) if os.getpid() == parent and directions.ndim == 1 else (dis, radius)
+
+        def sleeps_in_the_child(engine, *args):
+            if os.getpid() != parent and not slept:
+                slept.append(60)
+                time.sleep(60)
+            return walk_orbit(engine, *args)
+
+        monkeypatch.setattr(covering, "confidence_radii", breaks_in_the_parent)
+        monkeypatch.setattr(_Engine, "walk_orbit", sleeps_in_the_child)
+        forks = recorded_forks(monkeypatch)
+        t0 = time.monotonic()
+        outcome = cover_region(ps, params)
+        assert time.monotonic() - t0 < 30.0
+        assert outcome.status == "counterexample" and len(outcome.records) == 0
+        (pid,) = forks
+        with pytest.raises(ChildProcessError):  # reaped
+            os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "death, status",
+        [
+            pytest.param(lambda: os._exit(7), 7, id="exit-7"),
+            pytest.param(lambda: os.kill(os.getpid(), signal.SIGKILL), -9, id="sigkill"),
+        ],
+    )
+    def test_a_child_that_dies_at_its_first_ring_raises_its_exit_status(self, monkeypatch, death, status):
+        parent, walk_orbit = os.getpid(), _Engine.walk_orbit
+
+        def dies_in_the_child(engine, *args):
+            if os.getpid() != parent:
+                death()
+            return walk_orbit(engine, *args)
+
+        monkeypatch.setattr(_Engine, "walk_orbit", dies_in_the_child)
+        with pytest.raises(RuntimeError, match=f"exited with status {status}$"):
+            cover_region(*conjecture_setup(14, "polar"))
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    def test_the_child_of_a_killed_cover_exits_at_its_next_ring(self):
+        script = textwrap.dedent(
+            """
+            import os
+            from capdisc import conjecture_setup, cover_region
+
+            fork = os.fork
+
+            def announced():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+
+            os.fork = announced
+            cover_region(*conjecture_setup(80, "twisted"))
+            """
+        )
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True)
+        child = None
+        try:
+            child = int(proc.stdout.readline())
+            proc.send_signal(signal.SIGKILL)  # in phase 1, which takes over a second
+            proc.wait(10)
+            killed = time.monotonic()
+            while running(child) and time.monotonic() - killed < 5.0:
+                time.sleep(0.01)
+            gone_after = time.monotonic() - killed
+        finally:
+            proc.kill()
+            proc.wait(10)
+            proc.stdout.close()
+            if child is not None and running(child):
+                os.kill(child, signal.SIGKILL)
+        assert gone_after < 1.0
+
+    @pytest.mark.parametrize(
+        "n, structure, cert",
+        [
+            pytest.param(
+                20, "twisted", "115a5ac93c01b7db3ae7c35269148b49192502d1825103e1c23fbe4d47115f38",
+                id="20-twisted",
+            ),
+            pytest.param(
+                14, "polar", "3b18d7e820869ebda429047526621cd8c0e4a0957614f207b1da0fe2f35a0e90",
+                id="14-polar",
+            ),
+        ],
+    )
+    def test_a_region_across_the_equator_keeps_its_one_band_certificate(
+        self, n, structure, cert, monkeypatch
+    ):
+        # A seam at the equator would put a ring on the mirror plane of the
+        # polar structures: polar 14 was left residual.  These are the
+        # certificates of the engine that walked every region as one band.
+        ps, params = conjecture_setup(n, structure)
+        params = replace(params, region=Region(-0.4, 0.4, 0.0, math.pi))
+        forks = recorded_forks(monkeypatch)
+        outcome = cover_region(ps, params)
+        assert forks == [] and outcome.counters["phase1_bands"] == 1
+        assert outcome.status == "covered"
+        assert cert_digest(ps, params, outcome) == cert
 
 
 def test_params_validation():

@@ -1,6 +1,7 @@
 import bisect
 import json
 import math
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -439,6 +440,15 @@ class TestOneRow:
         v, radius = engine.orbit_ball(theta, 0.2)
         ball = confidence_radius(project(ps, v), params.d)
         assert engine.orbit == [(v, ball.radius, ball.directed_value)] and radius == ball.radius
+
+    def test_a_violation_survives_pickling(self):
+        # A band walked in a child process hands its witness back pickled.
+        v = polar_to_cartesian(0.3, 1.1)
+        sent = HypothesisViolation(v, 0.1, 0.05)
+        back = pickle.loads(pickle.dumps(sent))
+        assert type(back) is HypothesisViolation and str(back) == str(sent)
+        assert back.direction.tobytes() == v.tobytes()
+        assert (back.directed_value, back.d) == (0.1, 0.05)
 
 
 def test_kernel_bench_script_smoke(tmp_path):

@@ -62,11 +62,15 @@ def counterexample_run():
 
 @pytest.fixture(scope="module")
 def residual_run():
+    # Phase 1 walks the region as one band, as the engine that wrote
+    # V1_RESIDUAL_RUN walked every region: the walker each band's is.
     ps = generate_twisted_polar(12)
     params = CoverParams(
         d=north_pole_directed(12), region=Region(0.0, 1.0, 0.0, 0.8), cover_cap_max_depth=0
     )
-    outcome = cover_region(ps, params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covering, "_bands", lambda region: [region])
+        outcome = cover_region(ps, params)
     assert outcome.status == "residual" and outcome.not_covered
     return ps, params, outcome
 
@@ -197,6 +201,7 @@ class TestReportDocument:
         dropped = counters.pop("cover_cap_inside_orbit")
         assert counters.pop("not_covered_inside_orbit") == 3
         counters["n_cover_cap_dirs"] += dropped
+        assert counters.pop("phase1_bands") == 1
         for key in ("band_tests", "kernel_batches", "kernel_batch_rows"):  # schema 1 has no work counters
             counters.pop(key)
         assert outcome_doc == strip_timings(old)["outcome"]
@@ -251,7 +256,7 @@ class TestReportDocument:
         assert stripped["records"] == doc["records"]
 
 
-    def test_cert_digests_script_smoke(self, monkeypatch):
+    def test_cert_digests_script_smoke(self, monkeypatch, one_process):
         script = Path(__file__).resolve().parents[1] / "scripts" / "cert_digests.py"
         proc = subprocess.run(
             [sys.executable, str(script), "twisted:20"],
@@ -275,7 +280,7 @@ class TestReportDocument:
         outcome = cover_region(ps, params)
         # the engine's own work counters equal the counts taken from outside it
         work = [outcome.counters[key] for key in ("band_tests", "kernel_batches", "kernel_batch_rows")]
-        assert work == [len(band_calls), len(batches), sum(batches)] == [2_861, 179, 5_027]
+        assert work == [len(band_calls), len(batches), sum(batches)] == [2_901, 181, 5_421]
         doc = strip_timings(report_dict(ps, params, outcome))
         sha = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         # cert= leaves out the counters, so a change in work alone keeps it
@@ -294,10 +299,10 @@ class TestReportDocument:
         expect = (
             f"twisted:20 status=covered n_evaluations={outcome.counters['n_evaluations']} "
             f"sha256={sha[:16]} cert={cert_sha[:16]} balls={balls_sha[:16]} "
-            "cover_cap_inside_orbit=91 not_covered_inside_orbit=0 cover_s="
+            "cover_cap_inside_orbit=141 not_covered_inside_orbit=0 cover_s="
         )
         assert proc.stdout.startswith(expect), proc.stdout
-        assert f" band_calls=2861 batch_calls=179 rows_per_batch={round(5_027 / 179, 2)} " in proc.stdout
+        assert f" band_calls=2901 batch_calls=181 rows_per_batch={round(5_421 / 181, 2)} " in proc.stdout
         assert doc["records"] != sorted(doc["records"])  # so the sort is put to the test
         assert len(proc.stdout.splitlines()) == 1
         # the size of the schema-2 report, but for the digits of its timings, and the peak
@@ -319,8 +324,8 @@ class TestReportDocument:
         assert proc.returncode == 0, proc.stderr
         parent, change, last = proc.stdout.splitlines()
         assert last == "certificates identical on 1 of 1 jobs"
-        assert parent.startswith("parent: polar:14 status=covered n_evaluations=9448 ")
-        assert change.startswith("change: polar:14 status=covered n_evaluations=9448 ")
+        assert parent.startswith("parent: polar:14 status=covered n_evaluations=8467 ")
+        assert change.startswith("change: polar:14 status=covered n_evaluations=8467 ")
         # the same digests and counts, whatever the seconds
         assert parent.split(" cover_s=")[0][7:] == change.split(" cover_s=")[0][7:]
         tables = json.loads(out.read_text())["tables"]
@@ -328,12 +333,13 @@ class TestReportDocument:
         rows = [tables[label]["jobs"] for label in ("parent", "change")]
         assert [len(r) for r in rows] == [1, 1]
         medians = ("cover_s", "phase1_s", "cover_cap_s", "inside_orbit_s", "peak_rss_mb")
+        medians += ("phase1_upper_s", "phase1_lower_s", "child_rss_mb")
         medians += ("report_bytes",)  # its timings' digits vary
         fixed = [{k: v for k, v in r[0].items() if k not in medians} for r in rows]
         assert fixed[0] == fixed[1]
         assert abs(rows[0][0]["report_bytes"] - rows[1][0]["report_bytes"]) < 50
         assert rows[1][0]["peak_rss_mb"] > 10.0
-        # a batch split over two threads (polar 14 has one, of 1,672 rows) counts as one batch
+        # a batch split over two threads (polar 14 has one, of 1,592 rows) counts as one batch
         assert fixed[1]["batch_calls"] == 174
         assert "alternating with the parent table's" in tables["change"]["statistic"]
         # The verdict names each job whose certificate or balls differ, and which digests.
@@ -504,7 +510,7 @@ class TestAudit:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("cover: twisted:20 status=covered ")
-        assert "cover_cap_inside_orbit=91 " in proc.stdout
+        assert "cover_cap_inside_orbit=141 " in proc.stdout
         assert "uncovered=0 over_bound=0" in proc.stdout
 
     def test_rejects_counterexample_outcome(self):

@@ -33,18 +33,22 @@ phase-1 balls (`inside_orbit_s`), of the process's peak RSS
 phase 1 (`band_calls=`) are read from the report's counters
 `kernel_batches`, `kernel_batch_rows` and `band_tests` (None from a tree
 without them).  A batch is counted where the engine hands it to the kernel
-(ring samples and Cover Cap levels), so a batch split over two threads
-counts once; the one-direction kernel calls of the ring balls are not
-batches (there is one per phase-1 ball, `n_DD`).  `--label` names the
+(ring samples and Cover Cap levels), so a batch split with the cover's
+child counts once; the one-direction kernel calls of the ring balls are
+not batches (there is one per phase-1 ball, `n_DD`).  `--label` names the
 table, and an existing file keeps its other tables.
 
 Phase 1 walks the conjecture regions as two latitude bands, the lower one
-in a forked child, so each row also gives the counter `phase1_bands`, the
-medians of the seconds of each band (`phase1_upper_s=`, and the child's
-own `phase1_lower_s=`; None from a tree that walks one band) and of the
-child's peak RSS (`child_rss_mb=`, the `RUSAGE_CHILDREN` `ru_maxrss`, 0.0
-when no child was forked).  The counters above count the child's work too,
-while `peak_rss_mb` is the parent's alone.
+in a forked child, which then evaluates the tail half of each large Cover
+Cap batch.  So each row also gives the counter `phase1_bands`, the medians
+of the seconds of each band (`phase1_upper_s=`, and the child's own
+`phase1_lower_s=`; None from a tree that walks one band), of the child's
+seconds in Cover Cap batches (`cover_cap_child_s=`, a part of the time in
+`cover_cap_s`, which the parent spends in its own half meanwhile; None
+from a tree without the timing) and of the child's peak RSS
+(`child_rss_mb=`, the `RUSAGE_CHILDREN` `ru_maxrss`, 0.0 when no child was
+forked).  The counters above count the child's work too, while
+`peak_rss_mb` is the parent's alone.
 
 With `--baseline SRC` (the `src/` directory of another checkout), the
 repeats of the baseline and of this tree alternate (baseline first in even
@@ -83,7 +87,7 @@ CERT_KEYS = ("records", "not_covered", "counterexample", "params", "points_meta"
 # The report's size varies by a few bytes with the digits of its timings.
 MEDIANS = (
     "cover_s", "phase1_s", "cover_cap_s", "inside_orbit_s", "peak_rss_mb", "report_bytes",
-    "phase1_upper_s", "phase1_lower_s", "child_rss_mb",
+    "phase1_upper_s", "phase1_lower_s", "cover_cap_child_s", "child_rss_mb",
 )
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCHMARK = (
@@ -151,6 +155,8 @@ def measure(structure: str, n: int, path: Path) -> dict:
         "phase1_bands": outcome.counters.get("phase1_bands"),
         "phase1_upper_s": outcome.timings.get("phase1_upper"),
         "phase1_lower_s": outcome.timings.get("phase1_lower"),
+        # None from a tree whose Cover Cap has no child
+        "cover_cap_child_s": outcome.timings.get("cover_cap_child"),
     }
 
 
@@ -247,7 +253,8 @@ def line(row: dict) -> str:
         f"band_calls={row['band_calls']} batch_calls={row['batch_calls']} "
         f"rows_per_batch={row['rows_per_batch']} "
         f"phase1_bands={row['phase1_bands']} phase1_upper_s={row['phase1_upper_s']} "
-        f"phase1_lower_s={row['phase1_lower_s']} child_rss_mb={row['child_rss_mb']:.1f} "
+        f"phase1_lower_s={row['phase1_lower_s']} cover_cap_child_s={row['cover_cap_child_s']} "
+        f"child_rss_mb={row['child_rss_mb']:.1f} "
         f"report_bytes={row['report_bytes']} "
         f"peak_rss_mb={row['peak_rss_mb']:.1f}"
     )

@@ -7,21 +7,25 @@ against the band already covered.  A ring whose r_min is 0 cannot step, so
 phase 1 ends there and leaves the band below to one residual ball of chord
 radius 2.  Directions whose radius falls below the ring minimum are queued;
 phase 2 certifies them with the 8-cap Cover Cap construction, grown level by
-level; a Cover Cap ball inside a phase-1 ball is dropped.  Each batch of
-`_SPLIT_ROWS` rows or more is split over the calling thread and one more.
+level; a Cover Cap ball inside a phase-1 ball is dropped.
 
-Phase 1 walks a region that lies in one hemisphere, with positive height,
-as two latitude bands split where its area halves (`_bands`): the calling
-process walks the upper band while a child from `os.fork` walks the lower
-one, each exactly as a whole region of its own, and the parent appends the
-child's rows after its own.  The certificate is thus that of walking the
-two bands one after the other, which is what the calling process does when
-no child can be forked or other threads are alive.  A region that straddles
-the equator stays one band: a seam there would place a ring on the mirror
-plane of z-symmetric point sets, a line of cratered radii.
+A cover has at most one helper, a child from `os.fork` (`_Child`).  Phase 1
+walks a region that lies in one hemisphere, with positive height, as two
+latitude bands split where its area halves (`_bands`): the child walks the
+lower one while the calling process walks the upper one, each exactly as a
+whole region, and the parent appends the child's rows after its own.  Then
+the child evaluates the tail half of each Cover Cap batch of `_SPLIT_ROWS`
+rows or more (a cover of one band forks it at the first).  A row's values
+do not depend on its batch, so the certificate is that of a serial walk of
+the bands and of whole batches, which the calling process runs alone when
+no child can be forked, other threads are alive or SIGCHLD is ignored.  A
+region that straddles the equator stays one band: a seam there would place
+a ring on the mirror plane of z-symmetric point sets, a line of cratered
+radii.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import pickle
@@ -373,62 +377,15 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
     return covered
 
 
-# Batches of at least this many rows are split over two threads.  Plain
-# polar n=30's Cover Cap made 15 (1,176 to 32,382 rows, 89,479 in all)
-# when phase 1 walked one band; replayed on 2 shared CPUs they took 0.61 s
-# split, 1.03 s unsplit (BENCH_19.json).  Thresholds from 64 to 1,024 rows
-# gave the same time when a second process shared the batches, 2,048 a
-# longer one.  Walked as two bands, polar n=30 makes 16 and, of the twisted
-# jobs of the conjecture sweep, n=20 one (of 1,032 rows).
+# Batches of at least this many rows are split: the calling process
+# evaluates the head half, the cover's child the tail half.  Plain polar
+# n=30 makes 16 (1,064 to 32,382 rows), polar n=14 one of 1,592 rows at t =
+# 218, and twisted n=20 one of 1,032 at t = 441, which took 5.6 and 6.4 ms
+# split against 7.8 and 8.6 unsplit (medians of 12 fresh processes each).
 _SPLIT_ROWS = 1024
-# Bytes of each (rows, t) plane of a split thread's workspace (64 rows at
-# t = 994), a block of which a thread takes at a time.  Each block's numpy
-# calls hand the interpreter lock over, so the replay above took
-# 0.82/0.67/0.57/0.58 s at 128 KB/256 KB/512 KB/1 MB.  The caller allocates
-# both workspaces: a helper's own came from its thread's malloc arena,
-# which keeps freed memory (polar30_audit peak RSS +1 MB).
+# Bytes of each (rows, t) plane of the workspace the child allocates once
+# and evaluates every tail half in (64 rows at t = 994).
 _WORK_BYTES = 512_000
-
-
-def _split_evaluate(points: np.ndarray, directions: np.ndarray, d: float):
-    """(dis, radius) of the rows, evaluated by the calling thread and one more.
-
-    The two take blocks of rows, one `workspace` block at a time, from one
-    iterator, whose `next` the interpreter lock makes atomic, so each block
-    is evaluated once; numpy drops the lock inside the kernel's array
-    operations, which each thread runs in a workspace of its own.  Rows of
-    `confidence_radii` do not depend on their batch, so the bytes equal an
-    unsplit call's.  An exception in either thread drains the iterator, so
-    the other stops after its current block, and is raised in the caller.
-    A host that cannot start the thread gets the batch evaluated unsplit.
-    """
-    m, t = len(directions), len(points)
-    dis, radius = np.empty(m), np.empty(m)
-    caller_work, helper_work = workspace(t, _WORK_BYTES), workspace(t, _WORK_BYTES)
-    block = len(caller_work[0])
-    blocks = iter(range(0, m, block))
-    errors = []
-
-    def evaluate_blocks(work):
-        try:
-            for lo in blocks:
-                rows = slice(lo, lo + block)
-                dis[rows], radius[rows] = confidence_radii(points, directions[rows], d, work)
-        except BaseException as exc:  # raised again in the caller, below
-            errors.append(exc)
-            for _ in blocks:
-                pass
-
-    helper = threading.Thread(target=evaluate_blocks, args=(helper_work,))
-    try:
-        helper.start()
-    except RuntimeError:  # no thread to be had, e.g. the host is out of process ids
-        return confidence_radii(points, directions, d, caller_work)
-    evaluate_blocks(caller_work)
-    helper.join()
-    if errors:
-        raise errors[0]
-    return dis, radius
 
 
 def _bands(region: Region) -> list[Region]:
@@ -449,71 +406,109 @@ def _bands(region: Region) -> list[Region]:
 _WORK_COUNTERS = ("n_eval", "band_tests", "kernel_batches", "kernel_batch_rows")
 
 
-class _BandChild:
-    """A child from `os.fork` walking one band, and the read end of the pipe it answers through.
+class _Child:
+    """A child from `os.fork`, the cover's one helper, and the two pipes to it.
 
-    The child sends the pickled `_Engine._walk_band` dict, or the exception
-    that ended the walk, then exits; it also ends once its parent is gone
-    (see `walk_orbit`).
+    Given a band, the child first walks it and sends the pickled
+    `_Engine._walk_band` dict.  It then answers each request, a pickled
+    array of rows, with their (dis, radius) from `confidence_radii`, in one
+    `_WORK_BYTES` workspace.  Each answer comes with the child's seconds in
+    it, or is the exception raised instead.  The child exits when the
+    requests end, as they do when its parent dies; a walk also ends once its
+    parent is gone (see `walk_orbit`).
     """
 
-    def __init__(self, engine: _Engine, band: Region):
+    def __init__(self, engine: _Engine, band: Region | None):
         parent = os.getpid()
-        self.fd, write = os.pipe()
+        fds = inbox, requests, answers, outbox = *os.pipe(), *os.pipe()  # two (read, write) pairs
         try:
             self.pid = os.fork()
         except OSError:
-            os.close(self.fd)
-            os.close(write)
+            for fd in fds:
+                os.close(fd)
             raise
         if self.pid == 0:
             code = 1
             try:
-                os.close(self.fd)
+                os.close(requests)
+                os.close(answers)
                 engine.parent = parent
-                with open(write, "wb") as pipe:
-                    try:
-                        walk = engine._walk_band(band)
-                    except Exception as exc:  # raised again in the parent
-                        walk = exc
-                    pickle.dump(walk, pipe, pickle.HIGHEST_PROTOCOL)
+                with open(inbox, "rb") as pipe_in, open(outbox, "wb") as pipe_out:
+                    if band is not None:
+                        _answer(pipe_out, engine._walk_band, band)
+                    points, d = engine.ps.points, engine.params.d
+                    work = workspace(len(points), _WORK_BYTES)
+                    with contextlib.suppress(EOFError):  # at the end of the requests
+                        while True:
+                            rows = pickle.load(pipe_in)
+                            _answer(pipe_out, confidence_radii, points, rows, d, work)
                 code = 0
             finally:
                 os._exit(code)  # never back into the caller's stack
-        os.close(write)
+        os.close(inbox)
+        os.close(outbox)
+        self.requests, self.answers = open(requests, "wb"), open(answers, "rb")
+        self.seconds = 0.0  # the child's own, in the tail halves of batches
 
     @classmethod
-    def start(cls, engine: _Engine, band: Region) -> _BandChild | None:
-        """A child walking `band`; None when other threads are alive or no child can be forked."""
-        if threading.active_count() > 1:
-            return None  # a forked child holds one thread, and the locks the others held
+    def start(cls, engine: _Engine, band: Region | None = None) -> _Child | None:
+        """A child for `engine`, walking `band` first if given; None where none may fork.
+
+        None when SIGCHLD is ignored (the system would reap the child and its
+        exit status), other threads are alive (a forked child holds one
+        thread, and the locks the others held) or the fork is refused.
+        """
+        if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN or threading.active_count() > 1:
+            return None
         try:
             return cls(engine, band)
         except OSError:
             return None
 
-    def walk(self) -> dict:
-        """The child's walk, once it has sent it and exited; raises what ended the walk."""
-        pipe, self.fd = open(self.fd, "rb"), None
-        with pipe:
-            data = pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            raise RuntimeError(f"the child walking phase 1's lower band exited with status {code}")
-        walk = pickle.loads(data)
-        if isinstance(walk, Exception):
-            raise walk
-        return walk
+    def receive(self):
+        """The child's next (answer, seconds); raises its exception, or RuntimeError if it died."""
+        try:
+            answer = pickle.load(self.answers)
+        except (EOFError, pickle.UnpicklingError):
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
+            raise RuntimeError(f"the cover's child exited with status {code}") from None
+        if isinstance(answer, Exception):
+            raise answer
+        return answer
+
+    def evaluate(self, points: np.ndarray, directions: np.ndarray, d: float):
+        """(dis, radius) of the rows: the head half evaluated here, the tail half by the child."""
+        half = len(directions) // 2
+        with contextlib.suppress(BrokenPipeError):  # a dead child, which `receive` reports
+            pickle.dump(directions[half:], self.requests, pickle.HIGHEST_PROTOCOL)
+            self.requests.flush()
+        dis, radius = confidence_radii(points, directions[:half], d)
+        (tail_dis, tail_radius), seconds = self.receive()
+        self.seconds += seconds
+        return np.concatenate((dis, tail_dis)), np.concatenate((radius, tail_radius))
 
     def close(self) -> None:
-        """Kill and reap the child, unless `walk` has reaped it."""
-        if self.fd is not None:
-            os.close(self.fd)
+        """Kill and reap the child, unless it is reaped already; raises nothing."""
         if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
+            with contextlib.suppress(OSError):  # e.g. reaped by a SIGCHLD handler of the caller's
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            self.pid = None
+        self.answers.close()
+        with contextlib.suppress(OSError):  # the rest of a request that the dead child never read
+            self.requests.close()
+
+
+def _answer(pipe, call, *args) -> None:
+    """Send (call(*args), its seconds), or the exception it raised, pickled through `pipe`."""
+    t0 = time.perf_counter()
+    try:
+        answer = call(*args), time.perf_counter() - t0
+    except Exception as exc:  # raised again in the parent
+        answer = exc
+    pickle.dump(answer, pipe, pickle.HIGHEST_PROTOCOL)
+    pipe.flush()
 
 
 class _Engine:
@@ -530,7 +525,8 @@ class _Engine:
         self.work = workspace(ps.size, 0)  # one row, the kernel's workspace for every ring ball
         self.phase1_bands = 1
         self.band_seconds: list[float] = []  # wall seconds of each band walked, upper first
-        self.parent: int | None = None  # in a band's child, the pid whose exit ends the walk
+        self.parent: int | None = None  # in the cover's child, the pid whose exit ends a walk
+        self.child: _Child | None = None
 
     # -- direction evaluation -------------------------------------------------
 
@@ -550,7 +546,9 @@ class _Engine:
         self.kernel_batches += 1
         self.kernel_batch_rows += len(directions)
         if len(directions) >= _SPLIT_ROWS:
-            return _split_evaluate(self.ps.points, directions, self.params.d)
+            self.child = self.child or _Child.start(self)
+            if self.child:
+                return self.child.evaluate(self.ps.points, directions, self.params.d)
         return confidence_radii(self.ps.points, directions, self.params.d)
 
     # -- phase 1 --------------------------------------------------------------
@@ -755,27 +753,26 @@ class _Engine:
                 "phase1_upper": upper_s,
                 "phase1_lower": lower_s,
                 "cover_cap": cover_cap_s,
+                # the child's own seconds in the tail halves of Cover Cap batches
+                "cover_cap_child": self.child.seconds if self.child else 0.0,
                 "total": phase1_s + cover_cap_s,
                 "inside_orbit": inside_orbit_s,
             },
         )
 
     def _phase1(self) -> None:
-        """Walk the region's bands into this engine, the lower one in a child when one forks.
-
-        Every exit kills and reaps the child, a HypothesisViolation in the
-        upper band included.
-        """
+        """Walk the region's bands into this engine, the lower one in `self.child` when it forks."""
         upper, *lower = _bands(self.params.region)
         self.phase1_bands = 1 + len(lower)
-        child = _BandChild.start(self, lower[0]) if lower else None
-        try:
-            self._merge(self._walk_band(upper))
-            for band in lower:
-                self._merge(child.walk() if child else self._walk_band(band))
-        finally:
-            if child:
-                child.close()
+        self.child = _Child.start(self, lower[0]) if lower else None
+        self._merge(self._walk_band(upper))
+        for band in lower:
+            self._merge(self.child.receive()[0] if self.child else self._walk_band(band))
+
+    def close(self) -> None:
+        """Kill and reap the cover's child, if one was forked."""
+        if self.child:
+            self.child.close()
 
     def _walk_band(self, band: Region) -> dict:
         """Walk one band as the whole region of an engine of its own; what it found, as arrays.
@@ -927,5 +924,6 @@ def cover_region(ps: PointSet, params: CoverParams) -> CoverOutcome:
         raise ValueError(
             f"point set row {row} repeats row {earlier}; coincident points are not supported"
         )
-    return _Engine(ps, params).run()
+    with contextlib.closing(_Engine(ps, params)) as engine:
+        return engine.run()
 

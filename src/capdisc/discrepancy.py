@@ -130,7 +130,7 @@ def _slab_width(s: np.ndarray, k: int, work):
 # 7,057 took 189 minor faults and 1.2 ms, the blocked one none and 0.7 ms),
 # so a plane stays strictly below that, as exactly 128 KiB would not for a
 # power-of-two t.  Against 64 KB planes a row costs the same (BENCH_18.json,
-# scripts/kernel_bench.py); a split batch's threads pass larger ones (covering._WORK_BYTES).
+# scripts/kernel_bench.py); the cover's child keeps a larger one (covering._WORK_BYTES).
 _CHUNK_BYTES = 128_000
 
 

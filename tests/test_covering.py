@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -325,42 +326,45 @@ def keyed_evaluator(special, default=(0.01, 1.0)):
 EVALUATE_CART = _Engine.evaluate_cart
 
 
+FORK = os.fork  # the engine's own, which fixtures may refuse
+
+
 @pytest.fixture
 def splits(monkeypatch):
-    """Rows of each batch split in the test.
+    """Rows of each batch that the calling process splits with the cover's child."""
+    rows, evaluate = [], covering._Child.evaluate
 
-    No thread the test did not start itself may be left running after it.
-    """
-    rows, split, before = [], covering._split_evaluate, set(threading.enumerate())
-
-    def counted(points, directions, d):
+    def counted(child, points, directions, d):
         rows.append(len(directions))
-        return split(points, directions, d)
+        return evaluate(child, points, directions, d)
 
-    monkeypatch.setattr(covering, "_split_evaluate", counted)
-    yield rows
-    assert set(threading.enumerate()) == before
-
-
-def rows_by_thread(monkeypatch, kernel=confidence_radii, caller=None, helper=None):
-    """Rows of each kernel call in a split, by thread: {"caller": [...], "helper": [...]}.
-
-    The thread that calls this is the caller.  `caller(calls)` or
-    `helper(calls)` runs in that thread before each of its kernel calls,
-    given the rows of its calls so far.
-    """
-    main, rows = threading.current_thread(), {"caller": [], "helper": []}
-    hooks = {"caller": caller, "helper": helper}
-
-    def counted(points, directions, d, work=None):
-        who = "caller" if threading.current_thread() is main else "helper"
-        rows[who].append(len(directions))
-        if hooks[who] is not None:
-            hooks[who](rows[who])
-        return kernel(points, directions, d, work)
-
-    monkeypatch.setattr(covering, "confidence_radii", counted)
+    monkeypatch.setattr(covering._Child, "evaluate", counted)
     return rows
+
+
+def kernel_by_process(monkeypatch, caller=None, helper=None):
+    """Hook the engine's kernel: `caller(directions, work)` runs before each call in this process.
+
+    `helper(directions, work)` runs before each call in a child forked after this one.
+    """
+    main = os.getpid()
+
+    def hooked(points, directions, d, work=None):
+        hook = caller if os.getpid() == main else helper
+        if hook is not None:
+            hook(directions, work)
+        return confidence_radii(points, directions, d, work)
+
+    monkeypatch.setattr(covering, "confidence_radii", hooked)
+
+
+def in_cover_cap_of_the_child(directions, work) -> bool:
+    """Whether a kernel call that a `kernel_by_process` helper hook sees evaluates Cover Cap rows.
+
+    Only those come as a batch with a workspace: the walk's ring samples
+    have none, and its ring balls are single directions.
+    """
+    return directions.ndim == 2 and work is not None
 
 
 class TestStepTheta:
@@ -491,18 +495,18 @@ class TestCoverCapRecurse:
     @pytest.mark.parametrize("n, structure", [(20, "twisted"), (14, "polar")])
     def test_batched_centers_match_the_sequential_walk(self, n, structure):
         ps, params = conjecture_setup(n, structure)
-        engine = _Engine(ps, params)
-        engine._phase1()
-        queue = engine.cannot_cover
-        assert len(queue) > 50
-        seeds = np.array([v for v, _ in queue])
-        required = np.array([req for _, req in queue])
-        depth = params.cover_cap_max_depth
-        before = engine.n_eval
-        got = cover_cap_recurse(engine.evaluate_cart, seeds, required, depth)
-        batched_evals = engine.n_eval - before
-        same_result(got, reference_cover_cap(engine.evaluate_cart, seeds, required, depth))
-        assert engine.n_eval - before == 2 * batched_evals
+        with contextlib.closing(_Engine(ps, params)) as engine:
+            engine._phase1()
+            queue = engine.cannot_cover
+            assert len(queue) > 50
+            seeds = np.array([v for v, _ in queue])
+            required = np.array([req for _, req in queue])
+            depth = params.cover_cap_max_depth
+            before = engine.n_eval
+            got = cover_cap_recurse(engine.evaluate_cart, seeds, required, depth)
+            batched_evals = engine.n_eval - before
+            same_result(got, reference_cover_cap(engine.evaluate_cart, seeds, required, depth))
+            assert engine.n_eval - before == 2 * batched_evals
 
     def test_a_level_of_more_than_1024_nodes_is_settled_whole(self):
         # 150 seeds next to the z = 0 crater plane, whose rescue candidates
@@ -730,47 +734,45 @@ class TestCounterexampleInCoverCap:
         self.check(monkeypatch, special, phase1_records, violation, 0.9)
 
     def test_split_batches_give_the_same_counterexample(self, monkeypatch, splits):
-        # The keyed kernel stands in for confidence_radii in both threads.
-        # Only level 0's batch of 152 centres is split, and the caller's
-        # blocks of 8 rows are slowed, so the helper evaluates most of them.
-        # Another Python thread is alive all along.
+        # The keyed kernel stands in for confidence_radii in both processes,
+        # and only level 0's batch of 152 centres is split: the caller
+        # evaluates the rows of the first 9.5 seeds, the cover's child the
+        # rest.  A violation in either half is the in-process counterexample.
         phase1_records, queue = self.phase1(monkeypatch)
-        violation = self.seed_five_violation(queue)
-        special = {violation.tobytes(): (0.9, math.nan)}
-        expect = self.cover(monkeypatch, special)
+        head = self.seed_five_violation(queue)  # row 74: queue[5] is the 10th seed of the batch
+        tail = cover_cap_centers(queue[-1][0], 0.1)[2]  # row 114, of the 15th seed
+        expect = {}
+        for v in (head, tail):
+            expect[v.tobytes()] = self.cover(monkeypatch, {v.tobytes(): (0.9, math.nan)})
+        special, parent, caller = {}, os.getpid(), set()  # caller: the rows batched in this process
         evaluate = keyed_evaluator(special, self.DEFAULT)
 
-        def slowed_in_the_split(calls):
-            if splits:
-                time.sleep(0.02)
-
-        def keyed_batches(points, dirs, d, work):
+        def keyed_batches(points, dirs, d, work=None):
             # a ring ball, one direction, keeps the real kernel, as in `expect`
-            return evaluate(dirs) if dirs.ndim == 2 else confidence_radii(points, dirs, d, work)
+            if dirs.ndim == 1:
+                return confidence_radii(points, dirs, d, work)
+            if os.getpid() == parent:
+                caller.update(v.tobytes() for v in dirs)
+            return evaluate(dirs)
 
         monkeypatch.setattr(_Engine, "evaluate_cart", EVALUATE_CART)
-        rows = rows_by_thread(monkeypatch, keyed_batches, caller=slowed_in_the_split)
+        monkeypatch.setattr(covering, "confidence_radii", keyed_batches)
         monkeypatch.setattr(covering, "_SPLIT_ROWS", 100)
-        monkeypatch.setattr(covering, "_WORK_BYTES", 8 * 8 * self.PS.size)  # workspace blocks of 8 rows
-        release = threading.Event()
-        waiter = threading.Thread(target=release.wait, args=(10,))
-        waiter.start()
-        try:
+        monkeypatch.setattr(os, "fork", FORK)
+        for violation, alone in expect.items():
+            special.clear()
+            special[violation] = (0.9, math.nan)
             outcome = cover_region(self.PS, self.PARAMS)
-        finally:
-            release.set()
-            waiter.join(10)
-        assert not waiter.is_alive()
-        assert splits == [152]
-        assert set(rows["helper"]) == {8}
-        assert sum(rows["helper"]) > 76
-        assert outcome.status == "counterexample"
-        assert outcome.counterexample.direction.tobytes() == violation.tobytes()
-        assert same_table(outcome.records, expect.records)
-        # the keyed evaluate_cart of `expect` does not count evaluations or batches
-        for key in ("n_evaluations", "kernel_batches", "kernel_batch_rows"):
-            del outcome.counters[key], expect.counters[key]
-        assert outcome.counters == expect.counters
+            assert outcome.status == "counterexample"
+            assert outcome.counterexample.direction.tobytes() == violation
+            assert same_table(outcome.records, alone.records)
+            # the keyed evaluate_cart of `expect` does not count evaluations or batches
+            for key in ("n_evaluations", "kernel_batches", "kernel_batch_rows"):
+                del outcome.counters[key], alone.counters[key]
+            assert outcome.counters == alone.counters
+            assert outcome.counters["phase1_bands"] == 2
+        assert splits == [152, 152]
+        assert head.tobytes() in caller and tail.tobytes() not in caller
 
     def test_later_seed_is_not_expanded(self, monkeypatch):
         # Seed 9's center 1 is short and its child violates at depth 1: a
@@ -897,12 +899,12 @@ class TestInsideTest:
         ps, params = conjecture_setup(n, structure)
         outcome = cover_region(ps, params)
         # Every row the cover made: phase 1's, then all of Cover Cap's, in order.
-        engine = _Engine(ps, params)
-        engine._phase1()
-        seeds, required = (np.array(col) for col in zip(*engine.cannot_cover))
-        _, cover_cap, residual, _ = cover_cap_recurse(
-            engine.evaluate_cart, seeds, required, params.cover_cap_max_depth
-        )
+        with contextlib.closing(_Engine(ps, params)) as engine:
+            engine._phase1()
+            seeds, required = (np.array(col) for col in zip(*engine.cannot_cover))
+            _, cover_cap, residual, _ = cover_cap_recurse(
+                engine.evaluate_cart, seeds, required, params.cover_cap_max_depth
+            )
         orbit = records_table(engine.orbit)
         columns = zip(vars(orbit).values(), vars(cover_cap).values())
         made = CoverageRecords(*(np.concatenate(c) for c in columns))
@@ -1325,158 +1327,196 @@ def report_digest(ps, params, outcome) -> str:
 
 
 class TestHelper:
-    """Each batch of _SPLIT_ROWS rows or more is split over the caller and one helper thread."""
+    """The cover's child evaluates the tail half of each batch of _SPLIT_ROWS rows or more."""
 
-    def split(self, n, rows, seed):
-        """Evaluate `rows` random directions through a fresh engine; check the in-process bytes."""
+    def split(self, n, rows, seed, batches=1):
+        """A fresh engine on polar n, closed after `batches` batches of `rows` random directions.
+
+        Each batch must have the bytes of an in-process call.
+        """
         ps, params = conjecture_setup(n, "polar")
-        directions = uniform_directions(rows, seed=seed)
-        engine = _Engine(ps, params)
-        dis, radius = engine.evaluate_cart(directions)
-        assert engine.n_eval == rows
-        expect = confidence_radii(ps.points, directions, params.d)
-        assert dis.tobytes() == expect[0].tobytes()
-        assert radius.tobytes() == expect[1].tobytes()
+        with contextlib.closing(_Engine(ps, params)) as engine:
+            for i in range(batches):
+                directions = uniform_directions(rows, seed=seed + i)
+                dis, radius = engine.evaluate_cart(directions)
+                expect = confidence_radii(ps.points, directions, params.d)
+                assert dis.tobytes() == expect[0].tobytes()
+                assert radius.tobytes() == expect[1].tobytes()
+        assert engine.n_eval == batches * rows
+        return engine
 
     def test_split_batch_equals_the_in_process_bytes(self, splits, monkeypatch):
-        rows = rows_by_thread(monkeypatch)
-        self.split(30, 2_500, seed=3)
-        assert splits == [2_500]
-        assert sum(rows["caller"]) + sum(rows["helper"]) == 2_500  # each chunk once
+        # The engine forks its child at the first batch; the caller evaluates the head half.
+        caller = []
+        kernel_by_process(monkeypatch, caller=lambda dirs, work: caller.append(len(dirs)))
+        forks = recorded_forks(monkeypatch)
+        for n, rows in ((30, 2_500), (14, 1_592)):
+            engine = self.split(n, rows, seed=3, batches=2)
+            assert engine.child.seconds > 0.0
+        assert splits == [2_500, 2_500, 1_592, 1_592] and len(forks) == 2
+        assert caller == [1_250, 1_250, 796, 796]
 
-    def test_caller_takes_the_rows_of_a_slow_helper(self, splits, monkeypatch):
-        # The helper takes one workspace block, 293 rows at t = 218, and the caller the rest.
-        rows = rows_by_thread(monkeypatch, helper=lambda calls: time.sleep(0.3))
-        self.split(14, 4_096, seed=4)
-        block = covering._WORK_BYTES // (8 * 218)
-        assert rows["helper"] == [block]
-        assert sum(rows["caller"]) == 4_096 - block
+    def test_the_child_reuses_one_workspace(self, tmp_path, monkeypatch):
+        # The child writes the planes of each workspace it is given to a file.
+        log = tmp_path / "planes"
 
-    def test_each_thread_reuses_one_workspace_of_its_own(self, splits, monkeypatch):
-        works = {}  # thread name: the workspaces its kernel calls were given
+        def recorded(directions, work):
+            with open(log, "a") as fh:
+                print(json.dumps([(id(p), p.shape, p.base is None) for p in work]), file=fh)
 
-        def recorded(points, directions, d, work=None):
-            works.setdefault(threading.current_thread().name, []).append(work)
-            return confidence_radii(points, directions, d, work)
-
-        rows_by_thread(monkeypatch, kernel=recorded, caller=lambda calls: time.sleep(0.01))
-        self.split(30, 2_500, seed=3)
-        assert splits == [2_500] and len(works) == 2  # the slowed caller leaves the helper blocks
-        (first, *rest), (other, *more) = works.values()
-        assert all(w is first for w in rest) and all(w is other for w in more)
+        kernel_by_process(monkeypatch, helper=recorded)
+        self.split(30, 2_500, seed=3, batches=3)
+        first, *rest = (json.loads(line) for line in log.read_text().splitlines())
+        assert len(rest) == 2 and all(planes == first for planes in rest)
         # three planes each of 64 rows, _WORK_BYTES // (8 * 994), all allocated apart
-        planes = [*first, *other]
-        assert [p.shape for p in planes] == [(covering._WORK_BYTES // (8 * 994), 994)] * 6
-        assert all(p.base is None for p in planes) and len({id(p) for p in planes}) == 6
+        assert [shape for _, shape, _ in first] == [[covering._WORK_BYTES // (8 * 994), 994]] * 3
+        assert all(apart for _, _, apart in first) and len({i for i, _, _ in first}) == 3
 
-    def test_caller_takes_the_batch_when_no_thread_starts(self, splits, monkeypatch):
-        def cannot_start(thread):
-            raise RuntimeError("can't start new thread")
+    def test_caller_takes_the_batch_when_no_child_forks(self, splits, monkeypatch, one_process):
+        caller = []
+        kernel_by_process(monkeypatch, caller=lambda dirs, work: caller.append(len(dirs)))
+        engine = self.split(30, 2_500, seed=3)
+        assert splits == [] and engine.child is None and caller == [2_500]
 
-        rows = rows_by_thread(monkeypatch)
-        monkeypatch.setattr(threading.Thread, "start", cannot_start)
-        self.split(30, 2_500, seed=3)
-        assert splits == [2_500]
-        assert rows["helper"] == [] and sum(rows["caller"]) == 2_500
+    def test_beside_another_thread_the_caller_takes_the_batch(self, splits, monkeypatch):
+        forks = recorded_forks(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(10,))
+        waiter.start()
+        try:
+            engine = self.split(30, 2_500, seed=3)
+        finally:
+            release.set()
+            waiter.join(10)
+        assert not waiter.is_alive()
+        assert splits == [] and forks == [] and engine.child is None
 
     @pytest.mark.parametrize("where", ["caller", "helper"])
     def test_kernel_error_raises_in_the_caller_as_itself(self, splits, monkeypatch, where):
-        # The first kernel call of one thread fails; the other begins at
-        # most one block after that, not the rest of the batch's 14.
-        error, raised, late = ValueError(f"no kernel in the {where}"), [], []
+        # The child's error comes back pickled: an equal exception of the same type.
+        error = ValueError(f"no kernel in the {where}")
 
-        def fails(calls):
-            raised.append(error)
+        def fails(directions, work):
             raise error
 
-        def counts_late_chunks(calls):
-            if raised:
-                late.append(calls[-1])
-
-        other = "helper" if where == "caller" else "caller"
-        rows_by_thread(monkeypatch, **{where: fails, other: counts_late_chunks})
+        kernel_by_process(monkeypatch, **{where: fails})
         with pytest.raises(ValueError) as info:
             self.split(14, 4_096, seed=7)
-        assert info.value is error
+        if where == "caller":
+            assert info.value is error
+        assert (type(info.value), info.value.args) == (ValueError, error.args)
         assert splits == [4_096]
-        assert len(late) <= 1
 
     def test_kernel_error_raises_in_the_parent_as_itself(self, splits, monkeypatch):
-        # Every kernel call fails with an error of its own.  The first drains
-        # the batch, so the other thread may not call the kernel at all; the
-        # error raised is one of these, unwrapped, and the helper is joined
-        # (the fixture checks).
-        errors = []
+        # The child's kernel fails on polar 14's one split batch, in a cover:
+        # the cover raises the child's error, and reaps it (no_child_left checks).
+        def fails_in_cover_cap(directions, work):
+            if in_cover_cap_of_the_child(directions, work):
+                raise ValueError(f"no kernel in {os.getpid()}")
 
-        def fails(points, directions, d, work=None):
-            errors.append(ValueError(f"no kernel in {threading.current_thread().name}"))
-            raise errors[-1]
-
-        monkeypatch.setattr(covering, "confidence_radii", fails)
+        kernel_by_process(monkeypatch, helper=fails_in_cover_cap)
+        forks = recorded_forks(monkeypatch)
         with pytest.raises(ValueError) as info:
-            self.split(14, 4_096, seed=7)
-        assert splits == [4_096]
-        assert 1 <= len(errors) <= 2
-        assert any(info.value is error for error in errors)
+            cover_region(*conjecture_setup(14, "polar"))
+        assert splits == [1_592]
+        assert info.value.args == (f"no kernel in {forks[0]}",)
 
     def test_exception_in_cover_cap_reaps_the_helper(self, splits, monkeypatch):
         class Stop(Exception):
             pass
 
-        main, kernel = threading.current_thread(), covering.confidence_radii
-
-        def stops_in_the_split(points, directions, d, work=None):
-            if threading.current_thread() is main and splits:
+        def stops_in_the_split(directions, work):
+            if splits:
                 raise Stop
-            return kernel(points, directions, d, work)
 
-        monkeypatch.setattr(covering, "confidence_radii", stops_in_the_split)
+        kernel_by_process(monkeypatch, caller=stops_in_the_split)
         with pytest.raises(Stop):
             cover_region(*conjecture_setup(14, "polar"))
         assert len(splits) == 1
 
-    def test_splits_beside_other_threads(self, splits, monkeypatch):
-        # Three threads split a batch each at once, with the interpreter
-        # switching threads every 10 us: six threads over blocks of 16 rows.
-        ps, params = conjecture_setup(14, "polar")
-        directions = uniform_directions(1_600, seed=8)
-        expect = confidence_radii(ps.points, directions, params.d)
-        rows = []
+    def test_a_child_killed_in_cover_cap_raises_its_exit_status(self, splits, monkeypatch):
+        def dies_in_cover_cap(directions, work):
+            if in_cover_cap_of_the_child(directions, work):
+                os.kill(os.getpid(), signal.SIGKILL)
 
-        def kernel(points, dirs, d, work=None):
-            rows.append(len(dirs))
-            return confidence_radii(points, dirs, d, work)
+        kernel_by_process(monkeypatch, helper=dies_in_cover_cap)
+        with pytest.raises(RuntimeError, match="exited with status -9$"):
+            cover_region(*conjecture_setup(14, "polar"))
+        assert splits == [1_592]
 
-        monkeypatch.setattr(covering, "confidence_radii", kernel)
-        monkeypatch.setattr(covering, "_WORK_BYTES", 16 * 8 * ps.size)  # workspace blocks of 16 rows
-        got = [None] * 3
+    def test_closing_a_child_reaped_elsewhere_raises_nothing(self):
+        # So it cannot replace the exception a cover is raising.
+        child = covering._Child.start(_Engine(*conjecture_setup(14, "polar")))
+        os.kill(child.pid, signal.SIGKILL)
+        os.waitpid(child.pid, 0)
+        child.close()
+        child.close()  # a second close does nothing
 
-        def split(i):
-            got[i] = _Engine(ps, params).evaluate_cart(directions)
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    def test_the_child_of_a_cover_killed_in_cover_cap_exits(self):
+        # The cover is killed as it splits its first Cover Cap batch.
+        script = textwrap.dedent(
+            """
+            import os
+            from capdisc import conjecture_setup, cover_region, covering
 
-        workers = [threading.Thread(target=split, args=(i,)) for i in range(3)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
+            fork, evaluate = os.fork, covering._Child.evaluate
+
+            def announced():
+                pid = fork()
+                if pid:
+                    print(pid, flush=True)
+                return pid
+
+            def split(*args):
+                print("split", flush=True)
+                return evaluate(*args)
+
+            os.fork, covering._Child.evaluate = announced, split
+            cover_region(*conjecture_setup(30, "polar"))
+            """
+        )
+        proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True)
+        child = None
         try:
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(60)
+            child = int(proc.stdout.readline())
+            assert proc.stdout.readline() == "split\n"
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(10)
+            killed = time.monotonic()
+            while running(child) and time.monotonic() - killed < 5.0:
+                time.sleep(0.01)
+            gone_after = time.monotonic() - killed
         finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert splits == [1_600] * 3
-        assert set(rows) == {16} and sum(rows) == 3 * 1_600  # no block evaluated twice
-        for dis, radius in got:
-            assert dis.tobytes() == expect[0].tobytes()
-            assert radius.tobytes() == expect[1].tobytes()
+            proc.kill()
+            proc.wait(10)
+            proc.stdout.close()
+            if child is not None and running(child):
+                os.kill(child, signal.SIGKILL)
+        assert gone_after < 1.0
 
-    def test_polar_30_report_equals_the_in_process_one(self, splits, monkeypatch):
+    def test_a_one_band_cover_forks_its_child_at_its_first_split_batch(
+        self, splits, monkeypatch, request
+    ):
+        # Polar 14 over a band across the equator walks phase 1 whole, then splits one batch.
+        ps, params = conjecture_setup(14, "polar")
+        params = replace(params, region=Region(-0.4, 0.4, 0.0, math.pi))
+        forks = recorded_forks(monkeypatch)
+        split = cover_region(ps, params)
+        assert len(forks) == 1 and splits == [1_432]
+        assert split.counters["phase1_bands"] == 1 and split.timings["cover_cap_child"] > 0.0
+        request.getfixturevalue("one_process")
+        alone = cover_region(ps, params)
+        assert len(forks) == 1 and splits == [1_432] and alone.timings["cover_cap_child"] == 0.0
+        assert report_digest(ps, params, split) == report_digest(ps, params, alone)
+
+    def test_polar_30_report_equals_the_in_process_one(self, splits, request):
         ps, params = conjecture_setup(30, "polar")
         split = cover_region(ps, params)
         assert len(splits) == 16  # one per batch of _SPLIT_ROWS rows or more
         assert split.status == "residual"
-        monkeypatch.setattr(covering, "_SPLIT_ROWS", 32_383)  # above the largest batch
+        assert 0.0 < split.timings["cover_cap_child"] < split.timings["cover_cap"]
+        request.getfixturevalue("one_process")
         alone = cover_region(ps, params)
         assert len(splits) == 16  # no more splits
         assert split.counters == alone.counters
@@ -1488,9 +1528,9 @@ class TestHelper:
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
     def test_split_on_one_cpu_ends_with_the_in_process_report(self):
-        # A process held to one CPU still splits polar 14's batch of 1,592
-        # rows over two threads, which take turns on that CPU; the report
-        # must equal the in-process one's within the timeout.
+        # A process held to one CPU, and its child with it, still splits
+        # polar 14's batch of 1,592 rows; the two take turns on that CPU, and
+        # the report must equal the in-process one's within the timeout.
         script = textwrap.dedent(
             """
             import hashlib, json, os
@@ -1504,8 +1544,8 @@ class TestHelper:
                     pass
             else:
                 raise SystemExit("no CPU to pin this process to")
-            split, rows = covering._split_evaluate, []
-            covering._split_evaluate = lambda *args: rows.append(len(args[1])) or split(*args)
+            evaluate, rows = covering._Child.evaluate, []
+            covering._Child.evaluate = lambda *args: rows.append(len(args[2])) or evaluate(*args)
             ps, params = conjecture_setup(14, "polar")
             doc = strip_timings(report_dict(ps, params, cover_region(ps, params)))
             print(rows, hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest())
@@ -1736,30 +1776,56 @@ class TestBands:
                 os.kill(child, signal.SIGKILL)
         assert gone_after < 1.0
 
+    def test_a_caller_that_ignores_sigchld_gets_the_in_process_report(self):
+        # The system would reap the child, and its exit status with it, so
+        # none is forked: the report is the in-process one.
+        script = textwrap.dedent(
+            """
+            import hashlib, json, os, signal
+            from capdisc import conjecture_check, report_dict, strip_timings
+            from capdisc.polar_analysis import conjecture_setup
+
+            signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+            fork, forks = os.fork, []
+            os.fork = lambda: forks.append(1) or fork()
+            outcome, _ = conjecture_check(20, "twisted")
+            doc = strip_timings(report_dict(*conjecture_setup(20, "twisted"), outcome))
+            print(len(forks), hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest())
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        ps, params = conjecture_setup(20, "twisted")
+        assert proc.stdout.split() == ["0", report_digest(ps, params, cover_region(ps, params))]
+
     @pytest.mark.parametrize(
-        "n, structure, cert",
+        "n, structure, cert, split",
         [
             pytest.param(
-                20, "twisted", "115a5ac93c01b7db3ae7c35269148b49192502d1825103e1c23fbe4d47115f38",
+                20, "twisted", "115a5ac93c01b7db3ae7c35269148b49192502d1825103e1c23fbe4d47115f38", [],
                 id="20-twisted",
             ),
             pytest.param(
-                14, "polar", "3b18d7e820869ebda429047526621cd8c0e4a0957614f207b1da0fe2f35a0e90",
+                14, "polar", "3b18d7e820869ebda429047526621cd8c0e4a0957614f207b1da0fe2f35a0e90", [1_432],
                 id="14-polar",
             ),
         ],
     )
     def test_a_region_across_the_equator_keeps_its_one_band_certificate(
-        self, n, structure, cert, monkeypatch
+        self, n, structure, cert, split, splits, monkeypatch
     ):
         # A seam at the equator would put a ring on the mirror plane of the
         # polar structures: polar 14 was left residual.  These are the
         # certificates of the engine that walked every region as one band.
+        # Phase 1 forks no child; a Cover Cap batch of _SPLIT_ROWS rows or more forks one.
         ps, params = conjecture_setup(n, structure)
         params = replace(params, region=Region(-0.4, 0.4, 0.0, math.pi))
         forks = recorded_forks(monkeypatch)
         outcome = cover_region(ps, params)
-        assert forks == [] and outcome.counters["phase1_bands"] == 1
+        assert outcome.counters["phase1_bands"] == 1
+        assert splits == split and len(forks) == len(split)
         assert outcome.status == "covered"
         assert cert_digest(ps, params, outcome) == cert
 

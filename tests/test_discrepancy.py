@@ -319,7 +319,7 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("ps", _workspace_cases())
     def test_rows_equal_the_call_without_a_workspace(self, ps):
-        # The workspace of a split thread: blocks of 32,000 rows at t = 2,
+        # The workspace of the cover's child: blocks of 32,000 rows at t = 2,
         # 145 at t = 441, 64 at t = 994 and 9 at t = 7,057.
         t = ps.size
         work = workspace(t, covering._WORK_BYTES)
@@ -400,8 +400,9 @@ class TestOneRow:
     @pytest.mark.parametrize("ps", _workspace_cases())
     def test_rows_equal_project_and_confidence_radius(self, ps, make_work):
         # Without a workspace a call builds its own; in a one-row one every
-        # block of a batch is a single 2-D row; a split thread's holds a
-        # whole batch; the engine's serves every ring ball.
+        # block of a batch is a single 2-D row; the cover child's ("split-thread",
+        # the id of its former holder) holds a whole batch; the engine's serves
+        # every ring ball.
         t = ps.size
         work = make_work(ps)
         dirs = np.vstack([Z, uniform_directions(24, seed=t)])

@@ -333,13 +333,15 @@ class TestReportDocument:
         rows = [tables[label]["jobs"] for label in ("parent", "change")]
         assert [len(r) for r in rows] == [1, 1]
         medians = ("cover_s", "phase1_s", "cover_cap_s", "inside_orbit_s", "peak_rss_mb")
-        medians += ("phase1_upper_s", "phase1_lower_s", "child_rss_mb")
+        medians += ("phase1_upper_s", "phase1_lower_s", "cover_cap_child_s", "child_rss_mb")
         medians += ("report_bytes",)  # its timings' digits vary
         fixed = [{k: v for k, v in r[0].items() if k not in medians} for r in rows]
         assert fixed[0] == fixed[1]
         assert abs(rows[0][0]["report_bytes"] - rows[1][0]["report_bytes"]) < 50
         assert rows[1][0]["peak_rss_mb"] > 10.0
-        # a batch split over two threads (polar 14 has one, of 1,592 rows) counts as one batch
+        assert rows[1][0]["cover_cap_child_s"] > 0.0  # the child's half of the split batch
+        assert " cover_cap_child_s=" in change
+        # a batch split with the cover's child (polar 14 has one, of 1,592 rows) counts as one batch
         assert fixed[1]["batch_calls"] == 174
         assert "alternating with the parent table's" in tables["change"]["statistic"]
         # The verdict names each job whose certificate or balls differ, and which digests.

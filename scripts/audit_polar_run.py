@@ -4,8 +4,9 @@
 Covers the conjecture region of `conjecture_setup(n, structure)`, with d set
 to the north-pole value, then fires uniform probes at the certificate: every
 probe must sit inside a certified ball and its directly computed directed
-value must not exceed d.  Prints the cover's status, counters and seconds,
-the audit's counts and seconds, and the process's peak RSS.
+value must not exceed d.  Prints the cover's status, ball and residual
+counts, and its counters and timings as `scripts/cert_digests.py` names
+them; then the audit's counts and seconds, and the process's peak RSS.
 
 Plain polar n=30 reports residual: around the y-axis, where eleven
 projections coincide and the confidence radius is exactly zero, Cover Cap
@@ -35,13 +36,11 @@ def main() -> None:
     t0 = time.perf_counter()
     outcome = cover_region(ps, params)
     cover_s = time.perf_counter() - t0
-    counters = outcome.counters
-    print(
-        f"cover: {args.structure}:{args.n} status={outcome.status} n_DD={counters['n_DD']} "
-        f"balls={len(outcome.records)} cover_cap_inside_orbit={counters['cover_cap_inside_orbit']} "
-        f"residual_directions={len(outcome.not_covered)} "
-        f"not_covered_inside_orbit={counters['not_covered_inside_orbit']} seconds={cover_s:.2f}"
-    )
+    row = {"status": outcome.status, "balls": len(outcome.records)}
+    row.update(residual_directions=len(outcome.not_covered), **outcome.counters)
+    row.update({f"{name}_s": round(seconds, 4) for name, seconds in outcome.timings.items()})
+    row["cover_s"] = round(cover_s, 4)
+    print(f"cover: {args.structure}:{args.n} " + " ".join(f"{key}={value}" for key, value in row.items()))
 
     t0 = time.perf_counter()
     result = audit_coverage(

@@ -2,67 +2,33 @@
 """Digests of conjecture certificates, to show whether two commits agree on them.
 
 For each `structure:n` job, covers the region of `conjecture_setup(n,
-structure)`, writes the report, reads it back and prints the status,
-`n_evaluations`, three digests, the counters `cover_cap_inside_orbit` and
-`not_covered_inside_orbit`, the work counts described below, and the
-median seconds spent in the cover:
+structure)` in a fresh process, writes the report, reads it back and
+prints one row of `key=value` pairs: the job, t, the status and three
+digests, every counter of the report under its own name, every timing as
+NAME_s, the cover's seconds (`cover_s`), the report's size
+(`report_bytes`) and the peak RSS of the process and of its children
+(`peak_rss_mb`, `child_rss_mb`).  README lists the counters and timings.
+The digests are 16 hex digits of a sha256 of JSON with sorted keys:
+`sha256=` of `strip_timings(read_report(...))`, counters included;
+`cert=` of the certificate alone (status, records, not_covered,
+counterexample, params and points_meta), which a change in a counter
+alone keeps; `balls=` of the `records` rows and `not_covered` rows, each
+sorted, which two trees that list the same balls in different orders share.
 
-- `sha256=`: the first 16 hex digits of the sha256 of
-  `strip_timings(read_report(...))` serialised with sorted keys, counters
-  included;
-- `cert=`: the same over the certificate alone (status, records, not_covered,
-  counterexample, params and points_meta), so a change that moves only a
-  counter keeps it;
-- `balls=`: the same over the schema-2 `records` rows and `not_covered`
-  rows, each sorted lexicographically, so two trees that list the same
-  balls in different orders print the same one.
-
-Everything but the seconds and the peak RSS is deterministic, so equal
-digests on two commits mean identical certificates.  The digests are those
-of the report schema the tree writes: a schema-1 tree and a schema-2 tree
-give different ones for the same certificate.
-
-Each repeat of a job runs in a fresh process: one cover, then the report is
-written, read back and digested.  With `--out`, each job is run `--repeats`
-times and a layer table is written as JSON: the medians of the phase-1 and
-Cover Cap seconds, of the seconds spent dropping Cover Cap rows inside
-phase-1 balls (`inside_orbit_s`), of the process's peak RSS
-(`peak_rss_mb`, through the digest), the report's size in bytes,
-`n_evaluations`, and the number of batches with their rows per batch
-(`batch_calls=`, `rows_per_batch=`).  These and the latitude band tests of
-phase 1 (`band_calls=`) are read from the report's counters
-`kernel_batches`, `kernel_batch_rows` and `band_tests` (None from a tree
-without them).  A batch is counted where the engine hands it to the kernel
-(ring samples and Cover Cap levels), so a batch split with the cover's
-child counts once; the one-direction kernel calls of the ring balls are
-not batches (there is one per phase-1 ball, `n_DD`).  `--label` names the
-table, and an existing file keeps its other tables.
-
-Phase 1 walks the conjecture regions as two latitude bands, the lower one
-in a forked child, which then evaluates the tail half of each large Cover
-Cap batch.  So each row also gives the counter `phase1_bands`, the medians
-of the seconds of each band (`phase1_upper_s=`, and the child's own
-`phase1_lower_s=`; None from a tree that walks one band), of the child's
-seconds in Cover Cap batches (`cover_cap_child_s=`, a part of the time in
-`cover_cap_s`, which the parent spends in its own half meanwhile; None
-from a tree without the timing) and of the child's peak RSS
-(`child_rss_mb=`, the `RUSAGE_CHILDREN` `ru_maxrss`, 0.0 when no child was
-forked).  The counters above count the child's work too, while
-`peak_rss_mb` is the parent's alone.
-
-With `--baseline SRC` (the `src/` directory of another checkout), the
-repeats of the baseline and of this tree alternate (baseline first in even
-repeats, this tree first in odd ones), so that host drift falls on both
-alike.  Each line printed starts with the tree's label, and `--out` gets
-both tables, the baseline's named `--baseline-label`.  A last line gives
-the verdict: `certificates identical on k of k jobs`, or the jobs whose
-`cert=` or `balls=` differs between the trees, and then the script exits
-with status 1 (after writing `--out`).
+The seconds, the report's size (whose timings' digits vary) and the RSS
+are medians over `--repeats` fresh processes; every other value must agree
+across them.  With `--out`, the rows are written as a JSON table named
+`--label`; an existing file keeps its other tables.  With `--baseline SRC`
+(the `src/` of another checkout), the two trees' repeats alternate, so
+that host drift falls on both alike; each line starts with the tree's
+label, `--out` gets both tables (the baseline's named `--baseline-label`),
+and a last line gives the verdict: `certificates identical on k of k
+jobs`, or the jobs whose `cert=` or `balls=` differs, and then the script
+exits with status 1 (after writing `--out`).
 
     python3 scripts/cert_digests.py                     # twisted 20/40/60/80, polar 30 and 14
     python3 scripts/cert_digests.py twisted:20 polar:14
-    python3 scripts/cert_digests.py --repeats 5 --out BENCH_8.json --label change
-    python3 scripts/cert_digests.py --repeats 5 --baseline ../parent/src --out BENCH_12.json
+    python3 scripts/cert_digests.py --repeats 5 --baseline ../parent/src --out BENCH_28.json
 """
 import argparse
 import hashlib
@@ -83,17 +49,12 @@ from capdisc import conjecture_setup, covering, cover_region, read_report, strip
 
 DEFAULT_JOBS = ["twisted:20", "twisted:40", "twisted:60", "twisted:80", "polar:30", "polar:14"]
 CERT_KEYS = ("records", "not_covered", "counterexample", "params", "points_meta")
-# Row keys that are medians of the repeats; the others must agree across them.
-# The report's size varies by a few bytes with the digits of its timings.
-MEDIANS = (
-    "cover_s", "phase1_s", "cover_cap_s", "inside_orbit_s", "peak_rss_mb", "report_bytes",
-    "phase1_upper_s", "phase1_lower_s", "cover_cap_child_s", "child_rss_mb",
-)
+# The suffixes of the row keys that vary between repeats (seconds, bytes, MB): medians are reported.
+MEASURED = ("_s", "_bytes", "_mb")
 SRC = Path(__file__).resolve().parents[1] / "src"
 BENCHMARK = (
-    "conjecture covers per job: phase 1 (and each of its bands) and Cover Cap seconds,"
-    " evaluations, batches handed to the kernel, report bytes, and the peak RSS of the"
-    " process and of its band child"
+    "conjecture covers per job: the report's counters and timings, the cover's seconds,"
+    " report bytes, and the peak RSS of the process and of its child"
 )
 NOTE = "2 shared CPUs (a container on a host shared with other tenants); medians of repeats"
 
@@ -126,38 +87,17 @@ def measure(structure: str, n: int, path: Path) -> dict:
     outcome = cover_region(ps, params)
     cover_s = time.perf_counter() - t0
     write_report(path, ps, params, outcome)
-    doc = strip_timings(read_report(path))
-    batches, rows = (outcome.counters.get(key) for key in ("kernel_batches", "kernel_batch_rows"))
-    return {
-        "job": f"{structure}:{n}",
-        "t": ps.size,
-        "status": outcome.status,
-        "n_evaluations": outcome.counters["n_evaluations"],
-        "sha256": digest(doc),
-        "cert": cert_digest(doc),
-        "balls": balls_digest(doc),
-        # None from a tree that does not drop Cover Cap rows inside phase-1 balls,
-        # or does not count its band tests and kernel batches
-        "cover_cap_inside_orbit": outcome.counters.get("cover_cap_inside_orbit"),
-        "not_covered_inside_orbit": outcome.counters.get("not_covered_inside_orbit"),
-        "report_bytes": path.stat().st_size,
-        # after the digests; ru_maxrss is in KiB on Linux, and the process ran nothing else
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
-        "child_rss_mb": round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0, 1),
-        "cover_s": cover_s,
-        "phase1_s": outcome.timings["phase1"],
-        "cover_cap_s": outcome.timings["cover_cap"],
-        "inside_orbit_s": outcome.timings.get("inside_orbit", 0.0),
-        "batch_calls": batches,
-        "rows_per_batch": None if batches is None else round(rows / batches, 2) if batches else 0.0,
-        "band_calls": outcome.counters.get("band_tests"),
-        # None from a tree that walks phase 1 as one band
-        "phase1_bands": outcome.counters.get("phase1_bands"),
-        "phase1_upper_s": outcome.timings.get("phase1_upper"),
-        "phase1_lower_s": outcome.timings.get("phase1_lower"),
-        # None from a tree whose Cover Cap has no child
-        "cover_cap_child_s": outcome.timings.get("cover_cap_child"),
-    }
+    report = read_report(path)
+    doc = strip_timings(report)
+    row = {"job": f"{structure}:{n}", "t": ps.size, "status": outcome.status}
+    row.update(sha256=digest(doc), cert=cert_digest(doc), balls=balls_digest(doc))
+    row.update(report["outcome"]["counters"])  # an r_min with no value is null there
+    row.update({f"{name}_s": seconds for name, seconds in report["outcome"]["timings"].items()})
+    row.update(cover_s=cover_s, report_bytes=path.stat().st_size)
+    # after the digests; ru_maxrss is in KiB on Linux, and the process ran nothing else
+    for key, who in (("peak_rss_mb", resource.RUSAGE_SELF), ("child_rss_mb", resource.RUSAGE_CHILDREN)):
+        row[key] = round(resource.getrusage(who).ru_maxrss / 1024.0, 1)
+    return row
 
 
 def measure_in_child(src: Path, text: str) -> dict:
@@ -181,11 +121,11 @@ def child_job(src: str, text: str) -> tuple[str, int]:
 
 
 def summarize(runs: list) -> dict:
-    """The repeats of one job as one row: medians of the MEDIANS keys, the rest checked equal."""
+    """The repeats of one job as one row: medians of the MEASURED keys, the rest checked equal."""
     row = dict(runs[0])
     for key, value in row.items():
-        if key in MEDIANS:
-            row[key] = None if value is None else round(median(r[key] for r in runs), 4)
+        if key.endswith(MEASURED):
+            row[key] = round(median(r[key] for r in runs), 4)
         elif any(r[key] != value for r in runs):
             raise SystemExit(f"{row['job']}: {key} differs between repeats")
     return row
@@ -208,7 +148,7 @@ def compare(trees: list, jobs: list, repeats: int) -> dict:
             row = summarize(runs[label])
             tables[label].append(row)
             prefix = f"{label}: " if len(trees) > 1 else ""
-            print(prefix + line(row), flush=True)
+            print(prefix + " ".join(f"{key}={value}" for key, value in row.items()), flush=True)
     return tables
 
 
@@ -224,7 +164,7 @@ def write_tables(args, tables: dict) -> None:
                 "cpus": len(os.sched_getaffinity(0)),
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "note": args.note,
+                "note": NOTE,
             },
             "jobs": rows,
         }
@@ -243,23 +183,6 @@ def verdict(baseline: list, change: list) -> str:
     return f"certificates identical on {len(change)} of {len(change)} jobs"
 
 
-def line(row: dict) -> str:
-    return (
-        f"{row['job']} status={row['status']} n_evaluations={row['n_evaluations']} "
-        f"sha256={row['sha256']} cert={row['cert']} balls={row['balls']} "
-        f"cover_cap_inside_orbit={row['cover_cap_inside_orbit']} "
-        f"not_covered_inside_orbit={row['not_covered_inside_orbit']} "
-        f"cover_s={row['cover_s']:.2f} "
-        f"band_calls={row['band_calls']} batch_calls={row['batch_calls']} "
-        f"rows_per_batch={row['rows_per_batch']} "
-        f"phase1_bands={row['phase1_bands']} phase1_upper_s={row['phase1_upper_s']} "
-        f"phase1_lower_s={row['phase1_lower_s']} cover_cap_child_s={row['cover_cap_child_s']} "
-        f"child_rss_mb={row['child_rss_mb']:.1f} "
-        f"report_bytes={row['report_bytes']} "
-        f"peak_rss_mb={row['peak_rss_mb']:.1f}"
-    )
-
-
 def main() -> None:
     if sys.argv[1:2] == ["--child"]:
         structure, n = child_job(*sys.argv[2:])
@@ -273,7 +196,6 @@ def main() -> None:
     ap.add_argument("--baseline", type=Path, help="src/ of another checkout, measured alternately")
     ap.add_argument("--label", default="change", help="name of the table written with --out")
     ap.add_argument("--baseline-label", default="parent", help="name of the baseline's table")
-    ap.add_argument("--note", default=NOTE, help="host note stored with the table")
     args = ap.parse_args()
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")

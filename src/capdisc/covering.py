@@ -32,6 +32,7 @@ import pickle
 import signal
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from statistics import median
 
@@ -402,10 +403,6 @@ def _bands(region: Region) -> list[Region]:
     return [replace(region, phi_min=seam), replace(region, phi_max=seam)]
 
 
-# The engine's work counts, which a band's walk adds to the cover's.
-_WORK_COUNTERS = ("n_eval", "band_tests", "kernel_batches", "kernel_batch_rows")
-
-
 class _Child:
     """A child from `os.fork`, the cover's one helper, and the two pipes to it.
 
@@ -515,13 +512,14 @@ class _Engine:
     def __init__(self, ps: PointSet, params: CoverParams):
         self.ps = ps
         self.params = params
-        self.n_eval = 0
+        # The work counts of the cover, under their report keys; a band's walk adds its own.
+        self.ledger = Counter(n_evaluations=0, band_tests=0, kernel_batches=0, kernel_batch_rows=0)
+        self.ledger.update(dict.fromkeys(COVER_CAP_COUNTERS, 0))
         self.orbit: list[tuple[np.ndarray, float, float]] = []  # (center, radius, Dis) per ball
         self.cannot_cover: list[tuple[np.ndarray, float]] = []  # (center, r_min), for Cover Cap
         self.stranded: list[tuple[np.ndarray, float]] = []  # (center, required radius) of phase 1
         self.r_min_per_orbit: list[float] = []  # of each ring walked
         self._closeout_attempts = 0
-        self.band_tests = self.kernel_batches = self.kernel_batch_rows = 0  # work counters
         self.work = workspace(ps.size, 0)  # one row, the kernel's workspace for every ring ball
         self.phase1_bands = 1
         self.band_seconds: list[float] = []  # wall seconds of each band walked, upper first
@@ -532,7 +530,7 @@ class _Engine:
 
     def orbit_ball(self, theta: float, phi: float):
         """Evaluate and record one phase-1 ball: (direction, radius); raises HypothesisViolation."""
-        self.n_eval += 1
+        self.ledger["n_evaluations"] += 1
         v = polar_to_cartesian(theta, phi)
         dis, radius = confidence_radii(self.ps.points, v, self.params.d, self.work)
         if math.isnan(radius):
@@ -542,10 +540,9 @@ class _Engine:
 
     def evaluate_cart(self, directions: np.ndarray):
         """(directed_value, radius) arrays of the rows; radius nan where the hypothesis fails."""
-        self.n_eval += len(directions)
-        self.kernel_batches += 1
-        self.kernel_batch_rows += len(directions)
-        if len(directions) >= _SPLIT_ROWS:
+        rows = len(directions)
+        self.ledger.update(n_evaluations=rows, kernel_batches=1, kernel_batch_rows=rows)
+        if rows >= _SPLIT_ROWS:
             self.child = self.child or _Child.start(self)
             if self.child:
                 return self.child.evaluate(self.ps.points, directions, self.params.d)
@@ -614,7 +611,7 @@ class _Engine:
         test = _band_test(phi, balls, reg.theta_min, reg.theta_max)
 
         def covered(psi: float) -> bool:
-            self.band_tests += 1
+            self.ledger["band_tests"] += 1
             return test(psi)
 
         if not covered(phi):
@@ -688,13 +685,13 @@ class _Engine:
         not_covered = [Residuals(*_columns(self.stranded, 2))]
 
         t1 = time.perf_counter()
-        cover_cap = dict.fromkeys(COVER_CAP_COUNTERS, 0)
         dropped = resid_inside = 0
         inside_orbit_s = 0.0
         if counterexample is None:
-            witness, recs, resid, cover_cap = cover_cap_recurse(
+            witness, recs, resid, counts = cover_cap_recurse(
                 self.evaluate_cart, *_columns(self.cannot_cover, 2), self.params.cover_cap_max_depth
             )
+            self.ledger.update(counts)
             # A Cover Cap ball inside a phase-1 ball adds nothing to the union
             # of the balls, so it is dropped.  A residual ball inside one is
             # counted: that ground is certified although Cover Cap left it.
@@ -735,15 +732,11 @@ class _Engine:
                 "n_DD": len(self.orbit),
                 "n_CC": len(self.cannot_cover),
                 "n_cover_cap_dirs": int(np.count_nonzero(records.origin == COVER_CAP)),
-                "n_evaluations": self.n_eval,
-                "band_tests": self.band_tests,
-                "kernel_batches": self.kernel_batches,
-                "kernel_batch_rows": self.kernel_batch_rows,
+                **self.ledger,
                 "n_orbits": len(self.r_min_per_orbit),
                 "phase1_bands": self.phase1_bands,
                 "r_min_global": r_min_global,
                 "r_min_median": r_min_median,
-                **cover_cap,
                 "cover_cap_inside_orbit": dropped,
                 "not_covered_inside_orbit": resid_inside,
             },
@@ -792,7 +785,7 @@ class _Engine:
             "cannot_cover": _columns(walker.cannot_cover, 2),
             "stranded": _columns(walker.stranded, 2),
             "r_min_per_orbit": walker.r_min_per_orbit,
-            "work": [getattr(walker, key) for key in _WORK_COUNTERS],
+            "ledger": walker.ledger,
             "seconds": time.perf_counter() - t0,
             "violation": violation,
         }
@@ -803,8 +796,7 @@ class _Engine:
             center, *values = walk[key]
             getattr(self, key).extend(zip(center, *(v.tolist() for v in values)))
         self.r_min_per_orbit += walk["r_min_per_orbit"]
-        for key, count in zip(_WORK_COUNTERS, walk["work"]):
-            setattr(self, key, getattr(self, key) + count)
+        self.ledger.update(walk["ledger"])
         self.band_seconds.append(walk["seconds"])
         if walk["violation"] is not None:
             raise walk["violation"]

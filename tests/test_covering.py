@@ -502,11 +502,11 @@ class TestCoverCapRecurse:
             seeds = np.array([v for v, _ in queue])
             required = np.array([req for _, req in queue])
             depth = params.cover_cap_max_depth
-            before = engine.n_eval
+            before = engine.ledger["n_evaluations"]
             got = cover_cap_recurse(engine.evaluate_cart, seeds, required, depth)
-            batched_evals = engine.n_eval - before
+            batched_evals = engine.ledger["n_evaluations"] - before
             same_result(got, reference_cover_cap(engine.evaluate_cart, seeds, required, depth))
-            assert engine.n_eval - before == 2 * batched_evals
+            assert engine.ledger["n_evaluations"] - before == 2 * batched_evals
 
     def test_a_level_of_more_than_1024_nodes_is_settled_whole(self):
         # 150 seeds next to the z = 0 crater plane, whose rescue candidates
@@ -1111,7 +1111,7 @@ class TestPhase1Misses:
         engine, phi = _Engine(self.PS, self.PARAMS), 0.7
         balls = [(0.0, 0.05), (0.8, 0.05)]
         assert engine._orbit_band(phi, 0.05, balls, phi + 0.01) == (phi, False)
-        assert engine.band_tests == 1  # the test at phi alone
+        assert engine.ledger["band_tests"] == 1  # the test at phi alone
 
 
 class TestCoverRegion:
@@ -1342,7 +1342,7 @@ class TestHelper:
                 expect = confidence_radii(ps.points, directions, params.d)
                 assert dis.tobytes() == expect[0].tobytes()
                 assert radius.tobytes() == expect[1].tobytes()
-        assert engine.n_eval == batches * rows
+        assert engine.ledger["n_evaluations"] == batches * rows
         return engine
 
     def test_split_batch_equals_the_in_process_bytes(self, splits, monkeypatch):

@@ -1,11 +1,13 @@
-"""Runtime dependencies of the package: the standard library and numpy alone."""
+"""Runtime dependencies of the package and its scripts: the standard library and numpy alone."""
 import ast
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "capdisc"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "capdisc"
+SCRIPTS = ROOT / "scripts"
 ALLOWED = sys.stdlib_module_names | {"numpy"}
 
 
@@ -25,9 +27,15 @@ def test_module_imports_only_the_standard_library_and_numpy(path):
     assert imported_roots(path.read_text()) - ALLOWED == set()
 
 
+@pytest.mark.parametrize("path", sorted(SCRIPTS.glob("*.py")), ids=lambda p: p.name)
+def test_script_imports_only_capdisc_the_standard_library_and_numpy(path):
+    assert imported_roots(path.read_text()) - ALLOWED - {"capdisc"} == set()
+
+
 def test_the_scan_sees_every_kind_of_import():
     source = "import os.path, scipy.sparse as sp\nfrom numpy import linalg\nfrom . import geometry\n"
     source += "def f():\n    from mpmath import mp\n"
     assert imported_roots(source) == {"os", "scipy", "numpy", "mpmath"}
     assert imported_roots(source) - ALLOWED == {"scipy", "mpmath"}
     assert len(list(PACKAGE.rglob("*.py"))) >= 8
+    assert len(list(SCRIPTS.glob("*.py"))) >= 4

@@ -393,16 +393,15 @@ class TestOneRow:
         [
             pytest.param(lambda ps: None, id="no-workspace"),
             pytest.param(lambda ps: workspace(ps.size, 8 * ps.size), id="one-row-blocks"),
-            pytest.param(lambda ps: workspace(ps.size, covering._WORK_BYTES), id="split-thread"),
+            pytest.param(lambda ps: workspace(ps.size, covering._WORK_BYTES), id="child"),
             pytest.param(engine_work, id="engine"),
         ],
     )
     @pytest.mark.parametrize("ps", _workspace_cases())
     def test_rows_equal_project_and_confidence_radius(self, ps, make_work):
         # Without a workspace a call builds its own; in a one-row one every
-        # block of a batch is a single 2-D row; the cover child's ("split-thread",
-        # the id of its former holder) holds a whole batch; the engine's serves
-        # every ring ball.
+        # block of a batch is a single 2-D row; the cover child's holds a whole
+        # batch; the engine's serves every ring ball.
         t = ps.size
         work = make_work(ps)
         dirs = np.vstack([Z, uniform_directions(24, seed=t)])
@@ -436,7 +435,7 @@ class TestOneRow:
         assert got.value.direction.tobytes() == expect.value.direction.tobytes()
         assert np.float64(got.value.directed_value).tobytes() == np.float64(expect.value.directed_value).tobytes()
         assert got.value.d == expect.value.d
-        assert engine.n_eval == 1 and not engine.orbit
+        assert engine.ledger["n_evaluations"] == 1 and not engine.orbit
         # A ball that keeps the hypothesis is recorded with its values.
         v, radius = engine.orbit_ball(theta, 0.2)
         ball = confidence_radius(project(ps, v), params.d)

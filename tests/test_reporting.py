@@ -296,21 +296,25 @@ class TestReportDocument:
         # balls= holds the rows alone, each list sorted, so their order does not move it
         balls = [sorted(reversed(doc["records"])), sorted(reversed(doc["not_covered"]))]
         balls_sha = hashlib.sha256(json.dumps(balls).encode()).hexdigest()
-        expect = (
-            f"twisted:20 status=covered n_evaluations={outcome.counters['n_evaluations']} "
-            f"sha256={sha[:16]} cert={cert_sha[:16]} balls={balls_sha[:16]} "
-            "cover_cap_inside_orbit=141 not_covered_inside_orbit=0 cover_s="
-        )
+        expect = f"job=twisted:20 t=441 status=covered sha256={sha[:16]} cert={cert_sha[:16]} "
+        expect += f"balls={balls_sha[:16]} "
         assert proc.stdout.startswith(expect), proc.stdout
-        assert f" band_calls=2901 batch_calls=181 rows_per_batch={round(5_421 / 181, 2)} " in proc.stdout
         assert doc["records"] != sorted(doc["records"])  # so the sort is put to the test
         assert len(proc.stdout.splitlines()) == 1
+        pairs = proc.stdout.split()
+        row = dict(pair.split("=", 1) for pair in pairs)
+        assert len(row) == len(pairs)  # no key twice
+        # every counter under its report key, with the report's value, and every timing as NAME_s
+        assert len(outcome.counters) == 17 and len(outcome.timings) == 7
+        for key, value in outcome.counters.items():
+            assert row[key] == str(value), key
+        assert all(f"{name}_s" in row for name in outcome.timings)
+        assert row["n_DD"] == "3695"
         # the size of the schema-2 report, but for the digits of its timings, and the peak
         # RSS of the fresh process that wrote it
         size = len(json.dumps(report_dict(ps, params, outcome), allow_nan=False)) + 1
-        written = proc.stdout.split(" report_bytes=")[1].split(" peak_rss_mb=")
-        assert abs(int(written[0]) - size) < 50
-        assert float(written[1]) > 10.0
+        assert abs(int(row["report_bytes"]) - size) < 50
+        assert float(row["peak_rss_mb"]) > 10.0 and "cover_s" in row and "child_rss_mb" in row
 
     def test_cert_digests_script_with_a_baseline(self, tmp_path):
         # This tree stands in for the baseline: both tables must agree on all but the seconds.
@@ -324,25 +328,23 @@ class TestReportDocument:
         assert proc.returncode == 0, proc.stderr
         parent, change, last = proc.stdout.splitlines()
         assert last == "certificates identical on 1 of 1 jobs"
-        assert parent.startswith("parent: polar:14 status=covered n_evaluations=8467 ")
-        assert change.startswith("change: polar:14 status=covered n_evaluations=8467 ")
-        # the same digests and counts, whatever the seconds
-        assert parent.split(" cover_s=")[0][7:] == change.split(" cover_s=")[0][7:]
+        assert parent.startswith("parent: job=polar:14 t=218 status=covered ")
+        assert change.startswith("change: job=polar:14 t=218 status=covered ")
+        assert " n_evaluations=8467 " in change
+        # the same digests and counters, whatever the seconds, which follow them
+        assert parent.split(" phase1_s=")[0][7:] == change.split(" phase1_s=")[0][7:]
         tables = json.loads(out.read_text())["tables"]
         assert set(tables) == {"parent", "change"}
         rows = [tables[label]["jobs"] for label in ("parent", "change")]
         assert [len(r) for r in rows] == [1, 1]
-        medians = ("cover_s", "phase1_s", "cover_cap_s", "inside_orbit_s", "peak_rss_mb")
-        medians += ("phase1_upper_s", "phase1_lower_s", "cover_cap_child_s", "child_rss_mb")
-        medians += ("report_bytes",)  # its timings' digits vary
-        fixed = [{k: v for k, v in r[0].items() if k not in medians} for r in rows]
+        fixed = [{k: v for k, v in r[0].items() if not k.endswith(("_s", "_bytes", "_mb"))} for r in rows]
         assert fixed[0] == fixed[1]
         assert abs(rows[0][0]["report_bytes"] - rows[1][0]["report_bytes"]) < 50
         assert rows[1][0]["peak_rss_mb"] > 10.0
         assert rows[1][0]["cover_cap_child_s"] > 0.0  # the child's half of the split batch
         assert " cover_cap_child_s=" in change
         # a batch split with the cover's child (polar 14 has one, of 1,592 rows) counts as one batch
-        assert fixed[1]["batch_calls"] == 174
+        assert fixed[1]["kernel_batches"] == 174
         assert "alternating with the parent table's" in tables["change"]["statistic"]
         # The verdict names each job whose certificate or balls differ, and which digests.
         verdict = runpy.run_path(str(root / "scripts" / "cert_digests.py"))["verdict"]
@@ -513,6 +515,7 @@ class TestAudit:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("cover: twisted:20 status=covered ")
         assert "cover_cap_inside_orbit=141 " in proc.stdout
+        assert " n_DD=3695 " in proc.stdout and " total_s=" in proc.stdout  # the counters and timings
         assert "uncovered=0 over_bound=0" in proc.stdout
 
     def test_rejects_counterexample_outcome(self):

@@ -10,9 +10,10 @@ the engine's ring-ball path, `confidence_radii` with one direction of
 shape (3,) per call in a one-row workspace, `discrepancy.workspace(t, 0)`,
 as a cover keeps for its ring balls.  Records the median over the repeats
 of microseconds per direction and of minor page faults per call
-(`resource.getrusage` of this process only), then writes the table as JSON.
+(`resource.getrusage` of this process only) and prints a line a cell; with
+`--out`, it also writes the table as JSON.
 
-    python3 scripts/kernel_bench.py                       # writes BENCH_5.json
+    python3 scripts/kernel_bench.py                       # prints the table only
     python3 scripts/kernel_bench.py --repeats 9 --out kernel.json
 """
 import argparse
@@ -71,7 +72,7 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=7, help="timed repeats per cell (median taken)")
     ap.add_argument("--directions", type=int, default=400, help="directions per repeat")
     ap.add_argument("--note", default="", help="free text stored with the results, e.g. the host")
-    ap.add_argument("--out", default="BENCH_5.json")
+    ap.add_argument("--out", help="write the table to this JSON file")
     args = ap.parse_args()
     if args.repeats < 1 or args.directions < 1:
         ap.error("--repeats and --directions must be at least 1")
@@ -117,6 +118,8 @@ def main() -> None:
                 flush=True,
             )
 
+    if not args.out:
+        return
     doc = {
         "benchmark": (
             "evaluation kernel: one direction per call against confidence_radii, and one"

@@ -34,7 +34,6 @@ import threading
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from statistics import median
 
 import numpy as np
 
@@ -384,9 +383,6 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
 # 218, and twisted n=20 one of 1,032 at t = 441, which took 5.6 and 6.4 ms
 # split against 7.8 and 8.6 unsplit (medians of 12 fresh processes each).
 _SPLIT_ROWS = 1024
-# Bytes of each (rows, t) plane of the workspace the child allocates once
-# and evaluates every tail half in (64 rows at t = 994).
-_WORK_BYTES = 512_000
 
 
 def _bands(region: Region) -> list[Region]:
@@ -408,11 +404,11 @@ class _Child:
 
     Given a band, the child first walks it and sends the pickled
     `_Engine._walk_band` dict.  It then answers each request, a pickled
-    array of rows, with their (dis, radius) from `confidence_radii`, in one
-    `_WORK_BYTES` workspace.  Each answer comes with the child's seconds in
-    it, or is the exception raised instead.  The child exits when the
-    requests end, as they do when its parent dies; a walk also ends once its
-    parent is gone (see `walk_orbit`).
+    array of rows, with their (dis, radius) from `confidence_radii`, called
+    as the parent calls it for the head half.  Each answer comes with the
+    child's seconds in it, or is the exception raised instead.  The child
+    exits when the requests end, as they do when its parent dies; a walk
+    also ends once its parent is gone (see `walk_orbit`).
     """
 
     def __init__(self, engine: _Engine, band: Region | None):
@@ -434,11 +430,10 @@ class _Child:
                     if band is not None:
                         _answer(pipe_out, engine._walk_band, band)
                     points, d = engine.ps.points, engine.params.d
-                    work = workspace(len(points), _WORK_BYTES)
                     with contextlib.suppress(EOFError):  # at the end of the requests
                         while True:
                             rows = pickle.load(pipe_in)
-                            _answer(pipe_out, confidence_radii, points, rows, d, work)
+                            _answer(pipe_out, confidence_radii, points, rows, d)
                 code = 0
             finally:
                 os._exit(code)  # never back into the caller's stack
@@ -558,7 +553,7 @@ class _Engine:
         thetas = (reg.theta_min + (i + 0.5) * span / k for i in range(k))
         samples = np.array([polar_to_cartesian(theta, phi) for theta in thetas])
         _, radii = _checked(self.evaluate_cart, samples)
-        return factor * median(radii.tolist())
+        return factor * float(np.median(radii))
 
     def walk_orbit(self, phi: float, r_min: float, target: float):
         """Cover one latitude ring; returns (band_lo, whether its band reaches `target`)."""

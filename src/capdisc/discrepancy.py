@@ -13,7 +13,7 @@ from .pointsets import PointSet
 
 
 class HypothesisViolation(Exception):
-    """A direction whose directed discrepancy is >= d - 1/t.
+    """A direction whose directed discrepancy Dis has Dis + 1/t > d.
 
     Raised when the confidence-radius hypothesis fails; carries the witness
     direction and its directed value so a covering run can report it.
@@ -130,7 +130,7 @@ def _slab_width(s: np.ndarray, k: int, work):
 # 7,057 took 189 minor faults and 1.2 ms, the blocked one none and 0.7 ms),
 # so a plane stays strictly below that, as exactly 128 KiB would not for a
 # power-of-two t.  Against 64 KB planes a row costs the same (BENCH_18.json,
-# scripts/kernel_bench.py); the cover's child keeps a larger one (covering._WORK_BYTES).
+# scripts/kernel_bench.py).
 _CHUNK_BYTES = 128_000
 
 

@@ -9,7 +9,6 @@ import sys
 import textwrap
 import threading
 import time
-import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from statistics import median
@@ -358,13 +357,38 @@ def kernel_by_process(monkeypatch, caller=None, helper=None):
     monkeypatch.setattr(covering, "confidence_radii", hooked)
 
 
-def in_cover_cap_of_the_child(directions, work) -> bool:
+def in_cover_cap_of_the_child(directions) -> bool:
     """Whether a kernel call that a `kernel_by_process` helper hook sees evaluates Cover Cap rows.
 
-    Only those come as a batch with a workspace: the walk's ring samples
-    have none, and its ring balls are single directions.
+    Only those come as a batch of `_SPLIT_ROWS // 2` rows or more: the
+    walk's ring samples are batches of 20, and its ring balls are single
+    directions.
     """
-    return directions.ndim == 2 and work is not None
+    return directions.ndim == 2 and len(directions) >= covering._SPLIT_ROWS // 2
+
+
+def held_bytes(obj, seen=None) -> int:
+    """Bytes that `obj` and everything it refers to hold, each object counted once.
+
+    `sys.getsizeof` of every object, walking dataclasses, dicts, lists and
+    tuples; an array's data counts where it is owned, so a view adds its base.
+    """
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, np.ndarray):
+        refs = [] if obj.base is None else [obj.base]
+    elif isinstance(obj, dict):
+        refs = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple)):
+        refs = obj
+    elif hasattr(obj, "__dict__"):
+        refs = [vars(obj)]
+    else:
+        refs = []
+    return size + sum(held_bytes(ref, seen) for ref in refs)
 
 
 class TestStepTheta:
@@ -1283,18 +1307,11 @@ class TestCoverRegion:
     def test_outcome_holds_at_most_64_bytes_per_record(self):
         # The columns take 41 bytes a record (centre 24, radius 8, Dis 8,
         # origin 1); a Python object per record would take about 300.
-        ps, params = conjecture_setup(14, "polar")
-        cover_region(ps, params)  # warm the caches and imports a first cover fills
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            outcome = cover_region(ps, params)
-            retained = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        outcome = cover_region(*conjecture_setup(14, "polar"))
         # 5,420 before the 477 Cover Cap rows inside phase-1 balls were dropped
         assert len(outcome.records) == 4943
-        assert retained <= 64 * len(outcome.records), retained / len(outcome.records)
+        held = held_bytes(outcome)
+        assert held <= 64 * len(outcome.records), held / len(outcome.records)
 
     def test_counters_structure(self):
         ps = generate_twisted_polar(9)
@@ -1356,22 +1373,6 @@ class TestHelper:
         assert splits == [2_500, 2_500, 1_592, 1_592] and len(forks) == 2
         assert caller == [1_250, 1_250, 796, 796]
 
-    def test_the_child_reuses_one_workspace(self, tmp_path, monkeypatch):
-        # The child writes the planes of each workspace it is given to a file.
-        log = tmp_path / "planes"
-
-        def recorded(directions, work):
-            with open(log, "a") as fh:
-                print(json.dumps([(id(p), p.shape, p.base is None) for p in work]), file=fh)
-
-        kernel_by_process(monkeypatch, helper=recorded)
-        self.split(30, 2_500, seed=3, batches=3)
-        first, *rest = (json.loads(line) for line in log.read_text().splitlines())
-        assert len(rest) == 2 and all(planes == first for planes in rest)
-        # three planes each of 64 rows, _WORK_BYTES // (8 * 994), all allocated apart
-        assert [shape for _, shape, _ in first] == [[covering._WORK_BYTES // (8 * 994), 994]] * 3
-        assert all(apart for _, _, apart in first) and len({i for i, _, _ in first}) == 3
-
     def test_caller_takes_the_batch_when_no_child_forks(self, splits, monkeypatch, one_process):
         caller = []
         kernel_by_process(monkeypatch, caller=lambda dirs, work: caller.append(len(dirs)))
@@ -1411,7 +1412,7 @@ class TestHelper:
         # The child's kernel fails on polar 14's one split batch, in a cover:
         # the cover raises the child's error, and reaps it (no_child_left checks).
         def fails_in_cover_cap(directions, work):
-            if in_cover_cap_of_the_child(directions, work):
+            if in_cover_cap_of_the_child(directions):
                 raise ValueError(f"no kernel in {os.getpid()}")
 
         kernel_by_process(monkeypatch, helper=fails_in_cover_cap)
@@ -1436,7 +1437,7 @@ class TestHelper:
 
     def test_a_child_killed_in_cover_cap_raises_its_exit_status(self, splits, monkeypatch):
         def dies_in_cover_cap(directions, work):
-            if in_cover_cap_of_the_child(directions, work):
+            if in_cover_cap_of_the_child(directions):
                 os.kill(os.getpid(), signal.SIGKILL)
 
         kernel_by_process(monkeypatch, helper=dies_in_cover_cap)

@@ -1,6 +1,7 @@
 import bisect
 import json
 import math
+import os
 import pickle
 import subprocess
 import sys
@@ -319,10 +320,10 @@ class TestWorkspace:
 
     @pytest.mark.parametrize("ps", _workspace_cases())
     def test_rows_equal_the_call_without_a_workspace(self, ps):
-        # The workspace of the cover's child: blocks of 32,000 rows at t = 2,
-        # 145 at t = 441, 64 at t = 994 and 9 at t = 7,057.
+        # Blocks of 24 rows at every t, where a call without a workspace
+        # takes 16 rows at t = 994 and 2 at t = 7,057.
         t = ps.size
-        work = workspace(t, covering._WORK_BYTES)
+        work = workspace(t, 24 * 8 * t)
         rows = len(work[0])
         dirs = np.vstack([Z, uniform_directions(2 * rows, seed=t)])
         dis_all, _ = confidence_radii(ps.points, dirs, 2.0)
@@ -393,15 +394,13 @@ class TestOneRow:
         [
             pytest.param(lambda ps: None, id="no-workspace"),
             pytest.param(lambda ps: workspace(ps.size, 8 * ps.size), id="one-row-blocks"),
-            pytest.param(lambda ps: workspace(ps.size, covering._WORK_BYTES), id="child"),
             pytest.param(engine_work, id="engine"),
         ],
     )
     @pytest.mark.parametrize("ps", _workspace_cases())
     def test_rows_equal_project_and_confidence_radius(self, ps, make_work):
         # Without a workspace a call builds its own; in a one-row one every
-        # block of a batch is a single 2-D row; the cover child's holds a whole
-        # batch; the engine's serves every ring ball.
+        # block of a batch is a single 2-D row; the engine's serves every ring ball.
         t = ps.size
         work = make_work(ps)
         dirs = np.vstack([Z, uniform_directions(24, seed=t)])
@@ -452,12 +451,16 @@ class TestOneRow:
 
 
 def test_kernel_bench_script_smoke(tmp_path):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "kernel_bench.py"
+    root = Path(__file__).resolve().parents[1]
+    smoke = [sys.executable, str(root / "scripts" / "kernel_bench.py"), "--repeats", "1", "--directions", "4"]
+    # Without --out the table is printed and no file is written, run from an empty directory.
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    proc = subprocess.run(smoke, capture_output=True, text=True, timeout=120, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 9 and list(tmp_path.iterdir()) == []
     out = tmp_path / "kernel.json"
-    proc = subprocess.run(
-        [sys.executable, str(script), "--repeats", "1", "--directions", "4", "--out", str(out)],
-        capture_output=True, text=True, timeout=120,
-    )
+    proc = subprocess.run([*smoke, "--out", str(out)], capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     cells = json.loads(out.read_text())["cells"]
     cell_keys = [(cell["t"], cell["rows"]) for cell in cells]
@@ -498,9 +501,11 @@ class TestConfidenceRadius:
         dis = directed_discrepancy(prof).value
         with pytest.raises(HypothesisViolation):
             confidence_radius(prof, dis + 0.5 / ps.size)
-        # No slack either way: the largest d below Dis + 1/t is refused.
+        # No slack either way: d = Dis + 1/t keeps the hypothesis, the largest d below it is refused.
+        d = dis + 1.0 / ps.size
+        assert confidence_radius(prof, d).k >= 1
         with pytest.raises(HypothesisViolation):
-            confidence_radius(prof, np.nextafter(dis + 1.0 / ps.size, 0.0))
+            confidence_radius(prof, np.nextafter(d, 0.0))
 
     def test_ball_is_sound(self, rng):
         # Probes inside the ball must keep their directed value at or below d.

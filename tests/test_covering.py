@@ -284,6 +284,11 @@ def residual_table(rows):
     )
 
 
+def phase1_table(walks, key):
+    """The `key` tables of phase 1's walks, joined upper band first, as the cover joins them."""
+    return covering._concat([walk[key] for walk in walks])
+
+
 def same_table(got, expect) -> bool:
     """Tables of one type whose columns hold the same dtypes, shapes and bytes."""
     return type(got) is type(expect) and all(
@@ -438,6 +443,30 @@ def test_r_min_from_samples_is_scaled_median():
     assert engine.orbit_r_min(0.8, factor=1.0) == median(radii)
 
 
+def test_r_min_median_is_numpys_bit_for_bit(monkeypatch):
+    # The twisted n=12 ring samples, then random ones with ties: 20 values
+    # drawn from a few, some of them zero radii.
+    _, _, engine = _twisted_12_engine()
+    evaluate, seen = engine.evaluate_cart, []
+
+    def spied(directions):
+        dis, radii = evaluate(directions)
+        seen.append(radii)
+        return dis, radii
+
+    monkeypatch.setattr(engine, "evaluate_cart", spied)
+    for phi in np.linspace(0.0, 1.2, 25).tolist():
+        got = engine.orbit_r_min(phi, factor=1.0)
+        assert got.hex() == float(np.median(seen[-1])).hex()
+    rng = np.random.default_rng(73)
+    k = covering.ORBIT_SAMPLE_COUNT
+    radii = [rng.choice(np.append(rng.uniform(0.0, 2.0, 5), 0.0), k) for _ in range(1_000)]
+    radii += [rng.uniform(0.0, 2.0, k) for _ in range(1_000)]
+    monkeypatch.setattr(engine, "evaluate_cart", lambda dirs: (np.zeros(k), radii[-1]))
+    while radii:
+        assert engine.orbit_r_min(0.8, factor=1.0).hex() == float(np.median(radii.pop())).hex()
+
+
 def test_estimate_orbit_r_min_positive():
     _, _, engine = _twisted_12_engine()
     assert engine.orbit_r_min(0.8) > 0.0
@@ -520,11 +549,9 @@ class TestCoverCapRecurse:
     def test_batched_centers_match_the_sequential_walk(self, n, structure):
         ps, params = conjecture_setup(n, structure)
         with contextlib.closing(_Engine(ps, params)) as engine:
-            engine._phase1()
-            queue = engine.cannot_cover
+            queue = phase1_table(engine._phase1(), "cannot_cover")
             assert len(queue) > 50
-            seeds = np.array([v for v, _ in queue])
-            required = np.array([req for _, req in queue])
+            seeds, required = queue.center, queue.required_radius
             depth = params.cover_cap_max_depth
             before = engine.ledger["n_evaluations"]
             got = cover_cap_recurse(engine.evaluate_cart, seeds, required, depth)
@@ -703,18 +730,19 @@ class TestCounterexampleInCoverCap:
         return cover_region(self.PS, self.PARAMS)
 
     def phase1(self, monkeypatch):
-        """((center, radius, Dis) rows, the queue's seeds of r_min 0.1 in order) of phase 1.
+        """(CoverageRecords, the queue's (seed, r_min) pairs of r_min 0.1 in order) of phase 1.
 
         Phase 1 runs under the keyed evaluator.
         """
         evaluate = keyed_evaluator({}, self.DEFAULT)
         monkeypatch.setattr(_Engine, "evaluate_cart", lambda engine, dirs: evaluate(dirs))
-        engine = _Engine(self.PS, self.PARAMS)
-        engine._phase1()
-        assert len(engine.cannot_cover) == 19
-        tenths = [(v, req) for v, req in engine.cannot_cover if req == 0.1]
+        walks = _Engine(self.PS, self.PARAMS)._phase1()
+        queue = phase1_table(walks, "cannot_cover")
+        assert len(queue) == 19
+        pairs = zip(queue.center, queue.required_radius.tolist())
+        tenths = [(v, req) for v, req in pairs if req == 0.1]
         assert len(tenths) == 11
-        return engine.orbit, tenths
+        return phase1_table(walks, "orbit"), tenths
 
     def seed_five_violation(self, queue):
         return cover_cap_centers(queue[5][0], 0.1)[2]
@@ -728,7 +756,7 @@ class TestCounterexampleInCoverCap:
         assert outcome.status == "counterexample"
         assert outcome.counterexample.direction.tobytes() == direction.tobytes()
         assert outcome.counterexample.value == value
-        assert same_table(outcome.records, records_table(phase1_records))
+        assert same_table(outcome.records, phase1_records)
         assert not outcome.not_covered
 
     def test_shallower_violation_in_a_later_seed_wins(self, monkeypatch):
@@ -924,12 +952,12 @@ class TestInsideTest:
         outcome = cover_region(ps, params)
         # Every row the cover made: phase 1's, then all of Cover Cap's, in order.
         with contextlib.closing(_Engine(ps, params)) as engine:
-            engine._phase1()
-            seeds, required = (np.array(col) for col in zip(*engine.cannot_cover))
+            walks = engine._phase1()
+            queue = phase1_table(walks, "cannot_cover")
             _, cover_cap, residual, _ = cover_cap_recurse(
-                engine.evaluate_cart, seeds, required, params.cover_cap_max_depth
+                engine.evaluate_cart, *vars(queue).values(), params.cover_cap_max_depth
             )
-        orbit = records_table(engine.orbit)
+        orbit = phase1_table(walks, "orbit")
         columns = zip(vars(orbit).values(), vars(cover_cap).values())
         made = CoverageRecords(*(np.concatenate(c) for c in columns))
         inside = reference_inside(orbit.center, orbit.radius, cover_cap.center, cover_cap.radius)
@@ -1566,6 +1594,32 @@ def cert_digest(ps, params, outcome) -> str:
     cert = {key: doc.get(key) for key in ("records", "not_covered", "counterexample", "params", "points_meta")}
     cert["status"] = doc["outcome"]["status"]
     return hashlib.sha256(json.dumps(cert, sort_keys=True).encode()).hexdigest()
+
+
+# The conjecture certificates, as scripts/cert_digests.py prints them (sha256= and cert=, here in
+# full).  A change that alters certificates on purpose updates these pins and states the old and
+# the new values in CHANGES.md.
+@pytest.mark.parametrize(
+    "n, structure, report, cert",
+    [
+        pytest.param(
+            20, "twisted",
+            "9c7430112587cd1ce23d813ed0ccfdb5d5166fbc5ab84e0f1d5285d076c26681",
+            "46bff8a1e59827c302394ddb4a447d8c17b4920f0143441d18fd97dc3d20f3b3",
+            id="20-twisted",
+        ),
+        pytest.param(
+            14, "polar",
+            "ad549ac02245f6b4e27541d78b291852f69509cf23972b29b1d1c2ef8d5da2e2",
+            "3dedc88fbb4d9192fba6382844fc63ad042c8d99429159990d5b12094dc7d3ec",
+            id="14-polar",
+        ),
+    ],
+)
+def test_conjecture_certificates_are_pinned(n, structure, report, cert):
+    ps, params = conjecture_setup(n, structure)
+    outcome = cover_region(ps, params)
+    assert (report_digest(ps, params, outcome), cert_digest(ps, params, outcome)) == (report, cert)
 
 
 def recorded_forks(monkeypatch) -> list:

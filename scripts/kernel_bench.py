@@ -5,13 +5,12 @@ For each point set (twisted n=20, t=441; plain polar n=30, t=994; twisted
 n=80, t=7057) and each batch size (1, 8, 20 rows), evaluates the same
 directions of the conjecture region at the conjecture bound d three ways:
 `confidence_radius(project(ps, v), d)` per row, one `confidence_radii`
-call per batch (in a `_CHUNK_BYTES` workspace that the call builds), and
-the engine's ring-ball path, `confidence_radii` with one direction of
-shape (3,) per call in a one-row workspace, `discrepancy.workspace(t, 0)`,
-as a cover keeps for its ring balls.  Records the median over the repeats
-of microseconds per direction and of minor page faults per call
-(`resource.getrusage` of this process only) and prints a line a cell; with
-`--out`, it also writes the table as JSON.
+call per batch (in blocks of `_CHUNK_BYTES` at most), and the engine's
+ring-ball path, `one_row`: `confidence_radii` with one direction of shape
+(3,) per call, as a cover evaluates each ring ball.  Records the median
+over the repeats of microseconds per direction and of minor page faults
+per call (`resource.getrusage` of this process only) and prints a line a
+cell; with `--out`, it also writes the table as JSON.
 
     python3 scripts/kernel_bench.py                       # prints the table only
     python3 scripts/kernel_bench.py --repeats 9 --out kernel.json
@@ -27,7 +26,7 @@ from statistics import median
 import numpy as np
 
 from capdisc import conjecture_setup
-from capdisc.discrepancy import HypothesisViolation, confidence_radii, confidence_radius, project, workspace
+from capdisc.discrepancy import HypothesisViolation, confidence_radii, confidence_radius, project
 from capdisc.reporting import sample_region_directions
 
 JOBS = [("twisted", 20), ("polar", 30), ("twisted", 80)]
@@ -46,14 +45,10 @@ def batched(ps, dirs, d):
     confidence_radii(ps.points, dirs, d)
 
 
-def engine_rows(work):
-    """The engine's ring-ball path: each direction alone through `confidence_radii` in `work`."""
-
-    def evaluate(ps, dirs, d):
-        for v in dirs:
-            confidence_radii(ps.points, v, d, work)
-
-    return evaluate
+def one_row(ps, dirs, d):
+    """The engine's ring-ball path: each direction alone through `confidence_radii`."""
+    for v in dirs:
+        confidence_radii(ps.points, v, d)
 
 
 def measure(fn, ps, batches, d):
@@ -86,7 +81,7 @@ def main() -> None:
         paths = [
             ("one_at_a_time", one_at_a_time),
             ("confidence_radii", batched),
-            ("one_row_workspace", engine_rows(workspace(ps.size, 0))),
+            ("one_row", one_row),
         ]
         for rows in ROWS:
             batches = [dirs[lo : lo + rows] for lo in range(0, len(dirs), rows)]
@@ -114,7 +109,7 @@ def main() -> None:
                 f"{cell['one_at_a_time']['minor_faults_per_call']:6.1f} faults/call  "
                 f"confidence_radii {cell['confidence_radii']['us_per_direction']:7.1f} us/dir "
                 f"{cell['confidence_radii']['minor_faults_per_call']:6.1f} faults/call  "
-                f"one row in the workspace {cell['one_row_workspace']['us_per_direction']:7.1f} us/dir",
+                f"one row {cell['one_row']['us_per_direction']:7.1f} us/dir",
                 flush=True,
             )
 
@@ -123,7 +118,7 @@ def main() -> None:
     doc = {
         "benchmark": (
             "evaluation kernel: one direction per call against confidence_radii, and one"
-            " direction per confidence_radii call in the engine's workspace"
+            " direction per confidence_radii call, the engine's ring-ball path"
         ),
         "statistic": f"median of {args.repeats} repeats, {args.directions} directions each",
         "machine": {

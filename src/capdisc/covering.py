@@ -37,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discrepancy import DirectedResult, HypothesisViolation, confidence_radii, workspace
+from .discrepancy import DirectedResult, HypothesisViolation, confidence_radii
 from .discrepancy import confidence_radius, project  # noqa: F401  capbench traces these sites
 from .geometry import SQRT2, Region, cover_cap_centers, phi_max_from_radius, polar_to_cartesian
 from .geometry import cartesian_to_polar  # noqa: F401  capbench traces this lookup site
@@ -516,7 +516,6 @@ class _Engine:
         self.stranded: list[tuple[np.ndarray, float]] = []  # (center, required radius) of phase 1
         self.r_min_per_orbit: list[float] = []  # of each ring walked
         self._closeout_attempts = 0
-        self.work = workspace(ps.size, 0)  # one row, the kernel's workspace for every ring ball
         self.parent: int | None = None  # in the cover's child, the pid whose exit ends a walk
         self.child: _Child | None = None
 
@@ -526,7 +525,7 @@ class _Engine:
         """Evaluate and record one phase-1 ball: (direction, radius); raises HypothesisViolation."""
         self.ledger["n_evaluations"] += 1
         v = polar_to_cartesian(theta, phi)
-        dis, radius = confidence_radii(self.ps.points, v, self.params.d, self.work)
+        dis, radius = confidence_radii(self.ps.points, v, self.params.d)
         if math.isnan(radius):
             raise HypothesisViolation(v, dis, self.params.d)
         self.orbit.append((v, radius, dis))

@@ -106,68 +106,48 @@ _max = np.maximum.reduce
 _min = np.minimum.reduce
 
 
-def _slab_width(s: np.ndarray, k: int, work):
+def _slab_width(s: np.ndarray, k: int):
     """min over i of s_{i+k} - s_i; 2 when no slab can hold k+1 projections.
 
     One sorted row `s`, shape (t,), gives a float; a block of rows sharing
-    k, shape (m, t), gives a list of m widths.  Either is differenced in
-    `work[1]` (see _radii).
+    k, shape (m, t), gives a list of m widths.
     """
     t = s.shape[-1]
     if k > t - 1:
         return 2.0 if s.ndim == 1 else [2.0] * len(s)
     if s.ndim == 1:
-        return float(_min(np.subtract(s[k:], s[: t - k], out=work[1][: t - k])))
-    diff = work[1][: len(s), : t - k]
-    return _min(np.subtract(s[:, k:], s[:, : t - k], out=diff), axis=1).tolist()
+        return float(_min(s[k:] - s[: t - k]))
+    return _min(s[:, k:] - s[:, : t - k], axis=1).tolist()
 
 
-# A call without a workspace builds planes of its batch's rows, 128,000
-# bytes at most: 16 rows at t = 994, 2 at t = 7,057.  One direction at t =
-# 441 took 12.9 us in one-row planes, 17.2 us in full ones (medians of 5 processes).
-# glibc maps a request of 128 KiB (131,072 bytes) or more on its own,
-# faulted in and unmapped on every call (an unblocked 8-row call at t =
-# 7,057 took 189 minor faults and 1.2 ms, the blocked one none and 0.7 ms),
-# so a plane stays strictly below that, as exactly 128 KiB would not for a
-# power-of-two t.  Against 64 KB planes a row costs the same (BENCH_18.json,
-# scripts/kernel_bench.py).
+# A batch runs in blocks of 128,000 bytes at most: 36 rows at t = 441, 16
+# at t = 994, 2 at t = 7,057.  glibc maps a request of 128 KiB (131,072
+# bytes) or more on its own, faulted in and unmapped on every call (an
+# unblocked 8-row call at t = 7,057 took 189 minor faults and 1.2 ms, the
+# blocked one none and 0.7 ms), so a block, and each temporary of `_dis`
+# and `_slab_width`, which is one block at most, stays strictly below that,
+# as exactly 128 KiB would not for a power-of-two t.  Against 64 KB blocks
+# a row costs the same (BENCH_18.json, scripts/kernel_bench.py).
 _CHUNK_BYTES = 128_000
 
 
-def workspace(t: int, nbytes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The kernel's workspace for t points: three (rows, t) float planes.
-
-    Each plane holds `nbytes` bytes at most, and one row at least.  Plane
-    0 takes a block of sorted projections, and `_dis` and `_slab_width`
-    take their temporaries from planes 1 and 2, so a block allocates
-    nothing; one direction of shape (3,) uses row 0 of each.  The planes
-    are allocated apart, so that each request of a `_CHUNK_BYTES`
-    workspace stays below glibc's mmap threshold.
-    """
-    rows = max(1, nbytes // (8 * t))
-    return np.empty((rows, t)), np.empty((rows, t)), np.empty((rows, t))
-
-
-def _sorted_blocks(points: np.ndarray, directions: np.ndarray, work):
+def _sorted_blocks(points: np.ndarray, directions: np.ndarray):
     """Yield (first row, (m, t) projections sorted along axis 1) per block of rows.
 
     The rows go in as a stack of (3, 1) columns, so numpy runs the
     matrix-vector product of `project` on each and every row equals
     `project`'s values bit for bit; a matrix product over the block rounds
-    differently.  Each block holds as many rows as the `workspace` `work`,
-    and lies in its plane 0, over the last.
+    differently.  A block holds `_CHUNK_BYTES` at most, and one row at least.
     """
     directions = np.ascontiguousarray(directions, dtype=float)
-    rows = len(work[0])
+    rows = max(1, _CHUNK_BYTES // (8 * len(points)))
     for lo in range(0, len(directions), rows):
-        block = directions[lo : lo + rows, :, None]
-        s = work[0][: len(block)]
-        np.matmul(points, block, out=s[:, :, None])
+        s = np.matmul(points, directions[lo : lo + rows, :, None])[..., 0]
         s.sort(axis=1)
         yield lo, s
 
 
-def _dis(s: np.ndarray, work):
+def _dis(s: np.ndarray):
     """Directed discrepancy of each row of sorted projections `s`, (t,) or (m, t).
 
     At h = s_i the boundary-inclusive cap holds t - i points and the
@@ -180,32 +160,30 @@ def _dis(s: np.ndarray, work):
     incl - area or area - excl, and IEEE subtraction is exact under
     negation.  Both are taken doubled, against 2 area = 1 - s, and the
     maximum halved: doubling commutes with rounding, so these are the bits
-    of halving 1 - s first.  The two temporaries go into `work[1:]` (see
-    _radii).
+    of halving 1 - s first.
     """
-    counts, m = _cap_counts(s.shape[-1]), len(s)  # indexed: unpacking costs about 0.6 us
-    twice_area = np.subtract(1.0, s, out=work[2][:m])
-    dev = np.subtract(counts[0], twice_area, out=work[1][:m])
+    counts = _cap_counts(s.shape[-1])  # indexed: unpacking costs about 0.6 us
+    twice_area = 1.0 - s
+    dev = counts[0] - twice_area
     np.subtract(twice_area, counts[1], out=twice_area)
     np.maximum(dev, twice_area, out=dev)
     return _max(dev, axis=-1) * 0.5
 
 
-def _radii(s: np.ndarray, d: float, work) -> tuple[list[float], list[int], list[float]]:
+def _radii(s: np.ndarray, d: float) -> tuple[list[float], list[int], list[float]]:
     """Dis, k and confidence radius of each row of sorted projections `s`.
 
     `s` is one row, shape (t,), or a block of rows, shape (m, t), sorted
-    along its last axis; its temporaries go into `work`, three planes of
-    shape (t,), or a `workspace` of at least m rows.  A row with
-    Dis + 1/t > d breaks the radius hypothesis: k 0, radius nan.
+    along its last axis.  A row with Dis + 1/t > d breaks the radius
+    hypothesis: k 0, radius nan.
     """
     t = s.shape[-1]
     # No slack on d: one would grant radii to rows that break the hypothesis.
     if s.ndim == 1:  # scalar: a (1, t) block costs about 4 us more at t = 441, on every ring ball
-        dis = float(_dis(s, work))
+        dis = float(_dis(s))
         k = 0 if dis + 1.0 / t > d else int(math.floor(t * (d - dis))) + 1
-        return [dis], [k], [_slab_width(s, k, work) if k else math.nan]
-    dis = _dis(s, work).tolist()
+        return [dis], [k], [_slab_width(s, k) if k else math.nan]
+    dis = _dis(s).tolist()
     ks = [0 if x + 1.0 / t > d else int(math.floor(t * (d - x))) + 1 for x in dis]
     # Neighbouring rows of a Cover Cap block mostly share k (on plain polar
     # n = 30, 94% of block rows lie in whole 8-row chunks of one k), so each
@@ -213,7 +191,7 @@ def _radii(s: np.ndarray, d: float, work) -> tuple[list[float], list[int], list[
     radii: list[float] = []
     for k, run in groupby(ks):
         lo, n = len(radii), len(list(run))
-        radii += _slab_width(s[lo : lo + n], k, work) if k else [math.nan] * n
+        radii += _slab_width(s[lo : lo + n], k) if k else [math.nan] * n
     return dis, ks, radii
 
 
@@ -223,54 +201,43 @@ def confidence_radius(profile: ProjectionProfile, d: float) -> ConfidenceBall:
     Requires the hypothesis Dis_v + 1/t <= d; otherwise raises
     HypothesisViolation carrying the witness direction.
     """
-    row = [plane[0] for plane in workspace(len(profile.values), 0)]
-    (dis,), (k,), (radius,) = _radii(profile.values, d, row)
+    (dis,), (k,), (radius,) = _radii(profile.values, d)
     if not k:
         raise HypothesisViolation(profile.direction, dis, d)
     return ConfidenceBall(profile.direction, radius, d, k, dis)
 
 
-def confidence_radii(
-    points: np.ndarray, directions: np.ndarray, d: float, work=None
-) -> tuple[np.ndarray, np.ndarray]:
+def confidence_radii(points: np.ndarray, directions: np.ndarray, d: float) -> tuple[np.ndarray, np.ndarray]:
     """Dis and confidence radius for every row of `directions`, in one call.
 
     Every value equals `confidence_radius(project(ps, v), d)` bit for bit.
     A row that breaks the hypothesis Dis + 1/t <= d raises nothing: its
-    radius is nan.  The rows run in blocks through `work`, a `workspace`
-    for t = len(points) that no other thread uses meanwhile; without one,
-    the call builds a workspace of the batch's rows, in planes of
-    `_CHUNK_BYTES` at most.  One direction of shape (3,) is one row: it
-    gives the two values as floats, projected, sorted and swept in row 0 of
-    each plane.
+    radius is nan.  The rows run in the blocks of `_sorted_blocks`.  One
+    direction of shape (3,) is one row, projected and sorted as `project`
+    does: it gives the two values as floats.
     """
-    m = len(directions) if directions.ndim == 2 else 1
-    work = work or workspace(len(points), min(_CHUNK_BYTES, 8 * len(points) * m))
     if directions.ndim == 1:
-        row = [plane[0] for plane in work]
-        np.matmul(points, directions, out=row[0])
-        row[0].sort()
-        (dis,), _, (radius,) = _radii(row[0], d, row)
+        s = points @ directions
+        s.sort()
+        (dis,), _, (radius,) = _radii(s, d)
         return dis, radius
     dis = np.empty(len(directions))
     radius = np.empty(len(directions))
-    for lo, s in _sorted_blocks(points, directions, work):
+    for lo, s in _sorted_blocks(points, directions):
         rows = slice(lo, lo + len(s))
-        dis[rows], _, radius[rows] = _radii(s, d, work)
+        dis[rows], _, radius[rows] = _radii(s, d)
     return dis, radius
 
 
 def directed_values(points: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """Directed discrepancy of every row of `directions`, in one call.
 
-    Projects and sweeps as `confidence_radii` does, in a workspace of the
-    batch's rows, so every value equals
-    `confidence_radius(project(ps, v), d).directed_value` bit for bit.
+    Projects and sweeps in the blocks of `confidence_radii`, so every value
+    equals `confidence_radius(project(ps, v), d).directed_value` bit for bit.
     """
     out = np.empty(len(directions))
-    work = workspace(len(points), min(_CHUNK_BYTES, 8 * len(points) * len(directions)))
-    for lo, s in _sorted_blocks(points, directions, work):
-        out[lo : lo + len(s)] = _dis(s, work)
+    for lo, s in _sorted_blocks(points, directions):
+        out[lo : lo + len(s)] = _dis(s)
     return out
 
 

@@ -97,8 +97,9 @@ def read_report(path) -> dict:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ValueError(f"a report is a JSON object, not {type(doc).__name__}")
-    if doc.get("schema_version") not in (1, SCHEMA_VERSION):
-        raise ValueError(f"unsupported report schema: {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if type(version) is not int or version not in (1, SCHEMA_VERSION):  # not True, 1.0 or 2.0
+        raise ValueError(f"unsupported report schema: {version!r}")
     return doc
 
 

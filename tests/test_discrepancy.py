@@ -21,13 +21,13 @@ from capdisc.discrepancy import (
     _dis,
     _radii,
     _slab_width,
+    _sorted_blocks,
     confidence_radii,
     confidence_radius,
     directed_discrepancy,
     directed_values,
     naive_discrepancy,
     project,
-    workspace,
 )
 from capdisc.geometry import polar_to_cartesian
 from capdisc.pointsets import (
@@ -64,11 +64,6 @@ def reference_ball(s, d) -> tuple[float, float]:
         return dis, math.nan
     k = int(math.floor(t * (d - dis))) + 1
     return dis, min((s[i + k] - s[i] for i in range(t - k)), default=2.0)
-
-
-def row_work(t):
-    """Row 0 of each plane of a one-row workspace: what the kernel takes for one direction."""
-    return [plane[0] for plane in workspace(t, 0)]
 
 
 def _sweep_cases():
@@ -252,12 +247,11 @@ def test_doubled_sweep_equals_the_halved_one_bit_for_bit(t):
     tied = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     assert tied.sum() >= (3 if t == 2 else 20)  # at t = 2 the constant rows at least
     expect = reference_dis(rows)
-    work = workspace(t, rows.nbytes)
-    assert _dis(rows, work).tobytes() == expect.tobytes()
+    assert _dis(rows).tobytes() == expect.tobytes()
     # A block of 16 rows, as confidence_radii sends at t = 994, and single rows.
-    assert _dis(rows[:16], work).tobytes() == expect[:16].tobytes()
+    assert _dis(rows[:16]).tobytes() == expect[:16].tobytes()
     for row, value in zip(rows, expect.tolist()):
-        assert np.float64(_dis(row, row_work(t))).tobytes() == np.float64(value).tobytes()
+        assert np.float64(_dis(row)).tobytes() == np.float64(value).tobytes()
 
 
 def mixed_block(t, rng):
@@ -279,11 +273,10 @@ class TestBlockRadii:
 
     @staticmethod
     def assert_rowwise(block, d):
-        t = block.shape[1]
-        dis, k, radius = _radii(block, d, workspace(t, block.nbytes))
+        dis, k, radius = _radii(block, d)
         assert len(dis) == len(k) == len(radius) == len(block)
         for i, row in enumerate(block):
-            (dis_i,), (k_i,), (radius_i,) = _radii(row, d, row_work(t))
+            (dis_i,), (k_i,), (radius_i,) = _radii(row, d)
             assert np.float64(dis[i]).tobytes() == np.float64(dis_i).tobytes()
             assert k[i] == k_i
             assert np.float64(radius[i]).tobytes() == np.float64(radius_i).tobytes()
@@ -307,7 +300,7 @@ class TestBlockRadii:
             assert t - 1 in self.assert_rowwise(block, 1.0 - 1.0 / t)
 
 
-def _workspace_cases():
+def _kernel_cases():
     tie = PointSet(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))  # both project to 0 on z
     yield pytest.param(tie, id="t2-tie")
     yield pytest.param(generate_twisted_polar(20), id="twisted441")
@@ -315,51 +308,36 @@ def _workspace_cases():
     yield pytest.param(generate_random_uniform(7057, seed=6), id="random7057")
 
 
-class TestWorkspace:
-    """`confidence_radii` in a reused workspace gives the bytes of a call without one."""
+class TestBlocks:
+    """A batch runs in blocks of `_CHUNK_BYTES` at most, and each row keeps the bits of one direction."""
 
-    @pytest.mark.parametrize("ps", _workspace_cases())
-    def test_rows_equal_the_call_without_a_workspace(self, ps):
-        # Blocks of 24 rows at every t, where a call without a workspace
-        # takes 16 rows at t = 994 and 2 at t = 7,057.
+    @pytest.mark.parametrize("ps", _kernel_cases())
+    def test_batches_equal_project_and_confidence_radius(self, ps):
         t = ps.size
-        work = workspace(t, 24 * 8 * t)
-        rows = len(work[0])
+        rows = {2: 8_000, 441: 36, 994: 16, 7_057: 2}[t]
         dirs = np.vstack([Z, uniform_directions(2 * rows, seed=t)])
-        dis_all, _ = confidence_radii(ps.points, dirs, 2.0)
-        d = float(np.median(dis_all)) + 1.0 / t  # flags about half the rows
-        # A full block first, then shorter ones, so stale rows would show.
+        blocks = [(lo, s.shape) for lo, s in _sorted_blocks(ps.points, dirs)]
+        assert blocks == [(0, (rows, t)), (rows, (rows, t)), (2 * rows, (1, t))]
+        assert 8 * t * rows <= discrepancy._CHUNK_BYTES < 8 * t * (rows + 1)
+        d = float(np.median(directed_values(ps.points, dirs))) + 1.0 / t  # flags about half the rows
+        expect = []
+        for v in dirs:
+            try:
+                ball = confidence_radius(project(ps, v), d)
+                expect.append((ball.directed_value, ball.radius))
+            except HypothesisViolation as exc:
+                expect.append((exc.directed_value, math.nan))
+        expect_dis, expect_radius = np.array(expect).T
+        # A full block first, then a short one, and batches that end one row into a block.
         for m in (rows, rows - 1, rows + 1, 2 * rows + 1):
-            expect = confidence_radii(ps.points, dirs[:m], d)
-            dis, radius = confidence_radii(ps.points, dirs[:m], d, work)
-            assert dis.tobytes() == expect[0].tobytes()
-            assert radius.tobytes() == expect[1].tobytes()
-        assert 0.4 < np.isnan(radius).mean() < 0.6
-        if t > 2:  # the first block mixes nan rows with two k or more; at t = 2 every k >= t
-            k = np.floor(t * (d - dis[:rows][~np.isnan(radius[:rows])])) + 1
-            assert len(set(k.tolist())) >= 2 and np.isnan(radius[:rows]).any()
-
-    def test_a_call_without_one_builds_the_rows_of_its_batch(self, monkeypatch):
-        # Planes of the batch's rows, _CHUNK_BYTES at most (36 rows at t = 441),
-        # with the bytes of a call in full planes.
-        ps = generate_twisted_polar(20)
-        t, full = ps.size, workspace(ps.size, discrepancy._CHUNK_BYTES)
-        dirs = uniform_directions(1_000, seed=9)
-        asked = []
-
-        def recorded(t, nbytes):
-            asked.append(nbytes)
-            return workspace(t, nbytes)
-
-        monkeypatch.setattr(discrepancy, "workspace", recorded)
-        for m in (1, 20, 1_000):
-            got = confidence_radii(ps.points, dirs[:m], 0.5)
-            expect = confidence_radii(ps.points, dirs[:m], 0.5, full)
-            assert np.array(got).tobytes() == np.array(expect).tobytes()
-            assert directed_values(ps.points, dirs[:m]).tobytes() == expect[0].tobytes()
-        assert confidence_radii(ps.points, dirs[0], 0.5) == confidence_radii(ps.points, dirs[0], 0.5, full)
-        sizes = [8 * t, 20 * 8 * t, discrepancy._CHUNK_BYTES]  # of each kernel, then one direction
-        assert asked == [nbytes for nbytes in sizes for _ in range(2)] + [8 * t]
+            dis, radius = confidence_radii(ps.points, dirs[:m], d)
+            assert dis.tobytes() == expect_dis[:m].tobytes()
+            assert radius.tobytes() == expect_radius[:m].tobytes()
+            assert directed_values(ps.points, dirs[:m]).tobytes() == expect_dis[:m].tobytes()
+        assert abs(np.isnan(radius).sum() - rows) <= 1
+        if t > 2:  # the batch mixes nan rows with two k or more; at t = 2 every k >= t
+            k = np.floor(t * (d - dis[~np.isnan(radius)])) + 1
+            assert len(set(k.tolist())) >= 2
 
 
 def assert_same_ball(got, ps, v, d):
@@ -382,42 +360,28 @@ def assert_same_ball(got, ps, v, d):
     return False
 
 
-def engine_work(ps):
-    return covering._Engine(ps, covering.CoverParams(1.0, covering.Region(0.0, 1.0, 0.0, 1.0))).work
-
-
 class TestOneRow:
-    """Rows of a batch and single directions through `confidence_radii`, in each kind of workspace."""
+    """Rows of a batch and single directions through `confidence_radii`."""
 
-    @pytest.mark.parametrize(
-        "make_work",
-        [
-            pytest.param(lambda ps: None, id="no-workspace"),
-            pytest.param(lambda ps: workspace(ps.size, 8 * ps.size), id="one-row-blocks"),
-            pytest.param(engine_work, id="engine"),
-        ],
-    )
-    @pytest.mark.parametrize("ps", _workspace_cases())
-    def test_rows_equal_project_and_confidence_radius(self, ps, make_work):
-        # Without a workspace a call builds its own; in a one-row one every
-        # block of a batch is a single 2-D row; the engine's serves every ring ball.
+    @pytest.mark.parametrize("ps", _kernel_cases())
+    def test_rows_equal_project_and_confidence_radius(self, ps):
+        # Each row of a batch, and each direction of shape (3,) alone, as the engine evaluates a ring ball.
         t = ps.size
-        work = make_work(ps)
         dirs = np.vstack([Z, uniform_directions(24, seed=t)])
-        dis_all, _ = confidence_radii(ps.points, dirs, 2.0, work)  # leaves a batch in the workspace
+        dis_all, _ = confidence_radii(ps.points, dirs, 2.0)
         d = float(np.median(dis_all)) + 1.0 / t  # breaks the hypothesis on about half the rows
-        batch = zip(*confidence_radii(ps.points, dirs, d, work))
+        batch = zip(*confidence_radii(ps.points, dirs, d))
         broken = sum(assert_same_ball(got, ps, v, d) for v, got in zip(dirs, batch))
         assert 0 < broken < len(dirs)
         broken = 0
         for v, dis in zip(dirs, dis_all.tolist()):
-            broken += assert_same_ball(confidence_radii(ps.points, v, d, work), ps, v, d)
+            broken += assert_same_ball(confidence_radii(ps.points, v, d), ps, v, d)
             # k > t - 1, no slab: radius 2
-            assert confidence_radii(ps.points, v, 2.0, work) == (dis, 2.0)
+            assert confidence_radii(ps.points, v, 2.0) == (dis, 2.0)
             assert_same_ball((dis, 2.0), ps, v, 2.0)
             # A short slab difference (k about t/2), then a long one (k of 2 or 3) over it.
             for d_v in (dis + 0.5, dis + 2.0 / t) if t > 2 else ():
-                assert not assert_same_ball(confidence_radii(ps.points, v, d_v, work), ps, v, d_v)
+                assert not assert_same_ball(confidence_radii(ps.points, v, d_v), ps, v, d_v)
         assert 0 < broken < len(dirs)
 
     def test_the_engine_raises_with_the_witness_of_confidence_radius(self):
@@ -467,21 +431,21 @@ def test_kernel_bench_script_smoke(tmp_path):
     assert cell_keys == [(t, rows) for t in (441, 994, 7057) for rows in (1, 8, 20)]
     for cell in cells:
         assert cell["directions"] == 4
-        for path in ("one_at_a_time", "confidence_radii", "one_row_workspace"):
+        for path in ("one_at_a_time", "confidence_radii", "one_row"):
             assert cell[path]["us_per_direction"] > 0.0
 
 
 class TestSlabWidth:
     def test_known_profile(self):
         s = np.array([-0.5, -0.1, 0.2, 0.9])
-        assert math.isclose(_slab_width(s, 1, row_work(4)), 0.3, abs_tol=1e-15)
-        assert math.isclose(_slab_width(s, 2, row_work(4)), 0.7, abs_tol=1e-15)
-        assert _slab_width(s, 4, row_work(4)) == 2.0
+        assert math.isclose(_slab_width(s, 1), 0.3, abs_tol=1e-15)
+        assert math.isclose(_slab_width(s, 2), 0.7, abs_tol=1e-15)
+        assert _slab_width(s, 4) == 2.0
 
     def test_monotone_in_k(self):
         ps = generate_random_uniform(80, seed=3)
         s = project(ps, Z).values
-        widths = [_slab_width(s, k, row_work(80)) for k in range(1, 20)]
+        widths = [_slab_width(s, k) for k in range(1, 20)]
         assert all(a <= b + 1e-15 for a, b in zip(widths, widths[1:]))
 
 
@@ -493,7 +457,7 @@ class TestConfidenceRadius:
         d = dis + 3.7 / ps.size
         ball = confidence_radius(prof, d)
         assert ball.k == math.floor(ps.size * (d - dis)) + 1
-        assert ball.radius == _slab_width(prof.values, ball.k, row_work(ps.size))
+        assert ball.radius == _slab_width(prof.values, ball.k)
 
     def test_rejects_hypothesis_violation(self):
         ps = generate_random_uniform(100, seed=4)

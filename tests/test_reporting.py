@@ -172,6 +172,17 @@ class TestReportDocument:
         with pytest.raises(ValueError, match="a report is a JSON object, not list"):
             read_report(path)
 
+    @pytest.mark.parametrize("version", [1, 2, True, 1.0, 2.0, "2"])
+    def test_schema_version_is_an_int(self, tmp_path, version):
+        # True == 1 and 2.0 == 2 in Python, yet neither is a version the writer gives.
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps({"schema_version": version}))
+        if type(version) is int:
+            assert read_report(path)["schema_version"] == version
+        else:
+            with pytest.raises(ValueError, match=f"unsupported report schema: {version!r}$"):
+                read_report(path)
+
     def test_reads_schema_one_and_refuses_three(self, tmp_path):
         doc = read_report(V1_RESIDUAL_RUN)
         assert doc["schema_version"] == 1 and len(doc["records"]) == 627

@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -308,17 +309,15 @@ def _kernel_cases():
     yield pytest.param(generate_random_uniform(7057, seed=6), id="random7057")
 
 
-class TestBlocks:
-    """A batch runs in blocks of `_CHUNK_BYTES` at most, and each row keeps the bits of one direction."""
+class TestWorkspace:
+    """A call takes no workspace: it runs a batch in blocks it builds itself, each row with the bits of one direction."""
 
     @pytest.mark.parametrize("ps", _kernel_cases())
-    def test_batches_equal_project_and_confidence_radius(self, ps):
+    def test_rows_equal_the_call_without_a_workspace(self, ps):
+        # Batches of every length against per-row confidence_radius(project(...)).
         t = ps.size
-        rows = {2: 8_000, 441: 36, 994: 16, 7_057: 2}[t]
+        rows = max(1, discrepancy._CHUNK_BYTES // (8 * t))
         dirs = np.vstack([Z, uniform_directions(2 * rows, seed=t)])
-        blocks = [(lo, s.shape) for lo, s in _sorted_blocks(ps.points, dirs)]
-        assert blocks == [(0, (rows, t)), (rows, (rows, t)), (2 * rows, (1, t))]
-        assert 8 * t * rows <= discrepancy._CHUNK_BYTES < 8 * t * (rows + 1)
         d = float(np.median(directed_values(ps.points, dirs))) + 1.0 / t  # flags about half the rows
         expect = []
         for v in dirs:
@@ -338,6 +337,19 @@ class TestBlocks:
         if t > 2:  # the batch mixes nan rows with two k or more; at t = 2 every k >= t
             k = np.floor(t * (d - dis[~np.isnan(radius)])) + 1
             assert len(set(k.tolist())) >= 2
+
+    def test_a_call_without_one_builds_the_rows_of_its_batch(self):
+        # Blocks of _CHUNK_BYTES at most, one row at least: 8,000, 36, 16 and 2 rows.
+        for case, rows in zip(_kernel_cases(), (8_000, 36, 16, 2)):
+            (ps,) = case.values
+            t = ps.size
+            dirs = np.vstack([Z, uniform_directions(2 * rows, seed=t)])
+            blocks = [(lo, s.shape) for lo, s in _sorted_blocks(ps.points, dirs)]
+            assert blocks == [(0, (rows, t)), (rows, (rows, t)), (2 * rows, (1, t))]
+            assert 8 * t * rows <= discrepancy._CHUNK_BYTES < 8 * t * (rows + 1)
+            for lo, s in _sorted_blocks(ps.points, dirs):
+                assert s.nbytes <= discrepancy._CHUNK_BYTES
+                assert s.tobytes() == np.sort(np.matmul(ps.points, dirs[lo : lo + len(s), :, None])[..., 0]).tobytes()
 
 
 def assert_same_ball(got, ps, v, d):
@@ -360,28 +372,74 @@ def assert_same_ball(got, ps, v, d):
     return False
 
 
-class TestOneRow:
-    """Rows of a batch and single directions through `confidence_radii`."""
+def kernel_calls(ps):
+    """(batch, one): the kernel called for a batch and for one direction of shape (3,)."""
+    return (lambda dirs, d: confidence_radii(ps.points, dirs, d)), (lambda v, d: confidence_radii(ps.points, v, d))
 
+
+def one_row_block_calls(ps, monkeypatch):
+    """The kernel with blocks of one row, the least `_sorted_blocks` makes."""
+    monkeypatch.setattr(discrepancy, "_CHUNK_BYTES", 8 * ps.size)
+    assert [len(s) for _, s in _sorted_blocks(ps.points, np.vstack([Z, Z]))] == [1, 1]
+    return kernel_calls(ps)
+
+
+def engine_calls(ps, monkeypatch):
+    """A batch through `_Engine.evaluate_cart`, one direction as `_Engine.orbit_ball` evaluates a ring ball.
+
+    The engine reads only `d` of its params, so a stand-in holds bounds above 1 too.
+    """
+
+    def engine(d):
+        return covering._Engine(ps, SimpleNamespace(d=d))
+
+    def one(v, d):
+        monkeypatch.setattr(covering, "polar_to_cartesian", lambda theta, phi: v.copy())
+        e = engine(d)
+        try:
+            got, radius = e.orbit_ball(0.0, 0.0)
+        except HypothesisViolation as exc:
+            assert exc.direction.tobytes() == v.tobytes()
+            return exc.directed_value, math.nan
+        assert got.tobytes() == v.tobytes() and e.orbit[-1][:2] == (got, radius)
+        return e.orbit[-1][2], radius
+
+    return (lambda dirs, d: engine(d).evaluate_cart(dirs)), one
+
+
+class TestOneRow:
+    """Rows of a batch and single directions through `confidence_radii`, on each path that calls it."""
+
+    # Ids as when a call could take a workspace: the plain call builds its own blocks,
+    # "one-row-blocks" runs every block of a batch as one row, the engine serves every ring ball.
+    @pytest.mark.parametrize(
+        "make_calls",
+        [
+            pytest.param(lambda ps, monkeypatch: kernel_calls(ps), id="no-workspace"),
+            pytest.param(one_row_block_calls, id="one-row-blocks"),
+            pytest.param(engine_calls, id="engine"),
+        ],
+    )
     @pytest.mark.parametrize("ps", _kernel_cases())
-    def test_rows_equal_project_and_confidence_radius(self, ps):
+    def test_rows_equal_project_and_confidence_radius(self, ps, make_calls, monkeypatch):
         # Each row of a batch, and each direction of shape (3,) alone, as the engine evaluates a ring ball.
         t = ps.size
+        batch_call, one = make_calls(ps, monkeypatch)
         dirs = np.vstack([Z, uniform_directions(24, seed=t)])
-        dis_all, _ = confidence_radii(ps.points, dirs, 2.0)
+        dis_all, _ = batch_call(dirs, 2.0)
         d = float(np.median(dis_all)) + 1.0 / t  # breaks the hypothesis on about half the rows
-        batch = zip(*confidence_radii(ps.points, dirs, d))
+        batch = zip(*batch_call(dirs, d))
         broken = sum(assert_same_ball(got, ps, v, d) for v, got in zip(dirs, batch))
         assert 0 < broken < len(dirs)
         broken = 0
         for v, dis in zip(dirs, dis_all.tolist()):
-            broken += assert_same_ball(confidence_radii(ps.points, v, d), ps, v, d)
+            broken += assert_same_ball(one(v, d), ps, v, d)
             # k > t - 1, no slab: radius 2
-            assert confidence_radii(ps.points, v, 2.0) == (dis, 2.0)
+            assert one(v, 2.0) == (dis, 2.0)
             assert_same_ball((dis, 2.0), ps, v, 2.0)
             # A short slab difference (k about t/2), then a long one (k of 2 or 3) over it.
             for d_v in (dis + 0.5, dis + 2.0 / t) if t > 2 else ():
-                assert not assert_same_ball(confidence_radii(ps.points, v, d_v), ps, v, d_v)
+                assert not assert_same_ball(one(v, d_v), ps, v, d_v)
         assert 0 < broken < len(dirs)
 
     def test_the_engine_raises_with_the_witness_of_confidence_radius(self):

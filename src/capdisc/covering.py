@@ -9,6 +9,11 @@ radius 2.  Directions whose radius falls below the ring minimum are queued;
 phase 2 certifies them with the 8-cap Cover Cap construction, grown level by
 level; a Cover Cap ball inside a phase-1 ball is dropped.
 
+`cover_region` walks only half of a region closed under theta -> pi - theta
+when the point set maps onto itself under the x-mirror or the half-turn
+about the x-axis, and certifies the other half with the mirror images of
+the walked half's balls (see its docstring for why they are sound).
+
 A cover has at most one helper, a child from `os.fork` (`_Child`).  Phase 1
 walks a region that lies in one hemisphere, with positive height, as two
 latitude bands split where its area halves (`_bands`): the child walks the
@@ -378,10 +383,12 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
 
 
 # Batches of at least this many rows are split: the calling process
-# evaluates the head half, the cover's child the tail half.  Plain polar
-# n=30 makes 16 (1,064 to 32,382 rows), polar n=14 one of 1,592 rows at t =
-# 218, and twisted n=20 one of 1,032 at t = 441, which took 5.6 and 6.4 ms
-# split against 7.8 and 8.6 unsplit (medians of 12 fresh processes each).
+# evaluates the head half, the cover's child the tail half.  A walk of the
+# whole conjecture region of plain polar n=30 makes 16 (1,064 to 32,382
+# rows), of polar n=14 one of 1,592 rows at t = 218, and twisted n=20 one of
+# 1,032 at t = 441, which took 5.6 and 6.4 ms split against 7.8 and 8.6
+# unsplit (medians of 12 fresh processes each).  Their mirrored covers of
+# half the region make 7 and 1 (of 1,024 rows) for polar n=30 and 14.
 _SPLIT_ROWS = 1024
 
 
@@ -894,8 +901,69 @@ def _concat(tables: list):
     return type(tables[0])(*(np.concatenate(col) for col in columns))
 
 
+# The walked half of a mirror-closed region ends this far past theta = pi/2,
+# so that its images overlap it by far more than the band test's 1e-12.
+_MIRROR_OVERLAP = 1e-9
+# The farthest a map may move a point for the set to count as mapped onto itself.
+_MIRROR_LIMIT = 1e-12
+# The x-mirror (-x, y, z) and the half-turn about x (x, -y, -z) as factors
+# of a row, each with a column it negates.
+_X_MIRROR = np.array([-1.0, 1.0, 1.0])
+_MIRRORS = ((_X_MIRROR, 0), (np.array([1.0, -1.0, -1.0]), 1))
+# Rows and images are paired in the order of their projections onto this
+# direction, on no plane of the structures' symmetries; any pairing is checked.
+_MIRROR_KEY = np.array([0.5772156649015329, 0.6931471805599453, 0.4342944819032518])
+
+
+def _mirror_delta(points: np.ndarray) -> float | None:
+    """A bound on how far the x-mirror or the half-turn about x moves the set onto itself, or None.
+
+    A map is refused at once when a column it negates, sorted, is not its
+    own negation within _MIRROR_LIMIT: a map that moves no point further
+    than delta moves no sorted column entry further.  Otherwise each row is
+    paired with the image of the same rank in projection order, and delta is
+    the largest distance of a pair; a pairing off by more than the limit,
+    as when two projections tie, refuses the map.  The bound returned is
+    delta rounded up by far more than its rounding, and at least 2**-50.
+    """
+    for flip, column in _MIRRORS:
+        values = np.sort(points[:, column])
+        if not (np.abs(values + values[::-1]) <= _MIRROR_LIMIT).all():
+            continue
+        image = points * flip
+        gap = points[np.argsort(points @ _MIRROR_KEY)] - image[np.argsort(image @ _MIRROR_KEY)]
+        delta = float(np.sqrt(np.vecdot(gap, gap)).max())
+        if delta <= _MIRROR_LIMIT:
+            return max(delta * (1.0 + 2.0**-20), 2.0**-50)
+    return None
+
+
 def cover_region(ps: PointSet, params: CoverParams) -> CoverOutcome:
-    """Run the covering algorithm over the configured region."""
+    """Run the covering algorithm over the configured region.
+
+    A region with theta_min + theta_max == pi that reaches past pi/2 +
+    _MIRROR_OVERLAP is closed under the x-mirror X: (x, y, z) -> (-x, y, z),
+    which maps longitude theta to pi - theta.  When the set maps onto itself
+    within delta <= 1e-12 under X or under the half-turn H: (x, y, z) ->
+    (x, -y, -z) (`_mirror_delta`), the engine walks only [theta_min, pi/2 +
+    _MIRROR_OVERLAP], and each of its records B(c, r) gains the image
+    B(Xc, r - 2 delta'), clamped at 0, with delta' >= delta the bound
+    `_mirror_delta` returns, the same Dis and the same origin; each residual
+    gains its image with the same required radius.  A walk that ends
+    `counterexample` gains no images.  The status is the walk's, whose
+    counters gain `mirror_rows`, the rows added, and `mirror_delta`, delta'
+    (None when the whole region was walked).
+
+    The images are sound.  Dis_{Xw}(P) = Dis_w(XP), and Dis_{Xw}(P) =
+    Dis_{-Xw}(P) = Dis_{Hw}(P) = Dis_w(HP), a cap's complement having the
+    same discrepancy.  So Dis_{Xw}(P) = Dis_w(P') where P' is P moved by at
+    most delta a point.  Then every projection <p', w> is within delta of
+    <p, w>, which is within |w - c| of <p, c>.  The slab argument at c
+    rests on those projections staying within r of P's at c; it holds for
+    P' at every w with |w - c| <= r - delta, so Dis <= d on all of B(Xc, r
+    - delta).  The computed r - 2 delta' errs below r - delta by at least
+    delta' >= 2**-50, above the rounding of a radius of at most 2.
+    """
     if ps.size < 2:
         raise ValueError("covering needs at least two points")
     # Coincident points shrink the confidence radii around their directions
@@ -907,6 +975,22 @@ def cover_region(ps: PointSet, params: CoverParams) -> CoverOutcome:
         raise ValueError(
             f"point set row {row} repeats row {earlier}; coincident points are not supported"
         )
-    with contextlib.closing(_Engine(ps, params)) as engine:
-        return engine.run()
-
+    reg = params.region
+    half = replace(reg, theta_max=math.pi / 2 + _MIRROR_OVERLAP)
+    delta = None
+    if reg.theta_min + reg.theta_max == math.pi and half.theta_max < reg.theta_max:
+        delta = _mirror_delta(ps.points)
+    walked = params if delta is None else replace(params, region=half)
+    with contextlib.closing(_Engine(ps, walked)) as engine:
+        outcome = engine.run()
+    rows = 0
+    if delta is not None and outcome.status != "counterexample":
+        recs, resid = outcome.records, outcome.not_covered
+        radius = np.maximum(recs.radius - 2.0 * delta, 0.0)  # a pole ball's may be 0
+        images = CoverageRecords(recs.center * _X_MIRROR, radius, recs.directed_value, recs.origin)
+        outcome.records = _concat([recs, images])
+        images = Residuals(resid.center * _X_MIRROR, resid.required_radius)
+        outcome.not_covered = _concat([resid, images])
+        rows = len(recs) + len(resid)
+    outcome.counters.update(mirror_rows=rows, mirror_delta=delta)
+    return outcome

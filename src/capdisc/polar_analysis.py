@@ -102,8 +102,14 @@ def conjecture_setup(n: int, structure: str = "twisted") -> tuple[PointSet, Cove
     """Point set and covering parameters of the north-pole check for this n.
 
     Sets d to the north-pole value and converts the local-radius lemma into
-    phi_max; the region [0, phi_max] x [0, pi] plus the mirror and antipodal
-    symmetries of the structure account for the whole sphere.
+    phi_max; the region is [0, phi_max] x [0, pi].  Directions v and -v have
+    the same discrepancy, and both structures map onto themselves under z ->
+    -z (to within 5e-16 a point), so the half-turn about the z-axis keeps
+    discrepancy too: with the lemma for latitudes above phi_max, the region
+    accounts for the whole sphere.  It is closed under theta -> pi - theta,
+    and the plain polar sets also map onto themselves under the half-turn
+    about the x-axis, so `cover_region` walks half of it for them and
+    certifies the rest with mirror images; the twisted sets have no such map.
     """
     if structure == "twisted":
         ps = generate_twisted_polar(n)

@@ -44,7 +44,7 @@ from capdisc.discrepancy import (
     project,
 )
 from capdisc.geometry import Region, cover_cap_centers, polar_to_cartesian
-from capdisc.pointsets import generate_random_uniform, generate_twisted_polar
+from capdisc.pointsets import PointSet, generate_polar, generate_random_uniform, generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
 from capdisc.reporting import audit_coverage, report_dict, strip_timings
 from conftest import uniform_directions
@@ -328,6 +328,16 @@ def keyed_evaluator(special, default=(0.01, 1.0)):
 
 
 EVALUATE_CART = _Engine.evaluate_cart
+
+
+def whole_walk(ps, params):
+    """The engine's cover of the whole region, as `cover_region` gives it when it finds no mirror.
+
+    Tests of the engine (the split, the child, the bands, the inside test)
+    run through this, so that their numbers are the engine's alone.
+    """
+    with contextlib.closing(_Engine(ps, params)) as engine:
+        return engine.run()
 
 
 FORK = os.fork  # the engine's own, which fixtures may refuse
@@ -949,7 +959,7 @@ class TestInsideTest:
     @pytest.mark.parametrize("n, structure", [(14, "polar"), (20, "twisted")])
     def test_cover_drops_exactly_the_cover_cap_rows_inside_phase_1_balls(self, n, structure):
         ps, params = conjecture_setup(n, structure)
-        outcome = cover_region(ps, params)
+        outcome = whole_walk(ps, params)
         # Every row the cover made: phase 1's, then all of Cover Cap's, in order.
         with contextlib.closing(_Engine(ps, params)) as engine:
             walks = engine._phase1()
@@ -1081,7 +1091,7 @@ class TestBandTest:
         monkeypatch.setattr(_Engine, "_final_orbit_closeout", recording_closeout)
         monkeypatch.setattr(covering, "_band_test", ordered_band_test)
         ps, params = setup()
-        assert cover_region(ps, params).status == "covered"
+        assert whole_walk(ps, params).status == "covered"
         spans = [balls[-1][1] > 2.0 * math.cos(phi) for _, phi, _, balls, _ in rings]
         if params.region.phi_min == -math.pi / 2:
             # each band ends in a closing ring; the lower band's spans its
@@ -1321,23 +1331,25 @@ class TestCoverRegion:
         assert (audit["uncovered"], audit["over_bound"]) == (0, 0)
 
     def test_cover_cap_counters_on_polar_14(self):
+        # The engine walks half the region, theta in [0, pi/2 + 1e-9]; the rest is mirror images.
         ps, params = conjecture_setup(14, "polar")
         counters = cover_region(ps, params).counters
         assert {key: counters[key] for key in COVER_CAP_COUNTERS} == {
-            "cover_cap_nodes": 423,
+            "cover_cap_nodes": 275,
             "cover_cap_levels": 6,
-            "rescue_tries": 629,
-            "rescue_hits": 41,
+            "rescue_tries": 361,
+            "rescue_hits": 25,
         }
-        assert counters["n_evaluations"] == 8467
-        assert (counters["cover_cap_inside_orbit"], counters["not_covered_inside_orbit"]) == (477, 0)
+        assert counters["n_evaluations"] == 5679
+        assert (counters["cover_cap_inside_orbit"], counters["not_covered_inside_orbit"]) == (333, 0)
 
     def test_outcome_holds_at_most_64_bytes_per_record(self):
         # The columns take 41 bytes a record (centre 24, radius 8, Dis 8,
         # origin 1); a Python object per record would take about 300.
         outcome = cover_region(*conjecture_setup(14, "polar"))
-        # 5,420 before the 477 Cover Cap rows inside phase-1 balls were dropped
-        assert len(outcome.records) == 4943
+        # the walked half's 2,826 rows (3,159 before the 333 Cover Cap rows
+        # inside phase-1 balls were dropped) and their mirror images
+        assert len(outcome.records) == 5652
         held = held_bytes(outcome)
         assert held <= 64 * len(outcome.records), held / len(outcome.records)
 
@@ -1364,6 +1376,133 @@ class TestCoverRegion:
             assert key in outcome.counters
         assert outcome.counters["n_evaluations"] >= outcome.counters["n_DD"]
         assert outcome.counters["r_min_global"] <= outcome.counters["r_min_median"]
+
+
+X_MIRROR = np.array([-1.0, 1.0, 1.0])
+
+
+def polar_14_moved():
+    """Plain polar 14 with one ring point moved 1e-6 along its ring: no map fits within 1e-12."""
+    ps, params = conjecture_setup(14, "polar")
+    points = ps.points.copy()
+    x, y, z = points[5]
+    points[5] = polar_to_cartesian(math.atan2(y, x) + 1e-6, math.asin(z))
+    return PointSet(points, ps.meta), params
+
+
+def polar_14_over_0_to_3():
+    ps, params = conjecture_setup(14, "polar")
+    return ps, replace(params, region=replace(params.region, theta_max=3.0))
+
+
+def random_30_over_0_to_pi():
+    return generate_random_uniform(30, 0), CoverParams(0.3, Region(0.0, 0.6, 0.0, math.pi), 6)
+
+
+def half_params(params):
+    """`params` over the half of its region that `cover_region` walks, past pi/2 by 1e-9 >> 1e-12."""
+    return replace(params, region=replace(params.region, theta_max=math.pi / 2 + 1e-9))
+
+
+class TestMirror:
+    """A region closed under theta -> pi - theta, of a set that maps onto itself, is walked by half."""
+
+    @pytest.mark.parametrize("n", [14, 20, 30])
+    def test_images_are_the_walked_half_mirrored_and_sound(self, n):
+        ps, params = conjecture_setup(n, "polar")
+        outcome = cover_region(ps, params)
+        half = whole_walk(ps, half_params(params))
+        m, k = len(half.records), len(half.not_covered)
+        assert outcome.status == half.status
+        assert outcome.counters["mirror_rows"] == m + k == len(outcome.records) - m + k > 0
+        delta = outcome.counters["mirror_delta"]
+        assert 2.0**-50 <= delta <= 2e-15  # the polar sets map onto themselves within 1.7e-15
+        records, images = (
+            CoverageRecords(*(column[part] for column in vars(outcome.records).values()))
+            for part in (slice(None, m), slice(m, None))
+        )
+        assert same_table(records, half.records)
+        assert images.center.tobytes() == (records.center * X_MIRROR).tobytes()
+        assert images.radius.tobytes() == np.maximum(records.radius - 2.0 * delta, 0.0).tobytes()
+        for key in ("directed_value", "origin"):
+            assert getattr(images, key).tobytes() == getattr(records, key).tobytes()
+        # no image claims more than the kernel grants at its own centre
+        _, radius = confidence_radii(ps.points, images.center, params.d)
+        assert not np.isnan(radius).any()
+        assert (images.radius <= radius).all(), float((radius - images.radius).min())
+        residuals = outcome.not_covered
+        assert same_table(Residuals(residuals.center[:k], residuals.required_radius[:k]), half.not_covered)
+        assert residuals.center[k:].tobytes() == (half.not_covered.center * X_MIRROR).tobytes()
+        assert residuals.required_radius[k:].tobytes() == half.not_covered.required_radius.tobytes()
+
+    @pytest.mark.parametrize("n", [14, 20])
+    def test_the_records_cover_the_whole_region(self, n):
+        ps, params = conjecture_setup(n, "polar")
+        assert (params.region.theta_min, params.region.theta_max) == (0.0, math.pi)
+        outcome = cover_region(ps, params)
+        assert outcome.counters["mirror_rows"] > 0
+        audit = audit_coverage(ps, params, outcome, probe_count=100_000, seed=0)
+        assert (audit["uncovered"], audit["over_bound"]) == (0, 0)
+
+    @pytest.mark.parametrize(
+        "setup",
+        [
+            pytest.param(lambda: conjecture_setup(20, "twisted"), id="20-twisted"),
+            pytest.param(random_30_over_0_to_pi, id="30-random"),
+            pytest.param(polar_14_moved, id="14-polar-one-point-moved"),
+            pytest.param(polar_14_over_0_to_3, id="14-polar-theta-0-to-3"),
+        ],
+    )
+    def test_without_a_mirror_the_whole_region_is_walked(self, setup):
+        ps, params = setup()
+        outcome = cover_region(ps, params)
+        whole = whole_walk(ps, params)
+        assert outcome.status == whole.status
+        assert same_table(outcome.records, whole.records)
+        assert same_table(outcome.not_covered, whole.not_covered)
+        assert outcome.counters == {**whole.counters, "mirror_rows": 0, "mirror_delta": None}
+
+    def test_a_half_that_ends_in_a_counterexample_gets_no_images(self, monkeypatch):
+        # The first Cover Cap batch of more than 20 rows breaks the hypothesis in its first row.
+        def breaks_in_cover_cap(engine, directions):
+            dis, radius = EVALUATE_CART(engine, directions)
+            if len(directions) > covering.ORBIT_SAMPLE_COUNT:
+                radius[0] = math.nan
+            return dis, radius
+
+        monkeypatch.setattr(_Engine, "evaluate_cart", breaks_in_cover_cap)
+        ps, params = conjecture_setup(14, "polar")
+        outcome = cover_region(ps, params)
+        half = whole_walk(ps, half_params(params))
+        assert outcome.status == half.status == "counterexample" and len(half.records) > 0
+        assert same_table(outcome.records, half.records)
+        assert same_table(outcome.not_covered, half.not_covered)
+        assert outcome.counters["mirror_rows"] == 0 and outcome.counters["mirror_delta"] is not None
+
+    def test_a_record_of_radius_0_has_an_image_of_radius_0(self):
+        # At d = north + 1/t the pole ball's slab radius is exactly 0, and phase 1 stops there.
+        ps = generate_polar(14)
+        params = CoverParams(north_pole_directed(14) + 1.0 / ps.size, Region(0.0, math.pi / 2, 0.0, math.pi))
+        outcome = cover_region(ps, params)
+        m = len(outcome.records) // 2
+        assert outcome.status == "residual"
+        assert outcome.counters["mirror_rows"] == m + len(outcome.not_covered) // 2
+        assert outcome.records.radius[0] == outcome.records.radius[m] == 0.0
+        assert outcome.records.center[m].tobytes() == (outcome.records.center[0] * X_MIRROR).tobytes()
+        _, radius = confidence_radii(ps.points, outcome.records.center[m:], params.d)
+        assert not np.isnan(radius).any() and (outcome.records.radius[m:] <= radius).all()
+
+    def test_the_maps_are_found_and_refused(self):
+        q = generate_random_uniform(40, 3).points
+        for flip in (X_MIRROR, np.array([1.0, -1.0, -1.0])):  # the x-mirror, the half-turn about x
+            assert covering._mirror_delta(np.concatenate((q, q * flip))) == 2.0**-50  # exact images
+        assert covering._mirror_delta(q) is None
+        assert covering._mirror_delta(generate_twisted_polar(80).points) is None
+        # a point moved 1e-11 passes the x-mirror's column check, and fails its row match
+        moved = np.concatenate((q, q * X_MIRROR))
+        moved[0, 2] += 1e-11
+        assert covering._mirror_delta(moved) is None
+        assert 0.0 < covering._mirror_delta(conjecture_setup(30, "polar")[0].points) <= 2e-15
 
 
 def report_digest(ps, params, outcome) -> str:
@@ -1446,7 +1585,7 @@ class TestHelper:
         kernel_by_process(monkeypatch, helper=fails_in_cover_cap)
         forks = recorded_forks(monkeypatch)
         with pytest.raises(ValueError) as info:
-            cover_region(*conjecture_setup(14, "polar"))
+            whole_walk(*conjecture_setup(14, "polar"))
         assert splits == [1_592]
         assert info.value.args == (f"no kernel in {forks[0]}",)
 
@@ -1470,7 +1609,7 @@ class TestHelper:
 
         kernel_by_process(monkeypatch, helper=dies_in_cover_cap)
         with pytest.raises(RuntimeError, match="exited with status -9$"):
-            cover_region(*conjecture_setup(14, "polar"))
+            whole_walk(*conjecture_setup(14, "polar"))
         assert splits == [1_592]
 
     def test_closing_a_child_reaped_elsewhere_raises_nothing(self):
@@ -1531,22 +1670,22 @@ class TestHelper:
         ps, params = conjecture_setup(14, "polar")
         params = replace(params, region=Region(-0.4, 0.4, 0.0, math.pi))
         forks = recorded_forks(monkeypatch)
-        split = cover_region(ps, params)
+        split = whole_walk(ps, params)
         assert len(forks) == 1 and splits == [1_432]
         assert split.counters["phase1_bands"] == 1 and split.timings["cover_cap_child"] > 0.0
         request.getfixturevalue("one_process")
-        alone = cover_region(ps, params)
+        alone = whole_walk(ps, params)
         assert len(forks) == 1 and splits == [1_432] and alone.timings["cover_cap_child"] == 0.0
         assert report_digest(ps, params, split) == report_digest(ps, params, alone)
 
     def test_polar_30_report_equals_the_in_process_one(self, splits, request):
         ps, params = conjecture_setup(30, "polar")
-        split = cover_region(ps, params)
+        split = whole_walk(ps, params)
         assert len(splits) == 16  # one per batch of _SPLIT_ROWS rows or more
         assert split.status == "residual"
         assert 0.0 < split.timings["cover_cap_child"] < split.timings["cover_cap"]
         request.getfixturevalue("one_process")
-        alone = cover_region(ps, params)
+        alone = whole_walk(ps, params)
         assert len(splits) == 16  # no more splits
         assert split.counters == alone.counters
         assert split.counters["n_evaluations"] == 106_365
@@ -1568,8 +1707,8 @@ class TestHelper:
         # the report must equal the in-process one's within the timeout.
         script = textwrap.dedent(
             """
-            import hashlib, json, os
-            from capdisc import conjecture_setup, cover_region, covering, report_dict, strip_timings
+            import contextlib, hashlib, json, os
+            from capdisc import conjecture_setup, covering, report_dict, strip_timings
 
             for cpu in range(os.cpu_count()):  # the lowest CPU this process may use
                 try:
@@ -1582,7 +1721,8 @@ class TestHelper:
             evaluate, rows = covering._Child.evaluate, []
             covering._Child.evaluate = lambda *args: rows.append(len(args[2])) or evaluate(*args)
             ps, params = conjecture_setup(14, "polar")
-            doc = strip_timings(report_dict(ps, params, cover_region(ps, params)))
+            with contextlib.closing(covering._Engine(ps, params)) as engine:
+                doc = strip_timings(report_dict(ps, params, engine.run()))
             print(rows, hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest())
             """
         )
@@ -1591,7 +1731,7 @@ class TestHelper:
         )
         assert proc.returncode == 0, proc.stderr
         ps, params = conjecture_setup(14, "polar")
-        assert proc.stdout.split() == ["[1592]", report_digest(ps, params, cover_region(ps, params))]
+        assert proc.stdout.split() == ["[1592]", report_digest(ps, params, whole_walk(ps, params))]
 
 
 def cert_digest(ps, params, outcome) -> str:
@@ -1610,14 +1750,14 @@ def cert_digest(ps, params, outcome) -> str:
     [
         pytest.param(
             20, "twisted",
-            "9c7430112587cd1ce23d813ed0ccfdb5d5166fbc5ab84e0f1d5285d076c26681",
+            "e94fc57f0b8b91b07bd1ef009b8ded14c4788d3b04c289b12a8edeb3c0135634",
             "46bff8a1e59827c302394ddb4a447d8c17b4920f0143441d18fd97dc3d20f3b3",
             id="20-twisted",
         ),
         pytest.param(
             14, "polar",
-            "ad549ac02245f6b4e27541d78b291852f69509cf23972b29b1d1c2ef8d5da2e2",
-            "3dedc88fbb4d9192fba6382844fc63ad042c8d99429159990d5b12094dc7d3ec",
+            "94b60e6433c4798d9c9f5c73310aed44a4044ee8030ef3769f34acdd11d4caef",
+            "d6026d1f660fa0564836f183780c86f84d580f3f1d09aa27078014a55f624f51",
             id="14-polar",
         ),
     ],
@@ -1714,7 +1854,7 @@ class TestBands:
     )
     def test_phase_1_records_are_those_of_each_band_walked_whole(self, setup):
         ps, params = setup()
-        outcome = cover_region(ps, params)
+        outcome = whole_walk(ps, params)
         rows = []
         for band in covering._bands(params.region):
             engine = _Engine(ps, replace(params, region=band))
@@ -1884,7 +2024,7 @@ class TestBands:
         ps, params = conjecture_setup(n, structure)
         params = replace(params, region=Region(-0.4, 0.4, 0.0, math.pi))
         forks = recorded_forks(monkeypatch)
-        outcome = cover_region(ps, params)
+        outcome = whole_walk(ps, params)
         assert outcome.counters["phase1_bands"] == 1
         assert splits == split and len(forks) == len(split)
         assert outcome.status == "covered"

@@ -213,6 +213,7 @@ class TestReportDocument:
         assert counters.pop("not_covered_inside_orbit") == 3
         counters["n_cover_cap_dirs"] += dropped
         assert counters.pop("phase1_bands") == 1
+        assert (counters.pop("mirror_rows"), counters.pop("mirror_delta")) == (0, None)
         for key in ("band_tests", "kernel_batches", "kernel_batch_rows"):  # schema 1 has no work counters
             counters.pop(key)
         assert outcome_doc == strip_timings(old)["outcome"]
@@ -316,7 +317,7 @@ class TestReportDocument:
         row = dict(pair.split("=", 1) for pair in pairs)
         assert len(row) == len(pairs)  # no key twice
         # every counter under its report key, with the report's value, and every timing as NAME_s
-        assert len(outcome.counters) == 17 and len(outcome.timings) == 7
+        assert len(outcome.counters) == 19 and len(outcome.timings) == 7
         for key, value in outcome.counters.items():
             assert row[key] == str(value), key
         assert all(f"{name}_s" in row for name in outcome.timings)
@@ -341,7 +342,7 @@ class TestReportDocument:
         assert last == "certificates identical on 1 of 1 jobs"
         assert parent.startswith("parent: job=polar:14 t=218 status=covered ")
         assert change.startswith("change: job=polar:14 t=218 status=covered ")
-        assert " n_evaluations=8467 " in change
+        assert " n_evaluations=5679 " in change
         # the same digests and counters, whatever the seconds, which follow them
         assert parent.split(" phase1_s=")[0][7:] == change.split(" phase1_s=")[0][7:]
         tables = json.loads(out.read_text())["tables"]
@@ -354,8 +355,8 @@ class TestReportDocument:
         assert rows[1][0]["peak_rss_mb"] > 10.0
         assert rows[1][0]["cover_cap_child_s"] > 0.0  # the child's half of the split batch
         assert " cover_cap_child_s=" in change
-        # a batch split with the cover's child (polar 14 has one, of 1,592 rows) counts as one batch
-        assert fixed[1]["kernel_batches"] == 174
+        # a batch split with the cover's child (polar 14 has one, of 1,024 rows) counts as one batch
+        assert fixed[1]["kernel_batches"] == 161
         assert "alternating with the parent table's" in tables["change"]["statistic"]
         # The verdict names each job whose certificate or balls differ, and which digests.
         verdict = runpy.run_path(str(root / "scripts" / "cert_digests.py"))["verdict"]

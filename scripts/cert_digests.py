@@ -18,13 +18,13 @@ sorted, which two trees that list the same balls in different orders share.
 The seconds, the report's size (whose timings' digits vary) and the RSS
 are medians over `--repeats` fresh processes; every other value must agree
 across them.  With `--out`, the rows are written as a JSON table named
-`--label`; an existing file keeps its other tables.  With `--baseline SRC`
+`change`; an existing file keeps its other tables.  With `--baseline SRC`
 (the `src/` of another checkout), the two trees' repeats alternate, so
 that host drift falls on both alike; each line starts with the tree's
-label, `--out` gets both tables (the baseline's named `--baseline-label`),
-and a last line gives the verdict: `certificates identical on k of k
-jobs`, or the jobs whose `cert=` or `balls=` differs, and then the script
-exits with status 1 (after writing `--out`).
+label, `--out` gets both tables (the baseline's named `parent`), and a
+last line gives the verdict: `certificates identical on k of k jobs`, or
+the jobs whose `cert=` or `balls=` differs, and then the script exits
+with status 1 (after writing `--out`).
 
     python3 scripts/cert_digests.py                     # twisted 20/40/60/80, polar 30 and 14
     python3 scripts/cert_digests.py twisted:20 polar:14
@@ -57,6 +57,8 @@ BENCHMARK = (
     " report bytes, and the peak RSS of the process and of its child"
 )
 NOTE = "2 shared CPUs (a container on a host shared with other tenants); medians of repeats"
+# The names of this tree's table and of the baseline's.
+LABEL, BASELINE_LABEL = "change", "parent"
 
 
 def job(text: str) -> tuple[str, int]:
@@ -194,23 +196,19 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=1, help="fresh processes per job and tree; medians are reported")
     ap.add_argument("--out", type=Path, help="write the tables to this JSON file")
     ap.add_argument("--baseline", type=Path, help="src/ of another checkout, measured alternately")
-    ap.add_argument("--label", default="change", help="name of the table written with --out")
-    ap.add_argument("--baseline-label", default="parent", help="name of the baseline's table")
     args = ap.parse_args()
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    trees = [(args.label, SRC)]
+    trees = [(LABEL, SRC)]
     if args.baseline is not None:
         if not (args.baseline / "capdisc").is_dir():
             ap.error(f"--baseline {args.baseline} holds no capdisc package")
-        if args.baseline_label == args.label:
-            ap.error("--baseline-label must differ from --label")
-        trees.insert(0, (args.baseline_label, args.baseline))
+        trees.insert(0, (BASELINE_LABEL, args.baseline))
     tables = compare(trees, args.jobs, args.repeats)
     if args.out:
         write_tables(args, tables)
     if args.baseline is not None:
-        text = verdict(tables[args.baseline_label], tables[args.label])
+        text = verdict(tables[BASELINE_LABEL], tables[LABEL])
         print(text)
         if text.startswith("certificates differ"):
             raise SystemExit(1)

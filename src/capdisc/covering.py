@@ -14,14 +14,14 @@ when the point set maps onto itself under the x-mirror or the half-turn
 about the x-axis, and certifies the other half with the mirror images of
 the walked half's balls (see its docstring for why they are sound).
 
-A cover has at most one helper, a child from `os.fork` (`_Child`).  Phase 1
-walks a region that lies in one hemisphere, with positive height, as two
-latitude bands split where its area halves (`_bands`): the child walks the
-lower one while the calling process walks the upper one, each exactly as a
-whole region, and the cover joins the bands' tables, the upper band's
-first.  Then the child evaluates the tail half of each Cover Cap batch of
-`_SPLIT_ROWS` rows or more (a cover of one band forks it at the first).  A
-row's values do not depend on its batch, so the certificate is that of a
+A cover has at most one helper, a child from `os.fork` (`_Child`), forked
+once, before phase 1.  Phase 1 walks a region that lies in one hemisphere,
+with positive height, as two latitude bands split where its area halves
+(`_bands`): the child walks the lower one while the calling process walks
+the upper one, each exactly as a whole region, and the cover joins the
+bands' tables, the upper band's first.  Then the child evaluates the tail
+half of each Cover Cap batch of `_SPLIT_ROWS` rows or more.  A row's
+values do not depend on its batch, so the certificate is that of a
 serial walk of the bands and of whole batches, which the calling process
 runs alone when no child can be forked, other threads are alive or SIGCHLD
 is ignored.  A region that straddles the equator stays one band: a seam
@@ -243,8 +243,9 @@ _INSIDE_MARGIN = 1e-12
 _INSIDE_CELL_MIN = 2.0**-10
 _INSIDE_KEY_SLACK = 1e-7
 # (ball, candidate) pairs tested at a time, plus the pairs of one ball: about
-# 1 MB of temporaries.  Plain polar n=30 tests about 270k pairs in all; in
-# parts of 65k pairs, or all at once, it took 10-20% longer (2 shared CPUs).
+# 1 MB of temporaries.  Polar n=30's cover tests 104k pairs in all, a walk of
+# its whole region 302k; in parts of 65k, or all at once, that took 10-20% longer
+# (2 shared CPUs).
 _INSIDE_PAIRS = 1 << 14
 _COLUMN_OFFSETS = ((0, 0), (-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (-1, 1), (1, -1), (1, 1))
 
@@ -409,10 +410,10 @@ def _bands(region: Region) -> list[Region]:
 class _Child:
     """A child from `os.fork`, the cover's one helper, and the two pipes to it.
 
-    Given a band, the child first walks it and sends the pickled
-    `_Engine._walk_band` dict, the band's tables.  It then answers each
-    request, a pickled array of rows, with their (dis, radius) from
-    `confidence_radii`, called as the parent calls it for the head half.
+    `_Engine._phase1` starts it.  Given a band, the child first walks it and
+    sends the pickled `_Engine._walk_band` dict, the band's tables.  It then
+    answers each request, a pickled array of rows, with their (dis, radius)
+    from `confidence_radii`, called as the parent calls it for the head half.
     Each answer comes with the child's seconds in it, or is the exception
     raised instead.  The child exits when the requests end, as they do when
     its parent dies; a walk also ends once its parent is gone (see
@@ -542,10 +543,8 @@ class _Engine:
         """(directed_value, radius) arrays of the rows; radius nan where the hypothesis fails."""
         rows = len(directions)
         self.ledger.update(n_evaluations=rows, kernel_batches=1, kernel_batch_rows=rows)
-        if rows >= _SPLIT_ROWS:
-            self.child = self.child or _Child.start(self)
-            if self.child:
-                return self.child.evaluate(self.ps.points, directions, self.params.d)
+        if rows >= _SPLIT_ROWS and self.child:
+            return self.child.evaluate(self.ps.points, directions, self.params.d)
         return confidence_radii(self.ps.points, directions, self.params.d)
 
     # -- phase 1 --------------------------------------------------------------
@@ -650,7 +649,6 @@ class _Engine:
 
     def next_latitude(self, r_min: float, lowest_covered: float) -> float:
         """Lowest latitude whose adjacent r_min balls still meet the covered band."""
-        reg = self.params.region
         tol = BINARY_SEARCH_TOL
 
         def reaches(phi: float) -> bool:
@@ -757,11 +755,12 @@ class _Engine:
     def _phase1(self) -> list[dict]:
         """The `_walk_band` walks of the region's bands, upper first, the lower one by `self.child`.
 
-        The lower band is walked here when no child forks.  A walk that ends
-        in a counterexample is the last one read.
+        The cover's one child starts here, before any ring, with no band to
+        walk when there is one band; where none forks, the lower band is
+        walked here.  A walk that ends in a counterexample is the last one read.
         """
         upper, *lower = _bands(self.params.region)
-        self.child = _Child.start(self, lower[0]) if lower else None
+        self.child = _Child.start(self, *lower)
         walks = [self._walk_band(upper)]
         if lower and walks[0]["counterexample"] is None:
             walks.append(self.child.receive()[0] if self.child else self._walk_band(lower[0]))

@@ -175,8 +175,11 @@ def sample_region_directions(region: Region, count: int, rng: np.random.Generato
 
 # Probes per block of the coverage test; sorted by z, a block meets few balls.
 _AUDIT_BLOCK = 128
-# Balls tested against a block at a time.  A block next to the equator of
-# plain polar n=30 meets up to 28k balls, whose distances at once held 90 MB.
+# Balls tested against a block at a time, so that an array of a block's distances
+# holds at most 1 MB whatever the certificate.  A block meets at most about 1,500 of
+# plain polar n=30's 8,218 balls; before Cover Cap balls inside phase-1 balls
+# were dropped, it had 64k, and a block next to its equator met up to 28k,
+# whose distances at once held 90 MB.
 _AUDIT_BALLS = 1024
 # Widening of each ball's z-interval.  The test accepts a computed chord^2
 # <= r^2 + 1e-30 whose rounding is a few ulps of 4 (< 1e-14), so an accepted

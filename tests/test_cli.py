@@ -117,6 +117,18 @@ class TestDirected:
             vals.append(json.loads(out)["value"])
         assert math.isclose(vals[0], vals[1], abs_tol=1e-12)
 
+    def test_text_output_prints_the_json_values(self, polar15, capsys):
+        angles = ("--points", str(polar15), "--theta", "0.7", "--phi", "0.3")
+        code, out, _ = run_cli(capsys, "directed", *angles, "--json")
+        assert code == 0
+        doc = json.loads(out)
+        code, out, err = run_cli(capsys, "directed", *angles)
+        assert code == 0 and err == ""
+        assert out.splitlines() == [
+            f"directed_value {doc['value']:.17g}",
+            f"witness_height {doc['witness_height']:.17g}",
+        ]
+
     def test_empty_file_is_io_error(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text("x,y,z\n")
@@ -176,6 +188,23 @@ class TestCover:
         assert json.dumps(reports[0], sort_keys=True) == json.dumps(
             reports[1], sort_keys=True
         )
+
+    def test_residual_region_exits_residual(self, tmp_path, capsys):
+        # Plain polar 14 at d = north value + 1/t over the upper half of its
+        # hemisphere leaves residual balls.
+        points = tmp_path / "polar14.csv"
+        code, _, _ = run_cli(capsys, "generate", "--structure", "polar", "--n", "14", "--out", str(points))
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "cover", "--points", str(points), "--d", repr(north_pole_directed(14) + 1.0 / 218),
+            "--phi-min", "0", "--phi-max", repr(math.pi / 2),
+            "--theta-min", "0", "--theta-max", repr(math.pi),
+            "--report", str(tmp_path / "report.json"),
+        )
+        assert code == 4
+        assert out.splitlines()[0] == "status residual"
+        doc = read_report(tmp_path / "report.json")
+        assert doc["outcome"]["status"] == "residual" and doc["not_covered"]
 
     @pytest.mark.parametrize(
         "one_point, d, phi_min",
@@ -253,6 +282,24 @@ class TestConjecture:
         n16 = lines[2].split(",")
         assert (n15[0], n15[1], n15[-1]) == ("15", "250", "covered")
         assert (n16[0], n16[1], n16[-1]) == ("16", "284", "covered")
+
+    @pytest.mark.parametrize(
+        "structure, n_min, statuses, code",
+        [
+            ("twisted", 5, ["counterexample", "counterexample"], 3),
+            ("polar", 14, ["covered", "residual"], 4),
+        ],
+    )
+    def test_exit_code_is_the_worst_status(self, tmp_path, capsys, structure, n_min, statuses, code):
+        summary = tmp_path / "summary.csv"
+        got, out, _ = run_cli(
+            capsys, "conjecture", "--structure", structure, "--n-min", str(n_min),
+            "--n-max", str(n_min + 1), "--summary", str(summary),
+        )
+        assert got == code
+        assert [line.split()[5] for line in out.splitlines()] == statuses
+        rows = summary.read_text().strip().splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == statuses
 
     @pytest.mark.parametrize(
         "text", ["a,b,c\n1,2,3\n", ",".join(SUMMARY_HEADER) + "\nxx,1\n"],

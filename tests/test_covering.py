@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import json
 import math
@@ -480,6 +481,53 @@ def test_r_min_median_is_numpys_bit_for_bit(monkeypatch):
 def test_estimate_orbit_r_min_positive():
     _, _, engine = _twisted_12_engine()
     assert engine.orbit_r_min(0.8) > 0.0
+
+
+class TestNextLatitude:
+    """`next_latitude(r, lowest)` takes its first guess, lowest - acos(1 - r^2/4) - tol, or bisects."""
+
+    TOL = covering.BINARY_SEARCH_TOL
+
+    @staticmethod
+    def reaches(phi, r, lowest) -> bool:
+        """Whether adjacent r-balls on the ring at phi meet the band covered down to `lowest`."""
+        try:
+            return orbit_intersection_latitude(phi, r) >= lowest
+        except BallSpansOrbit:
+            return True
+
+    def guess(self, r, lowest) -> float:
+        return lowest - math.acos(1.0 - r * r / 4.0) - self.TOL
+
+    def test_a_first_guess_that_reaches_is_taken(self):
+        _, _, engine = _twisted_12_engine()
+        r, lowest = 0.1, 0.5
+        assert self.reaches(self.guess(r, lowest), r, lowest)
+        assert engine.next_latitude(r, lowest) == self.guess(r, lowest)
+
+    def test_a_first_guess_that_falls_short_is_bisected(self):
+        # Near the south pole the ring's balls meet higher than the guess allows.
+        _, _, engine = _twisted_12_engine()
+        r, lowest = 0.1, -1.45
+        guess = self.guess(r, lowest)
+        assert not self.reaches(guess, r, lowest)
+        got = engine.next_latitude(r, lowest)
+        assert self.reaches(got, r, lowest) and not self.reaches(got - 2.0 * self.TOL, r, lowest)
+        assert abs(got - -1.5102539) < 1e-7
+        # A scan of 200k latitudes: the first that reaches lies at most tol below the answer.
+        grid = np.linspace(guess, lowest, 200_001).tolist()
+        flags = [self.reaches(phi, r, lowest) for phi in grid]
+        first = flags.index(True)
+        assert all(flags[first:])
+        assert grid[first - 1] < got <= grid[first] + self.TOL
+
+    def test_a_guess_whose_ball_spans_its_ring_reaches(self):
+        _, _, engine = _twisted_12_engine()
+        r, lowest = 0.3, -1.3
+        guess = self.guess(r, lowest)
+        with pytest.raises(BallSpansOrbit):
+            orbit_intersection_latitude(guess, r)  # 2 cos(guess) = 0.116 < r
+        assert engine.next_latitude(r, lowest) == guess
 
 
 def one_seed(v, required_r):
@@ -1516,10 +1564,12 @@ class TestHelper:
     def split(self, n, rows, seed, batches=1):
         """A fresh engine on polar n, closed after `batches` batches of `rows` random directions.
 
-        Each batch must have the bytes of an in-process call.
+        The engine has the child that `_phase1` starts for a cover of one
+        band, if one forks.  Each batch must have the bytes of an in-process call.
         """
         ps, params = conjecture_setup(n, "polar")
         with contextlib.closing(_Engine(ps, params)) as engine:
+            engine.child = covering._Child.start(engine)
             for i in range(batches):
                 directions = uniform_directions(rows, seed=seed + i)
                 dis, radius = engine.evaluate_cart(directions)
@@ -1530,7 +1580,7 @@ class TestHelper:
         return engine
 
     def test_split_batch_equals_the_in_process_bytes(self, splits, monkeypatch):
-        # The engine forks its child at the first batch; the caller evaluates the head half.
+        # The engine's child evaluates the tail half of each batch, the caller the head half.
         caller = []
         kernel_by_process(monkeypatch, caller=lambda dirs: caller.append(len(dirs)))
         forks = recorded_forks(monkeypatch)
@@ -1663,20 +1713,34 @@ class TestHelper:
                 os.kill(child, signal.SIGKILL)
         assert gone_after < 1.0
 
-    def test_a_one_band_cover_forks_its_child_at_its_first_split_batch(
+    def test_a_one_band_cover_forks_its_child_before_its_first_ring(
         self, splits, monkeypatch, request
     ):
         # Polar 14 over a band across the equator walks phase 1 whole, then splits one batch.
+        # Each kernel call of this process notes the forks made so far: all come after the one.
         ps, params = conjecture_setup(14, "polar")
         params = replace(params, region=Region(-0.4, 0.4, 0.0, math.pi))
-        forks = recorded_forks(monkeypatch)
+        forks, seen = recorded_forks(monkeypatch), []
+        kernel_by_process(monkeypatch, caller=lambda dirs: seen.append(len(forks)))
         split = whole_walk(ps, params)
-        assert len(forks) == 1 and splits == [1_432]
+        assert len(forks) == 1 and splits == [1_432] and set(seen) == {1}
         assert split.counters["phase1_bands"] == 1 and split.timings["cover_cap_child"] > 0.0
         request.getfixturevalue("one_process")
         alone = whole_walk(ps, params)
         assert len(forks) == 1 and splits == [1_432] and alone.timings["cover_cap_child"] == 0.0
         assert report_digest(ps, params, split) == report_digest(ps, params, alone)
+
+    def test_a_cover_where_every_fork_is_refused_asks_once(self, splits, monkeypatch):
+        # Polar 30's mirrored cover has two bands and 7 batches of _SPLIT_ROWS rows or more.
+        asked = []
+
+        def refused():
+            asked.append(1)
+            raise OSError(errno.EAGAIN, "fork refused")
+
+        monkeypatch.setattr(os, "fork", refused)
+        outcome = cover_region(*conjecture_setup(30, "polar"))
+        assert len(asked) == 1 and splits == [] and outcome.status == "residual"
 
     def test_polar_30_report_equals_the_in_process_one(self, splits, request):
         ps, params = conjecture_setup(30, "polar")
@@ -2020,13 +2084,14 @@ class TestBands:
         # A seam at the equator would put a ring on the mirror plane of the
         # polar structures: polar 14 was left residual.  These are the
         # certificates of the engine that walked every region as one band.
-        # Phase 1 forks no child; a Cover Cap batch of _SPLIT_ROWS rows or more forks one.
+        # The child, forked before phase 1 with no band to walk, splits each Cover Cap
+        # batch of _SPLIT_ROWS rows or more.
         ps, params = conjecture_setup(n, structure)
         params = replace(params, region=Region(-0.4, 0.4, 0.0, math.pi))
         forks = recorded_forks(monkeypatch)
         outcome = whole_walk(ps, params)
         assert outcome.counters["phase1_bands"] == 1
-        assert splits == split and len(forks) == len(split)
+        assert splits == split and len(forks) == 1
         assert outcome.status == "covered"
         assert cert_digest(ps, params, outcome) == cert
 

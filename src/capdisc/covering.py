@@ -54,7 +54,7 @@ class BallSpansOrbit(Exception):
 
 
 # Directions sampled on a ring to set its r_min, the share of their median
-# radius that r_min is, and the tolerance of the latitude search.
+# radius that r_min is, and the margin of a ring's latitude (`next_latitude`).
 ORBIT_SAMPLE_COUNT = 20
 R_MIN_FACTOR = 0.5
 BINARY_SEARCH_TOL = 1e-9
@@ -134,6 +134,29 @@ def orbit_intersection_latitude(phi: float, r: float) -> float:
     rad = math.hypot(a, b)
     x = max(-1.0, min(1.0, c / rad))
     return math.atan2(b, a) + math.acos(x)
+
+
+def next_latitude(r_min: float, lowest_covered: float) -> float:
+    """Latitude of the next ring below the band covered down to `lowest_covered`.
+
+    The first guess, lowest_covered - acos(1 - r^2/4) - tol clamped at -pi/2,
+    is taken when adjacent balls of radius r = r_min on its ring meet the
+    band or span the ring.  Otherwise the ring goes tol above the lowest
+    latitude whose balls meet the band.  While 2 cos(phi) >= r their upper
+    intersection lies at asin(sin(phi) / m) + alpha, with m = sqrt(1 - r^2/4)
+    and alpha = acos((1 - r^2/2) / m), so that latitude is
+    asin(m sin(lowest_covered - alpha)), the sine's argument clamped at -pi/2.
+    """
+    tol, q = BINARY_SEARCH_TOL, r_min * r_min / 4.0
+    guess = max(lowest_covered - math.acos(1.0 - q) - tol, -math.pi / 2)
+    try:
+        if orbit_intersection_latitude(guess, r_min) >= lowest_covered:
+            return guess
+    except BallSpansOrbit:
+        return guess
+    m = math.sqrt(1.0 - q)
+    drop = lowest_covered - math.acos((1.0 - 2.0 * q) / m)
+    return math.asin(m * math.sin(max(drop, -math.pi / 2))) + tol
 
 
 COVER_CAP_COUNTERS = ("cover_cap_nodes", "cover_cap_levels", "rescue_tries", "rescue_hits")
@@ -647,29 +670,6 @@ class _Engine:
                 return band_lo, good >= target
         return band_lo, False
 
-    def next_latitude(self, r_min: float, lowest_covered: float) -> float:
-        """Lowest latitude whose adjacent r_min balls still meet the covered band."""
-        tol = BINARY_SEARCH_TOL
-
-        def reaches(phi: float) -> bool:
-            try:
-                psi_up = orbit_intersection_latitude(phi, r_min)
-            except BallSpansOrbit:
-                return True
-            return psi_up >= lowest_covered
-
-        lo = lowest_covered - math.acos(1.0 - r_min * r_min / 4.0) - tol
-        hi = lowest_covered
-        if reaches(lo):
-            return lo
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if reaches(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
     def run(self) -> CoverOutcome:
         t0 = time.perf_counter()
         walks = self._phase1()
@@ -822,10 +822,7 @@ class _Engine:
                 # placed, which is only known after sampling there: iterate
                 # proposal -> sample -> re-propose until it settles.
                 for _ in range(6):
-                    needed = min(
-                        self.next_latitude(r_min, lowest_covered),
-                        lowest_covered - tol,
-                    )
+                    needed = min(next_latitude(r_min, lowest_covered), lowest_covered - tol)
                     if abs(needed - phi) <= max(tol, 0.05 * r_min):
                         phi = needed
                         break
@@ -866,7 +863,7 @@ class _Engine:
     def _final_orbit_closeout(self, lowest_covered: float) -> bool:
         """Close the last band with one orbit held clear of phi_min.
 
-        The binary search otherwise converges onto phi_min itself, which for
+        Rings placed by `next_latitude` otherwise close in on phi_min, which for
         the symmetric structures is the equator — a line of cratered radii.
         Instead the final orbit sits at phi_min + 0.6 x (median radius) with
         a radius floor of 0.8 x median, at most sqrt(2), the largest radius

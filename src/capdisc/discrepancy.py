@@ -28,8 +28,9 @@ class HypothesisViolation(Exception):
         )
 
     def __reduce__(self):
-        # Exception pickles self.args, the message alone; a band walked in a
-        # child process hands its witness back pickled.
+        # Exception pickles self.args, the message alone.  No violation crosses
+        # the cover child's pipe (a walk returns a DirectedResult, the kernel a
+        # nan radius); this keeps the exception picklable for callers.
         return type(self), (self.direction, self.directed_value, self.d)
 
 

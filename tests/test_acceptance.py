@@ -1,11 +1,11 @@
 """Acceptance gate: ten numbered criteria, one test (= one pass/fail line) each.
 
 Each test states its tolerance inline.  Expensive covering runs are computed
-once and shared through the module-level cache below.  The long n=125 variant
-of criterion 4 only runs when CAPDISC_RUN_LONG=1 is set.
+once and shared through the module-level cache below.  The n=125 variant of
+criterion 4 runs in every run and is a strict xfail: the engine misses its
+bound today, and the day it meets it the xfail turns into a failure.
 """
 import math
-import os
 import time
 
 import numpy as np
@@ -92,9 +92,9 @@ def test_criterion_04_direction_count_scale():
     assert n_cc / n_dd < 0.25, f"n_CC/n_DD {n_cc / n_dd:.3f} >= 0.25"
 
 
-@pytest.mark.skipif(
-    os.environ.get("CAPDISC_RUN_LONG") != "1",
-    reason="long n=125 variant; set CAPDISC_RUN_LONG=1 to enable",
+@pytest.mark.xfail(
+    strict=True,
+    reason="n_DD is 42,665 at n=125, above 30001 + 20%",
 )
 def test_criterion_04_long_n125_direction_count():
     # n=125: n_DD within +/-20% of 30001.

@@ -34,6 +34,7 @@ from capdisc.covering import (
     _rescue_candidates,
     cover_cap_recurse,
     cover_region,
+    next_latitude,
     orbit_intersection_latitude,
     step_theta,
 )
@@ -44,7 +45,7 @@ from capdisc.discrepancy import (
     directed_values,
     project,
 )
-from capdisc.geometry import Region, cover_cap_centers, polar_to_cartesian
+from capdisc.geometry import Region, cover_cap_centers, phi_max_from_radius, polar_to_cartesian
 from capdisc.pointsets import PointSet, generate_polar, generate_random_uniform, generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
 from capdisc.reporting import audit_coverage, report_dict, strip_timings
@@ -484,7 +485,7 @@ def test_estimate_orbit_r_min_positive():
 
 
 class TestNextLatitude:
-    """`next_latitude(r, lowest)` takes its first guess, lowest - acos(1 - r^2/4) - tol, or bisects."""
+    """`next_latitude(r, lowest)` is its first guess, lowest - acos(1 - r^2/4) - tol, or phi* + tol."""
 
     TOL = covering.BINARY_SEARCH_TOL
 
@@ -500,18 +501,16 @@ class TestNextLatitude:
         return lowest - math.acos(1.0 - r * r / 4.0) - self.TOL
 
     def test_a_first_guess_that_reaches_is_taken(self):
-        _, _, engine = _twisted_12_engine()
         r, lowest = 0.1, 0.5
         assert self.reaches(self.guess(r, lowest), r, lowest)
-        assert engine.next_latitude(r, lowest) == self.guess(r, lowest)
+        assert next_latitude(r, lowest) == self.guess(r, lowest)
 
-    def test_a_first_guess_that_falls_short_is_bisected(self):
+    def test_a_first_guess_that_falls_short_takes_the_closed_form(self):
         # Near the south pole the ring's balls meet higher than the guess allows.
-        _, _, engine = _twisted_12_engine()
         r, lowest = 0.1, -1.45
         guess = self.guess(r, lowest)
         assert not self.reaches(guess, r, lowest)
-        got = engine.next_latitude(r, lowest)
+        got = next_latitude(r, lowest)
         assert self.reaches(got, r, lowest) and not self.reaches(got - 2.0 * self.TOL, r, lowest)
         assert abs(got - -1.5102539) < 1e-7
         # A scan of 200k latitudes: the first that reaches lies at most tol below the answer.
@@ -522,12 +521,23 @@ class TestNextLatitude:
         assert grid[first - 1] < got <= grid[first] + self.TOL
 
     def test_a_guess_whose_ball_spans_its_ring_reaches(self):
-        _, _, engine = _twisted_12_engine()
         r, lowest = 0.3, -1.3
         guess = self.guess(r, lowest)
         with pytest.raises(BallSpansOrbit):
             orbit_intersection_latitude(guess, r)  # 2 cos(guess) = 0.116 < r
-        assert engine.next_latitude(r, lowest) == guess
+        assert next_latitude(r, lowest) == guess
+
+    def test_a_guess_past_the_south_pole_is_the_pole(self):
+        r, lowest = 0.3, -1.56
+        assert self.guess(r, lowest) < -math.pi / 2
+        assert next_latitude(r, lowest) == -math.pi / 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=st.floats(1e-6, 1.9), lowest=st.floats(-math.pi / 2, math.pi / 2))
+    def test_the_ring_meets_the_band_and_lies_on_the_sphere(self, r, lowest):
+        got = next_latitude(r, lowest)
+        assert got == -math.pi / 2 or -math.pi / 2 < got < lowest
+        assert self.reaches(got, r, lowest)
 
 
 def one_seed(v, required_r):
@@ -1223,6 +1233,16 @@ class TestPhase1Misses:
         assert engine._orbit_band(phi, 0.05, balls, phi + 0.01) == (phi, False)
         assert engine.ledger["band_tests"] == 1  # the test at phi alone
 
+    def test_an_edge_search_stops_after_10_000_steps(self, monkeypatch):
+        # Every latitude is covered and r_min is tiny: each edge steps 10,000 times by 1e-6.
+        monkeypatch.setattr(covering, "_band_test", lambda *args: lambda psi: True)
+        engine, phi = _Engine(self.PS, self.PARAMS), 0.7
+        lowest = phi
+        for _ in range(10_000):
+            lowest -= 1e-6
+        assert engine._orbit_band(phi, 1e-9, [(0.0, 1e-9)], phi + 0.1) == (lowest, False)
+        assert engine.ledger["band_tests"] == 1 + 2 * 10_000
+
 
 class TestCoverRegion:
     def test_small_region_covered_and_sound(self):
@@ -1257,6 +1277,20 @@ class TestCoverRegion:
         outcome = cover_region(ps, params)
         assert outcome.status == "covered"
         assert outcome.counters["n_DD"] > 0
+
+    def test_a_pole_ball_that_reaches_phi_min_is_the_whole_walk(self):
+        ps, params = twisted_8_to_the_pole()
+        params = replace(params, region=replace(params.region, phi_min=1.5))
+        engine = _Engine(ps, params)
+        engine._walk()
+        ((_, r, _),) = engine.orbit
+        assert phi_max_from_radius(r) <= 1.5
+        assert engine.ledger["n_evaluations"] == 1 and engine.r_min_per_orbit == []
+        assert not engine.cannot_cover and not engine.stranded
+        outcome = cover_region(ps, params)
+        assert outcome.status == "covered"
+        audit = audit_coverage(ps, params, outcome, probe_count=2_000, seed=0)
+        assert (audit["uncovered"], audit["over_bound"]) == (0, 0)
 
     def test_rejects_trivial_point_set(self):
         ps = generate_random_uniform(1, seed=0)

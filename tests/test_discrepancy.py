@@ -463,7 +463,7 @@ class TestOneRow:
         assert engine.orbit == [(v, ball.radius, ball.directed_value)] and radius == ball.radius
 
     def test_a_violation_survives_pickling(self):
-        # A band walked in a child process hands its witness back pickled.
+        # Exception pickles its message alone; a caller may send a violation to another process.
         v = polar_to_cartesian(0.3, 1.1)
         sent = HypothesisViolation(v, 0.1, 0.05)
         back = pickle.loads(pickle.dumps(sent))

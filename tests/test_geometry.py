@@ -61,6 +61,11 @@ class TestPolarConversion:
         theta, _ = cartesian_to_polar(np.array([0.0, -1.0, 0.0]))
         assert 0.0 <= theta < 2.0 * math.pi
 
+    def test_theta_that_rounds_up_to_2pi_wraps_to_0(self):
+        # atan2 gives -1e-300, and -1e-300 + 2 pi rounds to 2 pi.
+        assert math.atan2(-1e-300, 1.0) + 2.0 * math.pi == 2.0 * math.pi
+        assert cartesian_to_polar(np.array([1.0, -1e-300, 0.0])) == (0.0, 0.0)
+
 
 HALF_PI = math.pi / 2
 

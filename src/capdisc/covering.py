@@ -1,13 +1,14 @@
 """Directional covering of a polar rectangle with confidence balls.
 
 Phase 1 sweeps latitudes from phi_max downward, walking each ring in
-increasing theta with steps sized by the local confidence radius, one kernel
-call a ball; a ring's band is located downward and only decided upward,
+increasing theta with steps sized by the local confidence radius, one call
+a ball of the float32 kernel, whose Dis and radius bound the exact ones
+(`discrepancy._bounded_radii`); a ring's band is located downward and only decided upward,
 against the band already covered.  A ring whose r_min is 0 cannot step, so
 phase 1 ends there and leaves the band below to one residual ball of chord
 radius 2.  Directions whose radius falls below the ring minimum are queued;
 phase 2 certifies them with the 8-cap Cover Cap construction, grown level by
-level; a Cover Cap ball inside a phase-1 ball is dropped.
+level on the float64 kernel; a Cover Cap ball inside a phase-1 ball is dropped.
 
 `cover_region` walks only half of a region closed under theta -> pi - theta
 when the point set maps onto itself under the x-mirror or the half-turn
@@ -42,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .discrepancy import DirectedResult, HypothesisViolation, confidence_radii
+from .discrepancy import DirectedResult, HypothesisViolation, _bounded_radii, confidence_radii
 from .discrepancy import confidence_radius, project  # noqa: F401  capbench traces these sites
 from .geometry import SQRT2, Region, cover_cap_centers, phi_max_from_radius, polar_to_cartesian
 from .geometry import cartesian_to_polar  # noqa: F401  capbench traces this lookup site
@@ -162,7 +163,7 @@ def next_latitude(r_min: float, lowest_covered: float) -> float:
 COVER_CAP_COUNTERS = ("cover_cap_nodes", "cover_cap_levels", "rescue_tries", "rescue_hits")
 
 
-def cover_cap_recurse(evaluate, centers, required_r, depth: int):
+def cover_cap_recurse(evaluate, centers, required_r, depth: int, own=None):
     """Certify each ball B(centers[i], required_r[i]) with a tree of half-radius balls.
 
     `centers` is an (m, 3) array and `required_r` an (m,) one.  `evaluate`
@@ -171,10 +172,13 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int):
     first offered its _rescue_candidates in order: the first whose radius
     contains the whole node ball certifies it as one record.  Otherwise it
     evaluates its 8 `cover_cap_centers`; center 0 is its own direction,
-    whose value a child takes from its parent.  A center whose radius
-    reaches half the node's requirement is a record, a shorter one a child
-    node or, once `depth` levels are used up, a residual ball (direction,
-    still-required radius).
+    whose value a child takes from its parent.  `own`, an (m, 2) array of
+    each seed's (directed_value, radius) from its phase-1 ring ball, gives
+    the seeds' own values too; a seed's own direction, at any level, is then
+    never recorded, since its phase-1 ball is a record already.  A center
+    whose radius reaches half the node's requirement is a record, a shorter
+    one a child node or, once `depth` levels are used up, a residual ball
+    (direction, still-required radius).
 
     The trees grow level by level over all seeds at once: one kernel call
     per rescue round, then one for the centers.  Records and residuals are
@@ -185,7 +189,8 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int):
     counts): the COVER_CAP_COUNTERS are nodes rescued or expanded, levels
     grown, rescue candidates evaluated and nodes rescued.
     """
-    level = centers, required_r, None  # directions, required radii, own (dis, radius) rows
+    # directions, required radii, own (dis, radius) rows, whether a node's own ball is recorded
+    level = centers, required_r, own, np.full(len(centers), own is not None)
     records = [(np.zeros((0, 3)), np.zeros(0), np.zeros(0))]  # (center, radius, dis) parts
     residual = [(np.zeros((0, 3)), np.zeros(0))]  # (center, required radius) parts
     counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
@@ -204,7 +209,7 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int):
     return witness, records, residual, counts
 
 
-def _settle_nodes(evaluate, v, req, own, left: int, records, residual, counts):
+def _settle_nodes(evaluate, v, req, own, known, left: int, records, residual, counts):
     """Settle one level's nodes, appending their records and residuals; returns the next level.
 
     Raises HypothesisViolation, before it settles the rows of the call, at
@@ -227,7 +232,7 @@ def _settle_nodes(evaluate, v, req, own, left: int, records, residual, counts):
     expand = np.flatnonzero(~rescued)
     counts["rescue_hits"] += len(v) - len(expand)
     if not expand.size:
-        return v[:0], req[:0], None
+        return v[:0], req[:0], None, known[:0]
     c = cover_cap_centers(v[expand], req[expand])
     if own is None:
         dis, r_c = (a.reshape(-1, 8) for a in _checked(evaluate, c.reshape(-1, 3)))
@@ -238,12 +243,15 @@ def _settle_nodes(evaluate, v, req, own, left: int, records, residual, counts):
 
     need = np.broadcast_to(req[expand, None] / 2.0, dis.shape)
     rec = r_c >= need
-    records.append((c[rec], r_c[rec], dis[rec]))
+    seed = np.zeros(rec.shape, dtype=bool)
+    seed[:, 0] = known[expand]  # a seed's own direction, whose phase-1 ball is a record
+    new = rec & ~seed
+    records.append((c[new], r_c[new], dis[new]))
     rest = ~rec
     if left > 0:
-        return c[rest], need[rest], np.column_stack((dis[rest], r_c[rest]))
+        return c[rest], need[rest], np.column_stack((dis[rest], r_c[rest])), seed[rest]
     residual.append((c[rest], need[rest]))
-    return v[:0], req[:0], None
+    return v[:0], req[:0], None, known[:0]
 
 
 def _checked(evaluate, directions: np.ndarray):
@@ -536,14 +544,16 @@ def _answer(pipe, call, *args) -> None:
 
 
 class _Engine:
-    def __init__(self, ps: PointSet, params: CoverParams):
+    def __init__(self, ps: PointSet, params: CoverParams, points32: np.ndarray | None = None):
         self.ps = ps
         self.params = params
+        # The points rounded once, for phase 1's float32 kernel; a band's walker shares its cover's.
+        self.points32 = ps.points.astype(np.float32) if points32 is None else points32
         # The work counts of the cover, under their report keys; a band's walk adds its own.
         self.ledger = Counter(n_evaluations=0, band_tests=0, kernel_batches=0, kernel_batch_rows=0)
         self.ledger.update(dict.fromkeys(COVER_CAP_COUNTERS, 0))
         self.orbit: list[tuple[np.ndarray, float, float]] = []  # (center, radius, Dis) per ball
-        self.cannot_cover: list[tuple[np.ndarray, float]] = []  # (center, r_min), for Cover Cap
+        self.cannot_cover: list[tuple] = []  # (center, r_min, Dis, radius), for Cover Cap
         self.stranded: list[tuple[np.ndarray, float]] = []  # (center, required radius) of phase 1
         self.r_min_per_orbit: list[float] = []  # of each ring walked
         self._closeout_attempts = 0
@@ -552,11 +562,15 @@ class _Engine:
 
     # -- direction evaluation -------------------------------------------------
 
+    def ring_radii(self, directions: np.ndarray):
+        """(Dis, radius) of phase-1 directions, (3,) or (m, 3), from the float32 kernel's sound bounds."""
+        return _bounded_radii(self.points32, self.ps.points, directions, self.params.d)
+
     def orbit_ball(self, theta: float, phi: float):
         """Evaluate and record one phase-1 ball: (direction, radius); raises HypothesisViolation."""
         self.ledger["n_evaluations"] += 1
         v = polar_to_cartesian(theta, phi)
-        dis, radius = confidence_radii(self.ps.points, v, self.params.d)
+        dis, radius = self.ring_radii(v)
         if math.isnan(radius):
             raise HypothesisViolation(v, dis, self.params.d)
         self.orbit.append((v, radius, dis))
@@ -579,7 +593,8 @@ class _Engine:
         k = ORBIT_SAMPLE_COUNT
         thetas = (reg.theta_min + (i + 0.5) * span / k for i in range(k))
         samples = np.array([polar_to_cartesian(theta, phi) for theta in thetas])
-        _, radii = _checked(self.evaluate_cart, samples)
+        self.ledger.update(n_evaluations=k, kernel_batches=1, kernel_batch_rows=k)
+        _, radii = _checked(self.ring_radii, samples)
         r = sorted(radii.tolist())  # np.median's value, bit for bit, at a tenth of its cost
         return factor * ((r[(k - 1) // 2] + r[k // 2]) / 2)
 
@@ -593,7 +608,7 @@ class _Engine:
         while True:
             v, r_v = self.orbit_ball(theta, phi)
             if r_v < r_min:
-                self.cannot_cover.append((v, r_min))
+                self.cannot_cover.append((v, r_min, self.orbit[-1][2], r_v))
             eff = max(r_v, r_min)
             balls.append((theta, eff))
             if eff > 2.0 * math.cos(phi):
@@ -686,8 +701,9 @@ class _Engine:
         dropped = resid_inside = 0
         inside_orbit_s = 0.0
         if counterexample is None:
+            own = np.concatenate([walk["cannot_cover_rows"] for walk in walks])
             witness, recs, resid, counts = cover_cap_recurse(
-                self.evaluate_cart, *vars(cannot_cover).values(), self.params.cover_cap_max_depth
+                self.evaluate_cart, *vars(cannot_cover).values(), self.params.cover_cap_max_depth, own
             )
             self.ledger.update(counts)
             # A Cover Cap ball inside a phase-1 ball adds nothing to the union
@@ -775,11 +791,13 @@ class _Engine:
         """Walk one band as the whole region of an engine of its own; its rows as outcome tables.
 
         `orbit` is a CoverageRecords of origin ORBIT, and `cannot_cover`
-        (center, r_min) and `stranded` are Residuals.  A HypothesisViolation
-        ends the walk; its DirectedResult is the walk's `counterexample`.
+        (center, r_min) and `stranded` are Residuals; `cannot_cover_rows`
+        holds each queued direction's (Dis, radius), those of its ring ball.
+        A HypothesisViolation ends the walk; its DirectedResult is the walk's
+        `counterexample`.
         """
         t0 = time.perf_counter()
-        walker = _Engine(self.ps, replace(self.params, region=band))
+        walker = _Engine(self.ps, replace(self.params, region=band), self.points32)
         walker.parent = self.parent
         counterexample = None
         try:
@@ -787,9 +805,11 @@ class _Engine:
         except HypothesisViolation as exc:
             counterexample = DirectedResult(exc.direction, exc.directed_value, math.nan, True)
         center, radius, dis = _columns(walker.orbit, 3)
+        queued, r_min, queued_dis, queued_radius = _columns(walker.cannot_cover, 4)
         return {
             "orbit": CoverageRecords(center, radius, dis, np.full(len(dis), ORBIT, np.uint8)),
-            "cannot_cover": Residuals(*_columns(walker.cannot_cover, 2)),
+            "cannot_cover": Residuals(queued, r_min),
+            "cannot_cover_rows": np.column_stack((queued_dis, queued_radius)),
             "stranded": Residuals(*_columns(walker.stranded, 2)),
             "r_min_per_orbit": walker.r_min_per_orbit,
             "ledger": walker.ledger,
@@ -972,11 +992,11 @@ def cover_region(ps: PointSet, params: CoverParams) -> CoverOutcome:
             f"point set row {row} repeats row {earlier}; coincident points are not supported"
         )
     reg = params.region
-    half = replace(reg, theta_max=math.pi / 2 + _MIRROR_OVERLAP)
+    edge = math.pi / 2 + _MIRROR_OVERLAP  # theta_max of the walked half, past theta_min when mirrored
     delta = None
-    if reg.theta_min + reg.theta_max == math.pi and half.theta_max < reg.theta_max:
+    if reg.theta_min + reg.theta_max == math.pi and edge < reg.theta_max:
         delta = _mirror_delta(ps.points)
-    walked = params if delta is None else replace(params, region=half)
+    walked = params if delta is None else replace(params, region=replace(reg, theta_max=edge))
     with contextlib.closing(_Engine(ps, walked)) as engine:
         outcome = engine.run()
     rows = 0

@@ -70,10 +70,13 @@ def project(ps: PointSet, v: np.ndarray) -> ProjectionProfile:
 
 
 @functools.lru_cache(maxsize=8)
-def _cap_counts(t: int) -> np.ndarray:
-    """Read-only (2, t) doubled cap fractions 2(t - i)/t and 2(t - 1 - i)/t, incl. and excl."""
+def _cap_counts(t: int, dtype=np.float64) -> np.ndarray:
+    """Read-only (2, t) doubled cap fractions 2(t - i)/t and 2(t - 1 - i)/t, incl. and excl.
+
+    Computed in float64 and then rounded to `dtype`.
+    """
     frac = 2.0 * (np.arange(t, -1, -1) / t)
-    counts = np.stack([frac[:-1], frac[1:]])
+    counts = np.stack([frac[:-1], frac[1:]]).astype(dtype, copy=False)
     counts.flags.writeable = False
     return counts
 
@@ -92,7 +95,7 @@ def directed_discrepancy(profile: ProjectionProfile) -> DirectedResult:
     |count/t - area|.
     """
     s = profile.values
-    counts, twice_area = _cap_counts(len(s)), 1.0 - s
+    counts, twice_area = _cap_counts(len(s), s.dtype.type), 1.0 - s
     dev = np.stack((counts[0] - twice_area, twice_area - counts[1]))
     tied = s[1:] == s[:-1]
     dev[0, 1:][tied] = -math.inf
@@ -161,9 +164,9 @@ def _dis(s: np.ndarray):
     incl - area or area - excl, and IEEE subtraction is exact under
     negation.  Both are taken doubled, against 2 area = 1 - s, and the
     maximum halved: doubling commutes with rounding, so these are the bits
-    of halving 1 - s first.
+    of halving 1 - s first.  The sweep runs in the dtype of `s`.
     """
-    counts = _cap_counts(s.shape[-1])  # indexed: unpacking costs about 0.6 us
+    counts = _cap_counts(s.shape[-1], s.dtype.type)  # indexed: unpacking costs about 0.6 us
     twice_area = 1.0 - s
     dev = counts[0] - twice_area
     np.subtract(twice_area, counts[1], out=twice_area)
@@ -228,6 +231,72 @@ def confidence_radii(points: np.ndarray, directions: np.ndarray, d: float) -> tu
         rows = slice(lo, lo + len(s))
         dis[rows], _, radius[rows] = _radii(s, d)
     return dis, radius
+
+
+# Phase 1's float32 kernel, `_bounded_radii`.  u is float32's unit roundoff.
+# Rows of a point set are unit vectors to a few ulps (the generators and
+# read_point_set normalise them), and polar_to_cartesian's directions lie
+# within 5 * 2**-53 of the sphere (sin and cos within an ulp), so every row p
+# and direction v has norm at most 1 + 2**-50.  Then the float32 projection
+# fl32(<fl32(p), fl32(v)>) lies within _ETA32 of the exact <p, v> of the
+# float64 inputs (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+# ed., section 3.1):
+#   - rounding p and v to float32 moves each product p_i v_i by at most
+#     (2u + u^2) |p_i v_i|;
+#   - a 3-term float32 dot product, in any order and with or without FMA, errs
+#     by at most gamma_3 sum |fl32(p_i) fl32(v_i)| <= gamma_3 (1 + u)^2 sum
+#     |p_i v_i|, with gamma_3 = 3u / (1 - 3u);
+#   - sum |p_i v_i| <= |p| |v| <= (1 + 2**-50)^2;
+#   - underflow, in the rounding of tiny components or products, adds less
+#     than 2**-145.
+# In all 5u + 16u^2 + O(u^3) <= 5u (1 + 4u) = _ETA32, about 2.98e-7.  Sorting
+# keeps every order statistic within _ETA32 of the exact one.
+_U32 = 2.0**-24
+_ETA32 = 5.0 * _U32 * (1.0 + 4.0 * _U32)
+# Each candidate deviation of `_dis` moves by half its projection's move, so
+# the exact Dis exceeds the exact sweep of the float32 order statistics by
+# _ETA32 / 2 at most.  The float32 sweep rounds three values below 4 once
+# each, the doubled counts (which float64 rounded first, by 2**-52 at most),
+# 1 - s and their difference, by 2u at most, so it errs by 2.5u + 2**-53 once
+# halved.  The further u / 2 of _DIS_SLACK32 is far above the float64
+# rounding of Dis + slack, of Dis + 1/t and of t (d - Dis), so the hypothesis
+# test and k = floor(t (d - Dis)) + 1, taken from the bound, never pass where
+# the exact Dis fails nor exceed the exact k.
+_DIS_SLACK32 = _ETA32 / 2.0 + 3.0 * _U32
+# A float32 difference w of two float32 order statistics is at most (1 + u)
+# times the exact one, which is at least w (1 - u); the exact projections'
+# is 2 _ETA32 less at most; 2**-50 covers the float64 rounding of the two
+# operations on values below 2.
+_RADIUS_SLACK32 = 2.0 * _ETA32 + 2.0**-50
+
+
+def _bounded_radii(points32: np.ndarray, points: np.ndarray, directions: np.ndarray, d: float):
+    """A sound upper bound on Dis and lower bound on the confidence radius of each direction.
+
+    `points32` is `points` rounded to float32; each direction is projected
+    onto it, sorted and swept in float32.  The Dis reported is that sweep
+    plus _DIS_SLACK32, at least the exact Dis of the float64 inputs; k is
+    taken from it, so it is at most the exact k; and the radius is the
+    float32 k-slab width w as w (1 - u) - _RADIUS_SLACK32, clamped at 0, at
+    most the exact k-slab width, which grows with k (see _ETA32).  A row whose
+    bound breaks the hypothesis Dis + 1/t <= d is evaluated again by
+    `confidence_radii`, whose values it gets bit for bit, so only the float64
+    kernel finds a row that breaks it (radius nan).  One direction of shape
+    (3,) gives two floats, a stack (m, 3) two arrays, each row as alone.
+    """
+    if directions.ndim == 2:
+        dis, radius = np.array([_bounded_radii(points32, points, v, d) for v in directions]).reshape(-1, 2).T
+        return dis, radius
+    s = points32 @ directions.astype(np.float32)
+    s.sort()
+    t = len(s)
+    dis = float(_dis(s)) + _DIS_SLACK32
+    if dis + 1.0 / t > d:
+        return confidence_radii(points, directions, d)
+    k = int(math.floor(t * (d - dis))) + 1
+    if k > t - 1:  # no slab holds k + 1 projections, nor one of the exact k
+        return dis, 2.0
+    return dis, max(float(_min(s[k:] - s[: t - k])) * (1.0 - _U32) - _RADIUS_SLACK32, 0.0)
 
 
 def directed_values(points: np.ndarray, directions: np.ndarray) -> np.ndarray:

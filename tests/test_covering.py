@@ -40,6 +40,7 @@ from capdisc.covering import (
 )
 from capdisc.discrepancy import (
     HypothesisViolation,
+    _bounded_radii,
     confidence_radii,
     confidence_radius,
     directed_values,
@@ -315,9 +316,11 @@ def same_result(got, expect):
 
 
 def rowwise(evaluate_one):
-    """(m, 3) -> (dis, radius) evaluator built from a one-direction evaluator."""
+    """(m, 3) -> (dis, radius) evaluator built from a one-direction evaluator; (3,) -> its values."""
 
     def evaluate(directions):
+        if directions.ndim == 1:
+            return evaluate_one(directions)
         dis, radius = zip(*(evaluate_one(v) for v in directions))
         return np.array(dis), np.array(radius)
 
@@ -330,6 +333,7 @@ def keyed_evaluator(special, default=(0.01, 1.0)):
 
 
 EVALUATE_CART = _Engine.evaluate_cart
+RING_RADII = _Engine.ring_radii
 
 
 def whole_walk(ps, params):
@@ -359,19 +363,23 @@ def splits(monkeypatch):
 
 
 def kernel_by_process(monkeypatch, caller=None, helper=None):
-    """Hook the engine's kernel: `caller(directions)` runs before each call in this process.
+    """Hook the engine's kernels: `caller(directions)` runs before each call in this process.
 
     `helper(directions)` runs before each call in a child forked after this one.
     """
     main = os.getpid()
 
-    def hooked(points, directions, d):
-        hook = caller if os.getpid() == main else helper
-        if hook is not None:
-            hook(directions)
-        return confidence_radii(points, directions, d)
+    def hooked(kernel):
+        def call(*args):  # (points, directions, d), or (points32, points, directions, d)
+            hook = caller if os.getpid() == main else helper
+            if hook is not None:
+                hook(args[-2])
+            return kernel(*args)
 
-    monkeypatch.setattr(covering, "confidence_radii", hooked)
+        return call
+
+    monkeypatch.setattr(covering, "confidence_radii", hooked(confidence_radii))
+    monkeypatch.setattr(covering, "_bounded_radii", hooked(_bounded_radii))
 
 
 def in_cover_cap_of_the_child(directions) -> bool:
@@ -450,7 +458,7 @@ def test_r_min_from_samples_is_scaled_median():
     ps, d, engine = _twisted_12_engine()
     k = covering.ORBIT_SAMPLE_COUNT
     samples = [polar_to_cartesian((i + 0.5) * math.pi / k, 0.8) for i in range(k)]
-    radii = [confidence_radius(project(ps, u), d).radius for u in samples]
+    radii = [_bounded_radii(engine.points32, ps.points, u, d)[1] for u in samples]
     assert engine.orbit_r_min(0.8) == covering.R_MIN_FACTOR * median(radii)
     assert engine.orbit_r_min(0.8, factor=1.0) == median(radii)
 
@@ -459,14 +467,14 @@ def test_r_min_median_is_numpys_bit_for_bit(monkeypatch):
     # The twisted n=12 ring samples, then random ones with ties: 20 values
     # drawn from a few, some of them zero radii.
     _, _, engine = _twisted_12_engine()
-    evaluate, seen = engine.evaluate_cart, []
+    evaluate, seen = engine.ring_radii, []
 
     def spied(directions):
         dis, radii = evaluate(directions)
         seen.append(radii)
         return dis, radii
 
-    monkeypatch.setattr(engine, "evaluate_cart", spied)
+    monkeypatch.setattr(engine, "ring_radii", spied)
     for phi in np.linspace(0.0, 1.2, 25).tolist():
         got = engine.orbit_r_min(phi, factor=1.0)
         assert got.hex() == float(np.median(seen[-1])).hex()
@@ -474,7 +482,7 @@ def test_r_min_median_is_numpys_bit_for_bit(monkeypatch):
     k = covering.ORBIT_SAMPLE_COUNT
     radii = [rng.choice(np.append(rng.uniform(0.0, 2.0, 5), 0.0), k) for _ in range(1_000)]
     radii += [rng.uniform(0.0, 2.0, k) for _ in range(1_000)]
-    monkeypatch.setattr(engine, "evaluate_cart", lambda dirs: (np.zeros(k), radii[-1]))
+    monkeypatch.setattr(engine, "ring_radii", lambda dirs: (np.zeros(k), radii[-1]))
     while radii:
         assert engine.orbit_r_min(0.8, factor=1.0).hex() == float(np.median(radii.pop())).hex()
 
@@ -777,11 +785,13 @@ def test_batched_rescue_candidates_equal_one_node_calls(stack):
 class TestCounterexampleInCoverCap:
     """A violation found by Cover Cap ends the cover with the first one in level order.
 
-    The kernel is replaced by a keyed evaluator: radius 0.2 everywhere, so
-    phase 1 queues each direction it walks, eleven with r_min 0.1 and the
-    closing ring's of each band with 0.16, and every Cover Cap center passes
-    unless it is keyed.  The 19 queued directions lie over 0.34 away from
-    the rescue's crater planes, so no rescue candidate is made.
+    Cover Cap's kernel and phase 1's ring samples are replaced by a keyed
+    evaluator: radius 0.2 everywhere, so phase 1, whose ring balls keep the
+    float32 kernel, queues each direction it walks, eleven with r_min 0.1
+    and the closing ring's of each band with 0.16, and every Cover Cap
+    center passes unless it is keyed.  The 19 queued directions lie over
+    0.34 away from the rescue's crater planes, so no rescue candidate is
+    made.
     """
 
     PS = generate_twisted_polar(12)
@@ -792,9 +802,16 @@ class TestCounterexampleInCoverCap:
     def in_one_process(self, one_process):
         """Phase 1's keyed kernel and spies see both bands."""
 
-    def cover(self, monkeypatch, special):
+    def keyed(self, monkeypatch, special):
+        """Key Cover Cap's batches and the ring samples to `special`; ring balls keep their kernel."""
         evaluate = keyed_evaluator(special, self.DEFAULT)
         monkeypatch.setattr(_Engine, "evaluate_cart", lambda engine, dirs: evaluate(dirs))
+        monkeypatch.setattr(
+            _Engine, "ring_radii", lambda engine, dirs: RING_RADII(engine, dirs) if dirs.ndim == 1 else evaluate(dirs)
+        )
+
+    def cover(self, monkeypatch, special):
+        self.keyed(monkeypatch, special)
         return cover_region(self.PS, self.PARAMS)
 
     def phase1(self, monkeypatch):
@@ -802,8 +819,7 @@ class TestCounterexampleInCoverCap:
 
         Phase 1 runs under the keyed evaluator.
         """
-        evaluate = keyed_evaluator({}, self.DEFAULT)
-        monkeypatch.setattr(_Engine, "evaluate_cart", lambda engine, dirs: evaluate(dirs))
+        self.keyed(monkeypatch, {})
         walks = _Engine(self.PS, self.PARAMS)._phase1()
         queue = phase1_table(walks, "cannot_cover")
         assert len(queue) == 19
@@ -855,22 +871,21 @@ class TestCounterexampleInCoverCap:
 
     def test_split_batches_give_the_same_counterexample(self, monkeypatch, splits):
         # The keyed kernel stands in for confidence_radii in both processes,
-        # and only level 0's batch of 152 centres is split: the caller
-        # evaluates the rows of the first 9.5 seeds, the cover's child the
+        # and only level 0's batch of 133 centres, 7 a seed (a seed's own
+        # direction has its ring ball's values), is split: the caller
+        # evaluates the first 66 rows (9.4 seeds), the cover's child the
         # rest.  A violation in either half is the in-process counterexample.
         phase1_records, queue = self.phase1(monkeypatch)
-        head = self.seed_five_violation(queue)  # row 74: queue[5] is the 10th seed of the batch
-        tail = cover_cap_centers(queue[-1][0], 0.1)[2]  # row 114, of the 15th seed
+        head = self.seed_five_violation(queue)  # row 64: queue[5] is the 10th seed of the batch
+        tail = cover_cap_centers(queue[-1][0], 0.1)[2]  # row 99, of the 15th seed
         expect = {}
         for v in (head, tail):
             expect[v.tobytes()] = self.cover(monkeypatch, {v.tobytes(): (0.9, math.nan)})
         special, parent, caller = {}, os.getpid(), set()  # caller: the rows batched in this process
         evaluate = keyed_evaluator(special, self.DEFAULT)
+        self.keyed(monkeypatch, special)
 
         def keyed_batches(points, dirs, d):
-            # a ring ball, one direction, keeps the real kernel, as in `expect`
-            if dirs.ndim == 1:
-                return confidence_radii(points, dirs, d)
             if os.getpid() == parent:
                 caller.update(v.tobytes() for v in dirs)
             return evaluate(dirs)
@@ -891,7 +906,7 @@ class TestCounterexampleInCoverCap:
                 del outcome.counters[key], alone.counters[key]
             assert outcome.counters == alone.counters
             assert outcome.counters["phase1_bands"] == 2
-        assert splits == [152, 152]
+        assert splits == [133, 133]
         assert head.tobytes() in caller and tail.tobytes() not in caller
 
     def test_later_seed_is_not_expanded(self, monkeypatch):
@@ -1022,8 +1037,9 @@ class TestInsideTest:
         with contextlib.closing(_Engine(ps, params)) as engine:
             walks = engine._phase1()
             queue = phase1_table(walks, "cannot_cover")
+            own = np.concatenate([walk["cannot_cover_rows"] for walk in walks])
             _, cover_cap, residual, _ = cover_cap_recurse(
-                engine.evaluate_cart, *vars(queue).values(), params.cover_cap_max_depth
+                engine.evaluate_cart, *vars(queue).values(), params.cover_cap_max_depth, own
             )
         orbit = phase1_table(walks, "orbit")
         columns = zip(vars(orbit).values(), vars(cover_cap).values())
@@ -1396,6 +1412,15 @@ class TestCoverRegion:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["covered", "True", "0", "0"]
 
+    def test_a_region_past_the_walked_halfs_edge_is_walked_whole(self):
+        # theta_min past pi/2 + 1e-9, where a mirrored half would end, once raised ValueError.
+        ps = generate_twisted_polar(8)
+        params = CoverParams(d=north_pole_directed(8) + 0.5 / ps.size, region=Region(0.2, 0.6, 2.0, 2.5))
+        outcome = cover_region(ps, params)
+        assert outcome.counters["mirror_delta"] is None and outcome.counters["mirror_rows"] == 0
+        whole = whole_walk(ps, params)
+        assert outcome.status == whole.status and same_table(outcome.records, whole.records)
+
     @pytest.mark.parametrize(
         "region",
         [pytest.param(Region(0.2, 0.9, 0.5, 0.5 + w), id=str(w)) for w in (0.0, 1e-13)]
@@ -1417,21 +1442,21 @@ class TestCoverRegion:
         ps, params = conjecture_setup(14, "polar")
         counters = cover_region(ps, params).counters
         assert {key: counters[key] for key in COVER_CAP_COUNTERS} == {
-            "cover_cap_nodes": 275,
+            "cover_cap_nodes": 274,
             "cover_cap_levels": 6,
             "rescue_tries": 361,
             "rescue_hits": 25,
         }
-        assert counters["n_evaluations"] == 5679
-        assert (counters["cover_cap_inside_orbit"], counters["not_covered_inside_orbit"]) == (333, 0)
+        assert counters["n_evaluations"] == 5544
+        assert (counters["cover_cap_inside_orbit"], counters["not_covered_inside_orbit"]) == (301, 0)
 
     def test_outcome_holds_at_most_64_bytes_per_record(self):
         # The columns take 41 bytes a record (centre 24, radius 8, Dis 8,
         # origin 1); a Python object per record would take about 300.
         outcome = cover_region(*conjecture_setup(14, "polar"))
-        # the walked half's 2,826 rows (3,159 before the 333 Cover Cap rows
+        # the walked half's 2,728 rows (3,029 before the 301 Cover Cap rows
         # inside phase-1 balls were dropped) and their mirror images
-        assert len(outcome.records) == 5652
+        assert len(outcome.records) == 5456
         held = held_bytes(outcome)
         assert held <= 64 * len(outcome.records), held / len(outcome.records)
 
@@ -1670,7 +1695,7 @@ class TestHelper:
         forks = recorded_forks(monkeypatch)
         with pytest.raises(ValueError) as info:
             whole_walk(*conjecture_setup(14, "polar"))
-        assert splits == [1_592]
+        assert splits == [1_386]
         assert info.value.args == (f"no kernel in {forks[0]}",)
 
     def test_exception_in_cover_cap_reaps_the_helper(self, splits, monkeypatch):
@@ -1683,7 +1708,7 @@ class TestHelper:
 
         kernel_by_process(monkeypatch, caller=stops_in_the_split)
         with pytest.raises(Stop):
-            cover_region(*conjecture_setup(14, "polar"))
+            whole_walk(*conjecture_setup(14, "polar"))
         assert len(splits) == 1
 
     def test_a_child_killed_in_cover_cap_raises_its_exit_status(self, splits, monkeypatch):
@@ -1694,7 +1719,7 @@ class TestHelper:
         kernel_by_process(monkeypatch, helper=dies_in_cover_cap)
         with pytest.raises(RuntimeError, match="exited with status -9$"):
             whole_walk(*conjecture_setup(14, "polar"))
-        assert splits == [1_592]
+        assert splits == [1_386]
 
     def test_closing_a_child_reaped_elsewhere_raises_nothing(self):
         # So it cannot replace the exception a cover is raising.
@@ -1757,11 +1782,11 @@ class TestHelper:
         forks, seen = recorded_forks(monkeypatch), []
         kernel_by_process(monkeypatch, caller=lambda dirs: seen.append(len(forks)))
         split = whole_walk(ps, params)
-        assert len(forks) == 1 and splits == [1_432] and set(seen) == {1}
+        assert len(forks) == 1 and splits == [1_302] and set(seen) == {1}
         assert split.counters["phase1_bands"] == 1 and split.timings["cover_cap_child"] > 0.0
         request.getfixturevalue("one_process")
         alone = whole_walk(ps, params)
-        assert len(forks) == 1 and splits == [1_432] and alone.timings["cover_cap_child"] == 0.0
+        assert len(forks) == 1 and splits == [1_302] and alone.timings["cover_cap_child"] == 0.0
         assert report_digest(ps, params, split) == report_digest(ps, params, alone)
 
     def test_a_cover_where_every_fork_is_refused_asks_once(self, splits, monkeypatch):
@@ -1779,29 +1804,29 @@ class TestHelper:
     def test_polar_30_report_equals_the_in_process_one(self, splits, request):
         ps, params = conjecture_setup(30, "polar")
         split = whole_walk(ps, params)
-        assert len(splits) == 16  # one per batch of _SPLIT_ROWS rows or more
+        assert len(splits) == 15  # one per batch of _SPLIT_ROWS rows or more
         assert split.status == "residual"
         assert 0.0 < split.timings["cover_cap_child"] < split.timings["cover_cap"]
         request.getfixturevalue("one_process")
         alone = whole_walk(ps, params)
-        assert len(splits) == 16  # no more splits
+        assert len(splits) == 15  # no more splits
         assert split.counters == alone.counters
-        assert split.counters["n_evaluations"] == 106_365
+        assert split.counters["n_evaluations"] == 106_387
         # Cover Cap rows dropped inside phase-1 balls, and every residual ball inside one too
-        assert split.counters["cover_cap_inside_orbit"] == 57_115
-        assert split.counters["not_covered_inside_orbit"] == len(split.not_covered) == 9_226
+        assert split.counters["cover_cap_inside_orbit"] == 57_283
+        assert split.counters["not_covered_inside_orbit"] == len(split.not_covered) == 9_216
         report = report_digest(ps, params, split)
         assert report == report_digest(ps, params, alone)
         # Pinned as test_conjecture_certificates_are_pinned pins the others: the one
         # certificate here that ends residual, with rescues and Cover Cap rows dropped.
-        assert report == "3a31e843376286ec759558e1b491bbd895c4be3042483633e26545006a50926d"
+        assert report == "3a0b36f6cba6bb433aa9c79c942e0e7058c0c89a9ba06f4328c9bf94c72a1be7"
         cert = cert_digest(ps, params, split)
-        assert cert == "1e2dbaf4c1a2cbd37f64a79ab98f1b8a572674d70b7b535e0faaef0b62d1371c"
+        assert cert == "7eecfda42cb53eaf741706b130e34b6294c3265be8baee250eeab9bc8eaf432e"
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
     def test_split_on_one_cpu_ends_with_the_in_process_report(self):
         # A process held to one CPU, and its child with it, still splits
-        # polar 14's batch of 1,592 rows; the two take turns on that CPU, and
+        # polar 14's batch of 1,386 rows; the two take turns on that CPU, and
         # the report must equal the in-process one's within the timeout.
         script = textwrap.dedent(
             """
@@ -1829,7 +1854,7 @@ class TestHelper:
         )
         assert proc.returncode == 0, proc.stderr
         ps, params = conjecture_setup(14, "polar")
-        assert proc.stdout.split() == ["[1592]", report_digest(ps, params, whole_walk(ps, params))]
+        assert proc.stdout.split() == ["[1386]", report_digest(ps, params, whole_walk(ps, params))]
 
 
 def cert_digest(ps, params, outcome) -> str:
@@ -1848,14 +1873,14 @@ def cert_digest(ps, params, outcome) -> str:
     [
         pytest.param(
             20, "twisted",
-            "e94fc57f0b8b91b07bd1ef009b8ded14c4788d3b04c289b12a8edeb3c0135634",
-            "46bff8a1e59827c302394ddb4a447d8c17b4920f0143441d18fd97dc3d20f3b3",
+            "22f53426b4228e84e6cc7052018d9864c84996937aca8dee8f3e1de788db7162",
+            "7b9a02cc781a179070b84b6075424c993c3b1a243de8c4c084007cbca5a35c17",
             id="20-twisted",
         ),
         pytest.param(
             14, "polar",
-            "94b60e6433c4798d9c9f5c73310aed44a4044ee8030ef3769f34acdd11d4caef",
-            "d6026d1f660fa0564836f183780c86f84d580f3f1d09aa27078014a55f624f51",
+            "9daa0c45b7f333630432e6074053fb591835b1ccd4642de04adda3f33fbc87d3",
+            "a7ed0dd12cc1fdf4e710b3cb82efb7727af8346a45ed24a3ecc0fabe96ee4f8a",
             id="14-polar",
         ),
     ],
@@ -1970,13 +1995,13 @@ class TestBands:
         ps, params = conjecture_setup(20, "twisted")
         seam = math.sin(covering._bands(params.region)[0].phi_min)
         below = seam - 0.05
-        kernel = covering.confidence_radii
+        kernel = covering._bounded_radii
 
-        def breaks_below_the_seam(points, directions, d):
-            dis, radius = kernel(points, directions, d)
+        def breaks_below_the_seam(points32, points, directions, d):
+            dis, radius = kernel(points32, points, directions, d)
             return (dis, math.nan) if directions.ndim == 1 and directions[2] < below else (dis, radius)
 
-        monkeypatch.setattr(covering, "confidence_radii", breaks_below_the_seam)
+        monkeypatch.setattr(covering, "_bounded_radii", breaks_below_the_seam)
         forks = recorded_forks(monkeypatch)
         forked = cover_region(ps, params)
         assert len(forks) == 1
@@ -1995,11 +2020,11 @@ class TestBands:
         # The parent's first ring ball breaks the hypothesis while the child
         # sleeps in its first ring; the cover ends without waiting for it.
         ps, params = conjecture_setup(20, "twisted")
-        parent, kernel, walk_orbit = os.getpid(), covering.confidence_radii, _Engine.walk_orbit
+        parent, kernel, walk_orbit = os.getpid(), covering._bounded_radii, _Engine.walk_orbit
         slept = []  # in the child
 
-        def breaks_in_the_parent(points, directions, d):
-            dis, radius = kernel(points, directions, d)
+        def breaks_in_the_parent(points32, points, directions, d):
+            dis, radius = kernel(points32, points, directions, d)
             return (dis, math.nan) if os.getpid() == parent and directions.ndim == 1 else (dis, radius)
 
         def sleeps_in_the_child(engine, *args):
@@ -2008,7 +2033,7 @@ class TestBands:
                 time.sleep(60)
             return walk_orbit(engine, *args)
 
-        monkeypatch.setattr(covering, "confidence_radii", breaks_in_the_parent)
+        monkeypatch.setattr(covering, "_bounded_radii", breaks_in_the_parent)
         monkeypatch.setattr(_Engine, "walk_orbit", sleeps_in_the_child)
         forks = recorded_forks(monkeypatch)
         t0 = time.monotonic()
@@ -2103,11 +2128,11 @@ class TestBands:
         "n, structure, cert, split",
         [
             pytest.param(
-                20, "twisted", "115a5ac93c01b7db3ae7c35269148b49192502d1825103e1c23fbe4d47115f38", [],
+                20, "twisted", "f03466df72045f28425ad603fe253751c7f76a435d708f00ffa6ba4c6612843f", [],
                 id="20-twisted",
             ),
             pytest.param(
-                14, "polar", "3b18d7e820869ebda429047526621cd8c0e4a0957614f207b1da0fe2f35a0e90", [1_432],
+                14, "polar", "f2027537a24df299d9644592908d664d0595bbb7c94aa11efd9d847c7f09ea4f", [1_302],
                 id="14-polar",
             ),
         ],
@@ -2116,8 +2141,7 @@ class TestBands:
         self, n, structure, cert, split, splits, monkeypatch
     ):
         # A seam at the equator would put a ring on the mirror plane of the
-        # polar structures: polar 14 was left residual.  These are the
-        # certificates of the engine that walked every region as one band.
+        # polar structures: polar 14 was left residual.  These certificates are pinned.
         # The child, forked before phase 1 with no band to walk, splits each Cover Cap
         # batch of _SPLIT_ROWS rows or more.
         ps, params = conjecture_setup(n, structure)

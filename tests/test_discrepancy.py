@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from capdisc.discrepancy import (
     HypothesisViolation,
     SizeLimitExceeded,
     _candidate_axes,
+    _bounded_radii,
     _cap_counts,
     _dis,
     _radii,
@@ -387,8 +389,11 @@ def one_row_block_calls(ps, monkeypatch):
 def engine_calls(ps, monkeypatch):
     """A batch through `_Engine.evaluate_cart`, one direction as `_Engine.orbit_ball` evaluates a ring ball.
 
-    The engine reads only `d` of its params, so a stand-in holds bounds above 1 too.
+    The engine reads only `d` of its params, so a stand-in holds bounds above 1 too.  The
+    float32 ring kernel is replaced by `confidence_radii`, so that a ring ball's plumbing
+    (its record, its violation) is checked here; TestBoundedRadii checks that kernel's bounds.
     """
+    monkeypatch.setattr(covering, "_bounded_radii", lambda points32, points, v, d: confidence_radii(points, v, d))
 
     def engine(d):
         return covering._Engine(ps, SimpleNamespace(d=d))
@@ -457,10 +462,12 @@ class TestOneRow:
         assert np.float64(got.value.directed_value).tobytes() == np.float64(expect.value.directed_value).tobytes()
         assert got.value.d == expect.value.d
         assert engine.ledger["n_evaluations"] == 1 and not engine.orbit
-        # A ball that keeps the hypothesis is recorded with its values.
+        # A ball that keeps the hypothesis is recorded with the float32 kernel's bounds.
         v, radius = engine.orbit_ball(theta, 0.2)
+        dis, bound = _bounded_radii(engine.points32, ps.points, v, params.d)
+        assert engine.orbit == [(v, bound, dis)] and radius == bound
         ball = confidence_radius(project(ps, v), params.d)
-        assert engine.orbit == [(v, ball.radius, ball.directed_value)] and radius == ball.radius
+        assert dis > ball.directed_value and 0.0 < radius < ball.radius
 
     def test_a_violation_survives_pickling(self):
         # Exception pickles its message alone; a caller may send a violation to another process.
@@ -489,8 +496,116 @@ def test_kernel_bench_script_smoke(tmp_path):
     assert cell_keys == [(t, rows) for t in (441, 994, 7057) for rows in (1, 8, 20)]
     for cell in cells:
         assert cell["directions"] == 4
-        for path in ("one_at_a_time", "confidence_radii", "one_row"):
+        for path in ("one_at_a_time", "confidence_radii", "one_row", "float32_one_row"):
             assert cell[path]["us_per_direction"] > 0.0
+
+
+def test_kernel_bench_script_with_a_baseline(tmp_path):
+    # This tree stands in for the baseline: each tree's table holds every cell, from its own processes.
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "kernel.json"
+    command = [sys.executable, str(root / "scripts" / "kernel_bench.py"), "--repeats", "2", "--directions", "4",
+               "--baseline", str(root / "src"), "--out", str(out)]
+    proc = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["parent"] * 9 + ["change"] * 9
+    tables = json.loads(out.read_text())["tables"]
+    assert set(tables) == {"parent", "change"}
+    for table in tables.values():
+        cells = table["cells"]
+        assert [(cell["t"], cell["rows"]) for cell in cells] == [(t, rows) for t in (441, 994, 7057) for rows in (1, 8, 20)]
+        for cell in cells:
+            for path in ("one_at_a_time", "confidence_radii", "one_row", "float32_one_row"):
+                assert cell[path]["us_per_direction"] > 0.0
+
+
+def exact_row(points, v, d):
+    """(Dis, k, slab width for each k) of the exact projections <p, v> of the float64 inputs.
+
+    Dis and the widths are Fractions; k = floor(t (d - Dis)) + 1 in exact
+    arithmetic, 0 where Dis + 1/t > d; width(k) is 2 where no slab holds k + 1.
+    """
+    s = sorted(sum(Fraction(a) * Fraction(b) for a, b in zip(p.tolist(), v.tolist())) for p in points)
+    t = len(s)
+    dis = max(max(Fraction(t - i, t) - (1 - x) / 2, (1 - x) / 2 - Fraction(t - 1 - i, t)) for i, x in enumerate(s))
+    gap = Fraction(d) - dis
+    k = 0 if gap < Fraction(1, t) else math.floor(t * gap) + 1
+
+    def width(k):
+        return Fraction(2) if k > t - 1 else min(s[i + k] - s[i] for i in range(t - k))
+
+    return dis, k, width
+
+
+def assert_float64_row(got, ps, v, d):
+    """`got` is `confidence_radius(project(ps, v), d)`'s (Dis, radius) bit for bit, or its witness and nan."""
+    try:
+        ball = confidence_radius(project(ps, v), d)
+    except HypothesisViolation as exc:
+        assert exc.direction.tobytes() == v.tobytes()
+        assert np.array(got).tobytes() == np.array([exc.directed_value, math.nan]).tobytes()
+        return
+    assert np.array(got).tobytes() == np.array([ball.directed_value, ball.radius]).tobytes()
+
+
+class TestBoundedRadii:
+    """Phase 1's float32 kernel: its Dis and radius bound the exact ones of the float64 inputs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+        theta=st.floats(0.0, 2.0 * math.pi),
+        phi=st.floats(-math.pi / 2, math.pi / 2),
+        gap=st.floats(0.0, 1.2),
+    )
+    def test_bounds_hold_in_exact_arithmetic(self, t, seed, theta, phi, gap):
+        # d from Dis to past Dis + 1: rows that break the hypothesis, rows near it, and k up to t and beyond.
+        ps = generate_random_uniform(t, seed)
+        v = polar_to_cartesian(theta, phi)
+        d = float(directed_values(ps.points, v[None])[0]) + gap
+        got = dis, radius = _bounded_radii(ps.points.astype(np.float32), ps.points, v, d)
+        if dis + 1.0 / t > d:  # the float64 kernel's row
+            assert_float64_row(got, ps, v, d)
+            return
+        exact_dis, exact_k, width = exact_row(ps.points, v, d)
+        k = math.floor(t * (d - dis)) + 1
+        assert Fraction(dis) >= exact_dis and 1 <= k <= exact_k
+        assert 0.0 <= radius and Fraction(radius) <= width(k) <= width(exact_k)
+
+    @pytest.mark.parametrize("t, expect", [(2, 2.0), (3, 0.0)])
+    def test_tied_projections(self, t, expect):
+        # t points on one latitude tie on the pole, in float32 as exactly.  k = 2: two
+        # points hold no slab of k + 1 projections, three hold one of width 0.
+        theta = 2.0 * math.pi * np.arange(t) / t
+        ps = PointSet(np.column_stack([0.8 * np.cos(theta), 0.8 * np.sin(theta), np.full(t, 0.6)]))
+        v = np.array([0.0, 0.0, 1.0])
+        d = float(directed_values(ps.points, v[None])[0]) + 1.5 / t
+        dis, radius = _bounded_radii(ps.points.astype(np.float32), ps.points, v, d)
+        exact_dis, exact_k, width = exact_row(ps.points, v, d)
+        assert exact_k == 2 and width(2) == expect
+        assert Fraction(dis) >= exact_dis and dis + 1.0 / t <= d and radius == expect
+
+    @pytest.mark.parametrize("above", [0.0, -1e-9], ids=["keeps-the-hypothesis", "breaks-it"])
+    def test_a_row_near_the_hypothesis_takes_the_float64_kernel(self, above, monkeypatch):
+        # d = Dis + 1/t keeps the hypothesis in float64, but not under the float32 bound's slack.
+        ps, _ = conjecture_setup(20, "twisted")
+        v = polar_to_cartesian(0.4, 1.1)
+        t = ps.size
+        d = float(directed_values(ps.points, v[None])[0]) + 1.0 / t + above
+        got = _bounded_radii(ps.points.astype(np.float32), ps.points, v, d)
+        assert_float64_row(got, ps, v, d)
+        assert math.isnan(got[1]) == (above < 0.0)
+        # and a ring ball there raises with the float64 kernel's witness, or records its radius
+        engine = covering._Engine(ps, SimpleNamespace(d=d))
+        monkeypatch.setattr(covering, "polar_to_cartesian", lambda theta, phi: v.copy())
+        if above < 0.0:
+            with pytest.raises(HypothesisViolation) as info:
+                engine.orbit_ball(0.0, 0.0)
+            assert_float64_row((info.value.directed_value, math.nan), ps, info.value.direction, d)
+        else:
+            assert engine.orbit_ball(0.0, 0.0)[1] == got[1]
 
 
 class TestSlabWidth:

@@ -12,8 +12,15 @@ import numpy as np
 import pytest
 
 from capdisc import covering, reporting
-from capdisc.covering import CoverageRecords, CoverOutcome, CoverParams, Residuals, cover_region
-from capdisc.discrepancy import confidence_radius, directed_values, project
+from capdisc.covering import (
+    CoverageRecords,
+    CoverOutcome,
+    CoverParams,
+    Residuals,
+    cover_cap_recurse,
+    cover_region,
+)
+from capdisc.discrepancy import confidence_radii, confidence_radius, directed_values, project
 from capdisc.geometry import Region, cartesian_to_polar, polar_to_cartesian
 from capdisc.pointsets import generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
@@ -62,14 +69,17 @@ def counterexample_run():
 
 @pytest.fixture(scope="module")
 def residual_run():
-    # Phase 1 walks the region as one band, as the engine that wrote
-    # V1_RESIDUAL_RUN walked every region: the walker each band's is.
+    # Phase 1 walks the region as one band, on the float64 kernel, and Cover
+    # Cap evaluates its seeds' own directions again, as the engine that wrote
+    # V1_RESIDUAL_RUN did: the walker each band's is.
     ps = generate_twisted_polar(12)
     params = CoverParams(
         d=north_pole_directed(12), region=Region(0.0, 1.0, 0.0, 0.8), cover_cap_max_depth=0
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covering, "_bands", lambda region: [region])
+        mp.setattr(covering, "_bounded_radii", lambda points32, points, v, d: confidence_radii(points, v, d))
+        mp.setattr(covering, "cover_cap_recurse", lambda *args: cover_cap_recurse(*args[:4]))
         outcome = cover_region(ps, params)
     assert outcome.status == "residual" and outcome.not_covered
     return ps, params, outcome
@@ -277,7 +287,7 @@ class TestReportDocument:
         assert proc.returncode == 0, proc.stderr
         ps, params = conjecture_setup(20)
         band_calls, band_test = [], covering._band_test
-        batches, evaluate_cart = [], covering._Engine.evaluate_cart
+        batches, evaluate_cart, ring_radii = [], covering._Engine.evaluate_cart, covering._Engine.ring_radii
 
         def counted_band_test(*args):
             covered = band_test(*args)
@@ -288,11 +298,17 @@ class TestReportDocument:
             return evaluate_cart(engine, directions)
 
         monkeypatch.setattr(covering, "_band_test", counted_band_test)
+        def counted_ring_radii(engine, directions):
+            if directions.ndim == 2:  # a ring's samples; a ring ball is one direction
+                batches.append(len(directions))
+            return ring_radii(engine, directions)
+
         monkeypatch.setattr(covering._Engine, "evaluate_cart", counted_evaluate_cart)
+        monkeypatch.setattr(covering._Engine, "ring_radii", counted_ring_radii)
         outcome = cover_region(ps, params)
         # the engine's own work counters equal the counts taken from outside it
         work = [outcome.counters[key] for key in ("band_tests", "kernel_batches", "kernel_batch_rows")]
-        assert work == [len(band_calls), len(batches), sum(batches)] == [2_901, 181, 5_421]
+        assert work == [len(band_calls), len(batches), sum(batches)] == [2_856, 173, 5_102]
         doc = strip_timings(report_dict(ps, params, outcome))
         sha = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         # cert= leaves out the counters, so a change in work alone keeps it
@@ -321,7 +337,7 @@ class TestReportDocument:
         for key, value in outcome.counters.items():
             assert row[key] == str(value), key
         assert all(f"{name}_s" in row for name in outcome.timings)
-        assert row["n_DD"] == "3695"
+        assert row["n_DD"] == "3603"
         # the size of the schema-2 report, but for the digits of its timings, and the peak
         # RSS of the fresh process that wrote it
         size = len(json.dumps(report_dict(ps, params, outcome), allow_nan=False)) + 1
@@ -333,16 +349,16 @@ class TestReportDocument:
         root = Path(__file__).resolve().parents[1]
         out = tmp_path / "bench.json"
         proc = subprocess.run(
-            [sys.executable, str(root / "scripts" / "cert_digests.py"), "polar:14",
+            [sys.executable, str(root / "scripts" / "cert_digests.py"), "twisted:13",
              "--repeats", "2", "--baseline", str(root / "src"), "--out", str(out)],
             capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         parent, change, last = proc.stdout.splitlines()
         assert last == "certificates identical on 1 of 1 jobs"
-        assert parent.startswith("parent: job=polar:14 t=218 status=covered ")
-        assert change.startswith("change: job=polar:14 t=218 status=covered ")
-        assert " n_evaluations=5679 " in change
+        assert parent.startswith("parent: job=twisted:13 t=186 status=covered ")
+        assert change.startswith("change: job=twisted:13 t=186 status=covered ")
+        assert " n_evaluations=16007 " in change
         # the same digests and counters, whatever the seconds, which follow them
         assert parent.split(" phase1_s=")[0][7:] == change.split(" phase1_s=")[0][7:]
         tables = json.loads(out.read_text())["tables"]
@@ -355,8 +371,8 @@ class TestReportDocument:
         assert rows[1][0]["peak_rss_mb"] > 10.0
         assert rows[1][0]["cover_cap_child_s"] > 0.0  # the child's half of the split batch
         assert " cover_cap_child_s=" in change
-        # a batch split with the cover's child (polar 14 has one, of 1,024 rows) counts as one batch
-        assert fixed[1]["kernel_batches"] == 161
+        # a batch split with the cover's child (twisted 13 has 5, of 1,071 to 1,946 rows) counts as one
+        assert fixed[1]["kernel_batches"] == 152
         assert "alternating with the parent table's" in tables["change"]["statistic"]
         # The verdict names each job whose certificate or balls differ, and which digests.
         verdict = runpy.run_path(str(root / "scripts" / "cert_digests.py"))["verdict"]
@@ -526,8 +542,8 @@ class TestAudit:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("cover: twisted:20 status=covered ")
-        assert "cover_cap_inside_orbit=141 " in proc.stdout
-        assert " n_DD=3695 " in proc.stdout and " total_s=" in proc.stdout  # the counters and timings
+        assert "cover_cap_inside_orbit=114 " in proc.stdout
+        assert " n_DD=3603 " in proc.stdout and " total_s=" in proc.stdout  # the counters and timings
         assert "uncovered=0 over_bound=0" in proc.stdout
 
     def test_rejects_counterexample_outcome(self):

@@ -13,9 +13,9 @@ projections coincide and the confidence radius is exactly zero, Cover Cap
 leaves residual balls at its depth limit.  The cover walks theta in [0,
 pi/2 + 1e-9] and adds the mirror images of its balls (`mirror_rows`), so
 the y-axis lies in the walked half, next to its edge, and its residual balls
-come twice, once as images.  Yet (0, 1, 0) and all 7,722 residual balls lie
+come twice, once as images.  Yet (0, 1, 0) and all 1,796 residual balls lie
 inside a phase-1 ball, with a slack of at least 4.0e-3
-(`not_covered_inside_orbit` counts the walked half's 3,861), so the audit
+(`not_covered_inside_orbit` counts the walked half's 898), so the audit
 still passes.
 
     python3 scripts/audit_polar_run.py --n 30 --probes 100000

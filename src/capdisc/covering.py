@@ -8,7 +8,9 @@ against the band already covered.  A ring whose r_min is 0 cannot step, so
 phase 1 ends there and leaves the band below to one residual ball of chord
 radius 2.  Directions whose radius falls below the ring minimum are queued;
 phase 2 certifies them with the 8-cap Cover Cap construction, grown level by
-level on the float64 kernel; a Cover Cap ball inside a phase-1 ball is dropped.
+level on the float64 kernel.  A tree node whose ball misses the region is
+dropped before it is rescued or expanded, since the certificate claims only
+the region; a Cover Cap ball inside a phase-1 ball is dropped after.
 
 `cover_region` walks only half of a region closed under theta -> pi - theta
 when the point set maps onto itself under the x-mirror or the half-turn
@@ -160,10 +162,16 @@ def next_latitude(r_min: float, lowest_covered: float) -> float:
     return math.asin(m * math.sin(max(drop, -math.pi / 2))) + tol
 
 
-COVER_CAP_COUNTERS = ("cover_cap_nodes", "cover_cap_levels", "rescue_tries", "rescue_hits")
+COVER_CAP_COUNTERS = (
+    "cover_cap_nodes",
+    "cover_cap_levels",
+    "rescue_tries",
+    "rescue_hits",
+    "cover_cap_pruned",
+)
 
 
-def cover_cap_recurse(evaluate, centers, required_r, depth: int, own=None):
+def cover_cap_recurse(evaluate, centers, required_r, depth: int, region: Region, own=None):
     """Certify each ball B(centers[i], required_r[i]) with a tree of half-radius balls.
 
     `centers` is an (m, 3) array and `required_r` an (m,) one.  `evaluate`
@@ -178,7 +186,10 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int, own=None):
     never recorded, since its phase-1 ball is a record already.  A center
     whose radius reaches half the node's requirement is a record, a shorter
     one a child node or, once `depth` levels are used up, a residual ball
-    (direction, still-required radius).
+    (direction, still-required radius).  The certificate claims only
+    `region`: a seed or child whose ball B(direction, required radius)
+    `region.misses` is dropped before it is a node, so it is never offered
+    rescue, expanded, recorded or left as a residual.
 
     The trees grow level by level over all seeds at once: one kernel call
     per rescue round, then one for the centers.  Records and residuals are
@@ -187,18 +198,23 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int, own=None):
     directed_value), and only the rows of earlier calls are kept.  Returns
     (witness or None, CoverageRecords of origin cover_cap, Residuals,
     counts): the COVER_CAP_COUNTERS are nodes rescued or expanded, levels
-    grown, rescue candidates evaluated and nodes rescued.
+    grown, rescue candidates evaluated, nodes rescued and balls dropped as
+    missing the region.
     """
+    miss = region.misses(centers, required_r)
+    counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
+    counts["cover_cap_pruned"] = int(np.count_nonzero(miss))
+    keep = ~miss
+    v = centers[keep]
     # directions, required radii, own (dis, radius) rows, whether a node's own ball is recorded
-    level = centers, required_r, own, np.full(len(centers), own is not None)
+    level = v, required_r[keep], None if own is None else own[keep], np.full(len(v), own is not None)
     records = [(np.zeros((0, 3)), np.zeros(0), np.zeros(0))]  # (center, radius, dis) parts
     residual = [(np.zeros((0, 3)), np.zeros(0))]  # (center, required radius) parts
-    counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
     witness, left = None, depth
     try:
         while len(level[0]):
             counts["cover_cap_levels"] += 1
-            level = _settle_nodes(evaluate, *level, left, records, residual, counts)
+            level = _settle_nodes(evaluate, *level, left, region, records, residual, counts)
             left -= 1
     except HypothesisViolation as exc:
         witness = exc.direction, exc.directed_value
@@ -209,7 +225,7 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int, own=None):
     return witness, records, residual, counts
 
 
-def _settle_nodes(evaluate, v, req, own, known, left: int, records, residual, counts):
+def _settle_nodes(evaluate, v, req, own, known, left: int, region, records, residual, counts):
     """Settle one level's nodes, appending their records and residuals; returns the next level.
 
     Raises HypothesisViolation, before it settles the rows of the call, at
@@ -248,6 +264,9 @@ def _settle_nodes(evaluate, v, req, own, known, left: int, records, residual, co
     new = rec & ~seed
     records.append((c[new], r_c[new], dis[new]))
     rest = ~rec
+    miss = region.misses(c[rest], need[rest])  # a child dropped before it is a node or a residual
+    counts["cover_cap_pruned"] += int(np.count_nonzero(miss))
+    rest[rest] = ~miss
     if left > 0:
         return c[rest], need[rest], np.column_stack((dis[rest], r_c[rest])), seed[rest]
     residual.append((c[rest], need[rest]))
@@ -703,7 +722,11 @@ class _Engine:
         if counterexample is None:
             own = np.concatenate([walk["cannot_cover_rows"] for walk in walks])
             witness, recs, resid, counts = cover_cap_recurse(
-                self.evaluate_cart, *vars(cannot_cover).values(), self.params.cover_cap_max_depth, own
+                self.evaluate_cart,
+                *vars(cannot_cover).values(),
+                self.params.cover_cap_max_depth,
+                self.params.region,
+                own,
             )
             self.ledger.update(counts)
             # A Cover Cap ball inside a phase-1 ball adds nothing to the union

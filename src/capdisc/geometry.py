@@ -10,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SQRT2 = math.sqrt(2.0)
+# The widening, in angle and in sine, of a ball in Region.misses.
+_MISS_MARGIN = 1e-12
 
 
 def random_unit_vectors(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -45,6 +47,32 @@ class Region:
             raise ValueError("latitudes must satisfy -pi/2 <= phi_min <= phi_max <= pi/2")
         if self.theta_min > self.theta_max:
             raise ValueError("region bounds out of order")
+
+    def misses(self, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+        """(m,) mask of the balls B(centers[i], radii[i]) that hold no direction of the region.
+
+        A direction in B(c, r) lies within the angle rho = 2 asin(r/2) of c,
+        so its latitude lies within rho of c's, and the ball misses when
+        lat(c) + rho < phi_min or lat(c) - rho > phi_max.  A span
+        theta_max - theta_min <= pi lies in the half-spaces <x, n_min> >= 0
+        and <x, n_max> <= 0, with n_theta = (-sin theta, cos theta, 0), since
+        <x, n_theta> = cos(lat x) sin(lon x - theta); for rho < pi/2 the ball
+        lies wholly past the first when <c, n_min> < -sin rho, and past the
+        second when <c, n_max> > sin rho.  A wider span skips that test.  The
+        test errs toward keeping a ball: rho, and the sine again, since it
+        flattens near pi/2, carry _MISS_MARGIN, far above their rounding, and
+        the latitude is taken by atan2, exact to rounding even at the poles.
+        """
+        x, y, z = np.asarray(centers, dtype=float).T
+        rho = 2.0 * np.arcsin(np.minimum(np.asarray(radii, dtype=float) / 2.0, 1.0)) + _MISS_MARGIN
+        lat = np.arctan2(z, np.hypot(x, y))
+        out = (lat + rho < self.phi_min) | (lat - rho > self.phi_max)
+        if self.theta_max - self.theta_min <= math.pi:
+            reach = np.sin(np.minimum(rho, math.pi / 2)) + _MISS_MARGIN  # never reached at rho >= pi/2
+            for theta, sign in ((self.theta_min, -1.0), (self.theta_max, 1.0)):
+                side = y * math.cos(theta) - x * math.sin(theta)  # <c, n_theta>
+                out |= sign * side > reach
+        return out
 
 
 def polar_to_cartesian(theta: float, phi: float) -> np.ndarray:

@@ -552,6 +552,9 @@ def one_seed(v, required_r):
     return np.asarray(v, dtype=float)[None, :], np.array([required_r])
 
 
+# The whole sphere: no ball misses it, so a Cover Cap over it drops nothing.
+WHOLE_SPHERE = Region(-math.pi / 2, math.pi / 2, 0.0, 2.0 * math.pi)
+
 # A seed with |y| = |z| = 0.577 > 2 x 0.25: no node of its tree is near a
 # crater plane, so none has a rescue candidate.
 CLEAR_SEED = np.ones(3) / np.linalg.norm(np.ones(3))
@@ -567,19 +570,21 @@ class TestCoverCapRecurse:
             return 0.01, 1.0
 
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 1
+            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 1, WHOLE_SPHERE
         )
         assert witness is None
         assert len(records) == len(calls) == 8
         assert not residual
-        assert counts == dict(cover_cap_nodes=1, cover_cap_levels=1, rescue_tries=0, rescue_hits=0)
+        assert counts == dict(
+            cover_cap_nodes=1, cover_cap_levels=1, rescue_tries=0, rescue_hits=0, cover_cap_pruned=0
+        )
 
     def test_depth_exhaustion_leaves_residual(self):
         def evaluate(v):
             return 0.01, 1e-9
 
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 0
+            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 0, WHOLE_SPHERE
         )
         assert witness is None
         assert len(residual) == 8
@@ -595,7 +600,7 @@ class TestCoverCapRecurse:
             return 0.01, (0.1 if len(seen) <= 8 else 1.0)
 
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 2
+            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 2, WHOLE_SPHERE
         )
         assert witness is None and not residual
         # 8 centers, then 7 per child: each child's center 0 is its parent's center.
@@ -613,7 +618,7 @@ class TestCoverCapRecurse:
         v = np.array([1.0, 0.0, 1e-6])
         v /= np.linalg.norm(v)
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed(v, 1e-4), 0
+            rowwise(evaluate), *one_seed(v, 1e-4), 0, WHOLE_SPHERE
         )
         assert witness is None and not residual
         assert len(records) == 1
@@ -630,7 +635,7 @@ class TestCoverCapRecurse:
             seeds, required = queue.center, queue.required_radius
             depth = params.cover_cap_max_depth
             before = engine.ledger["n_evaluations"]
-            got = cover_cap_recurse(engine.evaluate_cart, seeds, required, depth)
+            got = cover_cap_recurse(engine.evaluate_cart, seeds, required, depth, WHOLE_SPHERE)
             batched_evals = engine.ledger["n_evaluations"] - before
             same_result(got, reference_cover_cap(engine.evaluate_cart, seeds, required, depth))
             assert engine.ledger["n_evaluations"] - before == 2 * batched_evals
@@ -654,7 +659,7 @@ class TestCoverCapRecurse:
             calls.append(len(directions))
             return evaluate(directions)
 
-        got = cover_cap_recurse(counted, *levels[0], 1)
+        got = cover_cap_recurse(counted, *levels[0], 1, WHOLE_SPHERE)
         slots = [(~np.isnan(_rescue_candidates(*nodes)[1])).any(axis=0).sum() for nodes in levels]
         assert slots == [3, 3]
         assert calls == [150] * 3 + [1200] + [1200] * 3 + [8400]
@@ -700,7 +705,7 @@ class TestCoverCapRecurse:
         # own center 0, so only the work done tells that none was made.
         top = cover_cap_centers(CLEAR_SEED, CLEAR_REQ)
         evaluate = keyed_evaluator({top[5].tobytes(): (0.8, math.nan)})
-        counts = cover_cap_recurse(evaluate, *one_seed(CLEAR_SEED, CLEAR_REQ), 3)[3]
+        counts = cover_cap_recurse(evaluate, *one_seed(CLEAR_SEED, CLEAR_REQ), 3, WHOLE_SPHERE)[3]
         assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1, 1)
         assert counts["rescue_tries"] == 0
 
@@ -717,7 +722,7 @@ class TestCoverCapRecurse:
         }
         evaluate = keyed_evaluator(special, default=(0.01, 0.0))
         witness, records, residual, counts = cover_cap_recurse(
-            evaluate, seeds, np.array([1e-4, 1e-4]), 0
+            evaluate, seeds, np.array([1e-4, 1e-4]), 0, WHOLE_SPHERE
         )
         assert witness[0].tobytes() == first[1][0].tobytes() and witness[1] == 0.7
         assert not records and not residual
@@ -726,7 +731,7 @@ class TestCoverCapRecurse:
     @staticmethod
     def assert_witness(evaluate, direction, value, records):
         witness, got, residual, counts = cover_cap_recurse(
-            evaluate, *one_seed(CLEAR_SEED, CLEAR_REQ), 3
+            evaluate, *one_seed(CLEAR_SEED, CLEAR_REQ), 3, WHOLE_SPHERE
         )
         assert witness[0].tobytes() == direction.tobytes()
         assert witness[1] == value
@@ -804,7 +809,11 @@ class TestCounterexampleInCoverCap:
 
     def keyed(self, monkeypatch, special):
         """Key Cover Cap's batches and the ring samples to `special`; ring balls keep their kernel."""
-        evaluate = keyed_evaluator(special, self.DEFAULT)
+        self.stand_in(monkeypatch, keyed_evaluator(special, self.DEFAULT))
+
+    @staticmethod
+    def stand_in(monkeypatch, evaluate):
+        """`evaluate` in place of Cover Cap's batches and the ring samples; ring balls keep their kernel."""
         monkeypatch.setattr(_Engine, "evaluate_cart", lambda engine, dirs: evaluate(dirs))
         monkeypatch.setattr(
             _Engine, "ring_radii", lambda engine, dirs: RING_RADII(engine, dirs) if dirs.ndim == 1 else evaluate(dirs)
@@ -908,6 +917,27 @@ class TestCounterexampleInCoverCap:
             assert outcome.counters["phase1_bands"] == 2
         assert splits == [133, 133]
         assert head.tobytes() in caller and tail.tobytes() not in caller
+
+    def test_no_refutation_outside_the_region(self, monkeypatch):
+        # Below phi_min the stand-in's radius is 0, and nan past phi_min - 0.1.  The
+        # closing ring's seeds sit about 0.12 above phi_min with r_min 0.16, so their
+        # trees reach below phi_min - 0.1 only through nodes whose balls miss the
+        # region.  Those are dropped, so Cover Cap never evaluates a nan row; it
+        # leaves the last level's short nodes that meet the region as residuals.
+        phi_min = self.PARAMS.region.phi_min
+        seen = []
+
+        def below(v):
+            seen.append(v)
+            lat = math.asin(v[2])
+            return self.DEFAULT if lat >= phi_min else (0.9, math.nan) if lat < phi_min - 0.1 else (0.01, 0.0)
+
+        self.stand_in(monkeypatch, rowwise(below))
+        outcome = cover_region(self.PS, self.PARAMS)
+        assert outcome.status == "residual" and outcome.counterexample is None
+        assert outcome.counters["cover_cap_pruned"] > 0
+        lat = np.arcsin(np.array(seen)[:, 2])
+        assert lat.min() >= phi_min - 0.1 and (lat < phi_min).any()
 
     def test_later_seed_is_not_expanded(self, monkeypatch):
         # Seed 9's center 1 is short and its child violates at depth 1: a
@@ -1039,7 +1069,11 @@ class TestInsideTest:
             queue = phase1_table(walks, "cannot_cover")
             own = np.concatenate([walk["cannot_cover_rows"] for walk in walks])
             _, cover_cap, residual, _ = cover_cap_recurse(
-                engine.evaluate_cart, *vars(queue).values(), params.cover_cap_max_depth, own
+                engine.evaluate_cart,
+                *vars(queue).values(),
+                params.cover_cap_max_depth,
+                params.region,
+                own,
             )
         orbit = phase1_table(walks, "orbit")
         columns = zip(vars(orbit).values(), vars(cover_cap).values())
@@ -1442,21 +1476,22 @@ class TestCoverRegion:
         ps, params = conjecture_setup(14, "polar")
         counters = cover_region(ps, params).counters
         assert {key: counters[key] for key in COVER_CAP_COUNTERS} == {
-            "cover_cap_nodes": 274,
+            "cover_cap_nodes": 263,
             "cover_cap_levels": 6,
-            "rescue_tries": 361,
-            "rescue_hits": 25,
+            "rescue_tries": 334,
+            "rescue_hits": 21,
+            "cover_cap_pruned": 7,
         }
-        assert counters["n_evaluations"] == 5544
-        assert (counters["cover_cap_inside_orbit"], counters["not_covered_inside_orbit"]) == (301, 0)
+        assert counters["n_evaluations"] == 5468
+        assert (counters["cover_cap_inside_orbit"], counters["not_covered_inside_orbit"]) == (292, 0)
 
     def test_outcome_holds_at_most_64_bytes_per_record(self):
         # The columns take 41 bytes a record (centre 24, radius 8, Dis 8,
         # origin 1); a Python object per record would take about 300.
         outcome = cover_region(*conjecture_setup(14, "polar"))
-        # the walked half's 2,728 rows (3,029 before the 301 Cover Cap rows
+        # the walked half's 2,682 rows (2,974 before the 292 Cover Cap rows
         # inside phase-1 balls were dropped) and their mirror images
-        assert len(outcome.records) == 5456
+        assert len(outcome.records) == 5364
         held = held_bytes(outcome)
         assert held <= 64 * len(outcome.records), held / len(outcome.records)
 
@@ -1804,24 +1839,24 @@ class TestHelper:
     def test_polar_30_report_equals_the_in_process_one(self, splits, request):
         ps, params = conjecture_setup(30, "polar")
         split = whole_walk(ps, params)
-        assert len(splits) == 15  # one per batch of _SPLIT_ROWS rows or more
+        assert len(splits) == 11  # one per batch of _SPLIT_ROWS rows or more
         assert split.status == "residual"
         assert 0.0 < split.timings["cover_cap_child"] < split.timings["cover_cap"]
         request.getfixturevalue("one_process")
         alone = whole_walk(ps, params)
-        assert len(splits) == 15  # no more splits
+        assert len(splits) == 11  # no more splits
         assert split.counters == alone.counters
-        assert split.counters["n_evaluations"] == 106_387
+        assert split.counters["n_evaluations"] == 78_597
         # Cover Cap rows dropped inside phase-1 balls, and every residual ball inside one too
-        assert split.counters["cover_cap_inside_orbit"] == 57_283
-        assert split.counters["not_covered_inside_orbit"] == len(split.not_covered) == 9_216
+        assert split.counters["cover_cap_inside_orbit"] == 39_939
+        assert split.counters["not_covered_inside_orbit"] == len(split.not_covered) == 5_967
         report = report_digest(ps, params, split)
         assert report == report_digest(ps, params, alone)
         # Pinned as test_conjecture_certificates_are_pinned pins the others: the one
         # certificate here that ends residual, with rescues and Cover Cap rows dropped.
-        assert report == "3a0b36f6cba6bb433aa9c79c942e0e7058c0c89a9ba06f4328c9bf94c72a1be7"
+        assert report == "48cd987fddefe6cc0a51d1748a737787c1bb7af7ac28619864df7e82a78bae2d"
         cert = cert_digest(ps, params, split)
-        assert cert == "7eecfda42cb53eaf741706b130e34b6294c3265be8baee250eeab9bc8eaf432e"
+        assert cert == "dd381115404378cbd11c1121dde3e851859d4f72e1ca22b7957dff4e360b13dd"
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs os.sched_setaffinity")
     def test_split_on_one_cpu_ends_with_the_in_process_report(self):
@@ -1873,14 +1908,14 @@ def cert_digest(ps, params, outcome) -> str:
     [
         pytest.param(
             20, "twisted",
-            "22f53426b4228e84e6cc7052018d9864c84996937aca8dee8f3e1de788db7162",
-            "7b9a02cc781a179070b84b6075424c993c3b1a243de8c4c084007cbca5a35c17",
+            "6c0d1b1637197a5b4da220e5b3b0a6a465bde7f01648167bb8e6b8f6bc202a45",
+            "bd427a4fa0191b329da6c502f0ae4829726058436e3e7785621144d904182719",
             id="20-twisted",
         ),
         pytest.param(
             14, "polar",
-            "9daa0c45b7f333630432e6074053fb591835b1ccd4642de04adda3f33fbc87d3",
-            "a7ed0dd12cc1fdf4e710b3cb82efb7727af8346a45ed24a3ecc0fabe96ee4f8a",
+            "eba50ad1845b23fcca22fc37cfe9bf9ff9ba7e2ea79328432a361df4cf2918f4",
+            "8d83c8856b037f98d32b8fa783e9ab8a8d4107d0226e2fa65d31923da2fa9bd8",
             id="14-polar",
         ),
     ],
@@ -2132,7 +2167,7 @@ class TestBands:
                 id="20-twisted",
             ),
             pytest.param(
-                14, "polar", "f2027537a24df299d9644592908d664d0595bbb7c94aa11efd9d847c7f09ea4f", [1_302],
+                14, "polar", "7f6d77fb25dbffc28fa5bd84718ff752918fa71febe672d6a6e9c707f4e510ee", [1_302],
                 id="14-polar",
             ),
         ],

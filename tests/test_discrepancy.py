@@ -11,13 +11,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capdisc import covering, discrepancy
 from capdisc.discrepancy import (
     HypothesisViolation,
     SizeLimitExceeded,
+    _DIS_SLACK32,
     _candidate_axes,
     _bounded_radii,
     _cap_counts,
@@ -560,13 +561,16 @@ class TestBoundedRadii:
         phi=st.floats(-math.pi / 2, math.pi / 2),
         gap=st.floats(0.0, 1.2),
     )
+    # d = Dis + 1/t: the float32 bound breaks the hypothesis, the float64 row it falls back to keeps it.
+    @example(t=2, seed=0, theta=0.0, phi=1.0, gap=0.5)
     def test_bounds_hold_in_exact_arithmetic(self, t, seed, theta, phi, gap):
         # d from Dis to past Dis + 1: rows that break the hypothesis, rows near it, and k up to t and beyond.
         ps = generate_random_uniform(t, seed)
         v = polar_to_cartesian(theta, phi)
         d = float(directed_values(ps.points, v[None])[0]) + gap
         got = dis, radius = _bounded_radii(ps.points.astype(np.float32), ps.points, v, d)
-        if dis + 1.0 / t > d:  # the float64 kernel's row
+        s32 = np.sort(ps.points.astype(np.float32) @ v.astype(np.float32))
+        if float(_dis(s32)) + _DIS_SLACK32 + 1.0 / t > d:  # the float32 bound fails: the float64 kernel's row
             assert_float64_row(got, ps, v, d)
             return
         exact_dis, exact_k, width = exact_row(ps.points, v, d)

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capdisc.geometry import (
+    SQRT2,
     Region,
     cartesian_to_polar,
     cover_cap_centers,
@@ -109,6 +110,86 @@ class TestRegion:
     )
     def test_accepts_closed_latitude_range(self, bounds):
         assert Region(*bounds).phi_min == bounds[0]
+
+
+def region_holds(region: Region, u: np.ndarray) -> np.ndarray:
+    """Whether each direction of `u` (m, 3) lies in the region; a pole is in it at every longitude."""
+    x, y, z = u[:, 0], u[:, 1], u[:, 2]
+    lat = np.arctan2(z, np.hypot(x, y))
+    inside = (region.phi_min <= lat) & (lat <= region.phi_max)
+    span = region.theta_max - region.theta_min
+    if span >= 2.0 * math.pi:
+        return inside
+    offset = np.mod(np.arctan2(y, x) - region.theta_min, 2.0 * math.pi)
+    return inside & ((offset <= span) | ((x == 0.0) & (y == 0.0)))
+
+
+def ball_directions(c: np.ndarray, r: float, normals, rng: np.random.Generator) -> np.ndarray:
+    """Directions of B(c, r): on its rim at 64 azimuths, inside it, and the rim's nearest to each normal."""
+    rho = 2.0 * math.asin(min(r / 2.0, 1.0))
+    e1, e2 = orthonormal_frame(c)
+    beta = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    beta = np.concatenate((beta, rng.uniform(0.0, 2.0 * math.pi, 64)))
+    alpha = np.concatenate((np.full(64, rho), rng.uniform(0.0, rho, 64)))
+    rim = np.cos(beta)[:, None] * e1 + np.sin(beta)[:, None] * e2
+    u = [np.cos(alpha)[:, None] * c + np.sin(alpha)[:, None] * rim]
+    for n in normals:
+        toward = n - (n @ c) * c
+        norm = float(np.linalg.norm(toward))
+        if norm > 1e-12:
+            u.append((math.cos(rho) * c + math.sin(rho) * toward / norm)[None, :])
+    return np.concatenate(u)
+
+
+def log_uniform(rng: np.random.Generator, lo: float, hi: float, count: int) -> np.ndarray:
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), count))
+
+
+_LATITUDE = st.one_of(st.sampled_from([-HALF_PI, 0.0, HALF_PI, 1.4, -1.4]), st.floats(-HALF_PI, HALF_PI))
+_SPAN = st.one_of(
+    st.sampled_from([0.0, math.pi, math.nextafter(math.pi, 4.0), HALF_PI + 1e-9, 2.0 * math.pi]),
+    st.floats(0.0, 7.0),
+)
+
+
+@st.composite
+def regions(draw):
+    lo, hi = sorted((draw(_LATITUDE), draw(_LATITUDE)))
+    theta_min = draw(st.one_of(st.sampled_from([0.0, -1.0, 6.0]), st.floats(-7.0, 7.0)))
+    return Region(lo, hi, theta_min, theta_min + draw(_SPAN))
+
+
+class TestRegionMisses:
+    """`Region.misses` is sound: a ball it flags holds no direction of the region."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(region=regions(), seed=st.integers(0, 2**32 - 1))
+    def test_no_direction_of_a_missing_ball_lies_in_the_region(self, region, seed):
+        rng = np.random.default_rng(seed)
+        centers = random_unit_vectors(rng, 64)
+        radii = np.concatenate((log_uniform(rng, 1e-9, 2.0, 60), [SQRT2, 2.0, 1e-12, 0.0]))
+        miss = region.misses(centers, radii)
+        assert miss.shape == (64,)
+        # the poles, and the normals n_min and -n_max pointing into the region
+        normals = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
+        for theta, sign in ((region.theta_min, 1.0), (region.theta_max, -1.0)):
+            normals.append(sign * np.array([-math.sin(theta), math.cos(theta), 0.0]))
+        for c, r in zip(centers[miss], radii[miss]):
+            assert not region_holds(region, ball_directions(c, float(r), normals, rng)).any(), (c, r)
+
+    @settings(max_examples=200, deadline=None)
+    @given(region=regions(), seed=st.integers(0, 2**32 - 1))
+    @example(region=Region(0.0, -0.0, 0.0, 0.0), seed=0)
+    def test_a_ball_centred_in_the_region_is_kept(self, region, seed):
+        rng = np.random.default_rng(seed)
+        # the four corners, then directions drawn inside (no rng.uniform: it refuses bounds 0.0 and -0.0)
+        lo, hi = np.array([region.theta_min, region.phi_min]), np.array([region.theta_max, region.phi_max])
+        drawn = lo + (hi - lo) * rng.random((60, 2))
+        theta = [region.theta_min, region.theta_max] * 2 + list(drawn[:, 0])
+        phi = [region.phi_min] * 2 + [region.phi_max] * 2 + list(drawn[:, 1])
+        centers = np.array([polar_to_cartesian(t, p) for t, p in zip(theta, phi)])
+        radii = np.concatenate(([0.0, 1e-300, 1e-9, 2.0], log_uniform(rng, 1e-12, 2.0, 60)))
+        assert not region.misses(centers, radii).any()
 
 
 class TestFrame:

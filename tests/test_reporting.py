@@ -36,6 +36,8 @@ from capdisc.reporting import (
     write_report,
 )
 
+# The whole sphere, over which a Cover Cap drops no ball.
+WHOLE_SPHERE = Region(-np.pi / 2, np.pi / 2, 0.0, 2.0 * np.pi)
 # The report that the schema-1 writer gave for the residual_run fixture's cover.
 V1_RESIDUAL_RUN = Path(__file__).resolve().parent / "data" / "residual_run_v1.json"
 
@@ -70,8 +72,9 @@ def counterexample_run():
 @pytest.fixture(scope="module")
 def residual_run():
     # Phase 1 walks the region as one band, on the float64 kernel, and Cover
-    # Cap evaluates its seeds' own directions again, as the engine that wrote
-    # V1_RESIDUAL_RUN did: the walker each band's is.
+    # Cap evaluates its seeds' own directions again and grows its trees over
+    # the whole sphere, as the engine that wrote V1_RESIDUAL_RUN did: the
+    # walker each band's is.
     ps = generate_twisted_polar(12)
     params = CoverParams(
         d=north_pole_directed(12), region=Region(0.0, 1.0, 0.0, 0.8), cover_cap_max_depth=0
@@ -79,7 +82,13 @@ def residual_run():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covering, "_bands", lambda region: [region])
         mp.setattr(covering, "_bounded_radii", lambda points32, points, v, d: confidence_radii(points, v, d))
-        mp.setattr(covering, "cover_cap_recurse", lambda *args: cover_cap_recurse(*args[:4]))
+        mp.setattr(
+            covering,
+            "cover_cap_recurse",
+            lambda evaluate, centers, required_r, depth, region, own: cover_cap_recurse(
+                evaluate, centers, required_r, depth, WHOLE_SPHERE
+            ),
+        )
         outcome = cover_region(ps, params)
     assert outcome.status == "residual" and outcome.not_covered
     return ps, params, outcome
@@ -87,8 +96,9 @@ def residual_run():
 
 @pytest.fixture(scope="module")
 def polar14_run():
-    # Plain polar n=14 is a small conjecture certificate that ends in about
-    # a second; n=10..13 and 16 each spend over 20 s in Cover Cap.
+    # Plain polar n=14 is a small conjecture certificate that ends `covered`
+    # in about 0.1 s; n=10..13 and 16 end `residual` after 0.25-6 s in Cover
+    # Cap, with 0.1-2.8 million evaluations (one fresh process each, 2 shared CPUs).
     ps, params = conjecture_setup(14, structure="polar")
     return ps, params, cover_region(ps, params)
 
@@ -223,6 +233,7 @@ class TestReportDocument:
         assert counters.pop("not_covered_inside_orbit") == 3
         counters["n_cover_cap_dirs"] += dropped
         assert counters.pop("phase1_bands") == 1
+        assert counters.pop("cover_cap_pruned") == 0  # the fixture's Cover Cap drops no ball
         assert (counters.pop("mirror_rows"), counters.pop("mirror_delta")) == (0, None)
         for key in ("band_tests", "kernel_batches", "kernel_batch_rows"):  # schema 1 has no work counters
             counters.pop(key)
@@ -308,7 +319,7 @@ class TestReportDocument:
         outcome = cover_region(ps, params)
         # the engine's own work counters equal the counts taken from outside it
         work = [outcome.counters[key] for key in ("band_tests", "kernel_batches", "kernel_batch_rows")]
-        assert work == [len(band_calls), len(batches), sum(batches)] == [2_856, 173, 5_102]
+        assert work == [len(band_calls), len(batches), sum(batches)] == [2_856, 173, 5_046]
         doc = strip_timings(report_dict(ps, params, outcome))
         sha = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         # cert= leaves out the counters, so a change in work alone keeps it
@@ -333,7 +344,7 @@ class TestReportDocument:
         row = dict(pair.split("=", 1) for pair in pairs)
         assert len(row) == len(pairs)  # no key twice
         # every counter under its report key, with the report's value, and every timing as NAME_s
-        assert len(outcome.counters) == 19 and len(outcome.timings) == 7
+        assert len(outcome.counters) == 20 and len(outcome.timings) == 7
         for key, value in outcome.counters.items():
             assert row[key] == str(value), key
         assert all(f"{name}_s" in row for name in outcome.timings)
@@ -358,7 +369,7 @@ class TestReportDocument:
         assert last == "certificates identical on 1 of 1 jobs"
         assert parent.startswith("parent: job=twisted:13 t=186 status=covered ")
         assert change.startswith("change: job=twisted:13 t=186 status=covered ")
-        assert " n_evaluations=16007 " in change
+        assert " n_evaluations=14972 " in change
         # the same digests and counters, whatever the seconds, which follow them
         assert parent.split(" phase1_s=")[0][7:] == change.split(" phase1_s=")[0][7:]
         tables = json.loads(out.read_text())["tables"]

@@ -17,19 +17,17 @@ when the point set maps onto itself under the x-mirror or the half-turn
 about the x-axis, and certifies the other half with the mirror images of
 the walked half's balls (see its docstring for why they are sound).
 
-A cover has at most one helper, a child from `os.fork` (`_Child`), forked
-once, before phase 1.  Phase 1 walks a region that lies in one hemisphere,
-with positive height, as two latitude bands split where its area halves
-(`_bands`): the child walks the lower one while the calling process walks
-the upper one, each exactly as a whole region, and the cover joins the
-bands' tables, the upper band's first.  Then the child evaluates the tail
-half of each Cover Cap batch of `_SPLIT_ROWS` rows or more.  A row's
-values do not depend on its batch, so the certificate is that of a
-serial walk of the bands and of whole batches, which the calling process
-runs alone when no child can be forked, other threads are alive or SIGCHLD
-is ignored.  A region that straddles the equator stays one band: a seam
-there would place a ring on the mirror plane of z-symmetric point sets, a
-line of cratered radii.
+Phase 1 walks a region that lies in one hemisphere, with positive height,
+as two latitude bands split where its area halves (`_bands`): a child from
+`os.fork` (`_Child`), forked before phase 1, walks the lower one while the
+calling process walks the upper one, each exactly as a whole region, and
+the cover joins the bands' tables, the upper band's first.  The child
+sends its walk and exits; Cover Cap runs in the calling process alone.  So
+the certificate is that of a serial walk of the bands, which the calling
+process runs alone when no child can be forked, other threads are alive
+or SIGCHLD is ignored.  A region that straddles the equator stays one
+band, and forks nothing: a seam there would place a ring on the mirror
+plane of z-symmetric point sets, a line of cratered radii.
 """
 from __future__ import annotations
 
@@ -433,16 +431,6 @@ def _band_test(phi: float, balls, theta_lo: float, theta_hi: float):
     return covered
 
 
-# Batches of at least this many rows are split: the calling process
-# evaluates the head half, the cover's child the tail half.  A walk of the
-# whole conjecture region of plain polar n=30 makes 16 (1,064 to 32,382
-# rows), of polar n=14 one of 1,592 rows at t = 218, and twisted n=20 one of
-# 1,032 at t = 441, which took 5.6 and 6.4 ms split against 7.8 and 8.6
-# unsplit (medians of 12 fresh processes each).  Their mirrored covers of
-# half the region make 7 and 1 (of 1,024 rows) for polar n=30 and 14.
-_SPLIT_ROWS = 1024
-
-
 def _bands(region: Region) -> list[Region]:
     """The latitude bands phase 1 walks, the upper one first.
 
@@ -458,52 +446,43 @@ def _bands(region: Region) -> list[Region]:
 
 
 class _Child:
-    """A child from `os.fork`, the cover's one helper, and the two pipes to it.
+    """A child from `os.fork` that walks phase 1's lower band, and the pipe from it.
 
-    `_Engine._phase1` starts it.  Given a band, the child first walks it and
-    sends the pickled `_Engine._walk_band` dict, the band's tables.  It then
-    answers each request, a pickled array of rows, with their (dis, radius)
-    from `confidence_radii`, called as the parent calls it for the head half.
-    Each answer comes with the child's seconds in it, or is the exception
-    raised instead.  The child exits when the requests end, as they do when
-    its parent dies; a walk also ends once its parent is gone (see
+    `_Engine._phase1` starts it.  The child walks its band, sends the pickled
+    `_Engine._walk_band` dict, the band's tables, or the exception raised
+    instead, and exits; a walk also ends once its parent is gone (see
     `walk_orbit`).
     """
 
-    def __init__(self, engine: _Engine, band: Region | None):
+    def __init__(self, engine: _Engine, band: Region):
         parent = os.getpid()
-        fds = inbox, requests, answers, outbox = *os.pipe(), *os.pipe()  # two (read, write) pairs
+        inbox, outbox = os.pipe()
         try:
             self.pid = os.fork()
         except OSError:
-            for fd in fds:
-                os.close(fd)
+            os.close(inbox)
+            os.close(outbox)
             raise
         if self.pid == 0:
             code = 1
             try:
-                os.close(requests)
-                os.close(answers)
+                os.close(inbox)
                 engine.parent = parent
-                with open(inbox, "rb") as pipe_in, open(outbox, "wb") as pipe_out:
-                    if band is not None:
-                        _answer(pipe_out, engine._walk_band, band)
-                    points, d = engine.ps.points, engine.params.d
-                    with contextlib.suppress(EOFError):  # at the end of the requests
-                        while True:
-                            rows = pickle.load(pipe_in)
-                            _answer(pipe_out, confidence_radii, points, rows, d)
+                try:
+                    walk = engine._walk_band(band)
+                except Exception as exc:  # raised again in the parent
+                    walk = exc
+                with open(outbox, "wb") as pipe:
+                    pickle.dump(walk, pipe, pickle.HIGHEST_PROTOCOL)
                 code = 0
             finally:
                 os._exit(code)  # never back into the caller's stack
-        os.close(inbox)
         os.close(outbox)
-        self.requests, self.answers = open(requests, "wb"), open(answers, "rb")
-        self.seconds = 0.0  # the child's own, in the tail halves of batches
+        self.pipe = open(inbox, "rb")
 
     @classmethod
-    def start(cls, engine: _Engine, band: Region | None = None) -> _Child | None:
-        """A child for `engine`, walking `band` first if given; None where none may fork.
+    def start(cls, engine: _Engine, band: Region) -> _Child | None:
+        """A child for `engine` that walks `band`; None where none may fork.
 
         None when SIGCHLD is ignored (the system would reap the child and its
         exit status), other threads are alive (a forked child holds one
@@ -516,28 +495,17 @@ class _Child:
         except OSError:
             return None
 
-    def receive(self):
-        """The child's next (answer, seconds); raises its exception, or RuntimeError if it died."""
+    def receive(self) -> dict:
+        """The child's walk; raises its exception, or RuntimeError if it died."""
         try:
-            answer = pickle.load(self.answers)
+            walk = pickle.load(self.pipe)
         except (EOFError, pickle.UnpicklingError):
             code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
             self.pid = None
             raise RuntimeError(f"the cover's child exited with status {code}") from None
-        if isinstance(answer, Exception):
-            raise answer
-        return answer
-
-    def evaluate(self, points: np.ndarray, directions: np.ndarray, d: float):
-        """(dis, radius) of the rows: the head half evaluated here, the tail half by the child."""
-        half = len(directions) // 2
-        with contextlib.suppress(BrokenPipeError):  # a dead child, which `receive` reports
-            pickle.dump(directions[half:], self.requests, pickle.HIGHEST_PROTOCOL)
-            self.requests.flush()
-        dis, radius = confidence_radii(points, directions[:half], d)
-        (tail_dis, tail_radius), seconds = self.receive()
-        self.seconds += seconds
-        return np.concatenate((dis, tail_dis)), np.concatenate((radius, tail_radius))
+        if isinstance(walk, Exception):
+            raise walk
+        return walk
 
     def close(self) -> None:
         """Kill and reap the child, unless it is reaped already; raises nothing."""
@@ -546,20 +514,7 @@ class _Child:
                 os.kill(self.pid, signal.SIGKILL)
                 os.waitpid(self.pid, 0)
             self.pid = None
-        self.answers.close()
-        with contextlib.suppress(OSError):  # the rest of a request that the dead child never read
-            self.requests.close()
-
-
-def _answer(pipe, call, *args) -> None:
-    """Send (call(*args), its seconds), or the exception it raised, pickled through `pipe`."""
-    t0 = time.perf_counter()
-    try:
-        answer = call(*args), time.perf_counter() - t0
-    except Exception as exc:  # raised again in the parent
-        answer = exc
-    pickle.dump(answer, pipe, pickle.HIGHEST_PROTOCOL)
-    pipe.flush()
+        self.pipe.close()
 
 
 class _Engine:
@@ -576,6 +531,7 @@ class _Engine:
         self.stranded: list[tuple[np.ndarray, float]] = []  # (center, required radius) of phase 1
         self.r_min_per_orbit: list[float] = []  # of each ring walked
         self._closeout_attempts = 0
+        self._closing: tuple | None = None  # (phi, radius, balls) of the closing ring, once walked
         self.parent: int | None = None  # in the cover's child, the pid whose exit ends a walk
         self.child: _Child | None = None
 
@@ -599,8 +555,6 @@ class _Engine:
         """(directed_value, radius) arrays of the rows; radius nan where the hypothesis fails."""
         rows = len(directions)
         self.ledger.update(n_evaluations=rows, kernel_batches=1, kernel_batch_rows=rows)
-        if rows >= _SPLIT_ROWS and self.child:
-            return self.child.evaluate(self.ps.points, directions, self.params.d)
         return confidence_radii(self.ps.points, directions, self.params.d)
 
     # -- phase 1 --------------------------------------------------------------
@@ -617,8 +571,8 @@ class _Engine:
         r = sorted(radii.tolist())  # np.median's value, bit for bit, at a tenth of its cost
         return factor * ((r[(k - 1) // 2] + r[k // 2]) / 2)
 
-    def walk_orbit(self, phi: float, r_min: float, target: float):
-        """Cover one latitude ring; returns (band_lo, whether its band reaches `target`)."""
+    def walk_orbit(self, phi: float, r_min: float) -> list[tuple[float, float]]:
+        """Cover one latitude ring in increasing theta; returns its (theta, effective radius) balls."""
         if self.parent is not None and os.getppid() != self.parent:
             raise SystemExit(1)  # an orphaned band child: no one is left to read its walk
         reg = self.params.region
@@ -637,7 +591,7 @@ class _Engine:
             # No clamping: the last center overshoots theta_max by less than
             # one step, so consecutive balls keep overlapping properly.
             theta = theta + step_theta(eff, phi)
-        return self._orbit_band(phi, r_min, balls, target)
+        return balls
 
     def _orbit_band(self, phi: float, r_min: float, balls, target: float):
         """(band_lo, band_hi >= target) of the latitude band a walked ring of balls certifies.
@@ -784,8 +738,6 @@ class _Engine:
                 "phase1_upper": upper_s,
                 "phase1_lower": lower_s,
                 "cover_cap": cover_cap_s,
-                # the child's own seconds in the tail halves of Cover Cap batches
-                "cover_cap_child": self.child.seconds if self.child else 0.0,
                 "total": phase1_s + cover_cap_s,
                 "inside_orbit": inside_orbit_s,
             },
@@ -794,15 +746,15 @@ class _Engine:
     def _phase1(self) -> list[dict]:
         """The `_walk_band` walks of the region's bands, upper first, the lower one by `self.child`.
 
-        The cover's one child starts here, before any ring, with no band to
-        walk when there is one band; where none forks, the lower band is
-        walked here.  A walk that ends in a counterexample is the last one read.
+        The child is forked here, before any ring, when there are two bands;
+        where none forks, the lower band is walked here.  A walk that ends in
+        a counterexample is the last one read.
         """
         upper, *lower = _bands(self.params.region)
-        self.child = _Child.start(self, *lower)
+        self.child = _Child.start(self, *lower) if lower else None
         walks = [self._walk_band(upper)]
         if lower and walks[0]["counterexample"] is None:
-            walks.append(self.child.receive()[0] if self.child else self._walk_band(lower[0]))
+            walks.append(self.child.receive() if self.child else self._walk_band(*lower))
         return walks
 
     def close(self) -> None:
@@ -875,7 +827,8 @@ class _Engine:
                 self.stranded.append((polar_to_cartesian(reg.theta_min, lowest_covered), 2.0))
                 return
             self.r_min_per_orbit.append(r_min)
-            band_lo, connected = self.walk_orbit(phi, r_min, lowest_covered - 1e-12)
+            balls = self.walk_orbit(phi, r_min)
+            band_lo, connected = self._orbit_band(phi, r_min, balls, lowest_covered - 1e-12)
             if connected:
                 lowest_covered = min(lowest_covered, band_lo)
                 retries = 0
@@ -911,20 +864,26 @@ class _Engine:
         Instead the final orbit sits at phi_min + 0.6 x (median radius) with
         a radius floor of 0.8 x median, at most sqrt(2), the largest radius
         Cover Cap takes; its verified band then dips below phi_min while every
-        evaluated direction keeps a healthy clearance.
+        evaluated direction keeps a healthy clearance.  That ring depends on
+        phi_min alone, so only the first attempt walks it; a later one tests
+        its balls against the band covered since.
         """
         self._closeout_attempts += 1
         phi_min = self.params.region.phi_min
-        med = self.orbit_r_min(phi_min + BINARY_SEARCH_TOL, factor=1.0)
-        phi_c = phi_min + 0.6 * med
-        for _ in range(2):
-            med = self.orbit_r_min(phi_c, factor=1.0)
+        if self._closing is None:
+            med = self.orbit_r_min(phi_min + BINARY_SEARCH_TOL, factor=1.0)
             phi_c = phi_min + 0.6 * med
-        r_close = min(0.8 * med, SQRT2)
-        if r_close <= 0.0 or r_close > 2.0 * math.cos(phi_c):
+            for _ in range(2):
+                med = self.orbit_r_min(phi_c, factor=1.0)
+                phi_c = phi_min + 0.6 * med
+            r_close = min(0.8 * med, SQRT2)
+            self._closing = ()  # no ring closes the band
+            if 0.0 < r_close <= 2.0 * math.cos(phi_c):
+                self.r_min_per_orbit.append(r_close)
+                self._closing = phi_c, r_close, self.walk_orbit(phi_c, r_close)
+        if not self._closing:
             return False
-        self.r_min_per_orbit.append(r_close)
-        band_lo, reaches = self.walk_orbit(phi_c, r_close, lowest_covered - 1e-12)
+        band_lo, reaches = self._orbit_band(*self._closing, lowest_covered - 1e-12)
         return band_lo <= phi_min + 1e-12 and reaches
 
 

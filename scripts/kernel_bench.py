@@ -8,8 +8,11 @@ directions of the conjecture region at the conjecture bound d four ways:
 call per batch (in blocks of `_CHUNK_BYTES` at most), `one_row`:
 `confidence_radii` with one direction of shape (3,) per call, and
 `float32_one_row`: phase 1's float32 kernel (`discrepancy._bounded_radii`)
-with one direction per call, as a cover evaluates each ring ball.  A tree
-without the float32 kernel has no `float32_one_row` path.  Records the
+with one direction per call, as a cover evaluates each ring ball, and
+`float32_batch`: that kernel with each batch as one (m, 3) stack per call,
+as a cover evaluates a ring's 20 samples (`orbit_r_min`); both take the
+points rounded to float32 once per point set, as a cover rounds them.  A
+tree without the float32 kernel has neither float32 path.  Records the
 median over the repeats of microseconds per direction and of minor page
 faults per call (`resource.getrusage` of this process only) and prints a
 line a cell; with `--out`, it also writes the table as JSON.
@@ -27,6 +30,7 @@ the tree's label, and `--out` gets both tables (the baseline's named
     python3 scripts/kernel_bench.py --repeats 9 --baseline ../parent/src --out kernel.json
 """
 import argparse
+import functools
 import json
 import os
 import platform
@@ -68,18 +72,24 @@ def one_row(ps, dirs, d):
         confidence_radii(ps.points, v, d)
 
 
-def float32_one_row(ps, dirs, d):
+def float32_one_row(ps, dirs, d, points32):
     """Phase 1's ring-ball path: each direction alone through the float32 kernel."""
-    points32 = ps.points.astype(np.float32)
     for v in dirs:
         discrepancy._bounded_radii(points32, ps.points, v, d)
 
 
-def paths() -> list:
-    """The (name, function) of each path this tree has."""
+def float32_batch(ps, dirs, d, points32):
+    """Phase 1's ring-sample path: the batch as one stack through the float32 kernel."""
+    discrepancy._bounded_radii(points32, ps.points, dirs, d)
+
+
+def paths(ps) -> list:
+    """The (name, function) of each path this tree has, for the point set `ps`."""
     found = [("one_at_a_time", one_at_a_time), ("confidence_radii", batched), ("one_row", one_row)]
     if hasattr(discrepancy, "_bounded_radii"):
-        found.append(("float32_one_row", float32_one_row))
+        points32 = ps.points.astype(np.float32)
+        for name, fn in (("float32_one_row", float32_one_row), ("float32_batch", float32_batch)):
+            found.append((name, functools.partial(fn, points32=points32)))
     return found
 
 
@@ -102,7 +112,7 @@ def run_cells(repeats: int, directions: int) -> list:
         ps, params = conjecture_setup(n, structure)
         dirs = sample_region_directions(params.region, directions, rng)
         violations = int(np.isnan(confidence_radii(ps.points, dirs, params.d)[1]).sum())
-        ways = paths()
+        ways = paths(ps)
         for rows in ROWS:
             batches = [dirs[lo : lo + rows] for lo in range(0, len(dirs), rows)]
             samples = {name: [] for name, _ in ways}
@@ -158,6 +168,7 @@ def line(cell: dict) -> str:
     )
     if "float32_one_row" in cell:
         text += f"  float32 one row {cell['float32_one_row']['us_per_direction']:7.1f} us/dir"
+        text += f"  float32 batch {cell['float32_batch']['us_per_direction']:7.1f} us/dir"
     return text
 
 
@@ -212,8 +223,9 @@ def main() -> None:
         return
     doc = {
         "benchmark": (
-            "evaluation kernel: one direction per call against confidence_radii, and one"
-            " direction per call of each kernel, as phase 1 evaluates a ring ball"
+            "evaluation kernel: one direction per call against confidence_radii, one"
+            " direction per call of each kernel, as phase 1 evaluates a ring ball, and"
+            " the float32 kernel a batch per call, as phase 1 evaluates a ring's samples"
         ),
         **doc,
         "machine": machine(args.note),

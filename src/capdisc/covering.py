@@ -602,10 +602,13 @@ class _Engine:
         increments of r_min/8 and bisecting the last covered step, which
         stays correct when radii fluctuate along the ring (the worst-seam
         shortcut collapses whenever a small ball abuts a much larger one).
-        band_lo is located in full; band_hi, read only against `target`, is
-        decided as soon as a covered latitude reaches it or an uncovered one
-        falls short, since the covered one only rises and stays below every
-        uncovered one: the answer of the whole search.
+        band_lo, a latitude tested as covered, is bisected until the
+        uncovered one below it is BINARY_SEARCH_TOL away at most, the margin
+        by which the next ring is placed (`next_latitude`); band_hi, read
+        only against `target`, is decided as soon as a covered latitude
+        reaches it or an uncovered one falls short, since the covered one
+        only rises and stays below every uncovered one: the answer of the
+        whole search.
         """
         reg = self.params.region
         r = balls[-1][1]
@@ -652,7 +655,9 @@ class _Engine:
                     bad = mid
                 yield good, bad
 
-        *_, (band_lo, _) = edge(-1.0)
+        for band_lo, bad in edge(-1.0):
+            if bad is not None and band_lo - bad <= BINARY_SEARCH_TOL:
+                break
         for good, bad in edge(1.0):
             if good >= target or (bad is not None and bad < target):
                 return band_lo, good >= target

@@ -70,15 +70,14 @@ def project(ps: PointSet, v: np.ndarray) -> ProjectionProfile:
 
 
 @functools.lru_cache(maxsize=8)
-def _cap_counts(t: int, dtype=np.float64) -> np.ndarray:
-    """Read-only (2, t) doubled cap fractions 2(t - i)/t and 2(t - 1 - i)/t, incl. and excl.
+def _even_heights(t: int, dtype=np.float64) -> np.ndarray:
+    """Read-only (t,) middles m_i = (2i + 1 - t)/t of t equal slabs of [-1, 1], in `dtype`.
 
-    Computed in float64 and then rounded to `dtype`.
+    2i + 1 - t and t are exact in `dtype` (t < 2**24), so one division rounds each m_i once.
     """
-    frac = 2.0 * (np.arange(t, -1, -1) / t)
-    counts = np.stack([frac[:-1], frac[1:]]).astype(dtype, copy=False)
-    counts.flags.writeable = False
-    return counts
+    m = (2 * np.arange(t) + 1 - t).astype(dtype) / dtype(t)
+    m.flags.writeable = False
+    return m
 
 
 def directed_discrepancy(profile: ProjectionProfile) -> DirectedResult:
@@ -86,22 +85,22 @@ def directed_discrepancy(profile: ProjectionProfile) -> DirectedResult:
 
     The witness is tie-aware: an inclusive count is taken only at the first
     of tied projections and an exclusive one only at the last, so the
-    witness cap holds exactly the count its value was computed from.
-    Masking the other candidates leaves the maximum unchanged (see _dis),
-    and so does taking `_dis`'s signed deviations: a negative one is
-    strictly below the other count's in its run of ties, which is positive
-    (the run's inclusive count at its first value exceeds its exclusive
-    count at its last), so the maximum and its first index are those of
-    |count/t - area|.
+    witness cap holds exactly the count its value was computed from.  At
+    s_i the signed deviation x_i = s_i - m_i is the inclusive count's, -x_i
+    the exclusive one's (see _dis).  Masking the other candidates leaves the
+    maximum that of |x| unchanged: in a run of ties at h from index a to b,
+    m is non-decreasing, so h - m_a and m_b - h are the largest of the run's
+    x and -x.  The value has the bits of `_dis`.
     """
     s = profile.values
-    counts, twice_area = _cap_counts(len(s), s.dtype.type), 1.0 - s
-    dev = np.stack((counts[0] - twice_area, twice_area - counts[1]))
+    t = len(s)
+    x = s - _even_heights(t, s.dtype.type)
+    dev = np.stack((x, -x))
     tied = s[1:] == s[:-1]
     dev[0, 1:][tied] = -math.inf
     dev[1, :-1][tied] = -math.inf
-    kind, i = divmod(int(np.argmax(dev)), len(s))
-    return DirectedResult(profile.direction, float(dev[kind, i]) * 0.5, float(s[i]), kind == 0)
+    kind, i = divmod(int(np.argmax(dev)), t)
+    return DirectedResult(profile.direction, (float(dev[kind, i]) + 1.0 / t) * 0.5, float(s[i]), kind == 0)
 
 
 # The ufunc reductions behind ndarray.max/min, called directly: the methods
@@ -125,13 +124,13 @@ def _slab_width(s: np.ndarray, k: int):
 
 
 # A batch runs in blocks of 128,000 bytes at most: 36 rows at t = 441, 16
-# at t = 994, 2 at t = 7,057.  glibc maps a request of 128 KiB (131,072
-# bytes) or more on its own, faulted in and unmapped on every call (an
-# unblocked 8-row call at t = 7,057 took 189 minor faults and 1.2 ms, the
-# blocked one none and 0.7 ms), so a block, and each temporary of `_dis`
-# and `_slab_width`, which is one block at most, stays strictly below that,
-# as exactly 128 KiB would not for a power-of-two t.  Against 64 KB blocks
-# a row costs the same (BENCH_18.json, scripts/kernel_bench.py).
+# at t = 994, 2 at t = 7,057, twice as many in float32.  glibc maps a request
+# of 128 KiB (131,072 bytes) or more on its own, faulted in and unmapped on
+# every call (an unblocked 8-row call at t = 7,057 took 189 minor faults and
+# 1.2 ms, the blocked one none and 0.7 ms), so a block, and each temporary of
+# `_dis` and `_slab_width`, which is one block at most, stays strictly below
+# that, as exactly 128 KiB would not for a power-of-two t.  Against 64 KB
+# blocks a row costs the same (BENCH_18.json, scripts/kernel_bench.py).
 _CHUNK_BYTES = 128_000
 
 
@@ -142,9 +141,11 @@ def _sorted_blocks(points: np.ndarray, directions: np.ndarray):
     matrix-vector product of `project` on each and every row equals
     `project`'s values bit for bit; a matrix product over the block rounds
     differently.  A block holds `_CHUNK_BYTES` at most, and one row at least.
+    The directions are rounded to the dtype of `points`, as the rows of
+    `_bounded_radii` are.
     """
-    directions = np.ascontiguousarray(directions, dtype=float)
-    rows = max(1, _CHUNK_BYTES // (8 * len(points)))
+    directions = np.ascontiguousarray(directions, dtype=points.dtype)
+    rows = max(1, _CHUNK_BYTES // (points.itemsize * len(points)))
     for lo in range(0, len(directions), rows):
         s = np.matmul(points, directions[lo : lo + rows, :, None])[..., 0]
         s.sort(axis=1)
@@ -157,21 +158,24 @@ def _dis(s: np.ndarray):
     At h = s_i the boundary-inclusive cap holds t - i points and the
     exclusive one t - 1 - i; the area term is monotone between projection
     values, so the supremum over all heights is attained among these
-    candidates.  Inside a run of tied values the counts are intermediate,
-    and since rounding is monotone their deviations never exceed those of
-    the legitimate counts at the ends of the run, so the maximum needs no
-    tie handling.  incl >= excl, so the larger deviation at s_i is
-    incl - area or area - excl, and IEEE subtraction is exact under
-    negation.  Both are taken doubled, against 2 area = 1 - s, and the
-    maximum halved: doubling commutes with rounding, so these are the bits
-    of halving 1 - s first.  The sweep runs in the dtype of `s`.
+    candidates.  incl >= excl, so the larger deviation at s_i is
+    incl - area or area - excl.  Doubled, against 2 area = 1 - s and with
+    m_i = (2i + 1 - t)/t (`_even_heights`), they are (s_i - m_i) + 1/t and
+    1/t - (s_i - m_i), so
+
+        Dis = (max_i |s_i - m_i| + 1/t) / 2.
+
+    Inside a run of tied values the counts are intermediate, and since the
+    rounded m is non-decreasing their deviations never exceed those of the
+    legitimate counts at the ends of the run, so the maximum needs no tie
+    handling.  The maximum is taken in the dtype of `s`, 1/t added and the
+    sum halved in float64; the rounding of a float32 row is bounded at
+    `_DIS_SLACK32`.
     """
-    counts = _cap_counts(s.shape[-1], s.dtype.type)  # indexed: unpacking costs about 0.6 us
-    twice_area = 1.0 - s
-    dev = counts[0] - twice_area
-    np.subtract(twice_area, counts[1], out=twice_area)
-    np.maximum(dev, twice_area, out=dev)
-    return _max(dev, axis=-1) * 0.5
+    t = s.shape[-1]
+    x = s - _even_heights(t, s.dtype.type)
+    np.abs(x, out=x)
+    return (_max(x, axis=-1) + np.float64(1.0 / t)) * 0.5  # a Python float would keep a float32 sum
 
 
 def _radii(s: np.ndarray, d: float) -> tuple[list[float], list[int], list[float]]:
@@ -255,13 +259,14 @@ _U32 = 2.0**-24
 _ETA32 = 5.0 * _U32 * (1.0 + 4.0 * _U32)
 # Each candidate deviation of `_dis` moves by half its projection's move, so
 # the exact Dis exceeds the exact sweep of the float32 order statistics by
-# _ETA32 / 2 at most.  The float32 sweep rounds three values below 4 once
-# each, the doubled counts (which float64 rounded first, by 2**-52 at most),
-# 1 - s and their difference, by 2u at most, so it errs by 2.5u + 2**-53 once
-# halved.  The further u / 2 of _DIS_SLACK32 is far above the float64
-# rounding of Dis + slack, of Dis + 1/t and of t (d - Dis), so the hypothesis
-# test and k = floor(t (d - Dis)) + 1, taken from the bound, never pass where
-# the exact Dis fails nor exceed the exact k.
+# _ETA32 / 2 at most.  The float32 sweep rounds each height m_i once, by u at
+# most, and takes one float32 difference s_i - m_i, below 2 + 6u in magnitude,
+# so max |s - m| errs by 3u (1 + 2u); adding 1/t to it in float64, below 4,
+# rounds by 2**-52, so the swept Dis errs by 1.5u (1 + 2u) + 2**-53 once
+# halved.  The further 1.5u of _DIS_SLACK32, less 3u^2 + 2**-53, is far above
+# the float64 rounding of Dis + slack, of Dis + 1/t and of t (d - Dis), so
+# the hypothesis test and k = floor(t (d - Dis)) + 1, taken from the bound,
+# never pass where the exact Dis fails nor exceed the exact k.
 _DIS_SLACK32 = _ETA32 / 2.0 + 3.0 * _U32
 # A float32 difference w of two float32 order statistics is at most (1 + u)
 # times the exact one, which is at least w (1 - u); the exact projections'
@@ -282,17 +287,28 @@ def _bounded_radii(points32: np.ndarray, points: np.ndarray, directions: np.ndar
     bound breaks the hypothesis Dis + 1/t <= d is evaluated again by
     `confidence_radii`, whose values it gets bit for bit, so only the float64
     kernel finds a row that breaks it (radius nan).  One direction of shape
-    (3,) gives two floats, a stack (m, 3) two arrays, each row as alone.
+    (3,) gives two floats, a stack (m, 3) two arrays, each row as alone: the
+    stack is projected, sorted and swept in the float32 blocks of
+    `_sorted_blocks`, whose rows have the bits of one direction's.
     """
-    if directions.ndim == 2:
-        dis, radius = np.array([_bounded_radii(points32, points, v, d) for v in directions]).reshape(-1, 2).T
-        return dis, radius
-    s = points32 @ directions.astype(np.float32)
-    s.sort()
+    if directions.ndim == 1:
+        s = points32 @ directions.astype(np.float32)
+        s.sort()
+        return _bounded_row(s, float(_dis(s)), points, directions, d)
+    dis = np.empty(len(directions))
+    radius = np.empty(len(directions))
+    for lo, s in _sorted_blocks(points32, directions):
+        for i, row, swept in zip(range(lo, lo + len(s)), s, _dis(s).tolist()):
+            dis[i], radius[i] = _bounded_row(row, swept, points, directions[i], d)
+    return dis, radius
+
+
+def _bounded_row(s: np.ndarray, swept: float, points: np.ndarray, v: np.ndarray, d: float):
+    """`_bounded_radii`'s (Dis, radius) of direction v from its float32 row `s` and that row's `_dis`."""
     t = len(s)
-    dis = float(_dis(s)) + _DIS_SLACK32
+    dis = swept + _DIS_SLACK32
     if dis + 1.0 / t > d:
-        return confidence_radii(points, directions, d)
+        return confidence_radii(points, v, d)
     k = int(math.floor(t * (d - dis))) + 1
     if k > t - 1:  # no slab holds k + 1 projections, nor one of the exact k
         return dis, 2.0

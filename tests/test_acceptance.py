@@ -94,7 +94,7 @@ def test_criterion_04_direction_count_scale():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="n_DD is 42,665 at n=125, above 30001 + 20%",
+    reason="n_DD is 42,701 at n=125, above 30001 + 20%",
 )
 def test_criterion_04_long_n125_direction_count():
     # n=125: n_DD within +/-20% of 30001.

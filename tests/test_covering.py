@@ -84,9 +84,10 @@ def reference_covered(phi, balls, theta_lo, theta_hi, psi) -> bool:
 
 
 def reference_band(phi, r_min, balls, theta_lo, theta_hi):
-    """(band_lo, band_hi) of a walked ring, each edge located in full, with the loop as the band test.
+    """(band_lo, band_hi) of a walked ring, with the loop as the band test.
 
-    Each edge steps away from phi by r_min/8 and bisects the last covered step 40 times.
+    Each edge steps away from phi by r_min/8 and bisects the last covered step
+    40 times; band_lo's bisection ends once its bracket is BINARY_SEARCH_TOL wide at most.
     """
     spanning = [r for _, r in balls if r > 2.0 * math.cos(phi)]
     if spanning:  # one ball reaches around the ring, and around the nearer pole
@@ -100,7 +101,7 @@ def reference_band(phi, r_min, balls, theta_lo, theta_hi):
     if not covered(phi):
         return phi, phi
 
-    def edge(sign):
+    def edge(sign, tol):
         step, psi = max(1e-6, r_min / 8.0), phi
         for _ in range(10_000):
             nxt = psi + sign * step
@@ -111,11 +112,13 @@ def reference_band(phi, r_min, balls, theta_lo, theta_hi):
             return psi
         good, bad = psi, psi + sign * step
         for _ in range(40):
+            if abs(good - bad) <= tol:
+                break
             mid = 0.5 * (good + bad)
             good, bad = (mid, bad) if covered(mid) else (good, mid)
         return good
 
-    return edge(-1.0), edge(1.0)
+    return edge(-1.0, covering.BINARY_SEARCH_TOL), edge(1.0, 0.0)
 
 
 def twisted_8_to_the_pole():
@@ -1154,6 +1157,28 @@ class TestBandTest:
                 got = original(engine, phi, r_min, balls, t)
                 assert got == (band_lo, band_hi >= t), (phi, r_min, t)
 
+    def test_band_lo_is_covered_and_the_ring_margin_below_it_is_not(self, monkeypatch, one_process):
+        # On each ring of twisted 20's walk, band_lo is a latitude the band test
+        # covers, bisected until the uncovered one below it lies BINARY_SEARCH_TOL
+        # away at most: the latitude that far below band_lo is not covered.
+        rings, original = [], _Engine._orbit_band
+
+        def recording(self, phi, r_min, balls, target):
+            band = original(self, phi, r_min, balls, target)
+            rings.append((phi, list(balls), band[0]))
+            return band
+
+        monkeypatch.setattr(_Engine, "_orbit_band", recording)
+        ps, params = conjecture_setup(20, "twisted")
+        outcome = whole_walk(ps, params)
+        assert outcome.status == "covered" and len(rings) >= outcome.counters["n_orbits"] == 52
+        reg = params.region
+        for phi, balls, band_lo in rings:
+            assert balls[-1][1] <= 2.0 * math.cos(phi) and band_lo < phi  # no ring spans or misses
+            covered = _band_test(phi, balls, reg.theta_min, reg.theta_max)
+            assert covered(band_lo)
+            assert not covered(band_lo - covering.BINARY_SEARCH_TOL)
+
 
 class TestPhase1Misses:
     """A ring whose band misses the covered band is walked again halfway back to it.
@@ -1244,7 +1269,7 @@ class TestCoverRegion:
         assert outcome.status == "covered" and attempts == [True, False, True]
         assert len(rings) == outcome.counters["n_orbits"] == 43  # each closing ring walked once
         rows = np.column_stack((outcome.records.center, outcome.records.radius))
-        assert len(np.unique(rows, axis=0)) == len(rows) == 6_350
+        assert len(np.unique(rows, axis=0)) == len(rows) == 6_344
 
     def test_small_region_covered_and_sound(self):
         n = 12
@@ -1671,7 +1696,7 @@ class TestHelper:
         assert not waiter.is_alive() and forks == []
         assert outcome.counters["phase1_bands"] == 2
         assert report_digest(ps, params, outcome) == (
-            "eba50ad1845b23fcca22fc37cfe9bf9ff9ba7e2ea79328432a361df4cf2918f4"
+            "2c0e0b10e01469739211566fc375f36ca7272aec7b7c712fe9d235cdb41e0e8e"
         )
 
     def test_closing_a_child_reaped_elsewhere_raises_nothing(self):
@@ -1756,14 +1781,14 @@ def cert_digest(ps, params, outcome) -> str:
     [
         pytest.param(
             20, "twisted",
-            "6c0d1b1637197a5b4da220e5b3b0a6a465bde7f01648167bb8e6b8f6bc202a45",
-            "bd427a4fa0191b329da6c502f0ae4829726058436e3e7785621144d904182719",
+            "8676bbb1a7a5c08a54e963ef0a5a793180fca16e492e682cc37961b2dd554a63",
+            "5653ca65465275c591239c61f1c4ed605c18c68df8e68edbf029743b4c67a972",
             id="20-twisted",
         ),
         pytest.param(
             14, "polar",
-            "eba50ad1845b23fcca22fc37cfe9bf9ff9ba7e2ea79328432a361df4cf2918f4",
-            "8d83c8856b037f98d32b8fa783e9ab8a8d4107d0226e2fa65d31923da2fa9bd8",
+            "2c0e0b10e01469739211566fc375f36ca7272aec7b7c712fe9d235cdb41e0e8e",
+            "3880579a9525001f48b65a0140dc39a9bdbf02988a0f2c1ab8257af88a5cce36",
             id="14-polar",
         ),
     ],
@@ -2011,11 +2036,11 @@ class TestBands:
         "n, structure, cert",
         [
             pytest.param(
-                20, "twisted", "f03466df72045f28425ad603fe253751c7f76a435d708f00ffa6ba4c6612843f",
+                20, "twisted", "2767735547eca1fc50d4e9ab56e0332a18e6b9eb7d3a57e415bf0d5423418707",
                 id="20-twisted",
             ),
             pytest.param(
-                14, "polar", "7f6d77fb25dbffc28fa5bd84718ff752918fa71febe672d6a6e9c707f4e510ee",
+                14, "polar", "4f133d24e4c34af6699380f00d65252b7764d7cd4d92756dfc385ffc33f709fd",
                 id="14-polar",
             ),
         ],
@@ -2044,17 +2069,17 @@ class TestBands:
         request.getfixturevalue("one_process")
         alone = whole_walk(ps, params)
         assert forked.counters == alone.counters
-        assert forked.counters["n_evaluations"] == 78_597
+        assert forked.counters["n_evaluations"] == 78_434
         # Cover Cap rows dropped inside phase-1 balls, and every residual ball inside one too
-        assert forked.counters["cover_cap_inside_orbit"] == 39_939
+        assert forked.counters["cover_cap_inside_orbit"] == 39_926
         assert forked.counters["not_covered_inside_orbit"] == len(forked.not_covered) == 5_967
         report = report_digest(ps, params, forked)
         assert report == report_digest(ps, params, alone)
         # Pinned as test_conjecture_certificates_are_pinned pins the others: the one
         # certificate here that ends residual, with rescues and Cover Cap rows dropped.
-        assert report == "48cd987fddefe6cc0a51d1748a737787c1bb7af7ac28619864df7e82a78bae2d"
+        assert report == "b571d6500a59b474a25be134ad0559848bdf768ffd03c8b53fb18f06e151a90f"
         cert = cert_digest(ps, params, forked)
-        assert cert == "dd381115404378cbd11c1121dde3e851859d4f72e1ca22b7957dff4e360b13dd"
+        assert cert == "b1ed5aa21e9a2a64ba5c5df496c2bcf00747da252b8babbcdde4942563d69aee"
 
 
 def test_params_validation():

@@ -17,12 +17,13 @@ from hypothesis import strategies as st
 from capdisc import covering, discrepancy
 from capdisc.discrepancy import (
     HypothesisViolation,
+    ProjectionProfile,
     SizeLimitExceeded,
     _DIS_SLACK32,
     _candidate_axes,
     _bounded_radii,
-    _cap_counts,
     _dis,
+    _even_heights,
     _radii,
     _slab_width,
     _sorted_blocks,
@@ -41,23 +42,30 @@ from capdisc.pointsets import (
     generate_twisted_polar,
 )
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
+from capdisc.reporting import sample_region_directions
 
-from conftest import uniform_directions
+from conftest import count_table_dis, uniform_directions
 
 Z = np.array([0.0, 0.0, 1.0])
 
 
 def reference_directed(s) -> float:
-    """Tie-aware brute force: both legitimate cap counts at every distinct height."""
+    """Tie-aware brute force: both legitimate cap counts at every distinct height.
+
+    A height h held by the sorted projections a..b has t - a points in its
+    inclusive cap and t - 1 - b in its exclusive one, whose doubled
+    deviations from 2 area = 1 - h are (h - m_a) + 1/t and 1/t - (h - m_b),
+    m_i = (2i + 1 - t)/t rounded once: Dis is half the larger plus 1/t, with
+    the rounding of the engine's closed form.
+    """
     s = sorted(float(x) for x in s)
     t = len(s)
     best = 0.0
     for h in set(s):
-        area = (1.0 - h) / 2.0
-        n_incl = t - bisect.bisect_left(s, h)  # points with x >= h
-        n_excl = t - bisect.bisect_right(s, h)  # points with x > h
-        best = max(best, abs(n_incl / t - area), abs(n_excl / t - area))
-    return best
+        first = bisect.bisect_left(s, h)  # t - first points with x >= h
+        last = bisect.bisect_right(s, h) - 1  # t - 1 - last points with x > h
+        best = max(best, h - (2 * first + 1 - t) / t, (2 * last + 1 - t) / t - h)
+    return (best + 1.0 / t) * 0.5
 
 
 def reference_ball(s, d) -> tuple[float, float]:
@@ -141,10 +149,8 @@ class TestOneSweep:
         assert directed_values(ps.points, v[None, :])[0] == expect
         res = directed_discrepancy(prof)
         assert res.value == expect
-        # The witness attains the value with the count it claims.
-        s, h = prof.values, res.witness_height
-        count = int((s >= h).sum()) if res.witness_inclusive else int((s > h).sum())
-        assert abs(count / ps.size - (1.0 - h) / 2.0) == res.value
+        assert np.float64(res.value).tobytes() == np.float64(_dis(prof.values)).tobytes()
+        assert_witness_attains(res, prof.values)
 
     def test_batched_directions_equal_the_brute_force(self):
         ps = generate_polar(6)
@@ -153,14 +159,44 @@ class TestOneSweep:
         assert directed_values(ps.points, dirs).tolist() == expect
 
 
+# A float64 sweep errs by less than 2**-51: the closed form rounds m_i (2**-53), s_i - m_i
+# (below 2 in magnitude: 2**-52), 1/t and the sum with it (below 4: 2**-52), then halves
+# exactly; the count table rounds its fractions, 1 - s and the difference, 2**-53 each.
+SWEEP_ERROR = Fraction(1, 2**51)
+
+
+def assert_witness_attains(res, s):
+    """The witness cap of `res`, along sorted projections `s`, attains its value with the count it claims.
+
+    The value is the closed form at the witness's index bit for bit, and the
+    exact |count/t - area| of the cap within SWEEP_ERROR.
+    """
+    t, h = len(s), res.witness_height
+    count = int((s >= h).sum()) if res.witness_inclusive else int((s > h).sum())
+    i = t - count if res.witness_inclusive else t - 1 - count  # the index whose deviation it is
+    x = h - (2 * i + 1 - t) / t
+    assert ((x if res.witness_inclusive else -x) + 1.0 / t) * 0.5 == res.value
+    exact = abs(Fraction(count, t) - (1 - Fraction(h)) / 2)
+    assert abs(exact - Fraction(res.value)) <= SWEEP_ERROR
+
+
 class TestKernel:
-    def test_count_template_is_read_only(self):
-        counts = _cap_counts(5)
+    def test_height_template_is_read_only(self):
+        heights = _even_heights(5)
         with pytest.raises(ValueError):
-            counts[0, 0] = 0.5
+            heights[0] = 0.5
         with pytest.raises(ValueError):
-            counts.reshape(2, 5, 1)[1, 0, 0] = 0.5
-        assert _cap_counts(5)[0, 0] == 2.0  # doubled: 2 (t - 0)/t
+            heights.reshape(5, 1)[1, 0] = 0.5
+        assert heights.tolist() == [-0.8, -0.4, 0.0, 0.4, 0.8] and _even_heights(5) is heights
+        # float32 heights are rounded once: each is the float32 nearest to (2i + 1 - t)/t
+        t = 7057
+        heights32 = _even_heights(t, np.float32)
+        assert heights32.dtype == np.float32 and not heights32.flags.writeable
+        for i in range(0, t, 97):
+            exact = Fraction(2 * i + 1 - t, t)
+            got = heights32[i]
+            for other in (np.nextafter(got, np.float32(-2.0)), np.nextafter(got, np.float32(2.0))):
+                assert abs(Fraction(float(got)) - exact) <= abs(Fraction(float(other)) - exact)
 
     def test_directed_value_is_the_sweep_maximum(self):
         # t = 2, tied projections (polar sets along their axes) and random
@@ -177,8 +213,7 @@ class TestKernel:
             profiles += [project(ps, v) for v in uniform_directions(3, seed=t)]
         for prof in profiles:
             t = len(prof.values)
-            expect = 2.0 * (np.arange(t, -1, -1) / t)
-            assert _cap_counts(t).tolist() == [expect[:-1].tolist(), expect[1:].tolist()]
+            assert _even_heights(t).tolist() == [(2 * i + 1 - t) / t for i in range(t)]
             assert confidence_radius(prof, 2.0).directed_value == reference_directed(prof.values)
 
 
@@ -226,12 +261,14 @@ class TestBatchedKernel:
 
 
 def reference_dis(s):
-    """Dis of sorted rows as _dis took it with undoubled counts: halve 1 - s, then compare."""
+    """Dis of sorted rows in the closed form, halved first: the larger of 1/(2t) +- (s_i - m_i)/2 at each i.
+
+    s - m is taken in the dtype of `s`, as `_dis` takes it, with m_i = (2i + 1 - t)/t rounded once.
+    """
     t = s.shape[-1]
-    frac = np.arange(t, -1, -1) / t
-    area = np.subtract(1.0, s)
-    area *= 0.5
-    return np.maximum(frac[:-1] - area, area - frac[1:]).max(axis=-1)
+    m = (2 * np.arange(t) + 1 - t).astype(s.dtype) / s.dtype.type(t)
+    half = (s - m).astype(float) * 0.5
+    return np.maximum(0.5 / t + half, 0.5 / t - half).max(axis=-1)
 
 
 def tied_rows(t, rng):
@@ -250,12 +287,45 @@ def test_doubled_sweep_equals_the_halved_one_bit_for_bit(t):
     rows = tied_rows(t, np.random.default_rng(t))
     tied = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
     assert tied.sum() >= (3 if t == 2 else 20)  # at t = 2 the constant rows at least
-    expect = reference_dis(rows)
-    assert _dis(rows).tobytes() == expect.tobytes()
-    # A block of 16 rows, as confidence_radii sends at t = 994, and single rows.
-    assert _dis(rows[:16]).tobytes() == expect[:16].tobytes()
-    for row, value in zip(rows, expect.tolist()):
-        assert np.float64(_dis(row)).tobytes() == np.float64(value).tobytes()
+    # float64 rows, and the same rows rounded to float32 (still sorted), as phase 1 sweeps them
+    for block in (rows, rows.astype(np.float32)):
+        expect = reference_dis(block)
+        assert _dis(block).dtype == np.float64 and _dis(block).tobytes() == expect.tobytes()
+        # A block of 16 rows, as confidence_radii sends at t = 994, and single rows.
+        assert _dis(block[:16]).tobytes() == expect[:16].tobytes()
+        for row, value in zip(block, expect.tolist()):
+            assert np.float64(_dis(row)).tobytes() == np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("t", [2, 441, 994, 7057])
+def test_the_closed_form_is_the_count_table_sweep_in_exact_arithmetic(t):
+    # (max |s_i - m_i| + 1/t) / 2 with the exact m_i = (2i + 1 - t)/t is
+    # max over i of max(incl - area, area - excl), on rows with runs of ties:
+    # a uniform row, rows on grids of 2, 5 and 64 steps, one with runs at the
+    # ends, and the constant rows (all of them at t = 2).
+    rows = tied_rows(t, np.random.default_rng(t))
+    if t > 2:
+        rows = rows[[0, 24, 32, 40, 48, 56, 57, 58]]
+    assert (rows[:, 1:] == rows[:, :-1]).any(axis=1).sum() >= 3
+    for row in rows:
+        s = [Fraction(x) for x in row.tolist()]
+        table = max(max(Fraction(t - i, t) - (1 - x) / 2, (1 - x) / 2 - Fraction(t - 1 - i, t)) for i, x in enumerate(s))
+        closed = (max(abs(x - Fraction(2 * i + 1 - t, t)) for i, x in enumerate(s)) + Fraction(1, t)) / 2
+        assert closed == table
+        # Both float64 sweeps round it by less than SWEEP_ERROR.
+        assert abs(Fraction(float(_dis(row))) - table) <= SWEEP_ERROR
+        assert abs(Fraction(float(count_table_dis(row))) - table) <= SWEEP_ERROR
+
+
+@pytest.mark.parametrize("t", [2, 441, 994])
+def test_directed_discrepancy_has_the_bits_of_dis(t):
+    # On rows with runs of ties: the tie-aware witness keeps the value of the
+    # sweep that needs no tie handling, and attains it.
+    for row in tied_rows(t, np.random.default_rng(t)):
+        res = directed_discrepancy(ProjectionProfile(Z, row))
+        assert np.float64(res.value).tobytes() == np.float64(_dis(row)).tobytes()
+        assert res.value == reference_directed(row)
+        assert_witness_attains(res, row)
 
 
 def mixed_block(t, rng):
@@ -497,7 +567,7 @@ def test_kernel_bench_script_smoke(tmp_path):
     assert cell_keys == [(t, rows) for t in (441, 994, 7057) for rows in (1, 8, 20)]
     for cell in cells:
         assert cell["directions"] == 4
-        for path in ("one_at_a_time", "confidence_radii", "one_row", "float32_one_row"):
+        for path in ("one_at_a_time", "confidence_radii", "one_row", "float32_one_row", "float32_batch"):
             assert cell[path]["us_per_direction"] > 0.0
 
 
@@ -517,7 +587,7 @@ def test_kernel_bench_script_with_a_baseline(tmp_path):
         cells = table["cells"]
         assert [(cell["t"], cell["rows"]) for cell in cells] == [(t, rows) for t in (441, 994, 7057) for rows in (1, 8, 20)]
         for cell in cells:
-            for path in ("one_at_a_time", "confidence_radii", "one_row", "float32_one_row"):
+            for path in ("one_at_a_time", "confidence_radii", "one_row", "float32_one_row", "float32_batch"):
                 assert cell[path]["us_per_direction"] > 0.0
 
 
@@ -590,6 +660,35 @@ class TestBoundedRadii:
         exact_dis, exact_k, width = exact_row(ps.points, v, d)
         assert exact_k == 2 and width(2) == expect
         assert Fraction(dis) >= exact_dis and dis + 1.0 / t <= d and radius == expect
+
+    @pytest.mark.parametrize("n", [20, 80], ids=["t441", "t7057"])
+    def test_a_stack_equals_its_one_row_calls_bit_for_bit(self, n):
+        # Directions of twisted n's conjecture region, in two float32 blocks or more,
+        # the last one short.  At d = Dis_v + 1/t for the median row v, v takes the
+        # float64 fallback and keeps the hypothesis, and the rows of larger Dis break
+        # it; at d = 2 every row has k > t - 1 and radius 2.
+        ps, params = conjecture_setup(n, "twisted")
+        t, points32 = ps.size, ps.points.astype(np.float32)
+        rows = discrepancy._CHUNK_BYTES // (4 * t)  # float32 rows in a block: 72 at t = 441, 4 at t = 7,057
+        dirs = sample_region_directions(params.region, max(2 * rows + 1, 21), np.random.default_rng(t))
+        for lo, s in _sorted_blocks(points32, dirs):  # the stack's rows are one direction's projections
+            assert s.dtype == np.float32 and len(s) <= rows
+            for j, row in enumerate(s):
+                assert row.tobytes() == np.sort(points32 @ dirs[lo + j].astype(np.float32)).tobytes()
+        dis64 = directed_values(ps.points, dirs)
+        median_row = int(np.argsort(dis64)[len(dirs) // 2])
+        for d in (float(dis64[median_row]) + 1.0 / t, 2.0):
+            dis, radius = _bounded_radii(points32, ps.points, dirs, d)
+            expect = np.array([_bounded_radii(points32, ps.points, v, d) for v in dirs])
+            assert dis.tobytes() == expect[:, 0].copy().tobytes()
+            assert radius.tobytes() == expect[:, 1].copy().tobytes()
+            swept = np.array([float(_dis(np.sort(points32 @ v.astype(np.float32)))) for v in dirs])
+            fallback = swept + _DIS_SLACK32 + 1.0 / t > d
+            if d < 2.0:
+                assert fallback[median_row] and radius[median_row] > 0.0
+                assert 0 < np.isnan(radius).sum() < len(dirs) - 1
+            else:
+                assert not fallback.any() and (radius == 2.0).all()
 
     @pytest.mark.parametrize("above", [0.0, -1e-9], ids=["keeps-the-hypothesis", "breaks-it"])
     def test_a_row_near_the_hypothesis_takes_the_float64_kernel(self, above, monkeypatch):

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capdisc import covering, reporting
+from capdisc import covering, discrepancy, reporting
 from capdisc.covering import (
     CoverageRecords,
     CoverOutcome,
@@ -35,6 +35,8 @@ from capdisc.reporting import (
     upsert_summary_row,
     write_report,
 )
+
+from conftest import count_table_dis
 
 # The whole sphere, over which a Cover Cap drops no ball.
 WHOLE_SPHERE = Region(-np.pi / 2, np.pi / 2, 0.0, 2.0 * np.pi)
@@ -74,13 +76,24 @@ def residual_run():
     # Phase 1 walks the region as one band, on the float64 kernel, and Cover
     # Cap evaluates its seeds' own directions again and grows its trees over
     # the whole sphere, as the engine that wrote V1_RESIDUAL_RUN did: the
-    # walker each band's is.
+    # walker each band's is.  That engine swept Dis by its count table and
+    # bisected each ring's band_lo 40 times (a negative margin never stops
+    # the search early).
     ps = generate_twisted_polar(12)
     params = CoverParams(
         d=north_pole_directed(12), region=Region(0.0, 1.0, 0.0, 0.8), cover_cap_max_depth=0
     )
+    orbit_band = covering._Engine._orbit_band
+
+    def full_band_lo(engine, *args):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(covering, "BINARY_SEARCH_TOL", -1.0)
+            return orbit_band(engine, *args)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covering, "_bands", lambda region: [region])
+        mp.setattr(discrepancy, "_dis", count_table_dis)
+        mp.setattr(covering._Engine, "_orbit_band", full_band_lo)
         mp.setattr(covering, "_bounded_radii", lambda points32, points, v, d: confidence_radii(points, v, d))
         mp.setattr(
             covering,
@@ -319,7 +332,7 @@ class TestReportDocument:
         outcome = cover_region(ps, params)
         # the engine's own work counters equal the counts taken from outside it
         work = [outcome.counters[key] for key in ("band_tests", "kernel_batches", "kernel_batch_rows")]
-        assert work == [len(band_calls), len(batches), sum(batches)] == [2_856, 173, 5_046]
+        assert work == [len(band_calls), len(batches), sum(batches)] == [1_935, 174, 5_025]
         doc = strip_timings(report_dict(ps, params, outcome))
         sha = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
         # cert= leaves out the counters, so a change in work alone keeps it
@@ -348,7 +361,7 @@ class TestReportDocument:
         for key, value in outcome.counters.items():
             assert row[key] == str(value), key
         assert all(f"{name}_s" in row for name in outcome.timings)
-        assert row["n_DD"] == "3603"
+        assert row["n_DD"] == "3688"
         # the size of the schema-2 report, but for the digits of its timings, and the peak
         # RSS of the fresh process that wrote it
         size = len(json.dumps(report_dict(ps, params, outcome), allow_nan=False)) + 1
@@ -369,7 +382,7 @@ class TestReportDocument:
         assert last == "certificates identical on 1 of 1 jobs"
         assert parent.startswith("parent: job=twisted:13 t=186 status=covered ")
         assert change.startswith("change: job=twisted:13 t=186 status=covered ")
-        assert " n_evaluations=10944 " in change
+        assert " n_evaluations=10826 " in change
         # the same digests and counters, whatever the seconds, which follow them
         assert parent.split(" phase1_s=")[0][7:] == change.split(" phase1_s=")[0][7:]
         tables = json.loads(out.read_text())["tables"]
@@ -380,7 +393,7 @@ class TestReportDocument:
         assert fixed[0] == fixed[1]
         assert abs(rows[0][0]["report_bytes"] - rows[1][0]["report_bytes"]) < 50
         assert rows[1][0]["peak_rss_mb"] > 10.0
-        assert fixed[1]["kernel_batches"] == 149
+        assert fixed[1]["kernel_batches"] == 144
         assert "alternating with the parent table's" in tables["change"]["statistic"]
         # The verdict names each job whose certificate or balls differ, and which digests.
         verdict = runpy.run_path(str(root / "scripts" / "cert_digests.py"))["verdict"]
@@ -550,8 +563,8 @@ class TestAudit:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("cover: twisted:20 status=covered ")
-        assert "cover_cap_inside_orbit=114 " in proc.stdout
-        assert " n_DD=3603 " in proc.stdout and " total_s=" in proc.stdout  # the counters and timings
+        assert "cover_cap_inside_orbit=124 " in proc.stdout
+        assert " n_DD=3688 " in proc.stdout and " total_s=" in proc.stdout  # the counters and timings
         assert "uncovered=0 over_bound=0" in proc.stdout
 
     def test_rejects_counterexample_outcome(self):

@@ -26,7 +26,7 @@ last line gives the verdict: `certificates identical on k of k jobs`, or
 the jobs whose `cert=` or `balls=` differs, and then the script exits
 with status 1 (after writing `--out`).
 
-    python3 scripts/cert_digests.py                     # twisted 20/40/60/80, polar 30, 15 and 14
+    python3 scripts/cert_digests.py                     # twisted 20/40/60/80, polar 30/15/14, twisted 13/15
     python3 scripts/cert_digests.py twisted:20 polar:14
     python3 scripts/cert_digests.py --repeats 5 --baseline ../parent/src --out BENCH_28.json
 """
@@ -47,7 +47,11 @@ import numpy as np
 
 from capdisc import conjecture_setup, covering, cover_region, read_report, strip_timings, write_report
 
-DEFAULT_JOBS = ["twisted:20", "twisted:40", "twisted:60", "twisted:80", "polar:30", "polar:15", "polar:14"]
+# Twisted 13 walks a closing ring again after a failed attempt; twisted 15 is criterion 04's job.
+DEFAULT_JOBS = [
+    "twisted:20", "twisted:40", "twisted:60", "twisted:80",
+    "polar:30", "polar:15", "polar:14", "twisted:13", "twisted:15",
+]
 CERT_KEYS = ("records", "not_covered", "counterexample", "params", "points_meta")
 # The suffixes of the row keys that vary between repeats (seconds, bytes, MB): medians are reported.
 MEASURED = ("_s", "_bytes", "_mb")

@@ -1,21 +1,20 @@
 #!/usr/bin/env python3
-"""Time the evaluation kernel one direction at a time against `confidence_radii`.
+"""Time the evaluation kernel on each path a cover takes.
 
 For each point set (twisted n=20, t=441; plain polar n=30, t=994; twisted
 n=80, t=7057) and each batch size (1, 8, 20 rows), evaluates the same
-directions of the conjecture region at the conjecture bound d four ways:
-`confidence_radius(project(ps, v), d)` per row, one `confidence_radii`
-call per batch (in blocks of `_CHUNK_BYTES` at most), `one_row`:
-`confidence_radii` with one direction of shape (3,) per call, and
+directions of the conjecture region at the conjecture bound d three ways:
+`confidence_radii`, the float64 kernel, one call per batch (in blocks of
+`_CHUNK_BYTES` at most), as Cover Cap evaluates a tree level;
 `float32_one_row`: phase 1's float32 kernel (`discrepancy._bounded_radii`)
-with one direction per call, as a cover evaluates each ring ball, and
-`float32_batch`: that kernel with each batch as one (m, 3) stack per call,
-as a cover evaluates a ring's 20 samples (`orbit_r_min`); both take the
-points rounded to float32 once per point set, as a cover rounds them.  A
-tree without the float32 kernel has neither float32 path.  Records the
-median over the repeats of microseconds per direction and of minor page
-faults per call (`resource.getrusage` of this process only) and prints a
-line a cell; with `--out`, it also writes the table as JSON.
+with one direction of shape (3,) per call, as a cover evaluates each ring
+ball; and `float32_batch`: that kernel with each batch as one (m, 3) stack
+per call, as a cover evaluates a ring's 20 samples (`orbit_r_min`).  Both
+float32 paths take the points rounded to float32 once per point set, as a
+cover rounds them.  Records the median over the repeats of microseconds
+per direction and of minor page faults per call (`resource.getrusage` of
+this process only) and prints a line a cell; with `--out`, it also writes
+the table as JSON.
 
 With `--baseline SRC` (the `src/` of another checkout), each repeat runs
 one fresh process per tree, the two in alternating order as
@@ -44,7 +43,7 @@ from statistics import median
 import numpy as np
 
 from capdisc import conjecture_setup, discrepancy
-from capdisc.discrepancy import HypothesisViolation, confidence_radii, confidence_radius, project
+from capdisc.discrepancy import confidence_radii
 from capdisc.reporting import sample_region_directions
 
 JOBS = [("twisted", 20), ("polar", 30), ("twisted", 80)]
@@ -54,22 +53,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 LABEL, BASELINE_LABEL = "change", "parent"
 
 
-def one_at_a_time(ps, dirs, d):
-    for v in dirs:
-        try:
-            confidence_radius(project(ps, v), d)
-        except HypothesisViolation:
-            pass
-
-
 def batched(ps, dirs, d):
+    """Cover Cap's path: the batch as one stack through the float64 kernel."""
     confidence_radii(ps.points, dirs, d)
-
-
-def one_row(ps, dirs, d):
-    """The engine's ring-ball path: each direction alone through `confidence_radii`."""
-    for v in dirs:
-        confidence_radii(ps.points, v, d)
 
 
 def float32_one_row(ps, dirs, d, points32):
@@ -84,13 +70,13 @@ def float32_batch(ps, dirs, d, points32):
 
 
 def paths(ps) -> list:
-    """The (name, function) of each path this tree has, for the point set `ps`."""
-    found = [("one_at_a_time", one_at_a_time), ("confidence_radii", batched), ("one_row", one_row)]
-    if hasattr(discrepancy, "_bounded_radii"):
-        points32 = ps.points.astype(np.float32)
-        for name, fn in (("float32_one_row", float32_one_row), ("float32_batch", float32_batch)):
-            found.append((name, functools.partial(fn, points32=points32)))
-    return found
+    """The (name, function) of each path, for the point set `ps`."""
+    points32 = ps.points.astype(np.float32)
+    return [
+        ("confidence_radii", batched),
+        ("float32_one_row", functools.partial(float32_one_row, points32=points32)),
+        ("float32_batch", functools.partial(float32_batch, points32=points32)),
+    ]
 
 
 def measure(fn, ps, batches, d):
@@ -158,18 +144,13 @@ def in_child(src: Path, directions: int) -> list:
 
 
 def line(cell: dict) -> str:
-    text = (
-        f"t={cell['t']:5d} rows={cell['rows']:2d}  one at a time "
-        f"{cell['one_at_a_time']['us_per_direction']:7.1f} us/dir "
-        f"{cell['one_at_a_time']['minor_faults_per_call']:6.1f} faults/call  "
+    return (
+        f"t={cell['t']:5d} rows={cell['rows']:2d}  "
         f"confidence_radii {cell['confidence_radii']['us_per_direction']:7.1f} us/dir "
         f"{cell['confidence_radii']['minor_faults_per_call']:6.1f} faults/call  "
-        f"one row {cell['one_row']['us_per_direction']:7.1f} us/dir"
+        f"float32 one row {cell['float32_one_row']['us_per_direction']:7.1f} us/dir  "
+        f"float32 batch {cell['float32_batch']['us_per_direction']:7.1f} us/dir"
     )
-    if "float32_one_row" in cell:
-        text += f"  float32 one row {cell['float32_one_row']['us_per_direction']:7.1f} us/dir"
-        text += f"  float32 batch {cell['float32_batch']['us_per_direction']:7.1f} us/dir"
-    return text
 
 
 def machine(note: str) -> dict:
@@ -195,9 +176,6 @@ def main() -> None:
     if args.baseline is None:
         cells = run_cells(args.repeats, args.directions)
         for cell in cells:
-            cell["speedup"] = round(
-                cell["one_at_a_time"]["us_per_direction"] / cell["confidence_radii"]["us_per_direction"], 3
-            )
             print(line(cell), flush=True)
         doc = {"statistic": f"median of {args.repeats} repeats, {args.directions} directions each", "cells": cells}
     else:
@@ -223,9 +201,9 @@ def main() -> None:
         return
     doc = {
         "benchmark": (
-            "evaluation kernel: one direction per call against confidence_radii, one"
-            " direction per call of each kernel, as phase 1 evaluates a ring ball, and"
-            " the float32 kernel a batch per call, as phase 1 evaluates a ring's samples"
+            "evaluation kernel: confidence_radii a batch per call, as Cover Cap evaluates"
+            " a level; the float32 kernel one direction per call, as phase 1 evaluates a"
+            " ring ball, and a batch per call, as phase 1 evaluates a ring's samples"
         ),
         **doc,
         "machine": machine(args.note),

@@ -169,7 +169,7 @@ COVER_CAP_COUNTERS = (
 )
 
 
-def cover_cap_recurse(evaluate, centers, required_r, depth: int, region: Region, own=None):
+def cover_cap_recurse(evaluate, centers, required_r, depth: int, region: Region, own):
     """Certify each ball B(centers[i], required_r[i]) with a tree of half-radius balls.
 
     `centers` is an (m, 3) array and `required_r` an (m,) one.  `evaluate`
@@ -180,8 +180,8 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int, region: Region,
     evaluates its 8 `cover_cap_centers`; center 0 is its own direction,
     whose value a child takes from its parent.  `own`, an (m, 2) array of
     each seed's (directed_value, radius) from its phase-1 ring ball, gives
-    the seeds' own values too; a seed's own direction, at any level, is then
-    never recorded, since its phase-1 ball is a record already.  A center
+    the seeds' own values; a seed's own direction, at any level, is never
+    recorded, since its phase-1 ball is a record already.  A center
     whose radius reaches half the node's requirement is a record, a shorter
     one a child node or, once `depth` levels are used up, a residual ball
     (direction, still-required radius).  The certificate claims only
@@ -205,7 +205,7 @@ def cover_cap_recurse(evaluate, centers, required_r, depth: int, region: Region,
     keep = ~miss
     v = centers[keep]
     # directions, required radii, own (dis, radius) rows, whether a node's own ball is recorded
-    level = v, required_r[keep], None if own is None else own[keep], np.full(len(v), own is not None)
+    level = v, required_r[keep], own[keep], np.ones(len(v), dtype=bool)
     records = [(np.zeros((0, 3)), np.zeros(0), np.zeros(0))]  # (center, radius, dis) parts
     residual = [(np.zeros((0, 3)), np.zeros(0))]  # (center, required radius) parts
     witness, left = None, depth
@@ -248,12 +248,9 @@ def _settle_nodes(evaluate, v, req, own, known, left: int, region, records, resi
     if not expand.size:
         return v[:0], req[:0], None, known[:0]
     c = cover_cap_centers(v[expand], req[expand])
-    if own is None:
-        dis, r_c = (a.reshape(-1, 8) for a in _checked(evaluate, c.reshape(-1, 3)))
-    else:
-        # A child's center 0 is its own direction, already evaluated by its parent.
-        values = _checked(evaluate, c[:, 1:].reshape(-1, 3))
-        dis, r_c = (np.column_stack((o, a.reshape(-1, 7))) for o, a in zip(own[expand].T, values))
+    # A node's center 0 is its own direction, already evaluated by its parent or phase 1.
+    values = _checked(evaluate, c[:, 1:].reshape(-1, 3))
+    dis, r_c = (np.column_stack((o, a.reshape(-1, 7))) for o, a in zip(own[expand].T, values))
 
     need = np.broadcast_to(req[expand, None] / 2.0, dis.shape)
     rec = r_c >= need

@@ -215,11 +215,13 @@ def rescue_rows(u, reach):
     return [(u_j, float(r_j)) for u_j, r_j in zip(u, reach) if not math.isnan(r_j)]
 
 
-def reference_recurse(evaluate, v, required_r, depth, own=None, counts=None, level=0):
+def reference_recurse(evaluate, v, required_r, depth, own, known=True, counts=None, level=0):
     """Cover Cap evaluating one direction at a time, recursing before the next.
 
-    `own` is v's (dis, radius) when the caller has evaluated v: center 0 is v
-    itself, so a child takes it from its parent instead of evaluating it.
+    `own` is v's (dis, radius), which the caller has evaluated: center 0 is
+    v itself, so it is taken from there instead of evaluated again.  `known`
+    marks v's own ball as a record already (a seed's phase-1 ball, and so
+    center 0 under it at every level): it is never recorded again.
     `counts`, when given, gathers the COVER_CAP_COUNTERS of the walk; v's
     node sits at tree `level`.
     """
@@ -236,7 +238,7 @@ def reference_recurse(evaluate, v, required_r, depth, own=None, counts=None, lev
             return [(u, r_u, dis)], []
     records, residual = [], []
     for i, c in enumerate(cover_cap_centers(v, required_r)):
-        if i == 0 and own is not None:
+        if i == 0:
             dis, r_c = own
         else:
             (dis,), (r_c,) = (a.tolist() for a in evaluate(c[None, :]))
@@ -244,10 +246,11 @@ def reference_recurse(evaluate, v, required_r, depth, own=None, counts=None, lev
             raise HypothesisViolation(c, dis, math.nan)
         need = required_r / 2.0
         if r_c >= need:
-            records.append((c, r_c, dis))
+            if not (i == 0 and known):
+                records.append((c, r_c, dis))
         elif depth > 0:
             recs, resid = reference_recurse(
-                evaluate, c, need, depth - 1, (dis, r_c), counts, level + 1
+                evaluate, c, need, depth - 1, (dis, r_c), i == 0 and known, counts, level + 1
             )
             records.extend(recs)
             residual.extend(resid)
@@ -256,16 +259,17 @@ def reference_recurse(evaluate, v, required_r, depth, own=None, counts=None, lev
     return records, residual
 
 
-def reference_cover_cap(evaluate, centers, required_r, depth):
+def reference_cover_cap(evaluate, centers, required_r, depth, own):
     """`cover_cap_recurse` as a seed-by-seed loop over reference_recurse.
 
-    A violation raises HypothesisViolation; otherwise the result has no
-    witness and lists the rows in the order of a depth-first walk.
+    `own` holds each seed's (dis, radius) row.  A violation raises
+    HypothesisViolation; otherwise the result has no witness and lists the
+    rows in the order of a depth-first walk.
     """
     records, residual = [], []
     counts = dict.fromkeys(COVER_CAP_COUNTERS, 0)
-    for v, req in zip(centers, required_r):
-        recs, resid = reference_recurse(evaluate, v, float(req), depth, None, counts)
+    for v, req, row in zip(centers, required_r, own.tolist()):
+        recs, resid = reference_recurse(evaluate, v, float(req), depth, tuple(row), True, counts)
         records.extend(recs)
         residual.extend(resid)
     return None, records_table(cover_cap=records), residual_table(residual), counts
@@ -529,6 +533,11 @@ def one_seed(v, required_r):
     return np.asarray(v, dtype=float)[None, :], np.array([required_r])
 
 
+def own_rows(evaluate, centers):
+    """Each seed's (dis, radius) row from `evaluate`, as phase 1's ring balls hand them to Cover Cap."""
+    return np.column_stack(evaluate(centers))
+
+
 # The whole sphere: no ball misses it, so a Cover Cap over it drops nothing.
 WHOLE_SPHERE = Region(-math.pi / 2, math.pi / 2, 0.0, 2.0 * math.pi)
 
@@ -546,11 +555,14 @@ class TestCoverCapRecurse:
             calls.append(v)
             return 0.01, 1.0
 
+        # The seed's own row passes too.  Its ball is phase 1's record, so
+        # center 0 is neither evaluated nor recorded.
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 1, WHOLE_SPHERE
+            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 1, WHOLE_SPHERE, np.array([[0.01, 1.0]])
         )
         assert witness is None
-        assert len(records) == len(calls) == 8
+        assert len(records) == len(calls) == 7
+        assert not (records.center == CLEAR_SEED).all(axis=1).any()
         assert not residual
         assert counts == dict(
             cover_cap_nodes=1, cover_cap_levels=1, rescue_tries=0, rescue_hits=0, cover_cap_pruned=0
@@ -561,10 +573,10 @@ class TestCoverCapRecurse:
             return 0.01, 1e-9
 
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 0, WHOLE_SPHERE
+            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 0, WHOLE_SPHERE, np.array([[0.01, 1e-9]])
         )
         assert witness is None
-        assert len(residual) == 8
+        assert len(residual) == 8  # center 0, the seed's own short ball, among them
         assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1, 1)
         assert residual.required_radius.tolist() == [0.125] * 8
 
@@ -574,14 +586,15 @@ class TestCoverCapRecurse:
         def evaluate(v):
             seen.append(v)
             # Fail the first batch, pass everything at the next depth.
-            return 0.01, (0.1 if len(seen) <= 8 else 1.0)
+            return 0.01, (0.1 if len(seen) <= 7 else 1.0)
 
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 2, WHOLE_SPHERE
+            rowwise(evaluate), *one_seed(CLEAR_SEED, CLEAR_REQ), 2, WHOLE_SPHERE, np.array([[0.01, 0.1]])
         )
         assert witness is None and not residual
-        # 8 centers, then 7 per child: each child's center 0 is its parent's center.
-        assert len(seen) == 8 + 8 * 7
+        # 7 centers, then 7 per child: center 0 is the node's own direction,
+        # the seed itself or its parent's center.
+        assert len(seen) == 7 + 8 * 7
         assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1 + 8, 2)
 
     def test_swallow_rescue_triggers_near_equator(self):
@@ -594,8 +607,9 @@ class TestCoverCapRecurse:
 
         v = np.array([1.0, 0.0, 1e-6])
         v /= np.linalg.norm(v)
+        seeds = one_seed(v, 1e-4)
         witness, records, residual, counts = cover_cap_recurse(
-            rowwise(evaluate), *one_seed(v, 1e-4), 0, WHOLE_SPHERE
+            rowwise(evaluate), *seeds, 0, WHOLE_SPHERE, own_rows(rowwise(evaluate), seeds[0])
         )
         assert witness is None and not residual
         assert len(records) == 1
@@ -607,14 +621,16 @@ class TestCoverCapRecurse:
     def test_batched_centers_match_the_sequential_walk(self, n, structure):
         ps, params = conjecture_setup(n, structure)
         with contextlib.closing(_Engine(ps, params)) as engine:
-            queue = phase1_table(engine._phase1(), "cannot_cover")
+            walks = engine._phase1()
+            queue = phase1_table(walks, "cannot_cover")
             assert len(queue) > 50
             seeds, required = queue.center, queue.required_radius
+            own = np.concatenate([walk["cannot_cover_rows"] for walk in walks])  # the ring balls' float32 rows
             depth = params.cover_cap_max_depth
             before = engine.ledger["n_evaluations"]
-            got = cover_cap_recurse(engine.evaluate_cart, seeds, required, depth, WHOLE_SPHERE)
+            got = cover_cap_recurse(engine.evaluate_cart, seeds, required, depth, WHOLE_SPHERE, own)
             batched_evals = engine.ledger["n_evaluations"] - before
-            same_result(got, reference_cover_cap(engine.evaluate_cart, seeds, required, depth))
+            same_result(got, reference_cover_cap(engine.evaluate_cart, seeds, required, depth, own))
             assert engine.ledger["n_evaluations"] - before == 2 * batched_evals
 
     def test_a_level_of_more_than_1024_nodes_is_settled_whole(self):
@@ -630,18 +646,20 @@ class TestCoverCapRecurse:
         levels.append((cover_cap_centers(*levels[0]).reshape(-1, 3), np.full(1200, 0.005)))
         passing = cover_cap_centers(*levels[1])[:, 1:].reshape(-1, 3)
         evaluate = keyed_evaluator({c.tobytes(): (0.01, 1.0) for c in passing}, (0.01, 0.0))
+        own = own_rows(evaluate, seeds)
         calls = []
 
         def counted(directions):
             calls.append(len(directions))
             return evaluate(directions)
 
-        got = cover_cap_recurse(counted, *levels[0], 1, WHOLE_SPHERE)
+        got = cover_cap_recurse(counted, *levels[0], 1, WHOLE_SPHERE, own)
         slots = [(~np.isnan(_rescue_candidates(*nodes)[1])).any(axis=0).sum() for nodes in levels]
         assert slots == [3, 3]
-        assert calls == [150] * 3 + [1200] + [1200] * 3 + [8400]
+        # A node's center 0 is its own direction: 7 centers a node are evaluated.
+        assert calls == [150] * 3 + [1050] + [1200] * 3 + [8400]
         assert (len(got[1]), len(got[2])) == (8400, 1200)  # each node's center 0 is short
-        same_result(got, reference_cover_cap(evaluate, *levels[0], 1))
+        same_result(got, reference_cover_cap(evaluate, *levels[0], 1, own))
 
     def test_violation_deep_under_center_zero_is_the_witness(self):
         # Center 0 and child 2 below it are short, and grandchild 4 violates
@@ -682,7 +700,8 @@ class TestCoverCapRecurse:
         # own center 0, so only the work done tells that none was made.
         top = cover_cap_centers(CLEAR_SEED, CLEAR_REQ)
         evaluate = keyed_evaluator({top[5].tobytes(): (0.8, math.nan)})
-        counts = cover_cap_recurse(evaluate, *one_seed(CLEAR_SEED, CLEAR_REQ), 3, WHOLE_SPHERE)[3]
+        seeds = one_seed(CLEAR_SEED, CLEAR_REQ)
+        counts = cover_cap_recurse(evaluate, *seeds, 3, WHOLE_SPHERE, own_rows(evaluate, seeds[0]))[3]
         assert (counts["cover_cap_nodes"], counts["cover_cap_levels"]) == (1, 1)
         assert counts["rescue_tries"] == 0
 
@@ -699,7 +718,7 @@ class TestCoverCapRecurse:
         }
         evaluate = keyed_evaluator(special, default=(0.01, 0.0))
         witness, records, residual, counts = cover_cap_recurse(
-            evaluate, seeds, np.array([1e-4, 1e-4]), 0, WHOLE_SPHERE
+            evaluate, seeds, np.array([1e-4, 1e-4]), 0, WHOLE_SPHERE, own_rows(evaluate, seeds)
         )
         assert witness[0].tobytes() == first[1][0].tobytes() and witness[1] == 0.7
         assert not records and not residual
@@ -707,8 +726,9 @@ class TestCoverCapRecurse:
 
     @staticmethod
     def assert_witness(evaluate, direction, value, records):
+        seeds = one_seed(CLEAR_SEED, CLEAR_REQ)
         witness, got, residual, counts = cover_cap_recurse(
-            evaluate, *one_seed(CLEAR_SEED, CLEAR_REQ), 3, WHOLE_SPHERE
+            evaluate, *seeds, 3, WHOLE_SPHERE, own_rows(evaluate, seeds[0])
         )
         assert witness[0].tobytes() == direction.tobytes()
         assert witness[1] == value

@@ -343,14 +343,14 @@ def mixed_block(t, rng):
 
 
 class TestBlockRadii:
-    """A block of rows gives each row's one-row Dis, k and radius, bit for bit."""
+    """A block of rows gives each row's Dis, k and radius as a block of one row, bit for bit."""
 
     @staticmethod
     def assert_rowwise(block, d):
         dis, k, radius = _radii(block, d)
         assert len(dis) == len(k) == len(radius) == len(block)
         for i, row in enumerate(block):
-            (dis_i,), (k_i,), (radius_i,) = _radii(row, d)
+            (dis_i,), (k_i,), (radius_i,) = _radii(row[None], d)
             assert np.float64(dis[i]).tobytes() == np.float64(dis_i).tobytes()
             assert k[i] == k_i
             assert np.float64(radius[i]).tobytes() == np.float64(radius_i).tobytes()
@@ -445,9 +445,15 @@ def assert_same_ball(got, ps, v, d):
     return False
 
 
+def one_row(points, v, d):
+    """(Dis, radius) of the direction v as row 0 of a `confidence_radii` stack of one, as floats."""
+    (dis,), (radius,) = confidence_radii(points, v[None], d)
+    return float(dis), float(radius)
+
+
 def kernel_calls(ps):
-    """(batch, one): the kernel called for a batch and for one direction of shape (3,)."""
-    return (lambda dirs, d: confidence_radii(ps.points, dirs, d)), (lambda v, d: confidence_radii(ps.points, v, d))
+    """(batch, one): the kernel called for a batch, and for one direction as a stack of one row."""
+    return (lambda dirs, d: confidence_radii(ps.points, dirs, d)), (lambda v, d: one_row(ps.points, v, d))
 
 
 def one_row_block_calls(ps, monkeypatch):
@@ -461,10 +467,10 @@ def engine_calls(ps, monkeypatch):
     """A batch through `_Engine.evaluate_cart`, one direction as `_Engine.orbit_ball` evaluates a ring ball.
 
     The engine reads only `d` of its params, so a stand-in holds bounds above 1 too.  The
-    float32 ring kernel is replaced by `confidence_radii`, so that a ring ball's plumbing
+    float32 ring kernel is replaced by the float64 stack of one, so that a ring ball's plumbing
     (its record, its violation) is checked here; TestBoundedRadii checks that kernel's bounds.
     """
-    monkeypatch.setattr(covering, "_bounded_radii", lambda points32, points, v, d: confidence_radii(points, v, d))
+    monkeypatch.setattr(covering, "_bounded_radii", lambda points32, points, v, d: one_row(points, v, d))
 
     def engine(d):
         return covering._Engine(ps, SimpleNamespace(d=d))
@@ -484,7 +490,7 @@ def engine_calls(ps, monkeypatch):
 
 
 class TestOneRow:
-    """Rows of a batch and single directions through `confidence_radii`, on each path that calls it."""
+    """`confidence_radius(project(ps, v), d)` is row 0 of `confidence_radii(ps.points, v[None], d)`, bit for bit."""
 
     # Ids as when a call could take a workspace: the plain call builds its own blocks,
     # "one-row-blocks" runs every block of a batch as one row, the engine serves every ring ball.
@@ -498,8 +504,10 @@ class TestOneRow:
     )
     @pytest.mark.parametrize("ps", _kernel_cases())
     def test_rows_equal_project_and_confidence_radius(self, ps, make_calls, monkeypatch):
-        # Each row of a batch, and each direction of shape (3,) alone, as the engine evaluates a ring ball.
+        # Each row of a batch, and each direction alone as a stack of one; where the
+        # float32 kernel falls back to the float64 one, it gives that row's bits.
         t = ps.size
+        points32 = ps.points.astype(np.float32)
         batch_call, one = make_calls(ps, monkeypatch)
         dirs = np.vstack([Z, uniform_directions(24, seed=t)])
         dis_all, _ = batch_call(dirs, 2.0)
@@ -516,6 +524,14 @@ class TestOneRow:
             # A short slab difference (k about t/2), then a long one (k of 2 or 3) over it.
             for d_v in (dis + 0.5, dis + 2.0 / t) if t > 2 else ():
                 assert not assert_same_ball(one(v, d_v), ps, v, d_v)
+            # d = Dis + 1/t keeps the hypothesis, the largest d below it breaks it; the
+            # float32 bound, Dis + _DIS_SLACK32, breaks it at both.
+            swept = float(_dis(np.sort(points32 @ v.astype(np.float32))))
+            for d_v in (dis + 1.0 / t, float(np.nextafter(dis + 1.0 / t, 0.0))):
+                assert swept + _DIS_SLACK32 + 1.0 / t > d_v
+                got = one(v, d_v)
+                assert assert_same_ball(got, ps, v, d_v) == (d_v < dis + 1.0 / t)
+                assert np.array(_bounded_radii(points32, ps.points, v, d_v)).tobytes() == np.array(got).tobytes()
         assert 0 < broken < len(dirs)
 
     def test_the_engine_raises_with_the_witness_of_confidence_radius(self):
@@ -550,6 +566,10 @@ class TestOneRow:
         assert (back.directed_value, back.d) == (0.1, 0.05)
 
 
+# The paths a cover takes: Cover Cap's batch, and phase 1's ring ball and ring samples.
+KERNEL_BENCH_PATHS = ["confidence_radii", "float32_one_row", "float32_batch"]
+
+
 def test_kernel_bench_script_smoke(tmp_path):
     root = Path(__file__).resolve().parents[1]
     smoke = [sys.executable, str(root / "scripts" / "kernel_bench.py"), "--repeats", "1", "--directions", "4"]
@@ -567,7 +587,8 @@ def test_kernel_bench_script_smoke(tmp_path):
     assert cell_keys == [(t, rows) for t in (441, 994, 7057) for rows in (1, 8, 20)]
     for cell in cells:
         assert cell["directions"] == 4
-        for path in ("one_at_a_time", "confidence_radii", "one_row", "float32_one_row", "float32_batch"):
+        assert "speedup" not in cell
+        for path in KERNEL_BENCH_PATHS:
             assert cell[path]["us_per_direction"] > 0.0
 
 
@@ -587,7 +608,8 @@ def test_kernel_bench_script_with_a_baseline(tmp_path):
         cells = table["cells"]
         assert [(cell["t"], cell["rows"]) for cell in cells] == [(t, rows) for t in (441, 994, 7057) for rows in (1, 8, 20)]
         for cell in cells:
-            for path in ("one_at_a_time", "confidence_radii", "one_row", "float32_one_row", "float32_batch"):
+            assert [key for key, value in cell.items() if isinstance(value, dict)] == KERNEL_BENCH_PATHS
+            for path in KERNEL_BENCH_PATHS:
                 assert cell[path]["us_per_direction"] > 0.0
 
 
@@ -713,15 +735,15 @@ class TestBoundedRadii:
 
 class TestSlabWidth:
     def test_known_profile(self):
-        s = np.array([-0.5, -0.1, 0.2, 0.9])
-        assert math.isclose(_slab_width(s, 1), 0.3, abs_tol=1e-15)
-        assert math.isclose(_slab_width(s, 2), 0.7, abs_tol=1e-15)
-        assert _slab_width(s, 4) == 2.0
+        s = np.array([[-0.5, -0.1, 0.2, 0.9], [-0.5, -0.4, 0.0, 0.9]])
+        assert np.allclose(_slab_width(s, 1), [0.3, 0.1], rtol=0.0, atol=1e-15)
+        assert np.allclose(_slab_width(s, 2), [0.7, 0.5], rtol=0.0, atol=1e-15)
+        assert _slab_width(s, 4) == [2.0, 2.0]
 
     def test_monotone_in_k(self):
         ps = generate_random_uniform(80, seed=3)
-        s = project(ps, Z).values
-        widths = [_slab_width(s, k) for k in range(1, 20)]
+        s = project(ps, Z).values[None]
+        widths = [width for k in range(1, 20) for width in _slab_width(s, k)]
         assert all(a <= b + 1e-15 for a, b in zip(widths, widths[1:]))
 
 
@@ -733,7 +755,7 @@ class TestConfidenceRadius:
         d = dis + 3.7 / ps.size
         ball = confidence_radius(prof, d)
         assert ball.k == math.floor(ps.size * (d - dis)) + 1
-        assert ball.radius == _slab_width(prof.values, ball.k)
+        assert [ball.radius] == _slab_width(prof.values[None], ball.k)
 
     def test_rejects_hypothesis_violation(self):
         ps = generate_random_uniform(100, seed=4)

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import runpy
 import subprocess
@@ -11,16 +12,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capdisc import covering, discrepancy, reporting
+from capdisc import covering, reporting
 from capdisc.covering import (
     CoverageRecords,
     CoverOutcome,
     CoverParams,
+    ORIGINS,
     Residuals,
-    cover_cap_recurse,
     cover_region,
 )
-from capdisc.discrepancy import confidence_radii, confidence_radius, directed_values, project
+from capdisc.discrepancy import confidence_radius, directed_values, project
 from capdisc.geometry import Region, cartesian_to_polar, polar_to_cartesian
 from capdisc.pointsets import generate_twisted_polar
 from capdisc.polar_analysis import conjecture_setup, north_pole_directed
@@ -36,11 +37,7 @@ from capdisc.reporting import (
     write_report,
 )
 
-from conftest import count_table_dis
-
-# The whole sphere, over which a Cover Cap drops no ball.
-WHOLE_SPHERE = Region(-np.pi / 2, np.pi / 2, 0.0, 2.0 * np.pi)
-# The report that the schema-1 writer gave for the residual_run fixture's cover.
+# The report that the schema-1 writer gave for a twisted n=12 cover that ended `residual`.
 V1_RESIDUAL_RUN = Path(__file__).resolve().parent / "data" / "residual_run_v1.json"
 
 
@@ -73,36 +70,12 @@ def counterexample_run():
 
 @pytest.fixture(scope="module")
 def residual_run():
-    # Phase 1 walks the region as one band, on the float64 kernel, and Cover
-    # Cap evaluates its seeds' own directions again and grows its trees over
-    # the whole sphere, as the engine that wrote V1_RESIDUAL_RUN did: the
-    # walker each band's is.  That engine swept Dis by its count table and
-    # bisected each ring's band_lo 40 times (a negative margin never stops
-    # the search early).
+    # Cover Cap at depth 0 leaves residual balls (18 of them, beside 657 records).
     ps = generate_twisted_polar(12)
     params = CoverParams(
         d=north_pole_directed(12), region=Region(0.0, 1.0, 0.0, 0.8), cover_cap_max_depth=0
     )
-    orbit_band = covering._Engine._orbit_band
-
-    def full_band_lo(engine, *args):
-        with pytest.MonkeyPatch.context() as inner:
-            inner.setattr(covering, "BINARY_SEARCH_TOL", -1.0)
-            return orbit_band(engine, *args)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(covering, "_bands", lambda region: [region])
-        mp.setattr(discrepancy, "_dis", count_table_dis)
-        mp.setattr(covering._Engine, "_orbit_band", full_band_lo)
-        mp.setattr(covering, "_bounded_radii", lambda points32, points, v, d: confidence_radii(points, v, d))
-        mp.setattr(
-            covering,
-            "cover_cap_recurse",
-            lambda evaluate, centers, required_r, depth, region, own: cover_cap_recurse(
-                evaluate, centers, required_r, depth, WHOLE_SPHERE
-            ),
-        )
-        outcome = cover_region(ps, params)
+    outcome = cover_region(ps, params)
     assert outcome.status == "residual" and outcome.not_covered
     return ps, params, outcome
 
@@ -225,64 +198,72 @@ class TestReportDocument:
         with pytest.raises(ValueError, match="unsupported report schema: 3"):
             read_report(path)
 
-    def test_rows_match_the_schema_one_records(self, residual_run, tmp_path):
-        # Orbit centres are polar_to_cartesian of the stored angles, and Cover
-        # Cap and residual centres give the stored angles under
-        # cartesian_to_polar, bit for bit; all else is equal, in order, but
-        # for the Cover Cap rows inside phase-1 balls, which are now dropped.
-        ps, params, outcome = residual_run
+    def test_rows_match_the_schema_one_records(self, tmp_path):
+        # The rows of a schema-1 report as an outcome's tables, written as
+        # schema 2 and read back: every row keeps its radius, Dis and origin
+        # bits, and its centre keeps the engine's relation to the stored
+        # angles.  An orbit centre is polar_to_cartesian of them; a Cover Cap
+        # or residual centre gives them back under cartesian_to_polar, bit
+        # for bit.
         old = read_report(V1_RESIDUAL_RUN)
+        stored = old["params"]
+        ps = generate_twisted_polar(old["points_meta"]["n"])
+        params = CoverParams(
+            d=stored["d"],
+            region=Region(**stored["region"]),
+            cover_cap_max_depth=stored["defaults"]["cover_cap_max_depth"],
+        )
+
+        def bits(*values):
+            return np.array(values, dtype=float).tobytes()
+
+        def center(rec):
+            """An orbit row's centre, or one that cartesian_to_polar maps to the row's angles."""
+            angles = rec["theta"], rec["phi"]
+            c = polar_to_cartesian(*angles)
+            if rec.get("origin") == "orbit":
+                return c
+            # polar_to_cartesian's centre, each component moved by 2 ulps at most, the least moves first
+            for step in sorted(itertools.product(range(-2, 3), repeat=3), key=lambda k: np.abs(k).sum()):
+                moved = c + np.array(step) * np.spacing(c)
+                if bits(*cartesian_to_polar(moved)) == bits(*angles):
+                    return moved
+            raise AssertionError(f"no centre near polar_to_cartesian{angles} gives back its angles")
+
+        rows, entries = old["records"], old["not_covered"]
+        records = CoverageRecords(
+            np.array([center(rec) for rec in rows]),
+            np.array([rec["radius"] for rec in rows]),
+            np.array([rec["directed_value"] for rec in rows]),
+            np.array([ORIGINS.index(rec["origin"]) for rec in rows], dtype=np.uint8),
+        )
+        not_covered = Residuals(
+            np.array([center(entry) for entry in entries]), np.array([e["required_radius"] for e in entries])
+        )
+        counters, timings = old["outcome"]["counters"], old["outcome"]["timings"]
+        outcome = CoverOutcome(old["outcome"]["status"], records, None, not_covered, counters, timings)
         write_report(tmp_path / "report.json", ps, params, outcome)
         new = read_report(tmp_path / "report.json")
         assert new["schema_version"] == SCHEMA_VERSION == 2
         assert new["record_fields"] == ["x", "y", "z", "radius", "directed_value", "origin"]
         assert new["origins"] == ["orbit", "cover_cap"]
-        for key in ("params", "points_meta"):
+        for key in ("params", "points_meta", "outcome"):
             assert new[key] == old[key]
-        # status and counters, less the counters of the dropped rows
-        outcome_doc = strip_timings(new)["outcome"]
-        counters = outcome_doc["counters"] = dict(outcome_doc["counters"])
-        dropped = counters.pop("cover_cap_inside_orbit")
-        assert counters.pop("not_covered_inside_orbit") == 3
-        counters["n_cover_cap_dirs"] += dropped
-        assert counters.pop("phase1_bands") == 1
-        assert counters.pop("cover_cap_pruned") == 0  # the fixture's Cover Cap drops no ball
-        assert (counters.pop("mirror_rows"), counters.pop("mirror_delta")) == (0, None)
-        for key in ("band_tests", "kernel_batches", "kernel_batch_rows"):  # schema 1 has no work counters
-            counters.pop(key)
-        assert outcome_doc == strip_timings(old)["outcome"]
         assert "counterexample" not in new and "counterexample" not in old
 
-        def bits(*values):
-            return np.array(values, dtype=float).tobytes()
-
-        def same_ball(rec, row) -> bool:
-            x, y, z, radius, dis, origin = row
-            assert type(origin) is int
-            if new["origins"][origin] != rec["origin"]:
-                return False
-            if bits(radius, dis) != bits(rec["radius"], rec["directed_value"]):
-                return False
-            center, angles = np.array([x, y, z]), (rec["theta"], rec["phi"])
-            if rec["origin"] == "orbit":
-                return polar_to_cartesian(*angles).tobytes() == center.tobytes()
-            return bits(*cartesian_to_polar(center)) == bits(*angles)
-
-        origins = [rec["origin"] for rec in old["records"]]
+        origins = [rec["origin"] for rec in rows]
         assert [origins.count(o) for o in ("orbit", "cover_cap")] == [471, 156]
-        assert dropped == 24 and len(new["records"]) == len(old["records"]) - dropped
-        rows = iter(new["records"])
-        row = next(rows)
-        missing = []  # the old records that no new row matches
-        for rec in old["records"]:
-            if row is not None and same_ball(rec, row):
-                row = next(rows, None)
+        assert len(new["records"]) == len(rows)
+        for rec, (x, y, z, radius, dis, origin) in zip(rows, new["records"]):
+            assert type(origin) is int and new["origins"][origin] == rec["origin"]
+            assert bits(radius, dis) == bits(rec["radius"], rec["directed_value"])
+            c, angles = np.array([x, y, z]), (rec["theta"], rec["phi"])
+            if rec["origin"] == "orbit":
+                assert polar_to_cartesian(*angles).tobytes() == c.tobytes()
             else:
-                missing.append(rec["origin"])
-        assert row is None, "a new row matches no old record in order"
-        assert missing == ["cover_cap"] * dropped
-        assert len(new["not_covered"]) == len(old["not_covered"]) == 12
-        for entry, (x, y, z, required) in zip(old["not_covered"], new["not_covered"]):
+                assert bits(*cartesian_to_polar(c)) == bits(*angles)
+        assert len(new["not_covered"]) == len(entries) == 12
+        for entry, (x, y, z, required) in zip(entries, new["not_covered"]):
             assert bits(required) == bits(entry["required_radius"])
             assert bits(*cartesian_to_polar(np.array([x, y, z]))) == bits(entry["theta"], entry["phi"])
 
